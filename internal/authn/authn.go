@@ -39,16 +39,63 @@ func Hash(data []byte) Digest { return sha256.Sum256(data) }
 
 // HashAll computes the digest of the concatenation of the given byte slices,
 // with length prefixes so that the encoding is unambiguous.
-func HashAll(parts ...[]byte) Digest {
-	h := sha256.New()
-	var lenBuf [8]byte
+//
+//abstractbft:noalloc
+func HashAll(parts ...[]byte) Digest { return hashParts(true, parts) }
+
+// HashConcat computes Hash of the plain concatenation of the given byte
+// slices without materializing it: encoders whose digest input is a fixed
+// header followed by a caller-owned payload hash the two in place.
+//
+//abstractbft:noalloc
+func HashConcat(parts ...[]byte) Digest { return hashParts(false, parts) }
+
+// hashInline bounds the inputs hashParts assembles on the stack and hashes in
+// one shot; it covers every fixed-size digest input of the request hot path
+// (history chain steps, batch folds of up to three digests, small requests).
+const hashInline = 256
+
+// hashParts hashes the concatenation of parts, each preceded by its 8-byte
+// big-endian length when prefixed is set. The streaming branch feeds the hash
+// through a local chunk so that parts never reaches an interface call: the
+// callers' arrays stay on their stacks and the common (inline) branch does not
+// allocate at all.
+//
+//abstractbft:noalloc
+func hashParts(prefixed bool, parts [][]byte) Digest {
+	total := 0
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
+		total += len(p)
+	}
+	if prefixed {
+		total += 8 * len(parts)
+	}
+	if total <= hashInline {
+		var buf [hashInline]byte
+		b := buf[:0]
+		for _, p := range parts {
+			if prefixed {
+				b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+			}
+			b = append(b, p...)
+		}
+		return sha256.Sum256(b)
+	}
+	h := sha256.New()
+	var chunk [1024]byte
+	for _, p := range parts {
+		if prefixed {
+			binary.BigEndian.PutUint64(chunk[:8], uint64(len(p)))
+			h.Write(chunk[:8])
+		}
+		for len(p) > 0 {
+			n := copy(chunk[:], p)
+			h.Write(chunk[:n])
+			p = p[n:]
+		}
 	}
 	var d Digest
-	copy(d[:], h.Sum(nil))
+	h.Sum(d[:0])
 	return d
 }
 
@@ -157,12 +204,26 @@ func (ks *KeyStore) pairwiseKey(p, q ids.ProcessID) []byte {
 	return k
 }
 
+// macState is one pooled HMAC state together with the scratch every MAC is
+// assembled in and summed into. The hash is reached through an interface, so
+// anything handed to it is assumed to escape; feeding it only the pooled
+// scratch keeps the callers' (stack-built, fixed-size) MAC inputs and the
+// resulting MAC off the heap.
+type macState struct {
+	h   hash.Hash
+	buf [macScratch]byte
+}
+
+// macScratch holds the 9-byte MAC header plus every fixed-size MAC input of
+// the request path (the largest, a chain tail input, is 112 bytes).
+const macScratch = 128
+
 // hmacState returns a reset HMAC state for the pair (p, q) from a per-pair
 // pool, together with the pool to return it to. Pooling matters on the hot
 // path: hmac.New hashes the key into the two block-sized pads on every call,
 // while Reset restores the precomputed inner state, so a pooled MAC costs one
 // short SHA-256 pass instead of three.
-func (ks *KeyStore) hmacState(p, q ids.ProcessID) (hash.Hash, *sync.Pool) {
+func (ks *KeyStore) hmacState(p, q ids.ProcessID) (*macState, *sync.Pool) {
 	id := normalizePair(p, q)
 	ks.mu.RLock()
 	pool := ks.macPool[id]
@@ -175,7 +236,7 @@ func (ks *KeyStore) hmacState(p, q ids.ProcessID) (hash.Hash, *sync.Pool) {
 				if m := ks.met.Load(); m != nil {
 					m.poolMisses.Inc()
 				}
-				return hmac.New(sha256.New, key)
+				return &macState{h: hmac.New(sha256.New, key)}
 			}}
 			ks.macPool[id] = pool
 		}
@@ -184,9 +245,9 @@ func (ks *KeyStore) hmacState(p, q ids.ProcessID) (hash.Hash, *sync.Pool) {
 	if m := ks.met.Load(); m != nil {
 		m.poolGets.Inc()
 	}
-	h := pool.Get().(hash.Hash)
-	h.Reset()
-	return h, pool
+	st := pool.Get().(*macState)
+	st.h.Reset()
+	return st, pool
 }
 
 // MAC input domains: raw MACs cover the caller's bytes directly; digest MACs
@@ -199,20 +260,28 @@ const (
 	macDomainDigest = 0x01
 )
 
+//abstractbft:noalloc
 func (ks *KeyStore) macWith(sender, receiver ids.ProcessID, domain byte, data []byte) MAC {
 	if m := ks.met.Load(); m != nil {
 		m.macOps.Inc()
 	}
-	h, pool := ks.hmacState(sender, receiver)
-	var hdr [9]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(sender))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(receiver))
-	hdr[8] = domain
-	h.Write(hdr[:])
-	h.Write(data)
+	st, pool := ks.hmacState(sender, receiver)
+	buf := st.buf[:]
+	binary.BigEndian.PutUint32(buf[:4], uint32(sender))
+	binary.BigEndian.PutUint32(buf[4:8], uint32(receiver))
+	buf[8] = domain
+	n := 9
+	for {
+		k := copy(buf[n:], data)
+		st.h.Write(buf[:n+k])
+		if data = data[k:]; len(data) == 0 {
+			break
+		}
+		n = 0
+	}
 	var m MAC
-	h.Sum(m[:0])
-	pool.Put(h)
+	copy(m[:], st.h.Sum(buf[:0]))
+	pool.Put(st)
 	return m
 }
 

@@ -2,6 +2,7 @@ package authn
 
 import (
 	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -181,5 +182,59 @@ func TestOpCounter(t *testing.T) {
 	nilCounter.CountMACGen(ids.Replica(0), 1) // must not panic
 	if nilCounter.BottleneckMACOpsPerRequest() != 0 {
 		t.Errorf("nil counter should report 0")
+	}
+}
+
+func testPattern(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i % 251)
+	}
+	return b
+}
+
+// TestGoldenHashAndMAC pins HashAll and MAC to the values the streaming
+// implementations produced before inputs were assembled in fixed scratch
+// (stack for hashes, pooled for MACs), on both sides of the inline bounds.
+func TestGoldenHashAndMAC(t *testing.T) {
+	want := func(name string, got []byte, hexWant string) {
+		t.Helper()
+		if h := hex.EncodeToString(got); h != hexWant {
+			t.Errorf("%s = %s, want %s", name, h, hexWant)
+		}
+	}
+	small := HashAll([]byte("a"), nil, []byte("bc"))
+	want("HashAll small", small[:], "fb9abcb07180be92066c09ce253c0a060e4634fe3accf064b556d89a691c8e5f")
+	large := HashAll(testPattern(200), testPattern(100))
+	want("HashAll large", large[:], "f1169db1cb80bef4bd5727049bc5604485f2f8846ce0a6b2f153a92957ad6a8b")
+	for _, n := range []int{0, 1, hashInline - 1, hashInline, hashInline + 1, 5000} {
+		data := testPattern(n)
+		if HashConcat(data[:n/3], data[n/3:]) != Hash(data) {
+			t.Errorf("HashConcat differs from Hash at %d bytes", n)
+		}
+	}
+
+	ks := NewKeyStore("golden")
+	short := ks.MAC(ids.Replica(1), ids.Client(7), []byte("short"))
+	want("MAC short", short[:], "1a0be3e36d6c8db2ccff7237d40b60124cadaa65a68bc323af97854c7798a9ae")
+	long := ks.MAC(ids.Replica(1), ids.Client(7), testPattern(300))
+	want("MAC long", long[:], "fa5b76ade37ba4722ae14094471fdd3cb8a054d1befddac5e923cd3dacab91d5")
+}
+
+// TestMACAllocs pins the MAC path: a fixed-size input built on the caller's
+// stack is MACed and verified without heap allocation.
+func TestMACAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled HMAC states")
+	}
+	ks := NewKeyStore("alloc")
+	var data [92]byte
+	m := ks.MAC(ids.Replica(1), ids.Client(0), data[:])
+	if n := testing.AllocsPerRun(200, func() {
+		if ks.VerifyMAC(ids.Replica(1), ids.Client(0), data[:], m) != nil {
+			t.Fatal("MAC does not verify")
+		}
+	}); n != 0 {
+		t.Fatalf("VerifyMAC allocates %v times per call, want 0", n)
 	}
 }

@@ -74,7 +74,8 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 					continue
 				}
 				c.env.Ops.CountMACVerify(c.env.ID, 1)
-				if err := c.env.Keys.VerifyMAC(t.Replica, c.env.ID, t.MACBytes(), t.MAC); err != nil {
+				macBytes := t.MACBytes()
+				if err := c.env.Keys.VerifyMAC(t.Replica, c.env.ID, macBytes[:], t.MAC); err != nil {
 					continue
 				}
 				key := voteKey{reply: t.ReplyDigest, history: t.HistoryDigest}

@@ -56,6 +56,10 @@ func (m *Message) AbstractInstance() core.InstanceID { return m.Instance }
 // CarriedInit implements core.InitCarrier.
 func (m *Message) CarriedInit() *core.InitHistory { return m.Init }
 
+// RequestTimestamp implements transport.RequestScoped: the tail's reply
+// answers exactly one client request.
+func (m *Message) RequestTimestamp() uint64 { return m.Req.Timestamp }
+
 // BatchMessage is the batched CHAIN message travelling between replicas: the
 // head coalesces client requests under the host's batch policy and forwards
 // the whole batch down the pipeline, each replica authenticating the batch to

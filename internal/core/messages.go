@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 
 	"abstractbft/internal/authn"
@@ -70,19 +69,17 @@ func (m *AbortMessage) AbstractInstance() InstanceID { return m.Instance }
 // same signature payload (the replica sends "the same abort message for all
 // subsequent requests").
 func (m *AbortMessage) SignedBytes() []byte {
-	var buf bytes.Buffer
-	var hdr [32]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(m.Instance))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(m.Replica))
-	binary.BigEndian.PutUint64(hdr[12:20], uint64(m.Next))
-	binary.BigEndian.PutUint64(hdr[20:28], m.Report.CheckpointSeq)
-	binary.BigEndian.PutUint32(hdr[28:32], m.Flags)
-	buf.Write(hdr[:])
-	buf.Write(m.Report.CheckpointDigest[:])
+	buf := make([]byte, 32, 32+authn.DigestSize*(1+len(m.Report.Suffix)))
+	binary.BigEndian.PutUint64(buf[0:8], uint64(m.Instance))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(m.Replica))
+	binary.BigEndian.PutUint64(buf[12:20], uint64(m.Next))
+	binary.BigEndian.PutUint64(buf[20:28], m.Report.CheckpointSeq)
+	binary.BigEndian.PutUint32(buf[28:32], m.Flags)
+	buf = append(buf, m.Report.CheckpointDigest[:]...)
 	for _, d := range m.Report.Suffix {
-		buf.Write(d[:])
+		buf = append(buf, d[:]...)
 	}
-	return buf.Bytes()
+	return buf
 }
 
 // SignedAbort is an ABORT message together with the sending replica's
@@ -175,19 +172,26 @@ type RespMessage struct {
 // AbstractInstance implements InstanceMessage.
 func (m *RespMessage) AbstractInstance() InstanceID { return m.Instance }
 
+// RespMACLen is the size of the MAC input of a RESP message.
+const RespMACLen = 28 + 2*authn.DigestSize
+
 // MACBytes returns the bytes covered by the RESP message's MAC.
-func (m *RespMessage) MACBytes() []byte {
-	var buf bytes.Buffer
-	var hdr [28]byte
-	binary.BigEndian.PutUint64(hdr[0:8], uint64(m.Instance))
-	binary.BigEndian.PutUint32(hdr[8:12], uint32(m.Replica))
-	binary.BigEndian.PutUint64(hdr[12:20], m.Timestamp)
-	binary.BigEndian.PutUint64(hdr[20:28], m.HistoryLen)
-	buf.Write(hdr[:])
-	buf.Write(m.ReplyDigest[:])
-	buf.Write(m.HistoryDigest[:])
-	return buf.Bytes()
+//
+//abstractbft:noalloc
+func (m *RespMessage) MACBytes() (buf [RespMACLen]byte) {
+	binary.BigEndian.PutUint64(buf[0:8], uint64(m.Instance))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(m.Replica))
+	binary.BigEndian.PutUint64(buf[12:20], m.Timestamp)
+	binary.BigEndian.PutUint64(buf[20:28], m.HistoryLen)
+	copy(buf[28:], m.ReplyDigest[:])
+	copy(buf[28+authn.DigestSize:], m.HistoryDigest[:])
+	return buf
 }
+
+// RequestTimestamp implements transport.RequestScoped: a RESP answers exactly
+// one client request, so a demultiplexed client routes it to the invocation
+// that owns the timestamp.
+func (m *RespMessage) RequestTimestamp() uint64 { return m.Timestamp }
 
 func init() {
 	// Register the framework messages with the TCP transport so composed

@@ -42,8 +42,10 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 
 // PipelinedComposer is the pipelining variant of Composer: instead of strict
 // invoke-then-wait, a client keeps up to Depth invocations in flight at once.
-// Each invocation runs on a virtual endpoint of a shared demultiplexer, so
-// concurrent receive loops never steal each other's messages; the instance
+// Each invocation runs on a virtual endpoint of a shared demultiplexer that
+// hands it the replies to its own request timestamps (and every message that
+// names no request), so concurrent receive loops neither steal nor wade
+// through each other's messages; the instance
 // switching state (ACP) is shared across invocations. When the active
 // instance supports batched invocation (core.BatchInstance, implemented by
 // Quorum), queued invocations are coalesced into one batch message covered by
@@ -224,16 +226,18 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 	}
 	id, init := p.takeActiveInit()
 	env := p.env
-	vep := p.demux.Open()
+	reqs := make([]msg.Request, len(subs))
+	timestamps := make([]uint64, len(subs))
+	for i, s := range subs {
+		reqs[i] = s.req
+		timestamps[i] = s.req.Timestamp
+	}
+	vep := p.demux.Open(timestamps...)
 	env.Endpoint = vep
 	inst, err := p.newFactory(env)(id)
 	var outs []Outcome
 	var berr error
 	if bi, ok := inst.(BatchInstance); err == nil && ok {
-		reqs := make([]msg.Request, len(subs))
-		for i, s := range subs {
-			reqs[i] = s.req
-		}
 		// The batch runs under its own context so one caller's cancelled or
 		// short-deadline context cannot defeat the fast path for everyone
 		// else; InvokeBatch is internally bounded by the instance's commit
@@ -300,7 +304,7 @@ func (p *PipelinedComposer) invokeOne(ctx context.Context, req msg.Request) ([]b
 		}
 		id, init := p.takeActiveInit()
 		env := p.env
-		vep := p.demux.Open()
+		vep := p.demux.Open(req.Timestamp)
 		env.Endpoint = vep
 		inst, err := p.newFactory(env)(id)
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/history"
-	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
 
@@ -18,41 +17,57 @@ import (
 // uncommitted requests have Committed=false and the caller decides whether to
 // panic or retry them individually.
 func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance InstanceID, reqs []msg.Request, timeout time.Duration) ([]Outcome, bool, error) {
-	type respKey struct {
+	// answer is what one replica said about one request; a bucket counts the
+	// replicas that gave one answer. At most N = 3f+1 replicas answer, so
+	// per-replica votes and per-answer buckets live in small slices searched
+	// linearly instead of maps.
+	type answer struct {
 		historyDigest authn.Digest
 		replyDigest   authn.Digest
 	}
+	type vote struct {
+		answer
+		cast bool
+	}
 	type bucket struct {
-		replicas map[ids.ProcessID]bool
-		reply    []byte
-		digests  history.DigestHistory
+		answer
+		votes   int
+		reply   []byte
+		digests history.DigestHistory
 	}
 	type reqState struct {
-		buckets   map[respKey]*bucket
-		seen      map[ids.ProcessID]respKey
+		votes     []vote // by replica index
+		cast      int
+		buckets   []bucket
 		committed bool
 		// hopeless is set when all 3f+1 replicas answered with divergent
 		// digests: the request can no longer reach N matching replies.
 		hopeless bool
 	}
+	n := env.Cluster.N
 	// Requests are identified by timestamp; duplicate timestamps within one
 	// batch (replicas answer each timestamp once) share the first
 	// occurrence's state, so a duplicate can neither stall the loop nor
-	// leave its outcome behind.
-	byTS := make(map[uint64]int, len(reqs))
-	alias := make([]int, len(reqs))
-	states := make([]reqState, 0, len(reqs))
-	for i, r := range reqs {
-		if j, dup := byTS[r.Timestamp]; dup {
-			alias[i] = alias[j]
-			continue
+	// leave its outcome behind. Batches are small (a pipeline's depth), so
+	// the first occurrence is found by scanning.
+	first := func(ts uint64) int {
+		for i := range reqs {
+			if reqs[i].Timestamp == ts {
+				return i
+			}
 		}
-		byTS[r.Timestamp] = i
-		alias[i] = len(states)
-		states = append(states, reqState{buckets: make(map[respKey]*bucket), seen: make(map[ids.ProcessID]respKey)})
+		return -1
+	}
+	states := make([]reqState, len(reqs))
+	votes := make([]vote, len(reqs)*n)
+	remaining := 0
+	for i := range reqs {
+		if first(reqs[i].Timestamp) == i {
+			states[i].votes = votes[i*n : (i+1)*n]
+			remaining++
+		}
 	}
 	outs := make([]Outcome, len(reqs))
-	remaining := len(states)
 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -71,42 +86,53 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 			if !isResp || resp.Instance != instance || resp.Client != env.ID {
 				continue
 			}
-			i, mine := byTS[resp.Timestamp]
-			if !mine || states[alias[i]].committed {
+			i := first(resp.Timestamp)
+			if i < 0 || states[i].committed {
 				continue
 			}
-			if !resp.Replica.IsReplica() || int(resp.Replica) >= env.Cluster.N {
+			if !resp.Replica.IsReplica() || int(resp.Replica) >= n {
 				continue
 			}
 			env.Ops.CountMACVerify(env.ID, 1)
-			if err := env.Keys.VerifyMAC(resp.Replica, env.ID, resp.MACBytes(), resp.MAC); err != nil {
+			macBytes := resp.MACBytes()
+			if err := env.Keys.VerifyMAC(resp.Replica, env.ID, macBytes[:], resp.MAC); err != nil {
 				continue
 			}
-			st := &states[alias[i]]
-			key := respKey{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
-			if prev, dup := st.seen[resp.Replica]; dup && prev != key {
+			st := &states[i]
+			key := answer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
+			v := &st.votes[resp.Replica]
+			if v.cast && v.answer != key {
 				// A replica changed its answer: divergence, give up on the
 				// whole batch (the caller falls back to panicking).
 				return outs, false, nil
 			}
-			st.seen[resp.Replica] = key
-			b := st.buckets[key]
-			if b == nil {
-				b = &bucket{replicas: make(map[ids.ProcessID]bool)}
-				st.buckets[key] = b
+			var b *bucket
+			for j := range st.buckets {
+				if st.buckets[j].answer == key {
+					b = &st.buckets[j]
+					break
+				}
 			}
-			b.replicas[resp.Replica] = true
+			if b == nil {
+				st.buckets = append(st.buckets, bucket{answer: key})
+				b = &st.buckets[len(st.buckets)-1]
+			}
+			if !v.cast {
+				*v = vote{answer: key, cast: true}
+				st.cast++
+				b.votes++
+			}
 			if b.reply == nil && authn.Hash(resp.Reply) == resp.ReplyDigest {
 				b.reply = append([]byte{}, resp.Reply...)
 			}
 			if len(resp.HistoryDigests) > 0 {
 				b.digests = resp.HistoryDigests.Clone()
 			}
-			if len(b.replicas) == env.Cluster.N && b.reply != nil {
+			if b.votes == n && b.reply != nil {
 				st.committed = true
 				out := Outcome{Committed: true, Reply: b.reply, CommitHistory: b.digests}
 				for j := range reqs {
-					if alias[j] == alias[i] {
+					if reqs[j].Timestamp == resp.Timestamp {
 						outs[j] = out
 					}
 				}
@@ -115,7 +141,7 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 				}
 				remaining--
 			}
-			if !st.committed && !st.hopeless && len(st.seen) == env.Cluster.N && len(st.buckets) > 1 {
+			if !st.committed && !st.hopeless && st.cast == n && len(st.buckets) > 1 {
 				st.hopeless = true
 			}
 			// Give up early once every uncommitted request is hopeless (all

@@ -48,6 +48,10 @@ func (p BatchPolicy) normalized() BatchPolicy {
 type BatchItem struct {
 	// Req is the client request.
 	Req msg.Request
+	// Digest is Req.Digest(), set by a protocol that computed it to verify
+	// the client's authenticator and reads it back in its flush function so
+	// ordering does not hash the request again (ZLight); others leave it zero.
+	Digest authn.Digest
 	// Auth is the client's MAC authenticator (ZLight, Quorum).
 	Auth authn.Authenticator
 	// CA is the client's chain authenticator (Chain).
@@ -172,21 +176,23 @@ func (b *Batcher) Flush() {
 // (already ordered while the item waited in the assembler). Keeping orderers
 // and verifiers on the same rule lives here, next to the assembler.
 func FilterFreshItems(st *InstanceState, items []BatchItem) (fresh []BatchItem, batch msg.Batch, stale []BatchItem) {
-	var all msg.Batch
-	for _, it := range items {
-		all.Requests = append(all.Requests, it.Req)
+	all := msg.Batch{Requests: make([]msg.Request, len(items))}
+	for i := range items {
+		all.Requests[i] = items[i].Req
 	}
-	freshBatch, _ := st.FilterFreshBatch(all)
-	keep := make(map[msg.RequestID]bool, freshBatch.Len())
-	for _, req := range freshBatch.Requests {
-		keep[req.ID()] = true
+	batch, staleReqs := st.FilterFreshBatch(all)
+	if len(staleReqs) == 0 {
+		return items, batch, nil
 	}
+	// The fresh batch keeps the items' order, so one pass pairs them up.
+	next := 0
 	for _, it := range items {
-		if keep[it.Req.ID()] {
+		if next < batch.Len() && it.Req.ID() == batch.Requests[next].ID() {
 			fresh = append(fresh, it)
+			next++
 		} else {
 			stale = append(stale, it)
 		}
 	}
-	return fresh, freshBatch, stale
+	return fresh, batch, stale
 }

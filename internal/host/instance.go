@@ -319,13 +319,32 @@ func (st *InstanceState) TimestampFresh(c ids.ProcessID, ts uint64) bool {
 // freshness alone only checks against already-logged history.
 func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, stale []msg.Request) {
 	width := st.width()
-	var sim map[ids.ProcessID]tsState
-	for _, req := range batch.Requests {
-		w, ok := sim[req.Client]
-		if !ok {
-			w = st.windowOf(req.Client)
+	// sim holds the windows of the clients seen so far with this batch's
+	// accepted timestamps marked. Batches are small and usually carry few
+	// distinct clients, so a stack-backed slice searched linearly replaces a
+	// map per batch.
+	type simWindow struct {
+		client ids.ProcessID
+		w      tsState
+	}
+	var simBuf [DefaultMaxBatch]simWindow
+	sim := simBuf[:0]
+	for i, req := range batch.Requests {
+		k := 0
+		for k < len(sim) && sim[k].client != req.Client {
+			k++
 		}
+		if k == len(sim) {
+			sim = append(sim, simWindow{client: req.Client, w: st.windowOf(req.Client)})
+		}
+		w := sim[k].w
 		if !w.fresh(width, req.Timestamp) {
+			if stale == nil {
+				// First stale member: from here on the fresh requests are
+				// copied out; an all-fresh batch (the common case) is
+				// returned as it came, without rebuilding it.
+				fresh.Requests = append(make([]msg.Request, 0, len(batch.Requests)-1), batch.Requests[:i]...)
+			}
 			stale = append(stale, req)
 			st.staleCtr.Inc()
 			continue
@@ -335,11 +354,13 @@ func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, sta
 			// would have rejected this overtaken pipelined request.
 			st.readmitCtr.Inc()
 		}
-		if sim == nil {
-			sim = make(map[ids.ProcessID]tsState, batch.Len())
+		sim[k].w = w.mark(req.Timestamp)
+		if stale != nil {
+			fresh.Requests = append(fresh.Requests, req)
 		}
-		sim[req.Client] = w.mark(req.Timestamp)
-		fresh.Requests = append(fresh.Requests, req)
+	}
+	if stale == nil {
+		fresh.Requests = batch.Requests
 	}
 	return fresh, stale
 }
@@ -541,14 +562,12 @@ func cloneWindows(ws map[ids.ProcessID]tsState) map[ids.ProcessID]tsState {
 // when the locally applied tail diverges from the adopted history, then
 // applies any missing suffix.
 func (h *Host) reconcileApplication(st *InstanceState) {
-	base, target := h.globalTarget(st)
-
 	// Find the longest absolute common prefix between what has been applied
-	// and the target; positions below base are covered by a stable
-	// checkpoint and agree by construction.
-	common := base
-	for common-base < uint64(len(h.appliedDigs)) && common-base < uint64(len(target)) &&
-		h.appliedDigs[common-h.appliedTrim] == target[common-base] {
+	// and the history; positions below the applied trim point are covered by
+	// a stable checkpoint and agree by construction.
+	common := h.appliedTrim
+	for common-h.appliedTrim < uint64(len(h.appliedDigs)) && common < st.AbsLen() &&
+		h.appliedDigs[common-h.appliedTrim] == h.digestAt(st, common) {
 		common++
 	}
 	if common < h.appliedSeq && h.snapApp != nil && h.snapSeq <= common {
@@ -566,77 +585,59 @@ func (h *Host) reconcileApplication(st *InstanceState) {
 		// Checkpoint-boundary snapshots taken inside the rolled-back tail
 		// describe state that never committed.
 		h.snaps.DropAbove(h.appliedSeq)
-		// The rollback moved the applied trim point back to the activation
-		// snapshot's, so the target computed against the pre-rollback trim no
-		// longer lines up with the applied sequence (if garbage collection
-		// advanced the trim since the snapshot was taken, applying against
-		// the stale base would index below it). Recompute against the
-		// restored state.
-		base, target = h.globalTarget(st)
 	}
-	// Apply the remaining target suffix for which bodies are known.
-	for h.appliedSeq < base+uint64(len(target)) {
-		d := target[h.appliedSeq-base]
+	// Apply the remaining history suffix for which bodies are known
+	// (digestAt reads the live trim points, so the rollback above — which
+	// moves the applied trim point back to the activation snapshot's — needs
+	// no re-alignment).
+	for h.appliedSeq < st.AbsLen() {
+		d := h.digestAt(st, h.appliedSeq)
 		r, ok := h.requestStore[d]
 		if !ok {
 			break
 		}
-		h.applyRequest(r)
+		h.applyRequest(r, d)
 	}
 }
 
-// globalTarget reconstructs the digest sequence the instance's history
-// denotes as a suffix starting at the absolute position base (the host's
-// applied-history trim point — everything below it is covered by a stable
-// checkpoint and already applied): target[i] is the digest at absolute
-// position base+i. Positions the instance no longer materializes (below its
-// base checkpoint, or trimmed by GC) are reused from the host's applied
-// sequence; positions below an adopted base checkpoint that were never
-// applied locally cannot be reconstructed and are left zero — execution
-// stalls there until checkpoint state transfer (statesync) fills the gap.
-func (h *Host) globalTarget(st *InstanceState) (uint64, history.DigestHistory) {
-	base := h.appliedTrim
-	var target history.DigestHistory
-	instStart := st.BaseSeq + st.Trimmed()
-	if instStart > base {
-		for p := base; p < instStart; p++ {
-			if p-h.appliedTrim < uint64(len(h.appliedDigs)) {
-				target = append(target, h.appliedDigs[p-h.appliedTrim])
-			} else {
-				target = append(target, authn.Digest{})
-			}
-		}
+// digestAt returns the digest the instance's history denotes at absolute
+// position p, for h.appliedTrim <= p < st.AbsLen() (everything below the
+// applied trim point is covered by a stable checkpoint and already applied).
+// Positions the instance no longer materializes (below its base checkpoint,
+// or trimmed by GC) are read from the host's applied sequence; positions
+// below an adopted base checkpoint that were never applied locally cannot be
+// reconstructed and yield the zero digest, which names no request body —
+// execution stalls there until checkpoint state transfer (statesync) fills
+// the gap. Garbage collection only ever trims below the applied position, so
+// the lookup stays valid while an apply loop crosses a checkpoint boundary.
+//
+//abstractbft:noalloc
+func (h *Host) digestAt(st *InstanceState, p uint64) authn.Digest {
+	if start := st.BaseSeq + st.trimmed; p >= start {
+		return st.Digests[p-start]
 	}
-	if instStart < base {
-		// The instance materializes history below the host's trim point (an
-		// old instance not garbage-collected with the active one): skip the
-		// already-covered prefix.
-		skip := base - instStart
-		if skip > uint64(len(st.Digests)) {
-			skip = uint64(len(st.Digests))
-		}
-		target = append(target, st.Digests[skip:]...)
-		return base, target
+	if i := p - h.appliedTrim; i < uint64(len(h.appliedDigs)) {
+		return h.appliedDigs[i]
 	}
-	target = append(target, st.Digests...)
-	return base, target
+	return authn.Digest{}
 }
 
-// applyRequest applies one request to the application and records it. Null
-// operations (Mencius-style fillers ordered by idle shard leaders) advance
-// the sequence and the digest chain but execute nothing and leave no reply.
-// Crossing a checkpoint boundary captures a serialized application snapshot
-// for the state-transfer plane.
-func (h *Host) applyRequest(r msg.Request) []byte {
+// applyRequest applies one request, whose digest d the caller already holds
+// (from the history position it was found at), to the application and records
+// it. Null operations (Mencius-style fillers ordered by idle shard leaders)
+// advance the sequence and the digest chain but execute nothing and leave no
+// reply. Crossing a checkpoint boundary captures a serialized application
+// snapshot for the state-transfer plane.
+func (h *Host) applyRequest(r msg.Request, d authn.Digest) []byte {
 	var reply []byte
 	if r.Client != ids.NullOp {
 		reply = h.application.Execute(r.Command)
 		h.replyRingFor(r.Client).add(r.Timestamp, reply)
 		h.appliedWindows[r.Client] = h.appliedWindows[r.Client].mark(r.Timestamp)
 	}
-	h.appliedDigs = append(h.appliedDigs, r.Digest())
+	h.appliedDigs = append(h.appliedDigs, d)
 	h.appliedSeq++
-	h.appliedAcc = history.DigestStep(h.appliedAcc, r.Digest())
+	h.appliedAcc = history.DigestStep(h.appliedAcc, d)
 	h.met.appliedSeq.Set(int64(h.appliedSeq))
 	if h.traceExecOn && h.appliedSeq >= h.traceExecPos {
 		h.cfg.Tracer.Record(h.traceExecCtx, obs.StageExecute, h.cfg.Shard, h.traceExecT, time.Since(h.traceExecT))
@@ -662,6 +663,14 @@ func (h *Host) Log(st *InstanceState, req msg.Request) (uint64, bool) {
 // request and false when the instance cannot log (stopped, uninitialized, or
 // checkpoint backlog limit reached).
 func (h *Host) LogBatch(st *InstanceState, batch msg.Batch) (uint64, bool) {
+	return h.LogBatchDigested(st, batch, nil)
+}
+
+// LogBatchDigested is LogBatch for a caller that already hashed the batch's
+// requests (to verify the batch MAC or the client authenticators): digests,
+// when non-nil, must be batch.Digests(), so each request is hashed once per
+// replica. Nil hashes here.
+func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []authn.Digest) (uint64, bool) {
 	if st.Stopped || !st.Initialized || batch.Len() == 0 {
 		return 0, false
 	}
@@ -671,9 +680,12 @@ func (h *Host) LogBatch(st *InstanceState, batch msg.Batch) (uint64, bool) {
 			return 0, false
 		}
 	}
+	if digests == nil {
+		digests = batch.Digests()
+	}
 	start := st.AbsLen()
-	for _, req := range batch.Requests {
-		d := req.Digest()
+	for i, req := range batch.Requests {
+		d := digests[i]
 		h.requestStore[d] = req.Clone()
 		st.Digests = append(st.Digests, d)
 		st.markLogged(req.Client, req.Timestamp)
@@ -717,9 +729,8 @@ func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
 	// Replay any logged-but-unapplied prefix first (e.g. after adopting an
 	// init history whose bodies arrived late, or for Chain replicas that
 	// start executing mid-stream).
-	base, target := h.globalTarget(st)
-	for h.appliedSeq < base+uint64(len(target)) {
-		d := target[h.appliedSeq-base]
+	for h.appliedSeq < st.AbsLen() {
+		d := h.digestAt(st, h.appliedSeq)
 		r, ok := h.requestStore[d]
 		if !ok {
 			// A body is missing at the applied position (a gap below an
@@ -738,16 +749,16 @@ func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
 			return nil
 		}
 		if r.ID() == req.ID() {
-			return h.applyRequest(r)
+			return h.applyRequest(r, d)
 		}
-		h.applyRequest(r)
+		h.applyRequest(r, d)
 	}
 	// Already applied (duplicate execution request): return the cached
 	// reply when the client's reply ring still holds it.
 	if reply, ok := h.CachedReply(req.Client, req.Timestamp); ok {
 		return reply
 	}
-	return h.applyRequest(req)
+	return h.applyRequest(req, req.Digest())
 }
 
 // ExecuteBatch applies a just-logged batch to the application in one
@@ -756,24 +767,23 @@ func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
 // applied in order. It returns the application replies in batch order.
 func (h *Host) ExecuteBatch(st *InstanceState, batch msg.Batch) [][]byte {
 	replies := make([][]byte, 0, batch.Len())
-	base, target := h.globalTarget(st)
 	// Replay any unapplied prefix, collecting replies for batch requests as
-	// they are reached (the batch occupies the tail of the target).
+	// they are reached (the batch occupies the tail of the history).
 	pending := 0
-	for h.appliedSeq < base+uint64(len(target)) && pending < batch.Len() {
-		d := target[h.appliedSeq-base]
+	for h.appliedSeq < st.AbsLen() && pending < batch.Len() {
+		d := h.digestAt(st, h.appliedSeq)
 		r, ok := h.requestStore[d]
 		if !ok {
 			break
 		}
-		reply := h.applyRequest(r)
+		reply := h.applyRequest(r, d)
 		if r.ID() == batch.Requests[pending].ID() {
 			replies = append(replies, reply)
 			pending++
 		}
 	}
-	// Any batch requests not reached through the target (duplicates already
-	// applied, or a target gap) fall back to the per-request path.
+	// Any batch requests not reached through the history (duplicates already
+	// applied, or a gap) fall back to the per-request path.
 	for ; pending < batch.Len(); pending++ {
 		req := batch.Requests[pending]
 		if reply, ok := h.CachedReply(req.Client, req.Timestamp); ok {

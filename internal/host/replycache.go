@@ -18,10 +18,17 @@ import "abstractbft/internal/ids"
 // prefix regardless of arrival interleavings or rollback re-executions.
 // Checkpoint snapshots fold the rings into the f+1-agreed payload digest, so
 // any layout-dependent eviction would make equal replicas disagree.
+//
+// The ring is circular and kept sorted by timestamp from head on: a client's
+// timestamps arrive in (nearly) increasing order, so an insert lands at or
+// next to the top and evicting the smallest is advancing head — constant
+// work per request whatever the width.
 type replyRing struct {
 	ts      []uint64
 	replies [][]byte
-	filled  []bool
+	// head is the slot of the smallest cached timestamp, n the number of
+	// cached entries; the k-th smallest sits in slot (head+k) mod width.
+	head, n int
 }
 
 func newReplyRing(width int) *replyRing {
@@ -31,9 +38,11 @@ func newReplyRing(width int) *replyRing {
 	return &replyRing{
 		ts:      make([]uint64, width),
 		replies: make([][]byte, width),
-		filled:  make([]bool, width),
 	}
 }
+
+// slot returns the storage index of the k-th smallest cached timestamp.
+func (r *replyRing) slot(k int) int { return (r.head + k) % len(r.ts) }
 
 // add records the reply for the request at timestamp ts, evicting the
 // smallest cached timestamp when full (a ts older than everything cached is
@@ -42,60 +51,43 @@ func newReplyRing(width int) *replyRing {
 // prefix changed, and serving the stale pre-rollback reply to a
 // retransmission would leave the client unable to assemble matching RESPs.
 func (r *replyRing) add(ts uint64, reply []byte) {
-	minIdx, free := -1, -1
-	for i, ok := range r.filled {
-		if !ok {
-			free = i
-			continue
-		}
-		if r.ts[i] == ts {
-			r.replies[i] = reply
-			return
-		}
-		if minIdx < 0 || r.ts[i] < r.ts[minIdx] {
-			minIdx = i
-		}
+	// i is the rank ts takes: the entries from i on have timestamps >= ts.
+	i := r.n
+	for i > 0 && r.ts[r.slot(i-1)] >= ts {
+		i--
 	}
-	slot := free
-	if slot < 0 {
-		if r.ts[minIdx] > ts {
+	if i < r.n && r.ts[r.slot(i)] == ts {
+		r.replies[r.slot(i)] = reply
+		return
+	}
+	if r.n == len(r.ts) {
+		if i == 0 {
 			// Older than everything cached: the set of top-width timestamps
 			// is unchanged.
 			return
 		}
-		slot = minIdx
+		r.head = r.slot(1)
+		r.n--
+		i--
 	}
-	r.ts[slot] = ts
-	r.replies[slot] = reply
-	r.filled[slot] = true
+	// Shift the entries above the insert rank up by one (none when ts is the
+	// new maximum).
+	for k := r.n; k > i; k-- {
+		r.ts[r.slot(k)], r.replies[r.slot(k)] = r.ts[r.slot(k-1)], r.replies[r.slot(k-1)]
+	}
+	r.ts[r.slot(i)], r.replies[r.slot(i)] = ts, reply
+	r.n++
 }
 
 // entries returns the cached (timestamp, reply) pairs sorted by timestamp —
 // the canonical form checkpoint snapshots carry so a restarted replica can
-// restore its reply caches. Runs at every checkpoint boundary, so it sorts
-// with a plain insertion sort over the (small, width-bounded) ring instead
-// of a reflection-based sort.
+// restore its reply caches. Runs for every client at every checkpoint
+// boundary.
 func (r *replyRing) entries() ([]uint64, [][]byte) {
-	n := 0
-	for _, ok := range r.filled {
-		if ok {
-			n++
-		}
-	}
-	ts := make([]uint64, 0, n)
-	replies := make([][]byte, 0, n)
-	for i, ok := range r.filled {
-		if !ok {
-			continue
-		}
-		j := len(ts)
-		ts = append(ts, r.ts[i])
-		replies = append(replies, r.replies[i])
-		for j > 0 && ts[j-1] > ts[j] {
-			ts[j-1], ts[j] = ts[j], ts[j-1]
-			replies[j-1], replies[j] = replies[j], replies[j-1]
-			j--
-		}
+	ts := make([]uint64, r.n)
+	replies := make([][]byte, r.n)
+	for k := range ts {
+		ts[k], replies[k] = r.ts[r.slot(k)], r.replies[r.slot(k)]
 	}
 	return ts, replies
 }
@@ -106,7 +98,8 @@ func (r *replyRing) clone() *replyRing {
 	return &replyRing{
 		ts:      append([]uint64(nil), r.ts...),
 		replies: append([][]byte(nil), r.replies...),
-		filled:  append([]bool(nil), r.filled...),
+		head:    r.head,
+		n:       r.n,
 	}
 }
 
@@ -123,11 +116,15 @@ func cloneRings(rs map[ids.ProcessID]*replyRing) map[ids.ProcessID]*replyRing {
 	return out
 }
 
-// get returns the cached reply for timestamp ts.
+// get returns the cached reply for timestamp ts. Retransmissions name recent
+// requests, so the scan starts at the top.
 func (r *replyRing) get(ts uint64) ([]byte, bool) {
-	for i, ok := range r.filled {
-		if ok && r.ts[i] == ts {
-			return r.replies[i], true
+	for k := r.n - 1; k >= 0; k-- {
+		switch s := r.slot(k); {
+		case r.ts[s] == ts:
+			return r.replies[s], true
+		case r.ts[s] < ts:
+			return nil, false
 		}
 	}
 	return nil, false

@@ -30,7 +30,8 @@ func (h *Host) BuildResp(st *InstanceState, req msg.Request, reply []byte, desig
 	if h.cfg.InstrumentHistories {
 		resp.HistoryDigests = st.Digests.Clone()
 	}
-	resp.MAC = h.keys.MAC(h.id, req.Client, resp.MACBytes())
+	macBytes := resp.MACBytes()
+	resp.MAC = h.keys.MAC(h.id, req.Client, macBytes[:])
 	h.cfg.Ops.CountMACGen(h.id, 1)
 	// A traced request marks the speculative reply leaving the replica as a
 	// zero-duration point event (span only; no histogram sample).

@@ -456,11 +456,12 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 	// snapshot and the instance's base checkpoint, which the instance's own
 	// history (digests from the base onward) cannot reconstruct.
 	for h.appliedSeq >= a.Snap.Seq && h.appliedSeq < a.End() {
-		r, ok := h.requestStore[a.Suffix[h.appliedSeq-a.Snap.Seq]]
+		d := a.Suffix[h.appliedSeq-a.Snap.Seq]
+		r, ok := h.requestStore[d]
 		if !ok {
 			break
 		}
-		h.applyRequest(r)
+		h.applyRequest(r, d)
 	}
 	h.reconcileApplication(st)
 	if restored {

@@ -89,9 +89,23 @@ func NewQUCluster(f int) Cluster {
 	return Cluster{F: f, N: 5*f + 1}
 }
 
+// replicaTable backs Replicas for every cluster of up to its length: replica
+// identifiers are the indices themselves, so all clusters share one
+// read-only table instead of allocating the list on every multicast.
+var replicaTable = func() (t [64]ProcessID) {
+	for i := range t {
+		t[i] = Replica(i)
+	}
+	return t
+}()
+
 // Replicas returns the ProcessIDs of all replicas in the cluster, in chain
-// order (ascending replica index).
+// order (ascending replica index). The slice is shared between callers and
+// must not be modified (appending is safe: it copies).
 func (c Cluster) Replicas() []ProcessID {
+	if c.N <= len(replicaTable) {
+		return replicaTable[:c.N:c.N]
+	}
 	out := make([]ProcessID, c.N)
 	for i := range out {
 		out[i] = Replica(i)

@@ -52,25 +52,35 @@ func (r Request) ID() RequestID { return RequestID{Client: r.Client, Timestamp: 
 // String renders the identifier for logs and test failures.
 func (id RequestID) String() string { return fmt.Sprintf("%v/%d", id.Client, id.Timestamp) }
 
-// Marshal encodes the request deterministically; the encoding is the input of
-// digests, MACs, and signatures computed over requests.
-func (r Request) Marshal() []byte {
-	var buf bytes.Buffer
-	var hdr [21]byte
+// requestHeaderLen is the size of the fixed header Marshal writes before the
+// command bytes: client, timestamp, command length, read-only flag.
+const requestHeaderLen = 21
+
+// header returns the fixed-size prefix of the deterministic encoding.
+//
+//abstractbft:noalloc
+func (r Request) header() (hdr [requestHeaderLen]byte) {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(r.Client))
 	binary.BigEndian.PutUint64(hdr[4:12], r.Timestamp)
 	binary.BigEndian.PutUint64(hdr[12:20], uint64(len(r.Command)))
 	if r.ReadOnly {
 		hdr[20] = 1
 	}
-	buf.Write(hdr[:])
-	buf.Write(r.Command)
-	return buf.Bytes()
+	return hdr
+}
+
+// Marshal encodes the request deterministically; the encoding is the input of
+// digests, MACs, and signatures computed over requests.
+func (r Request) Marshal() []byte {
+	hdr := r.header()
+	out := make([]byte, 0, requestHeaderLen+len(r.Command))
+	out = append(out, hdr[:]...)
+	return append(out, r.Command...)
 }
 
 // UnmarshalRequest decodes a request encoded with Marshal.
 func UnmarshalRequest(data []byte) (Request, error) {
-	if len(data) < 21 {
+	if len(data) < requestHeaderLen {
 		return Request{}, fmt.Errorf("msg: request too short: %d bytes", len(data))
 	}
 	var r Request
@@ -78,15 +88,21 @@ func UnmarshalRequest(data []byte) (Request, error) {
 	r.Timestamp = binary.BigEndian.Uint64(data[4:12])
 	n := binary.BigEndian.Uint64(data[12:20])
 	r.ReadOnly = data[20] == 1
-	if uint64(len(data)-21) != n {
-		return Request{}, fmt.Errorf("msg: request body length mismatch: have %d want %d", len(data)-21, n)
+	if uint64(len(data)-requestHeaderLen) != n {
+		return Request{}, fmt.Errorf("msg: request body length mismatch: have %d want %d", len(data)-requestHeaderLen, n)
 	}
-	r.Command = append([]byte(nil), data[21:]...)
+	r.Command = append([]byte(nil), data[requestHeaderLen:]...)
 	return r, nil
 }
 
-// Digest returns the collision-resistant digest of the request.
-func (r Request) Digest() authn.Digest { return authn.Hash(r.Marshal()) }
+// Digest returns the collision-resistant digest of the request: the hash of
+// its Marshal encoding, computed without materializing the encoding.
+//
+//abstractbft:noalloc
+func (r Request) Digest() authn.Digest {
+	hdr := r.header()
+	return authn.HashConcat(hdr[:], r.Command)
+}
 
 // Equal reports whether two requests are identical (same identifier and same
 // command bytes).

@@ -218,9 +218,18 @@ func renderLabels(labels []string) string {
 }
 
 // register returns the existing series for (family, labels) or installs a new
-// one; registering the same family under two kinds is a programming error.
+// one; registering the same family under two kinds is a programming error. A
+// new counter or gauge series is born with its metric, before it becomes
+// visible under r.mu: registrants racing on one series (sub-hosts sharing a
+// registry) all get the same metric.
 func (r *Registry) register(family string, labels []string, kind int) *series {
 	s := &series{family: family, labels: renderLabels(labels), kind: kind}
+	switch kind {
+	case kindCounter:
+		s.ctr = &Counter{}
+	case kindGauge:
+		s.gauge = &Gauge{}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if have, ok := r.kinds[family]; ok && have != kind {
@@ -240,11 +249,7 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.register(name, labels, kindCounter)
-	if s.ctr == nil {
-		s.ctr = &Counter{}
-	}
-	return s.ctr
+	return r.register(name, labels, kindCounter).ctr
 }
 
 // Gauge returns (registering on first use) the gauge series with the given
@@ -253,11 +258,7 @@ func (r *Registry) Gauge(name string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.register(name, labels, kindGauge)
-	if s.gauge == nil {
-		s.gauge = &Gauge{}
-	}
-	return s.gauge
+	return r.register(name, labels, kindGauge).gauge
 }
 
 // GaugeFunc registers a gauge whose value is pulled from fn at scrape time

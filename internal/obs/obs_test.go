@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -135,6 +136,47 @@ func TestConcurrentHammer(t *testing.T) {
 	}
 	if got := r.Histogram("hammer_seconds", nil).Count(); got != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
+	}
+}
+
+// TestFirstRegistrationRace: sub-hosts sharing one registry register the same
+// series at the same moment. All of them must end up holding the same metric,
+// or increments through the losers' pointers are lost to every scrape.
+func TestFirstRegistrationRace(t *testing.T) {
+	r := NewRegistry()
+	const workers = 8
+	// Every round races on a series nobody registered yet.
+	for round := 0; round < 200; round++ {
+		name := fmt.Sprintf("race_%d_total", round)
+		gaugeName := fmt.Sprintf("race_%d_depth", round)
+		start := make(chan struct{})
+		counters := make([]*Counter, workers)
+		gauges := make([]*Gauge, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				<-start
+				counters[w] = r.Counter(name, "shard", "0")
+				counters[w].Inc()
+				gauges[w] = r.Gauge(gaugeName, "shard", "0")
+				gauges[w].Add(1)
+			}(w)
+		}
+		close(start)
+		wg.Wait()
+		for w := 1; w < workers; w++ {
+			if counters[w] != counters[0] || gauges[w] != gauges[0] {
+				t.Fatalf("round %d: registrants hold different metrics for one series", round)
+			}
+		}
+		if got := r.Counter(name, "shard", "0").Value(); got != workers {
+			t.Fatalf("round %d: counter = %d, want %d", round, got, workers)
+		}
+		if got := r.Gauge(gaugeName, "shard", "0").Value(); got != workers {
+			t.Fatalf("round %d: gauge = %d, want %d", round, got, workers)
+		}
 	}
 }
 

@@ -64,24 +64,14 @@ func (m *BatchRequestMessage) AbstractInstance() core.InstanceID { return m.Inst
 func (m *BatchRequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // AuthBytes returns the bytes a client authenticates: instance number and
-// request digest.
-func AuthBytes(instance core.InstanceID, req msg.Request) []byte {
-	var buf [8 + authn.DigestSize]byte
+// request digest. A batched invocation authenticates the same shape over the
+// batch digest (one authenticator for the whole batch).
+//
+//abstractbft:noalloc
+func AuthBytes(instance core.InstanceID, digest authn.Digest) (buf [8 + authn.DigestSize]byte) {
 	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	d := req.Digest()
-	copy(buf[8:], d[:])
-	return buf[:]
-}
-
-// BatchAuthBytes returns the bytes a client authenticates for a batched
-// invocation: the instance number and the batch digest (one authenticator
-// for the whole batch).
-func BatchAuthBytes(instance core.InstanceID, batch msg.Batch) []byte {
-	var buf [8 + authn.DigestSize]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	d := batch.Digest()
-	copy(buf[8:], d[:])
-	return buf[:]
+	copy(buf[8:], digest[:])
+	return buf
 }
 
 func init() {
@@ -151,7 +141,11 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 			return
 		}
 	}
-	if err := r.h.VerifyClientAuth(m.Auth, BatchAuthBytes(r.st.ID, m.Batch)); err != nil {
+	// Hash each request once: the digests feed the batch authenticator and
+	// (for a batch logged as it came) the history.
+	digests := m.Batch.Digests()
+	authBytes := AuthBytes(r.st.ID, msg.DigestOf(digests))
+	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
 	designated := r.h.ID() == r.h.Cluster().Head()
@@ -172,13 +166,17 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 		}
 		fresh.Requests = kept
 	}
+	if len(stale) > 0 {
+		// The logged batch is a subset: its digests no longer line up.
+		digests = nil
+	}
 	for _, req := range stale {
 		if reply, ok := r.h.CachedReply(req.Client, req.Timestamp); ok {
 			resps = append(resps, r.h.BuildResp(r.st, req, reply, designated))
 		}
 	}
 	if fresh.Len() > 0 {
-		if _, ok := r.h.LogBatch(r.st, fresh); ok {
+		if _, ok := r.h.LogBatchDigested(r.st, fresh, digests); ok {
 			replies := r.h.ExecuteBatch(r.st, fresh)
 			for i, req := range fresh.Requests {
 				resps = append(resps, r.h.BuildResp(r.st, req, replies[i], designated))
@@ -207,7 +205,9 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 	if m.Auth.Sender != m.Req.Client {
 		return
 	}
-	if err := r.h.VerifyClientAuth(m.Auth, AuthBytes(r.st.ID, m.Req)); err != nil {
+	digest := m.Req.Digest()
+	authBytes := AuthBytes(r.st.ID, digest)
+	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
 	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
@@ -219,7 +219,7 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		}
 		return
 	}
-	if _, ok := r.h.Log(r.st, m.Req); !ok {
+	if _, ok := r.h.LogBatchDigested(r.st, msg.BatchOf(m.Req), []authn.Digest{digest}); !ok {
 		return
 	}
 	reply := r.h.Execute(r.st, m.Req)
@@ -257,7 +257,8 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 		c.env.Checker.RecordInvoke(req)
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), AuthBytes(c.id, req))
+	authBytes := AuthBytes(c.id, req.Digest())
+	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth, Feedback: c.PendingFeedback}
 	c.PendingFeedback = nil
@@ -290,7 +291,8 @@ func (c *Client) InvokeBatch(ctx context.Context, reqs []msg.Request, init *core
 		}
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), BatchAuthBytes(c.id, batch))
+	authBytes := AuthBytes(c.id, batch.Digest())
+	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth, Feedback: c.PendingFeedback}
 	c.PendingFeedback = nil

@@ -139,7 +139,8 @@ func (s *switcher) activateNext(ind core.AbortIndication, noop msg.Request) {
 	init := &ind.Init
 	switch aliph.RoleOf(next) {
 	case aliph.RoleQuorum:
-		auth := s.keys.NewAuthenticator(s.id, s.cluster.Replicas(), quorum.AuthBytes(next, noop))
+		authBytes := quorum.AuthBytes(next, noop.Digest())
+		auth := s.keys.NewAuthenticator(s.id, s.cluster.Replicas(), authBytes[:])
 		m := &quorum.RequestMessage{Instance: next, Req: noop, Init: init, Auth: auth}
 		transport.Multicast(s.endpoint, s.cluster.Replicas(), m)
 	case aliph.RoleChain:

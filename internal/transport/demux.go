@@ -6,18 +6,33 @@ import (
 	"abstractbft/internal/ids"
 )
 
+// RequestScoped is implemented by payloads that answer exactly one client
+// request (core.RespMessage, Chain's tail reply): a Demux delivers them only
+// to the subscription that owns the request's timestamp. Payloads without a
+// request identity (AbortReply, which a replica sends identically to every
+// panicking request) are broadcast to all open subscriptions.
+type RequestScoped interface {
+	RequestTimestamp() uint64
+}
+
 // Demux fans one process's inbox out to several virtual endpoints so that a
-// client can keep multiple invocations in flight concurrently: every incoming
-// envelope is broadcast to all open subscriptions, and each invocation's
-// receive loop filters the messages addressed to it (exactly as it already
-// does on a private inbox). Sends pass straight through to the underlying
-// endpoint.
+// client can keep multiple invocations in flight concurrently. Each
+// invocation opens a subscription naming the request timestamps it owns and
+// receives the replies to those requests plus every payload that names no
+// request; its receive loop filters exactly as it does on a private inbox.
+// Sends pass straight through to the underlying endpoint.
 type Demux struct {
 	ep Endpoint
 
-	mu       sync.Mutex
-	subs     map[uint64]*demuxEndpoint
-	nextID   uint64
+	mu   sync.Mutex
+	subs map[*demuxEndpoint]struct{}
+	// owners maps a request timestamp to the subscription that opened it.
+	owners map[uint64]*demuxEndpoint
+	// free holds the inbox channels of closed subscriptions (drained) for
+	// the next Open: a pipelined client opens one subscription per
+	// invocation, and a fresh demuxQueueLen-slot channel each time dominated
+	// its allocation.
+	free     []chan Envelope
 	closed   bool
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -30,7 +45,12 @@ const demuxQueueLen = 1024
 // NewDemux starts demultiplexing the endpoint's inbox. The caller must not
 // read ep.Inbox directly afterwards.
 func NewDemux(ep Endpoint) *Demux {
-	d := &Demux{ep: ep, subs: make(map[uint64]*demuxEndpoint), stop: make(chan struct{})}
+	d := &Demux{
+		ep:     ep,
+		subs:   make(map[*demuxEndpoint]struct{}),
+		owners: make(map[uint64]*demuxEndpoint),
+		stop:   make(chan struct{}),
+	}
 	go d.run()
 	return d
 }
@@ -43,18 +63,28 @@ func (d *Demux) run() {
 			if !ok {
 				return
 			}
-			d.mu.Lock()
-			for _, sub := range d.subs {
-				select {
-				case sub.in <- env:
-				default:
-					// Subscription backlogged: drop (fair-loss links).
-				}
-			}
-			d.mu.Unlock()
+			d.route(env)
 		case <-d.stop:
 			return
 		}
+	}
+}
+
+// route delivers one envelope: to the owner of the request it answers (or
+// nobody, when that invocation already completed), or to every open
+// subscription when it names no request. A backlogged subscription drops
+// (fair-loss links); route never blocks.
+func (d *Demux) route(env Envelope) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if scoped, ok := env.Payload.(RequestScoped); ok {
+		if sub := d.owners[scoped.RequestTimestamp()]; sub != nil {
+			sub.offer(env)
+		}
+		return
+	}
+	for sub := range d.subs {
+		sub.offer(env)
 	}
 }
 
@@ -62,10 +92,10 @@ func (d *Demux) run() {
 func (d *Demux) closeSubs() {
 	d.mu.Lock()
 	d.closed = true
-	for id, sub := range d.subs {
+	for sub := range d.subs {
 		close(sub.in)
-		delete(d.subs, id)
 	}
+	d.subs, d.owners, d.free = nil, nil, nil
 	d.mu.Unlock()
 }
 
@@ -74,26 +104,36 @@ func (d *Demux) closeSubs() {
 // stays open for other users.
 func (d *Demux) Close() { d.stopOnce.Do(func() { close(d.stop) }) }
 
-// Open creates a virtual endpoint receiving a copy of every incoming
-// envelope. Close the returned endpoint when the invocation completes to stop
-// the copying.
-func (d *Demux) Open() Endpoint {
+// Open creates a virtual endpoint for one invocation: it receives the
+// request-scoped payloads answering the given timestamps and a copy of every
+// unscoped payload. A timestamp opened twice belongs to the later
+// subscription. Close the returned endpoint when the invocation completes,
+// from the goroutine that read its inbox; it must not be used afterwards.
+func (d *Demux) Open(timestamps ...uint64) Endpoint {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	sub := &demuxEndpoint{d: d, id: d.nextID, in: make(chan Envelope, demuxQueueLen)}
-	d.nextID++
+	sub := &demuxEndpoint{d: d, timestamps: timestamps}
 	if d.closed {
+		sub.in = make(chan Envelope)
 		close(sub.in)
 		return sub
 	}
-	d.subs[sub.id] = sub
+	if n := len(d.free); n > 0 {
+		sub.in, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		sub.in = make(chan Envelope, demuxQueueLen)
+	}
+	d.subs[sub] = struct{}{}
+	for _, ts := range timestamps {
+		d.owners[ts] = sub
+	}
 	return sub
 }
 
 type demuxEndpoint struct {
-	d  *Demux
-	id uint64
-	in chan Envelope
+	d          *Demux
+	timestamps []uint64
+	in         chan Envelope
 }
 
 func (s *demuxEndpoint) ID() ids.ProcessID { return s.d.ep.ID() }
@@ -102,16 +142,35 @@ func (s *demuxEndpoint) Send(to ids.ProcessID, payload any) { s.d.ep.Send(to, pa
 
 func (s *demuxEndpoint) Inbox() <-chan Envelope { return s.in }
 
-// Close unsubscribes the virtual endpoint; the underlying endpoint stays
-// open.
+// offer enqueues without blocking (demux lock held).
+func (s *demuxEndpoint) offer(env Envelope) {
+	select {
+	case s.in <- env:
+	default:
+		// Subscription backlogged: drop (fair-loss links).
+	}
+}
+
+// Close unsubscribes the virtual endpoint and hands its (drained) inbox
+// channel back to the demux; the underlying endpoint stays open.
 func (s *demuxEndpoint) Close() {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
-	if _, ok := s.d.subs[s.id]; !ok {
+	if _, ok := s.d.subs[s]; !ok {
 		return
 	}
-	delete(s.d.subs, s.id)
-	close(s.in)
+	delete(s.d.subs, s)
+	for _, ts := range s.timestamps {
+		if s.d.owners[ts] == s {
+			delete(s.d.owners, ts)
+		}
+	}
+	// route sends only under the lock held here, so nothing can arrive
+	// after the drain.
+	for len(s.in) > 0 {
+		<-s.in
+	}
+	s.d.free = append(s.d.free, s.in)
 }
 
 var _ Endpoint = (*demuxEndpoint)(nil)

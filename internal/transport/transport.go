@@ -14,6 +14,7 @@ package transport
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abstractbft/internal/ids"
@@ -82,10 +83,12 @@ type Local struct {
 	rng       *rand.Rand
 	rngMu     sync.Mutex
 	closed    bool
+	sizer     func(any) int
 
-	msgCount uint64
-	byteEst  uint64
-	sizer    func(any) int
+	// Traffic accounting is atomic: every delivery bumps it, and deliveries
+	// from different senders must not serialise on the network lock.
+	msgCount atomic.Uint64
+	byteEst  atomic.Uint64
 }
 
 // NewLocal creates an in-process network with the given options.
@@ -172,7 +175,9 @@ func (n *Local) Heal() {
 }
 
 // SetSizer installs a function estimating the wire size of payloads, used for
-// traffic accounting in benchmarks.
+// traffic accounting in benchmarks. It is called on the sender's goroutine
+// with no network lock held, so it may be slow and must be safe for
+// concurrent use.
 func (n *Local) SetSizer(f func(any) int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -181,9 +186,7 @@ func (n *Local) SetSizer(f func(any) int) {
 
 // Stats returns the number of messages delivered and the estimated bytes.
 func (n *Local) Stats() (messages, bytes uint64) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.msgCount, n.byteEst
+	return n.msgCount.Load(), n.byteEst.Load()
 }
 
 // Close shuts the network down; all endpoints stop receiving.
@@ -230,14 +233,10 @@ func (n *Local) deliver(env Envelope) {
 		}
 	}
 
-	n.mu.Lock()
-	if !n.closed {
-		n.msgCount++
-		if sizer != nil {
-			n.byteEst += uint64(sizer(env.Payload))
-		}
+	n.msgCount.Add(1)
+	if sizer != nil {
+		n.byteEst.Add(uint64(sizer(env.Payload)))
 	}
-	n.mu.Unlock()
 
 	if delay != nil {
 		if d := delay(env.From, env.To, env.Payload); d > 0 {

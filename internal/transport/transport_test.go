@@ -140,3 +140,40 @@ func TestTCPTransport(t *testing.T) {
 		t.Fatalf("TCP message not delivered")
 	}
 }
+
+// TestLocalSizerRunsOutsideLocks: the traffic sizer can be as slow as a full
+// wire encode, so two concurrent senders must be able to sit in it at once.
+func TestLocalSizerRunsOutsideLocks(t *testing.T) {
+	net := NewLocal(Options{})
+	defer net.Close()
+	net.Endpoint(ids.Replica(2))
+	entered := make(chan struct{}, 2)
+	release := make(chan struct{})
+	net.SetSizer(func(any) int {
+		entered <- struct{}{}
+		<-release
+		return 10
+	})
+	done := make(chan struct{}, 2)
+	for _, from := range []ids.ProcessID{ids.Replica(0), ids.Replica(1)} {
+		ep := net.Endpoint(from)
+		go func() {
+			ep.Send(ids.Replica(2), "sized")
+			done <- struct{}{}
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(2 * time.Second):
+			close(release)
+			t.Fatalf("only %d of 2 senders reached the sizer: it runs under a network lock", i)
+		}
+	}
+	close(release)
+	<-done
+	<-done
+	if msgs, bytes := net.Stats(); msgs != 2 || bytes != 20 {
+		t.Fatalf("Stats = %d messages, %d bytes; want 2, 20", msgs, bytes)
+	}
+}

@@ -135,7 +135,8 @@ func TestZLightDuplicateTimestampWithinOneWindow(t *testing.T) {
 	defer cancel()
 
 	req := msg.Request{Client: env.ID, Timestamp: 1, Command: []byte("dup")}
-	auth := env.Keys.NewAuthenticator(env.ID, env.Cluster.Replicas(), AuthBytes(1, req))
+	authBytes := AuthBytes(1, req.Digest())
+	auth := env.Keys.NewAuthenticator(env.ID, env.Cluster.Replicas(), authBytes[:])
 	m := &RequestMessage{Instance: 1, Req: req, Auth: auth}
 	// Two copies of the same REQ land in the same assembler window.
 	env.Endpoint.Send(env.Cluster.Head(), m)

@@ -1,0 +1,25 @@
+package zlight
+
+import (
+	"encoding/hex"
+	"testing"
+
+	"abstractbft/internal/ids"
+	"abstractbft/internal/msg"
+)
+
+// TestGoldenMACInputs pins the client-authenticator and ORDER MAC inputs to
+// the bytes the request-hashing helpers produced before they took the digest
+// their caller already holds.
+func TestGoldenMACInputs(t *testing.T) {
+	a := msg.Request{Client: ids.Client(7), Timestamp: 0x0102030405060708, Command: []byte("put k v")}
+	b := msg.Request{Client: ids.Client(0), Timestamp: 1, ReadOnly: true}
+	auth := AuthBytes(5, a.Digest())
+	if got, want := hex.EncodeToString(auth[:]), "0000000000000005f9376773f11665741029b970b16b6319db18161a5fae9607a6f7b11fc0d049da"; got != want {
+		t.Errorf("AuthBytes = %s, want %s", got, want)
+	}
+	order := OrderBytes(5, msg.BatchOf(a, b).Digest(), 1234)
+	if got, want := hex.EncodeToString(order[:]), "000000000000000500000000000004d2e3957792d9a8088946752c2c18b70dcf55a0a8d3ef9594c986362d442c5460ed"; got != want {
+		t.Errorf("OrderBytes = %s, want %s", got, want)
+	}
+}

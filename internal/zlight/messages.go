@@ -70,24 +70,24 @@ func (m *OrderMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // AuthBytes returns the bytes a client authenticates when invoking a request
 // on an instance: the instance number and the request digest.
-func AuthBytes(instance core.InstanceID, req msg.Request) []byte {
-	var buf [8 + authn.DigestSize]byte
+//
+//abstractbft:noalloc
+func AuthBytes(instance core.InstanceID, reqDigest authn.Digest) (buf [8 + authn.DigestSize]byte) {
 	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	d := req.Digest()
-	copy(buf[8:], d[:])
-	return buf[:]
+	copy(buf[8:], reqDigest[:])
+	return buf
 }
 
 // OrderBytes returns the bytes covered by the primary's single MAC in an
 // ORDER message: the instance, the position of the batch's first request, and
 // the batch digest.
-func OrderBytes(instance core.InstanceID, batch msg.Batch, seq uint64) []byte {
-	var buf [16 + authn.DigestSize]byte
+//
+//abstractbft:noalloc
+func OrderBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64) (buf [16 + authn.DigestSize]byte) {
 	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
 	binary.BigEndian.PutUint64(buf[8:16], seq)
-	d := batch.Digest()
-	copy(buf[16:], d[:])
-	return buf[:]
+	copy(buf[16:], batchDigest[:])
+	return buf
 }
 
 func init() {

@@ -74,7 +74,9 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 	if m.Auth.Sender != m.Req.Client {
 		return
 	}
-	if err := r.h.VerifyClientAuth(m.Auth, AuthBytes(r.st.ID, m.Req)); err != nil {
+	digest := m.Req.Digest()
+	authBytes := AuthBytes(r.st.ID, digest)
+	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
 	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
@@ -88,12 +90,12 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 			resp := r.h.BuildResp(r.st, m.Req, reply, true)
 			r.h.Send(m.Req.Client, resp)
 			if last := r.lastOrder[m.Req.Client]; last != nil && batchContains(last.Batch, m.Req.Client, m.Req.Timestamp) {
-				r.multicastOrder(last)
+				r.multicastOrder(last, last.Batch.Digest())
 			}
 		}
 		return
 	}
-	r.batcher.Add(host.BatchItem{Req: m.Req, Auth: m.Auth, Init: m.Init})
+	r.batcher.Add(host.BatchItem{Req: m.Req, Digest: digest, Auth: m.Auth, Init: m.Init})
 }
 
 // orderBatch implements Step Z2 for one flushed batch (primary only): assign
@@ -115,21 +117,25 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 	if batch.Len() == 0 {
 		return
 	}
-	start, ok := r.h.LogBatch(r.st, batch)
+	// onRequest hashed every request to verify its authenticator; logging and
+	// the ORDER's batch MAC reuse those digests.
+	digests := make([]authn.Digest, len(fresh))
+	for i := range fresh {
+		digests[i] = fresh[i].Digest
+	}
+	start, ok := r.h.LogBatchDigested(r.st, batch, digests)
 	if !ok {
 		return
 	}
-	order := &OrderMessage{Instance: r.st.ID, Batch: batch, Seq: start}
-	for _, it := range fresh {
-		order.Auths = append(order.Auths, it.Auth)
+	order := &OrderMessage{Instance: r.st.ID, Batch: batch, Seq: start, Auths: make([]authn.Authenticator, len(fresh))}
+	for i, it := range fresh {
+		order.Auths[i] = it.Auth
 		if order.Init == nil && it.Init != nil {
 			order.Init = it.Init
 		}
-	}
-	for _, it := range fresh {
 		r.lastOrder[it.Req.Client] = order
 	}
-	r.multicastOrder(order)
+	r.multicastOrder(order, msg.DigestOf(digests))
 	// The primary speculatively executes and replies like any replica
 	// (Step Z3); it is the designated replica sending the full reply.
 	replies := r.h.ExecuteBatch(r.st, batch)
@@ -143,15 +149,19 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 // each client into a single wire envelope (pipelining clients have several
 // requests per batch). Null operations have no client and get no reply.
 func (r *Replica) fanOutResps(batch msg.Batch, replies [][]byte, designated bool) {
-	byClient := make(map[ids.ProcessID][]any, len(batch.Requests))
+	// The assembler sorts a batch by (client, timestamp), so one client's
+	// requests are adjacent: each run becomes one envelope. (Runs a Byzantine
+	// primary splits up merely cost extra envelopes.)
+	resps := make([]any, 0, len(batch.Requests))
 	for i, req := range batch.Requests {
-		if req.Client == ids.NullOp {
-			continue
+		if req.Client != ids.NullOp {
+			resps = append(resps, r.h.BuildResp(r.st, req, replies[i], designated))
 		}
-		byClient[req.Client] = append(byClient[req.Client], r.h.BuildResp(r.st, req, replies[i], designated))
-	}
-	for client, resps := range byClient {
-		r.h.SendBatch(client, resps)
+		endOfRun := i == len(batch.Requests)-1 || batch.Requests[i+1].Client != req.Client
+		if endOfRun && len(resps) > 0 {
+			r.h.SendBatch(req.Client, resps)
+			resps = resps[len(resps):]
+		}
 	}
 }
 
@@ -182,18 +192,19 @@ func (r *Replica) OrderNullOp() bool {
 		Seq:      start,
 		Auths:    []authn.Authenticator{{Sender: ids.NullOp}},
 	}
-	r.multicastOrder(order)
+	r.multicastOrder(order, batch.Digest())
 	r.h.ExecuteBatch(r.st, batch)
 	return true
 }
 
-// multicastOrder sends an ORDER to every backup, re-MACing the batch for each
-// destination (one MAC per destination per batch).
-func (r *Replica) multicastOrder(m *OrderMessage) {
-	data := OrderBytes(r.st.ID, m.Batch, m.Seq)
+// multicastOrder sends an ORDER to every backup, re-MACing the batch (whose
+// digest the caller holds) for each destination: one MAC per destination per
+// batch.
+func (r *Replica) multicastOrder(m *OrderMessage, batchDigest authn.Digest) {
+	data := OrderBytes(r.st.ID, batchDigest, m.Seq)
 	for _, other := range r.h.OtherReplicas() {
 		order := *m
-		order.PrimaryMAC = r.h.MACFor(other, data)
+		order.PrimaryMAC = r.h.MACFor(other, data[:])
 		r.h.Send(other, &order)
 	}
 }
@@ -208,7 +219,11 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 	if from != r.primary || m.Batch.Len() == 0 || len(m.Auths) != m.Batch.Len() {
 		return
 	}
-	if err := r.h.VerifyMACFrom(r.primary, OrderBytes(r.st.ID, m.Batch, m.Seq), m.PrimaryMAC); err != nil {
+	// Hash each request once: the digests feed the batch MAC, the client
+	// authenticators, and (for a batch logged as it came) the history.
+	digests := m.Batch.Digests()
+	orderBytes := OrderBytes(r.st.ID, msg.DigestOf(digests), m.Seq)
+	if err := r.h.VerifyMACFrom(r.primary, orderBytes[:], m.PrimaryMAC); err != nil {
 		return
 	}
 	if m.Seq+uint64(m.Batch.Len()) <= r.st.AbsLen() {
@@ -237,7 +252,8 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 			r.clientMACFailed = true
 			return
 		}
-		if err := r.h.VerifyClientAuth(m.Auths[i], AuthBytes(r.st.ID, req)); err != nil {
+		authBytes := AuthBytes(r.st.ID, digests[i])
+		if err := r.h.VerifyClientAuth(m.Auths[i], authBytes[:]); err != nil {
 			// Step Z3: a failed client MAC stops this replica from executing
 			// Step Z3 for the rest of the instance; the client will
 			// eventually panic and the instance will switch.
@@ -255,7 +271,7 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 		}
 		return
 	}
-	r.process(m)
+	r.process(m, digests)
 	r.drainPending()
 }
 
@@ -285,9 +301,13 @@ func batchContains(b msg.Batch, client ids.ProcessID, ts uint64) bool {
 }
 
 // process logs, speculatively executes, and replies to one in-order ORDER
-// batch.
-func (r *Replica) process(m *OrderMessage) {
+// batch; digests, when non-nil, are m.Batch.Digests().
+func (r *Replica) process(m *OrderMessage, digests []authn.Digest) {
 	batch, stale := r.st.FilterFreshBatch(m.Batch)
+	if len(stale) > 0 {
+		// The logged batch is a subset: its digests no longer line up.
+		digests = nil
+	}
 	for _, req := range stale {
 		if reply, ok := r.h.CachedReply(req.Client, req.Timestamp); ok {
 			r.h.Send(req.Client, r.h.BuildResp(r.st, req, reply, false))
@@ -296,7 +316,7 @@ func (r *Replica) process(m *OrderMessage) {
 	if batch.Len() == 0 {
 		return
 	}
-	if _, ok := r.h.LogBatch(r.st, batch); !ok {
+	if _, ok := r.h.LogBatchDigested(r.st, batch, digests); !ok {
 		return
 	}
 	replies := r.h.ExecuteBatch(r.st, batch)
@@ -322,6 +342,6 @@ func (r *Replica) drainPending() {
 			return
 		}
 		delete(r.pending, r.st.AbsLen())
-		r.process(next)
+		r.process(next, nil)
 	}
 }
