@@ -14,6 +14,7 @@ import (
 	"crypto/ed25519"
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -123,25 +124,24 @@ var (
 type KeyStore struct {
 	secret []byte
 
+	// macKeys is the lock-free table of per-pair MAC midstates every MAC
+	// call reads; mu serializes only its writers (a pair's first use) and
+	// guards the signing-key maps.
+	macKeys atomic.Pointer[macTable]
+
 	mu      sync.RWMutex
-	pairKey map[pairKeyID][]byte
-	macPool map[pairKeyID]*sync.Pool
 	signKey map[ids.ProcessID]ed25519.PrivateKey
 	pubKey  map[ids.ProcessID]ed25519.PublicKey
 
-	// met instruments MAC operations and the HMAC-state pool when set
-	// (SetMetrics); atomic because MAC callers never hold ks.mu.
+	// met counts MAC operations when set (SetMetrics); atomic because MAC
+	// callers hold no lock.
 	met atomic.Pointer[keyMetrics]
 }
 
 // keyMetrics holds the authn series: total MAC computations (MAC, VerifyMAC,
-// authenticators, and chain MACs all funnel through macWith) and the
-// digest-MAC state pool's effectiveness (gets vs. misses — a miss pays the
-// full hmac.New key schedule, a hit only a Reset).
+// authenticators, and chain MACs all funnel through macWith).
 type keyMetrics struct {
-	macOps     *obs.Counter // authn_mac_ops_total
-	poolGets   *obs.Counter // authn_hmac_pool_gets_total
-	poolMisses *obs.Counter // authn_hmac_pool_misses_total
+	macOps *obs.Counter // authn_mac_ops_total
 }
 
 // SetMetrics instruments the key store's MAC fast path against r. Safe to
@@ -150,11 +150,7 @@ func (ks *KeyStore) SetMetrics(r *obs.Registry) {
 	if r == nil {
 		return
 	}
-	ks.met.Store(&keyMetrics{
-		macOps:     r.Counter("authn_mac_ops_total"),
-		poolGets:   r.Counter("authn_hmac_pool_gets_total"),
-		poolMisses: r.Counter("authn_hmac_pool_misses_total"),
-	})
+	ks.met.Store(&keyMetrics{macOps: r.Counter("authn_mac_ops_total")})
 }
 
 type pairKeyID struct {
@@ -166,13 +162,13 @@ type pairKeyID struct {
 // processes (or test harness components) to agree on keys without exchanging
 // them.
 func NewKeyStore(secret string) *KeyStore {
-	return &KeyStore{
+	ks := &KeyStore{
 		secret:  []byte(secret),
-		pairKey: make(map[pairKeyID][]byte),
-		macPool: make(map[pairKeyID]*sync.Pool),
 		signKey: make(map[ids.ProcessID]ed25519.PrivateKey),
 		pubKey:  make(map[ids.ProcessID]ed25519.PublicKey),
 	}
+	ks.macKeys.Store(newMACTable(minMACTable))
+	return ks
 }
 
 func normalizePair(p, q ids.ProcessID) pairKeyID {
@@ -182,73 +178,144 @@ func normalizePair(p, q ids.ProcessID) pairKeyID {
 	return pairKeyID{a: p, b: q}
 }
 
-// pairwiseKey returns the symmetric key shared between processes p and q.
-func (ks *KeyStore) pairwiseKey(p, q ids.ProcessID) []byte {
+// macKey is the immutable HMAC-SHA256 midstate of one process pair: the
+// marshaled SHA-256 states after absorbing the pairwise key's inner and outer
+// pad blocks. hmac.New hashes those two blocks on every call; restoring the
+// midstates leaves a MAC one short SHA-256 pass over the message and one over
+// the inner sum, and — being read-only — lets every goroutine share one entry
+// per pair without a lock or a per-pair pool.
+type macKey struct {
+	id           pairKeyID
+	inner, outer []byte
+}
+
+// deriveMACKey derives the symmetric key shared by the pair from the cluster
+// secret and absorbs it into the two HMAC pad blocks.
+func (ks *KeyStore) deriveMACKey(id pairKeyID) *macKey {
+	kdf := hmac.New(sha256.New, ks.secret)
+	var pair [8]byte
+	binary.BigEndian.PutUint32(pair[:4], uint32(id.a))
+	binary.BigEndian.PutUint32(pair[4:], uint32(id.b))
+	kdf.Write([]byte("pairwise"))
+	kdf.Write(pair[:])
+	key := kdf.Sum(nil)
+
+	midstate := func(pad byte) []byte {
+		var block [sha256.BlockSize]byte
+		copy(block[:], key) // a 32-byte key is zero-padded to the block, not hashed
+		for i := range block {
+			block[i] ^= pad
+		}
+		h := sha256.New()
+		h.Write(block[:])
+		state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			panic("authn: sha256 state does not marshal: " + err.Error())
+		}
+		return state
+	}
+	return &macKey{id: id, inner: midstate(0x36), outer: midstate(0x5c)}
+}
+
+// macTable is an open-addressed, insert-only hash table of MAC midstates.
+// Readers probe it without synchronization: a slot goes from nil to its final
+// entry exactly once, and a table that has filled up is never rehashed in
+// place but copied into one twice the size and republished (copy-on-write),
+// so a reader holding either table sees every entry inserted before it
+// loaded the pointer and at worst misses a concurrent insert — which sends
+// it to the writer path, where it finds the entry under the lock.
+type macTable struct {
+	slots []atomic.Pointer[macKey] // power-of-two length, at most half full
+	used  int                      // written under KeyStore.mu only
+}
+
+// minMACTable is the initial slot count: room for a 4-replica cluster and a
+// dozen clients before the first growth.
+const minMACTable = 128
+
+func newMACTable(slots int) *macTable {
+	return &macTable{slots: make([]atomic.Pointer[macKey], slots)}
+}
+
+// slot returns where id lives, or the empty slot that ends its probe
+// sequence. Process identifiers are small integers (replicas) or ClientBase
+// plus small integers, so a multiplicative mix spreads them.
+//
+//abstractbft:noalloc
+func (t *macTable) slot(id pairKeyID) (*atomic.Pointer[macKey], *macKey) {
+	mask := uint64(len(t.slots) - 1)
+	h := (uint64(uint32(id.a))<<32 | uint64(uint32(id.b))) * 0x9e3779b97f4a7c15
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		k := s.Load()
+		if k == nil || k.id == id {
+			return s, k
+		}
+	}
+}
+
+// macKeyFor returns the pair's MAC midstate, deriving and publishing it on
+// first use (lazily per pair, so setting up a cluster costs nothing here).
+//
+//abstractbft:noalloc
+func (ks *KeyStore) macKeyFor(p, q ids.ProcessID) *macKey {
 	id := normalizePair(p, q)
-	ks.mu.RLock()
-	k, ok := ks.pairKey[id]
-	ks.mu.RUnlock()
-	if ok {
+	if _, k := ks.macKeys.Load().slot(id); k != nil {
 		return k
 	}
-	mac := hmac.New(sha256.New, ks.secret)
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[:4], uint32(id.a))
-	binary.BigEndian.PutUint32(buf[4:], uint32(id.b))
-	mac.Write([]byte("pairwise"))
-	mac.Write(buf[:])
-	k = mac.Sum(nil)
+	return ks.addMACKey(id)
+}
+
+func (ks *KeyStore) addMACKey(id pairKeyID) *macKey {
 	ks.mu.Lock()
-	ks.pairKey[id] = k
-	ks.mu.Unlock()
+	defer ks.mu.Unlock()
+	t := ks.macKeys.Load()
+	s, k := t.slot(id)
+	if k != nil {
+		return k // another goroutine's first use won the race
+	}
+	k = ks.deriveMACKey(id)
+	if 2*(t.used+1) > len(t.slots) {
+		grown := newMACTable(2 * len(t.slots))
+		for i := range t.slots {
+			if old := t.slots[i].Load(); old != nil {
+				gs, _ := grown.slot(old.id)
+				gs.Store(old)
+			}
+		}
+		grown.used = t.used
+		t = grown
+		s, _ = t.slot(id)
+	}
+	s.Store(k)
+	t.used++
+	// A grown table is published complete, the new entry included; storing
+	// the unchanged pointer otherwise is harmless.
+	ks.macKeys.Store(t)
 	return k
 }
 
-// macState is one pooled HMAC state together with the scratch every MAC is
-// assembled in and summed into. The hash is reached through an interface, so
-// anything handed to it is assumed to escape; feeding it only the pooled
-// scratch keeps the callers' (stack-built, fixed-size) MAC inputs and the
-// resulting MAC off the heap.
-type macState struct {
-	h   hash.Hash
-	buf [macScratch]byte
+// macScratch is the per-call working state of a MAC: a SHA-256 hasher the
+// pair's midstates are restored into, and the buffer every MAC is assembled
+// in and summed into. The hash is reached through an interface, so anything
+// handed to it is assumed to escape; feeding it only the pooled buffer keeps
+// the callers' (stack-built, fixed-size) MAC inputs and the resulting MAC off
+// the heap. One pool serves every pair: the scratch holds no key material
+// between calls that the next restore does not overwrite.
+type macScratch struct {
+	h       hash.Hash
+	restore encoding.BinaryUnmarshaler // h's state loader
+	buf     [macScratchSize]byte
 }
 
-// macScratch holds the 9-byte MAC header plus every fixed-size MAC input of
-// the request path (the largest, a chain tail input, is 112 bytes).
-const macScratch = 128
+// macScratchSize holds the 9-byte MAC header plus every fixed-size MAC input
+// of the request path (the largest, a chain tail input, is 112 bytes).
+const macScratchSize = 128
 
-// hmacState returns a reset HMAC state for the pair (p, q) from a per-pair
-// pool, together with the pool to return it to. Pooling matters on the hot
-// path: hmac.New hashes the key into the two block-sized pads on every call,
-// while Reset restores the precomputed inner state, so a pooled MAC costs one
-// short SHA-256 pass instead of three.
-func (ks *KeyStore) hmacState(p, q ids.ProcessID) (*macState, *sync.Pool) {
-	id := normalizePair(p, q)
-	ks.mu.RLock()
-	pool := ks.macPool[id]
-	ks.mu.RUnlock()
-	if pool == nil {
-		key := ks.pairwiseKey(p, q)
-		ks.mu.Lock()
-		if pool = ks.macPool[id]; pool == nil {
-			pool = &sync.Pool{New: func() any {
-				if m := ks.met.Load(); m != nil {
-					m.poolMisses.Inc()
-				}
-				return &macState{h: hmac.New(sha256.New, key)}
-			}}
-			ks.macPool[id] = pool
-		}
-		ks.mu.Unlock()
-	}
-	if m := ks.met.Load(); m != nil {
-		m.poolGets.Inc()
-	}
-	st := pool.Get().(*macState)
-	st.h.Reset()
-	return st, pool
-}
+var macScratchPool = sync.Pool{New: func() any {
+	h := sha256.New()
+	return &macScratch{h: h, restore: h.(encoding.BinaryUnmarshaler)}
+}}
 
 // MAC input domains: raw MACs cover the caller's bytes directly; digest MACs
 // (authenticators, chain authenticators) cover a precomputed message digest so
@@ -260,12 +327,17 @@ const (
 	macDomainDigest = 0x01
 )
 
+// macWith computes HMAC-SHA256 under the pair's key over the 9-byte header
+// (sender, receiver, domain) followed by data.
+//
 //abstractbft:noalloc
 func (ks *KeyStore) macWith(sender, receiver ids.ProcessID, domain byte, data []byte) MAC {
 	if m := ks.met.Load(); m != nil {
 		m.macOps.Inc()
 	}
-	st, pool := ks.hmacState(sender, receiver)
+	key := ks.macKeyFor(sender, receiver)
+	st := macScratchPool.Get().(*macScratch)
+	mustRestore(st.restore, key.inner)
 	buf := st.buf[:]
 	binary.BigEndian.PutUint32(buf[:4], uint32(sender))
 	binary.BigEndian.PutUint32(buf[4:8], uint32(receiver))
@@ -279,10 +351,21 @@ func (ks *KeyStore) macWith(sender, receiver ids.ProcessID, domain byte, data []
 		}
 		n = 0
 	}
+	sum := st.h.Sum(buf[:0])
+	mustRestore(st.restore, key.outer)
+	st.h.Write(sum)
 	var m MAC
 	copy(m[:], st.h.Sum(buf[:0]))
-	pool.Put(st)
+	macScratchPool.Put(st)
 	return m
+}
+
+// mustRestore loads a midstate this package marshaled itself; a failure can
+// only be a bug (or a runtime whose SHA-256 state no longer round-trips).
+func mustRestore(u encoding.BinaryUnmarshaler, state []byte) {
+	if err := u.UnmarshalBinary(state); err != nil {
+		panic("authn: sha256 midstate does not restore: " + err.Error())
+	}
 }
 
 // MAC computes the MAC of data under the key shared by sender and receiver.

@@ -2,7 +2,11 @@ package authn
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -236,5 +240,131 @@ func TestMACAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("VerifyMAC allocates %v times per call, want 0", n)
+	}
+}
+
+// referenceMAC recomputes a MAC the long way — the pairwise key derived from
+// the secret, then crypto/hmac over header and data — as the reference the
+// midstate path is checked against for pairs without a pinned golden value.
+func referenceMAC(secret string, sender, receiver ids.ProcessID, domain byte, data []byte) MAC {
+	id := normalizePair(sender, receiver)
+	kdf := hmac.New(sha256.New, []byte(secret))
+	var pair [8]byte
+	binary.BigEndian.PutUint32(pair[:4], uint32(id.a))
+	binary.BigEndian.PutUint32(pair[4:], uint32(id.b))
+	kdf.Write([]byte("pairwise"))
+	kdf.Write(pair[:])
+	h := hmac.New(sha256.New, kdf.Sum(nil))
+	var hdr [9]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(sender))
+	binary.BigEndian.PutUint32(hdr[4:8], uint32(receiver))
+	hdr[8] = domain
+	h.Write(hdr[:])
+	h.Write(data)
+	var m MAC
+	h.Sum(m[:0])
+	return m
+}
+
+// goldenPairMACs are MAC(Replica(g%4), Client(g), testPattern(41)) for g in
+// 0..15 under NewKeyStore("golden"), printed by the PR 13 implementation
+// (per-pair pooled hmac objects).
+var goldenPairMACs = [16]string{
+	"cf4d0236539ca169a5810397cbe08161a151221a71d782e269566206c61fa6f1",
+	"93e48ea4d343a5df867fc655750d1f32748b74a92011bf5940f5788dac8eadab",
+	"09ce1c3d5c7ad1e1a870909e415afd4ff8b14111ae1c29ac9486d807a2b9ad9e",
+	"a541bf1c80db121eba94eb75cb97dd83553a8b92ae9277ee3b52a6609232b7d9",
+	"11843d383d56eb09eb2373ceb11d704948aaadb7871292b1b4a8eceb690695b9",
+	"f4b5fd7647e9edced01f38ca1184cee98c4c49125ff08246e6b58ffb2bddde52",
+	"c62f04f1ce4ca00aff1aaf1fbe29bfb471a6bfa2763598645f003c6a1b41c545",
+	"a2fdff5bd5a2d5cb5333c5743eecbf0cab614b4baa762fd66c1db219ec403ab7",
+	"fca73cfef4be8bd784487f4ee50efae1276313ef4b6206aae0a1254954178be7",
+	"4f3a34a282c6f8b45dda3779ca508c92b56f957daf9d88a345d82ec97c1876bc",
+	"9d86d185b7749f886b2064356d8dc5ec905c74f3f2bb4f763996d69056b60346",
+	"55790da21e900f838fb64f37a6a44a07df5fae5492fcdaff1754bff4fbcda4cf",
+	"a23c99976a608e96aa9c589b47beb4e849eeff84fc557519558105bb3cb964c1",
+	"b1791a7a694b217ac5170c085fe810a9f2165098319f91e6aeb153c9f92e6605",
+	"ce81737358dc0a3de634a2ef15f961e4507e1a78804f41dcd234bb7fefcda8c7",
+	"38fc5a8d4d7c5d8ce8932327866601b0ad38883c4453fbb2ac2b0624dff22a04",
+}
+
+// TestMACConcurrentFirstUse starts 16 goroutines on a cold key store: every
+// round hits one pair all of them share, one of 16 pairs they rotate over,
+// and one pair nobody used before (3200 first uses in all, so the midstate
+// table grows several times under the readers). Results must be the PR 13
+// bytes whichever goroutine derived the pair and whichever table it read.
+func TestMACConcurrentFirstUse(t *testing.T) {
+	const goroutines, rounds = 16, 200
+	const sharedGolden = "1a0be3e36d6c8db2ccff7237d40b60124cadaa65a68bc323af97854c7798a9ae" // TestGoldenHashAndMAC "MAC short"
+	var pairGolden [16]MAC
+	for g, hx := range goldenPairMACs {
+		b, err := hex.DecodeString(hx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(pairGolden[g][:], b)
+	}
+	// The reference itself must reproduce a pinned value before it vouches
+	// for the unpinned pairs.
+	if got := referenceMAC("golden", ids.Replica(2), ids.Client(2), macDomainRaw, testPattern(41)); got != pairGolden[2] {
+		t.Fatalf("referenceMAC = %x, want the golden %x", got, pairGolden[2])
+	}
+
+	ks := NewKeyStore("golden")
+	data := testPattern(41)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				if m := ks.MAC(ids.Replica(1), ids.Client(7), []byte("short")); hex.EncodeToString(m[:]) != sharedGolden {
+					t.Errorf("goroutine %d round %d: shared pair MAC = %x", g, r, m)
+					return
+				}
+				p := (g + r) % len(pairGolden)
+				if m := ks.MAC(ids.Replica(p%4), ids.Client(p), data); m != pairGolden[p] {
+					t.Errorf("goroutine %d round %d: pair %d MAC = %x, want %x", g, r, p, m, pairGolden[p])
+					return
+				}
+				s, c := ids.Replica(r%4), ids.Client(1000+g*rounds+r)
+				d := Hash(data)
+				if m, want := ks.macOverDigest(c, s, d), referenceMAC("golden", c, s, macDomainDigest, d[:]); m != want {
+					t.Errorf("goroutine %d round %d: cold pair MAC = %x, want %x", g, r, m, want)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if got, want := ks.macKeys.Load().used, 1+len(pairGolden)+goroutines*rounds; got != want {
+		t.Errorf("midstate table holds %d pairs, want %d (one per distinct pair)", got, want)
+	}
+}
+
+var macSink MAC
+
+// BenchmarkMACDigest is one authenticator entry: the digest-domain MAC over
+// a message digest (41 bytes under the MAC).
+func BenchmarkMACDigest(b *testing.B) {
+	ks := NewKeyStore("bench")
+	d := Hash([]byte("message"))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		macSink = ks.macOverDigest(ids.Client(0), ids.Replica(i&3), d)
+	}
+}
+
+// BenchmarkMACResp is one RESP MAC: the raw-domain MAC over the 92-byte
+// RESP MAC input (101 bytes under the MAC).
+func BenchmarkMACResp(b *testing.B) {
+	ks := NewKeyStore("bench")
+	var data [92]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		macSink = ks.MAC(ids.Replica(i&3), ids.Client(0), data[:])
 	}
 }

@@ -2,12 +2,52 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/history"
 	"abstractbft/internal/msg"
 )
+
+// The commit rule's working state. An answer is what one replica said about
+// one request; a bucket counts the replicas that gave one answer. At most
+// N = 3f+1 replicas answer and so at most N answers differ, so a request's
+// votes (by replica index) and buckets (in order of appearance) live in N
+// slots searched linearly instead of maps. The storage is flat and
+// pointer-free towards itself — request i owns slots[i*N:(i+1)*N] — so the
+// one-request caller can keep all of it on its stack.
+type (
+	commitAnswer struct {
+		historyDigest authn.Digest
+		replyDigest   authn.Digest
+	}
+	commitSlot struct {
+		// vote is what the replica with this slot's index answered.
+		vote commitAnswer
+		cast bool
+		// bucket is the slot's-index-th distinct answer seen.
+		bucket  commitAnswer
+		votes   int
+		reply   []byte
+		digests history.DigestHistory
+	}
+	commitState struct {
+		cast, buckets int
+		committed     bool
+		// hopeless is set when all 3f+1 replicas answered with divergent
+		// digests: the request can no longer reach N matching replies.
+		hopeless bool
+	}
+)
+
+// commitTimers recycles the commit rule's timeout timers: a closed-loop
+// client arms one per request, and a stopped timer is as good as a new one.
+var commitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // AwaitBatchSpeculativeCommit runs the speculative commit rule of
 // AwaitSpeculativeCommit for every request of a client-side batch in one
@@ -17,33 +57,16 @@ import (
 // uncommitted requests have Committed=false and the caller decides whether to
 // panic or retry them individually.
 func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance InstanceID, reqs []msg.Request, timeout time.Duration) ([]Outcome, bool, error) {
-	// answer is what one replica said about one request; a bucket counts the
-	// replicas that gave one answer. At most N = 3f+1 replicas answer, so
-	// per-replica votes and per-answer buckets live in small slices searched
-	// linearly instead of maps.
-	type answer struct {
-		historyDigest authn.Digest
-		replyDigest   authn.Digest
-	}
-	type vote struct {
-		answer
-		cast bool
-	}
-	type bucket struct {
-		answer
-		votes   int
-		reply   []byte
-		digests history.DigestHistory
-	}
-	type reqState struct {
-		votes     []vote // by replica index
-		cast      int
-		buckets   []bucket
-		committed bool
-		// hopeless is set when all 3f+1 replicas answered with divergent
-		// digests: the request can no longer reach N matching replies.
-		hopeless bool
-	}
+	outs := make([]Outcome, len(reqs))
+	states := make([]commitState, len(reqs))
+	slots := make([]commitSlot, len(reqs)*env.Cluster.N)
+	all, err := awaitCommits(ctx, env, instance, reqs, outs, states, slots, timeout)
+	return outs, all, err
+}
+
+// awaitCommits is the commit rule over caller-provided zeroed storage: one
+// outcome and one state per request, N slots per request.
+func awaitCommits(ctx context.Context, env ClientEnv, instance InstanceID, reqs []msg.Request, outs []Outcome, states []commitState, slots []commitSlot, timeout time.Duration) (bool, error) {
 	n := env.Cluster.N
 	// Requests are identified by timestamp; duplicate timestamps within one
 	// batch (replicas answer each timestamp once) share the first
@@ -58,29 +81,30 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 		}
 		return -1
 	}
-	states := make([]reqState, len(reqs))
-	votes := make([]vote, len(reqs)*n)
 	remaining := 0
 	for i := range reqs {
 		if first(reqs[i].Timestamp) == i {
-			states[i].votes = votes[i*n : (i+1)*n]
 			remaining++
 		}
 	}
-	outs := make([]Outcome, len(reqs))
 
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	timer := commitTimers.Get().(*time.Timer)
+	timer.Reset(timeout)
+	defer func() {
+		// Since Go 1.23 a stopped timer's channel holds no stale value.
+		timer.Stop()
+		commitTimers.Put(timer)
+	}()
 
 	for remaining > 0 {
 		select {
 		case <-ctx.Done():
-			return outs, false, ctx.Err()
+			return false, ctx.Err()
 		case <-timer.C:
-			return outs, false, nil
+			return false, nil
 		case env2, ok := <-env.Endpoint.Inbox():
 			if !ok {
-				return outs, false, ErrStopped
+				return false, ErrStopped
 			}
 			resp, isResp := env2.Payload.(*RespMessage)
 			if !isResp || resp.Instance != instance || resp.Client != env.ID {
@@ -99,26 +123,25 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 				continue
 			}
 			st := &states[i]
-			key := answer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
-			v := &st.votes[resp.Replica]
-			if v.cast && v.answer != key {
+			mine := slots[i*n : (i+1)*n]
+			key := commitAnswer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
+			v := &mine[resp.Replica]
+			if v.cast && v.vote != key {
 				// A replica changed its answer: divergence, give up on the
 				// whole batch (the caller falls back to panicking).
-				return outs, false, nil
+				return false, nil
 			}
-			var b *bucket
-			for j := range st.buckets {
-				if st.buckets[j].answer == key {
-					b = &st.buckets[j]
-					break
-				}
+			j := 0
+			for j < st.buckets && mine[j].bucket != key {
+				j++
 			}
-			if b == nil {
-				st.buckets = append(st.buckets, bucket{answer: key})
-				b = &st.buckets[len(st.buckets)-1]
+			b := &mine[j]
+			if j == st.buckets {
+				b.bucket = key
+				st.buckets++
 			}
 			if !v.cast {
-				*v = vote{answer: key, cast: true}
+				v.vote, v.cast = key, true
 				st.cast++
 				b.votes++
 			}
@@ -141,7 +164,7 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 				}
 				remaining--
 			}
-			if !st.committed && !st.hopeless && st.cast == n && len(st.buckets) > 1 {
+			if !st.committed && !st.hopeless && st.cast == n && st.buckets > 1 {
 				st.hopeless = true
 			}
 			// Give up early once every uncommitted request is hopeless (all
@@ -158,13 +181,17 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 					}
 				}
 				if stuck == remaining {
-					return outs, false, nil
+					return false, nil
 				}
 			}
 		}
 	}
-	return outs, true, nil
+	return true, nil
 }
+
+// soloReplicas is the cluster size up to which the one-request rule keeps its
+// slots on the stack (f <= 2).
+const soloReplicas = 7
 
 // AwaitSpeculativeCommit implements the client-side commit rule shared by
 // ZLight (Step Z4) and Quorum (Step Q3): wait until all 3f+1 replicas return
@@ -172,9 +199,21 @@ func AwaitBatchSpeculativeCommit(ctx context.Context, env ClientEnv, instance In
 // reply digests), within the given timeout. It returns the commit outcome and
 // true when the rule was met; otherwise it returns false and the caller
 // triggers the panicking mechanism. It is the degenerate one-request case of
-// AwaitBatchSpeculativeCommit, so the safety-critical rule exists once.
+// AwaitBatchSpeculativeCommit, so the safety-critical rule exists once; its
+// working state lives on the stack, so a closed-loop client allocates nothing
+// per request here but the reply it returns.
 func AwaitSpeculativeCommit(ctx context.Context, env ClientEnv, instance InstanceID, req msg.Request, timeout time.Duration) (Outcome, bool, error) {
-	outs, all, err := AwaitBatchSpeculativeCommit(ctx, env, instance, []msg.Request{req}, timeout)
+	var (
+		reqs   = [1]msg.Request{req}
+		outs   [1]Outcome
+		states [1]commitState
+		stack  [soloReplicas]commitSlot
+	)
+	slots := stack[:]
+	if env.Cluster.N > len(stack) {
+		slots = make([]commitSlot, env.Cluster.N)
+	}
+	all, err := awaitCommits(ctx, env, instance, reqs[:], outs[:], states[:], slots, timeout)
 	if err != nil || !all {
 		return Outcome{}, false, err
 	}

@@ -176,8 +176,7 @@ func TestExecuteStallsAtGap(t *testing.T) {
 	gapReq := kvReq(100)
 	h.Locked(func() {
 		st.BaseSeq = 4
-		st.Digests = nil
-		st.digestDirty = true
+		st.resetHistory(0, authn.Digest{}, nil)
 	})
 	before, _ := h.AppliedState()
 	var reply []byte
@@ -221,8 +220,8 @@ func TestGCReleasesSupersededInstances(t *testing.T) {
 			LastTimestamp: make(map[ids.ProcessID]uint64),
 			Checkpoint:    history.NewCheckpointState(1, interval),
 			Initialized:   true,
-			digestDirty:   true,
 		}
+		st2.sealHead()
 		h.instances[2] = st2
 		h.protocols[2] = nopReplica{}
 		h.active = 2

@@ -39,6 +39,7 @@ func hotHost(t *testing.T, logged int) (*Host, *InstanceState, *uint64) {
 	const room = 4096
 	h.requestStore = make(map[authn.Digest]msg.Request, room)
 	st.Digests = make(history.DigestHistory, 0, room)
+	st.chain = make([]authn.Digest, 0, room)
 	h.appliedDigs = make(history.DigestHistory, 0, room)
 	ts := new(uint64)
 	for i := 0; i < logged; i++ {
@@ -212,7 +213,7 @@ func TestReplyRingEntriesOrder(t *testing.T) {
 	for _, ts := range []uint64{5, 3, 4, 9, 7, 1, 8, 7} {
 		ring.add(ts, []byte{byte(ts)})
 	}
-	ts, replies := ring.entries()
+	ts, replies := ring.capture()
 	if want := []uint64{5, 7, 8, 9}; !slices.Equal(ts, want) {
 		t.Fatalf("entries = %v, want %v", ts, want)
 	}
@@ -248,7 +249,7 @@ func TestReplyRingEntriesOrder(t *testing.T) {
 				seen = seen[1:]
 			}
 		}
-		got, _ := ring.entries()
+		got, _ := ring.capture()
 		if !slices.Equal(got, seen) {
 			t.Fatalf("round %d (width %d): entries = %v, model = %v", round, width, got, seen)
 		}

@@ -92,7 +92,9 @@ type InstanceState struct {
 	// holds the digest of the request at absolute position
 	// BaseSeq+trimmed+i. HistoryDigest is unaffected by trimming — the
 	// digest chain is a left fold, so dropping the storage of an
-	// already-folded prefix changes nothing observable.
+	// already-folded prefix changes nothing observable. Digests changes only
+	// through appendDigest, resetHistory and TrimTo, which keep chain and
+	// head in step with it.
 	Digests history.DigestHistory
 	// LastTimestamp is t_j[c]: the highest request timestamp logged per
 	// client (the window high-water mark; tsMask tracks which timestamps
@@ -119,25 +121,20 @@ type InstanceState struct {
 	// the previous instance (Backup then commits a single request).
 	InitLowLoad bool
 
-	// digestCache memoizes HistoryDigest between history appends; chainAcc
-	// and chainLen hold the running DigestStep fold of the first chainLen
-	// history entries after BaseSeq (trimmed entries included), so a batch
-	// of appends costs one chain step per new request instead of a re-fold
-	// of the whole history (which would make replying O(n²) over a run).
-	digestCache authn.Digest
-	digestDirty bool
-	chainAcc    authn.Digest
-	chainLen    uint64
-	// ckptAcc/ckptLen memoize the checkpoint-prefix chain fold the same
-	// way: checkpoint boundaries only move forward, so each LCS round
-	// advances the fold instead of re-folding the whole prefix.
-	ckptAcc authn.Digest
-	ckptLen uint64
-	// trimmed is the number of history entries after BaseSeq whose storage
-	// was garbage-collected; trimAcc is the digest fold over exactly those
-	// entries, the re-fold base for prefix queries above the trim boundary.
+	// chain is the one DigestStep fold over the history, stored per
+	// materialized position: chain[i] is the fold of the first trimmed+i+1
+	// entries after BaseSeq, so len(chain) == len(Digests) always. Logging
+	// advances it one step per request; HistoryDigest, checkpoint prefixes
+	// and the trim fold are lookups into it. trimmed is the number of
+	// entries after BaseSeq whose storage was garbage-collected and trimAcc
+	// the fold over exactly those — the chain value below chain[0].
+	chain   []authn.Digest
 	trimmed uint64
 	trimAcc authn.Digest
+	// head is D(LH_j), the chain's last value folded with the base checkpoint
+	// when there is one; sealHead refreshes it at the end of every history
+	// change, so a batch's RESPs share one base fold.
+	head authn.Digest
 
 	// pendingInit holds the init history awaiting missing request bodies.
 	pendingInit *core.InitHistory
@@ -169,25 +166,50 @@ func (st *InstanceState) Trimmed() uint64 { return st.trimmed }
 // included).
 func (st *InstanceState) relLen() uint64 { return st.trimmed + uint64(len(st.Digests)) }
 
-// HistoryDigest returns D(LH_j): the digest of the local history, folding in
-// the base checkpoint when present. The underlying DigestStep chain is
-// advanced only over entries appended since the last call, so a batch of
-// appends costs one chain step per request regardless of history length.
-func (st *InstanceState) HistoryDigest() authn.Digest {
-	if !st.digestDirty {
-		return st.digestCache
+// HistoryDigest returns D(LH_j): the digest of the local history, folded with
+// the base checkpoint when present.
+//
+//abstractbft:noalloc
+func (st *InstanceState) HistoryDigest() authn.Digest { return st.head }
+
+// chainAt returns the DigestStep fold of the first idx history entries after
+// BaseSeq, for idx <= relLen. Prefixes inside the trimmed region are no
+// longer materialized and report the trim fold.
+//
+//abstractbft:noalloc
+func (st *InstanceState) chainAt(idx uint64) authn.Digest {
+	if idx <= st.trimmed {
+		return st.trimAcc
 	}
-	for st.chainLen < st.relLen() {
-		st.chainAcc = history.DigestStep(st.chainAcc, st.Digests[st.chainLen-st.trimmed])
-		st.chainLen++
-	}
-	suffix := st.chainAcc
+	return st.chain[idx-st.trimmed-1]
+}
+
+// appendDigest extends the history by one request digest and the chain by
+// one step. Callers seal the head once their append span ends.
+func (st *InstanceState) appendDigest(d authn.Digest) {
+	st.chain = append(st.chain, history.DigestStep(st.chainAt(st.relLen()), d))
+	st.Digests = append(st.Digests, d)
+}
+
+// sealHead recomputes the history digest after the history changed.
+func (st *InstanceState) sealHead() {
+	st.head = st.chainAt(st.relLen())
 	if st.BaseSeq != 0 {
-		suffix = authn.HashAll(st.BaseDigest[:], suffix[:])
+		st.head = authn.HashAll(st.BaseDigest[:], st.head[:])
 	}
-	st.digestCache = suffix
-	st.digestDirty = false
-	return suffix
+}
+
+// resetHistory replaces the history after BaseSeq wholesale (an adopted init
+// history or state transfer): the first trimmed entries are represented by
+// their fold trimAcc alone, digests follow them.
+func (st *InstanceState) resetHistory(trimmed uint64, trimAcc authn.Digest, digests history.DigestHistory) {
+	st.trimmed, st.trimAcc = trimmed, trimAcc
+	st.Digests = make(history.DigestHistory, 0, len(digests))
+	st.chain = make([]authn.Digest, 0, len(digests))
+	for _, d := range digests {
+		st.appendDigest(d)
+	}
+	st.sealHead()
 }
 
 // Contains reports whether the instance's materialized history contains the
@@ -196,30 +218,15 @@ func (st *InstanceState) HistoryDigest() authn.Digest {
 func (st *InstanceState) Contains(d authn.Digest) bool { return st.Digests.Contains(d) }
 
 // PrefixDigest returns the chain digest of the first idx history entries
-// after BaseSeq, advancing the memoized checkpoint fold when the prefix
-// moved forward (the common case — checkpoint boundaries are monotone) and
-// re-folding from the trim boundary only on a backward move (which only
-// instance re-initialization can cause; prefixes inside the trimmed region
-// are no longer materialized and report the trim fold).
+// after BaseSeq (the whole history when idx reaches beyond it; the trim fold
+// for prefixes that end inside the trimmed region).
+//
+//abstractbft:noalloc
 func (st *InstanceState) PrefixDigest(idx uint64) authn.Digest {
 	if idx > st.relLen() {
 		idx = st.relLen()
 	}
-	if idx <= st.trimmed {
-		return st.trimAcc
-	}
-	if idx < st.ckptLen {
-		acc := st.trimAcc
-		for j := st.trimmed; j < idx; j++ {
-			acc = history.DigestStep(acc, st.Digests[j-st.trimmed])
-		}
-		return acc
-	}
-	for st.ckptLen < idx {
-		st.ckptAcc = history.DigestStep(st.ckptAcc, st.Digests[st.ckptLen-st.trimmed])
-		st.ckptLen++
-	}
-	return st.ckptAcc
+	return st.chainAt(idx)
 }
 
 // TrimTo garbage-collects the materialized history below absolute position
@@ -227,7 +234,7 @@ func (st *InstanceState) PrefixDigest(idx uint64) authn.Digest {
 // entries stay represented by their digest fold, so HistoryDigest, AbsLen,
 // and abort reports from the stable checkpoint onward are unchanged. It
 // returns the dropped digests so the host can release the request bodies
-// they name.
+// they name; the slice is the abandoned storage itself, not a copy.
 func (st *InstanceState) TrimTo(seq uint64) history.DigestHistory {
 	if seq <= st.BaseSeq {
 		return nil
@@ -239,20 +246,12 @@ func (st *InstanceState) TrimTo(seq uint64) history.DigestHistory {
 	if rel <= st.trimmed {
 		return nil
 	}
-	// Advance both memoized folds past the new boundary so the dropped
-	// entries remain represented. HistoryDigest advances the chain fold to
-	// the full history; PrefixDigest advances the checkpoint fold to rel and
-	// returns it — the new trim fold.
-	st.HistoryDigest()
-	st.trimAcc = st.PrefixDigest(rel)
+	st.trimAcc = st.chainAt(rel)
 	k := rel - st.trimmed
-	dropped := st.Digests[:k].Clone()
+	dropped := st.Digests[:k:k]
 	st.Digests = append(history.DigestHistory(nil), st.Digests[k:]...)
+	st.chain = append([]authn.Digest(nil), st.chain[k:]...)
 	st.trimmed = rel
-	if st.ckptLen < rel {
-		st.ckptLen = rel
-		st.ckptAcc = st.trimAcc
-	}
 	return dropped
 }
 
@@ -382,7 +381,6 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 		tsMask:        make(map[ids.ProcessID]uint64),
 		tsWidth:       h.cfg.TimestampWindow,
 		Checkpoint:    history.NewCheckpointState(h.cluster.N, ckptInterval),
-		digestDirty:   true,
 		staleCtr:      h.met.windowStale,
 		readmitCtr:    h.met.windowHits,
 	}
@@ -447,15 +445,7 @@ func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
 	}
 	st.BaseSeq = init.Extract.BaseSeq
 	st.BaseDigest = init.Extract.BaseDigest
-	st.Digests = init.Extract.Suffix.Clone()
-	st.digestDirty = true
-	// The history was replaced wholesale: restart the digest chains.
-	st.chainAcc = authn.Digest{}
-	st.chainLen = 0
-	st.ckptAcc = authn.Digest{}
-	st.ckptLen = 0
-	st.trimmed = 0
-	st.trimAcc = authn.Digest{}
+	st.resetHistory(0, authn.Digest{}, init.Extract.Suffix)
 	st.Checkpoint.Reset()
 	st.NextSeq = uint64(len(st.Digests))
 	st.InitLowLoad = core.InitHasFlag(init, h.cluster.F, core.AbortFlagLowLoad)
@@ -687,13 +677,13 @@ func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []au
 	for i, req := range batch.Requests {
 		d := digests[i]
 		h.requestStore[d] = req.Clone()
-		st.Digests = append(st.Digests, d)
+		st.appendDigest(d)
 		st.markLogged(req.Client, req.Timestamp)
 		if h.observer != nil {
 			h.observer.RequestLogged(st.ID, req, st.AbsLen()-1)
 		}
 	}
-	st.digestDirty = true
+	st.sealHead()
 	h.met.logged.Add(uint64(batch.Len()))
 	if h.cfg.Tracer != nil {
 		ctx := batch.TraceCtx()

@@ -19,88 +19,105 @@ import "abstractbft/internal/ids"
 // Checkpoint snapshots fold the rings into the f+1-agreed payload digest, so
 // any layout-dependent eviction would make equal replicas disagree.
 //
-// The ring is circular and kept sorted by timestamp from head on: a client's
-// timestamps arrive in (nearly) increasing order, so an insert lands at or
-// next to the top and evicting the smallest is advancing head — constant
-// work per request whatever the width.
+// The entries live sorted by timestamp in a window that slides up its backing
+// arrays: a client's timestamps arrive in (nearly) increasing order, so an
+// insert is an append at the top and evicting the smallest is advancing the
+// window's start — constant work per request whatever the width. Storage
+// below the window is abandoned, never rewritten; when the arrays run out the
+// window moves to fresh ones of twice its length, so steady state allocates
+// one pair of arrays per `width` requests.
+//
+// That write discipline is what makes checkpoint capture free: capture hands
+// out the window itself, and every later append lands above it. Only a write
+// inside the window (an out-of-order insert, or a rollback re-executing a
+// cached timestamp) could disturb a captured view, and those move the ring to
+// fresh arrays first.
 type replyRing struct {
+	width   int
 	ts      []uint64
 	replies [][]byte
-	// head is the slot of the smallest cached timestamp, n the number of
-	// cached entries; the k-th smallest sits in slot (head+k) mod width.
-	head, n int
+	// captured records that a checkpoint snapshot aliases the current
+	// arrays up to the window's end at capture time.
+	captured bool
 }
 
 func newReplyRing(width int) *replyRing {
 	if width < 1 {
 		width = 1
 	}
-	return &replyRing{
-		ts:      make([]uint64, width),
-		replies: make([][]byte, width),
-	}
+	return &replyRing{width: width}
 }
 
-// slot returns the storage index of the k-th smallest cached timestamp.
-func (r *replyRing) slot(k int) int { return (r.head + k) % len(r.ts) }
+// move copies the window into fresh arrays with room for as many appends as
+// it holds entries; no snapshot aliases the new arrays.
+func (r *replyRing) move() {
+	c := 2 * len(r.ts)
+	if c < 4 {
+		c = 4
+	}
+	r.ts = append(make([]uint64, 0, c), r.ts...)
+	r.replies = append(make([][]byte, 0, c), r.replies...)
+	r.captured = false
+}
 
 // add records the reply for the request at timestamp ts, evicting the
 // smallest cached timestamp when full (a ts older than everything cached is
-// dropped). An existing entry for the same timestamp is overwritten in
-// place: a speculative rollback can re-execute a request after an adopted
-// prefix changed, and serving the stale pre-rollback reply to a
-// retransmission would leave the client unable to assemble matching RESPs.
+// dropped). An existing entry for the same timestamp is overwritten: a
+// speculative rollback can re-execute a request after an adopted prefix
+// changed, and serving the stale pre-rollback reply to a retransmission would
+// leave the client unable to assemble matching RESPs.
 func (r *replyRing) add(ts uint64, reply []byte) {
 	// i is the rank ts takes: the entries from i on have timestamps >= ts.
-	i := r.n
-	for i > 0 && r.ts[r.slot(i-1)] >= ts {
+	n := len(r.ts)
+	i := n
+	for i > 0 && r.ts[i-1] >= ts {
 		i--
 	}
-	if i < r.n && r.ts[r.slot(i)] == ts {
-		r.replies[r.slot(i)] = reply
+	if i < n && r.ts[i] == ts {
+		if r.captured {
+			r.move()
+		}
+		r.replies[i] = reply
 		return
 	}
-	if r.n == len(r.ts) {
+	if n == r.width {
 		if i == 0 {
 			// Older than everything cached: the set of top-width timestamps
 			// is unchanged.
 			return
 		}
-		r.head = r.slot(1)
-		r.n--
+		r.ts, r.replies = r.ts[1:], r.replies[1:]
 		i--
+		n--
 	}
-	// Shift the entries above the insert rank up by one (none when ts is the
-	// new maximum).
-	for k := r.n; k > i; k-- {
-		r.ts[r.slot(k)], r.replies[r.slot(k)] = r.ts[r.slot(k-1)], r.replies[r.slot(k-1)]
+	if (i < n && r.captured) || n == cap(r.ts) {
+		// An insert inside a captured window, or no room left above it.
+		r.move()
 	}
-	r.ts[r.slot(i)], r.replies[r.slot(i)] = ts, reply
-	r.n++
+	// Open rank i by shifting the entries above it up by one (none when ts
+	// is the new maximum).
+	r.ts, r.replies = append(r.ts, 0), append(r.replies, nil)
+	copy(r.ts[i+1:], r.ts[i:n])
+	copy(r.replies[i+1:], r.replies[i:n])
+	r.ts[i], r.replies[i] = ts, reply
 }
 
-// entries returns the cached (timestamp, reply) pairs sorted by timestamp —
+// capture returns the cached (timestamp, reply) pairs sorted by timestamp —
 // the canonical form checkpoint snapshots carry so a restarted replica can
-// restore its reply caches. Runs for every client at every checkpoint
-// boundary.
-func (r *replyRing) entries() ([]uint64, [][]byte) {
-	ts := make([]uint64, r.n)
-	replies := make([][]byte, r.n)
-	for k := range ts {
-		ts[k], replies[k] = r.ts[r.slot(k)], r.replies[r.slot(k)]
-	}
-	return ts, replies
+// restore its reply caches — without copying them: the returned slices are
+// the ring's window, read-only from here on (see replyRing).
+func (r *replyRing) capture() ([]uint64, [][]byte) {
+	n := len(r.ts)
+	r.captured = n > 0
+	return r.ts[:n:n], r.replies[:n:n]
 }
 
-// clone deep-copies the ring (reply slices are shared; they are never
-// mutated in place).
+// clone copies the ring into arrays of its own (reply slices are shared; they
+// are never mutated in place).
 func (r *replyRing) clone() *replyRing {
-	return &replyRing{
-		ts:      append([]uint64(nil), r.ts...),
-		replies: append([][]byte(nil), r.replies...),
-		head:    r.head,
-		n:       r.n,
-	}
+	c := &replyRing{width: r.width, ts: r.ts, replies: r.replies}
+	c.move()
+	return c
 }
 
 // cloneRings copies a per-client ring map (activation snapshots, so rolled
@@ -119,12 +136,9 @@ func cloneRings(rs map[ids.ProcessID]*replyRing) map[ids.ProcessID]*replyRing {
 // get returns the cached reply for timestamp ts. Retransmissions name recent
 // requests, so the scan starts at the top.
 func (r *replyRing) get(ts uint64) ([]byte, bool) {
-	for k := r.n - 1; k >= 0; k-- {
-		switch s := r.slot(k); {
-		case r.ts[s] == ts:
-			return r.replies[s], true
-		case r.ts[s] < ts:
-			return nil, false
+	for k := len(r.ts) - 1; k >= 0 && r.ts[k] >= ts; k-- {
+		if r.ts[k] == ts {
+			return r.replies[k], true
 		}
 	}
 	return nil, false

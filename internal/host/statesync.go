@@ -11,8 +11,9 @@ import (
 // This file wires the checkpoint state-transfer and recovery plane
 // (internal/statesync) into the replica host:
 //
-//   - applyRequest captures a serialized application snapshot whenever the
-//     applied sequence crosses a checkpoint boundary (maybeSnapshot);
+//   - applyRequest captures the boundary state whenever the applied sequence
+//     crosses a checkpoint boundary (maybeSnapshot); its payload digest is
+//     computed when a FETCH-STATE first reads the snapshot out;
 //   - a checkpoint becoming stable garbage-collects history storage and
 //     request bodies below it (onStableCheckpoint), bounding memory;
 //   - FETCH-STATE requests are answered with the snapshot plus the applied
@@ -63,11 +64,21 @@ func (h *Host) checkpointEvery() uint64 {
 	return uint64(iv)
 }
 
-// maybeSnapshot captures a serialized application snapshot when the applied
-// sequence sits on a checkpoint boundary. The snapshot records the applied
-// digest chain fold as its history digest, so two replicas that executed the
-// same prefix produce snapshots agreeing on (Seq, HistDigest, AppDigest) —
-// the identity the transfer protocol requires f+1 matching votes on.
+// maybeSnapshot captures the replica state when the applied sequence sits on
+// a checkpoint boundary. The snapshot records the applied digest chain fold
+// as its history digest, so two replicas that executed the same prefix
+// produce snapshots agreeing on (Seq, HistDigest, AppDigest) — the identity
+// the transfer protocol requires f+1 matching votes on.
+//
+// Capture runs in the host loop once per interval on every replica, and in
+// almost every interval nobody ever asks for the result, so it is split in
+// two. Here, one pass records what the boundary state is: the serialized
+// application, the per-client windows, and the reply rings as read-only views
+// of the rings' own storage (replyRing.capture copies nothing). The payload
+// digest over all that — the canonical window and ring encodings and a hash
+// of the lot — is left unset: the snapshot store computes and memoizes it
+// when a snapshot is first read out, which only handleFetchState does (a
+// lagging or restarted peer, or a recovering shard, asking for state).
 func (h *Host) maybeSnapshot() {
 	iv := h.checkpointEvery()
 	if iv == 0 || h.appliedSeq == 0 || h.appliedSeq%iv != 0 {
@@ -90,13 +101,17 @@ func (h *Host) maybeSnapshot() {
 	// its live peers, or it starves the all-replica commit rule.
 	rings := make([]statesync.ClientRing, 0, len(h.lastReply))
 	for c, ring := range h.lastReply {
-		ts, replies := ring.entries()
-		if len(ts) == 0 {
-			continue
+		if ts, replies := ring.capture(); len(ts) > 0 {
+			rings = append(rings, statesync.ClientRing{Client: c, Timestamps: ts, Replies: replies})
 		}
-		rings = append(rings, statesync.ClientRing{Client: c, Timestamps: ts, Replies: replies})
 	}
-	h.snaps.Add(statesync.NewSnapshot(h.appliedSeq, h.appliedAcc, h.application.Snapshot(), windows, rings))
+	h.snaps.Add(statesync.Snapshot{
+		Seq:        h.appliedSeq,
+		HistDigest: h.appliedAcc,
+		AppState:   h.application.Snapshot(),
+		Windows:    windows,
+		Rings:      rings,
+	})
 	h.met.checkpoints.Inc()
 	h.cfg.Flight.Record("checkpoint", h.cfg.Shard, "snapshot at seq %d", h.appliedSeq)
 	// A checkpoint can stabilize before the application executes up to it
@@ -127,9 +142,8 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 	// FETCH-STATE pinned anywhere at or above the trim point must always be
 	// answerable with a snapshot plus a complete suffix, so storage may only
 	// ever be released below a boundary that is still served.
-	if sn, ok := h.snaps.LatestAtOrBelow(s); ok {
-		s = sn.Seq
-	} else {
+	s, ok := h.snaps.BoundaryAtOrBelow(s)
+	if !ok {
 		return
 	}
 	if st.ID != h.active || h.appliedSeq < s {
@@ -145,10 +159,24 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 		if k > uint64(len(h.appliedDigs)) {
 			k = uint64(len(h.appliedDigs))
 		}
-		appliedDropped = h.appliedDigs[:k]
+		appliedDropped = h.appliedDigs[:k:k]
 		h.appliedDigs = append(history.DigestHistory(nil), h.appliedDigs[k:]...)
 		h.appliedTrim += k
 	}
+	// The applied mirror repeats the active history position by position
+	// wherever both materialize it, and both dropped prefixes normally end at
+	// s: a mirror entry equal to the history's at the same distance from s
+	// names the body that entry already stands for, so it is not walked
+	// again. (Equal digests name one body, so the skip is safe wherever the
+	// two happen to line up.) What is left names bodies of the mirror's own:
+	// a diverged speculative tail, or a prefix it kept longer.
+	own := len(dropped)
+	for i, d := range appliedDropped {
+		if j := own - len(appliedDropped) + i; j < 0 || dropped[j] != d {
+			dropped = append(dropped, d)
+		}
+	}
+	mirrorOnly := len(dropped) - own
 	// Superseded (stopped, non-active) instances would otherwise pin their
 	// whole pre-switch history and every body it names for the life of the
 	// replica. Freeze each one's signed abort first — late panickers still
@@ -163,36 +191,39 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 		}
 		dropped = append(dropped, inst.TrimTo(inst.AbsLen())...)
 	}
-	if len(dropped) == 0 && len(appliedDropped) == 0 {
+	if len(dropped) == 0 {
 		return
 	}
 	h.met.gcRuns.Inc()
 	h.met.stableSeq.Set(int64(s))
 	h.cfg.Flight.Record("gc", h.cfg.Shard,
 		"trimmed below stable seq %d (%d instance digests, %d applied digests)",
-		s, len(dropped), len(appliedDropped))
-	// Release request bodies named only by the dropped prefixes.
-	retained := make(map[authn.Digest]bool)
+		s, len(dropped)-mirrorOnly, len(appliedDropped))
+	// Release the request bodies named only by the dropped prefixes, in one
+	// pass over them. A dropped digest can still be named above s — a
+	// superseded instance's tail the active one adopted, or a request a
+	// Byzantine orderer got logged twice across a switch — so what the
+	// retained suffixes name is exempt. Those are short (the backlog above
+	// the stable checkpoint), and the mirror's entries that repeat the
+	// active history's are not inserted twice.
+	retained := make(map[authn.Digest]struct{}, len(st.Digests))
 	for _, inst := range h.instances {
 		for _, d := range inst.Digests {
-			retained[d] = true
+			retained[d] = struct{}{}
 		}
 	}
-	for _, d := range h.appliedDigs {
-		retained[d] = true
-	}
-	release := func(ds history.DigestHistory) {
-		for _, d := range ds {
-			if !retained[d] {
-				if _, ok := h.requestStore[d]; ok {
-					delete(h.requestStore, d)
-					h.met.gcBodies.Inc()
-				}
-			}
+	for i, d := range h.appliedDigs {
+		if i >= len(st.Digests) || st.Digests[i] != d {
+			retained[d] = struct{}{}
 		}
 	}
-	release(dropped)
-	release(appliedDropped)
+	before := len(h.requestStore)
+	for _, d := range dropped {
+		if _, ok := retained[d]; !ok {
+			delete(h.requestStore, d)
+		}
+	}
+	h.met.gcBodies.Add(uint64(before - len(h.requestStore)))
 	h.snaps.PruneBelow(s)
 }
 
@@ -427,14 +458,7 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 		}
 	}
 	if st.BaseSeq == 0 && st.AbsLen() <= a.Snap.Seq && a.End() > st.AbsLen() {
-		st.trimmed = a.Snap.Seq
-		st.trimAcc = a.Snap.HistDigest
-		st.chainAcc = a.Snap.HistDigest
-		st.chainLen = a.Snap.Seq
-		st.ckptAcc = a.Snap.HistDigest
-		st.ckptLen = a.Snap.Seq
-		st.Digests = a.Suffix.Clone()
-		st.digestDirty = true
+		st.resetHistory(a.Snap.Seq, a.Snap.HistDigest, a.Suffix)
 		if iv := uint64(st.Checkpoint.Interval); iv > 0 && a.Snap.Seq > 0 && a.Snap.Seq%iv == 0 {
 			st.Checkpoint.AdoptStable(a.Snap.Seq/iv, a.Snap.HistDigest)
 		}

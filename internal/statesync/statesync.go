@@ -17,8 +17,9 @@
 //     stable checkpoint once a snapshot covers them, bounding memory for
 //     long runs.
 //   - FetchState/State are the transfer messages (FETCH-STATE and STATE);
-//     they work over any transport.Endpoint and are gob-registered for the
-//     TCP transport.
+//     they work over any transport.Endpoint: registered as wire types for
+//     the legacy gob framing and encoded field by field by the binary codec
+//     (internal/transport/wirecodec).
 //   - Collector aggregates STATE responses and accepts a snapshot only when
 //     f+1 replicas agree on (Seq, HistDigest, AppDigest) — at least one
 //     correct replica then vouches for the state — and the serialized bytes
@@ -134,8 +135,10 @@ type Snapshot struct {
 	// agrees on at this boundary.
 	HistDigest authn.Digest
 	// AppDigest is the digest of the snapshot payload (PayloadDigest over
-	// AppState and Windows); transfer acceptance agrees on it before
-	// trusting either.
+	// AppState, Windows and Rings); transfer acceptance agrees on it before
+	// trusting any of them. A replica capturing its own boundary state
+	// leaves it zero; its Store fills it in when the snapshot is first read
+	// out, so every snapshot that leaves a Store or NewSnapshot carries it.
 	AppDigest authn.Digest
 	// AppState is the serialized application state
 	// (app.Application.Snapshot).

@@ -298,3 +298,45 @@ func TestCollectorExpectAtOrBelow(t *testing.T) {
 		t.Fatalf("pinned agreement failed: %+v, %v", a, ok)
 	}
 }
+
+// TestStoreDigestsOnFirstReadOut: a snapshot added without its payload digest
+// stays undigested while the store is only asked where its boundaries are (the
+// host's garbage collector), gets the digest when first read out (a peer's
+// FETCH-STATE), and keeps it.
+func TestStoreDigestsOnFirstReadOut(t *testing.T) {
+	s := NewStore(2)
+	windows := []ClientWindow{{Client: ids.Client(1), High: 5, Mask: 3}, {Client: ids.Client(0), High: 2, Mask: 1}}
+	rings := []ClientRing{{Client: ids.Client(0), Timestamps: []uint64{1, 2}, Replies: [][]byte{[]byte("a"), []byte("b")}}}
+	s.Add(Snapshot{Seq: 8, HistDigest: authn.Hash([]byte("h8")), AppState: []byte("state-8"), Windows: windows, Rings: rings})
+	s.Add(Snapshot{Seq: 16, HistDigest: authn.Hash([]byte("h16")), AppState: []byte("state-16"), Windows: windows, Rings: rings})
+
+	if seq, ok := s.BoundaryAtOrBelow(12); !ok || seq != 8 {
+		t.Fatalf("BoundaryAtOrBelow(12) = %d, %v, want 8", seq, ok)
+	}
+	if _, ok := s.BoundaryAtOrBelow(7); ok {
+		t.Fatal("BoundaryAtOrBelow(7) found a boundary below the oldest snapshot")
+	}
+	for i := range s.snaps {
+		if !s.snaps[i].AppDigest.IsZero() {
+			t.Fatalf("snapshot %d was digested by a boundary query", s.snaps[i].Seq)
+		}
+	}
+
+	sn, ok := s.LatestAtOrBelow(12)
+	if !ok || sn.Seq != 8 {
+		t.Fatalf("LatestAtOrBelow(12) = seq %d, %v, want 8", sn.Seq, ok)
+	}
+	want := NewSnapshot(8, authn.Hash([]byte("h8")), []byte("state-8"), windows, rings).AppDigest
+	if sn.AppDigest != want {
+		t.Fatalf("read-out AppDigest = %v, want NewSnapshot's %v", sn.AppDigest, want)
+	}
+	if s.snaps[0].AppDigest != want {
+		t.Fatal("the store did not keep the digest it computed")
+	}
+	if !s.snaps[1].AppDigest.IsZero() {
+		t.Fatal("reading one snapshot out digested another")
+	}
+	if latest, _ := s.Latest(); latest.AppDigest != latest.PayloadDigest() || latest.AppDigest.IsZero() {
+		t.Fatal("Latest handed out a snapshot without its payload digest")
+	}
+}

@@ -9,6 +9,12 @@ const DefaultStoreCapacity = 4
 // Store retains the most recent snapshots of one replica, ordered by the
 // position they cover. It is not synchronized: the host mutates it under its
 // own lock.
+//
+// A snapshot may be added with its AppDigest unset: the store computes the
+// payload digest the first time the snapshot is read out (At,
+// LatestAtOrBelow, Latest) and keeps it, so a replica pays for canonical
+// encoding and hashing only for the boundaries a peer actually asks about.
+// The payload must not change once added.
 type Store struct {
 	capacity int
 	snaps    []Snapshot // ascending Seq
@@ -50,22 +56,49 @@ func (s *Store) Add(sn Snapshot) {
 // SetFloor pins the newest snapshot at or below seq against eviction.
 func (s *Store) SetFloor(seq uint64) { s.floor = seq }
 
+// digested returns the i-th retained snapshot with its payload digest
+// computed, on first use, and memoized.
+func (s *Store) digested(i int) Snapshot {
+	sn := &s.snaps[i]
+	if sn.AppDigest.IsZero() {
+		sn.AppDigest = sn.PayloadDigest()
+	}
+	return *sn
+}
+
 // At returns the snapshot covering exactly seq.
 func (s *Store) At(seq uint64) (Snapshot, bool) {
-	for _, sn := range s.snaps {
-		if sn.Seq == seq {
-			return sn, true
+	for i := range s.snaps {
+		if s.snaps[i].Seq == seq {
+			return s.digested(i), true
 		}
 	}
 	return Snapshot{}, false
 }
 
+// indexAtOrBelow returns the index of the newest snapshot covering at most
+// seq, or -1.
+func (s *Store) indexAtOrBelow(seq uint64) int {
+	i := len(s.snaps) - 1
+	for i >= 0 && s.snaps[i].Seq > seq {
+		i--
+	}
+	return i
+}
+
+// BoundaryAtOrBelow returns the position of the newest snapshot covering at
+// most seq, without reading the snapshot out (no digest is computed).
+func (s *Store) BoundaryAtOrBelow(seq uint64) (uint64, bool) {
+	if i := s.indexAtOrBelow(seq); i >= 0 {
+		return s.snaps[i].Seq, true
+	}
+	return 0, false
+}
+
 // LatestAtOrBelow returns the newest snapshot covering at most seq.
 func (s *Store) LatestAtOrBelow(seq uint64) (Snapshot, bool) {
-	for i := len(s.snaps) - 1; i >= 0; i-- {
-		if s.snaps[i].Seq <= seq {
-			return s.snaps[i], true
-		}
+	if i := s.indexAtOrBelow(seq); i >= 0 {
+		return s.digested(i), true
 	}
 	return Snapshot{}, false
 }
@@ -75,7 +108,7 @@ func (s *Store) Latest() (Snapshot, bool) {
 	if len(s.snaps) == 0 {
 		return Snapshot{}, false
 	}
-	return s.snaps[len(s.snaps)-1], true
+	return s.digested(len(s.snaps) - 1), true
 }
 
 // DropAbove removes snapshots covering more than seq: a speculative tail
