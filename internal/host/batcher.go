@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abstractbft/internal/authn"
+	"abstractbft/internal/clock"
 	"abstractbft/internal/core"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
@@ -29,6 +30,9 @@ type BatchPolicy struct {
 	// MaxDelay bounds how long the first buffered request may wait for
 	// companions before the batch is flushed. 0 selects DefaultMaxDelay;
 	// negative disables the timer (size-only flushing, for tests).
+	// Sub-millisecond values are honoured on Linux (the deadline sits on
+	// internal/clock's timerfd); elsewhere the runtime rounds every timer
+	// wait up to at least 1 ms.
 	MaxDelay time.Duration
 }
 
@@ -71,13 +75,14 @@ type Batcher struct {
 	flush  func(items []BatchItem)
 
 	buf   []BatchItem
-	timer *time.Timer
+	timer *clock.Timer
 	// gen invalidates pending timers when the buffer they were armed for has
 	// already been flushed by size.
 	gen uint64
 	// firstAdd is the arrival time of the oldest buffered request, taken only
-	// when lifecycle tracing is on: flush-time minus firstAdd is the batch
-	// assembly stage of a sampled request.
+	// when lifecycle tracing or metrics are on: flush-time minus firstAdd is
+	// the batch assembly stage of a sampled request, and on a timer flush
+	// what it exceeds MaxDelay by is the deadline overshoot.
 	firstAdd time.Time
 }
 
@@ -105,7 +110,7 @@ func (b *Batcher) Add(it BatchItem) {
 		}
 	}
 	b.buf = append(b.buf, it)
-	if len(b.buf) == 1 && b.h.cfg.Tracer != nil {
+	if len(b.buf) == 1 && (b.h.cfg.Tracer != nil || b.h.cfg.Metrics != nil) {
 		b.firstAdd = time.Now()
 	}
 	if len(b.buf) >= b.policy.MaxBatch {
@@ -114,12 +119,15 @@ func (b *Batcher) Add(it BatchItem) {
 	}
 	if b.timer == nil && b.policy.MaxDelay > 0 {
 		gen := b.gen
-		b.timer = time.AfterFunc(b.policy.MaxDelay, func() {
+		b.timer = clock.AfterFunc(b.policy.MaxDelay, func() {
 			b.h.Locked(func() {
 				if b.gen != gen {
 					return
 				}
 				b.timer = nil
+				if !b.firstAdd.IsZero() {
+					b.h.met.overshoot.ObserveDuration(time.Since(b.firstAdd) - b.policy.MaxDelay)
+				}
 				b.Flush()
 			})
 		})
@@ -142,7 +150,7 @@ func (b *Batcher) Flush() {
 	b.buf = nil
 	b.h.met.batches.Inc()
 	b.h.met.batchFill.Observe(float64(len(items)))
-	if !b.firstAdd.IsZero() {
+	if b.h.cfg.Tracer != nil && !b.firstAdd.IsZero() {
 		// The batch is traced iff a member carries a client-stamped trace
 		// context (head sampling happens at the client, not here).
 		var ctx obs.TraceContext
@@ -159,8 +167,8 @@ func (b *Batcher) Flush() {
 			b.h.traceCtx = ctx
 			b.h.traceFlushT = now
 		}
-		b.firstAdd = time.Time{}
 	}
+	b.firstAdd = time.Time{}
 	sort.SliceStable(items, func(i, j int) bool {
 		if items[i].Req.Client != items[j].Req.Client {
 			return items[i].Req.Client < items[j].Req.Client

@@ -1,13 +1,16 @@
 package host
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
+	"abstractbft/internal/clock"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
+	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
 )
 
@@ -15,6 +18,11 @@ import (
 // event loop is not started, so tests drive the batcher directly under
 // Locked (as protocol handlers do).
 func newBatcherHost(t *testing.T, policy BatchPolicy) *Host {
+	t.Helper()
+	return newMeteredBatcherHost(t, policy, nil)
+}
+
+func newMeteredBatcherHost(t *testing.T, policy BatchPolicy, reg *obs.Registry) *Host {
 	t.Helper()
 	net := transport.NewLocal(transport.Options{})
 	t.Cleanup(net.Close)
@@ -26,6 +34,7 @@ func newBatcherHost(t *testing.T, policy BatchPolicy) *Host {
 		App:      app.NewNull(0),
 		Endpoint: net.Endpoint(ids.Replica(0)),
 		Batch:    policy,
+		Metrics:  reg,
 	})
 }
 
@@ -44,6 +53,9 @@ func TestBatcherSizeTriggeredFlush(t *testing.T) {
 		b.Add(BatchItem{Req: req(1, 1)})
 		if len(flushes) != 0 {
 			t.Fatalf("flushed before the size trigger: %d flushes", len(flushes))
+		}
+		if b.timer != nil {
+			t.Fatal("MaxDelay < 0 armed a delay timer")
 		}
 		b.Add(BatchItem{Req: req(2, 1)})
 	})
@@ -86,6 +98,9 @@ func TestBatcherSingleRequestDegenerate(t *testing.T) {
 	h.Locked(func() {
 		b.Add(BatchItem{Req: req(0, 1)})
 		b.Add(BatchItem{Req: req(0, 2)})
+		if b.timer != nil {
+			t.Fatal("MaxBatch = 1 armed a delay timer")
+		}
 	})
 	if len(flushes) != 2 {
 		t.Fatalf("want 2 inline flushes, got %d", len(flushes))
@@ -171,5 +186,107 @@ func TestBatcherFlushOrderedByClientAndTimestamp(t *testing.T) {
 		if it.Req.ID() != want[i] {
 			t.Fatalf("position %d: got %v want %v", i, it.Req.ID(), want[i])
 		}
+	}
+}
+
+// A size flush stops the delay timer for good: the idle period after it sees
+// no second flush callback and no goroutine taking (here: parking on) the
+// host lock on behalf of the deadline nobody waits for any more.
+func TestBatcherSizeFlushLeavesNoStaleFire(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	h := newBatcherHost(t, BatchPolicy{MaxBatch: 2, MaxDelay: delay})
+	flushes := 0
+	b := h.NewBatcher(func([]BatchItem) { flushes++ })
+	// The process clock starts its goroutine on first use: before the
+	// baseline, whichever test runs first.
+	clock.AfterFunc(time.Hour, func() {}).Stop()
+	h.Locked(func() {
+		goroutines := runtime.NumGoroutine()
+		b.Add(BatchItem{Req: req(0, 1)})
+		if b.timer == nil {
+			t.Fatal("a partial batch armed no delay timer")
+		}
+		b.Add(BatchItem{Req: req(1, 1)})
+		if flushes != 1 || b.timer != nil {
+			t.Fatalf("after the size flush: %d flushes, timer still set: %v", flushes, b.timer != nil)
+		}
+		// The lock stays held past the deadline: a fire would have to queue
+		// up behind it, where it can be counted.
+		time.Sleep(3 * delay)
+		if got := runtime.NumGoroutine(); got > goroutines {
+			t.Errorf("goroutines %d -> %d while idle after a size flush: a stale fire is waiting for the host lock", goroutines, got)
+		}
+	})
+	h.Locked(func() {
+		if flushes != 1 {
+			t.Errorf("%d flush callbacks, want 1", flushes)
+		}
+	})
+}
+
+// A fire that lost the race with a size flush (its callback was already
+// waiting for the host lock when the flush ran) must not cut the next batch
+// short: gen tells it that its buffer is gone.
+func TestBatcherStaleFireDoesNotFlushNextBatch(t *testing.T) {
+	const delay = 2 * time.Millisecond
+	h := newBatcherHost(t, BatchPolicy{MaxBatch: 2, MaxDelay: delay})
+	type flush struct {
+		n  int
+		at time.Time
+	}
+	flushed := make(chan flush, 2)
+	b := h.NewBatcher(func(items []BatchItem) { flushed <- flush{len(items), time.Now()} })
+	var secondAdd time.Time
+	h.Locked(func() {
+		b.Add(BatchItem{Req: req(0, 1)})
+		time.Sleep(2 * delay) // the deadline passes; its callback parks on the host lock
+		b.Add(BatchItem{Req: req(1, 1)})
+		secondAdd = time.Now()
+		b.Add(BatchItem{Req: req(0, 2)})
+	})
+	if first := <-flushed; first.n != 2 {
+		t.Fatalf("size flush delivered %d requests, want 2", first.n)
+	}
+	select {
+	case second := <-flushed:
+		if second.n != 1 {
+			t.Fatalf("second flush delivered %d requests, want 1", second.n)
+		}
+		if waited := second.at.Sub(secondAdd); waited < delay {
+			t.Errorf("the next batch was cut after %v, before its own %v deadline: a stale fire flushed it", waited, delay)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the next batch's own deadline never flushed it")
+	}
+}
+
+// host_batch_deadline_overshoot_seconds is recorded on timer flushes only,
+// and needs no tracer to have the first-add time it is measured from.
+func TestBatcherDeadlineOvershootMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := newMeteredBatcherHost(t, BatchPolicy{MaxBatch: 2, MaxDelay: time.Millisecond}, reg)
+	flushed := make(chan struct{}, 1)
+	b := h.NewBatcher(func([]BatchItem) { flushed <- struct{}{} })
+	overshoot := func() obs.HistogramSnapshot {
+		return reg.Snapshot().Histograms["host_batch_deadline_overshoot_seconds"]
+	}
+
+	h.Locked(func() {
+		b.Add(BatchItem{Req: req(0, 1)})
+		b.Add(BatchItem{Req: req(1, 1)})
+	})
+	<-flushed
+	if got := overshoot(); got.Count != 0 {
+		t.Fatalf("a size flush recorded %d deadline overshoots", got.Count)
+	}
+
+	h.Locked(func() { b.Add(BatchItem{Req: req(0, 2)}) })
+	<-flushed
+	got := overshoot()
+	if got.Count != 1 {
+		t.Fatalf("a timer flush recorded %d deadline overshoots, want 1", got.Count)
+	}
+	if got.Sum <= 0 || got.Sum > 0.5 {
+		t.Errorf("recorded overshoot %v s: want a small positive delay past the deadline", got.Sum)
 	}
 }

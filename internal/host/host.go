@@ -422,18 +422,17 @@ func (h *Host) tickProtocols() {
 
 func (h *Host) dispatch(env transport.Envelope) {
 	h.mu.Lock()
-	crashed := h.crashed
-	delay := h.processingDelay
-	h.mu.Unlock()
-	if crashed {
+	defer h.mu.Unlock()
+	if h.crashed {
 		return
 	}
-	if delay > 0 {
+	if delay := h.processingDelay; delay > 0 {
+		// The injected slowness (attack experiments) is served without the
+		// lock, as a slow replica's would be.
+		h.mu.Unlock()
 		time.Sleep(delay)
+		h.mu.Lock()
 	}
-
-	h.mu.Lock()
-	defer h.mu.Unlock()
 
 	switch m := env.Payload.(type) {
 	case *core.PanicMessage:

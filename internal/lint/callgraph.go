@@ -196,7 +196,8 @@ func (g *callGraph) walkDetached(lit *ast.FuncLit, args []ast.Expr, info *types.
 // asyncCallees are functions whose func-typed arguments run on another
 // goroutine: literal arguments get no edge from the caller.
 var asyncCallees = map[string]bool{
-	"time.AfterFunc": true,
+	"time.AfterFunc":                       true,
+	"abstractbft/internal/clock.AfterFunc": true,
 }
 
 // edgesForCall resolves one call expression into edges.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -295,6 +296,13 @@ func (l *loader) parseDir(dir string, xtest bool) ([]*ast.File, error) {
 			continue
 		}
 		if strings.HasSuffix(name, "_test.go") != xtest {
+			continue
+		}
+		// The build's view of the directory: a package split by GOOS
+		// (internal/clock) declares the same names once per platform.
+		if match, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)

@@ -5,7 +5,9 @@ package locknest
 
 import (
 	"sync"
+	"time"
 
+	"abstractbft/internal/clock"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 )
@@ -50,6 +52,24 @@ func (s *switcher) Handle(from ids.ProcessID, m any) {
 
 func (s *switcher) initiate() {
 	s.h.Locked(func() {})
+}
+
+// armsDeadline is the Batcher's delay timer: armed under the host lock, its
+// callback re-takes the lock — on the clock's goroutine, once the deadline
+// passes, not on this stack. clock.AfterFunc is a registered async callee
+// like time.AfterFunc, so the literal gets no edge from its caller (and is
+// still analysed on its own: the nested Locked inside it is a finding).
+func armsDeadline(h *host.Host) {
+	h.Locked(func() {
+		clock.AfterFunc(time.Millisecond, func() {
+			h.Locked(func() {})
+		})
+		time.AfterFunc(time.Millisecond, func() {
+			h.Locked(func() { // want "re-enters it"
+				h.ActiveInstance()
+			})
+		})
+	})
 }
 
 // audited documents a hand-off the analyzer cannot see through and stops
