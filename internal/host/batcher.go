@@ -87,7 +87,8 @@ type Batcher struct {
 }
 
 // NewBatcher creates a batch assembler bound to this host's batch policy.
-// The flush callback is invoked with the host lock held.
+// The flush callback is invoked with the host lock held; the items are its
+// to read until it returns, when the assembler takes their storage back.
 func (h *Host) NewBatcher(flush func(items []BatchItem)) *Batcher {
 	return &Batcher{h: h, policy: h.cfg.Batch.normalized(), flush: flush}
 }
@@ -176,6 +177,10 @@ func (b *Batcher) Flush() {
 		return items[i].Req.Timestamp < items[j].Req.Timestamp
 	})
 	b.flush(items)
+	if b.buf == nil {
+		clear(items)
+		b.buf = items[:0]
+	}
 }
 
 // FilterFreshItems applies the instance's batch freshness rule

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -134,6 +135,10 @@ func TestHistoryChainMatchesReferenceFold(t *testing.T) {
 
 // snapshotHost is gcHost over the null application with the default window.
 func snapshotHost(t *testing.T, interval int) (*Host, *InstanceState) {
+	return snapshotHostWith(t, app.NewNull(8), interval)
+}
+
+func snapshotHostWith(t *testing.T, application app.Application, interval int) (*Host, *InstanceState) {
 	t.Helper()
 	net := transport.NewLocal(transport.Options{})
 	t.Cleanup(net.Close)
@@ -141,7 +146,7 @@ func snapshotHost(t *testing.T, interval int) (*Host, *InstanceState) {
 		Cluster:            ids.NewCluster(0),
 		Replica:            ids.Replica(0),
 		Keys:               authn.NewKeyStore("snapshot-test"),
-		App:                app.NewNull(8),
+		App:                application,
 		Endpoint:           net.Endpoint(ids.Replica(0)),
 		NewProtocol:        func(*Host, *InstanceState) ProtocolReplica { return nopReplica{} },
 		CheckpointInterval: interval,
@@ -260,23 +265,53 @@ func TestCapturedRingViewsStayIntact(t *testing.T) {
 
 // TestSnapshotBoundaryAllocBudget pins what crossing a checkpoint boundary
 // costs the request path: Log+Execute of the 16-request batch that crosses it,
-// with 24 clients whose reply rings are full. Capture records views and leaves
-// the payload digest to whoever asks for the snapshot, so the batch allocates
-// little more than any other. PR 13 copied every ring twice and encoded and
-// hashed the lot: 100,728 B for this batch, against 5,840 B now; the budget
-// is an eighth of the former.
+// with 24 clients whose reply rings are full. Capture records views — of the
+// rings and of the application — and leaves serializing and digesting to
+// whoever asks for the snapshot, so the batch allocates little more than any
+// other, whatever the application holds: the 1024-key store has the null
+// application's budget. PR 13 copied every ring twice and encoded and hashed
+// the lot: 100,728 B for this batch with the null application; the budget is
+// an eighth of that.
 func TestSnapshotBoundaryAllocBudget(t *testing.T) {
+	puts := make([][]byte, 1024)
+	for k := range puts {
+		puts[k] = app.EncodeKVPut(fmt.Sprintf("key-%04d", k), fmt.Sprintf("%048d", k))
+	}
+	for _, tc := range []struct {
+		name    string
+		app     app.Application
+		command func(turn int) []byte
+	}{
+		{"null", app.NewNull(8), func(int) []byte { return []byte("command") }},
+		{"kv1024", app.NewKVStore(), func(turn int) []byte { return puts[turn%len(puts)] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			boundaryAllocBudget(t, tc.app, tc.command)
+		})
+	}
+}
+
+func boundaryAllocBudget(t *testing.T, application app.Application, command func(turn int) []byte) {
 	const clients, perBatch, boundaries = 24, 16, 8
-	h, st := snapshotHost(t, history.DefaultCheckpointInterval)
+	const perInterval = history.DefaultCheckpointInterval / perBatch
+	h, st := snapshotHostWith(t, application, history.DefaultCheckpointInterval)
+	// The request store is a map that bodies enter as they are logged and
+	// leave as checkpoints stabilize; left to grow on demand, one of its
+	// tables now and then splits inside a measured batch and bills it some
+	// hundred kilobytes. Sized for every body the test ever logs, it never
+	// grows.
+	h.requestStore = make(map[authn.Digest]msg.Request, 2*(13+boundaries)*history.DefaultCheckpointInterval)
 	ts := make([]uint64, clients)
 	turn := 0
-	logExecute := func() {
+	logExecute := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		var batch msg.Batch
 		for i := 0; i < perBatch; i++ {
 			c := turn % clients
-			turn++
 			ts[c]++
-			batch.Requests = append(batch.Requests, msg.Request{Client: ids.Client(c), Timestamp: ts[c], Command: []byte("command")})
+			batch.Requests = append(batch.Requests, msg.Request{Client: ids.Client(c), Timestamp: ts[c], Command: command(turn)})
+			turn++
 		}
 		h.Locked(func() {
 			if _, ok := h.LogBatch(st, batch); !ok {
@@ -284,29 +319,26 @@ func TestSnapshotBoundaryAllocBudget(t *testing.T) {
 			}
 			h.ExecuteBatch(st, batch)
 		})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
 	}
-	const perInterval = history.DefaultCheckpointInterval / perBatch
-	// Fill every ring (24 clients x 64 timestamps) and stop one batch short
-	// of a boundary.
+	// Fill every ring (24 clients x 64 timestamps), write every key, and stop
+	// one batch short of a boundary.
 	for n := 0; n < 13*perInterval-1; n++ {
 		logExecute()
 	}
-	var total uint64
+	var total, others uint64
 	for k := 0; k < boundaries; k++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		logExecute()
-		runtime.ReadMemStats(&after)
-		total += after.TotalAlloc - before.TotalAlloc
+		total += logExecute()
 		if seq, _ := h.AppliedState(); seq%history.DefaultCheckpointInterval != 0 {
 			t.Fatalf("measured batch ended at %d, not on a boundary (test setup)", seq)
 		}
 		for n := 0; n < perInterval-1; n++ {
-			logExecute()
+			others += logExecute()
 		}
 	}
 	perBoundary := total / boundaries
-	t.Logf("boundary batch allocates %d B", perBoundary)
+	t.Logf("boundary batch allocates %d B, the batches between %d B", perBoundary, others/(boundaries*(perInterval-1)))
 	if budget := uint64(12 << 10); perBoundary > budget {
 		t.Fatalf("the batch crossing a checkpoint boundary allocates %d B, budget %d B", perBoundary, budget)
 	}

@@ -224,7 +224,10 @@ type Host struct {
 	appliedSeq  uint64
 	appliedDigs history.DigestHistory
 	appliedTrim uint64
-	appliedAcc  authn.Digest
+	// appliedSpare is the storage garbage collection moves appliedDigs'
+	// retained suffix into (see trimFront).
+	appliedSpare history.DigestHistory
+	appliedAcc   authn.Digest
 	// appliedWindows are the per-client timestamp windows of the applied
 	// request sequence — a deterministic function of the applied prefix
 	// (unlike the per-instance logging windows, which logging order can

@@ -131,6 +131,10 @@ type InstanceState struct {
 	chain   []authn.Digest
 	trimmed uint64
 	trimAcc authn.Digest
+	// spareDigests and spareChain are the storage TrimTo moves the retained
+	// suffix into (see trimFront).
+	spareDigests history.DigestHistory
+	spareChain   []authn.Digest
 	// head is D(LH_j), the chain's last value folded with the base checkpoint
 	// when there is one; sealHead refreshes it at the end of every history
 	// change, so a batch's RESPs share one base fold.
@@ -234,7 +238,8 @@ func (st *InstanceState) PrefixDigest(idx uint64) authn.Digest {
 // entries stay represented by their digest fold, so HistoryDigest, AbsLen,
 // and abort reports from the stable checkpoint onward are unchanged. It
 // returns the dropped digests so the host can release the request bodies
-// they name; the slice is the abandoned storage itself, not a copy.
+// they name; the slice is the abandoned storage itself, not a copy, and is
+// overwritten by the next TrimTo.
 func (st *InstanceState) TrimTo(seq uint64) history.DigestHistory {
 	if seq <= st.BaseSeq {
 		return nil
@@ -247,11 +252,21 @@ func (st *InstanceState) TrimTo(seq uint64) history.DigestHistory {
 		return nil
 	}
 	st.trimAcc = st.chainAt(rel)
-	k := rel - st.trimmed
-	dropped := st.Digests[:k:k]
-	st.Digests = append(history.DigestHistory(nil), st.Digests[k:]...)
-	st.chain = append([]authn.Digest(nil), st.chain[k:]...)
+	k := int(rel - st.trimmed)
+	trimFront(&st.chain, &st.spareChain, k)
 	st.trimmed = rel
+	return trimFront(&st.Digests, &st.spareDigests, k)
+}
+
+// trimFront drops the first k elements of *live and returns them. A slice
+// that is appended to at the back and trimmed from the front for ever would
+// otherwise be copied to fresh storage at every trim and re-grown by append
+// after it; instead the rest moves into *spare's storage and the two swap, so
+// a steady state allocates nothing. The returned prefix stays intact until
+// the next call with the same pair, which reuses its storage.
+func trimFront[S ~[]E, E any](live, spare *S, k int) S {
+	dropped := (*live)[:k:k]
+	*live, *spare = append((*spare)[:0], (*live)[k:]...), *live
 	return dropped
 }
 
@@ -616,8 +631,8 @@ func (h *Host) digestAt(st *InstanceState, p uint64) authn.Digest {
 // (from the history position it was found at), to the application and records
 // it. Null operations (Mencius-style fillers ordered by idle shard leaders)
 // advance the sequence and the digest chain but execute nothing and leave no
-// reply. Crossing a checkpoint boundary captures a serialized application
-// snapshot for the state-transfer plane.
+// reply. Crossing a checkpoint boundary captures the boundary state for the
+// state-transfer plane.
 func (h *Host) applyRequest(r msg.Request, d authn.Digest) []byte {
 	var reply []byte
 	if r.Client != ids.NullOp {
@@ -674,9 +689,24 @@ func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []au
 		digests = batch.Digests()
 	}
 	start := st.AbsLen()
+	// The store keeps its own copy of every body (on an in-process network
+	// the batch's memory is the sender's); the commands of a batch share one
+	// allocation, which garbage collection below a stable checkpoint lets go
+	// of as a whole.
+	size := 0
+	for i := range batch.Requests {
+		size += len(batch.Requests[i].Command)
+	}
+	commands := make([]byte, 0, size)
 	for i, req := range batch.Requests {
 		d := digests[i]
-		h.requestStore[d] = req.Clone()
+		stored := req
+		stored.Command = nil
+		if n := len(req.Command); n > 0 {
+			commands = append(commands, req.Command...)
+			stored.Command = commands[len(commands)-n : len(commands) : len(commands)]
+		}
+		h.requestStore[d] = stored
 		st.appendDigest(d)
 		st.markLogged(req.Client, req.Timestamp)
 		if h.observer != nil {

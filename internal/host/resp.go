@@ -15,7 +15,26 @@ import (
 // payload only from the designated replica, digest otherwise), the digest of
 // the replica's local history, and a MAC for the client.
 func (h *Host) BuildResp(st *InstanceState, req msg.Request, reply []byte, designated bool) *core.RespMessage {
-	resp := &core.RespMessage{
+	resp := new(core.RespMessage)
+	h.fillResp(resp, st, req, reply, designated)
+	return resp
+}
+
+// BuildResps assembles the RESPs of a just-executed batch in one allocation:
+// the i-th element answers batch.Requests[i] with replies[i]. Null operations
+// have no client; their elements stay zero.
+func (h *Host) BuildResps(st *InstanceState, batch msg.Batch, replies [][]byte, designated bool) []core.RespMessage {
+	resps := make([]core.RespMessage, len(batch.Requests))
+	for i, req := range batch.Requests {
+		if req.Client != ids.NullOp {
+			h.fillResp(&resps[i], st, req, replies[i], designated)
+		}
+	}
+	return resps
+}
+
+func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Request, reply []byte, designated bool) {
+	*resp = core.RespMessage{
 		Instance:      st.ID,
 		Replica:       h.id,
 		Client:        req.Client,
@@ -38,7 +57,6 @@ func (h *Host) BuildResp(st *InstanceState, req msg.Request, reply []byte, desig
 	if req.Trace.Sampled() {
 		h.cfg.Tracer.Record(req.Trace, obs.StageReply, h.cfg.Shard, time.Now(), 0)
 	}
-	return resp
 }
 
 // VerifyClientAuth verifies the client's authenticator entry addressed to

@@ -12,8 +12,8 @@ import (
 // (internal/statesync) into the replica host:
 //
 //   - applyRequest captures the boundary state whenever the applied sequence
-//     crosses a checkpoint boundary (maybeSnapshot); its payload digest is
-//     computed when a FETCH-STATE first reads the snapshot out;
+//     crosses a checkpoint boundary (maybeSnapshot); it is serialized and
+//     digested when a FETCH-STATE first reads the snapshot out;
 //   - a checkpoint becoming stable garbage-collects history storage and
 //     request bodies below it (onStableCheckpoint), bounding memory;
 //   - FETCH-STATE requests are answered with the snapshot plus the applied
@@ -72,13 +72,15 @@ func (h *Host) checkpointEvery() uint64 {
 //
 // Capture runs in the host loop once per interval on every replica, and in
 // almost every interval nobody ever asks for the result, so it is split in
-// two. Here, one pass records what the boundary state is: the serialized
-// application, the per-client windows, and the reply rings as read-only views
-// of the rings' own storage (replyRing.capture copies nothing). The payload
-// digest over all that — the canonical window and ring encodings and a hash
-// of the lot — is left unset: the snapshot store computes and memoizes it
-// when a snapshot is first read out, which only handleFetchState does (a
-// lagging or restarted peer, or a recovering shard, asking for state).
+// two. Here, one pass records what the boundary state is without copying it:
+// the application as a frozen view (app.Application.Freeze, constant cost
+// whatever the application holds), the per-client windows, and the reply
+// rings as read-only views of the rings' own storage (replyRing.capture).
+// Serializing the application and digesting the payload — the canonical
+// window and ring encodings and a hash of the lot — is left to the snapshot
+// store, which does both when a snapshot is first read out; only
+// handleFetchState does that (a lagging or restarted peer, or a recovering
+// shard, asking for state).
 func (h *Host) maybeSnapshot() {
 	iv := h.checkpointEvery()
 	if iv == 0 || h.appliedSeq == 0 || h.appliedSeq%iv != 0 {
@@ -108,7 +110,7 @@ func (h *Host) maybeSnapshot() {
 	h.snaps.Add(statesync.Snapshot{
 		Seq:        h.appliedSeq,
 		HistDigest: h.appliedAcc,
-		AppState:   h.application.Snapshot(),
+		Frozen:     h.application.Freeze(),
 		Windows:    windows,
 		Rings:      rings,
 	})
@@ -159,8 +161,7 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 		if k > uint64(len(h.appliedDigs)) {
 			k = uint64(len(h.appliedDigs))
 		}
-		appliedDropped = h.appliedDigs[:k:k]
-		h.appliedDigs = append(history.DigestHistory(nil), h.appliedDigs[k:]...)
+		appliedDropped = trimFront(&h.appliedDigs, &h.appliedSpare, int(k))
 		h.appliedTrim += k
 	}
 	// The applied mirror repeats the active history position by position

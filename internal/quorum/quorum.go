@@ -178,8 +178,9 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 	if fresh.Len() > 0 {
 		if _, ok := r.h.LogBatchDigested(r.st, fresh, digests); ok {
 			replies := r.h.ExecuteBatch(r.st, fresh)
-			for i, req := range fresh.Requests {
-				resps = append(resps, r.h.BuildResp(r.st, req, replies[i], designated))
+			built := r.h.BuildResps(r.st, fresh, replies, designated)
+			for i := range built {
+				resps = append(resps, &built[i])
 			}
 			if designated {
 				for range fresh.Requests {

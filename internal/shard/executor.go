@@ -58,20 +58,24 @@ type Executor struct {
 	shards, epoch int
 
 	// intake decouples the ordering hot path from the merge loop: observers
-	// append under a lock held only for the append.
-	mu     sync.Mutex
-	intake []loggedRequest
-	wake   chan struct{}
-	stop   chan struct{}
-	done   chan struct{}
+	// append under a lock held only for the append. The merge loop swaps it
+	// with drained, the emptied storage of the batch before, so the two
+	// alternate instead of growing a new slice per wake-up.
+	mu      sync.Mutex
+	intake  []loggedRequest
+	drained []loggedRequest
+	wake    chan struct{}
+	stop    chan struct{}
+	done    chan struct{}
 	// ctrl carries whole-executor control actions (merged-state restore)
 	// into the merge loop, which owns the sequencer state.
 	ctrl chan func()
 
 	// merge-loop-owned per-shard sequencer state.
-	pending [][]msg.Request          // in-order spans awaiting their round
+	pending []span                   // in-order spans awaiting their round
 	popped  []uint64                 // positions already merged per shard
 	ooo     []map[uint64]msg.Request // out-of-order buffer per shard
+	round   []msg.Request            // scratch a merge round is gathered into
 
 	// merged state, guarded by stateMu. inOrder mirrors each shard's next
 	// in-order position (popped + pending) for the idle-shard demand probe.
@@ -94,6 +98,38 @@ type Executor struct {
 	tracePos   uint64
 	traceT     time.Time
 	traceCtx   obs.TraceContext
+}
+
+// span is one shard's in-order requests awaiting their round: a queue over
+// one backing array, appended to at the back and consumed an epoch at a time
+// from the front. The consumed prefix is reclaimed by sliding the rest down
+// once it is at least as long as the rest, so a pop is O(1) amortized
+// whatever the backlog and a steady state never re-grows the array.
+type span struct {
+	buf  []msg.Request
+	head int
+}
+
+func (q *span) len() int { return len(q.buf) - q.head }
+
+func (q *span) push(r msg.Request) { q.buf = append(q.buf, r) }
+
+// truncate keeps the first n requests.
+func (q *span) truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+}
+
+// popInto moves the first k requests to the end of dst.
+func (q *span) popInto(dst []msg.Request, k int) []msg.Request {
+	dst = append(dst, q.buf[q.head:q.head+k]...)
+	q.head += k
+	if q.head >= q.len() {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	return dst
 }
 
 // loggedRequest is one intake entry: an ordered request at its per-shard
@@ -122,7 +158,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		ctrl:       make(chan func()),
-		pending:    make([][]msg.Request, cfg.Shards),
+		pending:    make([]span, cfg.Shards),
 		popped:     make([]uint64, cfg.Shards),
 		ooo:        make([]map[uint64]msg.Request, cfg.Shards),
 		inOrder:    make([]uint64, cfg.Shards),
@@ -272,7 +308,7 @@ func (e *Executor) applyRestore(seq uint64, digest authn.Digest, appState []byte
 	}
 	perShard := seq / uint64(e.shards)
 	for s := 0; s < e.shards; s++ {
-		e.pending[s] = nil
+		e.pending[s].truncate(0)
 		e.ooo[s] = make(map[uint64]msg.Request)
 		e.popped[s] = perShard
 		e.inOrder[s] = perShard
@@ -342,7 +378,7 @@ func (e *Executor) run() {
 func (e *Executor) publishProgress() {
 	e.stateMu.Lock()
 	for s := 0; s < e.shards; s++ {
-		e.inOrder[s] = e.popped[s] + uint64(len(e.pending[s]))
+		e.inOrder[s] = e.popped[s] + uint64(e.pending[s].len())
 		e.poppedView[s] = e.popped[s]
 		e.oooView[s] = uint64(len(e.ooo[s]))
 	}
@@ -372,7 +408,7 @@ func (e *Executor) MergedFloor(s int) uint64 {
 func (e *Executor) drainIntake() {
 	e.mu.Lock()
 	batch := e.intake
-	e.intake = nil
+	e.intake = e.drained[:0]
 	e.mu.Unlock()
 	for _, lr := range batch {
 		s := lr.shard
@@ -380,11 +416,11 @@ func (e *Executor) drainIntake() {
 			// Drop buffered (un-merged) entries at or beyond the reset point;
 			// the adopted values re-fed after this marker replace them.
 			if lr.pos > e.popped[s] {
-				if keep := lr.pos - e.popped[s]; keep < uint64(len(e.pending[s])) {
-					e.pending[s] = e.pending[s][:keep]
+				if keep := lr.pos - e.popped[s]; keep < uint64(e.pending[s].len()) {
+					e.pending[s].truncate(int(keep))
 				}
 			} else {
-				e.pending[s] = nil
+				e.pending[s].truncate(0)
 			}
 			for pos := range e.ooo[s] {
 				if pos >= lr.pos {
@@ -393,7 +429,7 @@ func (e *Executor) drainIntake() {
 			}
 			continue
 		}
-		next := e.popped[s] + uint64(len(e.pending[s]))
+		next := e.popped[s] + uint64(e.pending[s].len())
 		switch {
 		case lr.pos < next:
 			continue
@@ -410,17 +446,19 @@ func (e *Executor) drainIntake() {
 			e.traceSet, e.traceShard, e.tracePos, e.traceT = true, s, lr.pos, time.Now()
 			e.traceCtx = lr.req.Trace
 		}
-		e.pending[s] = append(e.pending[s], lr.req)
+		e.pending[s].push(lr.req)
 		for {
-			next = e.popped[s] + uint64(len(e.pending[s]))
+			next = e.popped[s] + uint64(e.pending[s].len())
 			req, ok := e.ooo[s][next]
 			if !ok {
 				break
 			}
 			delete(e.ooo[s], next)
-			e.pending[s] = append(e.pending[s], req)
+			e.pending[s].push(req)
 		}
 	}
+	clear(batch)
+	e.drained = batch
 }
 
 // mergeRounds emits every complete shard epoch round: E requests of each
@@ -430,7 +468,7 @@ func (e *Executor) mergeRounds() {
 	for {
 		ready := true
 		for s := 0; s < e.shards; s++ {
-			if len(e.pending[s]) < e.epoch {
+			if e.pending[s].len() < e.epoch {
 				ready = false
 				break
 			}
@@ -438,10 +476,9 @@ func (e *Executor) mergeRounds() {
 		if !ready {
 			return
 		}
-		round := make([]msg.Request, 0, e.shards*e.epoch)
+		round := e.round[:0]
 		for s := 0; s < e.shards; s++ {
-			round = append(round, e.pending[s][:e.epoch]...)
-			e.pending[s] = e.pending[s][e.epoch:]
+			round = e.pending[s].popInto(round, e.epoch)
 			e.popped[s] += uint64(e.epoch)
 			if e.met.merged != nil {
 				e.met.merged[s].Add(uint64(e.epoch))
@@ -472,5 +509,7 @@ func (e *Executor) mergeRounds() {
 		e.met.mergedSeq.Set(int64(e.mergedSeq))
 		e.met.rounds.Inc()
 		e.stateMu.Unlock()
+		clear(round)
+		e.round = round
 	}
 }

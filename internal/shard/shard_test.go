@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -225,4 +227,52 @@ func (l *loopEndpoint) lastSent() any {
 		return nil
 	}
 	return l.sent[len(l.sent)-1]
+}
+
+// TestSpanMatchesSliceModel drives a span through random pushes, epoch pops
+// and truncations against a plain slice, and checks that a steady
+// push-an-epoch/pop-an-epoch rhythm stops allocating however deep the
+// backlog it started from.
+func TestSpanMatchesSliceModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var q span
+	var model []msg.Request
+	next := uint64(0)
+	for step := 0; step < 5000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 5:
+			for i := rng.Intn(12); i > 0; i-- {
+				next++
+				q.push(msg.Request{Timestamp: next})
+				model = append(model, msg.Request{Timestamp: next})
+			}
+		case op < 9:
+			if k := 1 + rng.Intn(8); k <= len(model) {
+				got := q.popInto(nil, k)
+				if !slices.EqualFunc(got, model[:k], msg.Request.Equal) {
+					t.Fatalf("step %d: popped %v, want %v", step, got, model[:k])
+				}
+				model = model[k:]
+			}
+		default:
+			n := rng.Intn(len(model) + 1)
+			q.truncate(n)
+			model = model[:n]
+		}
+		if q.len() != len(model) || !slices.EqualFunc(q.buf[q.head:], model, msg.Request.Equal) {
+			t.Fatalf("step %d: span holds %d requests, model %d", step, q.len(), len(model))
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		q.push(msg.Request{})
+	}
+	scratch := make([]msg.Request, 0, DefaultEpoch)
+	if allocs := testing.AllocsPerRun(500, func() {
+		for i := 0; i < DefaultEpoch; i++ {
+			q.push(msg.Request{})
+		}
+		q.popInto(scratch[:0], DefaultEpoch)
+	}); allocs != 0 {
+		t.Fatalf("a steady push/pop rhythm allocates %.2f times per epoch", allocs)
+	}
 }

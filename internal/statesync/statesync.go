@@ -9,10 +9,11 @@
 // grow without bound and a replica that missed the requests below an adopted
 // base checkpoint can never fill the gap. This package closes that loop:
 //
-//   - Snapshot captures the serialized application state at a checkpoint
+//   - Snapshot is the serialized application state at a checkpoint
 //     boundary, keyed by the position it covers and the digest chain of the
 //     request history up to it.
-//   - Store retains the most recent snapshots on every replica; the host
+//   - Store retains the most recent snapshots on every replica, each as a
+//     frozen view of the application until a peer asks for it; the host
 //     garbage-collects logged requests and digest prefixes below the last
 //     stable checkpoint once a snapshot covers them, bounding memory for
 //     long runs.
@@ -31,6 +32,7 @@ import (
 	"encoding/binary"
 	"sort"
 
+	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/history"
@@ -137,12 +139,18 @@ type Snapshot struct {
 	// AppDigest is the digest of the snapshot payload (PayloadDigest over
 	// AppState, Windows and Rings); transfer acceptance agrees on it before
 	// trusting any of them. A replica capturing its own boundary state
-	// leaves it zero; its Store fills it in when the snapshot is first read
-	// out, so every snapshot that leaves a Store or NewSnapshot carries it.
+	// leaves it zero and sets Frozen in place of AppState; its Store fills
+	// both in when the snapshot is first read out, so every snapshot that
+	// leaves a Store or NewSnapshot carries them.
 	AppDigest authn.Digest
 	// AppState is the serialized application state
 	// (app.Application.Snapshot).
 	AppState []byte
+	// Frozen is the application as frozen at the boundary, on a snapshot
+	// between its capture and its first read-out of a Store: what AppState
+	// will be serialized from. It is not part of the snapshot's identity or
+	// wire form, and no snapshot a Store hands out carries it.
+	Frozen app.View
 	// Windows are the per-client timestamp-window high-water marks of the
 	// covered prefix. They are a deterministic function of the applied
 	// request sequence, so replicas that executed the same prefix agree on

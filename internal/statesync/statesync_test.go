@@ -1,6 +1,8 @@
 package statesync
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"abstractbft/internal/authn"
@@ -338,5 +340,61 @@ func TestStoreDigestsOnFirstReadOut(t *testing.T) {
 	}
 	if latest, _ := s.Latest(); latest.AppDigest != latest.PayloadDigest() || latest.AppDigest.IsZero() {
 		t.Fatal("Latest handed out a snapshot without its payload digest")
+	}
+}
+
+// countedView is a frozen application of known bytes that counts what the
+// store does with it.
+type countedView struct {
+	state                []byte
+	serialized, released *int
+}
+
+func (v countedView) Snapshot() []byte { *v.serialized++; return v.state }
+func (v countedView) Release()         { *v.released++ }
+
+// TestStoreOwnsFrozenViews: a snapshot added as a frozen view is serialized
+// when first read out — to the snapshot NewSnapshot builds from the same
+// bytes — and not again; the view is released exactly once, then or when the
+// snapshot leaves the store unread by any way out (capacity, the floor pin's
+// next-oldest, a rollback, garbage collection, a refused Add).
+func TestStoreOwnsFrozenViews(t *testing.T) {
+	const boundaries = 7
+	serialized, released := make([]int, boundaries), make([]int, boundaries)
+	frozen := func(n int) Snapshot {
+		return Snapshot{Seq: uint64(8 * n), Frozen: countedView{[]byte{byte(n)}, &serialized[n], &released[n]}}
+	}
+	s := NewStore(3)
+	s.Add(frozen(1))
+	s.Add(frozen(2))
+	s.Add(frozen(0)) // out of order: refused
+
+	for range 2 {
+		sn, ok := s.At(16)
+		if !ok || sn.Frozen != nil || !bytes.Equal(sn.AppState, []byte{2}) || sn.AppDigest != NewSnapshot(16, authn.Digest{}, []byte{2}, nil, nil).AppDigest {
+			t.Fatalf("At(16) = %+v, %v", sn, ok)
+		}
+	}
+	if serialized[2] != 1 || released[2] != 1 {
+		t.Fatalf("two read-outs serialized the view %d times and released it %d times, want once each", serialized[2], released[2])
+	}
+
+	s.SetFloor(10) // pins 8; capacity evicts the next-oldest instead
+	s.Add(frozen(3))
+	s.Add(frozen(4)) // evicts 16 (read out, view long gone)
+	s.Add(frozen(5)) // evicts 24
+	s.DropAbove(32)  // rolls 40 back
+	s.Add(frozen(6))
+	s.PruneBelow(48) // collects 8 and 32
+	want := []int{1, 1, 1, 1, 1, 1, 0}
+	if !slices.Equal(released, want) {
+		t.Fatalf("views released %v times, want %v", released, want)
+	}
+	if seq, _ := s.BoundaryAtOrBelow(100); s.Len() != 1 || seq != 48 {
+		t.Fatalf("%d snapshots retained, newest %d, want the one at 48", s.Len(), seq)
+	}
+	serialized[2] = 0
+	if slices.Max(serialized) != 0 {
+		t.Fatalf("unread snapshots were serialized: %v", serialized)
 	}
 }

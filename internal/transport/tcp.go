@@ -139,9 +139,12 @@ func (c *tcpConn) writeLoop() {
 		}
 		return true
 	}
+	// One envelope for the life of the loop: its address goes to the encoder,
+	// so one declared per message would be allocated per message.
+	var env Envelope
 	for {
 		select {
-		case env := <-c.out:
+		case env = <-c.out:
 			if err := enc.Encode(&env); err != nil {
 				if errors.Is(err, ErrUnencodable) {
 					// Only this envelope is unrepresentable; drop it
@@ -477,8 +480,11 @@ func (t *TCP) readLoop(conn net.Conn, wconn *tcpConn, nonce []byte, dialed ids.P
 	registered := make(map[ids.ProcessID]bool)
 	// proven is the peer that answered the challenge on this connection.
 	proven := ids.ProcessID(-1)
+	// One envelope for the life of the loop (see writeLoop), zeroed per
+	// message: a decoder may leave fields absent from the stream untouched.
+	var env Envelope
 	for {
-		var env Envelope
+		env = Envelope{}
 		if err := dec.Decode(&env); err != nil {
 			// EOFs and local closes are the normal ends of a connection; a
 			// framing or codec error is not — it kills the connection (the

@@ -171,6 +171,21 @@ func (r *reader) id() ids.ProcessID { return ids.ProcessID(int32(r.u32())) }
 // frame buffer is recycled, so decoded payloads must not alias it). A zero
 // length decodes to nil, matching gob's round-trip of empty slices.
 func (r *reader) bytes() []byte {
+	var own []byte
+	return r.bytesIn(&own, 1)
+}
+
+// slabBytes bounds what one slab allocation holds, and with it what a decoded
+// value that outlives its siblings can pin.
+const slabBytes = 16 * 1024
+
+// bytesIn is bytes for one of a run of byte strings (a batch's commands): it
+// carves the copy out of *slab, so the run costs a few allocations instead of
+// one per string. more counts the strings still to come, this one included;
+// a slab that runs out is replaced by one sized as if they were all this
+// long. Strings too long to share a slab get their own storage. Every result
+// is capped at its length: appending to one never reaches its neighbour.
+func (r *reader) bytesIn(slab *[]byte, more int) []byte {
 	n := r.u32()
 	if r.err != nil {
 		return nil
@@ -182,9 +197,16 @@ func (r *reader) bytes() []byte {
 	if n == 0 {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, r.take(int(n)))
-	return out
+	size := int(n)
+	if size > cap(*slab)-len(*slab) {
+		if size > slabBytes/4 {
+			return append(make([]byte, 0, size), r.take(size)...)
+		}
+		*slab = make([]byte, 0, size*min(more, slabBytes/size))
+	}
+	start := len(*slab)
+	*slab = append(*slab, r.take(size)...)
+	return (*slab)[start:len(*slab):len(*slab)]
 }
 
 func (r *reader) digest() (d authn.Digest) {

@@ -103,6 +103,13 @@ func appendRequest(b []byte, r msg.Request) []byte {
 }
 
 func decodeRequest(r *reader) msg.Request {
+	var own []byte
+	return decodeRequestIn(r, &own, 1)
+}
+
+// decodeRequestIn decodes one of a run of requests whose commands share
+// *slab (see reader.bytesIn).
+func decodeRequestIn(r *reader, slab *[]byte, more int) msg.Request {
 	var out msg.Request
 	out.Client = r.id()
 	out.Timestamp = r.u64()
@@ -117,7 +124,7 @@ func decodeRequest(r *reader) msg.Request {
 			out.Trace.TraceID, out.Trace.Parent = tid, parent
 		}
 	}
-	out.Command = r.bytes()
+	out.Command = r.bytesIn(slab, more)
 	return out
 }
 
@@ -131,13 +138,19 @@ func appendRequests(b []byte, rs []msg.Request) []byte {
 }
 
 func decodeRequests(r *reader) []msg.Request {
-	n := r.count()
+	return decodeRequestRun(r, r.count())
+}
+
+// decodeRequestRun decodes n requests in a row, their commands out of shared
+// slabs.
+func decodeRequestRun(r *reader, n int) []msg.Request {
 	if n == 0 {
 		return nil
 	}
 	out := make([]msg.Request, 0, sliceCap(n, 17))
+	var commands []byte
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, decodeRequest(r))
+		out = append(out, decodeRequestIn(r, &commands, n-i))
 	}
 	if r.err != nil {
 		return nil
@@ -185,14 +198,7 @@ func decodeBatch(r *reader) msg.Batch {
 		r.fail(fmt.Errorf("%w: %d elements in %d remaining bytes", ErrOversized, raw, r.rem()))
 		return msg.Batch{}
 	}
-	n := int(raw)
-	if n == 0 {
-		return batch
-	}
-	batch.Requests = make([]msg.Request, 0, sliceCap(n, 17))
-	for i := 0; i < n && r.err == nil; i++ {
-		batch.Requests = append(batch.Requests, decodeRequest(r))
-	}
+	batch.Requests = decodeRequestRun(r, int(raw))
 	if r.err != nil {
 		return msg.Batch{}
 	}
@@ -211,18 +217,31 @@ func appendAuth(b []byte, a authn.Authenticator) []byte {
 }
 
 func decodeAuth(r *reader) authn.Authenticator {
+	var own []authn.AuthEntry
+	return decodeAuthIn(r, &own, 1)
+}
+
+// decodeAuthIn decodes one of a run of authenticators (an ORDER's, one per
+// request) whose entries share *slab: more counts the authenticators still to
+// come, this one included, and a slab that runs out is replaced by one sized
+// as if they all had this many entries.
+func decodeAuthIn(r *reader, slab *[]authn.AuthEntry, more int) authn.Authenticator {
 	var a authn.Authenticator
 	a.Sender = r.id()
 	n := r.count()
 	if n == 0 {
 		return a
 	}
-	a.Entries = make([]authn.AuthEntry, 0, sliceCap(n, 36))
-	for i := 0; i < n && r.err == nil; i++ {
-		a.Entries = append(a.Entries, authn.AuthEntry{Receiver: r.id(), MAC: r.mac()})
+	if n > cap(*slab)-len(*slab) {
+		// Either factor can be as large as the frame: clamp before multiplying.
+		*slab = make([]authn.AuthEntry, 0, sliceCap(sliceCap(n, 36)*sliceCap(more, 36), 36))
 	}
-	if r.err != nil {
-		a.Entries = nil
+	start := len(*slab)
+	for i := 0; i < n && r.err == nil; i++ {
+		*slab = append(*slab, authn.AuthEntry{Receiver: r.id(), MAC: r.mac()})
+	}
+	if r.err == nil {
+		a.Entries = (*slab)[start:len(*slab):len(*slab)]
 	}
 	return a
 }
@@ -242,8 +261,9 @@ func decodeAuths(r *reader) []authn.Authenticator {
 		return nil
 	}
 	out := make([]authn.Authenticator, 0, sliceCap(n, 8))
+	var entries []authn.AuthEntry
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, decodeAuth(r))
+		out = append(out, decodeAuthIn(r, &entries, n-i))
 	}
 	if r.err != nil {
 		return nil

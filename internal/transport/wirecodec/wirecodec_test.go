@@ -226,3 +226,47 @@ func TestUnencodablePayloadKeepsStream(t *testing.T) {
 		t.Fatalf("stream corrupted after unencodable payload: %#v", env.Payload)
 	}
 }
+
+// TestSlabDecodedValuesAreIndependent: an ORDER's commands and authenticator
+// entries are carved out of shared slabs, in runs of mixed sizes (commands
+// from empty to larger than a slab, authenticators with no entries), and
+// each must still behave like a slice of its own: equal to what was sent,
+// and appending to it or overwriting it leaves its neighbours alone.
+func TestSlabDecodedValuesAreIndependent(t *testing.T) {
+	sizes := []int{3, 70, 0, 15, 70, 5000, 70, 1, 9000, 40, 70, 70, 2, 0, 70, 15}
+	order := &zlight.OrderMessage{Instance: 1, Seq: 9}
+	for i, size := range sizes {
+		order.Batch.Requests = append(order.Batch.Requests, msg.Request{
+			Client: ids.Client(i), Timestamp: uint64(i + 1), Command: bytes.Repeat([]byte{byte(i + 1)}, size),
+		})
+		auth := authn.Authenticator{Sender: ids.Client(i)}
+		for j := 0; j < i%5; j++ {
+			auth.Entries = append(auth.Entries, authn.AuthEntry{Receiver: ids.Replica(j), MAC: authn.MAC{byte(i), byte(j)}})
+		}
+		order.Auths = append(order.Auths, auth)
+	}
+	want, err := wirecodec.MarshalWire(order)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wirecodec.UnmarshalWire(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := decoded.(*zlight.OrderMessage)
+	for i := range got.Batch.Requests {
+		c := &got.Batch.Requests[i].Command
+		*c = append(*c, 0xEE)
+		clear((*c)[:len(*c)-1])
+		*c = order.Batch.Requests[i].Command
+		e := &got.Auths[i].Entries
+		*e = append(*e, authn.AuthEntry{Receiver: -1})
+		clear((*e)[:len(*e)-1])
+		*e = order.Auths[i].Entries
+		// Everything but the one value just scribbled over and put back must
+		// still encode to the original bytes.
+		if again, err := wirecodec.MarshalWire(got); err != nil || !bytes.Equal(again, want) {
+			t.Fatalf("scribbling over request %d's command and entries changed a neighbour (err %v)", i, err)
+		}
+	}
+}

@@ -152,10 +152,11 @@ func (r *Replica) fanOutResps(batch msg.Batch, replies [][]byte, designated bool
 	// The assembler sorts a batch by (client, timestamp), so one client's
 	// requests are adjacent: each run becomes one envelope. (Runs a Byzantine
 	// primary splits up merely cost extra envelopes.)
+	built := r.h.BuildResps(r.st, batch, replies, designated)
 	resps := make([]any, 0, len(batch.Requests))
 	for i, req := range batch.Requests {
 		if req.Client != ids.NullOp {
-			resps = append(resps, r.h.BuildResp(r.st, req, replies[i], designated))
+			resps = append(resps, &built[i])
 		}
 		endOfRun := i == len(batch.Requests)-1 || batch.Requests[i+1].Client != req.Client
 		if endOfRun && len(resps) > 0 {
