@@ -50,8 +50,10 @@ func ExponentialK(initial, max uint64) KPolicy {
 	}
 }
 
-// FixedK always commits exactly k requests (used by the fault-behaviour
-// experiment of Fig. 14 to contrast with the exponential policy).
+// FixedK always commits exactly k requests, whatever the instance's index or
+// the reason the previous instance aborted. compose's "pbft" descriptor uses
+// FixedK(math.MaxUint64): a Backup instance that never switches away, i.e.
+// plain PBFT.
 func FixedK(k uint64) KPolicy {
 	if k == 0 {
 		k = 1

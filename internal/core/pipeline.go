@@ -11,6 +11,14 @@ import (
 	"abstractbft/internal/transport"
 )
 
+// DefaultTimestampWindow is the default width of the replicas' per-client
+// timestamp window (host.Config.TimestampWindow): a replica accepts a request
+// whose timestamp lies up to this far below the client's high-water mark,
+// provided that exact timestamp was never logged, and caches the replies of
+// that many highest timestamps. A PipelinedComposer keeps its in-flight
+// timestamps within it.
+const DefaultTimestampWindow = 64
+
 // PipelineOptions tunes a PipelinedComposer.
 type PipelineOptions struct {
 	// Depth bounds the number of invocations the client keeps in flight
@@ -49,7 +57,8 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 // switching state (ACP) is shared across invocations. When the active
 // instance supports batched invocation (core.BatchInstance, implemented by
 // Quorum), queued invocations are coalesced into one batch message covered by
-// a single authenticator.
+// a single authenticator. An invocation whose timestamp lies a full
+// DefaultTimestampWindow above one still in flight waits for it to complete.
 type PipelinedComposer struct {
 	env        ClientEnv
 	newFactory func(ClientEnv) InstanceFactory
@@ -67,6 +76,12 @@ type PipelinedComposer struct {
 	// batchable caches, per instance, whether its client handle implements
 	// BatchInstance.
 	batchable map[InstanceID]bool
+
+	// inflight holds the timestamps of the invocations in flight (at most
+	// Depth); retired, when non-nil, is closed when one of them completes,
+	// waking the invocations waiting in admit.
+	inflight []uint64
+	retired  chan struct{}
 
 	// sem bounds concurrent in-flight invocations.
 	sem chan struct{}
@@ -100,6 +115,7 @@ func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFact
 		opts:       opts,
 		activeID:   first,
 		batchable:  make(map[InstanceID]bool),
+		inflight:   make([]uint64, 0, opts.Depth),
 		sem:        make(chan struct{}, opts.Depth),
 		queue:      make(chan *pipelineSub),
 		stop:       make(chan struct{}),
@@ -145,6 +161,10 @@ func (p *PipelinedComposer) Invoke(ctx context.Context, req msg.Request) ([]byte
 		return nil, ctx.Err()
 	}
 	defer func() { <-p.sem }()
+	if err := p.admit(ctx, req.Timestamp); err != nil {
+		return nil, err
+	}
+	defer p.retire(req.Timestamp)
 
 	if p.opts.GatherDelay >= 0 && p.isBatchable(p.ActiveInstance()) {
 		p.startOnce.Do(func() { go p.dispatch() })
@@ -166,6 +186,60 @@ func (p *PipelinedComposer) Invoke(ctx context.Context, req msg.Request) ([]byte
 		}
 	}
 	return p.invokeOne(ctx, req)
+}
+
+// admit registers an invocation of timestamp ts as in flight, first waiting
+// until ts lies inside the replicas' timestamp window of every invocation
+// already in flight (ts < t + DefaultTimestampWindow for each in-flight t).
+// Replicas answer a retransmission from their reply caches only within that
+// window. Were an invocation stalled in flight — say, waiting out its panic
+// timer for the reply of a replica that crashed — overtaken by a window's
+// worth of later timestamps, its retry would find the request executed and
+// its reply evicted on every replica, and no instance could ever answer it.
+func (p *PipelinedComposer) admit(ctx context.Context, ts uint64) error {
+	for {
+		p.mu.Lock()
+		inside := true
+		for _, t := range p.inflight {
+			if ts >= t+DefaultTimestampWindow {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			p.inflight = append(p.inflight, ts)
+			p.mu.Unlock()
+			return nil
+		}
+		if p.retired == nil {
+			p.retired = make(chan struct{})
+		}
+		retired := p.retired
+		p.mu.Unlock()
+		select {
+		case <-retired:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
+// retire removes ts from the in-flight set and wakes the waiting admissions.
+func (p *PipelinedComposer) retire(ts uint64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i, t := range p.inflight {
+		if t == ts {
+			last := len(p.inflight) - 1
+			p.inflight[i] = p.inflight[last]
+			p.inflight = p.inflight[:last]
+			break
+		}
+	}
+	if p.retired != nil {
+		close(p.retired)
+		p.retired = nil
+	}
 }
 
 // isBatchable reports whether the instance's client handle supports batched

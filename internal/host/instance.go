@@ -15,7 +15,9 @@ import (
 // replica accepts a request whose timestamp lies up to this far below the
 // client's high-water mark, provided that exact timestamp was never logged.
 // Width 1 restores the strict high-water rule (only increasing timestamps).
-const DefaultTimestampWindow = 64
+// Pipelined clients keep their in-flight timestamps within the default width
+// (core.PipelinedComposer).
+const DefaultTimestampWindow = core.DefaultTimestampWindow
 
 // tsState is one client's timestamp window: the high-water mark (the highest
 // timestamp logged) plus a bitmask of which recent lower timestamps were also

@@ -71,7 +71,7 @@ type Engine struct {
 	targetView   uint64
 	viewChanges  map[uint64]map[ids.ProcessID]*ViewChange
 	// viewChangeCount counts completed view changes (observability, used by
-	// Aardvark/Spinning wrappers and tests).
+	// the Aardvark wrapper and tests).
 	viewChangeCount uint64
 }
 
@@ -323,8 +323,8 @@ func (e *Engine) Tick() {
 }
 
 // StartViewChange initiates (or joins) a view change to the target view. It
-// is also called directly by the Aardvark and Spinning wrappers, which rotate
-// the primary on their own policies.
+// is also called directly by the Aardvark wrapper, which rotates the primary
+// on its own policy.
 func (e *Engine) StartViewChange(target uint64) {
 	if target <= e.view {
 		return

@@ -1,14 +1,14 @@
 // Package pbft implements the PBFT (Castro & Liskov) three-phase ordering
 // protocol used throughout the repository: as the standalone baseline the
 // paper compares against, as the total-order substrate wrapped by Backup
-// (§4.3), and — with different primary-rotation policies — as the core of the
-// robust baselines Aardvark and Spinning.
+// (§4.3), and — with its own primary-rotation policy — as the core of the
+// robust baseline Aardvark.
 //
 // The Engine type implements the replica-side protocol state machine
 // (pre-prepare/prepare/commit, batching, a simplified view change) and is
 // driven by its embedder: the embedder feeds it client requests and protocol
 // messages and provides the send and deliver callbacks. The package also
-// provides a standalone replica/client pair used by the baseline benchmarks.
+// provides a standalone replica/client pair, which Aardvark builds on.
 //
 // Simplification relative to the original protocol (documented in DESIGN.md):
 // the view-change message carries each replica's prepared entries and the new

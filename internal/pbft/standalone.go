@@ -26,18 +26,16 @@ type ReplicaConfig struct {
 	ViewChangeTimeout time.Duration
 	Ops               *authn.OpCounter
 	// RequestFilter, when non-nil, is consulted before accepting a client
-	// request; returning false drops it. The robust baselines (Aardvark,
-	// Spinning, Prime) install client-blacklisting filters here.
+	// request; returning false drops it. Aardvark installs its
+	// client-blacklisting filter here.
 	RequestFilter func(from ids.ProcessID, req *Request) bool
 	// AfterDeliver, when non-nil, runs after each delivered batch with
-	// access to the ordering engine; the robust baselines install their
-	// primary-rotation policies here (Spinning rotates after every batch,
-	// Aardvark rotates when the primary underperforms its throughput
+	// access to the ordering engine; Aardvark installs its primary-rotation
+	// policy here (it rotates when the primary underperforms its throughput
 	// expectation).
 	AfterDeliver func(e *Engine, batch []msg.Request)
 	// OnTick, when non-nil, runs on every timer tick with access to the
-	// engine (used by Aardvark's throughput monitoring and Prime's
-	// expected-ordering-rate checks).
+	// engine (used by Aardvark's throughput monitoring).
 	OnTick func(e *Engine)
 }
 

@@ -4,9 +4,8 @@
 // separate address spaces, real sockets, SIGKILL crashes, and crash-restart
 // recovery through the -recover path.
 //
-// The package is used by the e2e harness (internal/e2e) and the -sharding-tcp
-// benchmark (internal/experiments), so both drive the exact binaries an
-// operator deploys rather than a test-only reimplementation.
+// The e2e harness (internal/e2e) uses the package, so it drives the exact
+// binaries an operator deploys rather than a test-only reimplementation.
 package proccluster
 
 import (
