@@ -33,6 +33,7 @@ import (
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
+	"abstractbft/internal/transport/wirecodec"
 	"abstractbft/internal/workload"
 )
 
@@ -136,7 +137,7 @@ func main() {
 				myAddrs[k] = v
 			}
 			myAddrs[clientID] = fmt.Sprintf("127.0.0.1:%d", *listenBase+i)
-			ep, err := transport.NewTCPAuth(clientID, myAddrs, keys)
+			ep, err := transport.NewTCPCodec(clientID, myAddrs, keys, wirecodec.Binary())
 			if err != nil {
 				return nil, 0, err
 			}

@@ -41,6 +41,7 @@ import (
 	"abstractbft/internal/ids"
 	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
+	"abstractbft/internal/transport/wirecodec"
 )
 
 func main() {
@@ -84,7 +85,7 @@ func main() {
 	// The handshake pins connection identity (MAC over a nonce under the
 	// pairwise key), so a peer that connects first cannot squat another
 	// client's reply route.
-	ep, err := transport.NewTCPAuth(self, addrMap, keys)
+	ep, err := transport.NewTCPCodec(self, addrMap, keys, wirecodec.Binary())
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}

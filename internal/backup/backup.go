@@ -16,7 +16,6 @@ import (
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/pbft"
-	"abstractbft/internal/transport"
 )
 
 // KPolicy decides how many requests a Backup instance commits before
@@ -95,11 +94,6 @@ func AuthBytes(instance core.InstanceID, req msg.Request) []byte {
 	d := req.Digest()
 	copy(buf[8:], d[:])
 	return buf[:]
-}
-
-func init() {
-	transport.RegisterWireType(&RequestMessage{})
-	transport.RegisterWireType(&WrappedMessage{})
 }
 
 // Orderer is the total-order protocol Backup wraps. The PBFT engine satisfies

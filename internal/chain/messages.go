@@ -16,7 +16,6 @@ import (
 	"abstractbft/internal/core"
 	"abstractbft/internal/history"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
 // Message is the CHAIN message that travels along the pipeline (Steps C1–C4).
@@ -162,9 +161,4 @@ func batchTailAuthBytes(instance core.InstanceID, batchDigest authn.Digest, seq 
 	copy(buf[16+authn.DigestSize:], repliesDigest[:])
 	copy(buf[16+2*authn.DigestSize:], historyDigest[:])
 	return buf
-}
-
-func init() {
-	transport.RegisterWireType(&Message{})
-	transport.RegisterWireType(&BatchMessage{})
 }

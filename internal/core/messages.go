@@ -7,7 +7,6 @@ import (
 	"abstractbft/internal/history"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
 // InstanceMessage is implemented by every protocol message that belongs to a
@@ -107,7 +106,7 @@ func (m *AbortReply) AbstractInstance() InstanceID { return m.Instance }
 
 // CheckpointMessage is the LCS checkpoint exchange message (§4.2.4).
 type CheckpointMessage struct {
-	Instance ids.ProcessID // unused placeholder to keep field order stable in gob
+	Instance ids.ProcessID // unused placeholder; the binary codec still carries it
 	// From identifies the sending replica.
 	From ids.ProcessID
 	// AbstractID is the instance the checkpoint belongs to.
@@ -192,14 +191,3 @@ func (m *RespMessage) MACBytes() (buf [RespMACLen]byte) {
 // one client request, so a demultiplexed client routes it to the invocation
 // that owns the timestamp.
 func (m *RespMessage) RequestTimestamp() uint64 { return m.Timestamp }
-
-func init() {
-	// Register the framework messages with the TCP transport so composed
-	// protocols work across processes as well as in-process.
-	transport.RegisterWireType(&PanicMessage{})
-	transport.RegisterWireType(&AbortReply{})
-	transport.RegisterWireType(&CheckpointMessage{})
-	transport.RegisterWireType(&FetchRequest{})
-	transport.RegisterWireType(&FetchResponse{})
-	transport.RegisterWireType(&RespMessage{})
-}

@@ -69,11 +69,9 @@ type Topology struct {
 	// Pipeline is the clients' default per-shard pipeline depth (0 or 1 =
 	// strict invoke-then-wait).
 	Pipeline int `json:"pipeline,omitempty"`
-	// Codec selects the wire codec every process of the cluster frames its
-	// TCP streams with: "binary" (default — the hand-rolled zero-alloc codec)
-	// or "gob" (the reflective stdlib codec, kept as an opt-out). All
-	// endpoints of one deployment must agree; the shared topology file is
-	// what enforces that.
+	// Deprecated: Codec is ignored. Every endpoint frames its TCP streams
+	// with the binary codec (wirecodec.Binary); the field is kept so
+	// topology files that still name a codec load unchanged.
 	Codec string `json:"codec,omitempty"`
 	// MetricsAddrs are the replicas' observability listen addresses, in
 	// replica order (either empty — metrics off — or exactly one per
@@ -139,9 +137,6 @@ func (t Topology) Validate() error {
 	default:
 		return fmt.Errorf("unknown app %q (kv, counter, or null)", t.App)
 	}
-	if _, err := t.WireCodec(); err != nil {
-		return err
-	}
 	if len(t.MetricsAddrs) != 0 && len(t.MetricsAddrs) != cluster.N {
 		return fmt.Errorf("need 0 or %d metrics addresses for f=%d, got %d", cluster.N, t.F, len(t.MetricsAddrs))
 	}
@@ -170,27 +165,11 @@ func (t Topology) TraceRate() int {
 	return t.TraceSampleRate
 }
 
-// WireCodec resolves the topology's wire codec (empty = binary).
-func (t Topology) WireCodec() (transport.Codec, error) {
-	switch t.Codec {
-	case "", "binary":
-		return wirecodec.Binary(), nil
-	case "gob":
-		return transport.GobCodec(), nil
-	default:
-		return nil, fmt.Errorf("unknown codec %q (binary or gob)", t.Codec)
-	}
-}
-
-// NewReplicaEndpoint builds the authenticated TCP endpoint of replica self,
-// framed with the topology's wire codec. cmd/replica and the process
-// harnesses share this, so the cluster cannot end up with mixed codecs.
+// NewReplicaEndpoint builds the authenticated TCP endpoint of replica self.
+// cmd/replica and the process harnesses share this, so their endpoints
+// cannot drift apart.
 func (t Topology) NewReplicaEndpoint(self ids.ProcessID) (*transport.TCP, error) {
-	codec, err := t.WireCodec()
-	if err != nil {
-		return nil, err
-	}
-	return transport.NewTCPCodec(self, t.AddrMap(), t.Keys(), codec)
+	return transport.NewTCPCodec(self, t.AddrMap(), t.Keys(), wirecodec.Binary())
 }
 
 // Cluster returns the replica group the topology describes.
@@ -336,11 +315,7 @@ func (t Topology) NewNodeObs(self ids.ProcessID, ep transport.Endpoint, logger *
 func (t Topology) DialClient(ctx context.Context, id ids.ProcessID, listenAddr string, depth int) (*transport.TCP, *shard.Client, error) {
 	addrs := t.AddrMap()
 	addrs[id] = listenAddr
-	codec, err := t.WireCodec()
-	if err != nil {
-		return nil, nil, err
-	}
-	ep, err := transport.NewTCPCodec(id, addrs, t.Keys(), codec)
+	ep, err := transport.NewTCPCodec(id, addrs, t.Keys(), wirecodec.Binary())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,8 +6,8 @@
 //
 //   - locknest:    re-entering the host lock from code that already runs
 //     under it (the PR 1 R-Aliph self-deadlock class).
-//   - wirereg:     wire types missing binary-codec tag arms, gob
-//     registration, or round-trip audit membership.
+//   - wirereg:     sent wire types missing a binary-codec tag arm, and tag
+//     arms missing round-trip audit membership.
 //   - digestcover: exported wire-message fields silently excluded from
 //     Digest() (agreement splits) or silently included (trace leaks).
 //   - noalloc:     heap-allocating constructs inside functions annotated
@@ -22,9 +22,7 @@
 //	//abstractbft:locksafe <reason>  function audited: stops locknest
 //	                                 traversal (e.g. hands off to a goroutine)
 //	//wire:nodigest                  field deliberately excluded from Digest()
-//	//wire:gobonly                   registered type deliberately absent from
-//	                                 the binary tag table and the audit
-//	//wire:noaudit <reason>          type audited outside wirePayloads()
+//	//wire:noaudit <reason>          tag arm audited outside wirePayloads()
 package lint
 
 import (
@@ -135,7 +133,7 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 // A Directive is one //abstractbft: or //wire: annotation.
 type Directive struct {
 	// Name is the directive without the prefix: "noalloc", "alloc-ok",
-	// "lockheld", "locksafe", "nodigest", "gobonly", "noaudit".
+	// "lockheld", "locksafe", "nodigest", "noaudit".
 	Name string
 	// Args is the free-text remainder (a reason, usually).
 	Args string
@@ -186,7 +184,7 @@ func hasDirective(name string, groups ...*ast.CommentGroup) bool {
 }
 
 // lineDirectives maps source lines to the directives written on them, for
-// line-level opt-outs (//abstractbft:alloc-ok, //wire:gobonly, ...) that ride
+// line-level opt-outs (//abstractbft:alloc-ok, //wire:noaudit, ...) that ride
 // as trailing comments or on the line directly above the construct they
 // cover.
 type lineDirectives struct {

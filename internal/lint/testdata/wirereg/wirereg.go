@@ -1,5 +1,6 @@
-// Package wirereg is the analyzer fixture for the wire-type registry
-// triangle: gob registration, binary-codec tag arm, round-trip audit.
+// Package wirereg is the analyzer fixture for the wire-type registry: the
+// binary codec's tag table, checked against what is sent and what is
+// round-trip audited.
 package wirereg
 
 import (
@@ -7,21 +8,9 @@ import (
 	"abstractbft/internal/transport"
 )
 
-// Rogue is gob-registered but has neither a wirecodec tag arm nor a
-// wirePayloads audit entry: both gaps report on the registration argument.
-type Rogue struct{ N uint64 }
-
-// Quiet opts out of the binary codec and the audit wholesale.
-type Quiet struct{ N uint64 }
-
-// Stray is handed to an Endpoint without ever being registered.
+// Stray is handed to an Endpoint but has no wirecodec tag arm.
 type Stray struct{ N uint64 }
 
-func register() {
-	transport.RegisterWireType(&Rogue{}) // want "no tag arm" "not in the wirePayloads round-trip audit"
-	transport.RegisterWireType(&Quiet{}) //wire:gobonly fixture stand-in for an in-process-only protocol
-}
-
 func send(ep transport.Endpoint, to ids.ProcessID) {
-	ep.Send(to, &Stray{N: 1}) // want "never passed to transport.RegisterWireType"
+	ep.Send(to, &Stray{N: 1}) // want "no tag arm"
 }

@@ -6,36 +6,35 @@ import (
 	"go/types"
 )
 
-// WireReg cross-references the three places a wire message type must appear
-// — the gob registration (transport.RegisterWireType), the binary codec's
-// tag table (the appendPayload type switch in transport/wirecodec), and the
-// round-trip audit list (wirePayloads in the transport external test
-// package) — and makes any gap a build-time error. The TCP writer drops
-// envelopes whose encoding fails, so a forgotten registration or tag arm
-// otherwise surfaces only as silent liveness loss in deployment.
+// WireReg treats the binary codec's tag table — the appendPayload type
+// switch in transport/wirecodec — as the registry of wire types and checks
+// it both ways, making any gap a build-time error:
 //
-// Opt-outs: a registration line annotated //wire:gobonly marks a type
-// deliberately absent from the binary tag table and the audit (dead
-// registrations kept for compatibility); //wire:noaudit marks a type
-// exercised by its own round-trip tests instead of the audit list.
+//   - every tag arm has an instance in the round-trip audit list
+//     (wirePayloads in the transport external test package), or its case
+//     line carries //wire:noaudit <reason> (a type exercised by its own
+//     round-trip tests instead);
+//   - every statically typed payload handed to the transport (Send,
+//     Multicast, SendBatch, and the host's wrappers) has a tag arm.
+//
+// The TCP writer drops envelopes whose encoding fails, so a missing tag arm
+// otherwise surfaces only as silent liveness loss in deployment.
 var WireReg = &Analyzer{
 	Name:   "wirereg",
-	Doc:    "wire types must be gob-registered, binary-codec encodable, and round-trip audited",
+	Doc:    "sent wire types must have a binary-codec tag arm, and every tag arm must be round-trip audited",
 	Module: true,
 	Run:    runWireReg,
 }
 
-type wireReg struct {
+type tagArm struct {
 	pos     token.Pos
-	gobonly bool
 	noaudit bool
 }
 
 func runWireReg(pass *Pass) error {
 	rootFiles := rootFileSet(pass)
 
-	registered := make(map[*types.TypeName]wireReg)
-	tagArms := make(map[*types.TypeName]token.Pos)
+	tagArms := make(map[*types.TypeName]tagArm)
 	audited := make(map[*types.TypeName]bool)
 	var sent []struct {
 		tn  *types.TypeName
@@ -43,14 +42,13 @@ func runWireReg(pass *Pass) error {
 	}
 
 	for _, pkg := range pass.All {
-		ld := newLineDirectives(pass.Fset, pkg.Files)
 		for _, f := range pkg.Files {
 			ast.Inspect(f, func(node ast.Node) bool {
 				switch x := node.(type) {
 				case *ast.FuncDecl:
 					switch {
 					case x.Name.Name == "appendPayload" && pkg.Path == pass.ModulePath+"/internal/transport/wirecodec":
-						collectTagArms(pkg, x, tagArms)
+						collectTagArms(pkg, x, newLineDirectives(pass.Fset, pkg.Files), tagArms)
 					case x.Name.Name == "wirePayloads" && pkg.XTest:
 						ast.Inspect(x, func(n ast.Node) bool {
 							if tn := pointerStructTypeName(pass, pkg.Info, n); tn != nil {
@@ -61,26 +59,10 @@ func runWireReg(pass *Pass) error {
 					}
 				case *ast.CallExpr:
 					callee := calleeOf(pkg.Info, x)
-					if callee == nil {
-						return true
-					}
-					if callee.Name() == "RegisterWireType" && callee.Pkg() != nil &&
-						callee.Pkg().Path() == pass.ModulePath+"/internal/transport" && len(x.Args) == 1 {
-						if tn := namedTypeOf(pkg.Info, x.Args[0]); tn != nil {
-							if _, ok := registered[tn]; !ok {
-								registered[tn] = wireReg{
-									pos:     x.Args[0].Pos(),
-									gobonly: ld.at("gobonly", x.Pos()),
-									noaudit: ld.at("noaudit", x.Pos()),
-								}
-							}
-						}
-						return true
-					}
 					// Statically typed payloads handed to the transport:
 					// Endpoint.Send / Multicast / SendBatch and the host's
 					// wrappers.
-					if isSendLike(pass, callee) && !pkg.XTest {
+					if callee != nil && isSendLike(pass, callee) && !pkg.XTest {
 						for _, arg := range x.Args {
 							if tn := namedTypeOf(pkg.Info, arg); tn != nil && isModuleType(pass, tn) {
 								sent = append(sent, struct {
@@ -102,36 +84,24 @@ func runWireReg(pass *Pass) error {
 		}
 	}
 
-	for tn, reg := range registered {
-		if reg.gobonly {
-			continue
-		}
-		if _, ok := tagArms[tn]; !ok {
-			report(reg.pos, "wire type %s is gob-registered but has no tag arm in wirecodec appendPayload: "+
-				"the binary codec drops it silently; add a tag (transport/wirecodec/types.go) or annotate //wire:gobonly", tn.Name())
-		}
-		if !audited[tn] && !reg.noaudit {
-			report(reg.pos, "wire type %s is not in the wirePayloads round-trip audit (transport/wire_roundtrip_test.go): "+
-				"add an instance there or annotate //wire:noaudit <reason>", tn.Name())
-		}
-	}
-	for tn, pos := range tagArms {
-		if _, ok := registered[tn]; !ok {
-			report(pos, "type %s has a binary-codec tag arm but no transport.RegisterWireType call: "+
-				"the gob fallback codec would drop it", tn.Name())
+	for tn, arm := range tagArms {
+		if !audited[tn] && !arm.noaudit {
+			report(arm.pos, "wire type %s is not in the wirePayloads round-trip audit (transport/wire_roundtrip_test.go): "+
+				"add an instance there or annotate the case line //wire:noaudit <reason>", tn.Name())
 		}
 	}
 	for _, s := range sent {
-		if _, ok := registered[s.tn]; !ok {
-			report(s.pos, "%s is sent over a transport.Endpoint but never passed to transport.RegisterWireType: "+
-				"the TCP plane drops unregistered payloads", s.tn.Name())
+		if _, ok := tagArms[s.tn]; !ok {
+			report(s.pos, "%s is sent over a transport.Endpoint but has no tag arm in wirecodec appendPayload: "+
+				"the TCP plane drops it; add a tag (transport/wirecodec/types.go)", s.tn.Name())
 		}
 	}
 	return nil
 }
 
-// collectTagArms records the *T case types of appendPayload's type switch.
-func collectTagArms(pkg *Package, fd *ast.FuncDecl, arms map[*types.TypeName]token.Pos) {
+// collectTagArms records the *T case types of appendPayload's type switch and
+// whether their case line opts out of the audit.
+func collectTagArms(pkg *Package, fd *ast.FuncDecl, ld *lineDirectives, arms map[*types.TypeName]tagArm) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSwitchStmt)
 		if !ok {
@@ -149,7 +119,7 @@ func collectTagArms(pkg *Package, fd *ast.FuncDecl, arms map[*types.TypeName]tok
 				}
 				if tn := typeNameOf(tv.Type); tn != nil {
 					if _, seen := arms[tn]; !seen {
-						arms[tn] = texpr.Pos()
+						arms[tn] = tagArm{pos: texpr.Pos(), noaudit: ld.at("noaudit", texpr.Pos())}
 					}
 				}
 			}

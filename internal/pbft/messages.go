@@ -23,7 +23,6 @@ import (
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
 // Request is the client request message of the standalone PBFT deployment.
@@ -131,14 +130,4 @@ func phaseBytes(tag byte, view, seq uint64, digest authn.Digest) []byte {
 	binary.BigEndian.PutUint64(buf[9:17], seq)
 	copy(buf[17:], digest[:])
 	return buf
-}
-
-func init() {
-	transport.RegisterWireType(&Request{})
-	transport.RegisterWireType(&PrePrepare{})
-	transport.RegisterWireType(&Prepare{})
-	transport.RegisterWireType(&Commit{})
-	transport.RegisterWireType(&Reply{})
-	transport.RegisterWireType(&ViewChange{})
-	transport.RegisterWireType(&NewView{})
 }

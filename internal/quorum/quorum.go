@@ -74,11 +74,6 @@ func AuthBytes(instance core.InstanceID, digest authn.Digest) (buf [8 + authn.Di
 	return buf
 }
 
-func init() {
-	transport.RegisterWireType(&RequestMessage{})
-	transport.RegisterWireType(&BatchRequestMessage{})
-}
-
 // Replica implements Step Q2 on one replica for one Abstract instance.
 type Replica struct {
 	h        *host.Host

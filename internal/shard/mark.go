@@ -16,10 +16,6 @@ type Mark struct {
 	Payload any
 }
 
-func init() {
-	transport.RegisterWireType(&Mark{})
-}
-
 // routerQueueLen is the per-shard inbox length; a full shard inbox drops
 // messages, preserving the fair-loss model exactly like a full endpoint
 // inbox.

@@ -8,7 +8,6 @@ import (
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
-	"abstractbft/internal/transport"
 )
 
 // This file implements the node-level recovery control plane: the messages
@@ -65,11 +64,6 @@ type MergedState struct {
 	HasApp bool
 	// App is the serialized merged application (designated responses only).
 	App []byte
-}
-
-func init() {
-	transport.RegisterWireType(&MergedQuery{})
-	transport.RegisterWireType(&MergedState{})
 }
 
 // mergedKey is the agreement identity of one merged boundary. The merged

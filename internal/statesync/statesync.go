@@ -18,9 +18,8 @@
 //     stable checkpoint once a snapshot covers them, bounding memory for
 //     long runs.
 //   - FetchState/State are the transfer messages (FETCH-STATE and STATE);
-//     they work over any transport.Endpoint: registered as wire types for
-//     the legacy gob framing and encoded field by field by the binary codec
-//     (internal/transport/wirecodec).
+//     they work over any transport.Endpoint, and the binary codec
+//     (internal/transport/wirecodec) encodes them field by field.
 //   - Collector aggregates STATE responses and accepts a snapshot only when
 //     f+1 replicas agree on (Seq, HistDigest, AppDigest) — at least one
 //     correct replica then vouches for the state — and the serialized bytes
@@ -38,7 +37,6 @@ import (
 	"abstractbft/internal/history"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
 // ClientWindow is one client's timestamp-window high-water mark at a
@@ -254,9 +252,4 @@ type State struct {
 	// suffix positions; the fetcher matches them to the agreed digests, so
 	// order and completeness are not trusted.
 	SuffixRequests []msg.Request
-}
-
-func init() {
-	transport.RegisterWireType(&FetchState{})
-	transport.RegisterWireType(&State{})
 }

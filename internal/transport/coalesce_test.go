@@ -62,49 +62,6 @@ func TestSendBatchSinglePayloadAllocs(t *testing.T) {
 	}
 }
 
-func TestTCPSendBatchUnpacks(t *testing.T) {
-	addrs := map[ids.ProcessID]string{ids.Replica(0): "127.0.0.1:0"}
-	a, err := NewTCP(ids.Replica(0), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	addrs2 := map[ids.ProcessID]string{
-		ids.Replica(0): a.Addr(),
-		ids.Replica(1): "127.0.0.1:0",
-	}
-	b, err := NewTCP(ids.Replica(1), addrs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	RegisterWireType("")
-	// A burst of individual sends exercises the write-coalescing path, and a
-	// SendBatch exercises receive-side unpacking.
-	b.Send(ids.Replica(0), "burst-1")
-	b.Send(ids.Replica(0), "burst-2")
-	SendBatch(b, ids.Replica(0), []any{"packed-1", "packed-2"})
-	got := map[string]bool{}
-	for i := 0; i < 4; i++ {
-		select {
-		case env := <-a.Inbox():
-			s, ok := env.Payload.(string)
-			if !ok {
-				t.Fatalf("unexpected payload %T", env.Payload)
-			}
-			got[s] = true
-		case <-time.After(2 * time.Second):
-			t.Fatalf("message %d not delivered; got %v", i, got)
-		}
-	}
-	for _, want := range []string{"burst-1", "burst-2", "packed-1", "packed-2"} {
-		if !got[want] {
-			t.Fatalf("missing %q after unpacking, got %v", want, got)
-		}
-	}
-}
-
 func TestDemuxBroadcastsToAllSubscriptions(t *testing.T) {
 	net := NewLocal(Options{})
 	defer net.Close()

@@ -1,19 +1,15 @@
 package transport
 
 import (
-	"bufio"
-	"encoding/gob"
 	"errors"
 	"io"
 )
 
-// Codec serializes envelopes onto a TCP connection. The TCP transport is
-// codec-agnostic: the default remains gob (every payload type registered via
-// RegisterWireType), while deployments select the hand-rolled binary codec
-// (internal/transport/wirecodec) through the topology's "codec" knob.
+// Codec serializes envelopes onto a TCP connection. The one implementation is
+// the binary codec, wirecodec.Binary(); the interface exists because
+// wirecodec imports this package for the Envelope and the Packed wrapper, so
+// the TCP transport cannot name the codec directly.
 type Codec interface {
-	// Name identifies the codec in benchmark metadata and topology files.
-	Name() string
 	// NewEncoder wraps the write half of a connection. Implementations own
 	// their buffering; the transport calls Flush at coalescing boundaries.
 	NewEncoder(w io.Writer) StreamEncoder
@@ -41,35 +37,3 @@ type StreamDecoder interface {
 // The TCP writer drops such envelopes (fair-loss links) instead of killing
 // the connection.
 var ErrUnencodable = errors.New("transport: payload not encodable")
-
-// gobCodec is the default codec: encoding/gob over a buffered writer, exactly
-// the seed wire format.
-type gobCodec struct{}
-
-// GobCodec returns the gob wire codec.
-func GobCodec() Codec { return gobCodec{} }
-
-func (gobCodec) Name() string { return "gob" }
-
-func (gobCodec) NewEncoder(w io.Writer) StreamEncoder {
-	bw := bufio.NewWriterSize(w, 64*1024)
-	return &gobEncoder{bw: bw, enc: gob.NewEncoder(bw)}
-}
-
-func (gobCodec) NewDecoder(r io.Reader) StreamDecoder {
-	return &gobDecoder{dec: gob.NewDecoder(bufio.NewReaderSize(r, 64*1024))}
-}
-
-type gobEncoder struct {
-	bw  *bufio.Writer
-	enc *gob.Encoder
-}
-
-func (e *gobEncoder) Encode(env *Envelope) error { return e.enc.Encode(env) }
-func (e *gobEncoder) Flush() error               { return e.bw.Flush() }
-
-type gobDecoder struct {
-	dec *gob.Decoder
-}
-
-func (d *gobDecoder) Decode(env *Envelope) error { return d.dec.Decode(env) }

@@ -1,14 +1,98 @@
-package transport
+package transport_test
 
 import (
-	"encoding/gob"
+	"context"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
+	"abstractbft/internal/transport"
+	"abstractbft/internal/transport/wirecodec"
 )
+
+// rawPeer is a hand-driven connection speaking binary frames: the attacker of
+// the handshake tests, free to put any From on its envelopes.
+type rawPeer struct {
+	t   *testing.T
+	enc transport.StreamEncoder
+	// in carries the envelopes decoded off the connection and is closed when
+	// the connection dies. Its 64 slots exceed what any test here sends the
+	// peer, so the reader drops nothing a test waits for.
+	in chan transport.Envelope
+}
+
+func dialRaw(t *testing.T, addr string) *rawPeer {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	p := &rawPeer{t: t, enc: wirecodec.Binary().NewEncoder(conn), in: make(chan transport.Envelope, 64)}
+	dec := wirecodec.Binary().NewDecoder(conn)
+	go func() {
+		defer close(p.in)
+		for {
+			var env transport.Envelope
+			if dec.Decode(&env) != nil {
+				return
+			}
+			select {
+			case p.in <- env:
+			default: // never block, so the goroutine exits with the connection
+			}
+		}
+	}()
+	return p
+}
+
+func (p *rawPeer) send(env transport.Envelope) {
+	p.t.Helper()
+	if err := p.enc.Encode(&env); err != nil {
+		p.t.Fatal(err)
+	}
+	if err := p.enc.Flush(); err != nil {
+		p.t.Fatal(err)
+	}
+}
+
+// recv returns the next envelope off the connection (false on timeout or a
+// closed connection).
+func (p *rawPeer) recv(d time.Duration) (transport.Envelope, bool) {
+	select {
+	case env, ok := <-p.in:
+		return env, ok
+	case <-time.After(d):
+		return transport.Envelope{}, false
+	}
+}
+
+// handshakeProof is the golden of the handshake format: a dialer's ConnProof
+// is a MAC over "tcp-conn-proof:" followed by the acceptor's nonce, under the
+// pairwise key of dialer and acceptor.
+func handshakeProof(keys *authn.KeyStore, dialer, acceptor ids.ProcessID, nonce []byte) authn.MAC {
+	return keys.MAC(dialer, acceptor, []byte("tcp-conn-proof:"+string(nonce)))
+}
+
+// awaitDelivery drains ep's inbox until an envelope from `from` carrying want
+// arrives.
+func awaitDelivery(t *testing.T, ep transport.Endpoint, from ids.ProcessID, want any) {
+	t.Helper()
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case env := <-ep.Inbox():
+			if env.From == from && reflect.DeepEqual(env.Payload, want) {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("%v from %v not delivered", want, from)
+		}
+	}
+}
 
 // TestTCPHandshakePinsReplyRoute models the reply-route squatting attack: a
 // Byzantine peer connects to a replica first, claiming a victim client's
@@ -22,79 +106,68 @@ func TestTCPHandshakePinsReplyRoute(t *testing.T) {
 	victim := ids.Client(0)
 	attacker := ids.Client(1)
 
-	addrs := map[ids.ProcessID]string{replica: "127.0.0.1:0"}
-	server, err := NewTCPAuth(replica, addrs, keys)
+	server, err := transport.NewTCPCodec(replica, map[ids.ProcessID]string{replica: "127.0.0.1:0"}, keys, wirecodec.Binary())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	RegisterWireType("")
 
-	// The attacker connects first and spoofs the victim's From. Its endpoint
-	// has the real key store, but it proves as itself (the handshake MAC is
-	// over the pairwise key of the *proving* identity, which it cannot forge
-	// for the victim).
-	attackerAddrs := map[ids.ProcessID]string{replica: server.Addr(), attacker: "127.0.0.1:0"}
-	att, err := NewTCPAuth(attacker, attackerAddrs, keys)
-	if err != nil {
-		t.Fatal(err)
+	// The attacker connects first and squats before the handshake completes.
+	att := dialRaw(t, server.Addr())
+	env, _ := att.recv(2 * time.Second)
+	challenge, ok := env.Payload.(*transport.ConnChallenge)
+	if !ok {
+		t.Fatalf("attacker received %+v, want the acceptor's challenge", env)
 	}
-	defer att.Close()
-	// Forge envelopes claiming to be the victim. Send repeatedly so the
-	// squat attempt happens both before and after the handshake completes.
-	for i := 0; i < 5; i++ {
-		att.sendAs(victim, replica, "squat")
-		time.Sleep(10 * time.Millisecond)
+	att.send(transport.Envelope{From: victim, To: replica, Payload: marker(100)})
+
+	// It answers the challenge under its own pairwise key (the only one it
+	// holds), which wins it its own reply route: a reply to the attacker comes
+	// back over this connection, proving the golden proof format holds.
+	att.send(transport.Envelope{From: attacker, To: replica, Payload: &transport.ConnProof{
+		Proof: handshakeProof(keys, attacker, replica, challenge.Nonce),
+	}})
+	att.send(transport.Envelope{From: attacker, To: replica, Payload: marker(1)})
+	awaitDelivery(t, server, attacker, marker(1))
+	server.Send(attacker, marker(2))
+	if env, _ := att.recv(2 * time.Second); !reflect.DeepEqual(env.Payload, marker(2)) {
+		t.Fatalf("attacker got %v, not its own reply: the handshake proof was rejected", env.Payload)
 	}
 
-	// The honest victim connects afterwards and invokes.
+	// Proven as itself, it forges the victim's From again.
+	for i := 0; i < 3; i++ {
+		att.send(transport.Envelope{From: victim, To: replica, Payload: marker(100)})
+	}
+
+	// The honest victim connects afterwards, completes its own handshake, and
+	// invokes.
 	victimAddrs := map[ids.ProcessID]string{replica: server.Addr(), victim: "127.0.0.1:0"}
-	vic, err := NewTCPAuth(victim, victimAddrs, keys)
+	vic, err := transport.NewTCPCodec(victim, victimAddrs, keys, wirecodec.Binary())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vic.Close()
-	vic.Send(replica, "request")
-
-	// Drain the replica's inbox until the victim's request arrives.
-	deadline := time.After(2 * time.Second)
-	for seen := false; !seen; {
-		select {
-		case env := <-server.Inbox():
-			if env.From == victim && env.Payload == "request" {
-				seen = true
-			}
-		case <-deadline:
-			t.Fatal("victim request not delivered")
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := vic.Prime(ctx, []ids.ProcessID{replica}); err != nil {
+		t.Fatal(err)
 	}
-	// Allow the victim's proof to land before the reply (the proof races the
-	// first request on the connection).
-	time.Sleep(50 * time.Millisecond)
+	vic.Send(replica, marker(3))
+	awaitDelivery(t, server, victim, marker(3))
 
 	// The replica replies to the victim; it must arrive on the victim's
 	// connection, not the attacker's.
-	server.Send(victim, "reply")
+	server.Send(victim, marker(4))
 	select {
 	case env := <-vic.Inbox():
-		if env.Payload != "reply" {
-			t.Fatalf("victim received %v, want reply", env.Payload)
+		if !reflect.DeepEqual(env.Payload, marker(4)) {
+			t.Fatalf("victim received %v, want the reply", env.Payload)
 		}
-	case env := <-att.Inbox():
+	case env := <-att.in:
 		t.Fatalf("attacker received the victim's reply: %v", env.Payload)
 	case <-time.After(2 * time.Second):
 		t.Fatal("reply not delivered to the victim (route squatted or never registered)")
 	}
-}
-
-// sendAs enqueues an envelope with a forged From field over the connection to
-// dst (test-only attacker behaviour).
-func (t *TCP) sendAs(from, dst ids.ProcessID, payload any) {
-	conn, err := t.conn(dst)
-	if err != nil {
-		return
-	}
-	conn.enqueue(Envelope{From: from, To: dst, Payload: payload})
 }
 
 // TestTCPHandshakeNoProofOracle models the relay attack on the handshake
@@ -109,37 +182,31 @@ func TestTCPHandshakeNoProofOracle(t *testing.T) {
 	victim := ids.Client(0)
 
 	// The victim listens (clients do, for symmetric deployments).
-	victimAddrs := map[ids.ProcessID]string{victim: "127.0.0.1:0"}
-	vic, err := NewTCPAuth(victim, victimAddrs, keys)
+	vic, err := transport.NewTCPCodec(victim, map[ids.ProcessID]string{victim: "127.0.0.1:0"}, keys, wirecodec.Binary())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer vic.Close()
 
-	// The attacker speaks raw gob on its own connection to the victim and
-	// forwards a (fabricated) challenge claiming to come from the replica.
-	raw, err := net.Dial("tcp", vic.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	enc := gob.NewEncoder(raw)
-	dec := gob.NewDecoder(raw)
-	nonce := make([]byte, 32)
-	if err := enc.Encode(&Envelope{From: replica, To: victim, Payload: &ConnChallenge{Nonce: nonce}}); err != nil {
-		t.Fatal(err)
-	}
+	// The attacker forwards a (fabricated) challenge claiming to come from the
+	// replica over its own connection to the victim.
+	att := dialRaw(t, vic.Addr())
+	att.send(transport.Envelope{From: replica, To: victim, Payload: &transport.ConnChallenge{Nonce: make([]byte, 32)}})
 
 	// The victim's own challenge (it accepted our connection) may arrive;
-	// a connProof from the victim must not.
-	raw.SetReadDeadline(time.Now().Add(500 * time.Millisecond))
+	// a ConnProof from the victim must not.
+	deadline := time.After(500 * time.Millisecond)
 	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			return // deadline or close: no proof leaked
-		}
-		if _, leaked := env.Payload.(*ConnProof); leaked {
-			t.Fatal("victim answered a challenge on a connection it did not dial: MAC oracle")
+		select {
+		case env, ok := <-att.in:
+			if !ok {
+				return // connection closed: no proof leaked
+			}
+			if _, leaked := env.Payload.(*transport.ConnProof); leaked {
+				t.Fatal("victim answered a challenge on a connection it did not dial: MAC oracle")
+			}
+		case <-deadline:
+			return
 		}
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"crypto/rand"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -17,22 +16,6 @@ import (
 	"abstractbft/internal/ids"
 	"abstractbft/internal/obs"
 )
-
-// RegisterWireType registers a payload type for gob encoding over the TCP
-// transport. Protocol packages register their message types in init
-// functions so that both the in-process and TCP transports can carry them.
-// The binary codec (internal/transport/wirecodec) instead enumerates the
-// closed set of wire types explicitly; adding a type there is checked by the
-// round-trip audit in wire_roundtrip_test.go.
-func RegisterWireType(v any) { gob.Register(v) }
-
-func init() {
-	// Packed is audited by TestPackedRoundTrip: receivers must observe the
-	// unpacked payloads, so it cannot appear in the wirePayloads echo audit.
-	RegisterWireType(&Packed{}) //wire:noaudit unpacked on receive; audited by TestPackedRoundTrip
-	RegisterWireType(&ConnChallenge{})
-	RegisterWireType(&ConnProof{})
-}
 
 // ConnChallenge is the first frame an authenticated acceptor sends on every
 // accepted connection: a fresh random nonce the dialer must MAC to prove its
@@ -231,9 +214,7 @@ type TCP struct {
 	// closes the reply-route squatting hole of the unauthenticated From
 	// field (a liveness-only attack; protocol MACs protect safety).
 	keys *authn.KeyStore
-	// codec serializes envelopes on every connection of this endpoint. Both
-	// sides of a connection must use the same codec; deployments agree on it
-	// through the shared topology file.
+	// codec serializes envelopes on every connection of this endpoint.
 	codec Codec
 
 	mu     sync.Mutex
@@ -272,27 +253,16 @@ func (t *TCP) SetFlight(f *obs.Flight) {
 	t.flight.Store(f)
 }
 
-// NewTCP creates an unauthenticated TCP endpoint for process self listening
-// on addrs[self]; addrs maps every process to its listen address. Reply
-// routes are pinned by the envelope's unauthenticated From field; use
-// NewTCPAuth in deployments.
-func NewTCP(self ids.ProcessID, addrs map[ids.ProcessID]string) (*TCP, error) {
-	return NewTCPAuth(self, addrs, nil)
-}
-
-// NewTCPAuth creates a TCP endpoint with the connection handshake enabled:
-// accepted connections must answer a nonce challenge with a MAC under the
-// pairwise key from keys before replies are routed over them. A nil keys
-// value disables the handshake (NewTCP behaviour). The wire codec is gob.
-func NewTCPAuth(self ids.ProcessID, addrs map[ids.ProcessID]string, keys *authn.KeyStore) (*TCP, error) {
-	return NewTCPCodec(self, addrs, keys, nil)
-}
-
-// NewTCPCodec creates a TCP endpoint using the given wire codec; a nil codec
-// selects gob. All endpoints of a deployment must use the same codec.
+// NewTCPCodec creates the TCP endpoint of process self listening on
+// addrs[self]; addrs maps every process to its listen address, and codec
+// (wirecodec.Binary()) frames every connection. With non-nil keys the
+// connection handshake is enabled: accepted connections must answer a nonce
+// challenge with a MAC under the pairwise key before replies are routed over
+// them. With nil keys reply routes are pinned by the envelope's
+// unauthenticated From field.
 func NewTCPCodec(self ids.ProcessID, addrs map[ids.ProcessID]string, keys *authn.KeyStore, codec Codec) (*TCP, error) {
 	if codec == nil {
-		codec = GobCodec()
+		return nil, errors.New("transport: nil codec")
 	}
 	addr, ok := addrs[self]
 	if !ok {

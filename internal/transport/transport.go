@@ -7,8 +7,9 @@
 //   - Local: an in-process network connecting goroutines through channels,
 //     with configurable per-link latency, loss probability, partitions, and
 //     arbitrary filters used for fault and attack injection.
-//   - TCP (see tcp.go): a gob-encoded TCP transport for multi-process
-//     deployments driven by cmd/replica and cmd/client.
+//   - TCP (see tcp.go): a TCP transport framed with the binary codec
+//     (internal/transport/wirecodec) for multi-process deployments driven by
+//     cmd/replica and cmd/client.
 package transport
 
 import (
@@ -29,10 +30,9 @@ type Envelope struct {
 	Payload any
 	// Trace is an optional envelope-level tracing context. The request plane
 	// propagates trace contexts inside payloads (msg.Request.Trace), but
-	// control messages without a request can stamp the envelope instead; both
-	// wire codecs carry it, and an untraced envelope pays zero extra wire
-	// bytes on the binary codec. Expanded pack elements inherit the pack
-	// envelope's context.
+	// control messages without a request can stamp the envelope instead; the
+	// wire codec carries it, and an untraced envelope pays zero extra wire
+	// bytes. Expanded pack elements inherit the pack envelope's context.
 	Trace obs.TraceContext
 }
 

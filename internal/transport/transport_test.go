@@ -110,37 +110,6 @@ func TestMulticast(t *testing.T) {
 	}
 }
 
-func TestTCPTransport(t *testing.T) {
-	addrs := map[ids.ProcessID]string{
-		ids.Replica(0): "127.0.0.1:0",
-	}
-	a, err := NewTCP(ids.Replica(0), addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	addrs2 := map[ids.ProcessID]string{
-		ids.Replica(0): a.Addr(),
-		ids.Replica(1): "127.0.0.1:0",
-	}
-	b, err := NewTCP(ids.Replica(1), addrs2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	RegisterWireType("")
-	b.Send(ids.Replica(0), "over-tcp")
-	select {
-	case env := <-a.Inbox():
-		if env.Payload != "over-tcp" || env.From != ids.Replica(1) {
-			t.Fatalf("unexpected envelope %+v", env)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatalf("TCP message not delivered")
-	}
-}
-
 // TestLocalSizerRunsOutsideLocks: the traffic sizer can be as slow as a full
 // wire encode, so two concurrent senders must be able to sit in it at once.
 func TestLocalSizerRunsOutsideLocks(t *testing.T) {

@@ -1,15 +1,15 @@
 package transport_test
 
-// The wire registration audit: every message type that crosses a
+// The wire round-trip audit: every message type that crosses a
 // transport.Endpoint — protocol messages, batches, null-ops, the state
 // transfer plane, and the sharded plane's mark and recovery control messages
-// — must encode/decode through a real TCP stream under BOTH wire codecs (gob
-// and the hand-rolled binary codec) and come back equal. A type missing its
-// transport.RegisterWireType registration or its wirecodec tag arm (or
-// carrying a field a codec cannot represent) fails here instead of silently
-// breaking the multi-process path: the TCP writer drops envelopes whose
-// encoding fails, so without this audit a forgotten registration shows up
-// only as mysterious liveness loss in deployment.
+// — must encode/decode through a real TCP stream under the binary codec and
+// come back equal. A type missing its wirecodec tag arm (or carrying a field
+// the codec does not encode) fails here instead of silently breaking the
+// multi-process path: the TCP writer drops envelopes whose encoding fails, so
+// without this audit a forgotten tag arm shows up only as mysterious
+// liveness loss in deployment. The abstractlint wirereg check keeps this
+// list and the tag table in step.
 
 import (
 	"bytes"
@@ -35,23 +35,14 @@ import (
 	"abstractbft/internal/zlight"
 )
 
-// wireCodecs enumerates the codecs the audit runs against; nil selects the
-// default (gob).
-func wireCodecs() map[string]transport.Codec {
-	return map[string]transport.Codec{
-		"gob":    nil,
-		"binary": wirecodec.Binary(),
-	}
-}
-
-// newTCPPair builds two mutually addressed TCP endpoints on loopback using
-// the given wire codec (nil = gob).
-func newTCPPair(t *testing.T, codec transport.Codec) (*transport.TCP, *transport.TCP) {
+// newTCPPair builds two unauthenticated TCP endpoints on loopback: replica 0
+// (a) and replica 1 (b), which knows a's address.
+func newTCPPair(t *testing.T) (*transport.TCP, *transport.TCP) {
 	t.Helper()
 	addrs := map[ids.ProcessID]string{
 		ids.Replica(0): "127.0.0.1:0",
 	}
-	a, err := transport.NewTCPCodec(ids.Replica(0), addrs, nil, codec)
+	a, err := transport.NewTCPCodec(ids.Replica(0), addrs, nil, wirecodec.Binary())
 	if err != nil {
 		t.Fatalf("endpoint a: %v", err)
 	}
@@ -59,7 +50,7 @@ func newTCPPair(t *testing.T, codec transport.Codec) (*transport.TCP, *transport
 		ids.Replica(0): a.Addr(),
 		ids.Replica(1): "127.0.0.1:0",
 	}
-	b, err := transport.NewTCPCodec(ids.Replica(1), addrs2, nil, codec)
+	b, err := transport.NewTCPCodec(ids.Replica(1), addrs2, nil, wirecodec.Binary())
 	if err != nil {
 		t.Fatalf("endpoint b: %v", err)
 	}
@@ -69,9 +60,10 @@ func newTCPPair(t *testing.T, codec transport.Codec) (*transport.TCP, *transport
 }
 
 // wirePayloads enumerates one fully populated instance of every message that
-// crosses the wire. Slice fields are non-empty (gob decodes empty slices as
-// nil, which would make the equality check ambiguous); pointer fields are
-// set.
+// crosses the wire: every tag arm of wirecodec's appendPayload not marked
+// //wire:noaudit. Slice fields are non-empty (the codec decodes an empty
+// slice as nil, so an empty one would not come back DeepEqual); pointer
+// fields are set.
 func wirePayloads() []any {
 	req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd-a")}
 	req2 := msg.Request{Client: ids.Client(4), Timestamp: 9, Command: []byte("cmd-b")}
@@ -120,8 +112,8 @@ func wirePayloads() []any {
 		&backup.RequestMessage{Instance: 3, Req: req, Init: init, Auth: auth},
 		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
 
-		// The inner PBFT engine's messages (Backup wraps them, but they are
-		// registered and can cross raw as well).
+		// The inner PBFT engine's messages (Backup wraps them, but they have
+		// tag arms of their own and can cross raw as well).
 		&pbft.Request{Req: req, Auth: auth},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Digest: dig, MAC: mac},
 		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(1), MAC: mac},
@@ -163,7 +155,7 @@ func wirePayloads() []any {
 
 		// Trace-context propagation: the same carriers with sampled requests
 		// and batches (flags-byte trace block on requests, high-bit count
-		// marker on batches) must round-trip the context under both codecs.
+		// marker on batches) must round-trip the context.
 		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Init: init, Auth: auth},
 		&zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&chain.Message{Instance: 2, Req: tracedReq, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
@@ -195,35 +187,31 @@ func handshakeControl(p any) bool {
 	return false
 }
 
-// TestWireRoundTrips sends every wire message through a real TCP stream under
-// each codec and asserts it arrives intact and equal.
+// TestWireRoundTrips sends every wire message through a real TCP stream and
+// asserts it arrives intact and equal.
 func TestWireRoundTrips(t *testing.T) {
-	for name, codec := range wireCodecs() {
-		codec := codec
-		t.Run(name, func(t *testing.T) {
-			a, b := newTCPPair(t, codec)
-			for i, payload := range wirePayloads() {
-				payload := payload
-				if handshakeControl(payload) {
-					continue
-				}
-				t.Run(fmt.Sprintf("%02d_%T", i, payload), func(t *testing.T) {
-					b.Send(ids.Replica(0), payload)
-					select {
-					case env, ok := <-a.Inbox():
-						if !ok {
-							t.Fatal("endpoint closed")
-						}
-						if !reflect.DeepEqual(env.Payload, payload) {
-							t.Fatalf("round trip mutated the message:\nsent %#v\ngot  %#v", payload, env.Payload)
-						}
-					case <-time.After(10 * time.Second):
-						t.Fatalf("message %T never arrived: dropped by the %s encoder (missing registration or tag arm?)", payload, name)
-					}
-				})
+	t.Run("binary", func(t *testing.T) {
+		a, b := newTCPPair(t)
+		for i, payload := range wirePayloads() {
+			if handshakeControl(payload) {
+				continue
 			}
-		})
-	}
+			t.Run(fmt.Sprintf("%02d_%T", i, payload), func(t *testing.T) {
+				b.Send(ids.Replica(0), payload)
+				select {
+				case env, ok := <-a.Inbox():
+					if !ok {
+						t.Fatal("endpoint closed")
+					}
+					if !reflect.DeepEqual(env.Payload, payload) {
+						t.Fatalf("round trip mutated the message:\nsent %#v\ngot  %#v", payload, env.Payload)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("message %T never arrived: dropped by the encoder (missing tag arm?)", payload)
+				}
+			})
+		}
+	})
 }
 
 // TestWireByteEquality asserts the binary codec's one-shot marshal of every
@@ -256,7 +244,7 @@ func TestWireByteEquality(t *testing.T) {
 }
 
 // TestTracedEnvelopeStream round-trips envelope-level trace contexts through
-// both stream codecs: a traced envelope's context must survive, and untraced
+// the stream codec: a traced envelope's context must survive, and untraced
 // envelopes before and after it must come back with a zero context (no bleed
 // from a reused decoder).
 func TestTracedEnvelopeStream(t *testing.T) {
@@ -267,34 +255,28 @@ func TestTracedEnvelopeStream(t *testing.T) {
 			Trace: obs.TraceContext{TraceID: 0x1122334455667788, Parent: 0x8877665544332211}},
 		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload},
 	}
-	for name, codec := range wireCodecs() {
-		if codec == nil {
-			codec = transport.GobCodec()
+	t.Run("binary", func(t *testing.T) {
+		var buf bytes.Buffer
+		enc := wirecodec.Binary().NewEncoder(&buf)
+		for i := range envs {
+			if err := enc.Encode(&envs[i]); err != nil {
+				t.Fatalf("encode %d: %v", i, err)
+			}
 		}
-		codec := codec
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			enc := codec.NewEncoder(&buf)
-			for i := range envs {
-				if err := enc.Encode(&envs[i]); err != nil {
-					t.Fatalf("encode %d: %v", i, err)
-				}
+		if err := enc.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		dec := wirecodec.Binary().NewDecoder(&buf)
+		for i, want := range envs {
+			var got transport.Envelope
+			if err := dec.Decode(&got); err != nil {
+				t.Fatalf("decode %d: %v", i, err)
 			}
-			if err := enc.Flush(); err != nil {
-				t.Fatalf("flush: %v", err)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("envelope %d mutated:\nsent %#v\ngot  %#v", i, want, got)
 			}
-			dec := codec.NewDecoder(&buf)
-			for i, want := range envs {
-				var got transport.Envelope
-				if err := dec.Decode(&got); err != nil {
-					t.Fatalf("decode %d: %v", i, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("envelope %d mutated:\nsent %#v\ngot  %#v", i, want, got)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestUntracedTraceCostsZeroWireBytes pins the tentpole's wire guarantee on
@@ -375,29 +357,26 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 // the expanded protocol payloads, never the pack itself — including when a
 // pack travels under a shard mark.
 func TestPackedRoundTrip(t *testing.T) {
-	for name, codec := range wireCodecs() {
-		codec := codec
-		t.Run(name, func(t *testing.T) {
-			a, b := newTCPPair(t, codec)
-			req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd")}
-			inner := []any{
-				&core.FetchRequest{Instance: 1, From: ids.Replica(1), Digests: []authn.Digest{authn.Hash([]byte("x"))}},
-				&core.FetchResponse{Instance: 1, From: ids.Replica(1), Requests: []msg.Request{req}},
-			}
-			transport.SendBatch(b, ids.Replica(0), inner)
-			for i := 0; i < len(inner); i++ {
-				select {
-				case env, ok := <-a.Inbox():
-					if !ok {
-						t.Fatal("endpoint closed")
-					}
-					if !reflect.DeepEqual(env.Payload, inner[i]) {
-						t.Fatalf("pack element %d mutated:\nsent %#v\ngot  %#v", i, inner[i], env.Payload)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatalf("pack element %d never arrived", i)
+	t.Run("binary", func(t *testing.T) {
+		a, b := newTCPPair(t)
+		req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd")}
+		inner := []any{
+			&core.FetchRequest{Instance: 1, From: ids.Replica(1), Digests: []authn.Digest{authn.Hash([]byte("x"))}},
+			&core.FetchResponse{Instance: 1, From: ids.Replica(1), Requests: []msg.Request{req}},
+		}
+		transport.SendBatch(b, ids.Replica(0), inner)
+		for i := 0; i < len(inner); i++ {
+			select {
+			case env, ok := <-a.Inbox():
+				if !ok {
+					t.Fatal("endpoint closed")
 				}
+				if !reflect.DeepEqual(env.Payload, inner[i]) {
+					t.Fatalf("pack element %d mutated:\nsent %#v\ngot  %#v", i, inner[i], env.Payload)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("pack element %d never arrived", i)
 			}
-		})
-	}
+		}
+	})
 }

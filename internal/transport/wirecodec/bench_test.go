@@ -93,9 +93,7 @@ func benchmarkDecode(b *testing.B, codec transport.Codec) {
 }
 
 func BenchmarkEncodeBinary(b *testing.B) { benchmarkEncode(b, wirecodec.Binary()) }
-func BenchmarkEncodeGob(b *testing.B)    { benchmarkEncode(b, transport.GobCodec()) }
 func BenchmarkDecodeBinary(b *testing.B) { benchmarkDecode(b, wirecodec.Binary()) }
-func BenchmarkDecodeGob(b *testing.B)    { benchmarkDecode(b, transport.GobCodec()) }
 
 // BenchmarkEncodeBinaryUnpooled measures the one-shot MarshalWire path (a
 // fresh output slice per message) against the pooled streaming path above.

@@ -1,16 +1,16 @@
-// Package wirecodec is the hand-rolled binary wire codec of the TCP plane:
-// explicit, length-prefixed marshalling for the closed set of message types
-// that cross a transport.Endpoint. It replaces gob on the hot path — no
-// reflection, no per-stream type dictionaries, and near-zero steady-state
-// allocations on encode — while the gob codec remains available behind the
-// same transport.Codec interface for comparison and fallback.
+// Package wirecodec is the wire codec of the TCP plane: explicit,
+// length-prefixed marshalling for the closed set of message types that cross
+// a transport.Endpoint — no reflection, no per-stream type dictionaries, and
+// near-zero steady-state allocations on encode. The type switch in
+// appendPayload is the registry of wire types: a payload without a tag arm
+// there cannot cross a process boundary.
 //
 // Wire format. A connection is a sequence of frames:
 //
 //	frame   := u32 length | body            (length = len(body), big endian)
 //	body    := envelope+                    (one or more envelopes)
 //	envelope:= i32 from | i32 to | payload
-//	payload := u16 tag | fields             (tag from tags.go's table)
+//	payload := u16 tag | fields             (tag from types.go's table)
 //
 // Fields are fixed-width big-endian integers, single presence/boolean bytes,
 // u32-length-prefixed byte strings, and u32-count-prefixed element sequences.
@@ -169,7 +169,8 @@ func (r *reader) id() ids.ProcessID { return ids.ProcessID(int32(r.u32())) }
 
 // bytes reads a u32-length-prefixed byte string into a fresh slice (the
 // frame buffer is recycled, so decoded payloads must not alias it). A zero
-// length decodes to nil, matching gob's round-trip of empty slices.
+// length decodes to nil: empty and nil encode alike, so decoding picks one,
+// and the round-trip audits' DeepEqual relies on it being nil.
 func (r *reader) bytes() []byte {
 	var own []byte
 	return r.bytesIn(&own, 1)

@@ -29,14 +29,11 @@ const (
 	retainedBuf = 1 << 20
 )
 
-// Binary returns the hand-rolled binary codec as a transport.Codec. All
-// endpoints of a deployment must agree on the codec; deploy.Topology's
-// "codec" field selects it cluster-wide.
+// Binary returns the binary codec as a transport.Codec: the one wire format
+// of every TCP endpoint.
 func Binary() transport.Codec { return binaryCodec{} }
 
 type binaryCodec struct{}
-
-func (binaryCodec) Name() string { return "binary" }
 
 func (binaryCodec) NewEncoder(w io.Writer) transport.StreamEncoder {
 	e := &streamEncoder{w: w}

@@ -22,7 +22,8 @@ import (
 // stay comparable. Adding a type means: assign the next free tag in its
 // block, add an arm to appendPayload and decodePayload, and add a populated
 // instance to wirePayloads() in transport's wire_roundtrip_test.go — the
-// audit fails until both codecs round-trip it.
+// abstractlint wirereg check fails until the arm is audited, and the audit
+// fails until the type round-trips.
 const (
 	// Transport-level types. tagTraced is not a payload type: it is the
 	// envelope-level trace-context marker, read and written only by the stream
@@ -587,9 +588,10 @@ func decodePrePrepare(r *reader) pbft.PrePrepare {
 	return pp
 }
 
-// appendPayload encodes one tagged payload. Unknown types report an error
-// wrapping transport.ErrUnencodable so the TCP writer drops the envelope
-// without killing the connection.
+// appendPayload encodes one tagged payload. Its type switch is the registry
+// of wire types (the abstractlint wirereg check reads it). Unknown types
+// report an error wrapping transport.ErrUnencodable so the TCP writer drops
+// the envelope without killing the connection.
 //
 //abstractbft:noalloc
 func appendPayload(b []byte, p any, depth int) ([]byte, error) {
@@ -597,7 +599,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		return b, fmt.Errorf("%w (%w)", ErrDepth, transport.ErrUnencodable) //abstractbft:alloc-ok error path, envelope is dropped
 	}
 	switch m := p.(type) {
-	case *transport.Packed:
+	case *transport.Packed: //wire:noaudit unpacked on receive; audited by TestPackedRoundTrip
 		b = appendU16(b, tagPacked)
 		b = appendU32(b, uint32(len(m.Payloads)))
 		for _, inner := range m.Payloads {

@@ -23,7 +23,7 @@ import (
 
 // samplePayloads is a representative subset of the wire-type closure used by
 // the adversarial tests (the exhaustive closure is audited from the transport
-// package's wire_roundtrip_test.go against both codecs).
+// package's wire_roundtrip_test.go).
 func samplePayloads() []any {
 	req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd-a")}
 	dig := authn.Hash([]byte("digest"))

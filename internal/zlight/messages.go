@@ -17,7 +17,6 @@ import (
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
 // RequestMessage is the REQ message a client sends to the primary (Step Z1).
@@ -88,9 +87,4 @@ func OrderBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64) 
 	binary.BigEndian.PutUint64(buf[8:16], seq)
 	copy(buf[16:], batchDigest[:])
 	return buf
-}
-
-func init() {
-	transport.RegisterWireType(&RequestMessage{})
-	transport.RegisterWireType(&OrderMessage{})
 }
