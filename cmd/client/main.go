@@ -1,19 +1,15 @@
 // Command client runs closed-loop clients against a TCP deployment of a
 // composed Abstract protocol started with cmd/replica.
 //
-// The topology mode drives the sharded plane from the same JSON topology
-// file the replicas run: every closed-loop client is a keyed shard.Client
+// It drives the sharded plane from the JSON topology file the replicas run
+// (a one-shard file deploys a single unsharded composition): every
+// closed-loop client is a keyed shard.Client
 // (per-shard pipelined composers, requests routed to the shard owning their
 // key), and the workload is keyed to spread across shards — encoded KV
 // operations when the topology routes by the "kv" extractor, 8-byte-prefix
 // keyed commands otherwise:
 //
 //	go run ./cmd/client -topology cluster.json -clients 4 -requests 1000
-//
-// The legacy flag mode drives a single unsharded composition:
-//
-//	go run ./cmd/client -f 1 -protocol aliph -clients 4 -requests 1000 \
-//	    -replicas 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 package main
 
 import (
@@ -21,162 +17,103 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
+	"os"
 	"time"
 
-	"abstractbft/internal/aliph"
-	"abstractbft/internal/authn"
-	"abstractbft/internal/azyzzyva"
-	"abstractbft/internal/core"
 	"abstractbft/internal/deploy"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
-	"abstractbft/internal/transport"
-	"abstractbft/internal/transport/wirecodec"
 	"abstractbft/internal/workload"
 )
 
 func main() {
 	var (
-		topoPath    = flag.String("topology", "", "topology JSON file (sharded multi-process mode; overrides the legacy flags)")
-		f           = flag.Int("f", 1, "number of tolerated Byzantine replicas (legacy mode)")
-		protocol    = flag.String("protocol", "aliph", "composed protocol: aliph or azyzzyva (legacy mode)")
-		replicas    = flag.String("replicas", "", "comma-separated replica addresses, in replica order (legacy mode)")
-		secret      = flag.String("secret", "abstract-bft", "cluster key-derivation secret (legacy mode)")
+		topoPath    = flag.String("topology", "", "topology JSON file shared with the replicas (required)")
 		clients     = flag.Int("clients", 1, "number of closed-loop clients")
 		requests    = flag.Int("requests", 100, "requests per client (0 = run for -duration)")
 		duration    = flag.Duration("duration", 0, "run length when -requests is 0")
 		requestSize = flag.Int("request-size", 0, "request payload size in bytes")
-		pipeline    = flag.Int("pipeline", 0, "per-shard pipeline depth (topology mode; 0 = the topology's default)")
-		keySpace    = flag.Int("key-space", 0, "distinct workload keys (topology mode; 0 = 16 per shard)")
+		pipeline    = flag.Int("pipeline", 0, "per-shard pipeline depth (0 = the topology's default)")
+		keySpace    = flag.Int("key-space", 0, "distinct workload keys (0 = 16 per shard)")
 		baseID      = flag.Int("base-id", 0, "first client index (use distinct ranges per client process)")
-		delta       = flag.Duration("delta", 30*time.Millisecond, "synchrony bound used for client timers (legacy mode)")
 		listenBase  = flag.Int("listen-base", 8100, "first local TCP port for client endpoints")
 		metricsAt   = flag.String("metrics-addr", "", "observability listen address serving /metrics and /metrics.json (empty = metrics off)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on the observability address (also enabled by the topology's pprof knob)")
 	)
 	flag.Parse()
 
-	var newInvoker func(i int) (workload.Invoker, ids.ProcessID, error)
+	if *topoPath == "" {
+		fmt.Fprintln(os.Stderr, "client: -topology is required")
+		flag.Usage()
+		os.Exit(2)
+	}
+	topo, err := deploy.LoadTopology(*topoPath)
+	if err != nil {
+		log.Fatalf("topology: %v", err)
+	}
+	keys := *keySpace
+	if keys <= 0 {
+		keys = 16 * topo.ShardCount()
+	}
+	depth := *pipeline
+	if depth <= 0 {
+		depth = topo.Pipeline
+	}
 	cfg := workload.ClosedLoopConfig{
 		Clients:           *clients,
 		RequestsPerClient: *requests,
 		Duration:          *duration,
 		RequestSize:       *requestSize,
+		Pipeline:          depth,
 	}
-	traceRate := 128
+	// Generate commands in the format the topology's extractor routes by
+	// (the "kv" extractor sees one shard for every prefix8-keyed command
+	// and vice versa, so generation must follow routing).
+	if topo.ExtractorName() == "kv" {
+		cfg.CommandOf = workload.KVPutCommandOf(*baseID, keys)
+	} else {
+		cfg.KeySpace = keys
+		cfg.KeyOf = func(client int, ts uint64) uint64 {
+			return (uint64(*baseID+client) + ts) % uint64(keys)
+		}
+	}
+	if topo.Pprof {
+		*pprofOn = true
+	}
 	// tracer makes the cluster-wide head sampling decision at the client (set
 	// when metrics are on): sampled requests carry their trace context on the
 	// wire so every downstream process records spans under the same trace ID.
 	var tracer *obs.Tracer
-
-	if *topoPath != "" {
-		topo, err := deploy.LoadTopology(*topoPath)
+	newInvoker := func(i int) (workload.Invoker, ids.ProcessID, error) {
+		clientID := ids.Client(*baseID + i)
+		// DialClient primes the endpoint (connection proof completed with
+		// every replica before the first request), so no reply is dropped
+		// at an un-proven route.
+		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, client, err := topo.DialClient(dialCtx, clientID, fmt.Sprintf("127.0.0.1:%d", *listenBase+i), depth)
+		cancel()
 		if err != nil {
-			log.Fatalf("topology: %v", err)
+			return nil, 0, err
 		}
-		keys := *keySpace
-		if keys <= 0 {
-			keys = 16 * topo.ShardCount()
-		}
-		// Generate commands in the format the topology's extractor routes by
-		// (the "kv" extractor sees one shard for every prefix8-keyed command
-		// and vice versa, so generation must follow routing).
-		if topo.ExtractorName() == "kv" {
-			cfg.CommandOf = workload.KVPutCommandOf(*baseID, keys)
-		} else {
-			cfg.KeySpace = keys
-			cfg.KeyOf = func(client int, ts uint64) uint64 {
-				return (uint64(*baseID+client) + ts) % uint64(keys)
-			}
-		}
-		depth := *pipeline
-		if depth <= 0 {
-			depth = topo.Pipeline
-		}
-		cfg.Pipeline = depth
-		traceRate = topo.TraceRate()
-		if topo.Pprof {
-			*pprofOn = true
-		}
-		newInvoker = func(i int) (workload.Invoker, ids.ProcessID, error) {
-			clientID := ids.Client(*baseID + i)
-			// DialClient primes the endpoint (connection proof completed with
-			// every replica before the first request), so no reply is dropped
-			// at an un-proven route.
-			dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_, client, err := topo.DialClient(dialCtx, clientID, fmt.Sprintf("127.0.0.1:%d", *listenBase+i), depth)
-			cancel()
-			if err != nil {
-				return nil, 0, err
-			}
-			// The sharded client stamps sampled requests itself and records
-			// the root send span, so the metrics wrapper below only keeps the
-			// counters and the RTT histogram.
-			client.SetTracer(tracer)
-			return workload.InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
-				return client.Invoke(ctx, req)
-			}), clientID, nil
-		}
-	} else {
-		addrs := strings.Split(*replicas, ",")
-		cluster := ids.NewCluster(*f)
-		if len(addrs) != cluster.N {
-			log.Fatalf("need %d replica addresses for f=%d, got %d", cluster.N, *f, len(addrs))
-		}
-		addrMap := make(map[ids.ProcessID]string, len(addrs))
-		for i, a := range addrs {
-			addrMap[ids.Replica(i)] = strings.TrimSpace(a)
-		}
-		keys := authn.NewKeyStore(*secret)
-		newInvoker = func(i int) (workload.Invoker, ids.ProcessID, error) {
-			clientID := ids.Client(*baseID + i)
-			myAddrs := make(map[ids.ProcessID]string, len(addrMap)+1)
-			for k, v := range addrMap {
-				myAddrs[k] = v
-			}
-			myAddrs[clientID] = fmt.Sprintf("127.0.0.1:%d", *listenBase+i)
-			ep, err := transport.NewTCPCodec(clientID, myAddrs, keys, wirecodec.Binary())
-			if err != nil {
-				return nil, 0, err
-			}
-			primeCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err = ep.Prime(primeCtx, cluster.Replicas())
-			cancel()
-			if err != nil {
-				return nil, 0, err
-			}
-			env := core.ClientEnv{Cluster: cluster, Keys: keys, ID: clientID, Endpoint: ep, Delta: *delta}
-			var composer *core.Composer
-			switch *protocol {
-			case "azyzzyva":
-				composer, err = azyzzyva.NewClient(env)
-			default:
-				composer, err = aliph.NewClient(env)
-			}
-			if err != nil {
-				ep.Close()
-				return nil, 0, err
-			}
-			return workload.InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
-				return composer.Invoke(ctx, req)
-			}), clientID, nil
-		}
+		// The sharded client stamps sampled requests itself and records
+		// the root send span, so the metrics wrapper below only keeps the
+		// counters and the RTT histogram.
+		client.SetTracer(tracer)
+		return workload.InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
+			return client.Invoke(ctx, req)
+		}), clientID, nil
 	}
 
 	// When requested, serve the client's own observability front door (metrics,
 	// span ring, flight recorder, optional pprof) and wrap every invoker with
 	// the request/error counters and the RTT histogram. The tracer head-samples
-	// at the topology's trace_sample_rate: in topology mode the sharded client
-	// stamps and records the root span itself, in legacy mode the wrapper does.
+	// at the topology's trace_sample_rate.
 	var srv *obs.Server
-	legacy := *topoPath == ""
 	if *metricsAt != "" {
 		reg := obs.NewRegistry()
 		spans := obs.NewSpanRing(fmt.Sprintf("client-%d", *baseID), 0)
 		flight := obs.NewFlight(fmt.Sprintf("client-%d", *baseID), 0)
-		var err error
 		srv, err = obs.ServeObs(*metricsAt, obs.ServeConfig{
 			Registry: reg,
 			Spans:    spans,
@@ -190,7 +127,7 @@ func main() {
 		reqs := reg.Counter("client_requests_total")
 		errs := reg.Counter("client_errors_total")
 		rtt := reg.Histogram("client_rtt_seconds", obs.LatencyBuckets)
-		tracer = obs.NewTracerRing(reg, traceRate, spans)
+		tracer = obs.NewTracerRing(reg, topo.TraceRate(), spans)
 		inner := newInvoker
 		newInvoker = func(i int) (workload.Invoker, ids.ProcessID, error) {
 			inv, id, err := inner(i)
@@ -198,23 +135,13 @@ func main() {
 				return nil, 0, err
 			}
 			return workload.InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
-				var tc obs.TraceContext
-				if legacy {
-					if tc = tracer.NewTrace(); tc.Sampled() {
-						req.Trace = obs.TraceContext{TraceID: tc.TraceID, Parent: tc.TraceID}
-					}
-				}
 				start := time.Now()
 				out, err := inv.Invoke(ctx, req)
-				d := time.Since(start)
 				reqs.Inc()
 				if err != nil {
 					errs.Inc()
 				}
-				rtt.ObserveDuration(d)
-				if tc.Sampled() {
-					tracer.Record(tc, obs.StageSend, 0, start, d)
-				}
+				rtt.ObserveDuration(time.Since(start))
 				return out, err
 			}), id, nil
 		}

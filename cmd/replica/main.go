@@ -1,9 +1,10 @@
 // Command replica runs one replica of a composed Abstract protocol over TCP,
 // for multi-process deployments on one or several machines.
 //
-// The topology mode runs the sharded plane (any registered composition, S
-// parallel shards demultiplexed over one authenticated TCP endpoint) from a
-// JSON topology file shared with cmd/client:
+// It runs the sharded plane (any registered composition, S parallel shards
+// demultiplexed over one authenticated TCP endpoint; a one-shard file
+// deploys a single unsharded composition) from a JSON topology file shared
+// with cmd/client:
 //
 //	go run ./cmd/replica -topology cluster.json -id 0
 //
@@ -14,11 +15,6 @@
 // the pinned boundary:
 //
 //	go run ./cmd/replica -topology cluster.json -id 0 -recover
-//
-// The legacy flag mode runs a single unsharded composition:
-//
-//	go run ./cmd/replica -id 0 -f 1 -protocol aliph \
-//	    -replicas 127.0.0.1:7000,127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 package main
 
 import (
@@ -28,35 +24,22 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"abstractbft/internal/aliph"
-	"abstractbft/internal/app"
-	"abstractbft/internal/authn"
-	"abstractbft/internal/azyzzyva"
 	"abstractbft/internal/deploy"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
-	"abstractbft/internal/transport/wirecodec"
 )
 
 func main() {
 	var (
 		id         = flag.Int("id", 0, "replica index (0-based)")
-		topoPath   = flag.String("topology", "", "topology JSON file (sharded multi-process mode; overrides the legacy flags)")
-		recoverOpt = flag.Bool("recover", false, "with -topology: rejoin a live cluster after a crash-restart (collect the merged boundary from peers and state-sync every shard)")
+		topoPath   = flag.String("topology", "", "topology JSON file shared with the clients (required)")
+		recoverOpt = flag.Bool("recover", false, "rejoin a live cluster after a crash-restart (collect the merged boundary from peers and state-sync every shard)")
 		recoverTO  = flag.Duration("recover-timeout", 30*time.Second, "how long -recover waits for an f+1-agreed merged boundary")
-		f          = flag.Int("f", 1, "number of tolerated Byzantine replicas")
-		protocol   = flag.String("protocol", "aliph", "composed protocol: aliph or azyzzyva (legacy mode)")
-		replicas   = flag.String("replicas", "", "comma-separated replica addresses, in replica order (legacy mode)")
-		secret     = flag.String("secret", "abstract-bft", "cluster key-derivation secret (legacy mode)")
-		appName    = flag.String("app", "kv", "replicated application: kv, counter, or null (legacy mode)")
-		replySize  = flag.Int("reply-size", 0, "reply size for the null application (legacy mode)")
-		metricsAt  = flag.String("metrics-addr", "", "observability listen address serving /metrics and /metrics.json (overrides the topology's metrics_addrs entry; empty in legacy mode = metrics off)")
+		metricsAt  = flag.String("metrics-addr", "", "observability listen address serving /metrics and /metrics.json (overrides the topology's metrics_addrs entry)")
 		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof on the observability address (also enabled by the topology's pprof knob)")
 	)
 	flag.Parse()
@@ -66,74 +49,12 @@ func main() {
 	// attributable.
 	log.SetPrefix(fmt.Sprintf("[r%d] ", *id))
 
-	if *topoPath != "" {
-		runTopology(*topoPath, *id, *recoverOpt, *recoverTO, *metricsAt, *pprofOn)
-		return
+	if *topoPath == "" {
+		fmt.Fprintln(os.Stderr, "replica: -topology is required")
+		flag.Usage()
+		os.Exit(2)
 	}
-
-	addrs := strings.Split(*replicas, ",")
-	cluster := ids.NewCluster(*f)
-	if len(addrs) != cluster.N {
-		log.Fatalf("need %d replica addresses for f=%d, got %d", cluster.N, *f, len(addrs))
-	}
-	addrMap := make(map[ids.ProcessID]string, len(addrs))
-	for i, a := range addrs {
-		addrMap[ids.Replica(i)] = strings.TrimSpace(a)
-	}
-	self := ids.Replica(*id)
-	keys := authn.NewKeyStore(*secret)
-	// The handshake pins connection identity (MAC over a nonce under the
-	// pairwise key), so a peer that connects first cannot squat another
-	// client's reply route.
-	ep, err := transport.NewTCPCodec(self, addrMap, keys, wirecodec.Binary())
-	if err != nil {
-		log.Fatalf("listen: %v", err)
-	}
-
-	var application app.Application
-	switch *appName {
-	case "kv":
-		application = app.NewKVStore()
-	case "counter":
-		application = app.NewCounter()
-	default:
-		application = app.NewNull(*replySize)
-	}
-
-	var factory host.ProtocolFactory
-	switch *protocol {
-	case "azyzzyva":
-		factory = azyzzyva.ReplicaFactory(cluster, azyzzyva.Options{})
-	default:
-		factory = aliph.ReplicaFactory(cluster, aliph.Options{LowLoadAfter: 2 * time.Second})
-	}
-
-	// Metrics stay off in legacy mode unless explicitly requested.
-	reg, srv, spans, flight := serveObs(*metricsAt, fmt.Sprintf("replica-%d", *id), nil, *pprofOn)
-	keys.SetMetrics(reg)
-	ep.SetMetrics(transport.NewTCPMetrics(reg))
-	ep.SetFlight(flight)
-
-	h := host.New(host.Config{
-		Cluster:       cluster,
-		Replica:       self,
-		Keys:          keys,
-		App:           application,
-		Endpoint:      ep,
-		FirstInstance: 1,
-		NewProtocol:   factory,
-		Logger:        newReplicaLogger(*id),
-		Metrics:       reg,
-		Tracer:        obs.NewTracerRing(reg, 1, spans),
-		Flight:        flight,
-	})
-	h.Start()
-	log.Printf("replica %v (%s, f=%d) listening on %s", self, *protocol, *f, ep.Addr())
-
-	awaitSignal()
-	h.Stop()
-	ep.Close()
-	closeMetrics(srv)
+	runTopology(*topoPath, *id, *recoverOpt, *recoverTO, *metricsAt, *pprofOn)
 }
 
 // newReplicaLogger builds the replica's logger: stderr with microsecond
@@ -147,13 +68,11 @@ func newReplicaLogger(id int) *log.Logger {
 // ring, /debug/flight.json off the flight recorder, and net/http/pprof when
 // pprofOn. The span ring and flight recorder are labelled with the process
 // name so cluster-wide dumps stay attributable. All returns are nil when off.
-func serveObs(addr, process string, reg *obs.Registry, pprofOn bool) (*obs.Registry, *obs.Server, *obs.SpanRing, *obs.Flight) {
+func serveObs(addr, process string, pprofOn bool) (*obs.Registry, *obs.Server, *obs.SpanRing, *obs.Flight) {
 	if addr == "" {
 		return nil, nil, nil, nil
 	}
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	spans := obs.NewSpanRing(process, 0)
 	flight := obs.NewFlight(process, 0)
 	srv, err := obs.ServeObs(addr, obs.ServeConfig{
@@ -197,7 +116,7 @@ func runTopology(path string, id int, recoverOpt bool, recoverTO time.Duration, 
 	if metricsAt == "" {
 		metricsAt = topo.MetricsAddr(self)
 	}
-	reg, srv, spans, flight := serveObs(metricsAt, fmt.Sprintf("replica-%d", id), nil, pprofOn || topo.Pprof)
+	reg, srv, spans, flight := serveObs(metricsAt, fmt.Sprintf("replica-%d", id), pprofOn || topo.Pprof)
 	ep.SetMetrics(transport.NewTCPMetrics(reg))
 	ep.SetFlight(flight)
 	logger := newReplicaLogger(id)

@@ -1,30 +1,24 @@
-// Package aardvark implements the Aardvark robust BFT baseline (Clement et
-// al.) used in §6: PBFT hardened against Byzantine clients and replicas by
-// (1) validating and blacklisting misbehaving clients, (2) isolating and
-// policing per-client traffic so floods cannot starve replica-to-replica
-// communication, and (3) monitoring the primary's ordering throughput against
-// an adaptive expectation and changing views when the primary underperforms.
+// Package aardvark implements the part of the Aardvark robust BFT protocol
+// (Clement et al.) that R-Aliph uses in §6: monitoring the primary's ordering
+// throughput against an adaptive expectation and changing views when the
+// primary underperforms. Aardvark's client blacklisting and per-client
+// traffic policing are not modelled.
 //
-// The package provides both a standalone replica/client pair (the Table IV
-// baseline) and an ordering-engine factory that R-Aliph plugs into Backup
-// (Principle P1 of §6.3). The physical NIC-per-replica isolation of the
-// original system is modelled by per-client rate policing, which preserves
-// the property the paper relies on: a flooding client or replica cannot
-// prevent correct replicas from making progress.
+// The package provides the primary Monitor and an ordering-engine factory
+// (Orderer) that R-Aliph plugs into Backup (Principle P1 of §6.3): a PBFT
+// engine whose primary is replaced when its throughput falls below the
+// monitor's expectation.
 package aardvark
 
 import (
 	"time"
 
-	"abstractbft/internal/app"
-	"abstractbft/internal/authn"
 	"abstractbft/internal/backup"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/pbft"
-	"abstractbft/internal/transport"
 )
 
 // MonitorConfig tunes the primary throughput monitoring.
@@ -122,125 +116,6 @@ func (m *Monitor) Observe(e *pbft.Engine) bool {
 	}
 	return false
 }
-
-// ClientPolicer implements Aardvark's client-facing defenses: it blacklists
-// clients that send malformed (unauthenticable) requests and rate-limits
-// flooding clients.
-type ClientPolicer struct {
-	// MaxInvalid is the number of malformed requests after which a client is
-	// blacklisted.
-	MaxInvalid int
-	// MaxPerWindow caps the requests accepted per client per window.
-	MaxPerWindow int
-	// Window is the policing window.
-	Window time.Duration
-
-	invalid  map[ids.ProcessID]int
-	count    map[ids.ProcessID]int
-	windowAt time.Time
-	now      func() time.Time
-}
-
-// NewClientPolicer creates a policer with sensible defaults.
-func NewClientPolicer() *ClientPolicer {
-	return &ClientPolicer{
-		MaxInvalid:   3,
-		MaxPerWindow: 2000,
-		Window:       100 * time.Millisecond,
-		invalid:      make(map[ids.ProcessID]int),
-		count:        make(map[ids.ProcessID]int),
-		now:          time.Now,
-	}
-}
-
-// Admit reports whether a request from the client should be processed.
-func (p *ClientPolicer) Admit(client ids.ProcessID) bool {
-	now := p.now()
-	if p.windowAt.IsZero() || now.Sub(p.windowAt) > p.Window {
-		p.windowAt = now
-		p.count = make(map[ids.ProcessID]int)
-	}
-	if p.invalid[client] >= p.MaxInvalid {
-		return false
-	}
-	p.count[client]++
-	return p.count[client] <= p.MaxPerWindow
-}
-
-// RecordInvalid notes that the client sent a malformed request.
-func (p *ClientPolicer) RecordInvalid(client ids.ProcessID) { p.invalid[client]++ }
-
-// ReplicaConfig configures a standalone Aardvark replica.
-type ReplicaConfig struct {
-	Cluster           ids.Cluster
-	Replica           ids.ProcessID
-	Keys              *authn.KeyStore
-	App               app.Application
-	Endpoint          transport.Endpoint
-	BatchSize         int
-	ViewChangeTimeout time.Duration
-	Monitor           MonitorConfig
-	Ops               *authn.OpCounter
-}
-
-// NewReplica builds a standalone Aardvark replica: a PBFT replica with the
-// robust policies installed.
-func NewReplica(cfg ReplicaConfig) *pbft.Replica {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.ViewChangeTimeout <= 0 {
-		cfg.ViewChangeTimeout = 500 * time.Millisecond
-	}
-	monitor := NewMonitor(cfg.Monitor)
-	policer := NewClientPolicer()
-	keys := cfg.Keys
-	self := cfg.Replica
-	ops := cfg.Ops
-	pcfg := pbft.ReplicaConfig{
-		Cluster:           cfg.Cluster,
-		Replica:           cfg.Replica,
-		Keys:              cfg.Keys,
-		App:               cfg.App,
-		Endpoint:          cfg.Endpoint,
-		BatchSize:         cfg.BatchSize,
-		ViewChangeTimeout: cfg.ViewChangeTimeout,
-		Ops:               cfg.Ops,
-		RequestFilter: func(from ids.ProcessID, req *pbft.Request) bool {
-			if !policer.Admit(req.Req.Client) {
-				return false
-			}
-			// Aardvark verifies the client's credentials before the request
-			// enters the ordering path and blacklists clients whose
-			// authentication fails.
-			ops.CountMACVerify(self, 1)
-			if err := keys.Verify(req.Auth, self, requestAuthBytes(req.Req)); err != nil {
-				policer.RecordInvalid(req.Req.Client)
-				return false
-			}
-			return true
-		},
-		AfterDeliver: func(e *pbft.Engine, batch []msg.Request) {
-			monitor.RecordDelivery(len(batch))
-		},
-		OnTick: func(e *pbft.Engine) {
-			if monitor.Observe(e) {
-				e.StartViewChange(e.View() + 1)
-			}
-		},
-	}
-	return pbft.NewReplica(pcfg)
-}
-
-// requestAuthBytes mirrors the standalone PBFT client authentication data.
-func requestAuthBytes(req msg.Request) []byte {
-	d := req.Digest()
-	return d[:]
-}
-
-// NewClient creates a client for the standalone Aardvark deployment (the
-// request/reply protocol is PBFT's).
-func NewClient(cfg pbft.ClientConfig) *pbft.Client { return pbft.NewClient(cfg) }
 
 // orderer adapts a monitored PBFT engine to backup.Orderer for R-Aliph.
 type orderer struct {

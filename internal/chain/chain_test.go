@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -68,6 +69,41 @@ func (tc *testCluster) clientEnv(i int) core.ClientEnv {
 		RetryInterval: 10 * time.Millisecond,
 		Checker:       tc.checker,
 	}
+}
+
+// clientMessage builds the instance-1 CHAIN message a client sends to the
+// head for req, authenticated toward the first f+1 replicas.
+func clientMessage(env core.ClientEnv, req msg.Request) *Message {
+	ca := env.Keys.AppendChainMACs(authn.ChainAuthenticator{}, env.ID, env.Cluster.ChainSuccessorSet(env.ID), ClientAuthBytes(1, req))
+	return &Message{Instance: 1, Req: req, CA: ca}
+}
+
+// applied returns every replica's applied-request count.
+func (tc *testCluster) applied() []uint64 {
+	out := make([]uint64, len(tc.hosts))
+	for i, h := range tc.hosts {
+		out[i] = h.AppliedRequests()
+	}
+	return out
+}
+
+// commitOne commits one request of client 0 through the client protocol and
+// waits until the last f+1 replicas executed it.
+func (tc *testCluster) commitOne(t *testing.T, env core.ClientEnv) msg.Request {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req := msg.Request{Client: env.ID, Timestamp: 1, Command: []byte("once")}
+	if out, err := NewClient(env, 1).Invoke(ctx, req, nil); err != nil || !out.Committed {
+		t.Fatalf("invoke: committed=%v err=%v", out.Committed, err)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, h := range tc.hosts[2*tc.cluster.F:] {
+		for h.AppliedRequests() < 1 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	return req
 }
 
 // TestChainCommitsInCommonCase drives the full pipeline — head batch
@@ -171,10 +207,7 @@ func TestChainBatchDuplicateTimestampWithinOneWindow(t *testing.T) {
 	defer cancel()
 
 	req := msg.Request{Client: env.ID, Timestamp: 1, Command: []byte("dup")}
-	ca := authn.ChainAuthenticator{}
-	succ := env.Cluster.ChainSuccessorSet(env.ID)
-	ca = env.Keys.AppendChainMACs(ca, env.ID, succ, ClientAuthBytes(1, req))
-	m := &Message{Instance: 1, Req: req, CA: ca}
+	m := clientMessage(env, req)
 	env.Endpoint.Send(env.Cluster.Head(), m)
 	env.Endpoint.Send(env.Cluster.Head(), m)
 
@@ -266,5 +299,55 @@ func TestChainDuplicateBatchServesCachedReplies(t *testing.T) {
 			return
 		case <-time.After(50 * time.Millisecond):
 		}
+	}
+}
+
+// TestChainHeadIgnoresClientSequencedMessage: a client cannot assign its own
+// position. A client-built Message carrying a sequence number, sent to the
+// head at the next free position, must be neither logged nor executed.
+func TestChainHeadIgnoresClientSequencedMessage(t *testing.T) {
+	tc := newTestCluster(t, 1, host.BatchPolicy{MaxBatch: 1})
+	env := tc.clientEnv(0)
+	tc.commitOne(t, env)
+	before := tc.applied()
+
+	req := msg.Request{Client: env.ID, Timestamp: 2, Command: []byte("self-ordered")}
+	m := clientMessage(env, req)
+	m.HasSeq = true
+	m.Seq = tc.hosts[0].InstanceStateFor(1).AbsLen()
+	env.Endpoint.Send(tc.cluster.Head(), m)
+
+	// The assertion is that nothing happens, so there is no event to wait
+	// on: give the chain ample time to act on the message.
+	time.Sleep(200 * time.Millisecond)
+	if after := tc.applied(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Fatalf("applied requests per replica went %v -> %v after a client-sequenced message", before, after)
+	}
+}
+
+// TestChainHeadDropsDuplicateRequest: a committed request re-sent to the
+// head is dropped there. It sends no replica-to-replica Message and executes
+// nowhere a second time.
+func TestChainHeadDropsDuplicateRequest(t *testing.T) {
+	tc := newTestCluster(t, 1, host.BatchPolicy{MaxBatch: 1})
+	var relayed atomic.Int64
+	tc.net.AddFilter(func(env transport.Envelope) bool {
+		if _, ok := env.Payload.(*Message); ok && env.From.IsReplica() && env.To.IsReplica() {
+			relayed.Add(1)
+		}
+		return true
+	})
+	env := tc.clientEnv(0)
+	req := tc.commitOne(t, env)
+	before := tc.applied()
+
+	env.Endpoint.Send(tc.cluster.Head(), clientMessage(env, req))
+
+	time.Sleep(200 * time.Millisecond)
+	if n := relayed.Load(); n != 0 {
+		t.Errorf("%d replica-to-replica Messages after a duplicate request, want 0", n)
+	}
+	if after := tc.applied(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("applied requests per replica went %v -> %v after a duplicate request", before, after)
 	}
 }

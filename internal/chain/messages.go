@@ -18,18 +18,18 @@ import (
 	"abstractbft/internal/msg"
 )
 
-// Message is the CHAIN message that travels along the pipeline (Steps C1–C4).
-// The client creates it with its chain authenticator; every replica verifies
-// the MACs of its predecessor set, updates the fields its position is
-// responsible for, prunes and extends the chain authenticator, and forwards
-// the message to its successor (the tail forwards it to the client).
+// Message is the CHAIN message of one client request at the two ends of the
+// pipeline: the client sends it to the head with its chain authenticator
+// (Step C1), and the tail answers with it, filled in with the request's
+// position, reply and the last f+1 replicas' MACs (Step C4). Between
+// replicas, requests travel as BatchMessage.
 type Message struct {
 	Instance core.InstanceID
 	Req      msg.Request
-	// Seq is the position assigned by the head; zero before the head
-	// processes the message.
+	// Seq is the request's position, set on the tail's reply.
 	Seq uint64
-	// HasSeq distinguishes an unassigned sequence number from position 0.
+	// HasSeq marks a reply: it distinguishes an unassigned sequence number
+	// from position 0, and the head accepts only messages without it.
 	HasSeq bool
 	// ReplyDigest is D(reply), set by the last f+1 replicas.
 	ReplyDigest authn.Digest
@@ -63,8 +63,8 @@ func (m *Message) RequestTimestamp() uint64 { return m.Req.Timestamp }
 // head coalesces client requests under the host's batch policy and forwards
 // the whole batch down the pipeline, each replica authenticating the batch to
 // its successor set with one set of MACs instead of one per request. The tail
-// fans the batch back out as one legacy Message per client, so the client
-// protocol (Step C1/C4) is unchanged.
+// fans the batch back out as one Message per request, so the client protocol
+// (Step C1/C4) is unchanged.
 type BatchMessage struct {
 	Instance core.InstanceID
 	// Batch holds the ordered requests; request i occupies position Seq+i.
@@ -108,17 +108,6 @@ func ClientAuthBytes(instance core.InstanceID, req msg.Request) []byte {
 	return buf[:]
 }
 
-// OrderAuthBytes returns the bytes authenticated by the first 2f replicas:
-// instance, request digest, and the sequence number assigned by the head.
-func OrderAuthBytes(instance core.InstanceID, req msg.Request, seq uint64) []byte {
-	var buf [16 + authn.DigestSize]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	binary.BigEndian.PutUint64(buf[8:16], seq)
-	d := req.Digest()
-	copy(buf[16:], d[:])
-	return buf[:]
-}
-
 // TailAuthBytes returns the bytes authenticated by the last f+1 replicas
 // (and verified by the client): instance, request digest, sequence number,
 // reply digest, and local-history digest.
@@ -133,10 +122,10 @@ func TailAuthBytes(instance core.InstanceID, req msg.Request, seq uint64, replyD
 	return buf
 }
 
-// batchOrderAuthBytes returns the batch-level bytes authenticated by the
+// batchOrderBytes returns the batch-level bytes authenticated by the
 // first 2f replicas: instance, the position of the batch's first request, and
 // the batch digest (computed once per hop by the caller).
-func batchOrderAuthBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64) []byte {
+func batchOrderBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64) []byte {
 	var buf [16 + authn.DigestSize]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
 	binary.BigEndian.PutUint64(buf[8:16], seq)
@@ -144,11 +133,11 @@ func batchOrderAuthBytes(instance core.InstanceID, batchDigest authn.Digest, seq
 	return buf[:]
 }
 
-// batchTailAuthBytes returns the batch-level bytes authenticated by the last
+// batchTailBytes returns the batch-level bytes authenticated by the last
 // f+1 replicas toward their replica successors: instance, sequence, batch
 // digest (computed once per hop by the caller), the fold of the per-request
 // reply digests, and the post-batch local-history digest.
-func batchTailAuthBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64, replyDigests []authn.Digest, historyDigest authn.Digest) []byte {
+func batchTailBytes(instance core.InstanceID, batchDigest authn.Digest, seq uint64, replyDigests []authn.Digest, historyDigest authn.Digest) []byte {
 	parts := make([][]byte, 0, len(replyDigests))
 	for i := range replyDigests {
 		parts = append(parts, replyDigests[i][:])

@@ -35,9 +35,6 @@ type Replica struct {
 	index int
 	// batcher coalesces client requests at the head (Step C2).
 	batcher *host.Batcher
-	// pending buffers legacy single-request messages that arrived ahead of
-	// the next expected sequence number.
-	pending map[uint64]*Message
 	// pendingBatch buffers batches that arrived ahead of the next expected
 	// sequence number.
 	pendingBatch map[uint64]*BatchMessage
@@ -56,7 +53,6 @@ func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 			st:           st,
 			cfg:          cfg,
 			index:        h.Cluster().Pos(h.ID()),
-			pending:      make(map[uint64]*Message),
 			pendingBatch: make(map[uint64]*BatchMessage),
 		}
 		r.batcher = h.NewBatcher(r.orderBatch)
@@ -74,38 +70,28 @@ func (r *Replica) isTail() bool { return r.index == r.h.Cluster().N-1 }
 // which execute requests and authenticate replies.
 func (r *Replica) executes() bool { return r.index >= 2*r.h.Cluster().F }
 
-// Handle implements host.ProtocolReplica.
+// Handle implements host.ProtocolReplica. Replicas relay only batches; a
+// Message is a client request, accepted at the head and only before a
+// position is assigned to it.
 func (r *Replica) Handle(from ids.ProcessID, m any) {
 	switch t := m.(type) {
 	case *Message:
-		r.handleSingle(from, t)
+		if r.isHead() && !t.HasSeq {
+			r.onClientRequest(from, t)
+		}
 	case *BatchMessage:
 		r.onBatchForwarded(from, t)
 	}
-}
-
-// handleSingle processes a legacy single-request CHAIN message: a client
-// request at the head (which feeds the batch assembler) or a retransmitted /
-// duplicate message travelling the chain.
-func (r *Replica) handleSingle(from ids.ProcessID, cm *Message) {
-	if r.cfg.Feedback != nil && len(cm.Feedback) > 0 && r.isHead() {
-		r.cfg.Feedback.ClientFeedback(r.h.ID(), cm.Req.Client, cm.Feedback, []uint64{cm.Req.Timestamp})
-	}
-	if r.st.Stopped {
-		return
-	}
-	if r.isHead() && !cm.HasSeq {
-		r.onClientRequest(from, cm)
-		return
-	}
-	r.onForwarded(from, cm)
 }
 
 // onClientRequest implements Step C2 at the head: verify the client MAC and
 // hand the request to the batch assembler, which flushes whole batches into
 // orderBatch under the size/delay policy.
 func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
-	if !from.IsClient() || from != m.Req.Client {
+	if r.cfg.Feedback != nil && len(m.Feedback) > 0 {
+		r.cfg.Feedback.ClientFeedback(r.h.ID(), m.Req.Client, m.Feedback, []uint64{m.Req.Timestamp})
+	}
+	if r.st.Stopped || !from.IsClient() || from != m.Req.Client {
 		return
 	}
 	r.h.Ops().CountMACVerify(r.h.ID(), 1)
@@ -119,9 +105,7 @@ func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
 	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
 		// Duplicate (per the instance window, or per the host's applied
 		// window for requests committed before this instance's init history
-		// reaches): forward with the duplicate flag semantics (no new
-		// position) so the tail can resend the cached reply.
-		r.forwardDuplicate(m)
+		// reaches): dropped; the client's retry or panic timer recovers it.
 		return
 	}
 	r.batcher.Add(host.BatchItem{Req: m.Req, CA: m.CA, Init: m.Init})
@@ -287,8 +271,8 @@ func (r *Replica) fillBatchExecution(out *BatchMessage, replies [][]byte) {
 	}
 }
 
-// replyBatch fans a processed batch back out to the clients: one legacy
-// Message per request, carrying the full reply and the chain-authenticator
+// replyBatch fans a processed batch back out to the clients: one Message
+// per request, carrying the full reply and the chain-authenticator
 // entries of the last f+1 replicas, so Step C4 at the client is unchanged.
 func (r *Replica) replyBatch(out *BatchMessage, replies [][]byte) {
 	byClient := make(map[ids.ProcessID][]any, len(out.Batch.Requests))
@@ -346,9 +330,9 @@ func (r *Replica) downstreamReplicas() []ids.ProcessID {
 // and history digests. bd is the precomputed batch digest.
 func (r *Replica) batchAuthBytesFor(p ids.ProcessID, m *BatchMessage, bd authn.Digest) []byte {
 	if r.h.Cluster().Pos(p) < 2*r.h.Cluster().F {
-		return batchOrderAuthBytes(m.Instance, bd, m.Seq)
+		return batchOrderBytes(m.Instance, bd, m.Seq)
 	}
-	return batchTailAuthBytes(m.Instance, bd, m.Seq, m.ReplyDigests, m.HistoryDigest)
+	return batchTailBytes(m.Instance, bd, m.Seq, m.ReplyDigests, m.HistoryDigest)
 }
 
 // verifyBatchPredecessors checks the batch-level MACs from every replica in
@@ -372,12 +356,12 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 		var data []byte
 		if cl.Pos(p) < 2*cl.F {
 			if orderBytes == nil {
-				orderBytes = batchOrderAuthBytes(m.Instance, bd, m.Seq)
+				orderBytes = batchOrderBytes(m.Instance, bd, m.Seq)
 			}
 			data = orderBytes
 		} else {
 			if tailBytes == nil {
-				tailBytes = batchTailAuthBytes(m.Instance, bd, m.Seq, m.ReplyDigests, m.HistoryDigest)
+				tailBytes = batchTailBytes(m.Instance, bd, m.Seq, m.ReplyDigests, m.HistoryDigest)
 			}
 			data = tailBytes
 		}
@@ -389,61 +373,15 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 	return nil
 }
 
-// onForwarded handles legacy single-request traffic at non-head positions:
-// retransmitted or duplicate messages whose position is already logged; the
-// tail resends the cached reply. Fresh ordering travels as BatchMessage.
-func (r *Replica) onForwarded(from ids.ProcessID, m *Message) {
-	pred, hasPred := r.h.Cluster().ChainPredecessor(r.h.ID())
-	if hasPred && from != pred {
-		return
-	}
-	if !m.HasSeq {
-		return
-	}
-	if err := r.verifyPredecessors(m); err != nil {
-		return
-	}
-	r.trackLoad(m.Req.Client)
-	if r.st.Stopped {
-		return
-	}
-	if m.Seq > r.st.AbsLen() {
-		if r.pendingRequests()+1 <= maxPendingRequests {
-			r.pending[m.Seq] = m
-		}
-		return
-	}
-	if m.Seq < r.st.AbsLen() || !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) {
-		r.forwardDuplicate(m)
-		return
-	}
-	r.process(m)
-	r.drainPending()
-}
-
-// process logs (and for the last f+1 replicas executes) one in-order legacy
-// message and forwards it.
-func (r *Replica) process(m *Message) {
-	if _, ok := r.h.Log(r.st, m.Req); !ok {
-		return
-	}
-	out := *m
-	if r.executes() {
-		reply := r.h.Execute(r.st, m.Req)
-		r.fillExecution(&out, reply)
-	}
-	r.forward(&out)
-}
-
 // maxPendingRequests bounds the total requests buffered out of order per
-// instance (across both the batch and legacy buffers).
+// instance.
 const maxPendingRequests = 1024
 
 // pendingRequests returns the number of requests currently buffered out of
-// order; the buffers are small (bounded by maxPendingRequests), so summing
-// on demand is cheap.
+// order; the buffer is small (bounded by maxPendingRequests), so summing on
+// demand is cheap.
 func (r *Replica) pendingRequests() int {
-	n := len(r.pending)
+	n := 0
 	for _, m := range r.pendingBatch {
 		n += m.Batch.Len()
 	}
@@ -451,132 +389,22 @@ func (r *Replica) pendingRequests() int {
 }
 
 func (r *Replica) drainPending() {
-	for {
-		if r.st.Stopped {
-			return
-		}
+	for !r.st.Stopped {
 		// Evict spans overtaken by the history (they can never match the
-		// exact next position again) from both buffers, so stale entries
-		// cannot exhaust the caps.
+		// exact next position again), so stale entries cannot exhaust the
+		// cap.
 		for seq := range r.pendingBatch {
 			if seq < r.st.AbsLen() {
 				delete(r.pendingBatch, seq)
 			}
 		}
-		for seq := range r.pending {
-			if seq < r.st.AbsLen() {
-				delete(r.pending, seq)
-			}
-		}
-		if next, ok := r.pendingBatch[r.st.AbsLen()]; ok {
-			delete(r.pendingBatch, next.Seq)
-			r.processBatch(next, next.Batch.Digest())
-			continue
-		}
-		next, ok := r.pending[r.st.AbsLen()]
+		next, ok := r.pendingBatch[r.st.AbsLen()]
 		if !ok {
 			return
 		}
-		delete(r.pending, r.st.AbsLen())
-		if !r.st.TimestampFresh(next.Req.Client, next.Req.Timestamp) {
-			r.forwardDuplicate(next)
-			continue
-		}
-		r.process(next)
+		delete(r.pendingBatch, next.Seq)
+		r.processBatch(next, next.Batch.Digest())
 	}
-}
-
-// fillExecution sets the reply and history fields a last-f+1 replica is
-// responsible for on a legacy message.
-func (r *Replica) fillExecution(out *Message, reply []byte) {
-	out.ReplyDigest = authn.Hash(reply)
-	out.HistoryDigest = r.st.HistoryDigest()
-	if r.isTail() {
-		out.Reply = reply
-		if r.h.InstrumentHistories() {
-			out.HistoryDigests = r.st.Digests.Clone()
-		}
-	} else {
-		out.Reply = nil
-	}
-}
-
-// forwardDuplicate pushes an already-logged request down the chain so the
-// tail can resend the cached reply; nothing is logged or executed again.
-func (r *Replica) forwardDuplicate(m *Message) {
-	out := *m
-	if r.executes() {
-		if reply, ok := r.h.CachedReply(m.Req.Client, m.Req.Timestamp); ok {
-			r.fillExecution(&out, reply)
-		}
-	}
-	r.forward(&out)
-}
-
-// forward appends this replica's chain-authenticator MACs and sends the
-// legacy message to the successor (or to the client when this is the tail).
-func (r *Replica) forward(out *Message) {
-	successors := r.h.Cluster().ChainSuccessorSet(r.h.ID())
-	data := r.authBytesFor(r.h.ID(), out)
-	// Prune entries that are no longer needed downstream, then append ours.
-	keep := append([]ids.ProcessID{}, successors...)
-	keep = append(keep, r.downstreamReplicas()...)
-	keep = append(keep, out.Req.Client)
-	out.CA = authn.PruneChain(out.CA, keep)
-	out.CA = r.h.Keys().AppendChainMACs(out.CA, r.h.ID(), successors, data)
-	r.h.Ops().CountMACGen(r.h.ID(), len(successors))
-	if r.executes() && !r.isTail() {
-		// Replicas after position 2f also authenticate towards the client.
-		out.CA = r.h.Keys().AppendChainMACs(out.CA, r.h.ID(), []ids.ProcessID{out.Req.Client}, data)
-		r.h.Ops().CountMACGen(r.h.ID(), 1)
-	}
-	if r.isTail() {
-		out.CA = r.h.Keys().AppendChainMACs(out.CA, r.h.ID(), []ids.ProcessID{out.Req.Client}, data)
-		r.h.Ops().CountMACGen(r.h.ID(), 1)
-		r.h.Send(out.Req.Client, out)
-		return
-	}
-	succ, _ := r.h.Cluster().ChainSuccessor(r.h.ID())
-	r.h.Send(succ, out)
-}
-
-// authBytesFor returns the bytes process p authenticates for a legacy
-// message, which depend on p's position in the chain: the client signs the
-// request and instance, the first 2f replicas additionally sign the sequence
-// number, and the last f+1 replicas also sign the reply and history digests.
-func (r *Replica) authBytesFor(p ids.ProcessID, m *Message) []byte {
-	cl := r.h.Cluster()
-	switch {
-	case p.IsClient():
-		return ClientAuthBytes(m.Instance, m.Req)
-	case cl.Pos(p) < 2*cl.F:
-		return OrderAuthBytes(m.Instance, m.Req, m.Seq)
-	default:
-		return TailAuthBytes(m.Instance, m.Req, m.Seq, m.ReplyDigest, m.HistoryDigest)
-	}
-}
-
-// verifyPredecessors checks the chain-authenticator MACs from every process
-// in this replica's predecessor set on a legacy message.
-func (r *Replica) verifyPredecessors(m *Message) error {
-	cl := r.h.Cluster()
-	preds := cl.ChainPredecessorSet(r.h.ID())
-	// The client belongs to the predecessor set of the first f+1 replicas.
-	if r.index < cl.F+1 {
-		if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{m.Req.Client}, ClientAuthBytes(m.Instance, m.Req)); err != nil {
-			r.h.Ops().CountMACVerify(r.h.ID(), 1)
-			return err
-		}
-		r.h.Ops().CountMACVerify(r.h.ID(), 1)
-	}
-	for _, p := range preds {
-		data := r.authBytesFor(p, m)
-		r.h.Ops().CountMACVerify(r.h.ID(), 1)
-		if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{p}, data); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // trackLoad implements the low-load detection used by Aliph: when only one

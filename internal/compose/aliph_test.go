@@ -1,4 +1,4 @@
-package aliph_test
+package compose_test
 
 import (
 	"context"
@@ -7,44 +7,18 @@ import (
 	"testing"
 	"time"
 
-	"abstractbft/internal/aliph"
 	"abstractbft/internal/app"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
-	"abstractbft/internal/deploy"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
-
-func newCluster(t *testing.T, f int, checker *core.SpecChecker, opts aliph.Options) *deploy.Cluster {
-	t.Helper()
-	if opts.ViewChangeTimeout == 0 {
-		opts.ViewChangeTimeout = 300 * time.Millisecond
-	}
-	c, err := deploy.New(deploy.Config{
-		F:      f,
-		NewApp: func() app.Application { return app.NewCounter() },
-		NewReplicaFactory: func(cluster ids.Cluster) host.ProtocolFactory {
-			return aliph.ReplicaFactory(cluster, opts)
-		},
-		NewInstanceFactory:  aliph.InstanceFactory,
-		Delta:               25 * time.Millisecond,
-		InstrumentHistories: true,
-		Checker:             checker,
-		TickInterval:        10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
-	t.Cleanup(c.Stop)
-	return c
-}
 
 // TestAliphSingleClientUsesQuorum: without contention or failures, Quorum
 // commits everything and no switching happens.
 func TestAliphSingleClientUsesQuorum(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker, aliph.Options{})
+	c := deployComposition(t, "aliph", compose.Options{}, newCounter, checker)
 	client, err := c.NewClient(0)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +44,7 @@ func TestAliphSingleClientUsesQuorum(t *testing.T) {
 // every request exactly once.
 func TestAliphContentionSwitchesToChain(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker, aliph.Options{})
+	c := deployComposition(t, "aliph", compose.Options{}, newCounter, checker)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -126,7 +100,7 @@ func TestAliphContentionSwitchesToChain(t *testing.T) {
 // Chain can commit; Backup (PBFT) must take over and keep the service live.
 func TestAliphCrashFallsBackToBackup(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker, aliph.Options{})
+	c := deployComposition(t, "aliph", compose.Options{}, newCounter, checker)
 	client, err := c.NewClient(0)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +128,7 @@ func TestAliphCrashFallsBackToBackup(t *testing.T) {
 // composition back to Quorum via a one-request Backup.
 func TestAliphLowLoadReturnsToQuorum(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker, aliph.Options{LowLoadAfter: 300 * time.Millisecond})
+	c := deployComposition(t, "aliph", compose.Options{LowLoadAfter: 300 * time.Millisecond}, newCounter, checker)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
@@ -185,6 +159,7 @@ func TestAliphLowLoadReturnsToQuorum(t *testing.T) {
 	// Phase 2: a single client keeps issuing requests; after LowLoadAfter the
 	// Chain replicas stop with the low-load flag and the composition returns
 	// to Quorum. The client must keep committing throughout.
+	spec := compose.MustParse("aliph")
 	solo, err := c.NewClient(5)
 	if err != nil {
 		t.Fatal(err)
@@ -196,30 +171,15 @@ func TestAliphLowLoadReturnsToQuorum(t *testing.T) {
 			t.Fatalf("phase2 invoke %d: %v", ts, err)
 		}
 		time.Sleep(5 * time.Millisecond)
-		if solo.ActiveInstance() > start && aliph.RoleOf(solo.ActiveInstance()) == aliph.RoleQuorum {
+		if solo.ActiveInstance() > start && spec.ProtocolAt(solo.ActiveInstance()) == "quorum" {
 			break
 		}
 	}
-	if aliph.RoleOf(solo.ActiveInstance()) != aliph.RoleQuorum {
-		t.Errorf("composition did not return to Quorum under low load (active role %v, instance %d)",
-			aliph.RoleOf(solo.ActiveInstance()), solo.ActiveInstance())
+	if spec.ProtocolAt(solo.ActiveInstance()) != "quorum" {
+		t.Errorf("composition did not return to Quorum under low load (active protocol %q, instance %d)",
+			spec.ProtocolAt(solo.ActiveInstance()), solo.ActiveInstance())
 	}
 	if errs := checker.Check(); len(errs) > 0 {
 		t.Fatalf("specification violations: %v", errs)
-	}
-}
-
-func TestRoleOf(t *testing.T) {
-	want := map[core.InstanceID]aliph.Role{
-		1: aliph.RoleQuorum, 2: aliph.RoleChain, 3: aliph.RoleBackup,
-		4: aliph.RoleQuorum, 5: aliph.RoleChain, 6: aliph.RoleBackup,
-	}
-	for id, role := range want {
-		if got := aliph.RoleOf(id); got != role {
-			t.Errorf("RoleOf(%d) = %v, want %v", id, got, role)
-		}
-	}
-	if aliph.BackupIndex(3) != 0 || aliph.BackupIndex(6) != 1 || aliph.BackupIndex(9) != 2 {
-		t.Errorf("BackupIndex wrong")
 	}
 }

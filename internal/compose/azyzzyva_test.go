@@ -1,4 +1,4 @@
-package azyzzyva_test
+package compose_test
 
 import (
 	"context"
@@ -7,38 +7,15 @@ import (
 	"time"
 
 	"abstractbft/internal/app"
-	"abstractbft/internal/azyzzyva"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
-	"abstractbft/internal/deploy"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
 
-func newCluster(t *testing.T, f int, checker *core.SpecChecker) *deploy.Cluster {
-	t.Helper()
-	c, err := deploy.New(deploy.Config{
-		F:      f,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(cluster ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(cluster, azyzzyva.Options{ViewChangeTimeout: 300 * time.Millisecond})
-		},
-		NewInstanceFactory:  azyzzyva.InstanceFactory,
-		Delta:               25 * time.Millisecond,
-		InstrumentHistories: true,
-		Checker:             checker,
-		TickInterval:        10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatalf("deploy: %v", err)
-	}
-	t.Cleanup(c.Stop)
-	return c
-}
-
 func TestAZyzzyvaCommonCase(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker)
+	c := deployComposition(t, "azyzzyva", compose.Options{}, newKVStore, checker)
 	client, err := c.NewClient(0)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +47,7 @@ func TestAZyzzyvaCommonCase(t *testing.T) {
 // Backup (PBFT), which commits with only 2f+1 live replicas.
 func TestAZyzzyvaSwitchesToBackupOnCrash(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker)
+	c := deployComposition(t, "azyzzyva", compose.Options{}, newKVStore, checker)
 	client, err := c.NewClient(0)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +109,7 @@ func TestAZyzzyvaSwitchesToBackupOnCrash(t *testing.T) {
 // keeps committing.
 func TestAZyzzyvaRecoversBackToZLight(t *testing.T) {
 	checker := core.NewSpecChecker()
-	c := newCluster(t, 1, checker)
+	c := deployComposition(t, "azyzzyva", compose.Options{}, newKVStore, checker)
 	client, err := c.NewClient(0)
 	if err != nil {
 		t.Fatal(err)
@@ -160,24 +137,5 @@ func TestAZyzzyvaRecoversBackToZLight(t *testing.T) {
 	}
 	if errs := checker.Check(); len(errs) > 0 {
 		t.Fatalf("specification violations: %v", errs)
-	}
-}
-
-func TestBackupIndex(t *testing.T) {
-	cases := map[core.InstanceID]int{2: 0, 4: 1, 6: 2, 8: 3}
-	for id, want := range cases {
-		if got := azyzzyva.BackupIndex(id); got != want {
-			t.Errorf("BackupIndex(%d) = %d, want %d", id, got, want)
-		}
-	}
-	for _, id := range []core.InstanceID{1, 3, 5, 7} {
-		if !azyzzyva.IsZLight(id) {
-			t.Errorf("instance %d should be ZLight", id)
-		}
-	}
-	for _, id := range []core.InstanceID{2, 4, 6} {
-		if azyzzyva.IsZLight(id) {
-			t.Errorf("instance %d should be Backup", id)
-		}
 	}
 }

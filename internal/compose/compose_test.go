@@ -48,18 +48,35 @@ func TestParseDSL(t *testing.T) {
 }
 
 func TestParseRegisteredNames(t *testing.T) {
-	for name, dsl := range map[string]string{
-		"aliph":               "quorum,chain,backup",
-		"azyzzyva":            "zlight,backup",
-		"zlight-chain-backup": "zlight,chain,backup",
-		"chain-backup":        "chain,backup",
+	for name, want := range map[string]struct {
+		dsl string
+		// protocols maps instance numbers to the protocol each runs.
+		protocols map[core.InstanceID]string
+	}{
+		"aliph": {"quorum,chain,backup", map[core.InstanceID]string{
+			1: "quorum", 2: "chain", 3: "backup", 4: "quorum", 5: "chain", 6: "backup",
+		}},
+		"azyzzyva": {"zlight,backup", map[core.InstanceID]string{
+			1: "zlight", 2: "backup", 3: "zlight", 4: "backup", 5: "zlight", 6: "backup", 7: "zlight",
+		}},
+		"zlight-chain-backup": {"zlight,chain,backup", map[core.InstanceID]string{
+			1: "zlight", 2: "chain", 3: "backup", 4: "zlight",
+		}},
+		"chain-backup": {"chain,backup", map[core.InstanceID]string{
+			1: "chain", 2: "backup", 3: "chain",
+		}},
 	} {
 		spec, err := compose.Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
 		}
-		if spec.String() != dsl {
-			t.Errorf("Parse(%q) = %q, want %q", name, spec.String(), dsl)
+		if spec.String() != want.dsl {
+			t.Errorf("Parse(%q) = %q, want %q", name, spec.String(), want.dsl)
+		}
+		for id, proto := range want.protocols {
+			if got := spec.ProtocolAt(id); got != proto {
+				t.Errorf("%s.ProtocolAt(%d) = %q, want %q", name, id, got, proto)
+			}
 		}
 	}
 	if names := compose.SpecNames(); len(names) < 4 {
@@ -70,9 +87,8 @@ func TestParseRegisteredNames(t *testing.T) {
 	}
 }
 
-// TestStrongIndex: the exponential K policy's input is derived from the
-// schedule, matching the role maps the composition packages used to
-// hardcode.
+// TestStrongIndex: the exponential K policy's input (how many Backups
+// preceded an instance) is derived from the schedule.
 func TestStrongIndex(t *testing.T) {
 	aliph := compose.MustParse("aliph")
 	for id, want := range map[core.InstanceID]int{3: 0, 6: 1, 9: 2, 1: 0, 4: 1} {
@@ -81,7 +97,7 @@ func TestStrongIndex(t *testing.T) {
 		}
 	}
 	azy := compose.MustParse("azyzzyva")
-	for id, want := range map[core.InstanceID]int{2: 0, 4: 1, 6: 2} {
+	for id, want := range map[core.InstanceID]int{2: 0, 4: 1, 6: 2, 8: 3} {
 		if got := azy.StrongIndex(id); got != want {
 			t.Errorf("azyzzyva.StrongIndex(%d) = %d, want %d", id, got, want)
 		}

@@ -69,8 +69,7 @@ func (o Options) withDefaults() Options {
 
 // Composition is a compiled (Spec, Options) pair: the single value from
 // which deployments derive role-of-instance, the replica-side protocol
-// factory, and the client-side instance factory — replacing the hand-paired
-// factory pairs the composition packages used to hardcode.
+// factory, and the client-side instance factory.
 type Composition struct {
 	spec Spec
 	opts Options
@@ -124,7 +123,7 @@ func (c *Composition) StrongIndex(id core.InstanceID) int { return c.spec.Strong
 
 // ReplicaFactory derives the per-instance protocol factory replicas run: the
 // descriptor constructors are built once per stage and instances dispatch to
-// their slot's factory, exactly as the hand-written composition packages did.
+// their slot's factory.
 func (c *Composition) ReplicaFactory(cluster ids.Cluster) host.ProtocolFactory {
 	ctx := ReplicaContext{Cluster: cluster, Opts: c.opts, StrongIndex: c.spec.StrongIndex}
 	made := make(map[*Descriptor]host.ProtocolFactory, len(c.descs))

@@ -20,15 +20,24 @@ import (
 // specification.
 func newComposedCluster(t *testing.T, dsl string, checker *core.SpecChecker) *deploy.Cluster {
 	t.Helper()
-	comp, err := compose.New(compose.MustParse(dsl), compose.Options{
-		ViewChangeTimeout: 300 * time.Millisecond,
-	})
+	return deployComposition(t, dsl, compose.Options{}, newCounter, checker)
+}
+
+// deployComposition is newComposedCluster with the composition options and
+// the application chosen by the caller; a zero ViewChangeTimeout selects
+// 300 ms so crash tests switch promptly.
+func deployComposition(t *testing.T, dsl string, opts compose.Options, newApp func() app.Application, checker *core.SpecChecker) *deploy.Cluster {
+	t.Helper()
+	if opts.ViewChangeTimeout == 0 {
+		opts.ViewChangeTimeout = 300 * time.Millisecond
+	}
+	comp, err := compose.New(compose.MustParse(dsl), opts)
 	if err != nil {
 		t.Fatalf("compose %q: %v", dsl, err)
 	}
 	c, err := deploy.New(deploy.Config{
 		F:                   1,
-		NewApp:              func() app.Application { return app.NewCounter() },
+		NewApp:              newApp,
 		Composition:         comp,
 		Delta:               25 * time.Millisecond,
 		InstrumentHistories: true,
@@ -42,12 +51,16 @@ func newComposedCluster(t *testing.T, dsl string, checker *core.SpecChecker) *de
 	return c
 }
 
+func newCounter() app.Application { return app.NewCounter() }
+
+func newKVStore() app.Application { return app.NewKVStore() }
+
 // TestEveryRegisteredCompositionE2E drives every schedule in the registry —
 // including the compositions that existed only as DSL strings until this API
 // (zlight-chain-backup, chain-backup) — through a concurrent workload under
 // the specification checker: Validity, Commit/Abort/Init Order, and
-// Composition Order must hold for arbitrary Specs, not just the hand-written
-// Aliph and AZyzzyva packages.
+// Composition Order must hold for every registered Spec, not just Aliph and
+// AZyzzyva.
 func TestEveryRegisteredCompositionE2E(t *testing.T) {
 	names := compose.SpecNames()
 	if len(names) < 4 {

@@ -1,33 +1,17 @@
 package deploy
 
 import (
-	"strings"
+	"errors"
 	"testing"
-
-	"abstractbft/internal/compose"
-	"abstractbft/internal/host"
-	"abstractbft/internal/ids"
 )
 
-// TestConfigRejectsAmbiguousProtocol: declaring the protocol twice — a
-// Composition plus the legacy factory pair — is a configuration bug and must
-// fail with a descriptive error, not silently prefer one side.
-func TestConfigRejectsAmbiguousProtocol(t *testing.T) {
-	comp := compose.MustNew("azyzzyva", compose.Options{})
-	cfg := Config{
-		F:           1,
-		Composition: comp,
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return comp.ReplicaFactory(c)
-		},
+// TestConfigRequiresComposition: Composition is the only way to name a
+// protocol, so a Config without one is rejected by both constructors.
+func TestConfigRequiresComposition(t *testing.T) {
+	if _, err := New(Config{F: 1}); !errors.Is(err, errNoComposition) {
+		t.Fatalf("New without Composition: err = %v, want %v", err, errNoComposition)
 	}
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "both Composition") {
-		t.Fatalf("New with both Composition and legacy factories: err = %v, want descriptive rejection", err)
-	}
-	if _, err := NewSharded(cfg); err == nil || !strings.Contains(err.Error(), "both Composition") {
-		t.Fatalf("NewSharded with both: err = %v", err)
-	}
-	if _, err := New(Config{F: 1}); err == nil || !strings.Contains(err.Error(), "no protocol") {
-		t.Fatalf("New with no protocol: err = %v", err)
+	if _, err := NewSharded(Config{F: 1}); !errors.Is(err, errNoComposition) {
+		t.Fatalf("NewSharded without Composition: err = %v, want %v", err, errNoComposition)
 	}
 }

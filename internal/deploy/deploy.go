@@ -1,12 +1,13 @@
-// Package deploy assembles in-process clusters of the composed protocols
-// (AZyzzyva, Aliph, R-Aliph) and provides clients bound to them. Examples,
-// integration tests, the workload harness, and the benchmark suite all build
-// their clusters through this package; multi-process deployments use the same
-// building blocks over the TCP transport in cmd/replica and cmd/client.
+// Package deploy assembles in-process clusters of a declared composition
+// (compose.Composition: any registered name or Spec DSL string) and provides
+// clients bound to them. Examples, integration tests, the workload harness,
+// and the benchmark all build their clusters through this package;
+// multi-process deployments load a Topology file in cmd/replica and
+// cmd/client.
 package deploy
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"abstractbft/internal/app"
@@ -27,18 +28,11 @@ type Config struct {
 	// NewApp builds the application replica instances execute; nil selects a
 	// null application with empty replies.
 	NewApp func() app.Application
-	// Composition is the declarative protocol composition the cluster runs:
-	// replica and client factories are both derived from it, so they cannot
-	// diverge. Build one with compose.New / compose.MustNew (e.g.
-	// compose.MustNew("quorum,chain,backup", compose.Options{}) is Aliph).
+	// Composition is the declarative protocol composition the cluster runs
+	// (required): replica and client factories are both derived from it, so
+	// they cannot diverge. Build one with compose.New / compose.MustNew (e.g.
+	// compose.MustNew("aliph", compose.Options{}) is Aliph).
 	Composition *compose.Composition
-	// NewReplicaFactory builds the per-instance protocol factory directly
-	// (legacy escape hatch for hand-rolled factories; leave nil when
-	// Composition is set).
-	NewReplicaFactory func(cluster ids.Cluster) host.ProtocolFactory
-	// NewInstanceFactory builds the client-side instance factory directly
-	// (legacy escape hatch; leave nil when Composition is set).
-	NewInstanceFactory func(env core.ClientEnv) core.InstanceFactory
 	// Delta is the synchrony bound used for client timers.
 	Delta time.Duration
 	// Batch configures the replica-side request batch assembler (ZLight's
@@ -101,15 +95,6 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-// protocolName derives the instance-protocol naming function for the
-// compose_active_protocol gauge (nil without a declared Composition).
-func (cfg *Config) protocolName() func(core.InstanceID) string {
-	if cfg.Composition == nil {
-		return nil
-	}
-	return cfg.Composition.ProtocolOf
-}
-
 // Cluster is a running in-process deployment.
 type Cluster struct {
 	cfg     Config
@@ -121,32 +106,13 @@ type Cluster struct {
 	nextClient int
 }
 
-// resolveProtocol derives the protocol factories from cfg.Composition (the
-// declarative path) or validates the legacy factory pair. Setting both is a
-// configuration bug — the legacy factories would silently win over (or
-// diverge from) the declared composition — and is rejected with a
-// descriptive error.
-func (cfg *Config) resolveProtocol() error {
-	legacy := cfg.NewReplicaFactory != nil || cfg.NewInstanceFactory != nil
-	if cfg.Composition != nil && legacy {
-		return fmt.Errorf("deploy: both Composition (%s) and legacy NewReplicaFactory/NewInstanceFactory are set; declare the protocol once — drop the factory pair or the Composition", cfg.Composition)
-	}
-	if cfg.Composition != nil {
-		comp := cfg.Composition
-		cfg.NewReplicaFactory = comp.ReplicaFactory
-		cfg.NewInstanceFactory = comp.InstanceFactory
-		return nil
-	}
-	if cfg.NewReplicaFactory == nil || cfg.NewInstanceFactory == nil {
-		return fmt.Errorf("deploy: no protocol configured; set Composition (or both legacy factories)")
-	}
-	return nil
-}
+// errNoComposition rejects a Config that names no protocol.
+var errNoComposition = errors.New("deploy: no protocol configured; set Composition")
 
 // New builds and starts a cluster.
 func New(cfg Config) (*Cluster, error) {
-	if err := cfg.resolveProtocol(); err != nil {
-		return nil, err
+	if cfg.Composition == nil {
+		return nil, errNoComposition
 	}
 	if cfg.NewApp == nil {
 		cfg.NewApp = func() app.Application { return app.NewNull(0) }
@@ -167,7 +133,7 @@ func New(cfg Config) (*Cluster, error) {
 		Keys:    authn.NewKeyStore(cfg.Secret),
 		Net:     transport.NewLocal(cfg.Network),
 	}
-	factory := cfg.NewReplicaFactory(cluster)
+	factory := cfg.Composition.ReplicaFactory(cluster)
 	for i := 0; i < cluster.N; i++ {
 		r := ids.Replica(i)
 		h := host.New(host.Config{
@@ -188,7 +154,7 @@ func New(cfg Config) (*Cluster, error) {
 			TickInterval:        cfg.TickInterval,
 			Metrics:             cfg.Metrics,
 			Tracer:              cfg.Tracer,
-			ProtocolName:        cfg.protocolName(),
+			ProtocolName:        cfg.Composition.ProtocolOf,
 		})
 		if cfg.Observer != nil {
 			if obs := cfg.Observer(r, h); obs != nil {
@@ -222,7 +188,7 @@ func (c *Cluster) RestartReplica(i int) *host.Host {
 		App:                 c.cfg.NewApp(),
 		Endpoint:            c.Net.ResetEndpoint(r),
 		FirstInstance:       1,
-		NewProtocol:         c.cfg.NewReplicaFactory(c.Cluster),
+		NewProtocol:         c.cfg.Composition.ReplicaFactory(c.Cluster),
 		Batch:               c.cfg.Batch,
 		TimestampWindow:     c.cfg.TimestampWindow,
 		CheckpointInterval:  c.cfg.CheckpointInterval,
@@ -233,7 +199,7 @@ func (c *Cluster) RestartReplica(i int) *host.Host {
 		TickInterval:        c.cfg.TickInterval,
 		Metrics:             c.cfg.Metrics,
 		Tracer:              c.cfg.Tracer,
-		ProtocolName:        c.cfg.protocolName(),
+		ProtocolName:        c.cfg.Composition.ProtocolOf,
 	})
 	if c.cfg.Observer != nil {
 		if obs := c.cfg.Observer(r, h); obs != nil {
@@ -274,8 +240,7 @@ func (c *Cluster) ClientEnv(i int) core.ClientEnv {
 
 // NewClient creates a composed-protocol client with the given index.
 func (c *Cluster) NewClient(i int) (*core.Composer, error) {
-	env := c.ClientEnv(i)
-	return core.NewComposer(c.cfg.NewInstanceFactory(env), 1)
+	return c.cfg.Composition.NewClient(c.ClientEnv(i))
 }
 
 // NextClient creates a client with the next unused client index.
@@ -290,6 +255,5 @@ func (c *Cluster) NextClient() (*core.Composer, error) {
 // instances supporting batched invocation (Quorum) coalesce queued
 // invocations into one batch message.
 func (c *Cluster) NewPipelinedClient(i int, opts core.PipelineOptions) (*core.PipelinedComposer, error) {
-	env := c.ClientEnv(i)
-	return core.NewPipelinedComposer(env, c.cfg.NewInstanceFactory, 1, opts)
+	return core.NewPipelinedComposer(c.ClientEnv(i), c.cfg.Composition.InstanceFactory, 1, opts)
 }

@@ -8,8 +8,7 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
-	"abstractbft/internal/azyzzyva"
-	"abstractbft/internal/host"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/shard"
@@ -24,12 +23,9 @@ import (
 // replies for null-ops) never notice.
 func TestIdleShardNullOpsAdvanceMerge(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory:  azyzzyva.InstanceFactory,
+		F:                   1,
+		NewApp:              func() app.Application { return app.NewKVStore() },
+		Composition:         compose.MustNew("azyzzyva", compose.Options{}),
 		Delta:               50 * time.Millisecond,
 		Shards:              2,
 		KeyExtractor:        shard.KVKeyExtractor,

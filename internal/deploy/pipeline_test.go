@@ -8,24 +8,21 @@ import (
 	"testing"
 	"time"
 
-	"abstractbft/internal/aliph"
 	"abstractbft/internal/app"
-	"abstractbft/internal/azyzzyva"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
 	"abstractbft/internal/deploy"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
 
-func newCluster(t *testing.T, factory func(ids.Cluster) host.ProtocolFactory, instances func(core.ClientEnv) core.InstanceFactory) *deploy.Cluster {
+func newCluster(t *testing.T, name string) *deploy.Cluster {
 	t.Helper()
 	c, err := deploy.New(deploy.Config{
-		F:                  1,
-		NewApp:             func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory:  factory,
-		NewInstanceFactory: instances,
-		Delta:              50 * time.Millisecond,
+		F:           1,
+		NewApp:      func() app.Application { return app.NewKVStore() },
+		Composition: compose.MustNew(name, compose.Options{}),
+		Delta:       50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("deploy: %v", err)
@@ -73,9 +70,7 @@ func runPipelined(t *testing.T, client *core.PipelinedComposer, depth, total int
 // timestamp ordering; the composition must still commit every request
 // (possibly after switching instances), never lose or duplicate one.
 func TestPipelinedClientQuorumBatchesInFlight(t *testing.T) {
-	c := newCluster(t, func(cl ids.Cluster) host.ProtocolFactory {
-		return aliph.ReplicaFactory(cl, aliph.Options{})
-	}, aliph.InstanceFactory)
+	c := newCluster(t, "aliph")
 	client, err := c.NewPipelinedClient(0, core.PipelineOptions{Depth: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +83,7 @@ func TestPipelinedClientQuorumBatchesInFlight(t *testing.T) {
 // instance (no client-side batching; the primary's assembler batches across
 // the in-flight requests instead).
 func TestPipelinedClientZLight(t *testing.T) {
-	c := newCluster(t, func(cl ids.Cluster) host.ProtocolFactory {
-		return azyzzyva.ReplicaFactory(cl, azyzzyva.Options{})
-	}, azyzzyva.InstanceFactory)
+	c := newCluster(t, "azyzzyva")
 	client, err := c.NewPipelinedClient(0, core.PipelineOptions{Depth: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -102,9 +95,7 @@ func TestPipelinedClientZLight(t *testing.T) {
 // TestPipelinedClientDepthOneMatchesComposer checks the degenerate pipeline
 // (depth 1): strict invoke-then-wait, equivalent to the plain Composer.
 func TestPipelinedClientDepthOneMatchesComposer(t *testing.T) {
-	c := newCluster(t, func(cl ids.Cluster) host.ProtocolFactory {
-		return aliph.ReplicaFactory(cl, aliph.Options{})
-	}, aliph.InstanceFactory)
+	c := newCluster(t, "aliph")
 	client, err := c.NewPipelinedClient(0, core.PipelineOptions{Depth: 1})
 	if err != nil {
 		t.Fatal(err)

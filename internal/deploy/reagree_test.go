@@ -9,8 +9,7 @@ import (
 	"time"
 
 	"abstractbft/internal/app"
-	"abstractbft/internal/azyzzyva"
-	"abstractbft/internal/host"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/shard"
@@ -22,12 +21,9 @@ import (
 // cleanly (host.Stop used to block forever on an event loop that never ran).
 func TestRestartNodeWithoutQuorumFailsCleanly(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory:   azyzzyva.InstanceFactory,
+		F:                    1,
+		NewApp:               func() app.Application { return app.NewKVStore() },
+		Composition:          compose.MustNew("azyzzyva", compose.Options{}),
 		Shards:               2,
 		RecoverTimeout:       400 * time.Millisecond,
 		RecoverRetryInterval: 25 * time.Millisecond,
@@ -74,12 +70,9 @@ func TestRestartNodeWithoutQuorumFailsCleanly(t *testing.T) {
 // the monitor disabled.
 func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory: azyzzyva.InstanceFactory,
+		F:           1,
+		NewApp:      func() app.Application { return app.NewKVStore() },
+		Composition: compose.MustNew("azyzzyva", compose.Options{}),
 		// Generous delta: the recovering replica's absence stalls clients
 		// instead of panicking them into instance switches.
 		Delta:                2 * time.Second,

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"abstractbft/internal/app"
-	"abstractbft/internal/azyzzyva"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
@@ -19,12 +19,9 @@ import (
 func newRecoveryKV(t *testing.T) *Cluster {
 	t.Helper()
 	cluster, err := New(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory: azyzzyva.InstanceFactory,
+		F:                  1,
+		NewApp:             func() app.Application { return app.NewKVStore() },
+		Composition:        compose.MustNew("azyzzyva", compose.Options{}),
 		Delta:              50 * time.Millisecond,
 		CheckpointInterval: 8,
 		Batch:              host.BatchPolicy{MaxBatch: 1},
@@ -198,12 +195,9 @@ func TestCrashRestartCatchUp(t *testing.T) {
 // live replicas.
 func TestShardedNodeRestart(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory: azyzzyva.InstanceFactory,
+		F:                  1,
+		NewApp:             func() app.Application { return app.NewKVStore() },
+		Composition:        compose.MustNew("azyzzyva", compose.Options{}),
 		Delta:              50 * time.Millisecond,
 		Shards:             2,
 		KeyExtractor:       shard.KVKeyExtractor,

@@ -27,12 +27,11 @@ type Sharded struct {
 	nextClient int
 }
 
-// NewSharded builds and starts a sharded cluster. The same protocol
-// factories as New apply, instantiated once per shard over the shard's
-// rotated cluster.
+// NewSharded builds and starts a sharded cluster. The same Composition as
+// New applies, instantiated once per shard over the shard's rotated cluster.
 func NewSharded(cfg Config) (*Sharded, error) {
-	if err := cfg.resolveProtocol(); err != nil {
-		return nil, err
+	if cfg.Composition == nil {
+		return nil, errNoComposition
 	}
 	if cfg.NewApp == nil {
 		cfg.NewApp = func() app.Application { return app.NewNull(0) }
@@ -80,7 +79,7 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 		Endpoint: s.Net.Endpoint(r),
 		NewApp:   cfg.NewApp,
 		NewProtocol: func(sh int, cl ids.Cluster) host.ProtocolFactory {
-			return cfg.NewReplicaFactory(cl)
+			return cfg.Composition.ReplicaFactory(cl)
 		},
 		Batch:                cfg.Batch,
 		TimestampWindow:      cfg.TimestampWindow,
@@ -95,7 +94,7 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 		Ops:                  cfg.Ops,
 		Metrics:              cfg.Metrics,
 		Tracer:               cfg.Tracer,
-		ProtocolName:         cfg.protocolName(),
+		ProtocolName:         cfg.Composition.ProtocolOf,
 	})
 }
 
@@ -168,7 +167,7 @@ func (s *Sharded) NewClient(i int, pipeline *core.PipelineOptions) (*shard.Clien
 		Shards:             s.cfg.Shards,
 		Extract:            s.cfg.KeyExtractor,
 		Env:                s.clientEnv(i),
-		NewInstanceFactory: s.cfg.NewInstanceFactory,
+		NewInstanceFactory: s.cfg.Composition.InstanceFactory,
 		Pipeline:           pipeline,
 	})
 }

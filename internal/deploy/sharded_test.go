@@ -9,9 +9,8 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
-	"abstractbft/internal/azyzzyva"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/shard"
@@ -20,16 +19,13 @@ import (
 func newShardedKV(t *testing.T, shards int) *Sharded {
 	t.Helper()
 	cluster, err := NewSharded(Config{
-		F:      1,
-		NewApp: func() app.Application { return app.NewKVStore() },
-		NewReplicaFactory: func(c ids.Cluster) host.ProtocolFactory {
-			return azyzzyva.ReplicaFactory(c, azyzzyva.Options{})
-		},
-		NewInstanceFactory: azyzzyva.InstanceFactory,
-		Delta:              20 * time.Millisecond,
-		Shards:             shards,
-		KeyExtractor:       shard.KVKeyExtractor,
-		ShardEpoch:         1,
+		F:            1,
+		NewApp:       func() app.Application { return app.NewKVStore() },
+		Composition:  compose.MustNew("azyzzyva", compose.Options{}),
+		Delta:        20 * time.Millisecond,
+		Shards:       shards,
+		KeyExtractor: shard.KVKeyExtractor,
+		ShardEpoch:   1,
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)

@@ -89,12 +89,12 @@ func testTopology() deploy.Topology {
 	}
 }
 
-func startCluster(t *testing.T) *proccluster.Cluster {
+func startCluster(t *testing.T, topo deploy.Topology) *proccluster.Cluster {
 	t.Helper()
 	rb, cb := buildBins(t)
 	cluster, err := proccluster.Start(proccluster.Config{
 		Dir:        t.TempDir(),
-		Topology:   testTopology(),
+		Topology:   topo,
 		ReplicaBin: rb,
 		ClientBin:  cb,
 	})
@@ -121,7 +121,7 @@ func clientPorts(t *testing.T, n int) int {
 // cmd/client process committing a keyed workload against it, and an in-test
 // verifier reading a written key back.
 func TestProcessShardedClusterSmoke(t *testing.T) {
-	cluster := startCluster(t)
+	cluster := startCluster(t, testTopology())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
@@ -227,6 +227,20 @@ func TestProcessShardedClusterSmoke(t *testing.T) {
 	}
 }
 
+// TestProcessOneShardAliph deploys one unsharded Aliph composition as real
+// processes from a one-shard topology file, and a client process must commit
+// its whole workload against it.
+func TestProcessOneShardAliph(t *testing.T) {
+	cluster := startCluster(t, deploy.Topology{F: 1, Shards: 1, Composition: "aliph", App: "kv", KeyExtractor: "kv"})
+	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
+	defer cancel()
+	out, err := cluster.RunClient(ctx, "-requests", "100", "-listen-base", fmt.Sprint(clientPorts(t, 1)))
+	if err != nil || !strings.Contains(out, "committed 100 requests") {
+		dumpLogs(t, cluster)
+		t.Fatalf("client process did not commit the workload (%v):\n%s", err, out)
+	}
+}
+
 // scrapeCluster scrapes every replica's observability front door.
 func scrapeCluster(cluster *proccluster.Cluster) []obsctl.ProcessDump {
 	n := cluster.Topo.Cluster().N
@@ -298,7 +312,7 @@ func TestProcessShardedCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process-level crash-restart e2e is skipped in -short mode")
 	}
-	cluster := startCluster(t)
+	cluster := startCluster(t, testTopology())
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()
 

@@ -1,14 +1,12 @@
 // Package pbft implements the PBFT (Castro & Liskov) three-phase ordering
-// protocol used throughout the repository: as the standalone baseline the
-// paper compares against, as the total-order substrate wrapped by Backup
-// (§4.3), and — with its own primary-rotation policy — as the core of the
-// robust baseline Aardvark.
+// protocol used throughout the repository: as the total-order substrate
+// wrapped by Backup (§4.3), and — with its own primary-rotation policy — as
+// the core of the robust orderer Aardvark.
 //
 // The Engine type implements the replica-side protocol state machine
 // (pre-prepare/prepare/commit, batching, a simplified view change) and is
 // driven by its embedder: the embedder feeds it client requests and protocol
-// messages and provides the send and deliver callbacks. The package also
-// provides a standalone replica/client pair, which Aardvark builds on.
+// messages and provides the send and deliver callbacks.
 //
 // Simplification relative to the original protocol (documented in DESIGN.md):
 // the view-change message carries each replica's prepared entries and the new
@@ -25,7 +23,8 @@ import (
 	"abstractbft/internal/msg"
 )
 
-// Request is the client request message of the standalone PBFT deployment.
+// Request is a client request message authenticated for every replica. No
+// protocol of the repository sends it any more; it keeps its wire tag.
 type Request struct {
 	Req  msg.Request
 	Auth authn.Authenticator
@@ -60,7 +59,8 @@ type Commit struct {
 	MAC     authn.MAC
 }
 
-// Reply is the standalone deployment's reply to the client.
+// Reply is a replica's MAC'd reply to a client. No protocol of the
+// repository sends it any more; it keeps its wire tag.
 type Reply struct {
 	View      uint64
 	Replica   ids.ProcessID

@@ -1,124 +1,165 @@
 package pbft
 
 import (
-	"context"
-	"fmt"
 	"testing"
 	"time"
 
-	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
-	"abstractbft/internal/transport"
 )
 
-type pbftCluster struct {
-	cluster  ids.Cluster
-	keys     *authn.KeyStore
-	net      *transport.Local
-	replicas []*Replica
+// engineNet wires the engines of an f=1 cluster directly to each other
+// through a synchronous message queue: every Send is queued and drain
+// delivers the queue to quiescence. Messages to or from a crashed replica
+// are dropped, and every engine reads one fake clock that advance moves.
+type engineNet struct {
+	t         *testing.T
+	engines   []*Engine
+	delivered [][]msg.RequestID
+	crashed   map[int]bool
+	queue     []envelope
+	now       time.Time
 }
 
-func newPBFTCluster(t *testing.T, f int, vcTimeout time.Duration) *pbftCluster {
+type envelope struct {
+	from, to ids.ProcessID
+	m        any
+}
+
+func newEngineNet(t *testing.T, batchSize int, vcTimeout time.Duration, crashed ...int) *engineNet {
 	t.Helper()
-	c := &pbftCluster{
-		cluster: ids.NewCluster(f),
-		keys:    authn.NewKeyStore("pbft-test"),
-		net:     transport.NewLocal(transport.Options{}),
+	cluster := ids.NewCluster(1)
+	keys := authn.NewKeyStore("engine-test")
+	n := &engineNet{
+		t:         t,
+		engines:   make([]*Engine, cluster.N),
+		delivered: make([][]msg.RequestID, cluster.N),
+		crashed:   make(map[int]bool),
+		now:       time.Unix(0, 0),
 	}
-	for i := 0; i < c.cluster.N; i++ {
-		r := NewReplica(ReplicaConfig{
-			Cluster:           c.cluster,
-			Replica:           ids.Replica(i),
-			Keys:              c.keys,
-			App:               app.NewCounter(),
-			Endpoint:          c.net.Endpoint(ids.Replica(i)),
-			BatchSize:         4,
+	for _, i := range crashed {
+		n.crashed[i] = true
+	}
+	for i := 0; i < cluster.N; i++ {
+		n.engines[i] = NewEngine(EngineConfig{
+			Cluster: cluster,
+			Replica: ids.Replica(i),
+			Keys:    keys,
+			Send: func(to ids.ProcessID, m any) {
+				n.queue = append(n.queue, envelope{from: ids.Replica(i), to: to, m: m})
+			},
+			Deliver: func(batch []msg.Request) {
+				for _, r := range batch {
+					n.delivered[i] = append(n.delivered[i], r.ID())
+				}
+			},
+			BatchSize:         batchSize,
 			ViewChangeTimeout: vcTimeout,
+			Now:               func() time.Time { return n.now },
 		})
-		r.Start()
-		c.replicas = append(c.replicas, r)
 	}
-	t.Cleanup(func() {
-		for _, r := range c.replicas {
-			r.Stop()
-		}
-		c.net.Close()
-	})
-	return c
+	return n
 }
 
-func (c *pbftCluster) client(i int) *Client {
-	id := ids.Client(i)
-	return NewClient(ClientConfig{
-		Cluster:  c.cluster,
-		Keys:     c.keys,
-		ID:       id,
-		Endpoint: c.net.Endpoint(id),
-		Timeout:  150 * time.Millisecond,
-	})
+// live returns the indices of the replicas that are not crashed.
+func (n *engineNet) live() []int {
+	var out []int
+	for i := range n.engines {
+		if !n.crashed[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// drain delivers queued messages until none are left.
+func (n *engineNet) drain() {
+	for len(n.queue) > 0 {
+		env := n.queue[0]
+		n.queue = n.queue[1:]
+		if n.crashed[int(env.from)] || n.crashed[int(env.to)] {
+			continue
+		}
+		n.engines[int(env.to)].HandleMessage(env.from, env.m)
+	}
+}
+
+// invoke multicasts req to every live engine, as a client does, then ticks
+// the engines on the fake clock until every live engine delivered it.
+func (n *engineNet) invoke(req msg.Request) {
+	n.t.Helper()
+	for _, i := range n.live() {
+		n.engines[i].SubmitRequest(req)
+	}
+	n.drain()
+	for step := 0; !n.allDelivered(req.ID()); step++ {
+		if step == 100 {
+			n.t.Fatalf("request %v not delivered by every live replica after %d ticks", req.ID(), step)
+		}
+		n.now = n.now.Add(50 * time.Millisecond)
+		for _, i := range n.live() {
+			n.engines[i].Tick()
+		}
+		n.drain()
+	}
+}
+
+func (n *engineNet) allDelivered(id msg.RequestID) bool {
+	for _, i := range n.live() {
+		found := false
+		for _, d := range n.delivered[i] {
+			found = found || d == id
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// run invokes total requests of one client in turn and asserts that every
+// live engine delivered exactly those requests, in invocation order.
+func (n *engineNet) run(total int) {
+	n.t.Helper()
+	var want []msg.RequestID
+	for ts := uint64(1); ts <= uint64(total); ts++ {
+		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("c")}
+		n.invoke(req)
+		want = append(want, req.ID())
+	}
+	for _, i := range n.live() {
+		got := n.delivered[i]
+		if len(got) != len(want) {
+			n.t.Fatalf("replica %d delivered %d requests, want %d", i, len(got), len(want))
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				n.t.Fatalf("replica %d delivered %v at position %d, want %v", i, got[j], j, want[j])
+			}
+		}
+	}
 }
 
 func TestPBFTOrdersRequests(t *testing.T) {
-	c := newPBFTCluster(t, 1, 0)
-	client := c.client(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for ts := uint64(1); ts <= 20; ts++ {
-		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("x")}
-		if _, err := client.Invoke(ctx, req); err != nil {
-			t.Fatalf("invoke %d: %v", ts, err)
-		}
-	}
-	// Every replica executes the same number of requests eventually.
-	deadline := time.Now().Add(3 * time.Second)
-	for _, r := range c.replicas {
-		for r.Executed() < 20 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if r.Executed() != 20 {
-			t.Errorf("replica executed %d requests, want 20", r.Executed())
-		}
-	}
+	n := newEngineNet(t, 4, 0)
+	n.run(20)
 }
 
 func TestPBFTToleratesCrashedBackup(t *testing.T) {
-	c := newPBFTCluster(t, 1, 300*time.Millisecond)
-	c.replicas[2].SetCrashed(true)
-	client := c.client(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for ts := uint64(1); ts <= 10; ts++ {
-		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("y")}
-		if _, err := client.Invoke(ctx, req); err != nil {
-			t.Fatalf("invoke %d with a crashed backup: %v", ts, err)
-		}
-	}
+	n := newEngineNet(t, 4, 300*time.Millisecond, 2)
+	n.run(10)
 }
 
+// TestPBFTViewChangeOnCrashedPrimary crashes the view-0 primary (replica 0):
+// the backups must time out, change views and keep ordering.
 func TestPBFTViewChangeOnCrashedPrimary(t *testing.T) {
-	c := newPBFTCluster(t, 1, 200*time.Millisecond)
-	// Crash the view-0 primary (replica 0); backups must change views and
-	// keep ordering.
-	c.replicas[0].SetCrashed(true)
-	client := c.client(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	for ts := uint64(1); ts <= 5; ts++ {
-		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("z")}
-		if _, err := client.Invoke(ctx, req); err != nil {
-			t.Fatalf("invoke %d with a crashed primary: %v", ts, err)
+	n := newEngineNet(t, 4, 200*time.Millisecond, 0)
+	n.run(5)
+	for _, i := range n.live() {
+		if n.engines[i].ViewChanges() == 0 {
+			t.Errorf("replica %d completed no view change despite a crashed primary", i)
 		}
-	}
-	changed := false
-	for i := 1; i < c.cluster.N; i++ {
-		if c.replicas[i].ViewChanges() > 0 {
-			changed = true
-		}
-	}
-	if !changed {
-		t.Errorf("no replica completed a view change despite a crashed primary")
 	}
 }
 
@@ -136,63 +177,9 @@ func TestBatchDigestDeterministic(t *testing.T) {
 	}
 }
 
+// TestEngineDeliversInOrder: four engines wired directly to each other (no
+// network) must deliver identical sequences.
 func TestEngineDeliversInOrder(t *testing.T) {
-	// Four engines wired directly to each other (no network) must deliver
-	// identical sequences.
-	cluster := ids.NewCluster(1)
-	keys := authn.NewKeyStore("engine-test")
-	engines := make([]*Engine, cluster.N)
-	delivered := make([][]string, cluster.N)
-	var deliverTo func(i int) func([]msg.Request)
-	deliverTo = func(i int) func([]msg.Request) {
-		return func(batch []msg.Request) {
-			for _, r := range batch {
-				delivered[i] = append(delivered[i], fmt.Sprintf("%v", r.ID()))
-			}
-		}
-	}
-	// Queue of in-flight messages to simulate synchronous delivery.
-	type envelope struct {
-		from, to ids.ProcessID
-		m        any
-	}
-	var queue []envelope
-	for i := 0; i < cluster.N; i++ {
-		i := i
-		engines[i] = NewEngine(EngineConfig{
-			Cluster: cluster,
-			Replica: ids.Replica(i),
-			Keys:    keys,
-			Send: func(to ids.ProcessID, m any) {
-				queue = append(queue, envelope{from: ids.Replica(i), to: to, m: m})
-			},
-			Deliver:   deliverTo(i),
-			BatchSize: 2,
-		})
-	}
-	for ts := uint64(1); ts <= 6; ts++ {
-		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("c")}
-		for _, e := range engines {
-			e.SubmitRequest(req)
-		}
-		// Drain the message queue to quiescence.
-		for len(queue) > 0 {
-			env := queue[0]
-			queue = queue[1:]
-			engines[int(env.to)].HandleMessage(env.from, env.m)
-		}
-	}
-	for i := 1; i < cluster.N; i++ {
-		if len(delivered[i]) != len(delivered[0]) {
-			t.Fatalf("replica %d delivered %d requests, replica 0 delivered %d", i, len(delivered[i]), len(delivered[0]))
-		}
-		for j := range delivered[i] {
-			if delivered[i][j] != delivered[0][j] {
-				t.Fatalf("replica %d delivered %q at position %d, replica 0 delivered %q", i, delivered[i][j], j, delivered[0][j])
-			}
-		}
-	}
-	if len(delivered[0]) != 6 {
-		t.Fatalf("delivered %d requests, want 6", len(delivered[0]))
-	}
+	n := newEngineNet(t, 2, 0)
+	n.run(6)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"abstractbft/internal/aardvark"
-	"abstractbft/internal/aliph"
 	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
 	"abstractbft/internal/deploy"
@@ -17,8 +16,6 @@ import (
 
 // Options configures R-Aliph.
 type Options struct {
-	// Aliph holds the composition parameters shared with plain Aliph.
-	Aliph aliph.Options
 	// Monitor tunes throughput/fairness monitoring.
 	Monitor MonitorConfig
 	// Aardvark tunes the Backup orderer's primary monitoring.
@@ -69,25 +66,11 @@ func NewRegistry(opts Options) *Registry {
 // is driven from its tick. The speculative flag (Quorum, Chain) falls out of
 // the descriptor's progress predicate instead of a hardcoded role map.
 func (r *Registry) composition() *compose.Composition {
-	opts := r.opts
-	// The Aardvark orderer needs the resolved values up front; resolve them
-	// from the composition API's defaults so orderer and Backup stages can
-	// never run mismatched parameters.
-	batchSize := opts.Aliph.BatchSize
-	if batchSize <= 0 {
-		batchSize = compose.DefaultBatchSize
-	}
-	vcTimeout := opts.Aliph.ViewChangeTimeout
-	if vcTimeout <= 0 {
-		vcTimeout = compose.DefaultViewChangeTimeout
-	}
-	return compose.MustNew(aliph.SpecName, compose.Options{
-		BackupK:           opts.Aliph.BackupK,
-		BatchSize:         batchSize,
-		ViewChangeTimeout: vcTimeout,
-		LowLoadAfter:      opts.Aliph.LowLoadAfter,
-		Feedback:          &dispatchingSink{registry: r},
-		Orderer: aardvark.Orderer(batchSize, vcTimeout, opts.Aardvark,
+	return compose.MustNew("aliph", compose.Options{
+		Feedback: &dispatchingSink{registry: r},
+		// Backup's batch size and view-change timeout are the composition's
+		// defaults; the Aardvark orderer runs with the same values.
+		Orderer: aardvark.Orderer(compose.DefaultBatchSize, compose.DefaultViewChangeTimeout, r.opts.Aardvark,
 			func(inst core.InstanceID, src aardvark.ExpectationSource) {
 				// Register the Aardvark expectation with every monitor; each
 				// replica only runs one orderer per Backup instance, so the
@@ -140,13 +123,6 @@ func (r *Registry) SwitchDurations() map[ids.ProcessID]time.Duration {
 		out[rep] = sw.LastSwitchDuration()
 	}
 	return out
-}
-
-// ReplicaFactory returns the per-instance protocol factory for R-Aliph
-// replicas: Quorum and Chain with feedback-based monitoring, Backup over
-// Aardvark — all derived from the compiled composition.
-func (r *Registry) ReplicaFactory(cluster ids.Cluster) host.ProtocolFactory {
-	return r.comp.ReplicaFactory(cluster)
 }
 
 // dispatchingSink forwards feedback to the monitor of the replica that
@@ -269,7 +245,7 @@ func (r *Registry) Bind(c *deploy.Cluster) {
 	for i, h := range c.Hosts {
 		rep := ids.Replica(i)
 		ep := c.Net.Endpoint(SwitcherClientID(rep))
-		sw := newSwitcher(h, c.Keys, ep, 25*time.Millisecond, r.opts.SwitchTimeout)
+		sw := newSwitcher(h, r.comp, c.Keys, ep, 25*time.Millisecond, r.opts.SwitchTimeout)
 		r.switchers[rep] = sw
 		if m := r.monitors[rep]; m != nil {
 			m.Attach(h, sw)
@@ -278,11 +254,12 @@ func (r *Registry) Bind(c *deploy.Cluster) {
 }
 
 // Deploy builds a complete in-process R-Aliph cluster: it creates the
-// registry, the deployment, and binds the switchers.
+// registry, deploys the registry's compiled composition, and binds the
+// switchers. R-Aliph clients, which piggyback feedback, come from
+// Registry.NewClient.
 func Deploy(cfg deploy.Config, opts Options) (*deploy.Cluster, *Registry, error) {
 	reg := NewRegistry(opts)
-	cfg.NewReplicaFactory = func(cluster ids.Cluster) host.ProtocolFactory { return reg.ReplicaFactory(cluster) }
-	cfg.NewInstanceFactory = reg.InstanceFactory
+	cfg.Composition = reg.comp
 	cfg.Observer = reg.Observer
 	if cfg.MaxUncheckpointed == 0 {
 		cfg.MaxUncheckpointed = opts.withDefaults().MaxUncheckpointed

@@ -4,10 +4,10 @@ import (
 	"sync"
 	"time"
 
-	"abstractbft/internal/aliph"
 	"abstractbft/internal/authn"
 	"abstractbft/internal/backup"
 	"abstractbft/internal/chain"
+	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
@@ -27,6 +27,7 @@ func SwitcherClientID(replica ids.ProcessID) ids.ProcessID {
 // switcher performs replica-initiated switching for one replica.
 type switcher struct {
 	h        *host.Host
+	comp     *compose.Composition
 	cluster  ids.Cluster
 	keys     *authn.KeyStore
 	id       ids.ProcessID // the switcher's client identity
@@ -40,7 +41,7 @@ type switcher struct {
 	switches     uint64
 }
 
-func newSwitcher(h *host.Host, keys *authn.KeyStore, endpoint transport.Endpoint, retry, timeout time.Duration) *switcher {
+func newSwitcher(h *host.Host, comp *compose.Composition, keys *authn.KeyStore, endpoint transport.Endpoint, retry, timeout time.Duration) *switcher {
 	if retry <= 0 {
 		retry = 25 * time.Millisecond
 	}
@@ -49,6 +50,7 @@ func newSwitcher(h *host.Host, keys *authn.KeyStore, endpoint transport.Endpoint
 	}
 	return &switcher{
 		h:        h,
+		comp:     comp,
 		cluster:  h.Cluster(),
 		keys:     keys,
 		id:       SwitcherClientID(h.ID()),
@@ -137,13 +139,13 @@ func (s *switcher) InitiateSwitch(current core.InstanceID) {
 func (s *switcher) activateNext(ind core.AbortIndication, noop msg.Request) {
 	next := ind.Next
 	init := &ind.Init
-	switch aliph.RoleOf(next) {
-	case aliph.RoleQuorum:
+	switch s.comp.ProtocolOf(next) {
+	case "quorum":
 		authBytes := quorum.AuthBytes(next, noop.Digest())
 		auth := s.keys.NewAuthenticator(s.id, s.cluster.Replicas(), authBytes[:])
 		m := &quorum.RequestMessage{Instance: next, Req: noop, Init: init, Auth: auth}
 		transport.Multicast(s.endpoint, s.cluster.Replicas(), m)
-	case aliph.RoleChain:
+	case "chain":
 		ca := s.keys.AppendChainMACs(authn.ChainAuthenticator{}, s.id, s.cluster.ChainSuccessorSet(s.id), chain.ClientAuthBytes(next, noop))
 		m := &chain.Message{Instance: next, Req: noop, CA: ca, Init: init}
 		s.endpoint.Send(s.cluster.Head(), m)

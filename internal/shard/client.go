@@ -22,7 +22,7 @@ type ClientConfig struct {
 	Env core.ClientEnv
 	// NewInstanceFactory builds the client-side instance factory of one
 	// shard from its (rotated) environment — the same factory the unsharded
-	// plane uses (e.g. azyzzyva.InstanceFactory).
+	// plane uses (Composition.InstanceFactory).
 	NewInstanceFactory func(env core.ClientEnv) core.InstanceFactory
 	// Pipeline, when non-nil, makes every per-shard composer a pipelining
 	// one with these options (invocations of one shard proceed

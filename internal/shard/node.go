@@ -34,8 +34,8 @@ type NodeConfig struct {
 	// application of the execution stage; nil selects a null application.
 	NewApp func() app.Application
 	// NewProtocol builds the per-instance protocol factory of one shard,
-	// given the shard's rotated cluster (composition packages provide it,
-	// e.g. azyzzyva.ReplicaFactory).
+	// given the shard's rotated cluster (a compose.Composition provides it:
+	// Composition.ReplicaFactory).
 	NewProtocol func(shard int, cluster ids.Cluster) host.ProtocolFactory
 	// Batch is the per-shard batch assembler policy.
 	Batch host.BatchPolicy

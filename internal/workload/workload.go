@@ -19,8 +19,8 @@ import (
 )
 
 // Invoker abstracts a closed-loop client of any protocol in the repository:
-// composed Abstract protocols (core.Composer), the PBFT baseline
-// (pbft.Client), and R-Aliph clients all satisfy it through small adapters.
+// composed Abstract protocols (core.Composer), sharded clients
+// (shard.Client) and R-Aliph clients all satisfy it through small adapters.
 type Invoker interface {
 	Invoke(ctx context.Context, req msg.Request) ([]byte, error)
 }
