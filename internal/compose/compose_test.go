@@ -48,35 +48,18 @@ func TestParseDSL(t *testing.T) {
 }
 
 func TestParseRegisteredNames(t *testing.T) {
-	for name, want := range map[string]struct {
-		dsl string
-		// protocols maps instance numbers to the protocol each runs.
-		protocols map[core.InstanceID]string
-	}{
-		"aliph": {"quorum,chain,backup", map[core.InstanceID]string{
-			1: "quorum", 2: "chain", 3: "backup", 4: "quorum", 5: "chain", 6: "backup",
-		}},
-		"azyzzyva": {"zlight,backup", map[core.InstanceID]string{
-			1: "zlight", 2: "backup", 3: "zlight", 4: "backup", 5: "zlight", 6: "backup", 7: "zlight",
-		}},
-		"zlight-chain-backup": {"zlight,chain,backup", map[core.InstanceID]string{
-			1: "zlight", 2: "chain", 3: "backup", 4: "zlight",
-		}},
-		"chain-backup": {"chain,backup", map[core.InstanceID]string{
-			1: "chain", 2: "backup", 3: "chain",
-		}},
+	for name, dsl := range map[string]string{
+		"aliph":               "quorum,chain,backup",
+		"azyzzyva":            "zlight,backup",
+		"zlight-chain-backup": "zlight,chain,backup",
+		"chain-backup":        "chain,backup",
 	} {
 		spec, err := compose.Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
 		}
-		if spec.String() != want.dsl {
-			t.Errorf("Parse(%q) = %q, want %q", name, spec.String(), want.dsl)
-		}
-		for id, proto := range want.protocols {
-			if got := spec.ProtocolAt(id); got != proto {
-				t.Errorf("%s.ProtocolAt(%d) = %q, want %q", name, id, got, proto)
-			}
+		if spec.String() != dsl {
+			t.Errorf("Parse(%q) = %q, want %q", name, spec.String(), dsl)
 		}
 	}
 	if names := compose.SpecNames(); len(names) < 4 {
@@ -84,6 +67,45 @@ func TestParseRegisteredNames(t *testing.T) {
 	}
 	if protos := compose.Protocols(); len(protos) != 5 {
 		t.Errorf("Protocols() = %v, want the five built-ins (zlight, quorum, chain, backup, pbft)", protos)
+	}
+}
+
+// TestRoleOf: the "aliph" schedule runs Quorum, Chain and Backup in turn, and
+// the k-th Backup instance (3, 6, 9, ...) has strong index k.
+func TestRoleOf(t *testing.T) {
+	aliph := compose.MustParse("aliph")
+	for id, want := range map[core.InstanceID]string{
+		1: "quorum", 2: "chain", 3: "backup", 4: "quorum", 5: "chain", 6: "backup",
+	} {
+		if got := aliph.ProtocolAt(id); got != want {
+			t.Errorf("aliph.ProtocolAt(%d) = %q, want %q", id, got, want)
+		}
+	}
+	for id, want := range map[core.InstanceID]int{3: 0, 6: 1, 9: 2} {
+		if got := aliph.StrongIndex(id); got != want {
+			t.Errorf("aliph.StrongIndex(%d) = %d, want %d", id, got, want)
+		}
+	}
+}
+
+// TestBackupIndex: the "azyzzyva" schedule runs ZLight on odd instances and
+// Backup on even ones, and Backup instance 2k has strong index k-1.
+func TestBackupIndex(t *testing.T) {
+	azy := compose.MustParse("azyzzyva")
+	for id, want := range map[core.InstanceID]int{2: 0, 4: 1, 6: 2, 8: 3} {
+		if got := azy.StrongIndex(id); got != want {
+			t.Errorf("azyzzyva.StrongIndex(%d) = %d, want %d", id, got, want)
+		}
+	}
+	for _, id := range []core.InstanceID{1, 3, 5, 7} {
+		if got := azy.ProtocolAt(id); got != "zlight" {
+			t.Errorf("azyzzyva.ProtocolAt(%d) = %q, want zlight", id, got)
+		}
+	}
+	for _, id := range []core.InstanceID{2, 4, 6} {
+		if got := azy.ProtocolAt(id); got != "backup" {
+			t.Errorf("azyzzyva.ProtocolAt(%d) = %q, want backup", id, got)
+		}
 	}
 }
 
@@ -97,7 +119,7 @@ func TestStrongIndex(t *testing.T) {
 		}
 	}
 	azy := compose.MustParse("azyzzyva")
-	for id, want := range map[core.InstanceID]int{2: 0, 4: 1, 6: 2, 8: 3} {
+	for id, want := range map[core.InstanceID]int{2: 0, 4: 1, 6: 2} {
 		if got := azy.StrongIndex(id); got != want {
 			t.Errorf("azyzzyva.StrongIndex(%d) = %d, want %d", id, got, want)
 		}

@@ -77,11 +77,14 @@ func testTopology() deploy.Topology {
 		App:                "kv",
 		ShardEpoch:         1,
 		CheckpointInterval: 8,
-		// The kill-to-recovered window (a second or two, more on a loaded CI
-		// box) must stay well inside the clients' panic timers, or the
-		// composition switches instances mid-outage and the run degrades
-		// through Backup k-cycles instead of resuming at full rate.
-		DeltaMs:  8000,
+		// The kill-to-recovered window (a second or two) stays inside the
+		// clients' panic timers (ZLight's is 3Δ). Requests in flight at the
+		// kill still panic — the restarted replica adopts them by state
+		// transfer and never replies — so each 30 s budget below must cover a
+		// panic/switch cycle with room for retransmissions: 3Δ, plus 2Δ per
+		// PANIC retransmission, plus Backup's 10Δ retry. At Δ = 8 s a single
+		// retransmission already outran a budget.
+		DeltaMs:  2000,
 		Pipeline: 2,
 		// Head-sample every request: the stitched-trace assertions below need
 		// deterministic span coverage, and the e2e workload is tiny.
@@ -346,6 +349,8 @@ func TestProcessShardedCrashRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starting workload client: %v", err)
 	}
+	// A failure before the workload finishes must not leave it running.
+	defer workload.Kill()
 
 	// SIGKILL replica 3 mid-run and restart it with -recover.
 	time.Sleep(1500 * time.Millisecond)

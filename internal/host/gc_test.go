@@ -247,6 +247,30 @@ func TestGCReleasesSupersededInstances(t *testing.T) {
 	}
 }
 
+// TestGCKeepsBodiesOfFrozenAbort: the active instance's abort froze while an
+// older checkpoint was stable, and a later one stabilized afterwards. The
+// next instance's init history names the frozen report's suffix, so those
+// bodies must survive the later checkpoint's GC.
+func TestGCKeepsBodiesOfFrozenAbort(t *testing.T) {
+	const interval = 8
+	h, st := gcHost(t, interval, false)
+	drive(t, h, st, 1, 20)
+	var frozen history.DigestHistory
+	h.Locked(func() { frozen = h.signedAbort(st).Abort.Report.Suffix.Clone() })
+	if len(frozen) == 0 {
+		t.Fatal("frozen report has no suffix")
+	}
+	drive(t, h, st, 21, 40)
+	if st.Checkpoint.StableSeq() <= 20 {
+		t.Fatalf("no checkpoint stabilized after the freeze (stable %d)", st.Checkpoint.StableSeq())
+	}
+	for i, d := range frozen {
+		if _, ok := h.RequestByDigest(d); !ok {
+			t.Fatalf("body %d of the frozen abort report was released", i)
+		}
+	}
+}
+
 // TestReplyRingServesOvertakenRetransmissions exercises the reply cache of
 // timestamp-window width: replies to requests that were overtaken by later
 // pipelined requests of the same client — including replies at and below the

@@ -129,7 +129,8 @@ func (h *Host) maybeSnapshot() {
 // applied digest prefix, the request bodies only that prefix named, and
 // snapshots older than the stable one. The digest chains are left folds, so
 // trimming storage changes no observable digest; abort reports only ever
-// carry the suffix from the stable checkpoint, which is retained.
+// carry the suffix from the checkpoint that was stable when they froze, and
+// the active instance's report keeps its bodies.
 func (h *Host) onStableCheckpoint(st *InstanceState) {
 	if h.cfg.DisableGC || h.cfg.InstrumentHistories {
 		return
@@ -210,6 +211,16 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 	retained := make(map[authn.Digest]struct{}, len(st.Digests))
 	for _, inst := range h.instances {
 		for _, d := range inst.Digests {
+			retained[d] = struct{}{}
+		}
+	}
+	// The active instance's abort, once frozen, keeps reporting the suffix
+	// from the checkpoint that was stable then, and the next instance's init
+	// history is extracted from such reports. A checkpoint that stabilized
+	// after the freeze must not release those bodies, or every replica would
+	// wait for them from peers that no longer have them.
+	if a := h.instances[h.active]; a != nil && a.cachedAbort != nil {
+		for _, d := range a.cachedAbort.Abort.Report.Suffix {
 			retained[d] = struct{}{}
 		}
 	}
