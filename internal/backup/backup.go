@@ -1,9 +1,8 @@
 // Package backup implements Backup (§4.3), the Abstract instance with strong
 // progress that composed protocols fall back to when the optimistic instances
-// abort: it wraps a total-order (BFT) protocol — PBFT by default, Aardvark in
-// R-Aliph — and commits exactly k requests before aborting every subsequent
-// one, where k grows exponentially across Backup instances to guarantee the
-// liveness of the composition.
+// abort: it wraps a total-order (BFT) protocol, PBFT, and commits exactly k
+// requests before aborting every subsequent one, where k grows exponentially
+// across Backup instances to guarantee the liveness of the composition.
 package backup
 
 import (
@@ -96,59 +95,30 @@ func AuthBytes(instance core.InstanceID, req msg.Request) []byte {
 	return buf[:]
 }
 
-// Orderer is the total-order protocol Backup wraps. The PBFT engine satisfies
-// it; Aardvark provides its own implementation with robust primary rotation.
-type Orderer interface {
-	// SubmitRequest hands a client request to the ordering protocol.
-	SubmitRequest(req msg.Request)
-	// HandleMessage processes an ordering-protocol message.
-	HandleMessage(from ids.ProcessID, m any)
-	// Tick drives the ordering protocol's timers.
-	Tick()
-}
-
-// OrdererFactory builds the ordering engine for one Backup instance. send
-// transmits ordering-protocol messages (already wrapped for routing); deliver
-// must be called with each ordered batch, in order.
-type OrdererFactory func(h *host.Host, inst core.InstanceID, send func(to ids.ProcessID, m any), deliver func([]msg.Request)) Orderer
-
-// PBFTOrderer returns an OrdererFactory building a plain PBFT engine with the
-// given batch size and view-change timeout.
-func PBFTOrderer(batchSize int, viewChangeTimeout time.Duration) OrdererFactory {
-	return func(h *host.Host, inst core.InstanceID, send func(to ids.ProcessID, m any), deliver func([]msg.Request)) Orderer {
-		return pbft.NewEngine(pbft.EngineConfig{
-			Cluster:           h.Cluster(),
-			Replica:           h.ID(),
-			Keys:              h.Keys(),
-			Send:              send,
-			Deliver:           deliver,
-			BatchSize:         batchSize,
-			ViewChangeTimeout: viewChangeTimeout,
-			Ops:               h.Ops(),
-		})
-	}
-}
+// batchSize is the number of requests per PBFT pre-prepare inside Backup.
+const batchSize = 8
 
 // ReplicaConfig configures the Backup replicas of a composition.
 type ReplicaConfig struct {
-	// K decides how many requests each Backup instance commits.
+	// K decides how many requests each Backup instance commits; nil selects
+	// the paper's exponential policy, ExponentialK(1, 1<<16).
 	K KPolicy
 	// BackupIndex maps an instance number to the 0-based index of the
 	// Backup instance within the composition (how many Backup instances
 	// preceded it); it parameterizes the exponential K policy.
 	BackupIndex func(core.InstanceID) int
-	// Orderer builds the wrapped ordering protocol (PBFT by default).
-	Orderer OrdererFactory
+	// ViewChangeTimeout is the wrapped PBFT engine's view-change timeout
+	// (0 selects 500ms).
+	ViewChangeTimeout time.Duration
 }
 
 // Replica implements the Backup functionality on one replica for one
 // Abstract instance.
 type Replica struct {
-	h   *host.Host
-	st  *host.InstanceState
-	cfg ReplicaConfig
+	h  *host.Host
+	st *host.InstanceState
 
-	orderer   Orderer
+	engine    *pbft.Engine
 	k         uint64
 	committed uint64
 }
@@ -156,21 +126,29 @@ type Replica struct {
 // NewReplica returns a host.ProtocolFactory creating Backup replicas.
 func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 	if cfg.K == nil {
-		cfg.K = ExponentialK(1, 1<<20)
+		cfg.K = ExponentialK(1, 1<<16)
 	}
 	if cfg.BackupIndex == nil {
 		cfg.BackupIndex = func(id core.InstanceID) int { return int(id / 2) }
 	}
-	if cfg.Orderer == nil {
-		cfg.Orderer = PBFTOrderer(8, 500*time.Millisecond)
+	if cfg.ViewChangeTimeout <= 0 {
+		cfg.ViewChangeTimeout = 500 * time.Millisecond
 	}
 	return func(h *host.Host, st *host.InstanceState) host.ProtocolReplica {
-		r := &Replica{h: h, st: st, cfg: cfg}
+		r := &Replica{h: h, st: st}
 		r.k = cfg.K(cfg.BackupIndex(st.ID), st.InitLowLoad)
-		send := func(to ids.ProcessID, m any) {
-			h.Send(to, &WrappedMessage{Instance: st.ID, From: h.ID(), Inner: m})
-		}
-		r.orderer = cfg.Orderer(h, st.ID, send, r.deliver)
+		r.engine = pbft.NewEngine(pbft.EngineConfig{
+			Cluster: h.Cluster(),
+			Replica: h.ID(),
+			Keys:    h.Keys(),
+			Send: func(to ids.ProcessID, m any) {
+				h.Send(to, &WrappedMessage{Instance: st.ID, From: h.ID(), Inner: m})
+			},
+			Deliver:           r.deliver,
+			BatchSize:         batchSize,
+			ViewChangeTimeout: cfg.ViewChangeTimeout,
+			Ops:               h.Ops(),
+		})
 		return r
 	}
 }
@@ -185,7 +163,7 @@ func (r *Replica) Handle(from ids.ProcessID, m any) {
 	case *RequestMessage:
 		r.onRequest(from, t)
 	case *WrappedMessage:
-		r.orderer.HandleMessage(t.From, t.Inner)
+		r.engine.HandleMessage(t.From, t.Inner)
 	}
 }
 
@@ -195,7 +173,7 @@ func (r *Replica) ProtocolTick() {
 	if r.st.Stopped {
 		return
 	}
-	r.orderer.Tick()
+	r.engine.Tick()
 }
 
 // onRequest verifies the client's authenticator and submits the request to
@@ -227,7 +205,7 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		return
 	}
 	r.h.StoreRequest(m.Req)
-	r.orderer.SubmitRequest(m.Req)
+	r.engine.SubmitRequest(m.Req)
 }
 
 // deliver consumes the total order produced by the wrapped protocol: the

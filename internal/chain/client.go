@@ -14,8 +14,6 @@ import (
 type Client struct {
 	env core.ClientEnv
 	id  core.InstanceID
-	// PendingFeedback is attached to the next CHAIN request (R-Aliph).
-	PendingFeedback []uint64
 }
 
 // NewClient creates a Chain instance client.
@@ -25,9 +23,6 @@ func NewClient(env core.ClientEnv, id core.InstanceID) *Client {
 
 // ID implements core.Instance.
 func (c *Client) ID() core.InstanceID { return c.id }
-
-// SetPendingFeedback implements core.FeedbackCarrier.
-func (c *Client) SetPendingFeedback(committed []uint64) { c.PendingFeedback = committed }
 
 // Invoke implements core.Instance: Step C1 (send the request to the head with
 // a chain authenticator for the first f+1 replicas, arm an (n+1)Δ timer) and
@@ -43,8 +38,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	succ := cl.ChainSuccessorSet(c.env.ID)
 	ca = c.env.Keys.AppendChainMACs(ca, c.env.ID, succ, ClientAuthBytes(c.id, req))
 	c.env.Ops.CountMACGen(c.env.ID, len(succ))
-	m := &Message{Instance: c.id, Req: req, CA: ca, Init: init, Feedback: c.PendingFeedback}
-	c.PendingFeedback = nil
+	m := &Message{Instance: c.id, Req: req, CA: ca, Init: init}
 	c.env.Endpoint.Send(cl.Head(), m)
 
 	out, committed, err := c.awaitTailReply(ctx, req)

@@ -44,9 +44,6 @@ type Message struct {
 	CA authn.ChainAuthenticator
 	// Init carries the init history on the client's first invocation.
 	Init *core.InitHistory
-	// Feedback piggybacks R-Aliph client feedback (committed request
-	// timestamps followed by issued request timestamps).
-	Feedback []uint64
 }
 
 // AbstractInstance implements core.InstanceMessage.

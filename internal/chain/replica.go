@@ -16,9 +16,6 @@ type ReplicaConfig struct {
 	// the instance (setting core.AbortFlagLowLoad) so the composition can
 	// switch back to Quorum through a one-request Backup. Zero disables it.
 	LowLoadAfter time.Duration
-	// Feedback optionally receives R-Aliph client feedback piggybacked on
-	// CHAIN messages.
-	Feedback host.FeedbackSink
 }
 
 // Replica implements the Chain pipeline steps (C2/C3) at one position of the
@@ -88,9 +85,6 @@ func (r *Replica) Handle(from ids.ProcessID, m any) {
 // hand the request to the batch assembler, which flushes whole batches into
 // orderBatch under the size/delay policy.
 func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
-	if r.cfg.Feedback != nil && len(m.Feedback) > 0 {
-		r.cfg.Feedback.ClientFeedback(r.h.ID(), m.Req.Client, m.Feedback, []uint64{m.Req.Timestamp})
-	}
 	if r.st.Stopped || !from.IsClient() || from != m.Req.Client {
 		return
 	}

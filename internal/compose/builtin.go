@@ -30,9 +30,9 @@ func init() {
 	Register(Descriptor{
 		Name:     "quorum",
 		Progress: core.ProgressNoContention,
-		Caps:     Capabilities{BatchedInvoke: true, Feedback: true},
+		Caps:     Capabilities{BatchedInvoke: true},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
-			return quorum.NewReplica(ctx.Opts.Feedback)
+			return quorum.NewReplica()
 		},
 		NewClient: func(env core.ClientEnv, id core.InstanceID) (core.Instance, error) {
 			return quorum.NewClient(env, id), nil
@@ -41,11 +41,10 @@ func init() {
 	Register(Descriptor{
 		Name:     "chain",
 		Progress: core.ProgressCommonCase,
-		Caps:     Capabilities{Feedback: true, LowLoadAbort: true},
+		Caps:     Capabilities{LowLoadAbort: true},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return chain.NewReplica(chain.ReplicaConfig{
 				LowLoadAfter: ctx.Opts.LowLoadAfter,
-				Feedback:     ctx.Opts.Feedback,
 			})
 		},
 		NewClient: func(env core.ClientEnv, id core.InstanceID) (core.Instance, error) {
@@ -58,9 +57,8 @@ func init() {
 		Caps:     Capabilities{},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return backup.NewReplica(backup.ReplicaConfig{
-				K:           ctx.Opts.BackupK,
-				BackupIndex: ctx.StrongIndex,
-				Orderer:     ctx.Opts.Orderer,
+				BackupIndex:       ctx.StrongIndex,
+				ViewChangeTimeout: ctx.Opts.ViewChangeTimeout,
 			})
 		},
 		NewClient: func(env core.ClientEnv, id core.InstanceID) (core.Instance, error) {
@@ -78,9 +76,9 @@ func init() {
 		Caps:     Capabilities{},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return backup.NewReplica(backup.ReplicaConfig{
-				K:           backup.FixedK(math.MaxUint64),
-				BackupIndex: ctx.StrongIndex,
-				Orderer:     ctx.Opts.Orderer,
+				K:                 backup.FixedK(math.MaxUint64),
+				BackupIndex:       ctx.StrongIndex,
+				ViewChangeTimeout: ctx.Opts.ViewChangeTimeout,
 			})
 		},
 		NewClient: func(env core.ClientEnv, id core.InstanceID) (core.Instance, error) {

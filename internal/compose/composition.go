@@ -4,67 +4,24 @@ import (
 	"fmt"
 	"time"
 
-	"abstractbft/internal/backup"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 )
 
 // Options tunes the constituent instances of a composition. Each knob is
-// consumed only by the stages whose capability it matches (LowLoadAfter by
-// low-load-capable stages, Feedback by feedback-capable ones, the Backup
-// knobs by strong stages), so one Options value parameterizes any schedule.
+// consumed only by the stages it applies to (LowLoadAfter by low-load-capable
+// stages, ViewChangeTimeout by strong stages), so one Options value
+// parameterizes any schedule.
 type Options struct {
-	// BackupK is the strong stages' commit-count policy; nil selects the
-	// paper's exponential policy starting at 1.
-	BackupK backup.KPolicy
-	// BatchSize is the ordering batch size inside strong stages (PBFT).
-	BatchSize int
-	// ViewChangeTimeout is the view-change timeout inside strong stages.
+	// ViewChangeTimeout is the view-change timeout inside strong stages
+	// (0 selects Backup's default).
 	ViewChangeTimeout time.Duration
 	// LowLoadAfter enables the low-load optimization of capable stages
 	// (Chain): when only one client has been active for this long, the stage
 	// aborts so the composition returns to its contention-free stage
 	// (0 disables it).
 	LowLoadAfter time.Duration
-	// Feedback optionally receives R-Aliph client feedback at
-	// feedback-capable replicas (Quorum, Chain).
-	Feedback host.FeedbackSink
-	// Orderer overrides the total-order engine of strong stages (nil selects
-	// PBFT; R-Aliph installs Aardvark).
-	Orderer backup.OrdererFactory
-	// WrapReplica, when non-nil, wraps every protocol replica the derived
-	// factory creates (R-Aliph's monitoring). The descriptor tells the
-	// wrapper which stage the instance runs.
-	WrapReplica func(inner host.ProtocolReplica, h *host.Host, st *host.InstanceState, d *Descriptor) host.ProtocolReplica
-}
-
-// Default knobs of the strong stages; exported so harnesses that build
-// their own orderer (R-Aliph's Aardvark) stay in lockstep with the
-// composition's Backup parameters.
-const (
-	// DefaultBatchSize is the default ordering batch size inside strong
-	// stages.
-	DefaultBatchSize = 8
-	// DefaultViewChangeTimeout is the default view-change timeout inside
-	// strong stages.
-	DefaultViewChangeTimeout = 500 * time.Millisecond
-)
-
-func (o Options) withDefaults() Options {
-	if o.BackupK == nil {
-		o.BackupK = backup.ExponentialK(1, 1<<16)
-	}
-	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
-	}
-	if o.ViewChangeTimeout <= 0 {
-		o.ViewChangeTimeout = DefaultViewChangeTimeout
-	}
-	if o.Orderer == nil {
-		o.Orderer = backup.PBFTOrderer(o.BatchSize, o.ViewChangeTimeout)
-	}
-	return o
 }
 
 // Composition is a compiled (Spec, Options) pair: the single value from
@@ -82,7 +39,7 @@ func New(spec Spec, opts Options) (*Composition, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Composition{spec: spec, opts: opts.withDefaults()}
+	c := &Composition{spec: spec, opts: opts}
 	for _, st := range spec.Stages {
 		d, _ := Lookup(st.Protocol)
 		for r := 0; r < st.repeat(); r++ {
@@ -133,12 +90,7 @@ func (c *Composition) ReplicaFactory(cluster ids.Cluster) host.ProtocolFactory {
 		}
 	}
 	return func(h *host.Host, st *host.InstanceState) host.ProtocolReplica {
-		d := c.DescriptorOf(st.ID)
-		inner := made[d](h, st)
-		if c.opts.WrapReplica != nil {
-			inner = c.opts.WrapReplica(inner, h, st, d)
-		}
-		return inner
+		return made[c.DescriptorOf(st.ID)](h, st)
 	}
 }
 

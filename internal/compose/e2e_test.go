@@ -13,6 +13,7 @@ import (
 	"abstractbft/internal/deploy"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
+	"abstractbft/internal/transport"
 )
 
 // newComposedCluster deploys an f=1 cluster running the given schedule with
@@ -55,6 +56,42 @@ func newCounter() app.Application { return app.NewCounter() }
 
 func newKVStore() app.Application { return app.NewKVStore() }
 
+// driveClients runs clients concurrent closed-loop clients of c, perClient
+// requests each, and fails the test unless every request commits. It returns
+// the clients' composers for the caller's switch assertions.
+func driveClients(t *testing.T, c *deploy.Cluster, clients, perClient int, tag string) []*core.Composer {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errCh := make(chan error, clients)
+	composers := make([]*core.Composer, clients)
+	for i := 0; i < clients; i++ {
+		client, err := c.NewClient(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		composers[i] = client
+		wg.Add(1)
+		go func(i int, client *core.Composer) {
+			defer wg.Done()
+			for ts := uint64(1); ts <= uint64(perClient); ts++ {
+				req := msg.Request{Client: ids.Client(i), Timestamp: ts, Command: []byte(fmt.Sprintf("%s%d-%d", tag, i, ts))}
+				if _, err := client.Invoke(ctx, req); err != nil {
+					errCh <- fmt.Errorf("client %d invoke %d: %w", i, ts, err)
+					return
+				}
+			}
+		}(i, client)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	return composers
+}
+
 // TestEveryRegisteredCompositionE2E drives every schedule in the registry —
 // including the compositions that existed only as DSL strings until this API
 // (zlight-chain-backup, chain-backup) — through a concurrent workload under
@@ -70,35 +107,7 @@ func TestEveryRegisteredCompositionE2E(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			checker := core.NewSpecChecker()
 			c := newComposedCluster(t, name, checker)
-			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-			defer cancel()
-
-			const clients = 4
-			const perClient = 10
-			var wg sync.WaitGroup
-			errCh := make(chan error, clients)
-			for i := 0; i < clients; i++ {
-				client, err := c.NewClient(i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wg.Add(1)
-				go func(i int, client *core.Composer) {
-					defer wg.Done()
-					for ts := uint64(1); ts <= perClient; ts++ {
-						req := msg.Request{Client: ids.Client(i), Timestamp: ts, Command: []byte(fmt.Sprintf("c%d-%d", i, ts))}
-						if _, err := client.Invoke(ctx, req); err != nil {
-							errCh <- fmt.Errorf("client %d invoke %d: %w", i, ts, err)
-							return
-						}
-					}
-				}(i, client)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
+			driveClients(t, c, 4, 10, "c")
 			if errs := checker.Check(); len(errs) > 0 {
 				t.Fatalf("specification violations under %q: %v", name, errs)
 			}
@@ -114,38 +123,7 @@ func TestEveryRegisteredCompositionE2E(t *testing.T) {
 func TestStandalonePBFTSpecE2E(t *testing.T) {
 	checker := core.NewSpecChecker()
 	c := newComposedCluster(t, "pbft", checker)
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	const clients = 4
-	const perClient = 10
-	var wg sync.WaitGroup
-	errCh := make(chan error, clients)
-	composers := make([]*core.Composer, clients)
-	for i := 0; i < clients; i++ {
-		client, err := c.NewClient(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		composers[i] = client
-		wg.Add(1)
-		go func(i int, client *core.Composer) {
-			defer wg.Done()
-			for ts := uint64(1); ts <= perClient; ts++ {
-				req := msg.Request{Client: ids.Client(i), Timestamp: ts, Command: []byte(fmt.Sprintf("p%d-%d", i, ts))}
-				if _, err := client.Invoke(ctx, req); err != nil {
-					errCh <- fmt.Errorf("client %d invoke %d: %w", i, ts, err)
-					return
-				}
-			}
-		}(i, client)
-	}
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		t.Fatal(err)
-	}
-	for i, client := range composers {
+	for i, client := range driveClients(t, c, 4, 10, "p") {
 		if n := client.Switches(); n != 0 {
 			t.Errorf("client %d switched %d times; the unbounded pbft stage must never abort", i, n)
 		}
@@ -189,6 +167,51 @@ func TestNewCompositionsSurviveCrash(t *testing.T) {
 			if proto := spec.ProtocolAt(client.ActiveInstance()); proto != "backup" {
 				t.Errorf("composition settled on %q (instance %d), want the strong stage",
 					proto, client.ActiveInstance())
+			}
+			if errs := checker.Check(); len(errs) > 0 {
+				t.Fatalf("specification violations under %q: %v", dsl, errs)
+			}
+		})
+	}
+}
+
+// TestSlowHeadSwitchesAndCommits slows replica 0 instead of crashing it:
+// every message it sends takes 4Δ. The optimistic stages miss their client
+// timers, so clients panic and the composition switches, and the run must
+// still commit every request and satisfy the specification.
+func TestSlowHeadSwitchesAndCommits(t *testing.T) {
+	const delta = 25 * time.Millisecond
+	slowHead := func(from, to ids.ProcessID, payload any) time.Duration {
+		if from == ids.Replica(0) {
+			return 4 * delta
+		}
+		return 0
+	}
+	for _, dsl := range []string{"aliph", "azyzzyva"} {
+		t.Run(dsl, func(t *testing.T) {
+			checker := core.NewSpecChecker()
+			comp, err := compose.New(compose.MustParse(dsl), compose.Options{ViewChangeTimeout: 300 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := deploy.New(deploy.Config{
+				F:                   1,
+				NewApp:              newCounter,
+				Composition:         comp,
+				Delta:               delta,
+				Network:             transport.Options{Delay: slowHead},
+				InstrumentHistories: true,
+				Checker:             checker,
+				TickInterval:        10 * time.Millisecond,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Stop)
+			for i, client := range driveClients(t, c, 4, 10, "s") {
+				if client.Switches() == 0 {
+					t.Errorf("client %d never switched with a slow head", i)
+				}
 			}
 			if errs := checker.Check(); len(errs) > 0 {
 				t.Fatalf("specification violations under %q: %v", dsl, errs)

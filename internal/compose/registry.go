@@ -34,10 +34,6 @@ type Capabilities struct {
 	// several pipelined requests of one client travel as a single protocol
 	// step under one authenticator (Quorum).
 	BatchedInvoke bool
-	// Feedback marks an implementation that carries R-Aliph client feedback:
-	// the replica accepts a host.FeedbackSink and the client implements
-	// core.FeedbackCarrier (Quorum, Chain).
-	Feedback bool
 	// LowLoadAbort marks a replica that can abort on low load so the
 	// composition returns to a contention-free stage (Chain).
 	LowLoadAbort bool
@@ -50,7 +46,7 @@ type Capabilities struct {
 type ReplicaContext struct {
 	// Cluster describes the replica group.
 	Cluster ids.Cluster
-	// Opts are the composition options (already defaulted).
+	// Opts are the composition options.
 	Opts Options
 	// StrongIndex maps an instance number to the 0-based count of
 	// strong-progress instances that preceded it in the schedule; it

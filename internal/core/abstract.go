@@ -117,17 +117,9 @@ type BatchInstance interface {
 }
 
 // InstanceFactory creates the client-side handle for the given instance
-// number. Composed protocols (AZyzzyva, Aliph, R-Aliph) provide factories
-// that rotate through their constituent Abstract implementations.
+// number. Composed protocols (AZyzzyva, Aliph) provide factories that rotate
+// through their constituent Abstract implementations.
 type InstanceFactory func(id InstanceID) (Instance, error)
-
-// FeedbackCarrier is implemented by instance clients that can piggyback
-// R-Aliph commit feedback (committed request timestamps) on their next
-// request messages (Quorum, Chain). Harnesses detect the capability by
-// interface assertion instead of switching on concrete client types.
-type FeedbackCarrier interface {
-	SetPendingFeedback(committed []uint64)
-}
 
 // Progress describes, for documentation and for the specification checker,
 // the progress predicate of an instance implementation.

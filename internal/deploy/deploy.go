@@ -70,8 +70,6 @@ type Config struct {
 	// RecoverTimeout bounds how long RestartNode waits for an f+1-agreed
 	// merged boundary among the live peers (0 = 15s).
 	RecoverTimeout time.Duration
-	// MaxUncheckpointed bounds the uncheckpointed history (R-Aliph).
-	MaxUncheckpointed int
 	// InstrumentHistories enables the specification checker instrumentation.
 	InstrumentHistories bool
 	// Checker optionally records client events for the specification
@@ -83,10 +81,6 @@ type Config struct {
 	Secret string
 	// TickInterval is the replica protocol tick (view-change timers).
 	TickInterval time.Duration
-	// Observer is installed on every replica host (R-Aliph monitoring,
-	// tests). The function receives the replica identifier and returns the
-	// observer for that replica (nil for none).
-	Observer func(r ids.ProcessID, h *host.Host) host.Observer
 	// Metrics, when non-nil, instruments every replica of the cluster into
 	// one shared registry (per-replica series aggregate; sharded planes label
 	// by shard). Nil keeps the hot paths on the no-op metric path.
@@ -148,7 +142,6 @@ func New(cfg Config) (*Cluster, error) {
 			TimestampWindow:     cfg.TimestampWindow,
 			CheckpointInterval:  cfg.CheckpointInterval,
 			DisableGC:           cfg.DisableGC,
-			MaxUncheckpointed:   cfg.MaxUncheckpointed,
 			InstrumentHistories: cfg.InstrumentHistories,
 			Ops:                 cfg.Ops,
 			TickInterval:        cfg.TickInterval,
@@ -156,11 +149,6 @@ func New(cfg Config) (*Cluster, error) {
 			Tracer:              cfg.Tracer,
 			ProtocolName:        cfg.Composition.ProtocolOf,
 		})
-		if cfg.Observer != nil {
-			if obs := cfg.Observer(r, h); obs != nil {
-				h.SetObserver(obs)
-			}
-		}
 		c.Hosts = append(c.Hosts, h)
 	}
 	for _, h := range c.Hosts {
@@ -193,7 +181,6 @@ func (c *Cluster) RestartReplica(i int) *host.Host {
 		TimestampWindow:     c.cfg.TimestampWindow,
 		CheckpointInterval:  c.cfg.CheckpointInterval,
 		DisableGC:           c.cfg.DisableGC,
-		MaxUncheckpointed:   c.cfg.MaxUncheckpointed,
 		InstrumentHistories: c.cfg.InstrumentHistories,
 		Ops:                 c.cfg.Ops,
 		TickInterval:        c.cfg.TickInterval,
@@ -201,11 +188,6 @@ func (c *Cluster) RestartReplica(i int) *host.Host {
 		Tracer:              c.cfg.Tracer,
 		ProtocolName:        c.cfg.Composition.ProtocolOf,
 	})
-	if c.cfg.Observer != nil {
-		if obs := c.cfg.Observer(r, h); obs != nil {
-			h.SetObserver(obs)
-		}
-	}
 	c.Hosts[i] = h
 	h.Start()
 	h.SyncState(0)

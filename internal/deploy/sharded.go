@@ -88,7 +88,6 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 		RecoverRetryInterval: cfg.RecoverRetryInterval,
 		CheckpointInterval:   cfg.CheckpointInterval,
 		DisableGC:            cfg.DisableGC,
-		MaxUncheckpointed:    cfg.MaxUncheckpointed,
 		InstrumentHistories:  cfg.InstrumentHistories,
 		TickInterval:         cfg.TickInterval,
 		Ops:                  cfg.Ops,

@@ -44,9 +44,6 @@ func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 		h.met.aborts.Inc()
 		h.cfg.Flight.Record("abort", h.cfg.Shard,
 			"instance %d stopped on PANIC from %v (t=%d)", st.ID, m.Client, m.Timestamp)
-		if h.observer != nil {
-			h.observer.InstanceStopped(st.ID)
-		}
 	}
 	signed := h.signedAbort(st)
 	h.Send(m.Client, &core.AbortReply{Instance: st.ID, Timestamp: m.Timestamp, Signed: *signed})
@@ -95,22 +92,18 @@ func (h *Host) signedAbort(st *InstanceState) *core.SignedAbort {
 }
 
 // StopInstance marks an instance stopped; exposed for protocols that stop on
-// their own initiative (Backup after k requests, Chain's low-load abort,
-// R-Aliph's replica-initiated switching).
+// their own initiative (Backup after k requests, Chain's low-load abort).
 func (h *Host) StopInstance(st *InstanceState) {
 	if !st.Stopped {
 		st.Stopped = true
 		h.met.aborts.Inc()
 		h.cfg.Flight.Record("abort", h.cfg.Shard, "instance %d stopped by replica", st.ID)
-		if h.observer != nil {
-			h.observer.InstanceStopped(st.ID)
-		}
 	}
 }
 
 // StopInstanceByID stops an instance by number, taking the host lock itself;
-// it is the entry point for external goroutines (R-Aliph's switcher), which
-// must not nest it inside Locked.
+// it is the entry point for code outside the event loop (tests), which must
+// not nest it inside Locked.
 func (h *Host) StopInstanceByID(id core.InstanceID) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -120,8 +113,7 @@ func (h *Host) StopInstanceByID(id core.InstanceID) {
 }
 
 // SignedAbortFor exposes the replica's signed abort message for protocols
-// that deliver abort indications through their own messages (Backup) or for
-// replica-initiated switching (R-Aliph).
+// that deliver abort indications through their own messages (Backup).
 func (h *Host) SignedAbortFor(st *InstanceState) core.SignedAbort { return *h.signedAbort(st) }
 
 // maybeCheckpoint runs the LCS when the local history crossed a checkpoint

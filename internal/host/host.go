@@ -53,50 +53,23 @@ type Ticker interface {
 	ProtocolTick()
 }
 
-// Observer receives notifications about replica-side events; it is used by
-// R-Aliph's monitoring (progress, fairness) and by tests.
+// Observer receives the requests an instance's history gains and the
+// history resets a switch causes; the sharded plane's execution feed is its
+// one implementation.
 type Observer interface {
-	// RequestLogged is called when a request is appended to the local
-	// history of an instance.
+	// RequestLogged is called for each request appended to the local history
+	// of an instance, whether logged by the instance or adopted from an init
+	// history (then only for entries whose body is known, in history order);
+	// pos is the absolute position. An adopted entry the replica never logged
+	// (a missed ORDER before a switch) would otherwise leave a permanent gap
+	// in the feed.
 	//
 	//abstractbft:lockheld
 	RequestLogged(inst core.InstanceID, req msg.Request, pos uint64)
-	// InstanceStopped is called when an instance stops (first abort).
-	//
-	//abstractbft:lockheld
-	InstanceStopped(inst core.InstanceID)
-	// InstanceActivated is called when an instance becomes active.
-	//
-	//abstractbft:lockheld
-	InstanceActivated(inst core.InstanceID)
-}
-
-// HistoryAdopter is an optional Observer extension: when an instance
-// initializes from an adopted init history, the observer receives every
-// adopted request body at its absolute position. The sharded plane's
-// execution feed needs this — a replica that adopts entries it never logged
-// (missed ORDERs before a switch) would otherwise leave a permanent gap in
-// its per-shard sequencer and stall its merged mirror forever. RequestLogged
-// deliberately does not fire for adopted entries, so R-Aliph's
-// progress/fairness monitoring keeps counting only locally ordered requests.
-type HistoryAdopter interface {
-	// RequestAdopted is called under the host lock for each adopted request
-	// whose body is known, in history order; pos is the absolute position.
-	//
-	//abstractbft:lockheld
-	RequestAdopted(inst core.InstanceID, req msg.Request, pos uint64)
-}
-
-// HistoryResetter is an optional Observer extension: when an instance
-// replaces its history wholesale (adopting an init history at a switch), the
-// observer learns the position the adopted history starts from before the
-// adopted entries are replayed. The sharded plane's execution feed uses it
-// to drop buffered speculative entries the adoption rolled back, so the
-// merged mirror adopts the agreed values instead of keeping first-logged
-// stale ones.
-type HistoryResetter interface {
-	// HistoryReset is called under the host lock when instance inst adopts
-	// a history starting at absolute position baseSeq.
+	// HistoryReset is called when instance inst replaces its history
+	// wholesale (adopting an init history at a switch) starting at absolute
+	// position baseSeq, before the adopted entries are replayed, so the feed
+	// can drop buffered speculative entries the adoption rolled back.
 	//
 	//abstractbft:lockheld
 	HistoryReset(inst core.InstanceID, baseSeq uint64)
@@ -156,9 +129,6 @@ type Config struct {
 	// snapshots the replica retains for state transfer
 	// (statesync.DefaultStoreCapacity when 0).
 	SnapshotRetain int
-	// MaxUncheckpointed bounds the number of requests a replica logs beyond
-	// its last stable checkpoint (R-Aliph uses 384); 0 means unbounded.
-	MaxUncheckpointed int
 	// InstrumentHistories makes RESP messages carry full digest histories so
 	// the specification checker can validate runs (tests only).
 	InstrumentHistories bool
@@ -267,9 +237,8 @@ type Host struct {
 	traceExecPos uint64           // applied seq at which the sampled request is applied
 	traceExecOn  bool
 
-	// fault/attack injection knobs.
-	processingDelay time.Duration
-	crashed         bool
+	// crashed is the fault-injection knob.
+	crashed bool
 
 	stopCh   chan struct{}
 	doneCh   chan struct{}
@@ -337,14 +306,6 @@ func (h *Host) InstrumentHistories() bool { return h.cfg.InstrumentHistories }
 
 // SetObserver installs an observer; it must be called before Start.
 func (h *Host) SetObserver(o Observer) { h.observer = o }
-
-// SetProcessingDelay injects an artificial delay before handling each
-// message; used by the "processing delay" attack.
-func (h *Host) SetProcessingDelay(d time.Duration) {
-	h.mu.Lock()
-	h.processingDelay = d
-	h.mu.Unlock()
-}
 
 // SetCrashed makes the replica drop every message (true) or resume (false);
 // used by crash/recovery experiments.
@@ -429,14 +390,6 @@ func (h *Host) dispatch(env transport.Envelope) {
 	if h.crashed {
 		return
 	}
-	if delay := h.processingDelay; delay > 0 {
-		// The injected slowness (attack experiments) is served without the
-		// lock, as a slow replica's would be.
-		h.mu.Unlock()
-		time.Sleep(delay)
-		h.mu.Lock()
-	}
-
 	switch m := env.Payload.(type) {
 	case *core.PanicMessage:
 		h.handlePanic(env.From, m)
@@ -535,9 +488,9 @@ func (h *Host) InstanceStateFor(id core.InstanceID) *InstanceState {
 }
 
 // Locked runs fn while holding the host lock; protocol replicas handle
-// messages under this lock already, but external components (such as
-// R-Aliph's monitor, which initiates switching from a timer goroutine) use
-// Locked to interact with instance state safely.
+// messages under this lock already, but code running on its own goroutine
+// (the Batcher's MaxDelay flush, direct-drive benchmarks) uses Locked to
+// interact with instance state safely.
 func (h *Host) Locked(fn func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -445,9 +445,6 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 	if st.Initialized {
 		h.takeActivationSnapshot()
 		h.noteActivated(id)
-		if h.observer != nil {
-			h.observer.InstanceActivated(id)
-		}
 	}
 	return st
 }
@@ -457,8 +454,8 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 // replicas, and (when complete) reconciles the application state with the
 // adopted history.
 func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
-	if resetter, ok := h.observer.(HistoryResetter); ok {
-		resetter.HistoryReset(st.ID, init.Extract.BaseSeq)
+	if h.observer != nil {
+		h.observer.HistoryReset(st.ID, init.Extract.BaseSeq)
 	}
 	st.BaseSeq = init.Extract.BaseSeq
 	st.BaseDigest = init.Extract.BaseDigest
@@ -515,12 +512,11 @@ func (h *Host) finishInit(st *InstanceState) {
 
 	// Update per-client timestamp windows from the adopted history so
 	// duplicate requests are rejected.
-	adopter, _ := h.observer.(HistoryAdopter)
 	for i, d := range st.Digests {
 		if r, ok := h.requestStore[d]; ok {
 			st.markLogged(r.Client, r.Timestamp)
-			if adopter != nil {
-				adopter.RequestAdopted(st.ID, r, st.BaseSeq+uint64(i))
+			if h.observer != nil {
+				h.observer.RequestLogged(st.ID, r, st.BaseSeq+uint64(i))
 			}
 		}
 	}
@@ -537,9 +533,6 @@ func (h *Host) finishInit(st *InstanceState) {
 	}
 	h.takeActivationSnapshot()
 	h.noteActivated(st.ID)
-	if h.observer != nil {
-		h.observer.InstanceActivated(st.ID)
-	}
 }
 
 // takeActivationSnapshot records the application state at instance
@@ -657,8 +650,8 @@ func (h *Host) applyRequest(r msg.Request, d authn.Digest) []byte {
 
 // Log appends a request to the instance's local history (Step Z3/Q2/C3
 // logging): the degenerate one-request batch. It returns the absolute
-// position and false when the instance cannot log (stopped, uninitialized,
-// or checkpoint backlog limit reached).
+// position and false when the instance cannot log (stopped or
+// uninitialized).
 func (h *Host) Log(st *InstanceState, req msg.Request) (uint64, bool) {
 	return h.LogBatch(st, msg.BatchOf(req))
 }
@@ -667,8 +660,7 @@ func (h *Host) Log(st *InstanceState, req msg.Request) (uint64, bool) {
 // as one append span: the digests are appended in batch order, the checkpoint
 // trigger runs once at the end, and the observer sees each request at its
 // assigned position. It returns the absolute position of the batch's first
-// request and false when the instance cannot log (stopped, uninitialized, or
-// checkpoint backlog limit reached).
+// request and false when the instance cannot log (stopped or uninitialized).
 func (h *Host) LogBatch(st *InstanceState, batch msg.Batch) (uint64, bool) {
 	return h.LogBatchDigested(st, batch, nil)
 }
@@ -680,12 +672,6 @@ func (h *Host) LogBatch(st *InstanceState, batch msg.Batch) (uint64, bool) {
 func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []authn.Digest) (uint64, bool) {
 	if st.Stopped || !st.Initialized || batch.Len() == 0 {
 		return 0, false
-	}
-	if h.cfg.MaxUncheckpointed > 0 {
-		backlog := st.AbsLen() - st.Checkpoint.StableSeq()
-		if backlog+uint64(batch.Len()) > uint64(h.cfg.MaxUncheckpointed) {
-			return 0, false
-		}
 	}
 	if digests == nil {
 		digests = batch.Digests()

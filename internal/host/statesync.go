@@ -474,12 +474,11 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 		if iv := uint64(st.Checkpoint.Interval); iv > 0 && a.Snap.Seq > 0 && a.Snap.Seq%iv == 0 {
 			st.Checkpoint.AdoptStable(a.Snap.Seq/iv, a.Snap.HistDigest)
 		}
-		adopter, _ := h.observer.(HistoryAdopter)
 		for i, d := range st.Digests {
 			if r, ok := h.requestStore[d]; ok {
 				st.markLogged(r.Client, r.Timestamp)
-				if adopter != nil {
-					adopter.RequestAdopted(st.ID, r, st.BaseSeq+st.trimmed+uint64(i))
+				if h.observer != nil {
+					h.observer.RequestLogged(st.ID, r, st.BaseSeq+st.trimmed+uint64(i))
 				}
 			}
 		}

@@ -11,9 +11,8 @@ import (
 // (identified by their *types.Func) and function literals (identified by
 // their *ast.FuncLit); edges are synchronous calls. Calls launched on a new
 // goroutine (`go f()`, `go func(){...}()`, time.AfterFunc callbacks) get no
-// edge: they run outside the caller's lock context — that is precisely how
-// R-Aliph's monitor legally initiates a switch from inside a Locked
-// callback. Dynamic calls through module-declared interfaces expand to every
+// edge: they run outside the caller's lock context, so handing lock-taking
+// work to a goroutine from inside a Locked callback is legal. Dynamic calls through module-declared interfaces expand to every
 // implementing method (class-hierarchy analysis); calls through plain func
 // values and stdlib interfaces are not resolved.
 

@@ -20,9 +20,9 @@ import (
 //     host event loop invokes under its lock), and functions assigned to
 //     lockheld-annotated config fields — to the host.Host methods that
 //     acquire h.mu. Any path is a deadlock. Goroutine launches break the
-//     path (handing work to a goroutine is the sanctioned escape, exactly
-//     how R-Aliph's monitor initiates switches), and a function annotated
-//     //abstractbft:locksafe is trusted and not traversed.
+//     path (handing work to a goroutine is the sanctioned escape), and a
+//     function annotated //abstractbft:locksafe is trusted and not
+//     traversed.
 //
 //  2. Intraprocedural: inside any method that locks a mutex field of its
 //     own receiver, a call to another method of the same receiver that

@@ -42,7 +42,7 @@ func (r *replica) refresh() {
 }
 
 // switcher hands the lock-taking work to a goroutine — the sanctioned
-// escape, exactly how R-Aliph's monitor initiates an instance switch.
+// escape for code that must take the host lock from a lock-held handler.
 // Removing the go keyword from Handle turns this into the finding above.
 type switcher struct{ h *host.Host }
 

@@ -71,7 +71,7 @@ type Engine struct {
 	targetView   uint64
 	viewChanges  map[uint64]map[ids.ProcessID]*ViewChange
 	// viewChangeCount counts completed view changes (observability, used by
-	// the Aardvark wrapper and tests).
+	// tests).
 	viewChangeCount uint64
 }
 
@@ -92,19 +92,8 @@ func NewEngine(cfg EngineConfig) *Engine {
 	}
 }
 
-// View returns the current view number.
-func (e *Engine) View() uint64 { return e.view }
-
 // ViewChanges returns the number of completed view changes.
 func (e *Engine) ViewChanges() uint64 { return e.viewChangeCount }
-
-// LastDelivered returns the sequence number of the last delivered batch.
-func (e *Engine) LastDelivered() uint64 { return e.lastDelivered }
-
-// PendingKnown returns the number of client requests this replica knows about
-// that have not yet been ordered; the robust primary-rotation policies use it
-// to distinguish "no demand" from "primary not ordering".
-func (e *Engine) PendingKnown() int { return len(e.knownReqs) }
 
 // Primary returns the primary of the current view.
 func (e *Engine) Primary() ids.ProcessID { return e.cfg.Cluster.Primary(e.view) }
@@ -318,14 +307,12 @@ func (e *Engine) Tick() {
 		}
 	}
 	if stale {
-		e.StartViewChange(e.view + 1)
+		e.startViewChange(e.view + 1)
 	}
 }
 
-// StartViewChange initiates (or joins) a view change to the target view. It
-// is also called directly by the Aardvark wrapper, which rotates the primary
-// on its own policy.
-func (e *Engine) StartViewChange(target uint64) {
+// startViewChange initiates (or joins) a view change to the target view.
+func (e *Engine) startViewChange(target uint64) {
 	if target <= e.view {
 		return
 	}
@@ -377,7 +364,7 @@ func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
 	e.recordViewChange(vc)
 	// Join the view change once f+1 replicas ask for it (liveness rule).
 	if len(e.viewChanges[vc.NewView]) >= e.cfg.Cluster.WeakQuorum() && (!e.viewChanging || e.targetView < vc.NewView) {
-		e.StartViewChange(vc.NewView)
+		e.startViewChange(vc.NewView)
 		return
 	}
 	e.maybeEnterNewView(vc.NewView)

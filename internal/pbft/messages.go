@@ -1,7 +1,6 @@
 // Package pbft implements the PBFT (Castro & Liskov) three-phase ordering
-// protocol used throughout the repository: as the total-order substrate
-// wrapped by Backup (§4.3), and — with its own primary-rotation policy — as
-// the core of the robust orderer Aardvark.
+// protocol used throughout the repository: the total-order substrate wrapped
+// by Backup (§4.3).
 //
 // The Engine type implements the replica-side protocol state machine
 // (pre-prepare/prepare/commit, batching, a simplified view change) and is

@@ -30,9 +30,6 @@ type RequestMessage struct {
 	Init *core.InitHistory
 	// Auth is the client's MAC authenticator over the request and instance.
 	Auth authn.Authenticator
-	// Feedback optionally piggybacks R-Aliph commit feedback: the timestamps
-	// of requests this client recently committed (Principle P2, §6.3).
-	Feedback []uint64
 }
 
 // AbstractInstance implements core.InstanceMessage.
@@ -53,8 +50,6 @@ type BatchRequestMessage struct {
 	Init *core.InitHistory
 	// Auth is the client's MAC authenticator over the batch and instance.
 	Auth authn.Authenticator
-	// Feedback optionally piggybacks R-Aliph commit feedback.
-	Feedback []uint64
 }
 
 // AbstractInstance implements core.InstanceMessage.
@@ -76,16 +71,14 @@ func AuthBytes(instance core.InstanceID, digest authn.Digest) (buf [8 + authn.Di
 
 // Replica implements Step Q2 on one replica for one Abstract instance.
 type Replica struct {
-	h        *host.Host
-	st       *host.InstanceState
-	feedback host.FeedbackSink
+	h  *host.Host
+	st *host.InstanceState
 }
 
-// NewReplica returns a host.ProtocolFactory creating Quorum replicas. The
-// optional feedback sink receives R-Aliph client feedback.
-func NewReplica(feedback host.FeedbackSink) host.ProtocolFactory {
+// NewReplica returns a host.ProtocolFactory creating Quorum replicas.
+func NewReplica() host.ProtocolFactory {
 	return func(h *host.Host, st *host.InstanceState) host.ProtocolReplica {
-		return &Replica{h: h, st: st, feedback: feedback}
+		return &Replica{h: h, st: st}
 	}
 }
 
@@ -113,13 +106,6 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 		return
 	}
 	client := m.Batch.Requests[0].Client
-	if r.feedback != nil && len(m.Feedback) > 0 {
-		issued := make([]uint64, 0, m.Batch.Len())
-		for _, req := range m.Batch.Requests {
-			issued = append(issued, req.Timestamp)
-		}
-		r.feedback.ClientFeedback(r.h.ID(), client, m.Feedback, issued)
-	}
 	if r.st.Stopped {
 		return
 	}
@@ -190,9 +176,6 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 // onRequest implements Step Q2: verify the client MAC, log and speculatively
 // execute the request, and reply.
 func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
-	if r.feedback != nil && len(m.Feedback) > 0 {
-		r.feedback.ClientFeedback(r.h.ID(), m.Req.Client, m.Feedback, []uint64{m.Req.Timestamp})
-	}
 	if r.st.Stopped {
 		return
 	}
@@ -230,9 +213,6 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 type Client struct {
 	env core.ClientEnv
 	id  core.InstanceID
-	// PendingFeedback is attached to the next request's REQ messages and
-	// then cleared; R-Aliph's client wrapper populates it.
-	PendingFeedback []uint64
 }
 
 // NewClient creates a Quorum instance client.
@@ -242,9 +222,6 @@ func NewClient(env core.ClientEnv, id core.InstanceID) *Client {
 
 // ID implements core.Instance.
 func (c *Client) ID() core.InstanceID { return c.id }
-
-// SetPendingFeedback implements core.FeedbackCarrier.
-func (c *Client) SetPendingFeedback(committed []uint64) { c.PendingFeedback = committed }
 
 // Invoke implements core.Instance: Step Q1 (multicast to all replicas, arm a
 // 2Δ timer), Step Q3 (identical to Step Z4), and the panicking mechanism.
@@ -256,8 +233,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	authBytes := AuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
-	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth, Feedback: c.PendingFeedback}
-	c.PendingFeedback = nil
+	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 
 	out, committed, err := core.AwaitSpeculativeCommit(ctx, c.env, c.id, req, c.env.Timer(2))
@@ -290,8 +266,7 @@ func (c *Client) InvokeBatch(ctx context.Context, reqs []msg.Request, init *core
 	authBytes := AuthBytes(c.id, batch.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
-	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth, Feedback: c.PendingFeedback}
-	c.PendingFeedback = nil
+	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 
 	outs, _, err := core.AwaitBatchSpeculativeCommit(ctx, c.env, c.id, reqs, c.env.Timer(2))

@@ -40,7 +40,7 @@ func newTestCluster(t *testing.T, f int) *testCluster {
 			App:                 app.NewCounter(),
 			Endpoint:            tc.net.Endpoint(r),
 			FirstInstance:       1,
-			NewProtocol:         NewReplica(nil),
+			NewProtocol:         NewReplica(),
 			InstrumentHistories: true,
 		})
 		h.Start()

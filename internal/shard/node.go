@@ -54,10 +54,9 @@ type NodeConfig struct {
 	// re-agreement monitor that re-pins a stalled sync at a newer boundary.
 	// 0 selects DefaultRecoverRetryInterval.
 	RecoverRetryInterval time.Duration
-	// CheckpointInterval, MaxUncheckpointed, DisableGC, InstrumentHistories,
-	// TickInterval, Ops, and Logger are forwarded to every sub-host.
+	// CheckpointInterval, DisableGC, InstrumentHistories, TickInterval, Ops,
+	// and Logger are forwarded to every sub-host.
 	CheckpointInterval  int
-	MaxUncheckpointed   int
 	DisableGC           bool
 	InstrumentHistories bool
 	TickInterval        time.Duration
@@ -166,7 +165,6 @@ func NewNode(cfg NodeConfig) *Node {
 			Batch:              cfg.Batch,
 			TimestampWindow:    cfg.TimestampWindow,
 			CheckpointInterval: cfg.CheckpointInterval,
-			MaxUncheckpointed:  cfg.MaxUncheckpointed,
 			DisableGC:          cfg.DisableGC,
 			// GC must not outrun the merged mirror: a recovering peer
 			// restores its mirror at this node's merge boundary and needs a
@@ -295,31 +293,20 @@ type execFeed struct {
 	shard int
 }
 
+// RequestLogged implements host.Observer. Entries adopted from an init
+// history during an instance switch arrive here too and fill any per-shard
+// sequencer gap left by ORDERs this replica never received (positions
+// already merged are ignored by the executor's first-win rule).
 func (f *execFeed) RequestLogged(inst core.InstanceID, req msg.Request, pos uint64) {
 	f.exec.OnLogged(f.shard, pos, req)
 }
 
-// RequestAdopted implements host.HistoryAdopter: entries adopted from an
-// init history during an instance switch fill any per-shard sequencer gap
-// left by ORDERs this replica never received (positions already merged are
-// ignored by the executor's first-win rule).
-func (f *execFeed) RequestAdopted(inst core.InstanceID, req msg.Request, pos uint64) {
-	f.exec.OnLogged(f.shard, pos, req)
-}
-
-// HistoryReset implements host.HistoryResetter: when an instance switch
-// adopts an init history, buffered speculative entries the adoption rolled
-// back are dropped before the adopted values are re-fed, so the merged
-// mirror takes the agreed values instead of keeping first-logged stale ones.
+// HistoryReset implements host.Observer: when an instance switch adopts an
+// init history, buffered speculative entries the adoption rolled back are
+// dropped before the adopted values are re-fed, so the merged mirror takes
+// the agreed values instead of keeping first-logged stale ones.
 func (f *execFeed) HistoryReset(inst core.InstanceID, baseSeq uint64) {
 	f.exec.OnReset(f.shard, baseSeq)
 }
 
-func (f *execFeed) InstanceStopped(inst core.InstanceID)   {}
-func (f *execFeed) InstanceActivated(inst core.InstanceID) {}
-
-var (
-	_ host.Observer        = (*execFeed)(nil)
-	_ host.HistoryAdopter  = (*execFeed)(nil)
-	_ host.HistoryResetter = (*execFeed)(nil)
-)
+var _ host.Observer = (*execFeed)(nil)

@@ -105,10 +105,10 @@ func wirePayloads() []any {
 		&zlight.RequestMessage{Instance: 1, Req: req, Init: init, Auth: auth},
 		&zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac, Init: init},
 		&zlight.OrderMessage{Instance: 3, Batch: msg.BatchOf(nullOp), Seq: 9, Auths: []authn.Authenticator{{Sender: ids.NullOp}}, PrimaryMAC: mac},
-		&chain.Message{Instance: 2, Req: req, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca, Init: init, Feedback: []uint64{1, 2}},
+		&chain.Message{Instance: 2, Req: req, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca, Init: init},
 		&chain.BatchMessage{Instance: 2, Batch: batch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca, Init: init},
 		&quorum.RequestMessage{Instance: 1, Req: req, Init: init, Auth: auth},
-		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Init: init, Auth: auth, Feedback: []uint64{3}},
+		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Init: init, Auth: auth},
 		&backup.RequestMessage{Instance: 3, Req: req, Init: init, Auth: auth},
 		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
 
@@ -299,9 +299,8 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 		t.Fatalf("marshal plain: %v", err)
 	}
 	// tag + instance + request (client + timestamp + flags byte + command) +
-	// nil-init marker + empty authenticator (sender + entry count) + empty
-	// feedback count.
-	wantLen := 2 + 8 + (4 + 8 + 1 + 4 + len(plainReq.Command)) + 1 + (4 + 4) + 4
+	// nil-init marker + empty authenticator (sender + entry count).
+	wantLen := 2 + 8 + (4 + 8 + 1 + 4 + len(plainReq.Command)) + 1 + (4 + 4)
 	if len(plain) != wantLen {
 		t.Errorf("untraced request message: %d bytes, want %d (untraced requests must pay zero trace bytes)", len(plain), wantLen)
 	}

@@ -641,8 +641,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendDigest(b, m.HistoryDigest)
 		b = appendDigestHistory(b, m.HistoryDigests)
 		b = appendChainAuth(b, m.CA)
-		b = appendInit(b, m.Init)
-		return appendU64s(b, m.Feedback), nil
+		return appendInit(b, m.Init), nil
 	case *chain.BatchMessage:
 		b = appendU16(b, tagChainBatch)
 		b = appendU64(b, uint64(m.Instance))
@@ -659,15 +658,13 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU64(b, uint64(m.Instance))
 		b = appendRequest(b, m.Req)
 		b = appendInit(b, m.Init)
-		b = appendAuth(b, m.Auth)
-		return appendU64s(b, m.Feedback), nil
+		return appendAuth(b, m.Auth), nil
 	case *quorum.BatchRequestMessage:
 		b = appendU16(b, tagQuorumBatch)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendBatch(b, m.Batch)
 		b = appendInit(b, m.Init)
-		b = appendAuth(b, m.Auth)
-		return appendU64s(b, m.Feedback), nil
+		return appendAuth(b, m.Auth), nil
 	case *backup.RequestMessage:
 		b = appendU16(b, tagBackupRequest)
 		b = appendU64(b, uint64(m.Instance))
@@ -863,7 +860,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.HistoryDigests = decodeDigestHistory(r)
 		m.CA = decodeChainAuth(r)
 		m.Init = decodeInit(r)
-		m.Feedback = r.u64s()
 		return m
 	case tagChainBatch:
 		m := &chain.BatchMessage{}
@@ -883,7 +879,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Req = decodeRequest(r)
 		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
-		m.Feedback = r.u64s()
 		return m
 	case tagQuorumBatch:
 		m := &quorum.BatchRequestMessage{}
@@ -891,7 +886,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Batch = decodeBatch(r)
 		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
-		m.Feedback = r.u64s()
 		return m
 	case tagBackupRequest:
 		m := &backup.RequestMessage{}
