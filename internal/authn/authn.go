@@ -498,10 +498,6 @@ func (ks *KeyStore) Verify(a Authenticator, receiver ids.ProcessID, data []byte)
 	return nil
 }
 
-// NumMACs returns the number of MAC entries in the authenticator; used by the
-// MAC-operation accounting in benchmarks.
-func (a Authenticator) NumMACs() int { return len(a.Entries) }
-
 // ChainAuthenticator is the lightweight authenticator used by the Chain
 // protocol (§5.3): the generating process produces at most f+1 MACs, one per
 // member of its successor set, and forwards along the chain any MACs it

@@ -61,8 +61,8 @@ func TestAuthenticator(t *testing.T) {
 	cluster := ids.NewCluster(1)
 	data := []byte("req")
 	a := ks.NewAuthenticator(ids.Client(0), cluster.Replicas(), data)
-	if a.NumMACs() != cluster.N {
-		t.Fatalf("authenticator has %d entries, want %d", a.NumMACs(), cluster.N)
+	if len(a.Entries) != cluster.N {
+		t.Fatalf("authenticator has %d entries, want %d", len(a.Entries), cluster.N)
 	}
 	for _, r := range cluster.Replicas() {
 		if err := ks.Verify(a, r, data); err != nil {
@@ -162,30 +162,6 @@ func TestMACQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestOpCounter(t *testing.T) {
-	c := NewOpCounter()
-	c.CountMACGen(ids.Replica(0), 3)
-	c.CountMACVerify(ids.Replica(0), 2)
-	c.CountMACGen(ids.Replica(1), 1)
-	c.CountMACGen(ids.Client(0), 100) // client ops must not count as bottleneck
-	c.CountRequest()
-	c.CountRequest()
-	if got := c.MACOps(ids.Replica(0)); got != 5 {
-		t.Errorf("MACOps(r0) = %d, want 5", got)
-	}
-	if got := c.Requests(); got != 2 {
-		t.Errorf("Requests = %d, want 2", got)
-	}
-	if got := c.BottleneckMACOpsPerRequest(); got != 2.5 {
-		t.Errorf("BottleneckMACOpsPerRequest = %v, want 2.5", got)
-	}
-	var nilCounter *OpCounter
-	nilCounter.CountMACGen(ids.Replica(0), 1) // must not panic
-	if nilCounter.BottleneckMACOpsPerRequest() != 0 {
-		t.Errorf("nil counter should report 0")
 	}
 }
 

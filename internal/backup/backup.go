@@ -147,7 +147,6 @@ func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 			Deliver:           r.deliver,
 			BatchSize:         batchSize,
 			ViewChangeTimeout: cfg.ViewChangeTimeout,
-			Ops:               h.Ops(),
 		})
 		return r
 	}
@@ -232,9 +231,6 @@ func (r *Replica) deliver(batch []msg.Request) {
 		r.committed++
 		resp := r.h.BuildResp(r.st, req, reply, true)
 		r.h.Send(req.Client, resp)
-		if r.h.ID() == r.h.Cluster().Head() {
-			r.h.Ops().CountRequest()
-		}
 		if r.committed >= r.k {
 			// The k-th request has been committed: stop and abort everything
 			// that follows.

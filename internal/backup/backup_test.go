@@ -81,7 +81,6 @@ func TestBackupCommitsKThenAborts(t *testing.T) {
 			Keys:                keys,
 			App:                 app.NewCounter(),
 			Endpoint:            net.Endpoint(r),
-			FirstInstance:       1,
 			NewProtocol:         NewReplica(ReplicaConfig{K: FixedK(k)}),
 			InstrumentHistories: true,
 		})

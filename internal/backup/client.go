@@ -38,7 +38,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 		c.env.Checker.RecordInit(c.id, init)
 	}
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), AuthBytes(c.id, req))
-	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	send := func() { transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m) }
 	send()
@@ -73,7 +72,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 				if t.Instance != c.id || t.Timestamp != req.Timestamp || t.Client != c.env.ID {
 					continue
 				}
-				c.env.Ops.CountMACVerify(c.env.ID, 1)
 				macBytes := t.MACBytes()
 				if err := c.env.Keys.VerifyMAC(t.Replica, c.env.ID, macBytes[:], t.MAC); err != nil {
 					continue
@@ -102,7 +100,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 				if t.Instance != c.id {
 					continue
 				}
-				c.env.Ops.CountSigVerify(c.env.ID)
 				if !collector.Add(t.Signed) || !collector.Ready() {
 					continue
 				}

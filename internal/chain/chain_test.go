@@ -41,7 +41,6 @@ func newTestCluster(t *testing.T, f int, policy host.BatchPolicy) *testCluster {
 			Keys:                tc.keys,
 			App:                 app.NewCounter(),
 			Endpoint:            tc.net.Endpoint(r),
-			FirstInstance:       1,
 			NewProtocol:         NewReplica(ReplicaConfig{}),
 			InstrumentHistories: true,
 			Batch:               policy,

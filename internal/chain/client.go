@@ -37,7 +37,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	ca := authn.ChainAuthenticator{}
 	succ := cl.ChainSuccessorSet(c.env.ID)
 	ca = c.env.Keys.AppendChainMACs(ca, c.env.ID, succ, ClientAuthBytes(c.id, req))
-	c.env.Ops.CountMACGen(c.env.ID, len(succ))
 	m := &Message{Instance: c.id, Req: req, CA: ca, Init: init}
 	c.env.Endpoint.Send(cl.Head(), m)
 
@@ -93,7 +92,6 @@ func (c *Client) verifyTailMACs(m *Message) bool {
 	data := TailAuthBytes(c.id, m.Req, m.Seq, m.ReplyDigest, m.HistoryDigest)
 	var last []ids.ProcessID
 	last = append(last, cl.LastReplicas()...)
-	c.env.Ops.CountMACVerify(c.env.ID, len(last))
 	return c.env.Keys.VerifyChain(m.CA, c.env.ID, last, data) == nil
 }
 

@@ -88,7 +88,6 @@ func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
 	if r.st.Stopped || !from.IsClient() || from != m.Req.Client {
 		return
 	}
-	r.h.Ops().CountMACVerify(r.h.ID(), 1)
 	if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{m.Req.Client}, ClientAuthBytes(r.st.ID, m.Req)); err != nil {
 		return
 	}
@@ -133,9 +132,6 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 	if r.executes() {
 		replies = r.h.ExecuteBatch(r.st, batch)
 		r.fillBatchExecution(out, replies)
-	}
-	for range batch.Requests {
-		r.h.Ops().CountRequest()
 	}
 	if r.isTail() {
 		r.replyBatch(out, replies)
@@ -261,7 +257,6 @@ func (r *Replica) fillBatchExecution(out *BatchMessage, replies [][]byte) {
 	for i, req := range out.Batch.Requests {
 		data := TailAuthBytes(out.Instance, req, out.Seq+uint64(i), out.ReplyDigests[i], out.HistoryDigest)
 		out.ClientCAs[i] = r.h.Keys().AppendChainMACs(out.ClientCAs[i], r.h.ID(), []ids.ProcessID{req.Client}, data)
-		r.h.Ops().CountMACGen(r.h.ID(), 1)
 	}
 }
 
@@ -300,7 +295,6 @@ func (r *Replica) forwardBatch(out *BatchMessage, bd authn.Digest) {
 	downstream := r.downstreamReplicas()
 	out.CA = authn.PruneChain(out.CA, downstream)
 	out.CA = r.h.Keys().AppendChainMACs(out.CA, r.h.ID(), successors, r.batchAuthBytesFor(r.h.ID(), out, bd))
-	r.h.Ops().CountMACGen(r.h.ID(), len(successors))
 	for i, req := range out.Batch.Requests {
 		keep := append(append([]ids.ProcessID{}, downstream...), req.Client)
 		out.ClientCAs[i] = authn.PruneChain(out.ClientCAs[i], keep)
@@ -336,7 +330,6 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 	cl := r.h.Cluster()
 	if r.index < cl.F+1 {
 		for i, req := range m.Batch.Requests {
-			r.h.Ops().CountMACVerify(r.h.ID(), 1)
 			if err := r.h.Keys().VerifyChain(m.ClientCAs[i], r.h.ID(), []ids.ProcessID{req.Client}, ClientAuthBytes(m.Instance, req)); err != nil {
 				return err
 			}
@@ -359,7 +352,6 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 			}
 			data = tailBytes
 		}
-		r.h.Ops().CountMACVerify(r.h.ID(), 1)
 		if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{p}, data); err != nil {
 			return err
 		}

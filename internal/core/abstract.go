@@ -24,6 +24,11 @@ type InstanceID uint64
 // Next returns the statically determined next instance, next(i) = i+1.
 func (i InstanceID) Next() InstanceID { return i + 1 }
 
+// FirstInstance is the instance every composition starts at: replicas
+// activate it without an init history and clients invoke it first, so both
+// sides take it from here.
+const FirstInstance InstanceID = 1
+
 // Errors returned by Abstract client implementations.
 var (
 	// ErrStopped is returned when invoking an instance that has permanently

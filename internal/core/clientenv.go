@@ -30,9 +30,6 @@ type ClientEnv struct {
 	// RetryInterval is the interval at which PANIC messages are
 	// retransmitted while waiting for 2f+1 signed ABORT messages.
 	RetryInterval time.Duration
-	// Ops optionally counts cryptographic operations performed by the
-	// client.
-	Ops *authn.OpCounter
 	// Checker optionally records events for the Abstract specification
 	// checker (tests only).
 	Checker *SpecChecker

@@ -29,11 +29,11 @@ type Composer struct {
 	switches uint64
 }
 
-// NewComposer creates a composer starting at instance first (normally 1).
-func NewComposer(factory InstanceFactory, first InstanceID) (*Composer, error) {
-	inst, err := factory(first)
+// NewComposer creates a composer starting at FirstInstance.
+func NewComposer(factory InstanceFactory) (*Composer, error) {
+	inst, err := factory(FirstInstance)
 	if err != nil {
-		return nil, fmt.Errorf("core: creating instance %d: %w", first, err)
+		return nil, fmt.Errorf("core: creating instance %d: %w", FirstInstance, err)
 	}
 	return &Composer{factory: factory, active: inst}, nil
 }

@@ -189,7 +189,7 @@ func TestComposerSwitchesOnAbort(t *testing.T) {
 		}
 		return inst2, nil
 	}
-	c, err := NewComposer(factory, 1)
+	c, err := NewComposer(factory)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req 
 	sendPanic := func() {
 		for _, r := range env.Cluster.Replicas() {
 			env.Endpoint.Send(r, panicMsg)
-			env.Ops.CountMACGen(env.ID, 1)
 		}
 	}
 	sendPanic()
@@ -45,7 +44,6 @@ func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req 
 			if !isAbort || reply.Instance != instance {
 				continue
 			}
-			env.Ops.CountSigVerify(env.ID)
 			if !collector.Add(reply.Signed) {
 				continue
 			}

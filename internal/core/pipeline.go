@@ -11,12 +11,12 @@ import (
 	"abstractbft/internal/transport"
 )
 
-// DefaultTimestampWindow is the default width of the replicas' per-client
-// timestamp window (host.Config.TimestampWindow): a replica accepts a request
-// whose timestamp lies up to this far below the client's high-water mark,
-// provided that exact timestamp was never logged, and caches the replies of
-// that many highest timestamps. A PipelinedComposer keeps its in-flight
-// timestamps within it.
+// DefaultTimestampWindow is the width of the replicas' per-client timestamp
+// window: a replica accepts a request whose timestamp lies up to this far
+// below the client's high-water mark, provided that exact timestamp was never
+// logged, and caches the replies of that many highest timestamps. A
+// PipelinedComposer keeps its in-flight timestamps within it. The bitmask of
+// a window holds 64 timestamps, so the width cannot grow past 64.
 const DefaultTimestampWindow = 64
 
 // PipelineOptions tunes a PipelinedComposer.
@@ -103,17 +103,17 @@ type pipelineSub struct {
 	done chan pipelineResult
 }
 
-// NewPipelinedComposer creates a pipelined composer starting at instance
-// first (normally 1). The env's endpoint is taken over by the composer's
+// NewPipelinedComposer creates a pipelined composer starting at
+// FirstInstance. The env's endpoint is taken over by the composer's
 // demultiplexer and must not be read by anyone else afterwards.
-func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFactory, first InstanceID, opts PipelineOptions) (*PipelinedComposer, error) {
+func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFactory, opts PipelineOptions) (*PipelinedComposer, error) {
 	opts = opts.withDefaults()
 	p := &PipelinedComposer{
 		env:        env,
 		newFactory: newFactory,
 		demux:      transport.NewDemux(env.Endpoint),
 		opts:       opts,
-		activeID:   first,
+		activeID:   FirstInstance,
 		batchable:  make(map[InstanceID]bool),
 		inflight:   make([]uint64, 0, opts.Depth),
 		sem:        make(chan struct{}, opts.Depth),
@@ -121,8 +121,8 @@ func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFact
 		stop:       make(chan struct{}),
 	}
 	// Fail fast when the factory cannot build the first instance.
-	if _, err := newFactory(env)(first); err != nil {
-		return nil, fmt.Errorf("core: creating instance %d: %w", first, err)
+	if _, err := newFactory(env)(FirstInstance); err != nil {
+		return nil, fmt.Errorf("core: creating instance %d: %w", FirstInstance, err)
 	}
 	return p, nil
 }

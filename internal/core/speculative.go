@@ -117,7 +117,6 @@ func awaitCommits(ctx context.Context, env ClientEnv, instance InstanceID, reqs 
 			if !resp.Replica.IsReplica() || int(resp.Replica) >= n {
 				continue
 			}
-			env.Ops.CountMACVerify(env.ID, 1)
 			macBytes := resp.MACBytes()
 			if err := env.Keys.VerifyMAC(resp.Replica, env.ID, macBytes[:], resp.MAC); err != nil {
 				continue

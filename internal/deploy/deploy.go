@@ -39,9 +39,6 @@ type Config struct {
 	// primary, Chain's head). The zero value selects the defaults; set
 	// MaxBatch to 1 to disable batching.
 	Batch host.BatchPolicy
-	// TimestampWindow is the replica-side per-client timestamp window width
-	// (0 = default 64, 1 = strict increasing timestamps).
-	TimestampWindow int
 	// Shards is the number of parallel ordering shards for NewSharded
 	// (0 or 1 = a single shard; plain New ignores it).
 	Shards int
@@ -56,10 +53,6 @@ type Config struct {
 	Network transport.Options
 	// CheckpointInterval is CHK (0 = default 128, negative = disabled).
 	CheckpointInterval int
-	// DisableGC keeps whole histories and request bodies in memory for the
-	// lifetime of every replica (the pre-statesync behaviour); by default
-	// replicas garbage-collect below their last stable checkpoint.
-	DisableGC bool
 	// ShardNullOpInterval is the sharded plane's idle-shard null-op probe
 	// period (0 = shard.DefaultNullOpInterval, negative = disabled).
 	ShardNullOpInterval time.Duration
@@ -75,8 +68,6 @@ type Config struct {
 	// Checker optionally records client events for the specification
 	// checker.
 	Checker *core.SpecChecker
-	// Ops optionally counts cryptographic operations across the cluster.
-	Ops *authn.OpCounter
 	// Secret seeds the deterministic key derivation.
 	Secret string
 	// TickInterval is the replica protocol tick (view-change timers).
@@ -103,10 +94,11 @@ type Cluster struct {
 // errNoComposition rejects a Config that names no protocol.
 var errNoComposition = errors.New("deploy: no protocol configured; set Composition")
 
-// New builds and starts a cluster.
-func New(cfg Config) (*Cluster, error) {
+// withDefaults checks cfg and fills in the defaults New and NewSharded
+// share, returning the replica group it describes.
+func withDefaults(cfg Config) (Config, ids.Cluster, error) {
 	if cfg.Composition == nil {
-		return nil, errNoComposition
+		return cfg, ids.Cluster{}, errNoComposition
 	}
 	if cfg.NewApp == nil {
 		cfg.NewApp = func() app.Application { return app.NewNull(0) }
@@ -118,7 +110,13 @@ func New(cfg Config) (*Cluster, error) {
 		cfg.Secret = "abstract-bft"
 	}
 	cluster := ids.NewCluster(cfg.F)
-	if err := cluster.Validate(); err != nil {
+	return cfg, cluster, cluster.Validate()
+}
+
+// New builds and starts a cluster.
+func New(cfg Config) (*Cluster, error) {
+	cfg, cluster, err := withDefaults(cfg)
+	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
@@ -127,29 +125,9 @@ func New(cfg Config) (*Cluster, error) {
 		Keys:    authn.NewKeyStore(cfg.Secret),
 		Net:     transport.NewLocal(cfg.Network),
 	}
-	factory := cfg.Composition.ReplicaFactory(cluster)
 	for i := 0; i < cluster.N; i++ {
 		r := ids.Replica(i)
-		h := host.New(host.Config{
-			Cluster:             cluster,
-			Replica:             r,
-			Keys:                c.Keys,
-			App:                 cfg.NewApp(),
-			Endpoint:            c.Net.Endpoint(r),
-			FirstInstance:       1,
-			NewProtocol:         factory,
-			Batch:               cfg.Batch,
-			TimestampWindow:     cfg.TimestampWindow,
-			CheckpointInterval:  cfg.CheckpointInterval,
-			DisableGC:           cfg.DisableGC,
-			InstrumentHistories: cfg.InstrumentHistories,
-			Ops:                 cfg.Ops,
-			TickInterval:        cfg.TickInterval,
-			Metrics:             cfg.Metrics,
-			Tracer:              cfg.Tracer,
-			ProtocolName:        cfg.Composition.ProtocolOf,
-		})
-		c.Hosts = append(c.Hosts, h)
+		c.Hosts = append(c.Hosts, host.New(c.hostConfig(r, c.Net.Endpoint(r))))
 	}
 	for _, h := range c.Hosts {
 		h.Start()
@@ -166,32 +144,33 @@ func New(cfg Config) (*Cluster, error) {
 // digest agreement. The returned host replaces Hosts[i]; catch-up completes
 // asynchronously (poll Host.Syncing / Host.AppliedState).
 func (c *Cluster) RestartReplica(i int) *host.Host {
-	old := c.Hosts[i]
-	old.Stop()
+	c.Hosts[i].Stop()
 	r := ids.Replica(i)
-	h := host.New(host.Config{
-		Cluster:             c.Cluster,
-		Replica:             r,
-		Keys:                c.Keys,
-		App:                 c.cfg.NewApp(),
-		Endpoint:            c.Net.ResetEndpoint(r),
-		FirstInstance:       1,
-		NewProtocol:         c.cfg.Composition.ReplicaFactory(c.Cluster),
-		Batch:               c.cfg.Batch,
-		TimestampWindow:     c.cfg.TimestampWindow,
-		CheckpointInterval:  c.cfg.CheckpointInterval,
-		DisableGC:           c.cfg.DisableGC,
-		InstrumentHistories: c.cfg.InstrumentHistories,
-		Ops:                 c.cfg.Ops,
-		TickInterval:        c.cfg.TickInterval,
-		Metrics:             c.cfg.Metrics,
-		Tracer:              c.cfg.Tracer,
-		ProtocolName:        c.cfg.Composition.ProtocolOf,
-	})
+	h := host.New(c.hostConfig(r, c.Net.ResetEndpoint(r)))
 	c.Hosts[i] = h
 	h.Start()
 	h.SyncState(0)
 	return h
+}
+
+// hostConfig configures replica r over endpoint ep with a fresh application
+// (shared by New and RestartReplica).
+func (c *Cluster) hostConfig(r ids.ProcessID, ep transport.Endpoint) host.Config {
+	return host.Config{
+		Cluster:             c.Cluster,
+		Replica:             r,
+		Keys:                c.Keys,
+		App:                 c.cfg.NewApp(),
+		Endpoint:            ep,
+		NewProtocol:         c.cfg.Composition.ReplicaFactory(c.Cluster),
+		Batch:               c.cfg.Batch,
+		CheckpointInterval:  c.cfg.CheckpointInterval,
+		InstrumentHistories: c.cfg.InstrumentHistories,
+		TickInterval:        c.cfg.TickInterval,
+		Metrics:             c.cfg.Metrics,
+		Tracer:              c.cfg.Tracer,
+		ProtocolName:        c.cfg.Composition.ProtocolOf,
+	}
 }
 
 // Stop shuts down every replica and the network.
@@ -215,7 +194,6 @@ func (c *Cluster) ClientEnv(i int) core.ClientEnv {
 		Endpoint:      c.Net.Endpoint(id),
 		Delta:         c.cfg.Delta,
 		RetryInterval: c.cfg.Delta * 2,
-		Ops:           c.cfg.Ops,
 		Checker:       c.cfg.Checker,
 	}
 }
@@ -237,5 +215,5 @@ func (c *Cluster) NextClient() (*core.Composer, error) {
 // instances supporting batched invocation (Quorum) coalesce queued
 // invocations into one batch message.
 func (c *Cluster) NewPipelinedClient(i int, opts core.PipelineOptions) (*core.PipelinedComposer, error) {
-	return core.NewPipelinedComposer(c.ClientEnv(i), c.cfg.Composition.InstanceFactory, 1, opts)
+	return core.NewPipelinedComposer(c.ClientEnv(i), c.cfg.Composition.InstanceFactory, opts)
 }

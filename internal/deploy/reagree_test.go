@@ -140,9 +140,9 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	// Let every live peer's retention floor advance far past the stale
 	// boundary (full-speed traffic, all nodes up): once each per-shard
 	// merged floor exceeds the stale per-shard pin by several checkpoint
-	// retention spans (CheckpointInterval=4 × SnapshotRetain=4, with slack),
-	// the snapshot at the pin is pruned on every peer and a sync pinned
-	// there can never complete.
+	// retention spans (CheckpointInterval=4 × statesync.DefaultStoreCapacity
+	// = 4, with slack), the snapshot at the pin is pruned on every peer and a
+	// sync pinned there can never complete.
 	stalePerShard := staleSeq / uint64(cluster.cfg.Shards)
 	target := stalePerShard + 64
 	deadline = time.Now().Add(60 * time.Second)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
@@ -30,27 +29,15 @@ type Sharded struct {
 // NewSharded builds and starts a sharded cluster. The same Composition as
 // New applies, instantiated once per shard over the shard's rotated cluster.
 func NewSharded(cfg Config) (*Sharded, error) {
-	if cfg.Composition == nil {
-		return nil, errNoComposition
-	}
-	if cfg.NewApp == nil {
-		cfg.NewApp = func() app.Application { return app.NewNull(0) }
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 25 * time.Millisecond
-	}
-	if cfg.Secret == "" {
-		cfg.Secret = "abstract-bft"
+	cfg, cluster, err := withDefaults(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
 	}
 	if cfg.KeyExtractor == nil {
 		cfg.KeyExtractor = shard.PrefixKeyExtractor(8)
-	}
-	cluster := ids.NewCluster(cfg.F)
-	if err := cluster.Validate(); err != nil {
-		return nil, err
 	}
 	s := &Sharded{
 		cfg:     cfg,
@@ -82,15 +69,12 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 			return cfg.Composition.ReplicaFactory(cl)
 		},
 		Batch:                cfg.Batch,
-		TimestampWindow:      cfg.TimestampWindow,
 		Epoch:                cfg.ShardEpoch,
 		NullOpInterval:       cfg.ShardNullOpInterval,
 		RecoverRetryInterval: cfg.RecoverRetryInterval,
 		CheckpointInterval:   cfg.CheckpointInterval,
-		DisableGC:            cfg.DisableGC,
 		InstrumentHistories:  cfg.InstrumentHistories,
 		TickInterval:         cfg.TickInterval,
-		Ops:                  cfg.Ops,
 		Metrics:              cfg.Metrics,
 		Tracer:               cfg.Tracer,
 		ProtocolName:         cfg.Composition.ProtocolOf,
@@ -154,7 +138,6 @@ func (s *Sharded) clientEnv(i int) core.ClientEnv {
 		Endpoint:      s.Net.Endpoint(id),
 		Delta:         s.cfg.Delta,
 		RetryInterval: s.cfg.Delta * 2,
-		Ops:           s.cfg.Ops,
 		Checker:       s.cfg.Checker,
 	}
 }

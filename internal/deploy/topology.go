@@ -59,9 +59,6 @@ type Topology struct {
 	// MaxBatch is the per-shard batch assembler size (0 = default 16, 1 =
 	// per-request path).
 	MaxBatch int `json:"max_batch,omitempty"`
-	// TimestampWindow is the replica-side per-client timestamp window width
-	// (0 = default 64).
-	TimestampWindow int `json:"timestamp_window,omitempty"`
 	// DeltaMs is the clients' synchrony bound in milliseconds (0 = 500ms —
 	// generous by default so a crash-restart window stalls clients instead
 	// of panicking them into an instance switch).
@@ -262,21 +259,15 @@ func (t Topology) ShardCount() int {
 	return t.Shards
 }
 
-// NewNode builds the sharded replica node of process self over the given
+// NewNodeObs builds the sharded replica node of process self over the given
 // endpoint — the exact configuration cmd/replica runs, assembled here so the
 // process harnesses and the binary cannot diverge. A non-nil registry
 // instruments every layer of the node (plus a lifecycle tracer at the
-// topology's sample rate); nil leaves the plane uninstrumented. Start (or
-// RecoverFromPeers, for a crash-restarted process) must be called on the
-// result.
-func (t Topology) NewNode(self ids.ProcessID, ep transport.Endpoint, logger *log.Logger, reg *obs.Registry) (*shard.Node, error) {
-	return t.NewNodeObs(self, ep, logger, reg, nil, nil)
-}
-
-// NewNodeObs builds the same node as NewNode with the full observability
-// plane attached: spans, when non-nil, collects the spans of client-sampled
-// traces (served at /debug/traces.json), and flight, when non-nil, records
-// the node's protocol events (served at /debug/flight.json).
+// topology's sample rate); nil leaves the plane uninstrumented. spans, when
+// non-nil, collects the spans of client-sampled traces (served at
+// /debug/traces.json), and flight, when non-nil, records the node's protocol
+// events (served at /debug/flight.json). Start (or RecoverFromPeers, for a
+// crash-restarted process) must be called on the result.
 func (t Topology) NewNodeObs(self ids.ProcessID, ep transport.Endpoint, logger *log.Logger, reg *obs.Registry, spans *obs.SpanRing, flight *obs.Flight) (*shard.Node, error) {
 	comp, err := t.Compile()
 	if err != nil {
@@ -295,7 +286,6 @@ func (t Topology) NewNodeObs(self ids.ProcessID, ep transport.Endpoint, logger *
 			return comp.ReplicaFactory(cl)
 		},
 		Batch:              host.BatchPolicy{MaxBatch: t.MaxBatch},
-		TimestampWindow:    t.TimestampWindow,
 		Epoch:              t.ShardEpoch,
 		CheckpointInterval: t.CheckpointInterval,
 		Logger:             logger,

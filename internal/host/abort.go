@@ -86,7 +86,6 @@ func (h *Host) signedAbort(st *InstanceState) *core.SignedAbort {
 		Report:   report,
 	}
 	sig := h.keys.Sign(h.id, abort.SignedBytes())
-	h.cfg.Ops.CountSigGen(h.id)
 	st.cachedAbort = &core.SignedAbort{Abort: abort, Sig: sig}
 	return st.cachedAbort
 }

@@ -87,9 +87,6 @@ type Config struct {
 	App app.Application
 	// Endpoint attaches the replica to the network.
 	Endpoint transport.Endpoint
-	// FirstInstance is the identifier of the first Abstract instance
-	// (normally 1).
-	FirstInstance core.InstanceID
 	// NewProtocol creates protocol replicas per instance.
 	NewProtocol ProtocolFactory
 	// Batch configures the request batch assembler used by ordering replicas
@@ -97,14 +94,6 @@ type Config struct {
 	// (MaxBatch 16, MaxDelay 1ms); MaxBatch=1 disables batching and restores
 	// the per-request path.
 	Batch BatchPolicy
-	// TimestampWindow is the per-client timestamp window width (PBFT-style):
-	// a replica logs a request whose timestamp lies up to this far below the
-	// client's high-water mark when that timestamp was never logged, so
-	// pipelined clients whose in-flight requests overtake each other on the
-	// network are not spuriously rejected as stale. 0 selects
-	// DefaultTimestampWindow (64, also the cap); 1 restores the strict
-	// increasing-timestamp rule.
-	TimestampWindow int
 	// CheckpointInterval is CHK; 0 selects the default (128), negative
 	// disables checkpointing.
 	CheckpointInterval int
@@ -125,10 +114,6 @@ type Config struct {
 	//
 	//abstractbft:lockheld
 	RetainFloor func() uint64
-	// SnapshotRetain is the number of checkpoint-boundary application
-	// snapshots the replica retains for state transfer
-	// (statesync.DefaultStoreCapacity when 0).
-	SnapshotRetain int
 	// InstrumentHistories makes RESP messages carry full digest histories so
 	// the specification checker can validate runs (tests only).
 	InstrumentHistories bool
@@ -136,8 +121,6 @@ type Config struct {
 	// time-based protocol behaviour such as view-change timers); 0 selects
 	// 20ms.
 	TickInterval time.Duration
-	// Ops optionally counts cryptographic operations.
-	Ops *authn.OpCounter
 	// Logger, when non-nil, receives debug output.
 	Logger *log.Logger
 	// Metrics, when non-nil, receives the host's runtime metrics (ordering,
@@ -248,9 +231,6 @@ type Host struct {
 
 // New creates a replica host. Start must be called to begin processing.
 func New(cfg Config) *Host {
-	if cfg.FirstInstance == 0 {
-		cfg.FirstInstance = 1
-	}
 	h := &Host{
 		cfg:            cfg,
 		cluster:        cfg.Cluster,
@@ -263,7 +243,7 @@ func New(cfg Config) *Host {
 		appliedWindows: make(map[ids.ProcessID]tsState),
 		lastReply:      make(map[ids.ProcessID]*replyRing),
 		requestStore:   make(map[authn.Digest]msg.Request),
-		snaps:          statesync.NewStore(cfg.SnapshotRetain),
+		snaps:          statesync.NewStore(0),
 		met:            newHostMetrics(cfg.Metrics, cfg.MetricsLabels),
 		stopCh:         make(chan struct{}),
 		doneCh:         make(chan struct{}),
@@ -296,9 +276,6 @@ func (h *Host) Cluster() ids.Cluster { return h.cluster }
 
 // Keys returns the key store.
 func (h *Host) Keys() *authn.KeyStore { return h.keys }
-
-// Ops returns the crypto operation counter (possibly nil).
-func (h *Host) Ops() *authn.OpCounter { return h.cfg.Ops }
 
 // InstrumentHistories reports whether RESP messages should carry full digest
 // histories.
@@ -476,7 +453,7 @@ func (h *Host) AppliedRequests() uint64 {
 func (h *Host) Bootstrap() *InstanceState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.activate(h.cfg.FirstInstance, nil)
+	return h.activate(core.FirstInstance, nil)
 }
 
 // InstanceStateFor returns the state of the given instance (nil when the

@@ -11,33 +11,27 @@ import (
 	"abstractbft/internal/obs"
 )
 
-// DefaultTimestampWindow is the default per-client timestamp window width: a
-// replica accepts a request whose timestamp lies up to this far below the
-// client's high-water mark, provided that exact timestamp was never logged.
-// Width 1 restores the strict high-water rule (only increasing timestamps).
-// Pipelined clients keep their in-flight timestamps within the default width
-// (core.PipelinedComposer).
-const DefaultTimestampWindow = core.DefaultTimestampWindow
-
 // tsState is one client's timestamp window: the high-water mark (the highest
 // timestamp logged) plus a bitmask of which recent lower timestamps were also
 // logged (bit d set means high-d was logged). Pipelined clients race their
 // in-flight timestamps across the network, so a replica can see t=5 before
 // t=3; the window logs both instead of rejecting the late-arriving one, while
-// still rejecting every duplicate (PBFT-style at-most-once).
+// still rejecting every duplicate (PBFT-style at-most-once). Its width is
+// core.DefaultTimestampWindow, the bound pipelined clients keep their
+// in-flight timestamps within, so replicas and clients cannot disagree on it.
 type tsState struct {
 	high, mask uint64
 }
 
-// fresh reports whether ts may still be logged under a window of the given
-// width. The high-water mark itself is always logged by construction, so
-// ts == high is stale even when the mask bit is unset (states built before
-// the window machinery carry an empty mask).
-func (w tsState) fresh(width int, ts uint64) bool {
+// fresh reports whether ts may still be logged under the window. The
+// high-water mark itself is always logged by construction, so ts == high is
+// stale even when the mask bit is unset (states built before the window
+// machinery carry an empty mask).
+func (w tsState) fresh(ts uint64) bool {
 	if ts > w.high {
 		return true
 	}
-	if ts == w.high || w.high-ts >= uint64(width) {
+	if ts == w.high || w.high-ts >= core.DefaultTimestampWindow {
 		return false
 	}
 	return w.mask&(1<<(w.high-ts)) == 0
@@ -105,9 +99,6 @@ type InstanceState struct {
 	// tsMask holds, per client, the logged-timestamp bitmask of the window
 	// below LastTimestamp (bit d set means LastTimestamp-d was logged).
 	tsMask map[ids.ProcessID]uint64
-	// tsWidth is the configured window width (0 selects
-	// DefaultTimestampWindow; 1 is the strict high-water rule).
-	tsWidth int
 	// Stopped is set when the instance aborts (stops executing requests).
 	Stopped bool
 	// Initialized is true once the instance adopted its init history (or is
@@ -272,24 +263,6 @@ func trimFront[S ~[]E, E any](live, spare *S, k int) S {
 	return dropped
 }
 
-// normalizeWindow returns the effective per-client timestamp window width
-// for a configured value: 0 selects DefaultTimestampWindow, the bitmask
-// implementation caps it at 64. The instance timestamp windows and the
-// per-client reply rings must use the same normalization — the ring serves
-// exactly the retransmissions the window can re-admit.
-func normalizeWindow(w int) int {
-	if w <= 0 {
-		w = DefaultTimestampWindow
-	}
-	if w > 64 {
-		w = 64
-	}
-	return w
-}
-
-// width returns the effective window width.
-func (st *InstanceState) width() int { return normalizeWindow(st.tsWidth) }
-
 // windowOf returns client c's current timestamp window.
 func (st *InstanceState) windowOf(c ids.ProcessID) tsState {
 	return tsState{high: st.LastTimestamp[c], mask: st.tsMask[c]}
@@ -323,7 +296,7 @@ func (st *InstanceState) setWindow(c ids.ProcessID, w tsState) {
 // its own old requests re-executed, harming no one else (the PBFT window
 // argument).
 func (st *InstanceState) TimestampFresh(c ids.ProcessID, ts uint64) bool {
-	return st.windowOf(c).fresh(st.width(), ts)
+	return st.windowOf(c).fresh(ts)
 }
 
 // FilterFreshBatch splits a received batch into the requests that may be
@@ -334,7 +307,6 @@ func (st *InstanceState) TimestampFresh(c ids.ProcessID, ts uint64) bool {
 // one batch would get it logged and executed twice, since per-request
 // freshness alone only checks against already-logged history.
 func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, stale []msg.Request) {
-	width := st.width()
 	// sim holds the windows of the clients seen so far with this batch's
 	// accepted timestamps marked. Batches are small and usually carry few
 	// distinct clients, so a stack-backed slice searched linearly replaces a
@@ -354,7 +326,7 @@ func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, sta
 			sim = append(sim, simWindow{client: req.Client, w: st.windowOf(req.Client)})
 		}
 		w := sim[k].w
-		if !w.fresh(width, req.Timestamp) {
+		if !w.fresh(req.Timestamp) {
 			if stale == nil {
 				// First stale member: from here on the fresh requests are
 				// copied out; an all-fresh batch (the common case) is
@@ -396,14 +368,13 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 		ID:            id,
 		LastTimestamp: make(map[ids.ProcessID]uint64),
 		tsMask:        make(map[ids.ProcessID]uint64),
-		tsWidth:       h.cfg.TimestampWindow,
 		Checkpoint:    history.NewCheckpointState(h.cluster.N, ckptInterval),
 		staleCtr:      h.met.windowStale,
 		readmitCtr:    h.met.windowHits,
 	}
 
 	switch {
-	case id == h.cfg.FirstInstance && init == nil:
+	case id == core.FirstInstance && init == nil:
 		st.Initialized = true
 	case init == nil:
 		h.logf("cannot activate instance %d without init history", id)
@@ -830,7 +801,7 @@ func (h *Host) AppliedStale(client ids.ProcessID, ts uint64) bool {
 	if !ok {
 		return false
 	}
-	return !w.fresh(normalizeWindow(h.cfg.TimestampWindow), ts)
+	return !w.fresh(ts)
 }
 
 // RequestByDigest returns a request body from the host's store.

@@ -1,5 +1,7 @@
 package host
 
+import "abstractbft/internal/core"
+
 // NullOpOrderer is implemented by protocol replicas whose orderer can inject
 // a Mencius-style null operation into the instance's history: a request from
 // the reserved ids.NullOp identity with an empty command, ordered like any
@@ -28,7 +30,7 @@ func (h *Host) OrderNullOp() bool {
 		// A fully idle shard never received a message, so its first instance
 		// was never activated; the leader bootstraps it (backups activate on
 		// the first null-op ORDER, like on any first instance message).
-		st = h.activate(h.cfg.FirstInstance, nil)
+		st = h.activate(core.FirstInstance, nil)
 	}
 	if st == nil || st.Stopped || !st.Initialized {
 		return false

@@ -1,10 +1,13 @@
 package host
 
-import "abstractbft/internal/ids"
+import (
+	"abstractbft/internal/core"
+	"abstractbft/internal/ids"
+)
 
 // replyRing is one client's reply cache: the `width` highest-timestamped
 // replies, keyed by request timestamp. The per-client timestamp window
-// (Config.TimestampWindow) accepts out-of-order timestamps from pipelining
+// (core.DefaultTimestampWindow) accepts out-of-order timestamps from pipelining
 // clients, so a retransmission may name a request that was overtaken by up to
 // width-1 later requests of the same client; a single last-reply slot would
 // miss it and push the client into the panicking machinery. The ring is as
@@ -151,7 +154,7 @@ func (r *replyRing) get(ts uint64) ([]byte, bool) {
 func (h *Host) replyRingFor(c ids.ProcessID) *replyRing {
 	ring, ok := h.lastReply[c]
 	if !ok {
-		ring = newReplyRing(normalizeWindow(h.cfg.TimestampWindow))
+		ring = newReplyRing(core.DefaultTimestampWindow)
 		h.lastReply[c] = ring
 	}
 	return ring

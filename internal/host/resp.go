@@ -51,7 +51,6 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 	}
 	macBytes := resp.MACBytes()
 	resp.MAC = h.keys.MAC(h.id, req.Client, macBytes[:])
-	h.cfg.Ops.CountMACGen(h.id, 1)
 	// A traced request marks the speculative reply leaving the replica as a
 	// zero-duration point event (span only; no histogram sample).
 	if req.Trace.Sampled() {
@@ -60,22 +59,17 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 }
 
 // VerifyClientAuth verifies the client's authenticator entry addressed to
-// this replica over the given bytes, counting the MAC operation.
+// this replica over the given bytes.
 func (h *Host) VerifyClientAuth(a authn.Authenticator, data []byte) error {
-	h.cfg.Ops.CountMACVerify(h.id, 1)
 	return h.keys.Verify(a, h.id, data)
 }
 
-// MACFor computes a MAC from this replica to the given process, counting the
-// operation.
+// MACFor computes a MAC from this replica to the given process.
 func (h *Host) MACFor(to ids.ProcessID, data []byte) authn.MAC {
-	h.cfg.Ops.CountMACGen(h.id, 1)
 	return h.keys.MAC(h.id, to, data)
 }
 
-// VerifyMACFrom verifies a MAC from another process to this replica,
-// counting the operation.
+// VerifyMACFrom verifies a MAC from another process to this replica.
 func (h *Host) VerifyMACFrom(from ids.ProcessID, data []byte, m authn.MAC) error {
-	h.cfg.Ops.CountMACVerify(h.id, 1)
 	return h.keys.VerifyMAC(from, h.id, data, m)
 }

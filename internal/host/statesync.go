@@ -342,7 +342,7 @@ func (h *Host) SyncState(maxSeq uint64) {
 	defer h.mu.Unlock()
 	st := h.instances[h.active]
 	if st == nil {
-		st = h.activate(h.cfg.FirstInstance, nil)
+		st = h.activate(core.FirstInstance, nil)
 		if st == nil {
 			return
 		}

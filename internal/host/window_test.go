@@ -3,6 +3,7 @@ package host
 import (
 	"testing"
 
+	"abstractbft/internal/core"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
@@ -33,26 +34,14 @@ func TestTimestampWindowOutOfOrderAcceptance(t *testing.T) {
 	}
 }
 
-func TestTimestampWindowStrictWidthOne(t *testing.T) {
-	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}, tsWidth: 1}
-	c := ids.Client(0)
-	st.markLogged(c, 5)
-	if st.TimestampFresh(c, 3) {
-		t.Fatalf("width=1 must reject every timestamp below the high-water mark")
-	}
-	if !st.TimestampFresh(c, 6) {
-		t.Fatalf("width=1 must accept increasing timestamps")
-	}
-}
-
 func TestTimestampWindowFarBelowIsStale(t *testing.T) {
 	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}}
 	c := ids.Client(0)
 	st.markLogged(c, 1000)
-	if st.TimestampFresh(c, 1000-uint64(DefaultTimestampWindow)) {
+	if st.TimestampFresh(c, 1000-uint64(core.DefaultTimestampWindow)) {
 		t.Fatalf("timestamps at or beyond the window edge must be stale")
 	}
-	if !st.TimestampFresh(c, 1000-uint64(DefaultTimestampWindow)+1) {
+	if !st.TimestampFresh(c, 1000-uint64(core.DefaultTimestampWindow)+1) {
 		t.Fatalf("timestamps just inside the window must be fresh")
 	}
 }

@@ -25,8 +25,6 @@ type EngineConfig struct {
 	// ViewChangeTimeout is how long a replica waits for a known request to be
 	// delivered before initiating a view change; 0 disables view changes.
 	ViewChangeTimeout time.Duration
-	// Ops optionally counts cryptographic operations.
-	Ops *authn.OpCounter
 	// Now returns the current time; nil selects time.Now (tests may inject a
 	// fake clock).
 	Now func() time.Time
@@ -150,7 +148,6 @@ func (e *Engine) proposePending() {
 		ent.prepares[e.cfg.Replica] = true
 		for _, to := range e.others() {
 			mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('P', e.view, seq, digest))
-			e.cfg.Ops.CountMACGen(e.cfg.Replica, 1)
 			e.cfg.Send(to, &PrePrepare{View: e.view, Seq: seq, Batch: batch, Digest: digest, MAC: mac})
 		}
 		e.maybeCommitPhase(seq)
@@ -186,7 +183,6 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 	if m.View != e.view || from != e.Primary() || e.viewChanging {
 		return
 	}
-	e.cfg.Ops.CountMACVerify(e.cfg.Replica, 1)
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('P', m.View, m.Seq, m.Digest), m.MAC); err != nil {
 		return
 	}
@@ -213,7 +209,6 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 	ent.prepares[e.cfg.Replica] = true
 	for _, to := range e.others() {
 		mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', m.View, m.Seq, m.Digest))
-		e.cfg.Ops.CountMACGen(e.cfg.Replica, 1)
 		e.cfg.Send(to, &Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: e.cfg.Replica, MAC: mac})
 	}
 	e.maybeCommitPhase(m.Seq)
@@ -223,7 +218,6 @@ func (e *Engine) onPrepare(from ids.ProcessID, m *Prepare) {
 	if m.View != e.view || e.viewChanging {
 		return
 	}
-	e.cfg.Ops.CountMACVerify(e.cfg.Replica, 1)
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('p', m.View, m.Seq, m.Digest), m.MAC); err != nil {
 		return
 	}
@@ -249,14 +243,12 @@ func (e *Engine) maybeCommitPhase(seq uint64) {
 	ent.commits[e.cfg.Replica] = true
 	for _, to := range e.others() {
 		mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('c', ent.view, seq, ent.digest))
-		e.cfg.Ops.CountMACGen(e.cfg.Replica, 1)
 		e.cfg.Send(to, &Commit{View: ent.view, Seq: seq, Digest: ent.digest, Replica: e.cfg.Replica, MAC: mac})
 	}
 	e.maybeDeliver()
 }
 
 func (e *Engine) onCommit(from ids.ProcessID, m *Commit) {
-	e.cfg.Ops.CountMACVerify(e.cfg.Replica, 1)
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('c', m.View, m.Seq, m.Digest), m.MAC); err != nil {
 		return
 	}
@@ -340,7 +332,6 @@ func (e *Engine) buildViewChange(target uint64) *ViewChange {
 		}
 	}
 	vc.Sig = e.cfg.Keys.Sign(e.cfg.Replica, vc.SignedBytes())
-	e.cfg.Ops.CountSigGen(e.cfg.Replica)
 	return vc
 }
 
@@ -357,7 +348,6 @@ func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
 	if vc.Replica != from || vc.NewView <= e.view {
 		return
 	}
-	e.cfg.Ops.CountSigVerify(e.cfg.Replica)
 	if err := e.cfg.Keys.VerifySignature(vc.Replica, vc.SignedBytes(), vc.Sig); err != nil {
 		return
 	}
@@ -433,7 +423,6 @@ func (e *Engine) onNewView(from ids.ProcessID, nv *NewView) {
 		if vc.NewView != nv.View || seen[vc.Replica] {
 			continue
 		}
-		e.cfg.Ops.CountSigVerify(e.cfg.Replica)
 		if err := e.cfg.Keys.VerifySignature(vc.Replica, vc.SignedBytes(), vc.Sig); err != nil {
 			continue
 		}
@@ -479,7 +468,6 @@ func (e *Engine) applyNewViewProposals(nv *NewView) {
 		if e.cfg.Cluster.Primary(nv.View) != e.cfg.Replica {
 			for _, to := range e.others() {
 				mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', nv.View, p.Seq, p.Digest))
-				e.cfg.Ops.CountMACGen(e.cfg.Replica, 1)
 				e.cfg.Send(to, &Prepare{View: nv.View, Seq: p.Seq, Digest: p.Digest, Replica: e.cfg.Replica, MAC: mac})
 			}
 		}

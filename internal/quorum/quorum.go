@@ -163,11 +163,6 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 			for i := range built {
 				resps = append(resps, &built[i])
 			}
-			if designated {
-				for range fresh.Requests {
-					r.h.Ops().CountRequest()
-				}
-			}
 		}
 	}
 	r.h.SendBatch(client, resps)
@@ -204,9 +199,6 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 	reply := r.h.Execute(r.st, m.Req)
 	resp := r.h.BuildResp(r.st, m.Req, reply, r.h.ID() == r.h.Cluster().Head())
 	r.h.Send(m.Req.Client, resp)
-	if r.h.ID() == r.h.Cluster().Head() {
-		r.h.Ops().CountRequest()
-	}
 }
 
 // Client is the client-side handle of one Quorum instance.
@@ -232,7 +224,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	}
 	authBytes := AuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 
@@ -265,7 +256,6 @@ func (c *Client) InvokeBatch(ctx context.Context, reqs []msg.Request, init *core
 	}
 	authBytes := AuthBytes(c.id, batch.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 

@@ -71,7 +71,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		env.Cluster = env.Cluster.WithLead(s % env.Cluster.N)
 		env.Endpoint = c.router.Endpoint(s)
 		if cfg.Pipeline != nil {
-			pc, err := core.NewPipelinedComposer(env, cfg.NewInstanceFactory, 1, *cfg.Pipeline)
+			pc, err := core.NewPipelinedComposer(env, cfg.NewInstanceFactory, *cfg.Pipeline)
 			if err != nil {
 				c.Close()
 				return nil, fmt.Errorf("shard: client for shard %d: %w", s, err)
@@ -80,7 +80,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			c.pipelined = append(c.pipelined, pc)
 			continue
 		}
-		comp, err := core.NewComposer(cfg.NewInstanceFactory(env), 1)
+		comp, err := core.NewComposer(cfg.NewInstanceFactory(env))
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("shard: client for shard %d: %w", s, err)

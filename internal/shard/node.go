@@ -39,8 +39,6 @@ type NodeConfig struct {
 	NewProtocol func(shard int, cluster ids.Cluster) host.ProtocolFactory
 	// Batch is the per-shard batch assembler policy.
 	Batch host.BatchPolicy
-	// TimestampWindow is the per-client timestamp window width per shard.
-	TimestampWindow int
 	// Epoch is the execution stage's merge round length (0 = DefaultEpoch).
 	Epoch int
 	// NullOpInterval is how often the node probes the execution stage for
@@ -54,13 +52,11 @@ type NodeConfig struct {
 	// re-agreement monitor that re-pins a stalled sync at a newer boundary.
 	// 0 selects DefaultRecoverRetryInterval.
 	RecoverRetryInterval time.Duration
-	// CheckpointInterval, DisableGC, InstrumentHistories, TickInterval, Ops,
-	// and Logger are forwarded to every sub-host.
+	// CheckpointInterval, InstrumentHistories, TickInterval and Logger are
+	// forwarded to every sub-host.
 	CheckpointInterval  int
-	DisableGC           bool
 	InstrumentHistories bool
 	TickInterval        time.Duration
-	Ops                 *authn.OpCounter
 	Logger              *log.Logger
 	// Metrics, when non-nil, instruments the node: every sub-host registers
 	// its series labeled by shard, and the execution stage adds merge
@@ -160,19 +156,15 @@ func NewNode(cfg NodeConfig) *Node {
 			Keys:               cfg.Keys,
 			App:                cfg.NewApp(),
 			Endpoint:           n.Router.Endpoint(s),
-			FirstInstance:      1,
 			NewProtocol:        cfg.NewProtocol(s, cl),
 			Batch:              cfg.Batch,
-			TimestampWindow:    cfg.TimestampWindow,
 			CheckpointInterval: cfg.CheckpointInterval,
-			DisableGC:          cfg.DisableGC,
 			// GC must not outrun the merged mirror: a recovering peer
 			// restores its mirror at this node's merge boundary and needs a
 			// snapshot (and bodies) reaching back to it.
 			RetainFloor:         func() uint64 { return n.Exec.MergedFloor(s) },
 			InstrumentHistories: cfg.InstrumentHistories,
 			TickInterval:        cfg.TickInterval,
-			Ops:                 cfg.Ops,
 			Logger:              logger,
 			Metrics:             cfg.Metrics,
 			MetricsLabels:       shardLabel(s),

@@ -1,4 +1,4 @@
-package metrics
+package workload
 
 import (
 	"math"
@@ -58,53 +58,6 @@ func TestLatencyRecorderBounded(t *testing.T) {
 		want := p / 100 * float64(n)
 		if math.Abs(got-want) > 0.03*float64(n) {
 			t.Fatalf("p%v = %vms, want within 3%% of %vms", p, got, want)
-		}
-	}
-}
-
-func TestThroughputSeries(t *testing.T) {
-	tp := NewThroughput(100 * time.Millisecond)
-	base := time.Now()
-	for i := 0; i < 10; i++ {
-		tp.RecordAt(base.Add(time.Duration(i) * 20 * time.Millisecond))
-	}
-	if tp.Total() != 10 {
-		t.Fatalf("total = %d", tp.Total())
-	}
-	series := tp.Series()
-	if len(series) == 0 {
-		t.Fatalf("empty series")
-	}
-	if tp.Peak() <= 0 {
-		t.Fatalf("peak = %v", tp.Peak())
-	}
-	if tp.Rate(200*time.Millisecond) != 50 {
-		t.Fatalf("rate = %v, want 50 ops/s", tp.Rate(200*time.Millisecond))
-	}
-}
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-}
-
-func TestFormatOps(t *testing.T) {
-	cases := map[float64]string{
-		999:      "999",
-		1000:     "1,000",
-		55575:    "55,575",
-		1234567:  "1,234,567",
-		55574.6:  "55,575",
-		0:        "0",
-		31510.49: "31,510",
-	}
-	for in, want := range cases {
-		if got := FormatOps(in); got != want {
-			t.Errorf("FormatOps(%v) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -1,7 +1,6 @@
-// Package workload implements the paper's workloads: the closed-loop x/y
-// microbenchmarks (request payload of x kB, reply payload of y kB) used by
-// all throughput and latency experiments, the dynamic (fluctuating) workload
-// of Fig. 15, and the fault schedule of Fig. 14.
+// Package workload drives closed-loop clients against any protocol of the
+// repository and records their request latencies (cmd/client and the
+// examples run their loads through it).
 package workload
 
 import (
@@ -13,7 +12,6 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/ids"
-	"abstractbft/internal/metrics"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/shard"
 )
@@ -47,24 +45,6 @@ func KVPutCommandOf(baseClient, keySpace int) func(client int, ts uint64) []byte
 	}
 }
 
-// Benchmark describes an x/y microbenchmark.
-type Benchmark struct {
-	// Name is the paper's designation, e.g. "0/0", "4/0", "0/4".
-	Name string
-	// RequestSize is the request payload in bytes.
-	RequestSize int
-	// ReplySize is the reply payload in bytes (configured on the Null
-	// application of the deployment).
-	ReplySize int
-}
-
-// Standard microbenchmarks of the paper.
-var (
-	Benchmark00 = Benchmark{Name: "0/0", RequestSize: 0, ReplySize: 0}
-	Benchmark40 = Benchmark{Name: "4/0", RequestSize: 4 * 1024, ReplySize: 0}
-	Benchmark04 = Benchmark{Name: "0/4", RequestSize: 0, ReplySize: 4 * 1024}
-)
-
 // ClosedLoopConfig drives a set of closed-loop clients.
 type ClosedLoopConfig struct {
 	// Clients is the number of concurrent closed-loop clients.
@@ -76,8 +56,6 @@ type ClosedLoopConfig struct {
 	Duration time.Duration
 	// RequestSize is the request payload size in bytes.
 	RequestSize int
-	// Think is an optional delay between consecutive requests of a client.
-	Think time.Duration
 	// Pipeline is the number of invocations each client keeps in flight
 	// concurrently (0 or 1 = strict invoke-then-wait). Values above 1
 	// require a pipelining-capable invoker (core.PipelinedComposer): the
@@ -108,9 +86,7 @@ type Result struct {
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
 	// Latency collects per-request latencies.
-	Latency *metrics.LatencyRecorder
-	// Throughput is the committed-requests time series.
-	Throughput *metrics.Throughput
+	Latency *LatencyRecorder
 }
 
 // ThroughputOps returns the average committed operations per second.
@@ -123,7 +99,8 @@ func (r Result) ThroughputOps() float64 {
 
 // RunClosedLoop runs the closed-loop clients returned by newInvoker (one per
 // client index) until each issues its request budget or the duration
-// elapses.
+// elapses. When newInvoker fails, the clients already started are cancelled
+// and awaited before the error returns.
 func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig, newInvoker func(i int) (Invoker, ids.ProcessID, error)) (Result, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -131,16 +108,15 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig, newInvoker func(i 
 	if cfg.RequestsPerClient <= 0 && cfg.Duration <= 0 {
 		cfg.Duration = time.Second
 	}
-	res := Result{
-		Latency:    metrics.NewLatencyRecorder(),
-		Throughput: metrics.NewThroughput(100 * time.Millisecond),
-	}
-	runCtx := ctx
+	res := Result{Latency: NewLatencyRecorder()}
+	var runCtx context.Context
 	var cancel context.CancelFunc
 	if cfg.Duration > 0 {
 		runCtx, cancel = context.WithTimeout(ctx, cfg.Duration)
-		defer cancel()
+	} else {
+		runCtx, cancel = context.WithCancel(ctx)
 	}
+	defer cancel()
 
 	pipeline := cfg.Pipeline
 	if pipeline <= 0 {
@@ -159,6 +135,8 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig, newInvoker func(i 
 	for i := 0; i < cfg.Clients; i++ {
 		inv, clientID, err := newInvoker(i)
 		if err != nil {
+			cancel()
+			wg.Wait()
 			return res, fmt.Errorf("workload: building client %d: %w", i, err)
 		}
 		// All pipeline streams of one client share its identity and draw
@@ -199,13 +177,9 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig, newInvoker func(i 
 						return
 					}
 					res.Latency.Record(time.Since(t0))
-					res.Throughput.Record()
 					mu.Lock()
 					res.Committed++
 					mu.Unlock()
-					if cfg.Think > 0 {
-						time.Sleep(cfg.Think)
-					}
 				}
 			}(inv, clientID)
 		}
@@ -216,101 +190,4 @@ func RunClosedLoop(ctx context.Context, cfg ClosedLoopConfig, newInvoker func(i 
 		return res, errs[0]
 	}
 	return res, nil
-}
-
-// Phase is one step of a dynamic workload: a number of concurrent clients
-// issuing requests of a given size for a duration.
-type Phase struct {
-	Name        string
-	Clients     int
-	RequestSize int
-	Duration    time.Duration
-}
-
-// DynamicWorkload is the fluctuating-contention workload of Fig. 15: a ramp
-// from 1 to 10 clients, a spike of 30 clients, and a ramp back down to 1.
-func DynamicWorkload(scale time.Duration) []Phase {
-	if scale <= 0 {
-		scale = 500 * time.Millisecond
-	}
-	phases := []Phase{}
-	for _, n := range []int{1, 2, 5, 10} {
-		phases = append(phases, Phase{Name: fmt.Sprintf("ramp-up-%d", n), Clients: n, RequestSize: 512, Duration: scale})
-	}
-	phases = append(phases, Phase{Name: "spike-30", Clients: 30, RequestSize: 1024, Duration: 2 * scale})
-	for _, n := range []int{10, 5, 2, 1} {
-		phases = append(phases, Phase{Name: fmt.Sprintf("ramp-down-%d", n), Clients: n, RequestSize: 512, Duration: scale})
-	}
-	return phases
-}
-
-// RunPhases runs a sequence of phases against a single protocol deployment,
-// reusing client identities across phases (timestamps keep increasing).
-func RunPhases(ctx context.Context, phases []Phase, newInvoker func(i int) (Invoker, ids.ProcessID, error)) ([]Result, error) {
-	type clientState struct {
-		inv    Invoker
-		id     ids.ProcessID
-		nextTS uint64
-	}
-	clients := make(map[int]*clientState)
-	getClient := func(i int) (*clientState, error) {
-		if c, ok := clients[i]; ok {
-			return c, nil
-		}
-		inv, id, err := newInvoker(i)
-		if err != nil {
-			return nil, err
-		}
-		c := &clientState{inv: inv, id: id, nextTS: 1}
-		clients[i] = c
-		return c, nil
-	}
-
-	var results []Result
-	for _, phase := range phases {
-		res := Result{
-			Latency:    metrics.NewLatencyRecorder(),
-			Throughput: metrics.NewThroughput(100 * time.Millisecond),
-		}
-		phaseCtx, cancel := context.WithTimeout(ctx, phase.Duration)
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		start := time.Now()
-		for i := 0; i < phase.Clients; i++ {
-			c, err := getClient(i)
-			if err != nil {
-				cancel()
-				return results, err
-			}
-			wg.Add(1)
-			go func(c *clientState) {
-				defer wg.Done()
-				payload := make([]byte, phase.RequestSize)
-				for phaseCtx.Err() == nil {
-					mu.Lock()
-					ts := c.nextTS
-					c.nextTS++
-					mu.Unlock()
-					req := msg.Request{Client: c.id, Timestamp: ts, Command: payload}
-					t0 := time.Now()
-					if _, err := c.inv.Invoke(phaseCtx, req); err != nil {
-						return
-					}
-					res.Latency.Record(time.Since(t0))
-					res.Throughput.Record()
-					mu.Lock()
-					res.Committed++
-					mu.Unlock()
-				}
-			}(c)
-		}
-		wg.Wait()
-		cancel()
-		res.Elapsed = time.Since(start)
-		results = append(results, res)
-		if ctx.Err() != nil {
-			return results, ctx.Err()
-		}
-	}
-	return results, nil
 }

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,54 +75,31 @@ func TestRunClosedLoopDuration(t *testing.T) {
 	}
 }
 
-func TestStandardBenchmarks(t *testing.T) {
-	if Benchmark40.RequestSize != 4096 || Benchmark40.ReplySize != 0 {
-		t.Fatalf("4/0 benchmark misdefined: %+v", Benchmark40)
-	}
-	if Benchmark04.RequestSize != 0 || Benchmark04.ReplySize != 4096 {
-		t.Fatalf("0/4 benchmark misdefined: %+v", Benchmark04)
-	}
-	if Benchmark00.RequestSize != 0 || Benchmark00.ReplySize != 0 {
-		t.Fatalf("0/0 benchmark misdefined: %+v", Benchmark00)
-	}
-}
-
-func TestDynamicWorkloadShape(t *testing.T) {
-	phases := DynamicWorkload(100 * time.Millisecond)
-	if len(phases) != 9 {
-		t.Fatalf("expected 9 phases, got %d", len(phases))
-	}
-	peak := 0
-	for _, p := range phases {
-		if p.Clients > peak {
-			peak = p.Clients
+// A client whose constructor fails must not leave the clients started before
+// it running: RunClosedLoop cancels and awaits them, so none of them is still
+// invoking (or writing the result) once the error returns.
+func TestRunClosedLoopStopsStartedClientsOnSetupError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	started := make(chan struct{})
+	var returned atomic.Bool
+	newInvoker := func(i int) (Invoker, ids.ProcessID, error) {
+		if i == 1 {
+			<-started
+			return nil, 0, errors.New("dial failed")
 		}
+		return InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
+			defer returned.Store(true)
+			close(started)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}), ids.Client(i), nil
 	}
-	if peak != 30 {
-		t.Fatalf("spike should reach 30 clients, got %d", peak)
+	_, err := RunClosedLoop(ctx, ClosedLoopConfig{Clients: 2, RequestsPerClient: 1}, newInvoker)
+	if err == nil {
+		t.Fatal("want the constructor's error")
 	}
-	if phases[0].Clients != 1 || phases[len(phases)-1].Clients != 1 {
-		t.Fatalf("workload should ramp from and back to a single client")
+	if !returned.Load() {
+		t.Fatal("client 0 was still invoking after RunClosedLoop returned")
 	}
-}
-
-func TestRunPhasesKeepsTimestampsUnique(t *testing.T) {
-	svc := &fakeService{}
-	phases := []Phase{
-		{Name: "a", Clients: 2, RequestSize: 8, Duration: 80 * time.Millisecond},
-		{Name: "b", Clients: 3, RequestSize: 8, Duration: 80 * time.Millisecond},
-	}
-	results, err := RunPhases(context.Background(), phases, svc.invoker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("expected 2 phase results, got %d", len(results))
-	}
-	total := results[0].Committed + results[1].Committed
-	if total == 0 {
-		t.Fatalf("no requests committed across phases")
-	}
-	// The fake service rejects duplicate request IDs, so reaching here means
-	// client timestamps stayed unique across phases.
 }

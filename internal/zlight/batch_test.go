@@ -34,7 +34,6 @@ func newBatchTestCluster(t *testing.T, f int, policy host.BatchPolicy) *testClus
 			Keys:                tc.keys,
 			App:                 app.NewCounter(),
 			Endpoint:            tc.net.Endpoint(r),
-			FirstInstance:       1,
 			NewProtocol:         NewReplica(),
 			InstrumentHistories: true,
 			Batch:               policy,

@@ -31,7 +31,6 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	}
 	authBytes := AuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	c.env.Ops.CountMACGen(c.env.ID, auth.NumMACs())
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	c.env.Endpoint.Send(c.env.Cluster.Head(), m)
 

@@ -140,9 +140,6 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 	// (Step Z3); it is the designated replica sending the full reply.
 	replies := r.h.ExecuteBatch(r.st, batch)
 	r.fanOutResps(batch, replies, true)
-	for range batch.Requests {
-		r.h.Ops().CountRequest()
-	}
 }
 
 // fanOutResps sends one RESP per request of a batch, coalescing the RESPs of

@@ -40,7 +40,6 @@ func newTestCluster(t *testing.T, f int) *testCluster {
 			Keys:                tc.keys,
 			App:                 app.NewCounter(),
 			Endpoint:            tc.net.Endpoint(r),
-			FirstInstance:       1,
 			NewProtocol:         NewReplica(),
 			InstrumentHistories: true,
 		})
