@@ -203,7 +203,6 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		r.h.Send(m.Req.Client, &core.AbortReply{Instance: r.st.ID, Timestamp: m.Req.Timestamp, Signed: signed})
 		return
 	}
-	r.h.StoreRequest(m.Req)
 	r.engine.SubmitRequest(m.Req)
 }
 

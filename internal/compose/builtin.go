@@ -12,14 +12,13 @@ import (
 )
 
 // The built-in Abstract implementations register one symmetric descriptor
-// each: both constructors, the progress predicate, and the capability flags
-// live side by side, so a schedule referencing the name can never pair a
-// replica factory with the wrong client factory.
+// each: both constructors and the progress predicate live side by side, so a
+// schedule referencing the name can never pair a replica factory with the
+// wrong client factory.
 func init() {
 	Register(Descriptor{
 		Name:     "zlight",
 		Progress: core.ProgressCommonCase,
-		Caps:     Capabilities{},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return zlight.NewReplica()
 		},
@@ -30,7 +29,6 @@ func init() {
 	Register(Descriptor{
 		Name:     "quorum",
 		Progress: core.ProgressNoContention,
-		Caps:     Capabilities{BatchedInvoke: true},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return quorum.NewReplica()
 		},
@@ -41,7 +39,6 @@ func init() {
 	Register(Descriptor{
 		Name:     "chain",
 		Progress: core.ProgressCommonCase,
-		Caps:     Capabilities{LowLoadAbort: true},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return chain.NewReplica(chain.ReplicaConfig{
 				LowLoadAfter: ctx.Opts.LowLoadAfter,
@@ -54,7 +51,6 @@ func init() {
 	Register(Descriptor{
 		Name:     "backup",
 		Progress: core.ProgressAlwaysK,
-		Caps:     Capabilities{},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return backup.NewReplica(backup.ReplicaConfig{
 				BackupIndex:       ctx.StrongIndex,
@@ -73,7 +69,6 @@ func init() {
 	Register(Descriptor{
 		Name:     "pbft",
 		Progress: core.ProgressAlways,
-		Caps:     Capabilities{},
 		NewReplica: func(ctx ReplicaContext) host.ProtocolFactory {
 			return backup.NewReplica(backup.ReplicaConfig{
 				K:                 backup.FixedK(math.MaxUint64),

@@ -148,10 +148,4 @@ func TestCompositionRoleDerivation(t *testing.T) {
 	if !d.Strong() || d.Progress != core.ProgressAlwaysK {
 		t.Errorf("backup descriptor not strong: %+v", d)
 	}
-	if comp.DescriptorOf(2).Caps.LowLoadAbort != true {
-		t.Error("chain descriptor lost its low-load capability flag")
-	}
-	if comp.DescriptorOf(1).Caps.BatchedInvoke {
-		t.Error("zlight descriptor claims batched invocation")
-	}
 }

@@ -1,10 +1,10 @@
 // Package compose is the declarative composition API of the repository: a
 // protocol registry where every Abstract implementation (ZLight, Quorum,
 // Chain, Backup) registers one symmetric descriptor — name, progress
-// predicate, replica-side constructor, client-side constructor, capability
-// flags — and a switching-schedule Spec (ordered stages with cycle/repeat
-// semantics, parseable from a string DSL) from which role-of-instance,
-// replica factories, and client factories are all derived.
+// predicate, replica-side constructor, client-side constructor — and a
+// switching-schedule Spec (ordered stages with cycle/repeat semantics,
+// parseable from a string DSL) from which role-of-instance, replica
+// factories, and client factories are all derived.
 //
 // The paper's thesis is that new BFT protocols are cheap to build by
 // composing Abstract instances; this package makes the composition a value:
@@ -25,19 +25,6 @@ import (
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 )
-
-// Capabilities are the capability flags of one Abstract implementation,
-// declared symmetrically for the replica and client side so compositions and
-// their harnesses can reason about a stage without knowing its concrete type.
-type Capabilities struct {
-	// BatchedInvoke marks a client that implements core.BatchInstance:
-	// several pipelined requests of one client travel as a single protocol
-	// step under one authenticator (Quorum).
-	BatchedInvoke bool
-	// LowLoadAbort marks a replica that can abort on low load so the
-	// composition returns to a contention-free stage (Chain).
-	LowLoadAbort bool
-}
 
 // ReplicaContext is what a descriptor's replica constructor gets to build the
 // per-instance protocol factory of one composition: the cluster, the
@@ -64,8 +51,6 @@ type Descriptor struct {
 	// with core.ProgressAlwaysK or core.ProgressAlways count as strong and
 	// guarantee the composition's liveness.
 	Progress core.Progress
-	// Caps are the capability flags.
-	Caps Capabilities
 	// NewReplica builds the replica-side protocol factory for instances of
 	// this protocol within one composition.
 	NewReplica func(ctx ReplicaContext) host.ProtocolFactory

@@ -152,11 +152,6 @@ func (s Spec) ProtocolAt(id core.InstanceID) string {
 	return s.Stages[len(s.Stages)-1].Protocol
 }
 
-// DescriptorAt returns the descriptor of the protocol instance id runs.
-func (s Spec) DescriptorAt(id core.InstanceID) (*Descriptor, bool) {
-	return Lookup(s.ProtocolAt(id))
-}
-
 // StrongIndex returns the number of strong-progress instances with a lower
 // instance number than id: the 0-based "Backup index" that parameterizes the
 // exponential K policy. It is derived from the schedule (full cycles times

@@ -164,7 +164,7 @@ func (h *Host) handleCheckpoint(m *core.CheckpointMessage) {
 func (h *Host) handleFetchRequest(m *core.FetchRequest) {
 	var out []msg.Request
 	for _, d := range m.Digests {
-		if r, ok := h.requestStore[d]; ok {
+		if r, ok := h.RequestByDigest(d); ok {
 			out = append(out, r.Clone())
 		}
 	}
@@ -174,18 +174,18 @@ func (h *Host) handleFetchRequest(m *core.FetchRequest) {
 	h.Send(m.From, &core.FetchResponse{Instance: m.Instance, From: h.id, Requests: out})
 }
 
-// handleFetchResponse stores fetched request bodies and completes any pending
-// initialization that was waiting for them.
+// handleFetchResponse stores the fetched request bodies the named instance's
+// pending initialization is missing, and completes the initialization once
+// none is left. Any other body is dropped: a peer cannot make the replica
+// keep what no history of its own names.
 func (h *Host) handleFetchResponse(m *core.FetchResponse) {
-	for _, r := range m.Requests {
-		h.requestStore[r.Digest()] = r.Clone()
-	}
 	st := h.instances[m.Instance]
 	if st == nil || st.Initialized || st.pendingInit == nil {
 		return
 	}
-	for d := range st.missing {
-		if _, ok := h.requestStore[d]; ok {
+	for _, r := range m.Requests {
+		if d := r.Digest(); st.missing[d] {
+			h.keepBody(d, r.Clone(), st.AbsLen())
 			delete(st.missing, d)
 		}
 	}

@@ -93,9 +93,6 @@ func (h *Host) NewBatcher(flush func(items []BatchItem)) *Batcher {
 	return &Batcher{h: h, policy: h.cfg.Batch.normalized(), flush: flush}
 }
 
-// Policy returns the effective (normalized) batch policy.
-func (b *Batcher) Policy() BatchPolicy { return b.policy }
-
 // Pending returns the number of buffered requests (host lock held).
 func (b *Batcher) Pending() int { return len(b.buf) }
 

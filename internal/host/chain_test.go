@@ -122,10 +122,9 @@ func TestHistoryChainMatchesReferenceFold(t *testing.T) {
 				if st.BaseSeq+st.trimmed != after {
 					t.Fatalf("round %d step %d: TrimTo(%d) left the trim point at %d, want %d", round, step, seq, st.BaseSeq+st.trimmed, after)
 				}
-				// The dropped digests are exactly the positions given up.
-				lo, hi := before-st.BaseSeq-foldedLen, after-st.BaseSeq-foldedLen
-				if !slices.Equal(dropped, known[lo:hi]) {
-					t.Fatalf("round %d step %d: TrimTo(%d) dropped %d digests, want positions %d..%d", round, step, seq, len(dropped), before, after)
+				// The dropped count is exactly the positions given up.
+				if uint64(dropped) != after-before {
+					t.Fatalf("round %d step %d: TrimTo(%d) dropped %d digests, want positions %d..%d", round, step, seq, dropped, before, after)
 				}
 			}
 			check(step)
@@ -300,7 +299,7 @@ func boundaryAllocBudget(t *testing.T, application app.Application, command func
 	// tables now and then splits inside a measured batch and bills it some
 	// hundred kilobytes. Sized for every body the test ever logs, it never
 	// grows.
-	h.requestStore = make(map[authn.Digest]msg.Request, 2*(13+boundaries)*history.DefaultCheckpointInterval)
+	h.requestStore = make(map[authn.Digest]storedBody, 2*(13+boundaries)*history.DefaultCheckpointInterval)
 	ts := make([]uint64, clients)
 	turn := 0
 	logExecute := func() uint64 {

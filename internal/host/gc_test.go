@@ -6,6 +6,7 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
+	"abstractbft/internal/core"
 	"abstractbft/internal/history"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
@@ -27,8 +28,8 @@ func gcHost(t *testing.T, interval int, disableGC bool) (*Host, *InstanceState) 
 		NewProtocol: func(h *Host, st *InstanceState) ProtocolReplica {
 			return nopReplica{}
 		},
-		CheckpointInterval: interval,
-		DisableGC:          disableGC,
+		CheckpointInterval:  interval,
+		InstrumentHistories: disableGC,
 	})
 	st := h.Bootstrap()
 	if st == nil {
@@ -268,6 +269,99 @@ func TestGCKeepsBodiesOfFrozenAbort(t *testing.T) {
 		if _, ok := h.RequestByDigest(d); !ok {
 			t.Fatalf("body %d of the frozen abort report was released", i)
 		}
+	}
+}
+
+// TestGCReleasesBodiesNoHistoryNames: a body is released by its stamp, not
+// by the history that names it. One stored at a position no history names
+// goes once the trim point passes that position, and one stored again at a
+// higher position outlives its older stamp (a stamp is never lowered).
+func TestGCReleasesBodiesNoHistoryNames(t *testing.T) {
+	const interval = 8
+	h, st := gcHost(t, interval, false)
+	orphan, again, kept := kvReq(1001), kvReq(1002), kvReq(1003)
+	drive(t, h, st, 1, 4)
+	h.Locked(func() {
+		h.keepBody(orphan.Digest(), orphan, 10)
+		h.keepBody(again.Digest(), again, 3)
+		h.keepBody(again.Digest(), again, 30)
+		h.keepBody(kept.Digest(), kept, 30)
+		h.keepBody(kept.Digest(), kept, 3)
+	})
+	held := func(r msg.Request) bool {
+		_, ok := h.RequestByDigest(r.Digest())
+		return ok
+	}
+	drive(t, h, st, 5, 8)
+	if s := st.Checkpoint.StableSeq(); s != 8 || !held(orphan) {
+		t.Fatalf("stable %d: body stamped 10 released below the trim point (held %v)", s, held(orphan))
+	}
+	drive(t, h, st, 9, 20)
+	if held(orphan) {
+		t.Fatal("body stamped 10 that no history names outlived trim point 16")
+	}
+	if !held(again) || !held(kept) {
+		t.Fatalf("bodies stamped 30 released at trim point 16 (restamped %v, lower store %v)", held(again), held(kept))
+	}
+	drive(t, h, st, 21, 40)
+	if held(again) || held(kept) {
+		t.Fatalf("bodies stamped 30 outlived trim point 40 (restamped %v, lower store %v)", held(again), held(kept))
+	}
+	if _, _, bodies, _ := h.GCStats(); bodies > 2*interval {
+		t.Fatalf("%d bodies stored, want at most %d", bodies, 2*interval)
+	}
+}
+
+// TestFetchResponseStoresOnlyMissingBodies: a FETCH response delivers the
+// bodies an instance's pending initialization is missing, and nothing else.
+// Bodies nobody asked for — in the same response, for an initialized
+// instance, or for one the replica never activated — are dropped instead of
+// pinned for the life of the replica.
+func TestFetchResponseStoresOnlyMissingBodies(t *testing.T) {
+	const interval = 8
+	h, _ := gcHost(t, interval, false)
+	// Instance 2's init history names two requests this replica never saw.
+	want := []msg.Request{kvReq(1), kvReq(2)}
+	abort := core.AbortMessage{
+		Instance: core.FirstInstance,
+		Replica:  h.id,
+		Next:     core.FirstInstance.Next(),
+		Report:   history.ReplicaReport{Suffix: history.DigestHistory{want[0].Digest(), want[1].Digest()}},
+	}
+	signed := core.SignedAbort{Abort: abort, Sig: h.keys.Sign(h.id, abort.SignedBytes())}
+	init, err := core.BuildInitHistory(h.cluster, core.FirstInstance, []core.SignedAbort{signed}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st2 *InstanceState
+	h.Locked(func() { st2 = h.activate(abort.Next, &init) })
+	if st2 == nil || st2.Initialized {
+		t.Fatal("instance 2 should be waiting for its missing bodies (test setup)")
+	}
+	var unsolicited []msg.Request
+	for i := 0; i < 50; i++ {
+		unsolicited = append(unsolicited, kvReq(uint64(5000+i)))
+	}
+	respond := func(inst core.InstanceID, reqs ...msg.Request) {
+		h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: inst, From: ids.Replica(0), Requests: reqs}})
+	}
+	respond(st2.ID, append(append([]msg.Request(nil), want...), unsolicited[:10]...)...)
+	if !st2.Initialized {
+		t.Fatal("the fetched bodies did not complete instance 2's initialization")
+	}
+	respond(st2.ID, unsolicited[10:30]...)
+	respond(core.InstanceID(9), unsolicited[30:]...)
+	for i, r := range unsolicited {
+		if _, ok := h.RequestByDigest(r.Digest()); ok {
+			t.Fatalf("unsolicited body %d stored", i)
+		}
+	}
+	drive(t, h, st2, 3, 402)
+	if seq, _ := h.AppliedState(); seq != 402 {
+		t.Fatalf("applied %d requests, want 402", seq)
+	}
+	if _, _, bodies, _ := h.GCStats(); bodies > 2*interval {
+		t.Fatalf("%d bodies held after 50 checkpoints, want at most %d", bodies, 2*interval)
 	}
 }
 

@@ -97,13 +97,6 @@ type Config struct {
 	// CheckpointInterval is CHK; 0 selects the default (128), negative
 	// disables checkpointing.
 	CheckpointInterval int
-	// DisableGC keeps the pre-statesync behaviour of retaining the whole
-	// logged history and every request body for the lifetime of the replica.
-	// With GC enabled (the default), the host trims digest storage and
-	// request bodies below the last stable checkpoint once a snapshot covers
-	// them, bounding memory for long runs; InstrumentHistories implies
-	// DisableGC because the specification checker needs full histories.
-	DisableGC bool
 	// RetainFloor, when non-nil, bounds garbage collection from below: the
 	// host never trims storage (or prunes snapshots) at or above the
 	// returned position even when a stable checkpoint covers it. The sharded
@@ -115,7 +108,8 @@ type Config struct {
 	//abstractbft:lockheld
 	RetainFloor func() uint64
 	// InstrumentHistories makes RESP messages carry full digest histories so
-	// the specification checker can validate runs (tests only).
+	// the specification checker can validate runs (tests only). It also turns
+	// garbage collection off, since the checker needs full histories.
 	InstrumentHistories bool
 	// TickInterval is the period of the host's protocol tick (driving
 	// time-based protocol behaviour such as view-change timers); 0 selects
@@ -198,8 +192,12 @@ type Host struct {
 	snapWindows map[ids.ProcessID]tsState
 	snapRings   map[ids.ProcessID]*replyRing
 
-	// requestStore maps request digests to bodies across instances.
-	requestStore map[authn.Digest]msg.Request
+	// requestStore maps request digests to stamped bodies across instances
+	// (see keepBody). stamps queues every store in insertion order for
+	// releaseBodies; stampSpare is the storage trimFront moves its rest into.
+	requestStore map[authn.Digest]storedBody
+	stamps       []bodyStamp
+	stampSpare   []bodyStamp
 
 	// snaps retains recent application snapshots taken at checkpoint
 	// boundaries; sync tracks an in-flight state transfer (statesync plane).
@@ -242,7 +240,7 @@ func New(cfg Config) *Host {
 		application:    cfg.App,
 		appliedWindows: make(map[ids.ProcessID]tsState),
 		lastReply:      make(map[ids.ProcessID]*replyRing),
-		requestStore:   make(map[authn.Digest]msg.Request),
+		requestStore:   make(map[authn.Digest]storedBody),
 		snaps:          statesync.NewStore(0),
 		met:            newHostMetrics(cfg.Metrics, cfg.MetricsLabels),
 		stopCh:         make(chan struct{}),

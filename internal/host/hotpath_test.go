@@ -37,7 +37,7 @@ func hotHost(t *testing.T, logged int) (*Host, *InstanceState, *uint64) {
 		t.Fatal("bootstrap failed")
 	}
 	const room = 4096
-	h.requestStore = make(map[authn.Digest]msg.Request, room)
+	h.requestStore = make(map[authn.Digest]storedBody, room)
 	st.Digests = make(history.DigestHistory, 0, room)
 	st.chain = make([]authn.Digest, 0, room)
 	h.appliedDigs = make(history.DigestHistory, 0, room)
@@ -188,10 +188,10 @@ func TestReconcileAfterRollbackAcrossGC(t *testing.T) {
 			want = append(want, kvReq(ts).Digest())
 		}
 		// The init history carries the bodies GC released with the old tail.
-		h.StoreRequest(kvReq(13))
-		h.StoreRequest(kvReq(14))
+		h.keepBody(kvReq(13).Digest(), kvReq(13), 16)
+		h.keepBody(kvReq(14).Digest(), kvReq(14), 16)
 		for _, r := range []msg.Request{kvReq(101), kvReq(102)} {
-			h.StoreRequest(r)
+			h.keepBody(r.Digest(), r, 16)
 			want = append(want, r.Digest())
 		}
 		// The new instance materializes from the stable checkpoint at 8 on.

@@ -230,37 +230,30 @@ func (st *InstanceState) PrefixDigest(idx uint64) authn.Digest {
 // seq (exclusive), which must be covered by a stable checkpoint: the dropped
 // entries stay represented by their digest fold, so HistoryDigest, AbsLen,
 // and abort reports from the stable checkpoint onward are unchanged. It
-// returns the dropped digests so the host can release the request bodies
-// they name; the slice is the abandoned storage itself, not a copy, and is
-// overwritten by the next TrimTo.
-func (st *InstanceState) TrimTo(seq uint64) history.DigestHistory {
+// returns the number of entries dropped.
+func (st *InstanceState) TrimTo(seq uint64) int {
 	if seq <= st.BaseSeq {
-		return nil
+		return 0
 	}
-	rel := seq - st.BaseSeq
-	if rel > st.relLen() {
-		rel = st.relLen()
-	}
+	rel := min(seq-st.BaseSeq, st.relLen())
 	if rel <= st.trimmed {
-		return nil
+		return 0
 	}
 	st.trimAcc = st.chainAt(rel)
 	k := int(rel - st.trimmed)
 	trimFront(&st.chain, &st.spareChain, k)
+	trimFront(&st.Digests, &st.spareDigests, k)
 	st.trimmed = rel
-	return trimFront(&st.Digests, &st.spareDigests, k)
+	return k
 }
 
-// trimFront drops the first k elements of *live and returns them. A slice
-// that is appended to at the back and trimmed from the front for ever would
-// otherwise be copied to fresh storage at every trim and re-grown by append
-// after it; instead the rest moves into *spare's storage and the two swap, so
-// a steady state allocates nothing. The returned prefix stays intact until
-// the next call with the same pair, which reuses its storage.
-func trimFront[S ~[]E, E any](live, spare *S, k int) S {
-	dropped := (*live)[:k:k]
+// trimFront drops the first k elements of *live. A slice that is appended to
+// at the back and trimmed from the front for ever would otherwise be copied
+// to fresh storage at every trim and re-grown by append after it; instead the
+// rest moves into *spare's storage and the two swap, so a steady state
+// allocates nothing.
+func trimFront[S ~[]E, E any](live, spare *S, k int) {
 	*live, *spare = append((*spare)[:0], (*live)[k:]...), *live
-	return dropped
 }
 
 // windowOf returns client c's current timestamp window.
@@ -435,12 +428,17 @@ func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
 	st.NextSeq = uint64(len(st.Digests))
 	st.InitLowLoad = core.InitHasFlag(init, h.cluster.F, core.AbortFlagLowLoad)
 
+	// Every body the adopted history names is kept up to its end, also one
+	// an older history stored at a lower position.
+	end := st.AbsLen()
 	for _, r := range init.Requests {
-		h.requestStore[r.Digest()] = r.Clone()
+		h.keepBody(r.Digest(), r.Clone(), end)
 	}
 	st.missing = make(map[authn.Digest]bool)
 	for _, d := range st.Digests {
-		if _, ok := h.requestStore[d]; !ok {
+		if r, ok := h.RequestByDigest(d); ok {
+			h.keepBody(d, r, end)
+		} else {
 			st.missing[d] = true
 		}
 	}
@@ -463,9 +461,8 @@ func (h *Host) tryCompleteInit(st *InstanceState, init *core.InitHistory) {
 		return
 	}
 	for _, r := range init.Requests {
-		d := r.Digest()
-		if st.missing[d] {
-			h.requestStore[d] = r.Clone()
+		if d := r.Digest(); st.missing[d] {
+			h.keepBody(d, r.Clone(), st.AbsLen())
 			delete(st.missing, d)
 		}
 	}
@@ -484,7 +481,7 @@ func (h *Host) finishInit(st *InstanceState) {
 	// Update per-client timestamp windows from the adopted history so
 	// duplicate requests are rejected.
 	for i, d := range st.Digests {
-		if r, ok := h.requestStore[d]; ok {
+		if r, ok := h.RequestByDigest(d); ok {
 			st.markLogged(r.Client, r.Timestamp)
 			if h.observer != nil {
 				h.observer.RequestLogged(st.ID, r, st.BaseSeq+uint64(i))
@@ -563,7 +560,7 @@ func (h *Host) reconcileApplication(st *InstanceState) {
 	// no re-alignment).
 	for h.appliedSeq < st.AbsLen() {
 		d := h.digestAt(st, h.appliedSeq)
-		r, ok := h.requestStore[d]
+		r, ok := h.RequestByDigest(d)
 		if !ok {
 			break
 		}
@@ -665,7 +662,7 @@ func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []au
 			commands = append(commands, req.Command...)
 			stored.Command = commands[len(commands)-n : len(commands) : len(commands)]
 		}
-		h.requestStore[d] = stored
+		h.keepBody(d, stored, st.AbsLen())
 		st.appendDigest(d)
 		st.markLogged(req.Client, req.Timestamp)
 		if h.observer != nil {
@@ -710,7 +707,7 @@ func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
 	// start executing mid-stream).
 	for h.appliedSeq < st.AbsLen() {
 		d := h.digestAt(st, h.appliedSeq)
-		r, ok := h.requestStore[d]
+		r, ok := h.RequestByDigest(d)
 		if !ok {
 			// A body is missing at the applied position (a gap below an
 			// adopted base checkpoint awaiting state transfer, or a body
@@ -751,7 +748,7 @@ func (h *Host) ExecuteBatch(st *InstanceState, batch msg.Batch) [][]byte {
 	pending := 0
 	for h.appliedSeq < st.AbsLen() && pending < batch.Len() {
 		d := h.digestAt(st, h.appliedSeq)
-		r, ok := h.requestStore[d]
+		r, ok := h.RequestByDigest(d)
 		if !ok {
 			break
 		}
@@ -804,12 +801,33 @@ func (h *Host) AppliedStale(client ids.ProcessID, ts uint64) bool {
 	return !w.fresh(ts)
 }
 
-// RequestByDigest returns a request body from the host's store.
-func (h *Host) RequestByDigest(d authn.Digest) (msg.Request, bool) {
-	r, ok := h.requestStore[d]
-	return r, ok
+// storedBody is one request body of the host's store with its stamp: the
+// highest history position known to name it.
+type storedBody struct {
+	req msg.Request
+	pos uint64
 }
 
-// StoreRequest records a request body without logging it (used by protocols
-// that learn bodies before ordering them).
-func (h *Host) StoreRequest(r msg.Request) { h.requestStore[r.Digest()] = r.Clone() }
+// bodyStamp records that the body with digest d was stamped pos.
+type bodyStamp struct {
+	d   authn.Digest
+	pos uint64
+}
+
+// RequestByDigest returns a request body from the host's store.
+func (h *Host) RequestByDigest(d authn.Digest) (msg.Request, bool) {
+	b, ok := h.requestStore[d]
+	return b.req, ok
+}
+
+// keepBody stores request body r under its digest d, stamped with the
+// history position pos that names it; garbage collection releases it once the
+// trim point passes the stamp. It is the store's only writer and never lowers
+// a stamp, so a body several histories name lives as long as the highest.
+func (h *Host) keepBody(d authn.Digest, r msg.Request, pos uint64) {
+	if b, ok := h.requestStore[d]; ok && b.pos >= pos {
+		return
+	}
+	h.requestStore[d] = storedBody{req: r, pos: pos}
+	h.stamps = append(h.stamps, bodyStamp{d: d, pos: pos})
+}

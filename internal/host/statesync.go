@@ -124,66 +124,32 @@ func (h *Host) maybeSnapshot() {
 	}
 }
 
-// onStableCheckpoint garbage-collects replica state below a newly stable
-// checkpoint: the active instance's materialized digest prefix, the host's
-// applied digest prefix, the request bodies only that prefix named, and
-// snapshots older than the stable one. The digest chains are left folds, so
-// trimming storage changes no observable digest; abort reports only ever
-// carry the suffix from the checkpoint that was stable when they froze, and
-// the active instance's report keeps its bodies.
+// onStableCheckpoint garbage-collects replica state below the trim point
+// (trimPoint) once a checkpoint is stable: the active instance's materialized
+// digest prefix, the host's applied digest prefix, the request bodies stamped
+// below it, and older snapshots. The digest chains are left folds, so
+// trimming storage changes no observable digest. Superseded instances are
+// released whole.
 func (h *Host) onStableCheckpoint(st *InstanceState) {
-	if h.cfg.DisableGC || h.cfg.InstrumentHistories {
+	if h.cfg.InstrumentHistories || st.ID != h.active {
 		return
 	}
-	s := st.Checkpoint.StableSeq()
-	if h.cfg.RetainFloor != nil {
-		if floor := h.cfg.RetainFloor(); floor < s {
-			s = floor
-		}
-	}
-	// Quantize the trim point down to a retained snapshot boundary: a
-	// FETCH-STATE pinned anywhere at or above the trim point must always be
-	// answerable with a snapshot plus a complete suffix, so storage may only
-	// ever be released below a boundary that is still served.
-	s, ok := h.snaps.BoundaryAtOrBelow(s)
+	s, ok := h.trimPoint(st)
 	if !ok {
 		return
 	}
-	if st.ID != h.active || h.appliedSeq < s {
-		// The application has not yet executed up to the stable point
-		// (bodies missing below an adopted base checkpoint): keep storage
-		// until it catches up; the next stable checkpoint retries.
-		return
-	}
-	dropped := st.TrimTo(s)
-	var appliedDropped history.DigestHistory
+	digests := st.TrimTo(s)
+	applied := 0
 	if s > h.appliedTrim {
-		k := s - h.appliedTrim
-		if k > uint64(len(h.appliedDigs)) {
-			k = uint64(len(h.appliedDigs))
-		}
-		appliedDropped = trimFront(&h.appliedDigs, &h.appliedSpare, int(k))
-		h.appliedTrim += k
+		applied = int(min(s-h.appliedTrim, uint64(len(h.appliedDigs))))
+		trimFront(&h.appliedDigs, &h.appliedSpare, applied)
+		h.appliedTrim += uint64(applied)
 	}
-	// The applied mirror repeats the active history position by position
-	// wherever both materialize it, and both dropped prefixes normally end at
-	// s: a mirror entry equal to the history's at the same distance from s
-	// names the body that entry already stands for, so it is not walked
-	// again. (Equal digests name one body, so the skip is safe wherever the
-	// two happen to line up.) What is left names bodies of the mirror's own:
-	// a diverged speculative tail, or a prefix it kept longer.
-	own := len(dropped)
-	for i, d := range appliedDropped {
-		if j := own - len(appliedDropped) + i; j < 0 || dropped[j] != d {
-			dropped = append(dropped, d)
-		}
-	}
-	mirrorOnly := len(dropped) - own
 	// Superseded (stopped, non-active) instances would otherwise pin their
-	// whole pre-switch history and every body it names for the life of the
-	// replica. Freeze each one's signed abort first — late panickers still
-	// get the full report, whose suffix the cached abort holds its own copy
-	// of — then release the storage entirely.
+	// whole pre-switch history for the life of the replica. Freeze each
+	// one's signed abort first — late panickers still get the full report,
+	// whose suffix the cached abort holds its own copy of — then release the
+	// storage entirely. The bodies they name carry their own stamps.
 	for id, inst := range h.instances {
 		if id == h.active || !inst.Stopped || !inst.Initialized {
 			continue
@@ -191,52 +157,61 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 		if inst.cachedAbort == nil {
 			h.signedAbort(inst)
 		}
-		dropped = append(dropped, inst.TrimTo(inst.AbsLen())...)
+		digests += inst.TrimTo(inst.AbsLen())
 	}
-	if len(dropped) == 0 {
+	bodies := h.releaseBodies(s)
+	h.snaps.PruneBelow(s)
+	if digests+applied+bodies == 0 {
 		return
 	}
 	h.met.gcRuns.Inc()
 	h.met.stableSeq.Set(int64(s))
+	h.met.gcBodies.Add(uint64(bodies))
 	h.cfg.Flight.Record("gc", h.cfg.Shard,
-		"trimmed below stable seq %d (%d instance digests, %d applied digests)",
-		s, len(dropped)-mirrorOnly, len(appliedDropped))
-	// Release the request bodies named only by the dropped prefixes, in one
-	// pass over them. A dropped digest can still be named above s — a
-	// superseded instance's tail the active one adopted, or a request a
-	// Byzantine orderer got logged twice across a switch — so what the
-	// retained suffixes name is exempt. Those are short (the backlog above
-	// the stable checkpoint), and the mirror's entries that repeat the
-	// active history's are not inserted twice.
-	retained := make(map[authn.Digest]struct{}, len(st.Digests))
-	for _, inst := range h.instances {
-		for _, d := range inst.Digests {
-			retained[d] = struct{}{}
-		}
+		"trimmed below seq %d (%d instance digests, %d applied digests, %d bodies)",
+		s, digests, applied, bodies)
+}
+
+// trimPoint returns the one position below which the active instance st lets
+// the replica drop storage: the stable checkpoint, lowered to the sharded
+// plane's merged-mirror floor (RetainFloor) and to the checkpoint a frozen
+// abort of st reports from — that report's suffix feeds the next instance's
+// init history, so every replica must keep its bodies. The result is
+// quantized down to a retained snapshot boundary, so a FETCH-STATE pinned at
+// or above it is always answerable with a snapshot plus a complete suffix.
+// It reports false while there is no such boundary or the application has
+// not executed up to it (bodies missing below an adopted base checkpoint):
+// storage is then kept, and the next stable checkpoint retries.
+func (h *Host) trimPoint(st *InstanceState) (uint64, bool) {
+	s := st.Checkpoint.StableSeq()
+	if h.cfg.RetainFloor != nil {
+		s = min(s, h.cfg.RetainFloor())
 	}
-	// The active instance's abort, once frozen, keeps reporting the suffix
-	// from the checkpoint that was stable then, and the next instance's init
-	// history is extracted from such reports. A checkpoint that stabilized
-	// after the freeze must not release those bodies, or every replica would
-	// wait for them from peers that no longer have them.
-	if a := h.instances[h.active]; a != nil && a.cachedAbort != nil {
-		for _, d := range a.cachedAbort.Abort.Report.Suffix {
-			retained[d] = struct{}{}
-		}
+	if st.cachedAbort != nil {
+		s = min(s, st.cachedAbort.Abort.Report.CheckpointSeq)
 	}
-	for i, d := range h.appliedDigs {
-		if i >= len(st.Digests) || st.Digests[i] != d {
-			retained[d] = struct{}{}
-		}
+	s, ok := h.snaps.BoundaryAtOrBelow(s)
+	if !ok || h.appliedSeq < s {
+		return 0, false
 	}
+	return s, true
+}
+
+// releaseBodies deletes the request bodies whose stamp is below s and returns
+// how many it deleted. It pops stamps below s from the front of the queue;
+// a body stored again at a higher position since keeps its newer stamp and
+// stays. Stamps are queued almost in position order, so the first one at or
+// above s ends the pass; what sits behind it goes at a later trim point.
+func (h *Host) releaseBodies(s uint64) int {
 	before := len(h.requestStore)
-	for _, d := range dropped {
-		if _, ok := retained[d]; !ok {
+	k := 0
+	for ; k < len(h.stamps) && h.stamps[k].pos < s; k++ {
+		if d := h.stamps[k].d; h.requestStore[d].pos < s {
 			delete(h.requestStore, d)
 		}
 	}
-	h.met.gcBodies.Add(uint64(before - len(h.requestStore)))
-	h.snaps.PruneBelow(s)
+	trimFront(&h.stamps, &h.stampSpare, k)
+	return before - len(h.requestStore)
 }
 
 // handleFetchState answers a peer's FETCH-STATE: the snapshot the request
@@ -288,7 +263,7 @@ func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
 	for p := suffixFrom; p < h.appliedSeq; p++ {
 		d := h.appliedDigs[p-h.appliedTrim]
 		resp.SuffixDigests = append(resp.SuffixDigests, d)
-		if r, ok := h.requestStore[d]; ok {
+		if r, ok := h.RequestByDigest(d); ok {
 			resp.SuffixRequests = append(resp.SuffixRequests, r.Clone())
 		}
 	}
@@ -429,7 +404,7 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 	h.cfg.Flight.Record("statesync-adopt", h.cfg.Shard,
 		"instance %d adopted snapshot seq %d (%d bodies)", inst, a.Snap.Seq, len(a.Bodies))
 	for _, r := range a.Bodies {
-		h.requestStore[r.Digest()] = r
+		h.keepBody(r.Digest(), r, a.End())
 	}
 	restored := false
 	if a.Snap.Seq > h.appliedSeq {
@@ -475,7 +450,7 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 			st.Checkpoint.AdoptStable(a.Snap.Seq/iv, a.Snap.HistDigest)
 		}
 		for i, d := range st.Digests {
-			if r, ok := h.requestStore[d]; ok {
+			if r, ok := h.RequestByDigest(d); ok {
 				st.markLogged(r.Client, r.Timestamp)
 				if h.observer != nil {
 					h.observer.RequestLogged(st.ID, r, st.BaseSeq+st.trimmed+uint64(i))
@@ -492,7 +467,7 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 	// history (digests from the base onward) cannot reconstruct.
 	for h.appliedSeq >= a.Snap.Seq && h.appliedSeq < a.End() {
 		d := a.Suffix[h.appliedSeq-a.Snap.Seq]
-		r, ok := h.requestStore[d]
+		r, ok := h.RequestByDigest(d)
 		if !ok {
 			break
 		}

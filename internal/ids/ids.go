@@ -49,8 +49,8 @@ func Client(i int) ProcessID { return ClientBase + ProcessID(i) }
 type Cluster struct {
 	// F is the maximum number of Byzantine replicas tolerated.
 	F int
-	// N is the total number of replicas. For the protocols in this
-	// repository N is 3F+1, except Q/U which uses 5F+1.
+	// N is the total number of replicas: 3F+1 for every protocol in this
+	// repository.
 	N int
 	// Lead rotates the logical chain/leader order: position i in chain order
 	// is replica (Lead+i) mod N, so the head (ZLight's primary, Chain's head,
@@ -79,14 +79,6 @@ func NewCluster(f int) Cluster {
 		panic("ids: negative f")
 	}
 	return Cluster{F: f, N: 3*f + 1}
-}
-
-// NewQUCluster returns the 5f+1 cluster configuration used by Q/U.
-func NewQUCluster(f int) Cluster {
-	if f < 0 {
-		panic("ids: negative f")
-	}
-	return Cluster{F: f, N: 5*f + 1}
 }
 
 // replicaTable backs Replicas for every cluster of up to its length: replica

@@ -26,10 +26,6 @@ func TestClusterSizes(t *testing.T) {
 		if len(c.Replicas()) != c.N {
 			t.Fatalf("Replicas() length wrong")
 		}
-		q := NewQUCluster(f)
-		if q.N != 5*f+1 {
-			t.Fatalf("Q/U cluster size wrong: %d", q.N)
-		}
 	}
 	if err := (Cluster{F: 1, N: 3}).Validate(); err == nil {
 		t.Fatalf("undersized cluster accepted")

@@ -25,15 +25,6 @@ const (
 
 var stageNames = [numStages]string{"assemble", "order", "execute", "merge", "reply", "send"}
 
-// StageName returns the exposition name of a lifecycle stage ("" when out of
-// range).
-func StageName(stage int) string {
-	if stage < 0 || stage >= numStages {
-		return ""
-	}
-	return stageNames[stage]
-}
-
 // Tracer is the per-process tracing front end. It makes the head-sampling
 // decision (one in every N new traces, decided once at the client via
 // NewTrace) and records per-stage durations for propagated trace contexts:
