@@ -6,7 +6,6 @@
 package backup
 
 import (
-	"encoding/binary"
 	"time"
 
 	"abstractbft/internal/authn"
@@ -85,15 +84,6 @@ type WrappedMessage struct {
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *WrappedMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// AuthBytes is the data clients authenticate for Backup requests.
-func AuthBytes(instance core.InstanceID, req msg.Request) []byte {
-	var buf [8 + authn.DigestSize]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	d := req.Digest()
-	copy(buf[8:], d[:])
-	return buf[:]
-}
 
 // batchSize is the number of requests per PBFT pre-prepare inside Backup.
 const batchSize = 8
@@ -178,29 +168,22 @@ func (r *Replica) ProtocolTick() {
 // onRequest verifies the client's authenticator and submits the request to
 // the underlying ordering protocol.
 func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
-	if err := r.h.VerifyClientAuth(m.Auth, AuthBytes(r.st.ID, m.Req)); err != nil {
-		return
-	}
-	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
-		// Retransmission per the instance window or the host's applied
-		// window (the cross-instance at-most-once gate): resend the cached
-		// reply (or the abort if the instance already stopped).
-		if r.st.Stopped {
-			signed := r.h.SignedAbortFor(r.st)
-			r.h.Send(m.Req.Client, &core.AbortReply{Instance: r.st.ID, Timestamp: m.Req.Timestamp, Signed: signed})
-			return
-		}
-		if reply, ok := r.h.CachedReply(m.Req.Client, m.Req.Timestamp); ok {
-			resp := r.h.BuildResp(r.st, m.Req, reply, true)
-			r.h.Send(m.Req.Client, resp)
-		}
+	authBytes := core.ClientAuthBytes(r.st.ID, m.Req.Digest())
+	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
 	if r.st.Stopped {
 		// The instance already committed its k requests: return the signed
-		// abort immediately rather than waiting for the client to panic.
+		// abort immediately rather than waiting for the client to panic (a
+		// retransmission gets the abort too).
 		signed := r.h.SignedAbortFor(r.st)
 		r.h.Send(m.Req.Client, &core.AbortReply{Instance: r.st.ID, Timestamp: m.Req.Timestamp, Signed: signed})
+		return
+	}
+	if dup, reply, cached := r.h.Retransmission(r.st, m.Req); dup {
+		if cached {
+			r.h.Send(m.Req.Client, r.h.BuildResp(r.st, m.Req, reply, true))
+		}
 		return
 	}
 	r.engine.SubmitRequest(m.Req)

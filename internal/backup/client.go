@@ -37,7 +37,8 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 		c.env.Checker.RecordInvoke(req)
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), AuthBytes(c.id, req))
+	authBytes := core.ClientAuthBytes(c.id, req.Digest())
+	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	send := func() { transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m) }
 	send()

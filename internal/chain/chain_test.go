@@ -73,7 +73,8 @@ func (tc *testCluster) clientEnv(i int) core.ClientEnv {
 // clientMessage builds the instance-1 CHAIN message a client sends to the
 // head for req, authenticated toward the first f+1 replicas.
 func clientMessage(env core.ClientEnv, req msg.Request) *Message {
-	ca := env.Keys.AppendChainMACs(authn.ChainAuthenticator{}, env.ID, env.Cluster.ChainSuccessorSet(env.ID), ClientAuthBytes(1, req))
+	authBytes := core.ClientAuthBytes(1, req.Digest())
+	ca := env.Keys.AppendChainMACs(authn.ChainAuthenticator{}, env.ID, env.Cluster.ChainSuccessorSet(env.ID), authBytes[:])
 	return &Message{Instance: 1, Req: req, CA: ca}
 }
 

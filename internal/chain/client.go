@@ -36,7 +36,8 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	cl := c.env.Cluster
 	ca := authn.ChainAuthenticator{}
 	succ := cl.ChainSuccessorSet(c.env.ID)
-	ca = c.env.Keys.AppendChainMACs(ca, c.env.ID, succ, ClientAuthBytes(c.id, req))
+	authBytes := core.ClientAuthBytes(c.id, req.Digest())
+	ca = c.env.Keys.AppendChainMACs(ca, c.env.ID, succ, authBytes[:])
 	m := &Message{Instance: c.id, Req: req, CA: ca, Init: init}
 	c.env.Endpoint.Send(cl.Head(), m)
 

@@ -94,17 +94,6 @@ func (m *BatchMessage) AbstractInstance() core.InstanceID { return m.Instance }
 // CarriedInit implements core.InitCarrier.
 func (m *BatchMessage) CarriedInit() *core.InitHistory { return m.Init }
 
-// ClientAuthBytes returns the bytes the client authenticates towards the
-// first f+1 replicas: the instance and the request digest (the client does
-// not know the sequence number).
-func ClientAuthBytes(instance core.InstanceID, req msg.Request) []byte {
-	var buf [8 + authn.DigestSize]byte
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	d := req.Digest()
-	copy(buf[8:], d[:])
-	return buf[:]
-}
-
 // TailAuthBytes returns the bytes authenticated by the last f+1 replicas
 // (and verified by the client): instance, request digest, sequence number,
 // reply digest, and local-history digest.

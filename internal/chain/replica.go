@@ -32,9 +32,9 @@ type Replica struct {
 	index int
 	// batcher coalesces client requests at the head (Step C2).
 	batcher *host.Batcher
-	// pendingBatch buffers batches that arrived ahead of the next expected
+	// pending buffers batches that arrived ahead of the next expected
 	// sequence number.
-	pendingBatch map[uint64]*BatchMessage
+	pending host.SeqBuffer[*BatchMessage]
 
 	// low-load tracking.
 	activeClient   ids.ProcessID
@@ -46,11 +46,10 @@ type Replica struct {
 func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 	return func(h *host.Host, st *host.InstanceState) host.ProtocolReplica {
 		r := &Replica{
-			h:            h,
-			st:           st,
-			cfg:          cfg,
-			index:        h.Cluster().Pos(h.ID()),
-			pendingBatch: make(map[uint64]*BatchMessage),
+			h:     h,
+			st:    st,
+			cfg:   cfg,
+			index: h.Cluster().Pos(h.ID()),
 		}
 		r.batcher = h.NewBatcher(r.orderBatch)
 		return r
@@ -88,17 +87,16 @@ func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
 	if r.st.Stopped || !from.IsClient() || from != m.Req.Client {
 		return
 	}
-	if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{m.Req.Client}, ClientAuthBytes(r.st.ID, m.Req)); err != nil {
+	authBytes := core.ClientAuthBytes(r.st.ID, m.Req.Digest())
+	if err := r.h.Keys().VerifyChain(m.CA, r.h.ID(), []ids.ProcessID{m.Req.Client}, authBytes[:]); err != nil {
 		return
 	}
 	r.trackLoad(m.Req.Client)
 	if r.st.Stopped {
 		return
 	}
-	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
-		// Duplicate (per the instance window, or per the host's applied
-		// window for requests committed before this instance's init history
-		// reaches): dropped; the client's retry or panic timer recovers it.
+	if dup, _, _ := r.h.Retransmission(r.st, m.Req); dup {
+		// Dropped; the client's retry or panic timer recovers it.
 		return
 	}
 	r.batcher.Add(host.BatchItem{Req: m.Req, CA: m.CA, Init: m.Init})
@@ -168,12 +166,7 @@ func (r *Replica) onBatchForwarded(from ids.ProcessID, m *BatchMessage) {
 		return
 	}
 	if m.Seq > r.st.AbsLen() {
-		// Bounded buffering: the bound is on buffered *requests*, not map
-		// entries, so a Byzantine head cannot grow the reorder buffer
-		// without limit; dropped batches surface as loss.
-		if r.pendingRequests()+m.Batch.Len() <= maxPendingRequests {
-			r.pendingBatch[m.Seq] = m
-		}
+		r.pending.Add(m.Seq, m.Batch.Len(), m)
 		return
 	}
 	if m.Seq < r.st.AbsLen() {
@@ -186,7 +179,9 @@ func (r *Replica) onBatchForwarded(from ids.ProcessID, m *BatchMessage) {
 		return
 	}
 	r.processBatch(m, bd)
-	r.drainPending()
+	for next, ok := r.pending.Next(r.st); ok; next, ok = r.pending.Next(r.st) {
+		r.processBatch(next, next.Batch.Digest())
+	}
 }
 
 // processBatch logs (and for the last f+1 replicas executes) one in-order
@@ -330,7 +325,8 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 	cl := r.h.Cluster()
 	if r.index < cl.F+1 {
 		for i, req := range m.Batch.Requests {
-			if err := r.h.Keys().VerifyChain(m.ClientCAs[i], r.h.ID(), []ids.ProcessID{req.Client}, ClientAuthBytes(m.Instance, req)); err != nil {
+			authBytes := core.ClientAuthBytes(m.Instance, req.Digest())
+			if err := r.h.Keys().VerifyChain(m.ClientCAs[i], r.h.ID(), []ids.ProcessID{req.Client}, authBytes[:]); err != nil {
 				return err
 			}
 		}
@@ -357,40 +353,6 @@ func (r *Replica) verifyBatchPredecessors(m *BatchMessage, bd authn.Digest) erro
 		}
 	}
 	return nil
-}
-
-// maxPendingRequests bounds the total requests buffered out of order per
-// instance.
-const maxPendingRequests = 1024
-
-// pendingRequests returns the number of requests currently buffered out of
-// order; the buffer is small (bounded by maxPendingRequests), so summing on
-// demand is cheap.
-func (r *Replica) pendingRequests() int {
-	n := 0
-	for _, m := range r.pendingBatch {
-		n += m.Batch.Len()
-	}
-	return n
-}
-
-func (r *Replica) drainPending() {
-	for !r.st.Stopped {
-		// Evict spans overtaken by the history (they can never match the
-		// exact next position again), so stale entries cannot exhaust the
-		// cap.
-		for seq := range r.pendingBatch {
-			if seq < r.st.AbsLen() {
-				delete(r.pendingBatch, seq)
-			}
-		}
-		next, ok := r.pendingBatch[r.st.AbsLen()]
-		if !ok {
-			return
-		}
-		delete(r.pendingBatch, next.Seq)
-		r.processBatch(next, next.Batch.Digest())
-	}
 }
 
 // trackLoad implements the low-load detection used by Aliph: when only one

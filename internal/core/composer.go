@@ -8,25 +8,113 @@ import (
 
 import "abstractbft/internal/msg"
 
-// Composer implements the Abstract composition protocol (ACP, §3.4) on the
-// client side: it invokes the currently active instance and, upon the first
-// Abort indication, feeds the returned abort history to the next instance as
-// its init history, never exposing the abort to the caller. The composition
-// of instances therefore behaves, to the caller, like a single Abstract
-// instance whose progress is the union of the constituents' progress — the
-// composed protocols of this repository additionally guarantee it never
-// aborts (liveness via Backup's exponentially growing k).
-type Composer struct {
-	factory InstanceFactory
-
+// acpState is the client-side state of the Abstract composition protocol
+// (ACP, §3.4) that Composer and PipelinedComposer share: the active
+// instance, the init history its first invocation carries, and the switch
+// count. invoke is the one ACP loop over it.
+type acpState struct {
 	mu sync.Mutex
-	// active is the client-side handle of the currently active instance.
-	active Instance
+	// active is the currently active instance.
+	active InstanceID
 	// pendingInit is the init history to attach to the next (first)
 	// invocation of the active instance; nil once delivered.
 	pendingInit *InitHistory
 	// switches counts instance switches performed by this client.
 	switches uint64
+}
+
+// Switches returns the number of instance switches this client performed.
+func (a *acpState) Switches() uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.switches
+}
+
+// ActiveInstance returns the identifier of the currently active instance.
+func (a *acpState) ActiveInstance() InstanceID {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.active
+}
+
+// take returns the active instance and consumes the pending init history
+// (which must be attached to the first invocation of the instance).
+func (a *acpState) take() (InstanceID, *InitHistory) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	init := a.pendingInit
+	a.pendingInit = nil
+	return a.active, init
+}
+
+// rearm restores an unconsumed init history so a retry still initializes
+// the instance.
+func (a *acpState) rearm(id InstanceID, init *InitHistory) {
+	if init == nil {
+		return
+	}
+	a.mu.Lock()
+	if a.active == id && a.pendingInit == nil {
+		a.pendingInit = init
+	}
+	a.mu.Unlock()
+}
+
+// invoke runs the ACP loop for one request: invoke the active instance
+// through the handle open returns (release runs once that invocation
+// returns), and on an Abort indication switch to next(i) and retry there,
+// carrying the abort history as the next instance's init history (only on
+// its first invocation). Aborts never reach the caller. A concurrent
+// invocation may already have switched further.
+func (a *acpState) invoke(ctx context.Context, req msg.Request, open func(InstanceID) (Instance, error), release func()) ([]byte, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		id, init := a.take()
+		inst, err := open(id)
+		if err != nil {
+			release()
+			a.rearm(id, init)
+			return nil, fmt.Errorf("core: creating instance %d: %w", id, err)
+		}
+		out, err := inst.Invoke(ctx, req, init)
+		release()
+		if err != nil {
+			a.rearm(id, init)
+			return nil, err
+		}
+		if verr := validateOutcome(out, id); verr != nil {
+			return nil, verr
+		}
+		if out.Committed {
+			return out.Reply, nil
+		}
+		a.mu.Lock()
+		if a.active < out.Abort.Next {
+			a.active = out.Abort.Next
+			initCopy := out.Abort.Init
+			a.pendingInit = &initCopy
+			a.switches++
+		}
+		a.mu.Unlock()
+	}
+}
+
+// Composer implements ACP on the client side: it invokes the currently
+// active instance and, upon the first Abort indication, feeds the returned
+// abort history to the next instance as its init history, never exposing the
+// abort to the caller. The composition of instances therefore behaves, to
+// the caller, like a single Abstract instance whose progress is the union of
+// the constituents' progress — the composed protocols of this repository
+// additionally guarantee it never aborts (liveness via Backup's
+// exponentially growing k).
+type Composer struct {
+	acpState
+	factory InstanceFactory
+	// inst is the client-side handle of the most recently invoked instance,
+	// reused until the composition switches away from it.
+	inst Instance
 }
 
 // NewComposer creates a composer starting at FirstInstance.
@@ -35,72 +123,27 @@ func NewComposer(factory InstanceFactory) (*Composer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: creating instance %d: %w", FirstInstance, err)
 	}
-	return &Composer{factory: factory, active: inst}, nil
-}
-
-// Switches returns the number of instance switches this client performed.
-func (c *Composer) Switches() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.switches
-}
-
-// ActiveInstance returns the identifier of the currently active instance.
-func (c *Composer) ActiveInstance() InstanceID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.active.ID()
+	return &Composer{acpState: acpState{active: FirstInstance}, factory: factory, inst: inst}, nil
 }
 
 // Invoke submits a request to the composition and blocks until it commits (or
 // ctx is cancelled). Aborts of constituent instances are handled internally
 // by switching, exactly as prescribed by ACP.
 func (c *Composer) Invoke(ctx context.Context, req msg.Request) ([]byte, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		inst := c.active
-		init := c.pendingInit
-		c.pendingInit = nil
-		c.mu.Unlock()
+	return c.invoke(ctx, req, c.open, func() {})
+}
 
-		out, err := inst.Invoke(ctx, req, init)
+// open returns the handle of instance id, creating it on the first
+// invocation after a switch.
+func (c *Composer) open(id InstanceID) (Instance, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.inst.ID() != id {
+		inst, err := c.factory(id)
 		if err != nil {
-			// Re-arm the init history so a retry after a transient error
-			// still initializes the instance.
-			if init != nil {
-				c.mu.Lock()
-				if c.active == inst && c.pendingInit == nil {
-					c.pendingInit = init
-				}
-				c.mu.Unlock()
-			}
 			return nil, err
 		}
-		if verr := validateOutcome(out, inst.ID()); verr != nil {
-			return nil, verr
-		}
-		if out.Committed {
-			return out.Reply, nil
-		}
-
-		// Abort: switch to next(i) and retry the request there, carrying the
-		// abort history as init history (only on the first invocation).
-		next := out.Abort.Next
-		c.mu.Lock()
-		if c.active.ID() < next {
-			nextInst, ferr := c.factory(next)
-			if ferr != nil {
-				c.mu.Unlock()
-				return nil, fmt.Errorf("core: creating instance %d: %w", next, ferr)
-			}
-			c.active = nextInst
-			initCopy := out.Abort.Init
-			c.pendingInit = &initCopy
-			c.switches++
-		}
-		c.mu.Unlock()
+		c.inst = inst
 	}
+	return c.inst, nil
 }

@@ -15,6 +15,15 @@ func testRequest(client, ts int) msg.Request {
 	return msg.Request{Client: ids.Client(client), Timestamp: uint64(ts), Command: []byte(fmt.Sprintf("%d/%d", client, ts))}
 }
 
+// digestsOf returns the digest history of the given requests.
+func digestsOf(reqs ...msg.Request) history.DigestHistory {
+	out := make(history.DigestHistory, len(reqs))
+	for i, r := range reqs {
+		out[i] = r.Digest()
+	}
+	return out
+}
+
 // signedAbortsFor builds a consistent set of signed abort messages from the
 // first `count` replicas for the given digests.
 func signedAbortsFor(ks *authn.KeyStore, cluster ids.Cluster, from InstanceID, digests history.DigestHistory, count int) []SignedAbort {
@@ -36,7 +45,7 @@ func TestBuildAndVerifyInitHistory(t *testing.T) {
 	ks := authn.NewKeyStore("core-test")
 	cluster := ids.NewCluster(1)
 	reqs := []msg.Request{testRequest(0, 1), testRequest(0, 2), testRequest(1, 1)}
-	digests := history.New(reqs...).Digests()
+	digests := digestsOf(reqs...)
 	signed := signedAbortsFor(ks, cluster, 1, digests, 3)
 
 	ih, err := BuildInitHistory(cluster, 1, signed, reqs)
@@ -63,7 +72,7 @@ func TestBuildAndVerifyInitHistory(t *testing.T) {
 func TestVerifyInitHistoryRejectsForgery(t *testing.T) {
 	ks := authn.NewKeyStore("core-test")
 	cluster := ids.NewCluster(1)
-	digests := history.New(testRequest(0, 1)).Digests()
+	digests := digestsOf(testRequest(0, 1))
 	signed := signedAbortsFor(ks, cluster, 1, digests, 3)
 	ih, err := BuildInitHistory(cluster, 1, signed, nil)
 	if err != nil {
@@ -73,7 +82,7 @@ func TestVerifyInitHistoryRejectsForgery(t *testing.T) {
 	// Tamper with the claimed history: verification must fail because the
 	// extraction over the carried proofs no longer matches.
 	forged := ih
-	forged.Extract.Suffix = history.New(testRequest(9, 9)).Digests()
+	forged.Extract.Suffix = digestsOf(testRequest(9, 9))
 	if err := VerifyInitHistory(ks, cluster, 2, &forged); err == nil {
 		t.Fatalf("forged history suffix accepted")
 	}
@@ -106,7 +115,7 @@ func TestVerifyInitHistoryRejectsForgery(t *testing.T) {
 func TestInitHasFlag(t *testing.T) {
 	ks := authn.NewKeyStore("core-test")
 	cluster := ids.NewCluster(1)
-	digests := history.New(testRequest(0, 1)).Digests()
+	digests := digestsOf(testRequest(0, 1))
 	signed := signedAbortsFor(ks, cluster, 1, digests, 3)
 	for i := range signed[:2] {
 		signed[i].Abort.Flags = AbortFlagLowLoad
@@ -126,7 +135,7 @@ func TestInitHasFlag(t *testing.T) {
 func TestAbortCollector(t *testing.T) {
 	ks := authn.NewKeyStore("core-test")
 	cluster := ids.NewCluster(1)
-	digests := history.New(testRequest(0, 1), testRequest(0, 2)).Digests()
+	digests := digestsOf(testRequest(0, 1), testRequest(0, 2))
 	signed := signedAbortsFor(ks, cluster, 1, digests, 4)
 
 	c := NewAbortCollector(cluster, ks, 1)
@@ -224,8 +233,8 @@ func TestSpecCheckerDetectsViolations(t *testing.T) {
 	r1, r2 := testRequest(0, 1), testRequest(0, 2)
 	good.RecordInvoke(r1)
 	good.RecordInvoke(r2)
-	h1 := history.New(r1).Digests()
-	h12 := history.New(r1, r2).Digests()
+	h1 := digestsOf(r1)
+	h12 := digestsOf(r1, r2)
 	good.RecordCommit(1, r1, []byte("x"), h1)
 	good.RecordCommit(1, r2, []byte("y"), h12)
 	good.RecordAbort(1, r2, h12)
@@ -238,8 +247,8 @@ func TestSpecCheckerDetectsViolations(t *testing.T) {
 	bad := NewSpecChecker()
 	bad.RecordInvoke(r1)
 	bad.RecordInvoke(r2)
-	bad.RecordCommit(1, r1, []byte("x"), history.New(r1).Digests())
-	bad.RecordCommit(1, r2, []byte("y"), history.New(r2).Digests())
+	bad.RecordCommit(1, r1, []byte("x"), digestsOf(r1))
+	bad.RecordCommit(1, r2, []byte("y"), digestsOf(r2))
 	if errs := bad.Check(); len(errs) == 0 {
 		t.Fatalf("commit-order violation not detected")
 	}

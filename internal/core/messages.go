@@ -21,6 +21,18 @@ type InitCarrier interface {
 	CarriedInit() *InitHistory
 }
 
+// ClientAuthBytes returns the bytes a client authenticates when invoking an
+// instance, in every protocol: the instance number, then the request digest
+// (for a client-side batch, the batch digest). The client does not know the
+// request's position, so it is not covered.
+//
+//abstractbft:noalloc
+func ClientAuthBytes(instance InstanceID, digest authn.Digest) (buf [8 + authn.DigestSize]byte) {
+	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
+	copy(buf[8:], digest[:])
+	return buf
+}
+
 // PanicMessage is the PANIC message a client sends to all replicas when it
 // fails to commit a request in time (Step P1). When the panicking request was
 // invoked with an init history, the init history is included so that

@@ -65,14 +65,8 @@ type PipelinedComposer struct {
 	demux      *transport.Demux
 	opts       PipelineOptions
 
-	mu sync.Mutex
-	// activeID is the currently active instance.
-	activeID InstanceID
-	// pendingInit is the init history to attach to the next (first)
-	// invocation of the active instance; nil once delivered.
-	pendingInit *InitHistory
-	// switches counts instance switches performed by this client.
-	switches uint64
+	// acpState's mu also guards the fields below.
+	acpState
 	// batchable caches, per instance, whether its client handle implements
 	// BatchInstance.
 	batchable map[InstanceID]bool
@@ -113,7 +107,7 @@ func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFact
 		newFactory: newFactory,
 		demux:      transport.NewDemux(env.Endpoint),
 		opts:       opts,
-		activeID:   FirstInstance,
+		acpState:   acpState{active: FirstInstance},
 		batchable:  make(map[InstanceID]bool),
 		inflight:   make([]uint64, 0, opts.Depth),
 		sem:        make(chan struct{}, opts.Depth),
@@ -135,20 +129,6 @@ func (p *PipelinedComposer) Close() {
 		close(p.stop)
 		p.demux.Close()
 	})
-}
-
-// Switches returns the number of instance switches this client performed.
-func (p *PipelinedComposer) Switches() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.switches
-}
-
-// ActiveInstance returns the identifier of the currently active instance.
-func (p *PipelinedComposer) ActiveInstance() InstanceID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.activeID
 }
 
 // Invoke submits a request and blocks until it commits (or ctx is
@@ -298,7 +278,7 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 	if len(subs) > 1 {
 		sort.SliceStable(subs, func(i, j int) bool { return subs[i].req.Timestamp < subs[j].req.Timestamp })
 	}
-	id, init := p.takeActiveInit()
+	id, init := p.take()
 	env := p.env
 	reqs := make([]msg.Request, len(subs))
 	timestamps := make([]uint64, len(subs))
@@ -320,12 +300,12 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 	} else {
 		// The active instance switched to a non-batchable one between
 		// enqueue and dispatch: re-arm the init and run individually.
-		p.rearmInit(id, init)
+		p.rearm(id, init)
 		init = nil
 	}
 	vep.Close()
 	if berr != nil {
-		p.rearmInit(id, init)
+		p.rearm(id, init)
 	}
 	// Deliver the committed outcomes, fall back individually for the rest.
 	var fallback sync.WaitGroup
@@ -344,72 +324,15 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 	fallback.Wait()
 }
 
-// takeActiveInit returns the active instance and consumes the pending init
-// history (which must be attached to the first invocation of the instance).
-func (p *PipelinedComposer) takeActiveInit() (InstanceID, *InitHistory) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	id := p.activeID
-	init := p.pendingInit
-	p.pendingInit = nil
-	return id, init
-}
-
-// rearmInit restores an unconsumed init history so a retry still initializes
-// the instance.
-func (p *PipelinedComposer) rearmInit(id InstanceID, init *InitHistory) {
-	if init == nil {
-		return
-	}
-	p.mu.Lock()
-	if p.activeID == id && p.pendingInit == nil {
-		p.pendingInit = init
-	}
-	p.mu.Unlock()
-}
-
-// invokeOne runs the full ACP loop for a single request on a private virtual
-// endpoint: invoke the active instance, and on an Abort indication switch to
-// next(i) carrying the abort history as the next instance's init history.
+// invokeOne runs the ACP loop for a single request, each invocation on a
+// private virtual endpoint of the demultiplexer.
 func (p *PipelinedComposer) invokeOne(ctx context.Context, req msg.Request) ([]byte, error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		id, init := p.takeActiveInit()
+	var vep transport.Endpoint
+	open := func(id InstanceID) (Instance, error) {
+		vep = p.demux.Open(req.Timestamp)
 		env := p.env
-		vep := p.demux.Open(req.Timestamp)
 		env.Endpoint = vep
-		inst, err := p.newFactory(env)(id)
-		if err != nil {
-			vep.Close()
-			p.rearmInit(id, init)
-			return nil, fmt.Errorf("core: creating instance %d: %w", id, err)
-		}
-		out, err := inst.Invoke(ctx, req, init)
-		vep.Close()
-		if err != nil {
-			p.rearmInit(id, init)
-			return nil, err
-		}
-		if verr := validateOutcome(out, id); verr != nil {
-			return nil, verr
-		}
-		if out.Committed {
-			return out.Reply, nil
-		}
-
-		// Abort: switch to next(i) and retry there, carrying the abort
-		// history as init history (only on the first invocation). A
-		// concurrent invocation may already have switched further.
-		next := out.Abort.Next
-		p.mu.Lock()
-		if p.activeID < next {
-			p.activeID = next
-			initCopy := out.Abort.Init
-			p.pendingInit = &initCopy
-			p.switches++
-		}
-		p.mu.Unlock()
+		return p.newFactory(env)(id)
 	}
+	return p.invoke(ctx, req, open, func() { vep.Close() })
 }

@@ -68,8 +68,6 @@ type Config struct {
 	// Checker optionally records client events for the specification
 	// checker.
 	Checker *core.SpecChecker
-	// Secret seeds the deterministic key derivation.
-	Secret string
 	// TickInterval is the replica protocol tick (view-change timers).
 	TickInterval time.Duration
 	// Metrics, when non-nil, instruments every replica of the cluster into
@@ -106,9 +104,6 @@ func withDefaults(cfg Config) (Config, ids.Cluster, error) {
 	if cfg.Delta <= 0 {
 		cfg.Delta = 25 * time.Millisecond
 	}
-	if cfg.Secret == "" {
-		cfg.Secret = "abstract-bft"
-	}
 	cluster := ids.NewCluster(cfg.F)
 	return cfg, cluster, cluster.Validate()
 }
@@ -122,7 +117,7 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		Cluster: cluster,
-		Keys:    authn.NewKeyStore(cfg.Secret),
+		Keys:    authn.NewKeyStore(defaultSecret),
 		Net:     transport.NewLocal(cfg.Network),
 	}
 	for i := 0; i < cluster.N; i++ {

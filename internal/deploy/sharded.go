@@ -42,7 +42,7 @@ func NewSharded(cfg Config) (*Sharded, error) {
 	s := &Sharded{
 		cfg:     cfg,
 		Cluster: cluster,
-		Keys:    authn.NewKeyStore(cfg.Secret),
+		Keys:    authn.NewKeyStore(defaultSecret),
 		Net:     transport.NewLocal(cfg.Network),
 	}
 	for i := 0; i < cluster.N; i++ {

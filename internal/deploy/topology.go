@@ -181,11 +181,15 @@ func (t Topology) AddrMap() map[ids.ProcessID]string {
 	return m
 }
 
+// defaultSecret seeds the key derivation of in-process clusters and of
+// topologies that name no secret.
+const defaultSecret = "abstract-bft"
+
 // Keys derives the cluster's key store from the shared secret.
 func (t Topology) Keys() *authn.KeyStore {
 	secret := t.Secret
 	if secret == "" {
-		secret = "abstract-bft"
+		secret = defaultSecret
 	}
 	return authn.NewKeyStore(secret)
 }

@@ -1,106 +1,19 @@
-// Package history implements request histories, digest histories, the
-// abort-history extraction algorithm of the panicking subprotocol (Step P3 of
-// §4.2.2), and the lightweight checkpoint subprotocol (LCS, §4.2.4) state kept
-// by replicas.
+// Package history implements digest histories, the abort-history
+// extraction algorithm of the panicking subprotocol (Step P3 of §4.2.2), and
+// the lightweight checkpoint subprotocol (LCS, §4.2.4) state kept by
+// replicas.
 //
-// Two representations are used throughout the repository:
-//
-//   - History: a sequence of full requests, the replica-local history LH_j.
-//   - DigestHistory: a sequence of request digests, used by the state-transfer
-//     optimization (§4.4) in which ABORT messages and init histories carry
-//     digests rather than request bodies.
+// A history is carried as a DigestHistory, a sequence of request digests:
+// the state-transfer optimization (§4.4) has ABORT messages and init
+// histories carry digests rather than request bodies, and replicas keep the
+// bodies in a separate store.
 package history
 
 import (
 	"fmt"
 
 	"abstractbft/internal/authn"
-	"abstractbft/internal/msg"
 )
-
-// History is an ordered sequence of requests (a value of type H = REQ* in the
-// Abstract specification).
-type History struct {
-	reqs []msg.Request
-}
-
-// New returns a history containing the given requests.
-func New(reqs ...msg.Request) *History {
-	h := &History{}
-	for _, r := range reqs {
-		h.Append(r)
-	}
-	return h
-}
-
-// Append adds a request at the end of the history.
-func (h *History) Append(r msg.Request) { h.reqs = append(h.reqs, r) }
-
-// Len returns the number of requests in the history.
-func (h *History) Len() int { return len(h.reqs) }
-
-// At returns the i-th request (0-based).
-func (h *History) At(i int) msg.Request { return h.reqs[i] }
-
-// Requests returns a copy of the underlying request slice.
-func (h *History) Requests() []msg.Request {
-	return append([]msg.Request(nil), h.reqs...)
-}
-
-// Clone returns a deep copy of the history.
-func (h *History) Clone() *History {
-	c := &History{reqs: make([]msg.Request, len(h.reqs))}
-	copy(c.reqs, h.reqs)
-	return c
-}
-
-// Contains reports whether the history contains a request with the given
-// identifier.
-func (h *History) Contains(id msg.RequestID) bool {
-	for _, r := range h.reqs {
-		if r.ID() == id {
-			return true
-		}
-	}
-	return false
-}
-
-// Digests returns the digest history corresponding to h.
-func (h *History) Digests() DigestHistory {
-	out := make(DigestHistory, len(h.reqs))
-	for i, r := range h.reqs {
-		out[i] = r.Digest()
-	}
-	return out
-}
-
-// Digest returns a digest of the whole history (D(LH_j) in the paper),
-// computed incrementally over the request digests.
-func (h *History) Digest() authn.Digest { return h.Digests().Digest() }
-
-// IsPrefixOf reports whether h is a (non-strict) prefix of other.
-func (h *History) IsPrefixOf(other *History) bool {
-	if h.Len() > other.Len() {
-		return false
-	}
-	for i, r := range h.reqs {
-		if !r.Equal(other.reqs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// Truncate removes the first n requests; used when a checkpoint covers them.
-func (h *History) Truncate(n int) {
-	if n <= 0 {
-		return
-	}
-	if n > len(h.reqs) {
-		n = len(h.reqs)
-	}
-	h.reqs = append([]msg.Request(nil), h.reqs[n:]...)
-}
 
 // DigestHistory is a sequence of request digests.
 type DigestHistory []authn.Digest
@@ -169,19 +82,6 @@ func LongestCommonPrefix(hs ...DigestHistory) DigestHistory {
 		prefix = prefix[:i]
 	}
 	return prefix
-}
-
-// DedupPrefix returns the longest prefix of d in which no digest appears
-// twice (the final step of abort-history extraction).
-func DedupPrefix(d DigestHistory) DigestHistory {
-	seen := make(map[authn.Digest]struct{}, len(d))
-	for i, x := range d {
-		if _, dup := seen[x]; dup {
-			return d[:i].Clone()
-		}
-		seen[x] = struct{}{}
-	}
-	return d.Clone()
 }
 
 // ReplicaReport is the history-bearing content of one replica's ABORT
@@ -267,6 +167,7 @@ func Extract(reports []ReplicaReport, f int) (ExtractResult, error) {
 	// covers a position (pos < report.CheckpointSeq) counts as agreeing with
 	// any candidate value for that position.
 	var suffix DigestHistory
+	seen := make(map[authn.Digest]struct{})
 	for pos := base.BaseSeq; ; pos++ {
 		votes := make(map[authn.Digest]int)
 		implicit := 0
@@ -291,11 +192,13 @@ func Extract(reports []ReplicaReport, f int) (ExtractResult, error) {
 				found = true
 			}
 		}
-		if !found {
+		// The longest duplicate-free prefix ends at the first repeat.
+		if _, dup := seen[winner]; !found || dup {
 			break
 		}
+		seen[winner] = struct{}{}
 		suffix = append(suffix, winner)
 	}
-	base.Suffix = DedupPrefix(suffix)
+	base.Suffix = suffix
 	return base, nil
 }

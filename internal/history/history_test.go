@@ -14,38 +14,19 @@ func req(client int, ts uint64) msg.Request {
 	return msg.Request{Client: ids.Client(client), Timestamp: ts, Command: []byte(fmt.Sprintf("c%d-%d", client, ts))}
 }
 
-func TestHistoryBasics(t *testing.T) {
-	h := New(req(0, 1), req(0, 2))
-	if h.Len() != 2 {
-		t.Fatalf("len = %d, want 2", h.Len())
+// digests returns the digest history of the given requests.
+func digests(reqs ...msg.Request) DigestHistory {
+	out := make(DigestHistory, len(reqs))
+	for i, r := range reqs {
+		out[i] = r.Digest()
 	}
-	if !h.Contains(req(0, 1).ID()) || h.Contains(req(1, 1).ID()) {
-		t.Fatalf("Contains misbehaves")
-	}
-	clone := h.Clone()
-	clone.Append(req(0, 3))
-	if h.Len() != 2 {
-		t.Fatalf("Clone is not independent")
-	}
-	if !h.IsPrefixOf(clone) {
-		t.Fatalf("history should be a prefix of its extension")
-	}
-	if clone.IsPrefixOf(h) {
-		t.Fatalf("longer history cannot be a prefix of a shorter one")
-	}
-	if h.Digest() == clone.Digest() {
-		t.Fatalf("different histories share a digest")
-	}
-	h.Truncate(1)
-	if h.Len() != 1 || !h.At(0).Equal(req(0, 2)) {
-		t.Fatalf("Truncate removed the wrong entries")
-	}
+	return out
 }
 
 func TestDigestHistoryPrefixAndLCP(t *testing.T) {
-	a := New(req(0, 1), req(0, 2), req(0, 3)).Digests()
-	b := New(req(0, 1), req(0, 2)).Digests()
-	c := New(req(0, 1), req(1, 9)).Digests()
+	a := digests(req(0, 1), req(0, 2), req(0, 3))
+	b := digests(req(0, 1), req(0, 2))
+	c := digests(req(0, 1), req(1, 9))
 
 	if !b.IsPrefixOf(a) || a.IsPrefixOf(b) {
 		t.Fatalf("prefix relation wrong")
@@ -62,12 +43,17 @@ func TestDigestHistoryPrefixAndLCP(t *testing.T) {
 	}
 }
 
-func TestDedupPrefix(t *testing.T) {
+// TestExtractStopsAtDuplicate checks the dedup rule of Step P3: the
+// extracted history is the longest prefix in which no request appears twice.
+func TestExtractStopsAtDuplicate(t *testing.T) {
 	r1, r2 := req(0, 1), req(0, 2)
-	d := DigestHistory{r1.Digest(), r2.Digest(), r1.Digest(), r2.Digest()}
-	out := DedupPrefix(d)
-	if len(out) != 2 {
-		t.Fatalf("dedup prefix length = %d, want 2", len(out))
+	d := digests(r1, r2, r1, r2)
+	res, err := Extract([]ReplicaReport{{Suffix: d}, {Suffix: d}, {Suffix: d}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Suffix) != 2 {
+		t.Fatalf("extracted %d entries, want 2 (the duplicate-free prefix)", len(res.Suffix))
 	}
 }
 

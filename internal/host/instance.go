@@ -737,36 +737,14 @@ func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
 	return h.applyRequest(req, req.Digest())
 }
 
-// ExecuteBatch applies a just-logged batch to the application in one
-// speculative-execution span: the logged-but-unapplied prefix is replayed
-// once (instead of once per request) and every request of the batch is
-// applied in order. It returns the application replies in batch order.
+// ExecuteBatch applies a just-logged batch to the application, one Execute
+// per request in batch order. Each Execute replays the unapplied prefix up to
+// its own request, so the prefix is replayed once per batch. It returns the
+// application replies in batch order.
 func (h *Host) ExecuteBatch(st *InstanceState, batch msg.Batch) [][]byte {
-	replies := make([][]byte, 0, batch.Len())
-	// Replay any unapplied prefix, collecting replies for batch requests as
-	// they are reached (the batch occupies the tail of the history).
-	pending := 0
-	for h.appliedSeq < st.AbsLen() && pending < batch.Len() {
-		d := h.digestAt(st, h.appliedSeq)
-		r, ok := h.RequestByDigest(d)
-		if !ok {
-			break
-		}
-		reply := h.applyRequest(r, d)
-		if r.ID() == batch.Requests[pending].ID() {
-			replies = append(replies, reply)
-			pending++
-		}
-	}
-	// Any batch requests not reached through the history (duplicates already
-	// applied, or a gap) fall back to the per-request path.
-	for ; pending < batch.Len(); pending++ {
-		req := batch.Requests[pending]
-		if reply, ok := h.CachedReply(req.Client, req.Timestamp); ok {
-			replies = append(replies, reply)
-			continue
-		}
-		replies = append(replies, h.Execute(st, req))
+	replies := make([][]byte, len(batch.Requests))
+	for i, req := range batch.Requests {
+		replies[i] = h.Execute(st, req)
 	}
 	return replies
 }
@@ -782,18 +760,43 @@ func (h *Host) CachedReply(client ids.ProcessID, ts uint64) ([]byte, bool) {
 	return nil, false
 }
 
-// AppliedStale reports whether the request at (client, ts) already executed
+// Retransmission is the client-request entry gate every protocol shares: it
+// reports whether req is a duplicate — already logged in st's timestamp
+// window, or already applied by the host in an earlier instance — and, if
+// so, the reply cached for it. Each protocol decides what to do with a
+// duplicate; none logs it again. A request the instance window calls fresh
+// but the host already applied is counted in host_applied_duplicates_total
+// and recorded as an "applied-duplicate" flight event.
+func (h *Host) Retransmission(st *InstanceState, req msg.Request) (dup bool, reply []byte, cached bool) {
+	if st.TimestampFresh(req.Client, req.Timestamp) {
+		if !h.appliedStale(req.Client, req.Timestamp) {
+			return false, nil, false
+		}
+		reply, cached = h.CachedReply(req.Client, req.Timestamp)
+		h.met.appliedDups.Inc()
+		if h.cfg.Flight != nil {
+			h.cfg.Flight.Record("applied-duplicate", h.cfg.Shard,
+				"instance %d: client %v ts %d fresh to the instance window but already applied (cached reply: %t)",
+				st.ID, req.Client, req.Timestamp, cached)
+		}
+		return true, reply, cached
+	}
+	reply, cached = h.CachedReply(req.Client, req.Timestamp)
+	return true, reply, cached
+}
+
+// appliedStale reports whether the request at (client, ts) already executed
 // in the host's applied prefix — the instance-independent at-most-once gate.
 // Instance timestamp windows are rebuilt from init histories at every
 // switch, and an init history only reaches back to its base checkpoint, so a
 // retransmission of a request committed before that base looks fresh to a
-// newly activated instance and would re-execute. Client-request entry gates
-// consult this alongside the instance window and serve the (host-level)
-// cached reply instead. Entry gates only — ORDER-log filtering stays
-// governed by the agreed instance windows, so replicas whose applied
-// prefixes transiently differ cannot diverge their histories through this
-// check.
-func (h *Host) AppliedStale(client ids.ProcessID, ts uint64) bool {
+// newly activated instance and would re-execute. Retransmission, the
+// client-request entry gate, consults this alongside the instance window and
+// serves the (host-level) cached reply instead. Entry gates only — ORDER-log
+// filtering stays governed by the agreed instance windows, so replicas whose
+// applied prefixes transiently differ cannot diverge their histories through
+// this check.
+func (h *Host) appliedStale(client ids.ProcessID, ts uint64) bool {
 	w, ok := h.appliedWindows[client]
 	if !ok {
 		return false

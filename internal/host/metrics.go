@@ -24,6 +24,7 @@ type hostMetrics struct {
 	appliedSeq  *obs.Gauge     // host_applied_seq
 	windowStale *obs.Counter   // host_window_stale_total
 	windowHits  *obs.Counter   // host_window_readmits_total
+	appliedDups *obs.Counter   // host_applied_duplicates_total (fresh to the instance window, already applied)
 
 	// checkpoint / GC plane.
 	checkpoints *obs.Counter // host_checkpoints_total
@@ -64,6 +65,7 @@ func newHostMetrics(r *obs.Registry, labels []string) *hostMetrics {
 	m.appliedSeq = r.Gauge("host_applied_seq", l...)
 	m.windowStale = r.Counter("host_window_stale_total", l...)
 	m.windowHits = r.Counter("host_window_readmits_total", l...)
+	m.appliedDups = r.Counter("host_applied_duplicates_total", l...)
 	m.checkpoints = r.Counter("host_checkpoints_total", l...)
 	m.stableSeq = r.Gauge("host_stable_checkpoint_seq", l...)
 	m.gcRuns = r.Counter("host_gc_runs_total", l...)

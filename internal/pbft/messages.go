@@ -22,13 +22,6 @@ import (
 	"abstractbft/internal/msg"
 )
 
-// Request is a client request message authenticated for every replica. No
-// protocol of the repository sends it any more; it keeps its wire tag.
-type Request struct {
-	Req  msg.Request
-	Auth authn.Authenticator
-}
-
 // PrePrepare is the primary's ordering proposal for one batch.
 type PrePrepare struct {
 	View  uint64
@@ -56,17 +49,6 @@ type Commit struct {
 	Digest  authn.Digest
 	Replica ids.ProcessID
 	MAC     authn.MAC
-}
-
-// Reply is a replica's MAC'd reply to a client. No protocol of the
-// repository sends it any more; it keeps its wire tag.
-type Reply struct {
-	View      uint64
-	Replica   ids.ProcessID
-	Client    ids.ProcessID
-	Timestamp uint64
-	Result    []byte
-	MAC       authn.MAC
 }
 
 // PreparedEntry summarizes one prepared-but-possibly-undelivered batch inside

@@ -10,7 +10,6 @@ package quorum
 
 import (
 	"context"
-	"encoding/binary"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
@@ -57,17 +56,6 @@ func (m *BatchRequestMessage) AbstractInstance() core.InstanceID { return m.Inst
 
 // CarriedInit implements core.InitCarrier.
 func (m *BatchRequestMessage) CarriedInit() *core.InitHistory { return m.Init }
-
-// AuthBytes returns the bytes a client authenticates: instance number and
-// request digest. A batched invocation authenticates the same shape over the
-// batch digest (one authenticator for the whole batch).
-//
-//abstractbft:noalloc
-func AuthBytes(instance core.InstanceID, digest authn.Digest) (buf [8 + authn.DigestSize]byte) {
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	copy(buf[8:], digest[:])
-	return buf
-}
 
 // Replica implements Step Q2 on one replica for one Abstract instance.
 type Replica struct {
@@ -125,21 +113,19 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 	// Hash each request once: the digests feed the batch authenticator and
 	// (for a batch logged as it came) the history.
 	digests := m.Batch.Digests()
-	authBytes := AuthBytes(r.st.ID, msg.DigestOf(digests))
+	authBytes := core.ClientAuthBytes(r.st.ID, msg.DigestOf(digests))
 	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
 	designated := r.h.ID() == r.h.Cluster().Head()
 	resps := make([]any, 0, m.Batch.Len())
 	fresh, stale := r.st.FilterFreshBatch(m.Batch)
-	// The cross-instance at-most-once gate applies to batched retransmissions
-	// too: a request committed before this instance's init history reaches
-	// (e.g. below a restarted replica's adopted snapshot) looks fresh to the
-	// instance window but must be served from cache, not re-executed.
+	// The entry gate applies to batched retransmissions too: a request
+	// applied in an earlier instance is served from cache, not re-executed.
 	if fresh.Len() > 0 {
 		kept := make([]msg.Request, 0, len(fresh.Requests))
 		for _, req := range fresh.Requests {
-			if r.h.AppliedStale(req.Client, req.Timestamp) {
+			if dup, _, _ := r.h.Retransmission(r.st, req); dup {
 				stale = append(stale, req)
 				continue
 			}
@@ -180,16 +166,13 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		return
 	}
 	digest := m.Req.Digest()
-	authBytes := AuthBytes(r.st.ID, digest)
+	authBytes := core.ClientAuthBytes(r.st.ID, digest)
 	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
-	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
-		// Stale per the instance window or the host's applied window (the
-		// cross-instance at-most-once gate): serve the cached reply.
-		if reply, ok := r.h.CachedReply(m.Req.Client, m.Req.Timestamp); ok {
-			resp := r.h.BuildResp(r.st, m.Req, reply, r.h.ID() == r.h.Cluster().Head())
-			r.h.Send(m.Req.Client, resp)
+	if dup, reply, cached := r.h.Retransmission(r.st, m.Req); dup {
+		if cached {
+			r.h.Send(m.Req.Client, r.h.BuildResp(r.st, m.Req, reply, r.h.ID() == r.h.Cluster().Head()))
 		}
 		return
 	}
@@ -222,7 +205,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 		c.env.Checker.RecordInvoke(req)
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	authBytes := AuthBytes(c.id, req.Digest())
+	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
@@ -254,7 +237,7 @@ func (c *Client) InvokeBatch(ctx context.Context, reqs []msg.Request, init *core
 		}
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	authBytes := AuthBytes(c.id, batch.Digest())
+	authBytes := core.ClientAuthBytes(c.id, batch.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)

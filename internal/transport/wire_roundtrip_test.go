@@ -113,12 +113,14 @@ func wirePayloads() []any {
 		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
 
 		// The inner PBFT engine's messages (Backup wraps them, but they have
-		// tag arms of their own and can cross raw as well).
-		&pbft.Request{Req: req, Auth: auth},
+		// tag arms of their own and can cross raw as well), with the view
+		// change of a replica that prepared nothing and a new view whose
+		// proposal fills a gap with an empty batch.
+		&pbft.ViewChange{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Digest: dig, MAC: mac},
 		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(1), MAC: mac},
 		&pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac},
-		&pbft.Reply{View: 1, Replica: ids.Replica(0), Client: ids.Client(3), Timestamp: 7, Result: []byte("r"), MAC: mac},
+		&pbft.NewView{View: 3, ViewChanges: []pbft.ViewChange{{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 3, Seq: 5, Digest: pbft.BatchDigest(nil)}}},
 		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{req}}}, Sig: authn.Signature("s")},
 		&pbft.NewView{View: 2, ViewChanges: []pbft.ViewChange{{NewView: 2, Replica: ids.Replica(1), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 2, Seq: 4, Digest: dig, MAC: mac}}},
 

@@ -45,12 +45,12 @@ const (
 	tagBackupRequest uint16 = 16
 	tagBackupWrapped uint16 = 17
 
-	// The wrapped PBFT engine.
-	tagPBFTRequest    uint16 = 20
+	// The wrapped PBFT engine. Tags 20 and 24 were pbft.Request and
+	// pbft.Reply, which nothing sends any more; they are reserved, never
+	// reused.
 	tagPBFTPrePrepare uint16 = 21
 	tagPBFTPrepare    uint16 = 22
 	tagPBFTCommit     uint16 = 23
-	tagPBFTReply      uint16 = 24
 	tagPBFTViewChange uint16 = 25
 	tagPBFTNewView    uint16 = 26
 
@@ -677,10 +677,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendID(b, m.From)
 		return appendPayload(b, m.Inner, depth+1)
 
-	case *pbft.Request:
-		b = appendU16(b, tagPBFTRequest)
-		b = appendRequest(b, m.Req)
-		return appendAuth(b, m.Auth), nil
 	case *pbft.PrePrepare:
 		b = appendU16(b, tagPBFTPrePrepare)
 		return appendPrePrepare(b, *m), nil
@@ -697,14 +693,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
 		b = appendID(b, m.Replica)
-		return appendMAC(b, m.MAC), nil
-	case *pbft.Reply:
-		b = appendU16(b, tagPBFTReply)
-		b = appendU64(b, m.View)
-		b = appendID(b, m.Replica)
-		b = appendID(b, m.Client)
-		b = appendU64(b, m.Timestamp)
-		b = appendBytes(b, m.Result)
 		return appendMAC(b, m.MAC), nil
 	case *pbft.ViewChange:
 		b = appendU16(b, tagPBFTViewChange)
@@ -901,11 +889,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Inner = decodePayload(r)
 		return m
 
-	case tagPBFTRequest:
-		m := &pbft.Request{}
-		m.Req = decodeRequest(r)
-		m.Auth = decodeAuth(r)
-		return m
 	case tagPBFTPrePrepare:
 		pp := decodePrePrepare(r)
 		return &pp
@@ -923,15 +906,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Seq = r.u64()
 		m.Digest = r.digest()
 		m.Replica = r.id()
-		m.MAC = r.mac()
-		return m
-	case tagPBFTReply:
-		m := &pbft.Reply{}
-		m.View = r.u64()
-		m.Replica = r.id()
-		m.Client = r.id()
-		m.Timestamp = r.u64()
-		m.Result = r.bytes()
 		m.MAC = r.mac()
 		return m
 	case tagPBFTViewChange:

@@ -134,7 +134,7 @@ func TestZLightDuplicateTimestampWithinOneWindow(t *testing.T) {
 	defer cancel()
 
 	req := msg.Request{Client: env.ID, Timestamp: 1, Command: []byte("dup")}
-	authBytes := AuthBytes(1, req.Digest())
+	authBytes := core.ClientAuthBytes(1, req.Digest())
 	auth := env.Keys.NewAuthenticator(env.ID, env.Cluster.Replicas(), authBytes[:])
 	m := &RequestMessage{Instance: 1, Req: req, Auth: auth}
 	// Two copies of the same REQ land in the same assembler window.

@@ -29,7 +29,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 		c.env.Checker.RecordInvoke(req)
 		c.env.Checker.RecordInit(c.id, init)
 	}
-	authBytes := AuthBytes(c.id, req.Digest())
+	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
 	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
 	c.env.Endpoint.Send(c.env.Cluster.Head(), m)

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"abstractbft/internal/core"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
@@ -14,7 +15,7 @@ import (
 func TestGoldenMACInputs(t *testing.T) {
 	a := msg.Request{Client: ids.Client(7), Timestamp: 0x0102030405060708, Command: []byte("put k v")}
 	b := msg.Request{Client: ids.Client(0), Timestamp: 1, ReadOnly: true}
-	auth := AuthBytes(5, a.Digest())
+	auth := core.ClientAuthBytes(5, a.Digest())
 	if got, want := hex.EncodeToString(auth[:]), "0000000000000005f9376773f11665741029b970b16b6319db18161a5fae9607a6f7b11fc0d049da"; got != want {
 		t.Errorf("AuthBytes = %s, want %s", got, want)
 	}

@@ -67,16 +67,6 @@ func (m *OrderMessage) AbstractInstance() core.InstanceID { return m.Instance }
 // CarriedInit implements core.InitCarrier.
 func (m *OrderMessage) CarriedInit() *core.InitHistory { return m.Init }
 
-// AuthBytes returns the bytes a client authenticates when invoking a request
-// on an instance: the instance number and the request digest.
-//
-//abstractbft:noalloc
-func AuthBytes(instance core.InstanceID, reqDigest authn.Digest) (buf [8 + authn.DigestSize]byte) {
-	binary.BigEndian.PutUint64(buf[:8], uint64(instance))
-	copy(buf[8:], reqDigest[:])
-	return buf
-}
-
 // OrderBytes returns the bytes covered by the primary's single MAC in an
 // ORDER message: the instance, the position of the batch's first request, and
 // the batch digest.

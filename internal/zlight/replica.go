@@ -2,6 +2,7 @@ package zlight
 
 import (
 	"abstractbft/internal/authn"
+	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
@@ -23,7 +24,7 @@ type Replica struct {
 	clientMACFailed bool
 	// pending buffers ORDER messages received ahead of the next expected
 	// sequence number (reordered delivery) until the gap is filled.
-	pending map[uint64]*OrderMessage
+	pending host.SeqBuffer[*OrderMessage]
 	// lastOrder caches, per client, the last ORDER that contained a request
 	// of that client so client retransmissions re-trigger replies from the
 	// backups.
@@ -37,7 +38,6 @@ func NewReplica() host.ProtocolFactory {
 			h:         h,
 			st:        st,
 			primary:   h.Cluster().Head(),
-			pending:   make(map[uint64]*OrderMessage),
 			lastOrder: make(map[ids.ProcessID]*OrderMessage),
 		}
 		r.batcher = h.NewBatcher(r.orderBatch)
@@ -75,20 +75,17 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		return
 	}
 	digest := m.Req.Digest()
-	authBytes := AuthBytes(r.st.ID, digest)
+	authBytes := core.ClientAuthBytes(r.st.ID, digest)
 	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
 		return
 	}
-	if !r.st.TimestampFresh(m.Req.Client, m.Req.Timestamp) || r.h.AppliedStale(m.Req.Client, m.Req.Timestamp) {
-		// Retransmission (the instance window, or — across instance switches
-		// whose init histories don't reach back that far — the host's applied
-		// window, says the request already executed): resend the cached reply
-		// and re-order so the backups reply again as well — but only when the
-		// cached ORDER actually covers this timestamp, so a stale
-		// retransmission cannot re-multicast a whole unrelated batch.
-		if reply, ok := r.h.CachedReply(m.Req.Client, m.Req.Timestamp); ok {
-			resp := r.h.BuildResp(r.st, m.Req, reply, true)
-			r.h.Send(m.Req.Client, resp)
+	if dup, reply, cached := r.h.Retransmission(r.st, m.Req); dup {
+		// Resend the cached reply and re-order so the backups reply again as
+		// well — but only when the cached ORDER actually covers this
+		// timestamp, so a stale retransmission cannot re-multicast a whole
+		// unrelated batch.
+		if cached {
+			r.h.Send(m.Req.Client, r.h.BuildResp(r.st, m.Req, reply, true))
 			if last := r.lastOrder[m.Req.Client]; last != nil && batchContains(last.Batch, m.Req.Client, m.Req.Timestamp) {
 				r.multicastOrder(last, last.Batch.Digest())
 			}
@@ -250,7 +247,7 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 			r.clientMACFailed = true
 			return
 		}
-		authBytes := AuthBytes(r.st.ID, digests[i])
+		authBytes := core.ClientAuthBytes(r.st.ID, digests[i])
 		if err := r.h.VerifyClientAuth(m.Auths[i], authBytes[:]); err != nil {
 			// Step Z3: a failed client MAC stops this replica from executing
 			// Step Z3 for the rest of the instance; the client will
@@ -260,31 +257,14 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 		}
 	}
 	if m.Seq > r.st.AbsLen() {
-		// Reordered delivery: buffer until the gap is filled. The buffer
-		// bounds the total buffered *requests* so a Byzantine primary cannot
-		// grow it without limit; a dropped ORDER surfaces as loss and the
-		// client panics.
-		if r.pendingRequests()+m.Batch.Len() <= maxPendingOrders {
-			r.pending[m.Seq] = m
-		}
+		// Reordered delivery: buffer until the gap is filled.
+		r.pending.Add(m.Seq, m.Batch.Len(), m)
 		return
 	}
 	r.process(m, digests)
-	r.drainPending()
-}
-
-// maxPendingOrders bounds the total requests buffered out of order per
-// instance.
-const maxPendingOrders = 1024
-
-// pendingRequests returns the number of requests currently buffered out of
-// order.
-func (r *Replica) pendingRequests() int {
-	n := 0
-	for _, m := range r.pending {
-		n += m.Batch.Len()
+	for next, ok := r.pending.Next(r.st); ok; next, ok = r.pending.Next(r.st) {
+		r.process(next, nil)
 	}
-	return n
 }
 
 // batchContains reports whether the batch holds a request with the given
@@ -319,27 +299,4 @@ func (r *Replica) process(m *OrderMessage, digests []authn.Digest) {
 	}
 	replies := r.h.ExecuteBatch(r.st, batch)
 	r.fanOutResps(batch, replies, false)
-}
-
-// drainPending processes buffered ORDER batches that have become in-order,
-// and evicts entries whose span was overtaken (a partially-stale batch can
-// advance the history into the middle of a buffered span, which then can
-// never match exactly).
-func (r *Replica) drainPending() {
-	for {
-		if r.st.Stopped {
-			return
-		}
-		for seq := range r.pending {
-			if seq < r.st.AbsLen() {
-				delete(r.pending, seq)
-			}
-		}
-		next, ok := r.pending[r.st.AbsLen()]
-		if !ok {
-			return
-		}
-		delete(r.pending, r.st.AbsLen())
-		r.process(next, nil)
-	}
 }
