@@ -16,6 +16,7 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/compose"
+	"abstractbft/internal/core"
 	"abstractbft/internal/deploy"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
@@ -63,11 +64,13 @@ func main() {
 	fmt.Printf("  active instance: %d (%s), switches: %d\n\n", solo.ActiveInstance(), spec.ProtocolAt(solo.ActiveInstance()), solo.Switches())
 
 	fmt.Println("phase 2: 6 concurrent clients — contention aborts Quorum, Chain takes over")
+	phase2 := make([]*core.Composer, 6)
 	res, err := workload.RunClosedLoop(ctx, workload.ClosedLoopConfig{Clients: 6, RequestsPerClient: 20}, func(i int) (workload.Invoker, ids.ProcessID, error) {
 		client, err := cluster.NewClient(i + 1)
 		if err != nil {
 			return nil, 0, err
 		}
+		phase2[i] = client
 		return workload.InvokerFunc(func(ctx context.Context, req msg.Request) ([]byte, error) {
 			return client.Invoke(ctx, req)
 		}), ids.Client(i + 1), nil
@@ -75,8 +78,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("phase 2: %v", err)
 	}
-	fmt.Printf("  committed %d requests at %.0f req/s, mean latency %.2f ms\n\n",
-		res.Committed, res.ThroughputOps(), float64(res.Latency.Mean().Microseconds())/1000)
+	// A clean hand-over ends phase 2 within Chain's 5Δ timer, in instance 2;
+	// instance 3 (Backup) means a Chain timer expired.
+	var highest core.InstanceID
+	for _, c := range phase2 {
+		highest = max(highest, c.ActiveInstance())
+	}
+	fmt.Printf("  committed %d requests in %v at %.0f req/s, mean latency %.2f ms\n",
+		res.Committed, res.Elapsed.Round(time.Millisecond), res.ThroughputOps(), float64(res.Latency.Mean().Microseconds())/1000)
+	fmt.Printf("  highest instance reached: %d (%s)\n\n", highest, spec.ProtocolAt(highest))
 
 	fmt.Println("phase 3: back to a single client — the low-load optimization returns to Quorum")
 	var lastRole string

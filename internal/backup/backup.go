@@ -63,15 +63,11 @@ func FixedK(k uint64) KPolicy {
 type RequestMessage struct {
 	Instance core.InstanceID
 	Req      msg.Request
-	Init     *core.InitHistory
 	Auth     authn.Authenticator
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *RequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // WrappedMessage carries a message of the underlying ordering protocol,
 // tagged with the Backup instance it belongs to so replica hosts can route

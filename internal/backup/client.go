@@ -39,7 +39,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	}
 	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
+	m := &RequestMessage{Instance: c.id, Req: req, Auth: auth}
 	send := func() { transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m) }
 	send()
 

@@ -38,7 +38,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	succ := cl.ChainSuccessorSet(c.env.ID)
 	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	ca = c.env.Keys.AppendChainMACs(ca, c.env.ID, succ, authBytes[:])
-	m := &Message{Instance: c.id, Req: req, CA: ca, Init: init}
+	m := &Message{Instance: c.id, Req: req, CA: ca}
 	c.env.Endpoint.Send(cl.Head(), m)
 
 	out, committed, err := c.awaitTailReply(ctx, req)

@@ -42,15 +42,10 @@ type Message struct {
 	HistoryDigests history.DigestHistory
 	// CA is the chain authenticator accumulated along the pipeline.
 	CA authn.ChainAuthenticator
-	// Init carries the init history on the client's first invocation.
-	Init *core.InitHistory
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *Message) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *Message) CarriedInit() *core.InitHistory { return m.Init }
 
 // RequestTimestamp implements transport.RequestScoped: the tail's reply
 // answers exactly one client request.
@@ -83,16 +78,10 @@ type BatchMessage struct {
 	HistoryDigests history.DigestHistory
 	// CA is the replica-hop chain authenticator over batch-level bytes.
 	CA authn.ChainAuthenticator
-	// Init forwards an init history so uninitialized replicas can
-	// initialize.
-	Init *core.InitHistory
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *BatchMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *BatchMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // TailAuthBytes returns the bytes authenticated by the last f+1 replicas
 // (and verified by the client): instance, request digest, sequence number,

@@ -7,6 +7,7 @@ import (
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
+	"abstractbft/internal/msg"
 )
 
 // ReplicaConfig configures the Chain replicas of a composed protocol.
@@ -96,10 +97,33 @@ func (r *Replica) onClientRequest(from ids.ProcessID, m *Message) {
 		return
 	}
 	if dup, _, _ := r.h.Retransmission(r.st, m.Req); dup {
-		// Dropped; the client's retry or panic timer recovers it.
+		r.serveDuplicate(m)
 		return
 	}
-	r.batcher.Add(host.BatchItem{Req: m.Req, CA: m.CA, Init: m.Init})
+	r.batcher.Add(host.BatchItem{Req: m.Req, CA: m.CA})
+}
+
+// serveDuplicate answers the re-send of a request the instance already logged
+// (ordered, or adopted from the init history) as a batch of one at its logged
+// position, through forwardDuplicateBatch: nothing is logged or executed
+// again, and the tail's f+1 MACs stay the commit proof. A request whose
+// position was garbage-collected is dropped; its client panics.
+func (r *Replica) serveDuplicate(m *Message) {
+	d := m.Req.Digest()
+	for i := len(r.st.Digests) - 1; i >= 0; i-- {
+		if r.st.Digests[i] != d {
+			continue
+		}
+		keep := append(r.downstreamReplicas(), m.Req.Client)
+		out := &BatchMessage{
+			Instance:  r.st.ID,
+			Batch:     msg.BatchOf(m.Req),
+			Seq:       r.st.BaseSeq + r.st.Trimmed() + uint64(i),
+			ClientCAs: []authn.ChainAuthenticator{authn.PruneChain(m.CA, keep)},
+		}
+		r.forwardDuplicateBatch(out, out.Batch.Digest())
+		return
+	}
 }
 
 // orderBatch implements Step C2 for one flushed batch (head only): assign a
@@ -122,9 +146,6 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 	for _, it := range fresh {
 		keep := append(append([]ids.ProcessID{}, downstream...), it.Req.Client)
 		out.ClientCAs = append(out.ClientCAs, authn.PruneChain(it.CA, keep))
-		if out.Init == nil && it.Init != nil {
-			out.Init = it.Init
-		}
 	}
 	var replies [][]byte
 	if r.executes() {

@@ -84,7 +84,7 @@ func TestAliphContentionSwitchesToChain(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for i := 0; i < c.Cluster.N; i++ {
 		h := c.Host(i)
-		if i < 2 { // with f=1 only the last f+1 Chain replicas execute eagerly
+		if i >= 2 { // with f=1 only the last f+1 Chain replicas execute eagerly
 			for h.AppliedRequests() < total && time.Now().Before(deadline) {
 				time.Sleep(10 * time.Millisecond)
 			}

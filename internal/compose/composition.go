@@ -109,5 +109,5 @@ func (c *Composition) InstanceFactory(env core.ClientEnv) core.InstanceFactory {
 // NewClient creates a composed-protocol client: a composer starting at
 // instance 1 (the schedule's first stage).
 func (c *Composition) NewClient(env core.ClientEnv) (*core.Composer, error) {
-	return core.NewComposer(c.InstanceFactory(env))
+	return core.NewComposer(env, c.InstanceFactory(env))
 }

@@ -99,14 +99,15 @@ func (ih *InitHistory) Digests() history.DigestHistory {
 // Instance is the client-side handle of one Abstract instance: it invokes
 // requests and returns Commit or Abort indications.
 //
-// The init parameter carries the init history on the first invocation of an
-// instance by this client (nil otherwise), following the Abstract
-// composition protocol.
+// The init parameter is the init history on the first invocation of an
+// instance by this client (nil otherwise). The ACP loop has already
+// multicast it as the instance's InitMessage; the instance passes it only
+// to PanicAndAbort, which re-sends it (Step P1+), and to the spec checker.
 type Instance interface {
 	// ID returns the instance number.
 	ID() InstanceID
-	// Invoke submits req, optionally with an init history, and blocks until
-	// the instance commits or aborts the request, or ctx is cancelled.
+	// Invoke submits req and blocks until the instance commits or aborts
+	// it, or ctx is cancelled.
 	Invoke(ctx context.Context, req msg.Request, init *InitHistory) (Outcome, error)
 }
 

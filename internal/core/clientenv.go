@@ -52,3 +52,9 @@ func (e ClientEnv) Retry() time.Duration {
 	}
 	return e.Timer(2)
 }
+
+// sendInit multicasts instance's init history to every replica as its
+// InitMessage.
+func (e ClientEnv) sendInit(instance InstanceID, init *InitHistory) {
+	transport.Multicast(e.Endpoint, e.Cluster.Replicas(), &InitMessage{Instance: instance, Init: *init})
+}

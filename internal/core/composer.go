@@ -9,15 +9,17 @@ import (
 import "abstractbft/internal/msg"
 
 // acpState is the client-side state of the Abstract composition protocol
-// (ACP, §3.4) that Composer and PipelinedComposer share: the active
-// instance, the init history its first invocation carries, and the switch
-// count. invoke is the one ACP loop over it.
+// (ACP, §3.4) that Composer and PipelinedComposer share: the client's
+// environment, the active instance, the init history still to hand to it,
+// and the switch count. invoke is the one ACP loop over it.
 type acpState struct {
+	env ClientEnv
+
 	mu sync.Mutex
 	// active is the currently active instance.
 	active InstanceID
-	// pendingInit is the init history to attach to the next (first)
-	// invocation of the active instance; nil once delivered.
+	// pendingInit is the init history the active instance's first invocation
+	// multicasts as its InitMessage; nil once sent.
 	pendingInit *InitHistory
 	// switches counts instance switches performed by this client.
 	switches uint64
@@ -37,35 +39,29 @@ func (a *acpState) ActiveInstance() InstanceID {
 	return a.active
 }
 
-// take returns the active instance and consumes the pending init history
-// (which must be attached to the first invocation of the instance).
+// take returns the active instance and consumes the pending init history,
+// multicasting it to every replica as the instance's InitMessage. Sending
+// under the lock keeps any later invocation of the instance behind it on
+// FIFO links. The init history goes on to the instance's first invocation
+// (for Step P1+ and the spec checker); nothing re-arms it, since the
+// replicas forward what they adopt.
 func (a *acpState) take() (InstanceID, *InitHistory) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	init := a.pendingInit
 	a.pendingInit = nil
+	if init != nil {
+		a.env.sendInit(a.active, init)
+	}
 	return a.active, init
-}
-
-// rearm restores an unconsumed init history so a retry still initializes
-// the instance.
-func (a *acpState) rearm(id InstanceID, init *InitHistory) {
-	if init == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.active == id && a.pendingInit == nil {
-		a.pendingInit = init
-	}
-	a.mu.Unlock()
 }
 
 // invoke runs the ACP loop for one request: invoke the active instance
 // through the handle open returns (release runs once that invocation
 // returns), and on an Abort indication switch to next(i) and retry there,
-// carrying the abort history as the next instance's init history (only on
-// its first invocation). Aborts never reach the caller. A concurrent
-// invocation may already have switched further.
+// handing the abort history to the next instance as its init history (take
+// sends it). Aborts never reach the caller. A concurrent invocation may
+// already have switched further.
 func (a *acpState) invoke(ctx context.Context, req msg.Request, open func(InstanceID) (Instance, error), release func()) ([]byte, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -75,13 +71,11 @@ func (a *acpState) invoke(ctx context.Context, req msg.Request, open func(Instan
 		inst, err := open(id)
 		if err != nil {
 			release()
-			a.rearm(id, init)
 			return nil, fmt.Errorf("core: creating instance %d: %w", id, err)
 		}
 		out, err := inst.Invoke(ctx, req, init)
 		release()
 		if err != nil {
-			a.rearm(id, init)
 			return nil, err
 		}
 		if verr := validateOutcome(out, id); verr != nil {
@@ -117,13 +111,14 @@ type Composer struct {
 	inst Instance
 }
 
-// NewComposer creates a composer starting at FirstInstance.
-func NewComposer(factory InstanceFactory) (*Composer, error) {
+// NewComposer creates a composer starting at FirstInstance; factory builds
+// instance clients over env, which also sends the init histories.
+func NewComposer(env ClientEnv, factory InstanceFactory) (*Composer, error) {
 	inst, err := factory(FirstInstance)
 	if err != nil {
 		return nil, fmt.Errorf("core: creating instance %d: %w", FirstInstance, err)
 	}
-	return &Composer{acpState: acpState{active: FirstInstance}, factory: factory, inst: inst}, nil
+	return &Composer{acpState: acpState{env: env, active: FirstInstance}, factory: factory, inst: inst}, nil
 }
 
 // Invoke submits a request to the composition and blocks until it commits (or

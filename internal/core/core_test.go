@@ -9,6 +9,7 @@ import (
 	"abstractbft/internal/history"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
+	"abstractbft/internal/transport"
 )
 
 func testRequest(client, ts int) msg.Request {
@@ -198,7 +199,14 @@ func TestComposerSwitchesOnAbort(t *testing.T) {
 		}
 		return inst2, nil
 	}
-	c, err := NewComposer(factory)
+	net := transport.NewLocal(transport.Options{})
+	defer net.Close()
+	cluster := ids.NewCluster(1)
+	for _, r := range cluster.Replicas() {
+		net.Endpoint(r)
+	}
+	env := ClientEnv{Cluster: cluster, ID: ids.Client(0), Endpoint: net.Endpoint(ids.Client(0))}
+	c, err := NewComposer(env, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +233,16 @@ func TestComposerSwitchesOnAbort(t *testing.T) {
 	}
 	if len(inst2.gotInit) != 2 || inst2.gotInit[1] != nil {
 		t.Fatalf("init history sent again on a later invocation")
+	}
+	// The switch multicast instance 2's init history to every replica, once.
+	for _, r := range cluster.Replicas() {
+		inbox := net.Endpoint(r).Inbox()
+		if len(inbox) != 1 {
+			t.Fatalf("replica %v got %d messages, want one InitMessage", r, len(inbox))
+		}
+		if m, ok := (<-inbox).Payload.(*InitMessage); !ok || m.Instance != 2 || m.Init.For != 2 {
+			t.Fatalf("replica %v got %+v, want instance 2's InitMessage", r, m)
+		}
 	}
 }
 

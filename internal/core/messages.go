@@ -15,12 +15,6 @@ type InstanceMessage interface {
 	AbstractInstance() InstanceID
 }
 
-// InitCarrier is implemented by request messages that may carry an init
-// history (the first invocation of an instance by a client).
-type InitCarrier interface {
-	CarriedInit() *InitHistory
-}
-
 // ClientAuthBytes returns the bytes a client authenticates when invoking an
 // instance, in every protocol: the instance number, then the request digest
 // (for a client-side batch, the batch digest). The client does not know the
@@ -33,22 +27,31 @@ func ClientAuthBytes(instance InstanceID, digest authn.Digest) (buf [8 + authn.D
 	return buf
 }
 
+// InitMessage hands instance Instance its init history (§3.3), and is the
+// only message that carries one. The client's ACP loop multicasts it to every
+// replica when it switches to the instance and again before each PANIC round
+// (Step P1+); a replica that activates the instance from it forwards it once
+// to its peers, before any message of the instance.
+type InitMessage struct {
+	Instance InstanceID
+	Init     InitHistory
+}
+
+// AbstractInstance implements InstanceMessage.
+func (m *InitMessage) AbstractInstance() InstanceID { return m.Instance }
+
 // PanicMessage is the PANIC message a client sends to all replicas when it
-// fails to commit a request in time (Step P1). When the panicking request was
-// invoked with an init history, the init history is included so that
-// uninitialized replicas can initialize before aborting (Step P1+/P2+).
+// fails to commit a request in time (Step P1). A client that invoked the
+// instance with an init history re-sends its InitMessage ahead of each PANIC
+// round, so uninitialized replicas can initialize before aborting (Step P2+).
 type PanicMessage struct {
 	Instance  InstanceID
 	Client    ids.ProcessID
 	Timestamp uint64
-	Init      *InitHistory
 }
 
 // AbstractInstance implements InstanceMessage.
 func (m *PanicMessage) AbstractInstance() InstanceID { return m.Instance }
-
-// CarriedInit implements InitCarrier.
-func (m *PanicMessage) CarriedInit() *InitHistory { return m.Init }
 
 // Abort flags carried by ABORT messages; they do not affect the Abstract
 // specification but let the next instance adapt its configuration.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abstractbft/internal/msg"
+	"abstractbft/internal/transport"
 )
 
 // PanicAndAbort runs the client side of the panicking/aborting subprotocol
@@ -13,17 +14,19 @@ import (
 // once 2f+1 consistent ones have been received, extracts the abort history
 // and returns the Abort outcome for the request.
 //
-// The init history (when this is the first invocation of the instance by the
-// client) is included in the PANIC messages so that uninitialized replicas
-// can initialize before aborting (Step P2+).
+// When this is the first invocation of the instance by the client, init is
+// its init history: each PANIC round is preceded by the instance's
+// InitMessage, so that uninitialized replicas can initialize before aborting
+// (Step P1+/P2+).
 func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req msg.Request, init *InitHistory) (Outcome, error) {
 	collector := NewAbortCollector(env.Cluster, env.Keys, instance)
-	panicMsg := &PanicMessage{Instance: instance, Client: env.ID, Timestamp: req.Timestamp, Init: init}
+	panicMsg := &PanicMessage{Instance: instance, Client: env.ID, Timestamp: req.Timestamp}
 
 	sendPanic := func() {
-		for _, r := range env.Cluster.Replicas() {
-			env.Endpoint.Send(r, panicMsg)
+		if init != nil {
+			env.sendInit(instance, init)
 		}
+		transport.Multicast(env.Endpoint, env.Cluster.Replicas(), panicMsg)
 	}
 	sendPanic()
 

@@ -60,7 +60,6 @@ func (o PipelineOptions) withDefaults() PipelineOptions {
 // a single authenticator. An invocation whose timestamp lies a full
 // DefaultTimestampWindow above one still in flight waits for it to complete.
 type PipelinedComposer struct {
-	env        ClientEnv
 	newFactory func(ClientEnv) InstanceFactory
 	demux      *transport.Demux
 	opts       PipelineOptions
@@ -103,11 +102,10 @@ type pipelineSub struct {
 func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFactory, opts PipelineOptions) (*PipelinedComposer, error) {
 	opts = opts.withDefaults()
 	p := &PipelinedComposer{
-		env:        env,
 		newFactory: newFactory,
 		demux:      transport.NewDemux(env.Endpoint),
 		opts:       opts,
-		acpState:   acpState{active: FirstInstance},
+		acpState:   acpState{env: env, active: FirstInstance},
 		batchable:  make(map[InstanceID]bool),
 		inflight:   make([]uint64, 0, opts.Depth),
 		sem:        make(chan struct{}, opts.Depth),
@@ -297,16 +295,10 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 		// else; InvokeBatch is internally bounded by the instance's commit
 		// timer, and each member's own context still governs its fallback.
 		outs, berr = bi.InvokeBatch(context.Background(), reqs, init)
-	} else {
-		// The active instance switched to a non-batchable one between
-		// enqueue and dispatch: re-arm the init and run individually.
-		p.rearm(id, init)
-		init = nil
 	}
+	// Otherwise the active instance switched to a non-batchable one between
+	// enqueue and dispatch, and every request runs individually.
 	vep.Close()
-	if berr != nil {
-		p.rearm(id, init)
-	}
 	// Deliver the committed outcomes, fall back individually for the rest.
 	var fallback sync.WaitGroup
 	for i, s := range subs {

@@ -10,24 +10,16 @@ import (
 
 // handlePanic implements Steps P2/P2+ of the panicking subprotocol: the
 // replica stops executing requests of the instance and returns a signed
-// ABORT message carrying its history report. When the instance was never
-// initialized and the PANIC carries an init history, the replica initializes
-// first (Step P2+).
+// ABORT message carrying its history report. A replica that never
+// initialized the instance does so first from the InitMessage the client
+// sends ahead of each PANIC round (Step P2+).
 func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 	st := h.instances[m.Instance]
 	if st == nil {
-		st = h.activate(m.Instance, m.Init)
-		if st == nil {
-			return
-		}
+		st = h.activate(m.Instance, nil)
 	}
-	if !st.Initialized {
-		if m.Init != nil {
-			h.tryCompleteInit(st, m.Init)
-		}
-		if !st.Initialized {
-			return
-		}
+	if st == nil || !st.Initialized {
+		return
 	}
 	if proto, ok := h.protocols[st.ID].(PanicResistant); ok && !proto.StopOnPanic() {
 		// Instances with strong progress (Backup) ignore panics until they
@@ -174,22 +166,10 @@ func (h *Host) handleFetchRequest(m *core.FetchRequest) {
 	h.Send(m.From, &core.FetchResponse{Instance: m.Instance, From: h.id, Requests: out})
 }
 
-// handleFetchResponse stores the fetched request bodies the named instance's
-// pending initialization is missing, and completes the initialization once
-// none is left. Any other body is dropped: a peer cannot make the replica
-// keep what no history of its own names.
+// handleFetchResponse hands the fetched request bodies to the named
+// instance's pending initialization (completeInit).
 func (h *Host) handleFetchResponse(m *core.FetchResponse) {
-	st := h.instances[m.Instance]
-	if st == nil || st.Initialized || st.pendingInit == nil {
-		return
-	}
-	for _, r := range m.Requests {
-		if d := r.Digest(); st.missing[d] {
-			h.keepBody(d, r.Clone(), st.AbsLen())
-			delete(st.missing, d)
-		}
-	}
-	if len(st.missing) == 0 {
-		h.finishInit(st)
+	if st := h.instances[m.Instance]; st != nil {
+		h.completeInit(st, m.Requests)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/clock"
-	"abstractbft/internal/core"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
 )
@@ -60,8 +59,6 @@ type BatchItem struct {
 	Auth authn.Authenticator
 	// CA is the client's chain authenticator (Chain).
 	CA authn.ChainAuthenticator
-	// Init is the init history carried by the client's first invocation.
-	Init *core.InitHistory
 }
 
 // Batcher coalesces incoming client requests into batches under a size/delay

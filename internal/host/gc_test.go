@@ -334,7 +334,7 @@ func TestFetchResponseStoresOnlyMissingBodies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var st2 *InstanceState
-	h.Locked(func() { st2 = h.activate(abort.Next, &init) })
+	h.Locked(func() { st2 = h.activate(abort.Next, &core.InitMessage{Instance: abort.Next, Init: init}) })
 	if st2 == nil || st2.Initialized {
 		t.Fatal("instance 2 should be waiting for its missing bodies (test setup)")
 	}

@@ -356,6 +356,7 @@ func (h *Host) tickProtocols() {
 			t.ProtocolTick()
 		}
 	}
+	h.tickFetch()
 	h.tickSync()
 }
 
@@ -366,6 +367,8 @@ func (h *Host) dispatch(env transport.Envelope) {
 		return
 	}
 	switch m := env.Payload.(type) {
+	case *core.InitMessage:
+		h.handleInit(m)
 	case *core.PanicMessage:
 		h.handlePanic(env.From, m)
 	case *core.CheckpointMessage:
@@ -383,9 +386,12 @@ func (h *Host) dispatch(env transport.Envelope) {
 	}
 }
 
+// maxHeld bounds the messages an instance holds while it fetches bodies.
+const maxHeld = 1024
+
 // routeProtocol delivers a protocol-specific message to the replica of the
-// instance it belongs to, activating the instance first when the message
-// carries a verifiable init history.
+// instance it belongs to. Such a message activates only FirstInstance; every
+// later instance activates from its InitMessage.
 func (h *Host) routeProtocol(from ids.ProcessID, payload any) {
 	im, ok := payload.(core.InstanceMessage)
 	if !ok {
@@ -395,25 +401,18 @@ func (h *Host) routeProtocol(from ids.ProcessID, payload any) {
 	inst := im.AbstractInstance()
 	st := h.instances[inst]
 	if st == nil {
-		var init *core.InitHistory
-		if carrier, ok := payload.(core.InitCarrier); ok {
-			init = carrier.CarriedInit()
-		}
-		st = h.activate(inst, init)
-		if st == nil {
-			return
-		}
+		st = h.activate(inst, nil)
+	}
+	if st == nil {
+		return
 	}
 	if !st.Initialized {
-		// Still waiting for missing request bodies; buffer nothing, the
-		// client retries.
-		if carrier, ok := payload.(core.InitCarrier); ok && carrier.CarriedInit() != nil {
-			// A retransmission carrying init may help complete bodies.
-			h.tryCompleteInit(st, carrier.CarriedInit())
+		// Still fetching bodies: hold the message for finishInit, since a
+		// dropped request or batch would stall the instance until a timer.
+		if len(st.held) < maxHeld {
+			st.held = append(st.held, transport.Envelope{From: from, Payload: payload})
 		}
-		if !st.Initialized {
-			return
-		}
+		return
 	}
 	proto := h.protocols[inst]
 	if proto == nil {

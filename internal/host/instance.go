@@ -9,6 +9,7 @@ import (
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
+	"abstractbft/internal/transport"
 )
 
 // tsState is one client's timestamp window: the high-water mark (the highest
@@ -133,10 +134,10 @@ type InstanceState struct {
 	// change, so a batch's RESPs share one base fold.
 	head authn.Digest
 
-	// pendingInit holds the init history awaiting missing request bodies.
-	pendingInit *core.InitHistory
-	// missing tracks digests whose bodies are not yet known locally.
+	// missing holds the adopted init history's digests whose bodies are not
+	// known locally yet; held, the protocol messages that arrived meanwhile.
 	missing map[authn.Digest]bool
+	held    []transport.Envelope
 	// cachedAbort caches the signed ABORT message once the instance stops.
 	cachedAbort *core.SignedAbort
 	// staleCtr / readmitCtr count timestamp-window rejections and window
@@ -346,10 +347,11 @@ func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, sta
 	return fresh, stale
 }
 
-// activate creates (and initializes, when possible) the state of instance id.
-// Callers hold the host lock. It returns nil when the activation is not
-// allowed (missing or invalid init history).
-func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceState {
+// activate creates (and initializes, when possible) the state of instance id
+// from init, the instance's InitMessage (nil for FirstInstance). Callers
+// hold the host lock. It returns nil when the activation is not allowed
+// (missing or invalid init history).
+func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceState {
 	if st, ok := h.instances[id]; ok {
 		return st
 	}
@@ -373,11 +375,15 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 		h.logf("cannot activate instance %d without init history", id)
 		return nil
 	default:
-		if err := core.VerifyInitHistory(h.keys, h.cluster, id, init); err != nil {
+		if err := core.VerifyInitHistory(h.keys, h.cluster, id, &init.Init); err != nil {
 			h.logf("rejecting init history for instance %d: %v", id, err)
 			return nil
 		}
-		h.adoptInit(st, init)
+		// Forward the verified history before anything of the instance
+		// leaves this replica: links are FIFO, so every peer can activate
+		// the instance before this replica's first message of it arrives.
+		h.Multicast(h.OtherReplicas(), init)
+		h.adoptInit(st, &init.Init)
 	}
 
 	h.instances[id] = st
@@ -395,7 +401,7 @@ func (h *Host) activate(id core.InstanceID, init *core.InitHistory) *InstanceSta
 				// proof: which replicas' signed aborts justified it.
 				var reporters []ids.ProcessID
 				if init != nil {
-					for _, s := range init.Proof {
+					for _, s := range init.Init.Proof {
 						reporters = append(reporters, s.Abort.Replica)
 					}
 				}
@@ -443,24 +449,33 @@ func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
 		}
 	}
 	if len(st.missing) > 0 {
-		st.pendingInit = init
-		var want []authn.Digest
-		for d := range st.missing {
-			want = append(want, d)
-		}
-		h.Multicast(h.OtherReplicas(), &core.FetchRequest{Instance: st.ID, From: h.id, Digests: want})
+		h.sendFetch(st)
 		return
 	}
 	h.finishInit(st)
 }
 
-// tryCompleteInit re-examines a pending initialization when new information
-// (a retransmitted init history) arrives.
-func (h *Host) tryCompleteInit(st *InstanceState, init *core.InitHistory) {
-	if st.Initialized || st.pendingInit == nil {
+// handleInit adopts an InitMessage: it activates an unknown instance from it
+// (activate forwards it to the peers), or hands its bodies to completeInit.
+// A late InitMessage of a superseded instance must not roll the replica back.
+func (h *Host) handleInit(m *core.InitMessage) {
+	if st := h.instances[m.Instance]; st != nil {
+		h.completeInit(st, m.Init.Requests)
 		return
 	}
-	for _, r := range init.Requests {
+	if m.Instance > h.active {
+		h.activate(m.Instance, m)
+	}
+}
+
+// completeInit stores the bodies among reqs that st's initialization misses,
+// and completes it once none is left. Any other body is dropped: a peer
+// cannot make the replica keep what no history of its own names.
+func (h *Host) completeInit(st *InstanceState, reqs []msg.Request) {
+	if len(st.missing) == 0 {
+		return
+	}
+	for _, r := range reqs {
 		if d := r.Digest(); st.missing[d] {
 			h.keepBody(d, r.Clone(), st.AbsLen())
 			delete(st.missing, d)
@@ -471,10 +486,31 @@ func (h *Host) tryCompleteInit(st *InstanceState, init *core.InitHistory) {
 	}
 }
 
+// sendFetch multicasts a FETCH for the request bodies st's pending
+// initialization is missing (§4.4).
+func (h *Host) sendFetch(st *InstanceState) {
+	want := make([]authn.Digest, 0, len(st.missing))
+	for d := range st.missing {
+		want = append(want, d)
+	}
+	h.Multicast(h.OtherReplicas(), &core.FetchRequest{Instance: st.ID, From: h.id, Digests: want})
+}
+
+// tickFetch re-sends, every protocol tick, the FETCH of each initialization
+// still missing bodies, as tickSync retries FETCH-STATE, so a lost FETCH or
+// response cannot strand it. A stopped instance was superseded.
+func (h *Host) tickFetch() {
+	for _, st := range h.instances {
+		if len(st.missing) > 0 && !st.Stopped {
+			h.sendFetch(st)
+		}
+	}
+}
+
 // finishInit completes initialization once every request body referenced by
-// the init history is available locally.
+// the init history is available locally, then delivers the protocol
+// messages held meanwhile.
 func (h *Host) finishInit(st *InstanceState) {
-	st.pendingInit = nil
 	st.missing = nil
 	st.Initialized = true
 
@@ -501,6 +537,13 @@ func (h *Host) finishInit(st *InstanceState) {
 	}
 	h.takeActivationSnapshot()
 	h.noteActivated(st.ID)
+	held := st.held
+	st.held = nil
+	if proto := h.protocols[st.ID]; proto != nil {
+		for _, env := range held {
+			proto.Handle(env.From, env.Payload)
+		}
+	}
 }
 
 // takeActivationSnapshot records the application state at instance

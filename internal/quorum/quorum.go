@@ -24,18 +24,12 @@ import (
 type RequestMessage struct {
 	Instance core.InstanceID
 	Req      msg.Request
-	// Init carries the init history on the client's first invocation of the
-	// instance.
-	Init *core.InitHistory
 	// Auth is the client's MAC authenticator over the request and instance.
 	Auth authn.Authenticator
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *RequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // BatchRequestMessage is the batched REQ message a pipelining client
 // multicasts to every replica: several of its own in-flight requests ordered
@@ -44,18 +38,12 @@ func (m *RequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 type BatchRequestMessage struct {
 	Instance core.InstanceID
 	Batch    msg.Batch
-	// Init carries the init history on the client's first invocation of the
-	// instance.
-	Init *core.InitHistory
 	// Auth is the client's MAC authenticator over the batch and instance.
 	Auth authn.Authenticator
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *BatchRequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *BatchRequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // Replica implements Step Q2 on one replica for one Abstract instance.
 type Replica struct {
@@ -207,7 +195,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	}
 	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
+	m := &RequestMessage{Instance: c.id, Req: req, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 
 	out, committed, err := core.AwaitSpeculativeCommit(ctx, c.env, c.id, req, c.env.Timer(2))
@@ -239,7 +227,7 @@ func (c *Client) InvokeBatch(ctx context.Context, reqs []msg.Request, init *core
 	}
 	authBytes := core.ClientAuthBytes(c.id, batch.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Init: init, Auth: auth}
+	m := &BatchRequestMessage{Instance: c.id, Batch: batch, Auth: auth}
 	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
 
 	outs, _, err := core.AwaitBatchSpeculativeCommit(ctx, c.env, c.id, reqs, c.env.Timer(2))

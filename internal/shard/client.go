@@ -80,7 +80,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 			c.pipelined = append(c.pipelined, pc)
 			continue
 		}
-		comp, err := core.NewComposer(cfg.NewInstanceFactory(env))
+		comp, err := core.NewComposer(env, cfg.NewInstanceFactory(env))
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("shard: client for shard %d: %w", s, err)

@@ -78,7 +78,11 @@ func wirePayloads() []any {
 	ca := authn.ChainAuthenticator{Entries: []authn.ChainAuthEntry{
 		{Signer: ids.Replica(0), Receiver: ids.Replica(1), MAC: mac},
 	}}
-	init := &core.InitHistory{
+	signed := core.SignedAbort{
+		Abort: core.AbortMessage{Instance: 1, Replica: ids.Replica(2), Timestamp: 7, Next: 2},
+		Sig:   authn.Signature("sig-bytes"),
+	}
+	init := core.InitHistory{
 		From: 1,
 		For:  2,
 		Extract: history.ExtractResult{
@@ -86,10 +90,8 @@ func wirePayloads() []any {
 			BaseDigest: dig,
 			Suffix:     history.DigestHistory{dig, authn.Hash([]byte("d2"))},
 		},
-	}
-	signed := core.SignedAbort{
-		Abort: core.AbortMessage{Instance: 1, Replica: ids.Replica(2), Timestamp: 7, Next: 2},
-		Sig:   authn.Signature("sig-bytes"),
+		Proof:    []core.SignedAbort{signed},
+		Requests: []msg.Request{req},
 	}
 
 	// Traced variants: a head-sampled request (trace context stamped by the
@@ -102,14 +104,14 @@ func wirePayloads() []any {
 	return []any{
 		// Request plane: per-protocol client and ordering messages, batched
 		// and degenerate, plus a Mencius-style null-op inside an ORDER.
-		&zlight.RequestMessage{Instance: 1, Req: req, Init: init, Auth: auth},
-		&zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac, Init: init},
+		&zlight.RequestMessage{Instance: 1, Req: req, Auth: auth},
+		&zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac},
 		&zlight.OrderMessage{Instance: 3, Batch: msg.BatchOf(nullOp), Seq: 9, Auths: []authn.Authenticator{{Sender: ids.NullOp}}, PrimaryMAC: mac},
-		&chain.Message{Instance: 2, Req: req, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca, Init: init},
-		&chain.BatchMessage{Instance: 2, Batch: batch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca, Init: init},
-		&quorum.RequestMessage{Instance: 1, Req: req, Init: init, Auth: auth},
-		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Init: init, Auth: auth},
-		&backup.RequestMessage{Instance: 3, Req: req, Init: init, Auth: auth},
+		&chain.Message{Instance: 2, Req: req, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
+		&chain.BatchMessage{Instance: 2, Batch: batch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca},
+		&quorum.RequestMessage{Instance: 1, Req: req, Auth: auth},
+		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Auth: auth},
+		&backup.RequestMessage{Instance: 3, Req: req, Auth: auth},
 		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
 
 		// The inner PBFT engine's messages (Backup wraps them, but they have
@@ -126,7 +128,7 @@ func wirePayloads() []any {
 
 		// The composition layer: panic/abort, checkpointing, body fetch, and
 		// the shared speculative RESP.
-		&core.PanicMessage{Instance: 1, Client: ids.Client(3), Timestamp: 7, Init: init},
+		&core.PanicMessage{Instance: 1, Client: ids.Client(3), Timestamp: 7},
 		&core.AbortReply{Instance: 1, Timestamp: 7, Signed: signed},
 		&core.CheckpointMessage{From: ids.Replica(1), AbstractID: 2, Counter: 3, StateDigest: dig},
 		&core.FetchRequest{Instance: 1, From: ids.Replica(2), Digests: []authn.Digest{dig}},
@@ -158,7 +160,7 @@ func wirePayloads() []any {
 		// Trace-context propagation: the same carriers with sampled requests
 		// and batches (flags-byte trace block on requests, high-bit count
 		// marker on batches) must round-trip the context.
-		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Init: init, Auth: auth},
+		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
 		&zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&chain.Message{Instance: 2, Req: tracedReq, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
 		&chain.BatchMessage{Instance: 2, Batch: tracedBatch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca},
@@ -175,6 +177,10 @@ func wirePayloads() []any {
 		// loop consumes handshake frames instead of delivering them.
 		&transport.ConnChallenge{Nonce: []byte("nonce-0123456789")},
 		&transport.ConnProof{Proof: mac},
+
+		// The one carrier of init histories (appended last, so no earlier
+		// payload's ID moves).
+		&core.InitMessage{Instance: 2, Init: init},
 	}
 }
 
@@ -301,8 +307,8 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 		t.Fatalf("marshal plain: %v", err)
 	}
 	// tag + instance + request (client + timestamp + flags byte + command) +
-	// nil-init marker + empty authenticator (sender + entry count).
-	wantLen := 2 + 8 + (4 + 8 + 1 + 4 + len(plainReq.Command)) + 1 + (4 + 4)
+	// empty authenticator (sender + entry count).
+	wantLen := 2 + 8 + (4 + 8 + 1 + 4 + len(plainReq.Command)) + (4 + 4)
 	if len(plain) != wantLen {
 		t.Errorf("untraced request message: %d bytes, want %d (untraced requests must pay zero trace bytes)", len(plain), wantLen)
 	}

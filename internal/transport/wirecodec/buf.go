@@ -12,7 +12,7 @@
 //	envelope:= i32 from | i32 to | payload
 //	payload := u16 tag | fields             (tag from types.go's table)
 //
-// Fields are fixed-width big-endian integers, single presence/boolean bytes,
+// Fields are fixed-width big-endian integers, single boolean bytes,
 // u32-length-prefixed byte strings, and u32-count-prefixed element sequences.
 // Digests and MACs are raw 32-byte values. Nested `any` fields (shard marks,
 // backup wraps, packs) recurse into payload with a depth cap.

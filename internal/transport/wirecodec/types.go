@@ -54,13 +54,15 @@ const (
 	tagPBFTViewChange uint16 = 25
 	tagPBFTNewView    uint16 = 26
 
-	// The composition layer (panicking, checkpoints, fetch, RESP).
+	// The composition layer (panicking, checkpoints, fetch, RESP, init
+	// histories).
 	tagPanic      uint16 = 30
 	tagAbortReply uint16 = 31
 	tagCheckpoint uint16 = 32
 	tagFetchReq   uint16 = 33
 	tagFetchResp  uint16 = 34
 	tagResp       uint16 = 35
+	tagInit       uint16 = 36
 
 	// The state-transfer plane.
 	tagFetchState uint16 = 40
@@ -426,14 +428,10 @@ func decodeSignedAbort(r *reader) core.SignedAbort {
 	return s
 }
 
-// appendInit encodes a nullable init history behind a presence byte.
+// appendInit encodes an init history.
 //
 //abstractbft:noalloc
 func appendInit(b []byte, init *core.InitHistory) []byte {
-	if init == nil {
-		return appendU8(b, 0)
-	}
-	b = appendU8(b, 1)
 	b = appendU64(b, uint64(init.From))
 	b = appendU64(b, uint64(init.For))
 	b = appendExtract(b, init.Extract)
@@ -444,11 +442,8 @@ func appendInit(b []byte, init *core.InitHistory) []byte {
 	return appendRequests(b, init.Requests)
 }
 
-func decodeInit(r *reader) *core.InitHistory {
-	if !r.bool() || r.err != nil {
-		return nil
-	}
-	init := &core.InitHistory{}
+func decodeInit(r *reader) core.InitHistory {
+	var init core.InitHistory
 	init.From = core.InstanceID(r.u64())
 	init.For = core.InstanceID(r.u64())
 	init.Extract = decodeExtract(r)
@@ -460,9 +455,6 @@ func decodeInit(r *reader) *core.InitHistory {
 		}
 	}
 	init.Requests = decodeRequests(r)
-	if r.err != nil {
-		return nil
-	}
 	return init
 }
 
@@ -620,7 +612,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU16(b, tagZLightRequest)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendRequest(b, m.Req)
-		b = appendInit(b, m.Init)
 		return appendAuth(b, m.Auth), nil
 	case *zlight.OrderMessage:
 		b = appendU16(b, tagZLightOrder)
@@ -628,8 +619,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendBatch(b, m.Batch)
 		b = appendU64(b, m.Seq)
 		b = appendAuths(b, m.Auths)
-		b = appendMAC(b, m.PrimaryMAC)
-		return appendInit(b, m.Init), nil
+		return appendMAC(b, m.PrimaryMAC), nil
 	case *chain.Message:
 		b = appendU16(b, tagChainMessage)
 		b = appendU64(b, uint64(m.Instance))
@@ -640,8 +630,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendBytes(b, m.Reply)
 		b = appendDigest(b, m.HistoryDigest)
 		b = appendDigestHistory(b, m.HistoryDigests)
-		b = appendChainAuth(b, m.CA)
-		return appendInit(b, m.Init), nil
+		return appendChainAuth(b, m.CA), nil
 	case *chain.BatchMessage:
 		b = appendU16(b, tagChainBatch)
 		b = appendU64(b, uint64(m.Instance))
@@ -651,25 +640,21 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendDigests(b, m.ReplyDigests)
 		b = appendDigest(b, m.HistoryDigest)
 		b = appendDigestHistory(b, m.HistoryDigests)
-		b = appendChainAuth(b, m.CA)
-		return appendInit(b, m.Init), nil
+		return appendChainAuth(b, m.CA), nil
 	case *quorum.RequestMessage:
 		b = appendU16(b, tagQuorumRequest)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendRequest(b, m.Req)
-		b = appendInit(b, m.Init)
 		return appendAuth(b, m.Auth), nil
 	case *quorum.BatchRequestMessage:
 		b = appendU16(b, tagQuorumBatch)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendBatch(b, m.Batch)
-		b = appendInit(b, m.Init)
 		return appendAuth(b, m.Auth), nil
 	case *backup.RequestMessage:
 		b = appendU16(b, tagBackupRequest)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendRequest(b, m.Req)
-		b = appendInit(b, m.Init)
 		return appendAuth(b, m.Auth), nil
 	case *backup.WrappedMessage:
 		b = appendU16(b, tagBackupWrapped)
@@ -714,8 +699,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU16(b, tagPanic)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendID(b, m.Client)
-		b = appendU64(b, m.Timestamp)
-		return appendInit(b, m.Init), nil
+		return appendU64(b, m.Timestamp), nil
 	case *core.AbortReply:
 		b = appendU16(b, tagAbortReply)
 		b = appendU64(b, uint64(m.Instance))
@@ -750,6 +734,10 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU64(b, m.HistoryLen)
 		b = appendDigestHistory(b, m.HistoryDigests)
 		return appendMAC(b, m.MAC), nil
+	case *core.InitMessage:
+		b = appendU16(b, tagInit)
+		b = appendU64(b, uint64(m.Instance))
+		return appendInit(b, &m.Init), nil
 
 	case *statesync.FetchState:
 		b = appendU16(b, tagFetchState)
@@ -824,7 +812,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m := &zlight.RequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Req = decodeRequest(r)
-		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
 		return m
 	case tagZLightOrder:
@@ -834,7 +821,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Seq = r.u64()
 		m.Auths = decodeAuths(r)
 		m.PrimaryMAC = r.mac()
-		m.Init = decodeInit(r)
 		return m
 	case tagChainMessage:
 		m := &chain.Message{}
@@ -847,7 +833,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.HistoryDigest = r.digest()
 		m.HistoryDigests = decodeDigestHistory(r)
 		m.CA = decodeChainAuth(r)
-		m.Init = decodeInit(r)
 		return m
 	case tagChainBatch:
 		m := &chain.BatchMessage{}
@@ -859,27 +844,23 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.HistoryDigest = r.digest()
 		m.HistoryDigests = decodeDigestHistory(r)
 		m.CA = decodeChainAuth(r)
-		m.Init = decodeInit(r)
 		return m
 	case tagQuorumRequest:
 		m := &quorum.RequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Req = decodeRequest(r)
-		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
 		return m
 	case tagQuorumBatch:
 		m := &quorum.BatchRequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Batch = decodeBatch(r)
-		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
 		return m
 	case tagBackupRequest:
 		m := &backup.RequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Req = decodeRequest(r)
-		m.Init = decodeInit(r)
 		m.Auth = decodeAuth(r)
 		return m
 	case tagBackupWrapped:
@@ -933,7 +914,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Instance = core.InstanceID(r.u64())
 		m.Client = r.id()
 		m.Timestamp = r.u64()
-		m.Init = decodeInit(r)
 		return m
 	case tagAbortReply:
 		m := &core.AbortReply{}
@@ -973,6 +953,11 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.HistoryLen = r.u64()
 		m.HistoryDigests = decodeDigestHistory(r)
 		m.MAC = r.mac()
+		return m
+	case tagInit:
+		m := &core.InitMessage{}
+		m.Instance = core.InstanceID(r.u64())
+		m.Init = decodeInit(r)
 		return m
 
 	case tagFetchState:

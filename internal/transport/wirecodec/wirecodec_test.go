@@ -48,7 +48,7 @@ func samplePayloads() []any {
 	tracedReq := msg.Request{Client: ids.Client(5), Timestamp: 11, Command: []byte("cmd-t"),
 		Trace: obs.TraceContext{TraceID: 0xabcdef0112345678, Parent: 0xabcdef0112345678}}
 	return []any{
-		&zlight.RequestMessage{Instance: 1, Req: req, Init: init, Auth: auth},
+		&zlight.RequestMessage{Instance: 1, Req: req, Auth: auth},
 		&zlight.OrderMessage{Instance: 1, Batch: msg.BatchOf(req), Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
 		&zlight.OrderMessage{Instance: 2, Batch: msg.BatchOf(tracedReq, req), Seq: 6, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
@@ -70,6 +70,7 @@ func samplePayloads() []any {
 		// where they get round-trip, truncation, and mutation coverage.
 		&transport.ConnChallenge{Nonce: []byte("nonce-0123456789")},
 		&transport.ConnProof{Proof: mac},
+		&core.InitMessage{Instance: 2, Init: *init},
 	}
 }
 
@@ -111,7 +112,7 @@ func TestOversizedLengthPrefix(t *testing.T) {
 // TestUnknownTagErrors checks that unassigned type tags fail with
 // ErrUnknownTag instead of panicking or guessing.
 func TestUnknownTagErrors(t *testing.T) {
-	for _, tag := range []uint16{0, 4, 9, 18, 27, 36, 42, 999, 0xFFFF} {
+	for _, tag := range []uint16{0, 4, 9, 18, 27, 37, 42, 999, 0xFFFF} {
 		buf := binary.BigEndian.AppendUint16(nil, tag)
 		_, err := wirecodec.UnmarshalWire(buf)
 		if !errors.Is(err, wirecodec.ErrUnknownTag) {

@@ -31,7 +31,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	}
 	authBytes := core.ClientAuthBytes(c.id, req.Digest())
 	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: c.id, Req: req, Init: init, Auth: auth}
+	m := &RequestMessage{Instance: c.id, Req: req, Auth: auth}
 	c.env.Endpoint.Send(c.env.Cluster.Head(), m)
 
 	out, committed, err := core.AwaitSpeculativeCommit(ctx, c.env, c.id, req, c.env.Timer(3))

@@ -23,9 +23,6 @@ import (
 type RequestMessage struct {
 	Instance core.InstanceID
 	Req      msg.Request
-	// Init carries the init history on the client's first invocation of the
-	// instance (Step Z1+).
-	Init *core.InitHistory
 	// Auth is the client's MAC authenticator over the request and instance,
 	// with one entry per replica.
 	Auth authn.Authenticator
@@ -33,9 +30,6 @@ type RequestMessage struct {
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *RequestMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // OrderMessage is the ORDER message the primary sends to the other replicas
 // (Step Z2): an ordered batch of requests, the sequence number of the batch's
@@ -56,16 +50,10 @@ type OrderMessage struct {
 	// PrimaryMAC authenticates the ORDER (instance, sequence span, and batch
 	// digest) from the primary to the destination replica.
 	PrimaryMAC authn.MAC
-	// Init forwards an init history so uninitialized replicas can initialize
-	// (Step Z3+).
-	Init *core.InitHistory
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *OrderMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// CarriedInit implements core.InitCarrier.
-func (m *OrderMessage) CarriedInit() *core.InitHistory { return m.Init }
 
 // OrderBytes returns the bytes covered by the primary's single MAC in an
 // ORDER message: the instance, the position of the batch's first request, and

@@ -92,7 +92,7 @@ func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
 		}
 		return
 	}
-	r.batcher.Add(host.BatchItem{Req: m.Req, Digest: digest, Auth: m.Auth, Init: m.Init})
+	r.batcher.Add(host.BatchItem{Req: m.Req, Digest: digest, Auth: m.Auth})
 }
 
 // orderBatch implements Step Z2 for one flushed batch (primary only): assign
@@ -127,9 +127,6 @@ func (r *Replica) orderBatch(items []host.BatchItem) {
 	order := &OrderMessage{Instance: r.st.ID, Batch: batch, Seq: start, Auths: make([]authn.Authenticator, len(fresh))}
 	for i, it := range fresh {
 		order.Auths[i] = it.Auth
-		if order.Init == nil && it.Init != nil {
-			order.Init = it.Init
-		}
 		r.lastOrder[it.Req.Client] = order
 	}
 	r.multicastOrder(order, msg.DigestOf(digests))
