@@ -10,9 +10,9 @@
 //
 // A crash-restarted process rejoins with -recover: it collects the
 // f+1-agreed merged boundary from its live peers, restores the merged
-// mirror, and state-syncs every shard via the FETCH-STATE transfer, with the
-// automatic re-agreement retry re-pinning the sync if live traffic prunes
-// the pinned boundary:
+// mirror, and state-syncs every shard via the FETCH-STATE transfer,
+// re-pinning the sync at every newer agreement if live traffic prunes the
+// pinned boundary:
 //
 //	go run ./cmd/replica -topology cluster.json -id 0 -recover
 package main
@@ -133,17 +133,8 @@ func runTopology(path string, id int, recoverOpt bool, recoverTO time.Duration, 
 			log.Fatalf("recover: %v", err)
 		}
 		cancel()
-		// The per-shard transfers complete asynchronously (the re-agreement
-		// monitor re-pins them if live traffic prunes the pinned boundary);
-		// log the moment the node is fully caught up so operators and
-		// harnesses can see recovery complete.
-		go func() {
-			for node.Syncing() {
-				time.Sleep(20 * time.Millisecond)
-			}
-			seq, _, _ := node.Exec.MergedSnapshot()
-			log.Printf("replica %v recovered: all shards synced, merged seq %d", self, seq)
-		}()
+		// The per-shard transfers complete asynchronously; the node logs
+		// "recovered: all shards synced" once every shard has caught up.
 	} else {
 		node.Start()
 	}

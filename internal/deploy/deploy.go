@@ -53,16 +53,6 @@ type Config struct {
 	Network transport.Options
 	// CheckpointInterval is CHK (0 = default 128, negative = disabled).
 	CheckpointInterval int
-	// ShardNullOpInterval is the sharded plane's idle-shard null-op probe
-	// period (0 = shard.DefaultNullOpInterval, negative = disabled).
-	ShardNullOpInterval time.Duration
-	// RecoverRetryInterval is the sharded recovery plane's poll period:
-	// merged-boundary collection rounds and the re-agreement retry that
-	// re-pins a pruned pinned sync (0 = shard.DefaultRecoverRetryInterval).
-	RecoverRetryInterval time.Duration
-	// RecoverTimeout bounds how long RestartNode waits for an f+1-agreed
-	// merged boundary among the live peers (0 = 15s).
-	RecoverTimeout time.Duration
 	// InstrumentHistories enables the specification checker instrumentation.
 	InstrumentHistories bool
 	// Checker optionally records client events for the specification

@@ -23,14 +23,13 @@ import (
 // replies for null-ops) never notice.
 func TestIdleShardNullOpsAdvanceMerge(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:                   1,
-		NewApp:              func() app.Application { return app.NewKVStore() },
-		Composition:         compose.MustNew("azyzzyva", compose.Options{}),
-		Delta:               50 * time.Millisecond,
-		Shards:              2,
-		KeyExtractor:        shard.KVKeyExtractor,
-		ShardEpoch:          2,
-		ShardNullOpInterval: time.Millisecond,
+		F:            1,
+		NewApp:       func() app.Application { return app.NewKVStore() },
+		Composition:  compose.MustNew("azyzzyva", compose.Options{}),
+		Delta:        50 * time.Millisecond,
+		Shards:       2,
+		KeyExtractor: shard.KVKeyExtractor,
+		ShardEpoch:   2,
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)

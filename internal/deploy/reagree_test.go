@@ -16,17 +16,15 @@ import (
 )
 
 // TestRestartNodeWithoutQuorumFailsCleanly: when fewer than f+1 live peers
-// can vouch for a merged boundary, RestartNode must fail within
-// RecoverTimeout — and the never-started replacement node must still stop
-// cleanly (host.Stop used to block forever on an event loop that never ran).
+// can vouch for a merged boundary, RestartNode must fail when its context
+// ends — and the never-started replacement node must still stop cleanly
+// (host.Stop used to block forever on an event loop that never ran).
 func TestRestartNodeWithoutQuorumFailsCleanly(t *testing.T) {
 	cluster, err := NewSharded(Config{
-		F:                    1,
-		NewApp:               func() app.Application { return app.NewKVStore() },
-		Composition:          compose.MustNew("azyzzyva", compose.Options{}),
-		Shards:               2,
-		RecoverTimeout:       400 * time.Millisecond,
-		RecoverRetryInterval: 25 * time.Millisecond,
+		F:           1,
+		NewApp:      func() app.Application { return app.NewKVStore() },
+		Composition: compose.MustNew("azyzzyva", compose.Options{}),
+		Shards:      2,
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -35,7 +33,9 @@ func TestRestartNodeWithoutQuorumFailsCleanly(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cluster.Nodes[i].Stop()
 	}
-	if _, err := cluster.RestartNode(3); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 400*time.Millisecond)
+	defer cancel()
+	if _, err := cluster.RestartNode(ctx, 3); err == nil {
 		t.Fatal("RestartNode succeeded with no live peers")
 	}
 	// The failed (never-started) node and the network must tear down without
@@ -64,10 +64,10 @@ func TestRestartNodeWithoutQuorumFailsCleanly(t *testing.T) {
 // stops a node, drives traffic until every live peer's retention floor has
 // advanced far past that boundary (the pinned snapshot is then provably
 // pruned), and only then recovers a fresh node pinned at the stale boundary
-// — with traffic still flowing. Only the re-agreement monitor (re-collect a
-// newer f+1-agreed boundary over the control plane, re-restore the merged
-// mirror, re-pin the syncs) lets the node converge; verified failing with
-// the monitor disabled.
+// — with traffic still flowing. Only the node loop's newer-boundary branch
+// (re-collect a newer f+1-agreed boundary over the control plane,
+// re-restore the merged mirror, re-pin the syncs) lets the node converge;
+// verified failing with that branch removed.
 func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	cluster, err := NewSharded(Config{
 		F:           1,
@@ -75,12 +75,11 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 		Composition: compose.MustNew("azyzzyva", compose.Options{}),
 		// Generous delta: the recovering replica's absence stalls clients
 		// instead of panicking them into instance switches.
-		Delta:                2 * time.Second,
-		Shards:               2,
-		KeyExtractor:         shard.KVKeyExtractor,
-		ShardEpoch:           1,
-		CheckpointInterval:   4,
-		RecoverRetryInterval: 25 * time.Millisecond,
+		Delta:              2 * time.Second,
+		Shards:             2,
+		KeyExtractor:       shard.KVKeyExtractor,
+		ShardEpoch:         1,
+		CheckpointInterval: 4,
 	})
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -165,9 +164,10 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	}
 
 	// Crash node 3 and recover a fresh one pinned at the stale (pruned)
-	// boundary, with traffic still flowing. Recover starts the re-agreement
-	// monitor; the stalled pins must re-collect a newer f+1-agreed boundary
-	// over the control plane and re-pin until the transfers complete.
+	// boundary, with traffic still flowing. The node loop keeps collecting
+	// while the syncs run; the stalled pins must re-collect a newer
+	// f+1-agreed boundary over the control plane and re-pin until the
+	// transfers complete.
 	cluster.Nodes[3].Stop()
 	cluster.Net.ResetEndpoint(ids.Replica(3))
 	n := cluster.buildNode(ids.Replica(3))

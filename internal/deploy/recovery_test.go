@@ -254,7 +254,9 @@ func TestShardedNodeRestart(t *testing.T) {
 		t.Fatalf("live nodes did not settle on one merged boundary (node0 at %d)", preSeq)
 	}
 
-	restarted, err := cluster.RestartNode(3)
+	restartCtx, restartCancel := context.WithTimeout(ctx, 15*time.Second)
+	defer restartCancel()
+	restarted, err := cluster.RestartNode(restartCtx, 3)
 	if err != nil {
 		t.Fatalf("RestartNode: %v", err)
 	}

@@ -2,7 +2,6 @@ package deploy
 
 import (
 	"context"
-	"time"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
@@ -68,16 +67,14 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 		NewProtocol: func(sh int, cl ids.Cluster) host.ProtocolFactory {
 			return cfg.Composition.ReplicaFactory(cl)
 		},
-		Batch:                cfg.Batch,
-		Epoch:                cfg.ShardEpoch,
-		NullOpInterval:       cfg.ShardNullOpInterval,
-		RecoverRetryInterval: cfg.RecoverRetryInterval,
-		CheckpointInterval:   cfg.CheckpointInterval,
-		InstrumentHistories:  cfg.InstrumentHistories,
-		TickInterval:         cfg.TickInterval,
-		Metrics:              cfg.Metrics,
-		Tracer:               cfg.Tracer,
-		ProtocolName:         cfg.Composition.ProtocolOf,
+		Batch:               cfg.Batch,
+		Epoch:               cfg.ShardEpoch,
+		CheckpointInterval:  cfg.CheckpointInterval,
+		InstrumentHistories: cfg.InstrumentHistories,
+		TickInterval:        cfg.TickInterval,
+		Metrics:             cfg.Metrics,
+		Tracer:              cfg.Tracer,
+		ProtocolName:        cfg.Composition.ProtocolOf,
 	})
 }
 
@@ -90,25 +87,15 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 // across collection rounds so a plane moving under traffic still converges),
 // restores the merged mirror there, and state-syncs every per-shard sub-host
 // pinned at or below the boundary so the mirror's suffix feeds without a
-// gap. The per-shard transfers complete asynchronously under the
-// re-agreement monitor (poll Node.Syncing). It fails when no f+1 agreement
-// forms within Config.RecoverTimeout (fewer than f+1 live peers).
-func (s *Sharded) RestartNode(i int) (*shard.Node, error) {
-	old := s.Nodes[i]
-	old.Stop()
+// gap. The per-shard transfers complete asynchronously, re-pinned at every
+// newer agreement while they run (poll Node.Syncing). It fails when no f+1
+// agreement forms before ctx ends (fewer than f+1 live peers).
+func (s *Sharded) RestartNode(ctx context.Context, i int) (*shard.Node, error) {
+	s.Nodes[i].Stop()
 	s.Net.ResetEndpoint(ids.Replica(i))
 	n := s.buildNode(ids.Replica(i))
 	s.Nodes[i] = n
-	timeout := s.cfg.RecoverTimeout
-	if timeout <= 0 {
-		timeout = 15 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := n.RecoverFromPeers(ctx); err != nil {
-		return n, err
-	}
-	return n, nil
+	return n, n.RecoverFromPeers(ctx)
 }
 
 // Stop shuts down every node and the network.

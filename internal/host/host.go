@@ -301,15 +301,7 @@ func (h *Host) Multicast(tos []ids.ProcessID, m any) { transport.Multicast(h.ep,
 func (h *Host) SendBatch(to ids.ProcessID, ms []any) { transport.SendBatch(h.ep, to, ms) }
 
 // OtherReplicas returns the identifiers of all replicas except this one.
-func (h *Host) OtherReplicas() []ids.ProcessID {
-	var out []ids.ProcessID
-	for _, r := range h.cluster.Replicas() {
-		if r != h.id {
-			out = append(out, r)
-		}
-	}
-	return out
-}
+func (h *Host) OtherReplicas() []ids.ProcessID { return h.cluster.Others(h.id) }
 
 func (h *Host) logf(format string, args ...any) {
 	if h.cfg.Logger != nil {

@@ -278,7 +278,7 @@ func (h *Host) startStateSync(inst core.InstanceID, seq uint64) {
 	if h.sync != nil && h.sync.inst == inst && h.sync.seq == seq {
 		return
 	}
-	col := statesync.NewCollector(h.cluster.F)
+	col := statesync.NewCollector(h.cluster)
 	if seq > 0 {
 		col.ExpectAtOrBelow(seq)
 	}

@@ -105,6 +105,18 @@ func (c Cluster) Replicas() []ProcessID {
 	return out
 }
 
+// Others returns every replica of the cluster except self, in ascending
+// index order (a fresh slice: callers may keep or modify it).
+func (c Cluster) Others(self ProcessID) []ProcessID {
+	out := make([]ProcessID, 0, c.N)
+	for _, r := range c.Replicas() {
+		if r != self {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // Quorum returns the size of a Byzantine quorum (2f+1) for the cluster.
 func (c Cluster) Quorum() int { return 2*c.F + 1 }
 

@@ -194,9 +194,11 @@ func (e *Executor) OnLogged(shard int, pos uint64, req msg.Request) {
 // replaced from position `from` on (an adopted init history at an instance
 // switch): buffered speculative entries at or beyond it are dropped, so the
 // adopted values re-fed right after take their place instead of losing the
-// first-win race to a rolled-back tail. Positions already merged are beyond
-// repair here — they were merged identically on every replica that merged
-// them — so only the un-merged buffered tail is replaced.
+// first-win race to a rolled-back tail. Only the un-merged buffered tail is
+// replaced: a rolled-back entry the merge loop merged before the reset was
+// drained stays in the mirror, which then diverges from every replica that
+// merged the agreed value (TestExecutorResetBelowPopped fails this way when
+// the merge loop wins the race, seen under -race on a loaded machine).
 func (e *Executor) OnReset(shard int, from uint64) {
 	e.feed(loggedRequest{shard: shard, pos: from, reset: true})
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"log"
-	"sync"
 	"time"
 
 	"abstractbft/internal/app"
@@ -41,17 +40,6 @@ type NodeConfig struct {
 	Batch host.BatchPolicy
 	// Epoch is the execution stage's merge round length (0 = DefaultEpoch).
 	Epoch int
-	// NullOpInterval is how often the node probes the execution stage for
-	// lagging shards and asks the leaders it runs to order Mencius-style
-	// null-ops (one per lagging led shard per probe). 0 selects
-	// DefaultNullOpInterval; negative disables null-ops (an idle shard then
-	// stalls the merge, the pre-statesync behaviour).
-	NullOpInterval time.Duration
-	// RecoverRetryInterval is the poll period of the recovery control plane:
-	// the boundary-collection rounds of RecoverFromPeers and the
-	// re-agreement monitor that re-pins a stalled sync at a newer boundary.
-	// 0 selects DefaultRecoverRetryInterval.
-	RecoverRetryInterval time.Duration
 	// CheckpointInterval, InstrumentHistories, TickInterval and Logger are
 	// forwarded to every sub-host.
 	CheckpointInterval  int
@@ -67,23 +55,20 @@ type NodeConfig struct {
 	Tracer *obs.Tracer
 	// Flight, when non-nil, receives the node's protocol flight-recorder
 	// events: every sub-host's switches/aborts/checkpoints/statesync phases
-	// (shard-labelled) plus the recovery plane's re-agreements.
+	// (shard-labelled) plus the recovery plane's re-agreements and its
+	// completion.
 	Flight *obs.Flight
 	// ProtocolName, when non-nil, names the protocol of an instance for the
 	// compose_active_protocol gauge of every sub-host.
 	ProtocolName func(core.InstanceID) string
 }
 
-// DefaultNullOpInterval is the default idle-shard probe period: fast enough
-// that an idle shard delays a waiting merge round by a few milliseconds per
-// epoch position, slow enough to stay negligible next to real traffic.
-const DefaultNullOpInterval = 2 * time.Millisecond
-
-// DefaultRecoverRetryInterval is the default recovery-plane poll period:
-// short enough that a pruned pinned boundary re-pins within a few checkpoint
-// intervals of live traffic, long enough that collection rounds stay
-// negligible next to the transfers themselves.
-const DefaultRecoverRetryInterval = 100 * time.Millisecond
+// nullOpInterval is the node loop's tick and its idle-shard null-op probe
+// period: each tick asks the leaders this replica runs to order Mencius-style
+// null-ops for lagging shards (one per lagging led shard), so an idle shard
+// delays a waiting merge round by a few milliseconds per epoch position and
+// stays negligible next to real traffic.
+const nullOpInterval = 2 * time.Millisecond
 
 // Node is one physical replica of the sharded plane: S sub-hosts (one
 // complete Abstract composition replica per shard, each with a different
@@ -97,22 +82,11 @@ type Node struct {
 	// Exec is the node's asynchronous execution stage.
 	Exec *Executor
 
-	nullStop chan struct{}
-	nullDone chan struct{}
-
-	// Recovery control plane (recover.go): the control loop answering
-	// MergedQuery messages, the collector of an in-flight recovery, and the
-	// re-agreement monitor re-pinning stalled syncs.
-	ctrlOnce sync.Once
-	ctrlDone chan struct{}
-	recMu    sync.Mutex
-	rec      *mergedCollector
-	recAsks  int
-	// recPinned is the merged boundary the shard syncs are currently pinned
-	// at (guarded by recMu).
-	recPinned uint64
-	recStop   chan struct{}
-	recDone   chan struct{}
+	// joins hands the node loop (run) a Start, Recover or RecoverFromPeers
+	// request; stop ends the loop and done closes when it has returned.
+	joins chan *join
+	stop  chan struct{}
+	done  chan struct{}
 }
 
 // Lead returns the replica leading shard s (position 0 of the shard's
@@ -121,8 +95,9 @@ func Lead(cluster ids.Cluster, s int) ids.ProcessID {
 	return cluster.WithLead(s % cluster.N).Head()
 }
 
-// NewNode builds a sharded replica. Start must be called to begin
-// processing.
+// NewNode builds a sharded replica and starts its node loop, which answers
+// peers' merged-boundary queries from then on. Start (or Recover, or
+// RecoverFromPeers) must be called to begin processing.
 func NewNode(cfg NodeConfig) *Node {
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
@@ -140,6 +115,9 @@ func NewNode(cfg NodeConfig) *Node {
 			Metrics: cfg.Metrics,
 			Tracer:  cfg.Tracer,
 		}),
+		joins: make(chan *join),
+		stop:  make(chan struct{}),
+		done:  make(chan struct{}),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		s := s
@@ -176,106 +154,74 @@ func NewNode(cfg NodeConfig) *Node {
 		h.SetObserver(&execFeed{exec: n.Exec, shard: s})
 		n.Hosts = append(n.Hosts, h)
 	}
+	go n.run()
 	return n
 }
 
-// Start launches every sub-host's event loop, the recovery control loop
-// (answering peers' merged-boundary queries), and the idle-shard null-op
-// probe.
-func (n *Node) Start() {
-	n.startControl()
-	for _, h := range n.Hosts {
-		h.Start()
-	}
-	interval := n.cfg.NullOpInterval
-	if interval == 0 {
-		interval = DefaultNullOpInterval
-	}
-	if interval > 0 {
-		n.nullStop = make(chan struct{})
-		n.nullDone = make(chan struct{})
-		go n.runNullOps(interval)
-	}
-}
+// Start starts every sub-host's event loop; from then on the node loop also
+// runs the idle-shard null-op probe.
+func (n *Node) Start() { n.hand(&join{}) }
 
-// runNullOps periodically asks the leaders this replica runs to fill lagging
-// shards' epochs with null operations, so an idle shard does not stall the
-// cross-shard merge rounds other shards are waiting to complete.
-func (n *Node) runNullOps(interval time.Duration) {
-	defer close(n.nullDone)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-n.nullStop:
-			return
-		case <-ticker.C:
-			for _, s := range n.Exec.LaggingShards() {
-				if Lead(n.cfg.Cluster, s) == n.cfg.Replica {
-					n.Hosts[s].OrderNullOp()
-				}
-			}
-		}
-	}
-}
-
-// Stop terminates the sub-hosts, the re-agreement monitor, the router (which
-// ends the control loop), the null-op probe, and the execution stage.
+// Stop terminates the node loop, the sub-hosts, the router and the execution
+// stage.
 func (n *Node) Stop() {
+	close(n.stop)
+	<-n.done
 	for _, h := range n.Hosts {
 		h.Stop()
 	}
-	n.recMu.Lock()
-	recStop, recDone := n.recStop, n.recDone
-	n.recStop, n.recDone = nil, nil
-	n.recMu.Unlock()
-	if recStop != nil {
-		close(recStop)
-		<-recDone
-	}
-	if n.nullStop != nil {
-		close(n.nullStop)
-		<-n.nullDone
-	}
 	n.Router.Close()
-	if n.ctrlDone != nil {
-		<-n.ctrlDone
-	}
 	n.Exec.Stop()
 }
 
 // Host returns the sub-host of shard s.
 func (n *Node) Host(s int) *host.Host { return n.Hosts[s] }
 
-// Recover catches a freshly restarted node up to the live plane: it adopts a
-// peer's merged-mirror snapshot (the caller must have verified it against
-// f+1 peers — merged state is a pure function of the agreed per-shard
-// histories, so equal (seq, digest) across f+1 nodes pins it; RecoverFromPeers
-// performs that collection over the network), then starts the node and
-// state-syncs every sub-host from its peers, pinning each shard's snapshot
-// at or below the restored merge boundary so the suffix feeds seamlessly
-// into the restored mirror. It must be called instead of Start, before any
-// traffic reaches the node.
-//
-// The pinned boundary is fixed at call time, while the peers' GC retention
-// floor advances with their own merged mirrors; under heavy concurrent
-// traffic a peer can prune the pinned snapshot before f+1 responses land.
-// Recover therefore starts the re-agreement monitor: while any sub-host's
-// pinned sync is still in flight, the node keeps collecting the peers'
-// merged boundaries and, whenever a newer f+1-agreed one appears, restores
-// the mirror there and re-pins the syncs — a pruned pin re-collects and
-// re-pins instead of stalling.
-func (n *Node) Recover(mergedSeq uint64, mergedDigest authn.Digest, mergedApp []byte) error {
-	if err := n.Exec.RestoreMerged(mergedSeq, mergedDigest, mergedApp); err != nil {
-		return err
+// run is the node loop, the node's one control goroutine. It owns the
+// control endpoint and the recovery state (nodeLoop, recover.go): it answers
+// peers' MergedQuery messages, counts MergedState votes, starts the sub-hosts
+// once, and on every tick probes for lagging shards and, at the recovery
+// poll period, re-asks the peers while a recovery is in flight.
+func (n *Node) run() {
+	defer close(n.done)
+	l := &nodeLoop{n: n, ctrl: n.Router.Control(), peers: n.cfg.Cluster.Others(n.cfg.Replica)}
+	inbox := l.ctrl.Inbox()
+	tick := time.NewTicker(nullOpInterval)
+	defer tick.Stop()
+	ticks := 0
+	for {
+		var expired <-chan struct{}
+		if l.waiter != nil {
+			expired = l.waiter.ctx.Done()
+		}
+		select {
+		case <-n.stop:
+			return
+		case j := <-n.joins:
+			l.join(j)
+		case <-expired:
+			l.col = nil
+			l.answer(fmt.Errorf("shard: no f+1-agreed merged boundary among live peers: %w", l.waiter.ctx.Err()))
+		case env, ok := <-inbox:
+			if !ok {
+				inbox = nil
+				continue
+			}
+			l.control(env)
+		case <-tick.C:
+			ticks++
+			if l.started {
+				for _, s := range n.Exec.LaggingShards() {
+					if Lead(n.cfg.Cluster, s) == n.cfg.Replica {
+						n.Hosts[s].OrderNullOp()
+					}
+				}
+			}
+			if l.col != nil && ticks%pollTicks == 0 {
+				l.poll()
+			}
+		}
 	}
-	n.recMu.Lock()
-	n.recPinned = mergedSeq
-	n.recMu.Unlock()
-	n.Start()
-	n.pinShardSyncs(mergedSeq)
-	n.startReagreement()
-	return nil
 }
 
 // execFeed adapts the host observer to the execution stage: every logged

@@ -2,28 +2,36 @@ package shard
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"time"
+	"encoding/binary"
+	"errors"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
+	"abstractbft/internal/transport"
 )
 
 // This file implements the node-level recovery control plane: the messages
 // and vote collection a freshly restarted replica process uses to rejoin a
 // live sharded plane over any transport.Endpoint (TCP included), and the
-// automatic re-agreement retry that keeps a pinned per-shard state sync from
-// stalling when live peers' GC floors prune the pinned boundary under
-// continuous traffic.
+// re-agreement that keeps a pinned per-shard state sync from stalling when
+// live peers' GC floors prune the pinned boundary under continuous traffic.
 //
-// The in-process crash-restart harness used to collect the merged boundary
-// by calling Exec.MergedSnapshot on its peers directly — impossible across a
-// process boundary. MergedQuery/MergedState move that collection onto the
-// wire (the router's control channel, so it shares the one physical endpoint
-// with all S shards), and Node.RecoverFromPeers drives the whole rejoin:
-// collect an f+1-agreed merged boundary, restore the merged mirror, start
-// the sub-hosts, and pin each shard's FETCH-STATE at the restored boundary.
+// MergedQuery/MergedState carry the collection on the router's control
+// channel, so it shares the one physical endpoint with all S shards. The
+// node loop (Node.run) does all of it: collect an f+1-agreed merged
+// boundary, restore the merged mirror, start the sub-hosts, and pin each
+// shard's FETCH-STATE at the restored boundary — for the first agreement and
+// for every newer one that arrives while a shard still syncs.
+
+// pollTicks is the recovery poll period in node-loop ticks: 50 ticks of
+// nullOpInterval, 100 ms. While a recovery is in flight the node loop
+// re-asks its peers for their merged boundaries this often and checks
+// whether every shard has finished syncing, so under continuous traffic a
+// pruned pinned boundary re-pins within about one period of a newer
+// agreement. The ticker drops ticks while the loop is busy, so the period is
+// at least 100 ms. Each round makes every live peer serialize its merged
+// application to hash it, which is why the poll is not faster.
+const pollTicks = 50
 
 // MergedQuery asks a peer node for its merged-mirror state: the recovering
 // replica multicasts it on the control channel and accumulates the answers
@@ -45,9 +53,10 @@ type MergedQuery struct {
 // serialized merged application. Votes are keyed by (Seq, Digest, AppHash),
 // so a peer agreeing on the identity but shipping different bytes forms its
 // own group and cannot sneak a forged application state into an honest
-// agreement. Like statesync.State, the claimed sender is pinned to the
-// transport-level sender, so one Byzantine peer contributes at most one
-// vote.
+// agreement. The replica-to-replica envelope sender is not authenticated, so
+// the vote carries a MAC from the claimed responder to the querier: one
+// Byzantine process contributes at most its own vote, whatever identities it
+// claims.
 type MergedState struct {
 	// From is the responding replica.
 	From ids.ProcessID
@@ -58,12 +67,23 @@ type MergedState struct {
 	Digest authn.Digest
 	// AppHash is the hash of the serialized merged application at Seq.
 	AppHash authn.Digest
+	// MAC authenticates mergedVoteBytes(Seq, Digest, AppHash) from From to
+	// the querier.
+	MAC authn.MAC
 	// HasApp marks responses carrying the serialized application (the
 	// designated peer); an explicit flag because an application may
 	// legitimately serialize to zero bytes.
 	HasApp bool
 	// App is the serialized merged application (designated responses only).
 	App []byte
+}
+
+// mergedVoteBytes is the MAC input of a MergedState vote: seq‖digest‖appHash.
+func mergedVoteBytes(seq uint64, dig, appHash authn.Digest) (buf [8 + 2*authn.DigestSize]byte) {
+	binary.BigEndian.PutUint64(buf[:8], seq)
+	copy(buf[8:], dig[:])
+	copy(buf[8+authn.DigestSize:], appHash[:])
+	return buf
 }
 
 // mergedKey is the agreement identity of one merged boundary. The merged
@@ -81,49 +101,41 @@ type mergedKey struct {
 // catches f+1 peers at the same boundary — but every peer passes through
 // every round boundary, so distinct peers' reports of the same (seq, digest,
 // app-hash) accumulate into an agreement even when they were observed at
-// different times.
+// different times. Only the node loop touches it.
 type mergedCollector struct {
-	mu     sync.Mutex
 	need   int
 	votes  map[mergedKey]map[ids.ProcessID]bool
 	states map[mergedKey][]byte
-	has    map[mergedKey]bool
 }
 
-func newMergedCollector(f int) *mergedCollector {
+func newMergedCollector(cluster ids.Cluster) *mergedCollector {
 	return &mergedCollector{
-		need:   f + 1,
+		need:   cluster.WeakQuorum(),
 		votes:  make(map[mergedKey]map[ids.ProcessID]bool),
 		states: make(map[mergedKey][]byte),
-		has:    make(map[mergedKey]bool),
 	}
 }
 
-// add records one peer's vote; application bytes are kept only when they
-// hash to the claimed identity.
+// add records one peer's (authenticated) vote; application bytes are kept
+// only when they hash to the claimed identity.
 func (c *mergedCollector) add(m *MergedState) {
 	key := mergedKey{seq: m.Seq, dig: m.Digest, appHash: m.AppHash}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.votes[key] == nil {
 		c.votes[key] = make(map[ids.ProcessID]bool)
 	}
 	c.votes[key][m.From] = true
-	if m.HasApp && !c.has[key] && authn.Hash(m.App) == m.AppHash {
+	if _, ok := c.states[key]; !ok && m.HasApp && authn.Hash(m.App) == m.AppHash {
 		c.states[key] = m.App
-		c.has[key] = true
 	}
 }
 
 // best returns the highest boundary at or above minSeq that f+1 distinct
 // peers agree on and whose application bytes have arrived and verified.
 func (c *mergedCollector) best(minSeq uint64) (mergedKey, []byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var bestKey mergedKey
 	found := false
 	for key, vs := range c.votes {
-		if len(vs) < c.need || key.seq < minSeq || !c.has[key] {
+		if _, has := c.states[key]; len(vs) < c.need || key.seq < minSeq || !has {
 			continue
 		}
 		if !found || key.seq > bestKey.seq {
@@ -131,134 +143,232 @@ func (c *mergedCollector) best(minSeq uint64) (mergedKey, []byte, bool) {
 			found = true
 		}
 	}
-	if !found {
-		return mergedKey{}, nil, false
+	return bestKey, c.states[bestKey], found
+}
+
+// join is what Start, Recover and RecoverFromPeers hand the node loop.
+type join struct {
+	// ctx bounds the wait for a first agreement; nil is a plain Start.
+	ctx context.Context
+	// fixed marks Recover's caller-verified boundary (seq, dig, app);
+	// otherwise the loop collects one from the peers.
+	fixed bool
+	seq   uint64
+	dig   authn.Digest
+	app   []byte
+	done  chan error
+}
+
+var errStopped = errors.New("shard: node stopped")
+
+// hand passes j to the node loop and waits for its answer.
+func (n *Node) hand(j *join) error {
+	j.done = make(chan error, 1)
+	select {
+	case n.joins <- j:
+	case <-n.done:
+		return errStopped
 	}
-	return bestKey, c.states[bestKey], true
-}
-
-// startControl launches the node's control loop (idempotent): it answers
-// peers' MergedQuery messages from the live merged mirror and feeds
-// MergedState responses into the collector of an in-flight recovery.
-func (n *Node) startControl() {
-	n.ctrlOnce.Do(func() {
-		n.ctrlDone = make(chan struct{})
-		go n.runControl()
-	})
-}
-
-func (n *Node) runControl() {
-	defer close(n.ctrlDone)
-	ep := n.Router.Control()
-	for env := range ep.Inbox() {
-		switch m := env.Payload.(type) {
-		case *MergedQuery:
-			// Pin the claimed sender to the transport sender (one vote per
-			// distinct peer at the querier) and never answer clients.
-			if !m.From.IsReplica() || m.From != env.From || m.From == n.cfg.Replica {
-				continue
-			}
-			seq, dig, app := n.Exec.MergedSnapshot()
-			resp := &MergedState{From: n.cfg.Replica, Seq: seq, Digest: dig, AppHash: authn.Hash(app)}
-			if m.StateFrom == n.cfg.Replica {
-				resp.HasApp = true
-				resp.App = app
-			}
-			ep.Send(m.From, resp)
-		case *MergedState:
-			if !m.From.IsReplica() || m.From != env.From {
-				continue
-			}
-			n.recMu.Lock()
-			if n.rec != nil {
-				n.rec.add(m)
-			}
-			n.recMu.Unlock()
-		}
+	select {
+	case err := <-j.done:
+		return err
+	case <-n.done:
+		return errStopped
 	}
 }
 
-// peers returns the other replicas of the plane.
-func (n *Node) peers() []ids.ProcessID {
-	out := make([]ids.ProcessID, 0, n.cfg.Cluster.N-1)
-	for _, r := range n.cfg.Cluster.Replicas() {
-		if r != n.cfg.Replica {
-			out = append(out, r)
-		}
-	}
-	return out
+// nodeLoop is the state the node loop owns; no other goroutine touches it.
+type nodeLoop struct {
+	n       *Node
+	ctrl    transport.Endpoint
+	peers   []ids.ProcessID
+	started bool
+	// col collects merged votes while a recovery is in flight (nil
+	// otherwise); asks rotates the designated application shipper.
+	col  *mergedCollector
+	asks int
+	// waiter is the join still waiting for its first agreement.
+	waiter *join
+	// pinned is the boundary the shard syncs are pinned at; next is the
+	// lowest boundary a newer agreement may adopt.
+	pinned, next uint64
 }
 
-// askMerged multicasts one MergedQuery round, designating the next peer in
-// rotation to ship the serialized merged application.
-func (n *Node) askMerged() {
-	peers := n.peers()
-	if len(peers) == 0 {
+// join starts the sub-hosts (Start) or begins a recovery: Recover adopts its
+// boundary at once, RecoverFromPeers waits for an f+1 agreement. Either way
+// the loop keeps collecting until every shard has synced.
+func (l *nodeLoop) join(j *join) {
+	if j.ctx == nil {
+		l.start()
+		j.done <- nil
 		return
 	}
-	n.recMu.Lock()
-	designated := peers[n.recAsks%len(peers)]
-	n.recAsks++
-	n.recMu.Unlock()
-	ep := n.Router.Control()
-	q := &MergedQuery{From: n.cfg.Replica, StateFrom: designated}
-	for _, p := range peers {
-		ep.Send(p, q)
+	l.waiter = j
+	if l.col == nil {
+		l.col = newMergedCollector(l.n.cfg.Cluster)
+	}
+	if j.fixed {
+		l.adopt(j.seq, j.dig, j.app)
+	}
+	if l.col != nil {
+		l.ask()
 	}
 }
 
-// recoverInterval is the collection/re-agreement poll period.
-func (n *Node) recoverInterval() time.Duration {
-	if n.cfg.RecoverRetryInterval > 0 {
-		return n.cfg.RecoverRetryInterval
+// start starts every sub-host's event loop, once.
+func (l *nodeLoop) start() {
+	if l.started {
+		return
 	}
-	return DefaultRecoverRetryInterval
+	l.started = true
+	for _, h := range l.n.Hosts {
+		h.Start()
+	}
+}
+
+// answer replies to the waiting join.
+func (l *nodeLoop) answer(err error) {
+	l.waiter.done <- err
+	l.waiter = nil
+}
+
+// adopt is the one recovery step, for the first agreement and for every
+// newer one: restore the merged mirror at the boundary, start the sub-hosts
+// (once), and pin every shard's state transfer at or below the boundary so
+// the transferred suffix feeds seamlessly into the restored mirror.
+func (l *nodeLoop) adopt(seq uint64, dig authn.Digest, app []byte) {
+	n := l.n
+	if err := n.Exec.RestoreMerged(seq, dig, app); err != nil {
+		if l.waiter != nil {
+			l.col = nil
+			l.answer(err)
+			return
+		}
+		// A newer boundary behind the merged sequence only means this node
+		// merged past the sample; a later round collects a fresher one.
+		l.next = seq + 1
+		return
+	}
+	l.start()
+	n.pinShardSyncs(seq)
+	if l.waiter != nil {
+		l.answer(nil)
+	} else {
+		n.Exec.met.reagreed.Inc()
+		n.cfg.Flight.Record("reagree", -1, "re-agreed merged boundary %d (pinned %d was stalled)", seq, l.pinned)
+		n.logf("shard: re-agreed merged boundary %d (pinned %d was stalled)", seq, l.pinned)
+	}
+	l.pinned, l.next = seq, seq+1
+}
+
+// ask multicasts one MergedQuery round, designating the next peer in
+// rotation to ship the serialized merged application.
+func (l *nodeLoop) ask() {
+	if len(l.peers) == 0 {
+		return
+	}
+	q := &MergedQuery{From: l.n.cfg.Replica, StateFrom: l.peers[l.asks%len(l.peers)]}
+	l.asks++
+	for _, p := range l.peers {
+		l.ctrl.Send(p, q)
+	}
+}
+
+// poll runs every pollTicks ticks while a recovery is in flight. Once a boundary
+// is adopted, the recovery is complete when no shard syncs any more; while
+// one still does, a newer f+1-agreed boundary is adopted in its place (the
+// pinned one may have been pruned by the peers). Then it asks the peers
+// again.
+func (l *nodeLoop) poll() {
+	n := l.n
+	if l.waiter == nil {
+		if !n.Syncing() {
+			l.col = nil
+			seq := n.Exec.MergedSeq()
+			n.cfg.Flight.Record("recovered", -1, "all shards synced, merged seq %d", seq)
+			n.logf("replica %v recovered: all shards synced, merged seq %d", n.cfg.Replica, seq)
+			return
+		}
+		if key, app, ok := l.col.best(l.next); ok {
+			l.adopt(key.seq, key.dig, app)
+		}
+	}
+	l.ask()
+}
+
+// control handles one message of the control channel: it answers a peer's
+// MergedQuery from the live merged mirror and counts a MergedState vote.
+func (l *nodeLoop) control(env transport.Envelope) {
+	n := l.n
+	self := n.cfg.Replica
+	switch m := env.Payload.(type) {
+	case *MergedQuery:
+		// Pin the claimed sender to the transport sender and never answer
+		// clients.
+		if !m.From.IsReplica() || m.From != env.From || m.From == self {
+			return
+		}
+		seq, dig, app := n.Exec.MergedSnapshot()
+		appHash := authn.Hash(app)
+		data := mergedVoteBytes(seq, dig, appHash)
+		resp := &MergedState{From: self, Seq: seq, Digest: dig, AppHash: appHash, MAC: n.cfg.Keys.MAC(self, m.From, data[:])}
+		if m.StateFrom == self {
+			resp.HasApp = true
+			resp.App = app
+		}
+		l.ctrl.Send(m.From, resp)
+	case *MergedState:
+		if l.col == nil || !m.From.IsReplica() || m.From == self {
+			return
+		}
+		data := mergedVoteBytes(m.Seq, m.Digest, m.AppHash)
+		if n.cfg.Keys.VerifyMAC(m.From, self, data[:], m.MAC) != nil {
+			return
+		}
+		l.col.add(m)
+		// The first agreement is adopted as soon as it forms; newer ones
+		// wait for poll, which adopts them only while a shard still syncs.
+		if l.waiter == nil {
+			return
+		}
+		if key, app, ok := l.col.best(l.next); ok {
+			l.adopt(key.seq, key.dig, app)
+		}
+	}
+}
+
+// Recover catches a freshly restarted node up to the live plane from a
+// merged boundary the caller has verified against f+1 peers (merged state is
+// a pure function of the agreed per-shard histories, so equal (seq, digest)
+// across f+1 nodes pins it; RecoverFromPeers performs that collection over
+// the network). It must be called instead of Start, before any traffic
+// reaches the node.
+//
+// The node loop restores the merged mirror there, starts the sub-hosts and
+// pins every shard's state sync at the boundary. The peers' GC retention
+// floors advance with their own merged mirrors, so under heavy traffic a peer
+// can prune the pinned snapshot before f+1 responses land; while any shard
+// still syncs, the loop therefore keeps collecting the peers' merged
+// boundaries and adopts every newer f+1-agreed one the same way.
+func (n *Node) Recover(mergedSeq uint64, mergedDigest authn.Digest, mergedApp []byte) error {
+	return n.hand(&join{ctx: context.Background(), fixed: true, seq: mergedSeq, dig: mergedDigest, app: mergedApp})
 }
 
 // RecoverFromPeers drives a crash-restarted node's whole rejoin over the
-// network, and must be called instead of Start: it multicasts MergedQuery
-// rounds until f+1 distinct peers vouch for one merged boundary (votes
-// accumulate across rounds, so peers observed at different instants of a
-// moving plane still converge on an agreement), then adopts that boundary
-// via Recover — restoring the merged mirror, starting the sub-hosts, and
-// pinning every shard's state sync at the boundary. The per-shard transfers
-// complete asynchronously under the re-agreement monitor Recover starts
-// (poll Syncing). It fails only when the context expires before any f+1
-// agreement forms (fewer than f+1 live peers).
+// network, and must be called instead of Start: the node loop multicasts
+// MergedQuery rounds until f+1 distinct peers vouch for one merged boundary
+// (votes accumulate across rounds, so peers observed at different instants
+// of a moving plane still converge on an agreement), then adopts it as
+// Recover does. The per-shard transfers complete asynchronously (poll
+// Syncing); the node logs and flight-records the completion. It fails only
+// when the context expires before any f+1 agreement forms (fewer than f+1
+// live peers).
 func (n *Node) RecoverFromPeers(ctx context.Context) error {
-	n.startControl()
-	col := newMergedCollector(n.cfg.Cluster.F)
-	n.recMu.Lock()
-	n.rec = col
-	n.recMu.Unlock()
-
-	interval := n.recoverInterval()
-	n.askMerged()
-	nextAsk := time.Now().Add(interval)
-	check := time.NewTicker(interval / 8)
-	defer check.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			n.recMu.Lock()
-			n.rec = nil
-			n.recMu.Unlock()
-			return fmt.Errorf("shard: no f+1-agreed merged boundary among live peers: %w", ctx.Err())
-		case <-check.C:
-			if key, app, ok := col.best(0); ok {
-				return n.Recover(key.seq, key.dig, app)
-			}
-			if time.Now().After(nextAsk) {
-				n.askMerged()
-				nextAsk = time.Now().Add(interval)
-			}
-		}
-	}
+	return n.hand(&join{ctx: ctx})
 }
 
 // pinShardSyncs pins every sub-host's state transfer at (or below) the
-// per-shard position of the merged boundary, so the transferred suffix feeds
-// seamlessly into the restored mirror.
+// per-shard position of the merged boundary.
 func (n *Node) pinShardSyncs(mergedSeq uint64) {
 	perShard := mergedSeq / uint64(len(n.Hosts))
 	if perShard == 0 {
@@ -284,71 +394,8 @@ func (n *Node) Syncing() bool {
 	return false
 }
 
-// startReagreement launches the re-agreement monitor (idempotent): while any
-// sub-host's pinned sync is still in flight, it keeps collecting the peers'
-// merged boundaries, and whenever a newer f+1-agreed boundary appears it
-// re-restores the merged mirror there and re-pins every shard's sync. A
-// pinned boundary that live peers pruned under continuous traffic (their GC
-// retention floors advance with their own mirrors) therefore re-collects and
-// re-pins instead of stalling forever.
-func (n *Node) startReagreement() {
-	n.recMu.Lock()
-	defer n.recMu.Unlock()
-	if n.rec == nil {
-		n.rec = newMergedCollector(n.cfg.Cluster.F)
-	}
-	if n.recStop != nil {
-		return
-	}
-	n.recStop = make(chan struct{})
-	n.recDone = make(chan struct{})
-	go n.runReagreement(n.recStop, n.recDone)
-}
-
-func (n *Node) runReagreement(stop, done chan struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(n.recoverInterval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			if !n.Syncing() {
-				// Recovery complete: stop collecting votes.
-				n.recMu.Lock()
-				n.rec = nil
-				n.recMu.Unlock()
-				return
-			}
-			n.recMu.Lock()
-			col := n.rec
-			pinned := n.recPinned
-			n.recMu.Unlock()
-			if col == nil {
-				return
-			}
-			if key, app, ok := col.best(pinned + 1); ok {
-				// A newer agreed boundary: re-restore and re-pin. RestoreMerged
-				// rejects boundaries behind the already-merged sequence; that
-				// only means this node advanced past the collected sample, so
-				// the next round collects a fresher one.
-				if err := n.Exec.RestoreMerged(key.seq, key.dig, app); err == nil {
-					n.recMu.Lock()
-					n.recPinned = key.seq
-					n.recMu.Unlock()
-					n.pinShardSyncs(key.seq)
-					n.Exec.met.reagreed.Inc()
-					n.cfg.Flight.Record("reagree", -1,
-						"re-agreed merged boundary %d (pinned %d was stalled)", key.seq, pinned)
-					if n.cfg.Logger != nil {
-						n.cfg.Logger.Printf("shard: re-agreed merged boundary %d (pinned %d was stalled)", key.seq, pinned)
-					}
-				}
-			}
-			// Ask after checking so this round's responses are in by the next
-			// tick.
-			n.askMerged()
-		}
+func (n *Node) logf(format string, args ...any) {
+	if n.cfg.Logger != nil {
+		n.cfg.Logger.Printf(format, args...)
 	}
 }

@@ -31,7 +31,9 @@ func (a *Adopted) End() uint64 { return a.Snap.Seq + uint64(len(a.Suffix)) }
 // snapshot. One response per replica is kept (newer responses replace older
 // ones), so a Byzantine peer cannot stuff the vote by repeating itself.
 type Collector struct {
-	f int
+	// need is the cluster's weak quorum (f+1): the votes a snapshot or a
+	// suffix digest needs before at least one correct replica vouches for it.
+	need int
 	// expectSeq, when non-zero, pins the accepted snapshot to positions at or
 	// below it (the fetcher is filling a gap below a known boundary; a
 	// higher snapshot, however well-agreed, would leave the gap open).
@@ -51,9 +53,9 @@ type Collector struct {
 func (c *Collector) NeedPayload() bool { return c.needPayload }
 
 // NewCollector returns a collector that accepts a snapshot vouched for by
-// f+1 distinct replicas.
-func NewCollector(f int) *Collector {
-	return &Collector{f: f, responses: make(map[ids.ProcessID]*State)}
+// the cluster's weak quorum (f+1) of distinct replicas.
+func NewCollector(cluster ids.Cluster) *Collector {
+	return &Collector{need: cluster.WeakQuorum(), responses: make(map[ids.ProcessID]*State)}
 }
 
 // ExpectAtOrBelow pins acceptance to snapshots covering at most seq.
@@ -121,7 +123,7 @@ func (c *Collector) Result() (*Adopted, bool) {
 	found := false
 	c.needPayload = false
 	for k, members := range groups {
-		if len(members) < c.f+1 {
+		if len(members) < c.need {
 			continue
 		}
 		// The group agreed on the digests; trust the payload (bytes and
@@ -171,7 +173,7 @@ func (c *Collector) Result() (*Adopted, bool) {
 		bestVotes := 0
 		ok := false
 		for dg, n := range votes {
-			if n >= c.f+1 && n > bestVotes {
+			if n >= c.need && n > bestVotes {
 				winner = dg
 				bestVotes = n
 				ok = true

@@ -63,7 +63,7 @@ func TestStoreRetentionAndLookup(t *testing.T) {
 // TestCollectorRequiresAgreement: a single response (even an honest one) is
 // not enough; f+1 matching snapshot identities are.
 func TestCollectorRequiresAgreement(t *testing.T) {
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	appState := []byte("state-at-16")
 	if err := col.Add(testState(ids.Replica(0), 16, appState, nil)); err != nil {
 		t.Fatalf("add: %v", err)
@@ -101,7 +101,7 @@ func TestCollectorRejectsLyingSnapshotPeer(t *testing.T) {
 	// Liar 2: claims a higher snapshot nobody corroborates.
 	alone := testState(ids.Replica(2), 64, []byte("made-up"), nil)
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(forged)
 	col.Add(alone)
 	if _, ok := col.Result(); ok {
@@ -140,7 +140,7 @@ func TestCollectorSuffixExtraction(t *testing.T) {
 	// b also ships a body that matches no agreed digest: it must be dropped.
 	b.SuffixRequests = append(b.SuffixRequests, testReq(99))
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(a)
 	col.Add(b)
 	col.Add(c)
@@ -184,7 +184,7 @@ func TestCollectorSuffixForgeryResisted(t *testing.T) {
 	higher := testState(ids.Replica(2), 24, []byte("later"), nil)
 	forger := testState(ids.Replica(3), 16, appState, []msg.Request{testReq(66)})
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(honest1)
 	col.Add(honest2)
 	col.Add(higher)
@@ -214,7 +214,7 @@ func TestCollectorDigestFirstHandshake(t *testing.T) {
 	digestOnly2 := testState(ids.Replica(2), 16, appState, []msg.Request{testReq(1)})
 	digestOnly2.Snap = digestOnly2.Snap.StripPayload()
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(digestOnly1)
 	col.Add(digestOnly2)
 	if _, ok := col.Result(); ok {
@@ -243,7 +243,7 @@ func TestCollectorDigestFirstLyingDesignated(t *testing.T) {
 	digestOnly := testState(ids.Replica(1), 16, appState, nil)
 	digestOnly.Snap = digestOnly.Snap.StripPayload()
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(liar)
 	col.Add(digestOnly)
 	if _, ok := col.Result(); ok {
@@ -269,7 +269,7 @@ func TestCollectorKeepsPayloadAcrossReplacement(t *testing.T) {
 	again := testState(ids.Replica(0), 16, appState, nil)
 	again.Snap = again.Snap.StripPayload()
 
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.Add(full)
 	col.Add(again)
 	digestOnly := testState(ids.Replica(1), 16, appState, nil)
@@ -286,7 +286,7 @@ func TestCollectorKeepsPayloadAcrossReplacement(t *testing.T) {
 // checkpoint filled, not skipped).
 func TestCollectorExpectAtOrBelow(t *testing.T) {
 	appState := []byte("state")
-	col := NewCollector(1)
+	col := NewCollector(ids.NewCluster(1))
 	col.ExpectAtOrBelow(16)
 	col.Add(testState(ids.Replica(0), 24, appState, nil))
 	col.Add(testState(ids.Replica(1), 24, appState, nil))

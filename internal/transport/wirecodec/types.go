@@ -768,6 +768,7 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
 		b = appendDigest(b, m.AppHash)
+		b = appendMAC(b, m.MAC)
 		b = appendBool(b, m.HasApp)
 		return appendBytes(b, m.App), nil
 	}
@@ -993,6 +994,7 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Seq = r.u64()
 		m.Digest = r.digest()
 		m.AppHash = r.digest()
+		m.MAC = r.mac()
 		m.HasApp = r.bool()
 		m.App = r.bytes()
 		return m
