@@ -37,7 +37,6 @@ func main() {
 		pipeline    = flag.Int("pipeline", 0, "per-shard pipeline depth (0 = the topology's default)")
 		keySpace    = flag.Int("key-space", 0, "distinct workload keys (0 = 16 per shard)")
 		baseID      = flag.Int("base-id", 0, "first client index (use distinct ranges per client process)")
-		listenBase  = flag.Int("listen-base", 8100, "first local TCP port for client endpoints")
 		metricsAt   = flag.String("metrics-addr", "", "observability listen address serving /metrics and /metrics.json (empty = metrics off)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof on the observability address (also enabled by the topology's pprof knob)")
 	)
@@ -87,11 +86,11 @@ func main() {
 	var tracer *obs.Tracer
 	newInvoker := func(i int) (workload.Invoker, ids.ProcessID, error) {
 		clientID := ids.Client(*baseID + i)
-		// DialClient primes the endpoint (connection proof completed with
-		// every replica before the first request), so no reply is dropped
-		// at an un-proven route.
+		// DialClient waits until the endpoint has proven itself to every
+		// replica. No process dials a client: replies come back over the
+		// client's own connections, so its listen port is any free one.
 		dialCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		_, client, err := topo.DialClient(dialCtx, clientID, fmt.Sprintf("127.0.0.1:%d", *listenBase+i), depth)
+		_, client, err := topo.DialClient(dialCtx, clientID, "127.0.0.1:0", depth)
 		cancel()
 		if err != nil {
 			return nil, 0, err

@@ -96,13 +96,12 @@ func TestBackupCommitsKThenAborts(t *testing.T) {
 
 	checker := core.NewSpecChecker()
 	env := core.ClientEnv{
-		Cluster:       cluster,
-		Keys:          keys,
-		ID:            ids.Client(0),
-		Endpoint:      net.Endpoint(ids.Client(0)),
-		Delta:         20 * time.Millisecond,
-		RetryInterval: 10 * time.Millisecond,
-		Checker:       checker,
+		Cluster:  cluster,
+		Keys:     keys,
+		ID:       ids.Client(0),
+		Endpoint: net.Endpoint(ids.Client(0)),
+		Delta:    20 * time.Millisecond,
+		Checker:  checker,
 	}
 	client := NewClient(env, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -27,9 +27,6 @@ type ClientEnv struct {
 	// Delta is the one-way delay bound Δ = Θ_p + Θ_c used to arm client
 	// timers (3Δ for ZLight, 2Δ for Quorum, (n+1)Δ for Chain).
 	Delta time.Duration
-	// RetryInterval is the interval at which PANIC messages are
-	// retransmitted while waiting for 2f+1 signed ABORT messages.
-	RetryInterval time.Duration
 	// Checker optionally records events for the Abstract specification
 	// checker (tests only).
 	Checker *SpecChecker
@@ -43,14 +40,6 @@ func (e ClientEnv) Timer(k int) time.Duration {
 		d = 20 * time.Millisecond
 	}
 	return time.Duration(k) * d
-}
-
-// Retry returns the PANIC retransmission interval.
-func (e ClientEnv) Retry() time.Duration {
-	if e.RetryInterval > 0 {
-		return e.RetryInterval
-	}
-	return e.Timer(2)
 }
 
 // sendInit multicasts instance's init history to every replica as its

@@ -125,10 +125,10 @@ func TestInitHasFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !InitHasFlag(&ih, 1, AbortFlagLowLoad) {
+	if !InitHasFlag(&ih, cluster, AbortFlagLowLoad) {
 		t.Errorf("low-load flag present in f+1 aborts not detected")
 	}
-	if InitHasFlag(&ih, 2, AbortFlagLowLoad) {
+	if InitHasFlag(&ih, ids.NewCluster(2), AbortFlagLowLoad) {
 		t.Errorf("flag detected with too few supporting aborts for f=2")
 	}
 }

@@ -121,7 +121,6 @@ func (m *AbortReply) AbstractInstance() InstanceID { return m.Instance }
 
 // CheckpointMessage is the LCS checkpoint exchange message (§4.2.4).
 type CheckpointMessage struct {
-	Instance ids.ProcessID // unused placeholder; the binary codec still carries it
 	// From identifies the sending replica.
 	From ids.ProcessID
 	// AbstractID is the instance the checkpoint belongs to.

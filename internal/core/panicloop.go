@@ -30,7 +30,9 @@ func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req 
 	}
 	sendPanic()
 
-	retry := time.NewTicker(env.Retry())
+	// PANIC is retransmitted every 2Δ while the 2f+1 signed ABORTs are
+	// awaited.
+	retry := time.NewTicker(env.Timer(2))
 	defer retry.Stop()
 
 	for {

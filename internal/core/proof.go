@@ -54,10 +54,11 @@ func BuildInitHistory(cluster ids.Cluster, from InstanceID, signed []SignedAbort
 	return ih, nil
 }
 
-// InitHasFlag reports whether at least f+1 of the signed ABORT messages in
-// the init history's proof carry the given abort flag; with at most f
-// Byzantine replicas this guarantees at least one correct replica set it.
-func InitHasFlag(ih *InitHistory, f int, flag uint32) bool {
+// InitHasFlag reports whether a weak quorum (f+1) of the signed ABORT
+// messages in the init history's proof carry the given abort flag; with at
+// most f Byzantine replicas this guarantees at least one correct replica set
+// it.
+func InitHasFlag(ih *InitHistory, cluster ids.Cluster, flag uint32) bool {
 	if ih == nil {
 		return false
 	}
@@ -67,7 +68,7 @@ func InitHasFlag(ih *InitHistory, f int, flag uint32) bool {
 			count++
 		}
 	}
-	return count >= f+1
+	return count >= cluster.WeakQuorum()
 }
 
 // VerifyInitHistory checks that an init history is genuine: it carries at

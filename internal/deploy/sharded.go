@@ -119,13 +119,12 @@ func (s *Sharded) Lead(sh int) ids.ProcessID { return shard.Lead(s.Cluster, sh) 
 func (s *Sharded) clientEnv(i int) core.ClientEnv {
 	id := ids.Client(i)
 	return core.ClientEnv{
-		Cluster:       s.Cluster,
-		Keys:          s.Keys,
-		ID:            id,
-		Endpoint:      s.Net.Endpoint(id),
-		Delta:         s.cfg.Delta,
-		RetryInterval: s.cfg.Delta * 2,
-		Checker:       s.cfg.Checker,
+		Cluster:  s.Cluster,
+		Keys:     s.Keys,
+		ID:       id,
+		Endpoint: s.Net.Endpoint(id),
+		Delta:    s.cfg.Delta,
+		Checker:  s.cfg.Checker,
 	}
 }
 

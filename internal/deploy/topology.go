@@ -301,11 +301,11 @@ func (t Topology) NewNodeObs(self ids.ProcessID, ep transport.Endpoint, logger *
 }
 
 // DialClient builds a primed TCP client endpoint plus the keyed sharded
-// client on top of it: the endpoint listens on listenAddr, completes the
-// connection-proof exchange with every replica before the first request (so
-// no reply is dropped at an un-proven reply route), and is closed on any
-// error. cmd/client and the process harnesses share this, so the client-side
-// construction cannot drift between them.
+// client on top of it: the endpoint listens on listenAddr (no process dials
+// a client, so any free port does), has proven itself to every replica
+// before it returns, and is closed on any error. cmd/client and the process
+// harnesses share this, so the client-side construction cannot drift
+// between them.
 func (t Topology) DialClient(ctx context.Context, id ids.ProcessID, listenAddr string, depth int) (*transport.TCP, *shard.Client, error) {
 	addrs := t.AddrMap()
 	addrs[id] = listenAddr
@@ -338,12 +338,11 @@ func (t Topology) NewShardClient(id ids.ProcessID, ep transport.Endpoint, depth 
 		return nil, err
 	}
 	env := core.ClientEnv{
-		Cluster:       t.Cluster(),
-		Keys:          t.Keys(),
-		ID:            id,
-		Endpoint:      ep,
-		Delta:         t.Delta(),
-		RetryInterval: t.Delta() * 2,
+		Cluster:  t.Cluster(),
+		Keys:     t.Keys(),
+		ID:       id,
+		Endpoint: ep,
+		Delta:    t.Delta(),
 	}
 	var pipeline *core.PipelineOptions
 	if depth <= 0 {

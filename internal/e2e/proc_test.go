@@ -108,17 +108,6 @@ func startCluster(t *testing.T, topo deploy.Topology) *proccluster.Cluster {
 	return cluster
 }
 
-// clientPorts reserves a listen-port base for one cmd/client process so
-// concurrent tests do not collide on the default base.
-func clientPorts(t *testing.T, n int) int {
-	t.Helper()
-	ports, err := proccluster.FreePorts(n)
-	if err != nil {
-		t.Fatalf("reserving client ports: %v", err)
-	}
-	return ports[0]
-}
-
 // TestProcessShardedClusterSmoke is the -short-friendly smoke: a 4-replica
 // sharded KV cluster as real OS processes over authenticated TCP, a real
 // cmd/client process committing a keyed workload against it, and an in-test
@@ -128,8 +117,7 @@ func TestProcessShardedClusterSmoke(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	out, err := cluster.RunClient(ctx, "-clients", "2", "-requests", "40",
-		"-listen-base", fmt.Sprint(clientPorts(t, 2)))
+	out, err := cluster.RunClient(ctx, "-clients", "2", "-requests", "40")
 	if err != nil {
 		t.Fatalf("client process failed: %v\n%s", err, out)
 	}
@@ -237,7 +225,7 @@ func TestProcessOneShardAliph(t *testing.T) {
 	cluster := startCluster(t, deploy.Topology{F: 1, Shards: 1, Composition: "aliph", App: "kv", KeyExtractor: "kv"})
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
-	out, err := cluster.RunClient(ctx, "-requests", "100", "-listen-base", fmt.Sprint(clientPorts(t, 1)))
+	out, err := cluster.RunClient(ctx, "-requests", "100")
 	if err != nil || !strings.Contains(out, "committed 100 requests") {
 		dumpLogs(t, cluster)
 		t.Fatalf("client process did not commit the workload (%v):\n%s", err, out)
@@ -344,8 +332,7 @@ func TestProcessShardedCrashRestart(t *testing.T) {
 	// Background workload through a real cmd/client process. It keeps
 	// committing while the replica is down (stalling, not failing, thanks to
 	// the generous delta) and must finish with every request committed.
-	workload, err := cluster.StartClient("-clients", "2", "-requests", "3000",
-		"-listen-base", fmt.Sprint(clientPorts(t, 2)))
+	workload, err := cluster.StartClient("-clients", "2", "-requests", "3000")
 	if err != nil {
 		t.Fatalf("starting workload client: %v", err)
 	}

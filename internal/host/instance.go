@@ -432,7 +432,7 @@ func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
 	st.resetHistory(0, authn.Digest{}, init.Extract.Suffix)
 	st.Checkpoint.Reset()
 	st.NextSeq = uint64(len(st.Digests))
-	st.InitLowLoad = core.InitHasFlag(init, h.cluster.F, core.AbortFlagLowLoad)
+	st.InitLowLoad = core.InitHasFlag(init, h.cluster, core.AbortFlagLowLoad)
 
 	// Every body the adopted history names is kept up to its end, also one
 	// an older history stored at a lower position.

@@ -49,8 +49,8 @@ func NewTCPMetrics(r *obs.Registry) *TCPMetrics {
 
 // SetMetrics instruments the endpoint. Call it before traffic flows (only
 // connections created after the call are counted). It also registers
-// scrape-time gauges over the endpoint's connection table — per-conn
-// send-queue depth costs the hot path nothing this way.
+// scrape-time gauges over the endpoint's connections and queues — per-queue
+// depth costs the hot path nothing this way.
 func (t *TCP) SetMetrics(m *TCPMetrics) {
 	if m == nil {
 		return
@@ -62,15 +62,16 @@ func (t *TCP) SetMetrics(m *TCPMetrics) {
 		return float64(len(t.conns))
 	})
 	m.reg.GaugeFunc("transport_send_queue_depth_max", func() float64 {
+		deepest := 0
+		for _, l := range t.links {
+			deepest = max(deepest, len(l.out))
+		}
 		t.mu.Lock()
 		defer t.mu.Unlock()
-		max := 0
-		for _, c := range t.conns {
-			if d := len(c.out); d > max {
-				max = d
-			}
+		for _, c := range t.routes {
+			deepest = max(deepest, len(c.out))
 		}
-		return float64(max)
+		return float64(deepest)
 	})
 }
 

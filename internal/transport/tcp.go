@@ -17,9 +17,9 @@ import (
 	"abstractbft/internal/obs"
 )
 
-// ConnChallenge is the first frame an authenticated acceptor sends on every
-// accepted connection: a fresh random nonce the dialer must MAC to prove its
-// claimed identity before the acceptor routes replies over the connection.
+// ConnChallenge is the first frame an acceptor sends on every accepted
+// connection: a fresh random nonce the dialer must MAC to prove its claimed
+// identity before the acceptor delivers anything the connection carries.
 type ConnChallenge struct {
 	Nonce []byte
 }
@@ -37,24 +37,10 @@ func connProofBytes(nonce []byte) []byte {
 	return append([]byte("tcp-conn-proof:"), nonce...)
 }
 
-// tcpConn is one outbound connection with write coalescing: senders enqueue
-// envelopes on out, and a single writer goroutine drains the queue through
-// the codec's stream encoder, flushing when the queue is momentarily empty or
-// a short flush tick fires. A burst of messages to the same peer (a batch
-// fan-out) therefore crosses the kernel as one write instead of one syscall
-// per message, and under sustained load the tick bounds how long an encoded
-// envelope can sit in the buffer.
-type tcpConn struct {
-	raw      net.Conn
-	codec    Codec
-	m        *TCPMetrics // nil on uninstrumented endpoints
-	out      chan Envelope
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
-}
-
-// tcpSendQueue is the per-connection outbound queue length.
+// tcpSendQueue is the outbound queue length of a link and of an accepted
+// connection. A link whose connection is down keeps queuing up to it, so
+// envelopes sent during an outage go out after the redial; a full queue
+// drops (fair-loss links).
 const tcpSendQueue = 4096
 
 // tcpFlushTick bounds the time an encoded envelope may wait in the writer's
@@ -62,29 +48,324 @@ const tcpSendQueue = 4096
 // never flushes under a perfectly sustained producer).
 const tcpFlushTick = time.Millisecond
 
-func newTCPConn(raw net.Conn, codec Codec, m *TCPMetrics) *tcpConn {
-	c := &tcpConn{
-		raw:   raw,
-		codec: codec,
-		m:     m,
-		out:   make(chan Envelope, tcpSendQueue),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	go c.writeLoop()
-	return c
+// A link's dial loop. tcpDialTimeout bounds one dial together with the wait
+// for the acceptor's challenge, so a blackholed peer cannot hold the loop.
+// Failed dials back off from tcpBackoffMin, doubling up to tcpBackoffMax:
+// the cap bounds how long a peer takes to reach a restarted replica once it
+// listens again.
+const (
+	tcpDialTimeout = time.Second
+	tcpBackoffMin  = 10 * time.Millisecond
+	tcpBackoffMax  = 200 * time.Millisecond
+)
+
+// tcpConn is one live connection: the socket, the queue its single writer
+// drains (the link's on a dialed connection, its own on an accepted one), and
+// the signal that the connection died.
+type tcpConn struct {
+	raw      net.Conn
+	out      chan Envelope
+	dead     chan struct{}
+	deadOnce sync.Once
 }
 
-func (c *tcpConn) writeLoop() {
-	defer close(c.done)
-	defer c.raw.Close()
+func newTCPConn(raw net.Conn, out chan Envelope) *tcpConn {
+	return &tcpConn{raw: raw, out: out, dead: make(chan struct{})}
+}
+
+// close marks the connection dead and closes the socket: a writer blocked
+// inside a write syscall (peer stopped reading) cannot observe the signal;
+// failing the write is the only way to unblock it and release the fd.
+func (c *tcpConn) close() {
+	c.deadOnce.Do(func() {
+		close(c.dead)
+		c.raw.Close()
+	})
+}
+
+// link is the outbound path to one dialable peer. One goroutine (runLink),
+// started by the first Send or Prime toward the peer, owns it: it dials,
+// proves this endpoint to the peer, drains out over the connection, and
+// redials when the connection dies.
+type link struct {
+	peer    ids.ProcessID
+	addr    string
+	out     chan Envelope
+	started atomic.Bool
+	// proven is closed once this endpoint's first ConnProof to the peer is
+	// written ahead of the queue (Prime waits on it).
+	proven chan struct{}
+}
+
+// TCP is a TCP-based network for multi-process deployments. Every process
+// listens on one address and keeps one outbound link per dialable peer;
+// writes are coalesced per connection.
+//
+// Each connection carries envelopes from exactly one peer: the peer this
+// endpoint dialed, or, on an accepted connection, the peer that answered the
+// acceptor's challenge with a MAC under the pairwise key. An envelope whose
+// From is any other process, or one that arrives before the proof, is never
+// delivered, so a process can speak over TCP only as itself. Protocol MACs
+// remain the safety argument; this rule is the floor beneath them. Peers
+// without an address (clients) are answered over the accepted connection they
+// proved themselves on.
+type TCP struct {
+	self  ids.ProcessID
+	keys  *authn.KeyStore
+	codec Codec
+	ln    net.Listener
+	// links holds one link per dialable peer; it is fixed at construction,
+	// so Send reads it without a lock.
+	links map[ids.ProcessID]*link
+	// ctx is cancelled by Close: it stops the dial loops and every writer.
+	ctx  context.Context
+	stop context.CancelFunc
+
+	mu sync.Mutex
+	// conns is every live connection (Close closes them); nil once closed.
+	conns map[*tcpConn]struct{}
+	// routes maps each proven peer without a link to the accepted
+	// connection it proved itself on most recently.
+	routes map[ids.ProcessID]*tcpConn
+
+	// inMu guards the inbox against the Close race without serializing
+	// delivery: readLoops hold it shared, Close exclusively.
+	inMu     sync.RWMutex
+	in       chan Envelope
+	inClosed bool
+
+	// metrics instruments the endpoint when set (SetMetrics); atomic because
+	// connections read it without the lock.
+	metrics atomic.Pointer[TCPMetrics]
+
+	// flight, when set (SetFlight), receives transport-level flight-recorder
+	// events (today: decode errors that kill a connection); atomic for the
+	// same reason as metrics.
+	flight atomic.Pointer[obs.Flight]
+}
+
+// SetFlight attaches a flight recorder to the endpoint; transport anomalies
+// (decode errors) are recorded as structured events alongside the metric
+// counters.
+func (t *TCP) SetFlight(f *obs.Flight) {
+	if f == nil {
+		return
+	}
+	t.flight.Store(f)
+}
+
+// NewTCPCodec creates the TCP endpoint of process self listening on
+// addrs[self], with one link to every other process in addrs. ks
+// authenticates every connection (the handshake above) and codec
+// (wirecodec.Binary()) frames it; neither may be nil.
+func NewTCPCodec(self ids.ProcessID, addrs map[ids.ProcessID]string, ks *authn.KeyStore, codec Codec) (*TCP, error) {
+	if codec == nil {
+		return nil, errors.New("transport: nil codec")
+	}
+	if ks == nil {
+		return nil, errors.New("transport: nil key store")
+	}
+	addr, ok := addrs[self]
+	if !ok {
+		return nil, fmt.Errorf("transport: no address for %v", self)
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
+	}
+	t := &TCP{
+		self:   self,
+		keys:   ks,
+		codec:  codec,
+		ln:     ln,
+		links:  make(map[ids.ProcessID]*link, len(addrs)),
+		conns:  make(map[*tcpConn]struct{}),
+		routes: make(map[ids.ProcessID]*tcpConn),
+		in:     make(chan Envelope, 8192),
+	}
+	t.ctx, t.stop = context.WithCancel(context.Background())
+	for peer, peerAddr := range addrs {
+		if peer != self {
+			t.links[peer] = &link{peer: peer, addr: peerAddr,
+				out: make(chan Envelope, tcpSendQueue), proven: make(chan struct{})}
+		}
+	}
+	go t.acceptLoop()
+	return t, nil
+}
+
+// Addr returns the address the endpoint is listening on.
+func (t *TCP) Addr() string { return t.ln.Addr().String() }
+
+// ID implements Endpoint.
+func (t *TCP) ID() ids.ProcessID { return t.self }
+
+// Inbox implements Endpoint.
+func (t *TCP) Inbox() <-chan Envelope { return t.in }
+
+// Send implements Endpoint: it only enqueues, on the peer's link (starting
+// the link's owner on first use) or on the reply route of an address-less
+// peer. Failures are silent (fair-loss links).
+func (t *TCP) Send(to ids.ProcessID, payload any) {
+	env := Envelope{From: t.self, To: to, Payload: payload}
+	if l, ok := t.links[to]; ok {
+		t.wake(l)
+		t.enqueue(l.out, env)
+		return
+	}
+	t.mu.Lock()
+	c := t.routes[to]
+	t.mu.Unlock()
+	if c != nil {
+		t.enqueue(c.out, env)
+	}
+}
+
+// enqueue hands an envelope to a writer; a full queue drops it.
+func (t *TCP) enqueue(out chan Envelope, env Envelope) {
+	select {
+	case out <- env:
+	default:
+		if m := t.metrics.Load(); m != nil {
+			m.queueDrops.Inc()
+		}
+	}
+}
+
+// wake starts l's owner goroutine unless it runs already.
+func (t *TCP) wake(l *link) {
+	if !l.started.Load() && l.started.CompareAndSwap(false, true) {
+		go t.runLink(l)
+	}
+}
+
+// runLink owns l until the endpoint closes: dial, prove, drain, and redial
+// after a backoff when the dial fails or the connection dies.
+func (t *TCP) runLink(l *link) {
+	backoff := tcpBackoffMin
+	for {
+		c, dec, proof, err := t.dial(l)
+		if err == nil {
+			backoff = tcpBackoffMin
+			go t.readLoop(c, dec, l.peer, nil)
+			select {
+			case <-l.proven:
+			default:
+				// The proof is the first frame writeLoop writes, ahead of
+				// everything queued now or later.
+				close(l.proven)
+			}
+			t.writeLoop(c, proof)
+		}
+		select {
+		case <-t.ctx.Done():
+			return
+		case <-time.After(backoff):
+		}
+		if err != nil {
+			backoff = min(2*backoff, tcpBackoffMax)
+		}
+	}
+}
+
+// dial connects to l's peer and waits for its challenge, both within
+// tcpDialTimeout. It returns the tracked connection, its decoder (which may
+// already hold frames past the challenge) and the ConnProof to write first.
+func (t *TCP) dial(l *link) (*tcpConn, StreamDecoder, Envelope, error) {
+	deadline := time.Now().Add(tcpDialTimeout)
+	d := net.Dialer{Deadline: deadline}
+	raw, err := d.DialContext(t.ctx, "tcp", l.addr)
+	if err != nil {
+		return nil, nil, Envelope{}, err
+	}
+	raw.SetReadDeadline(deadline)
+	dec := t.newDecoder(raw)
+	var env Envelope
+	if err := dec.Decode(&env); err != nil {
+		raw.Close()
+		return nil, nil, Envelope{}, err
+	}
+	challenge, ok := env.Payload.(*ConnChallenge)
+	if !ok || env.From != l.peer {
+		raw.Close()
+		return nil, nil, Envelope{}, fmt.Errorf("transport: %v answered with %T from %v, not its challenge", l.peer, env.Payload, env.From)
+	}
+	raw.SetReadDeadline(time.Time{})
+	c := newTCPConn(raw, l.out)
+	if !t.track(c) {
+		return nil, nil, Envelope{}, net.ErrClosed
+	}
+	return c, dec, Envelope{From: t.self, To: l.peer, Payload: &ConnProof{
+		Proof: t.keys.MAC(t.self, l.peer, connProofBytes(challenge.Nonce)),
+	}}, nil
+}
+
+func (t *TCP) acceptLoop() {
+	for {
+		raw, err := t.ln.Accept()
+		if err != nil {
+			return
+		}
+		c := newTCPConn(raw, make(chan Envelope, tcpSendQueue))
+		if !t.track(c) {
+			return
+		}
+		nonce := make([]byte, 32)
+		rand.Read(nonce)
+		go t.writeLoop(c, Envelope{From: t.self, Payload: &ConnChallenge{Nonce: nonce}})
+		go t.readLoop(c, t.newDecoder(raw), 0, nonce)
+	}
+}
+
+// track registers a live connection; on a closed endpoint it closes the
+// connection instead and reports false.
+func (t *TCP) track(c *tcpConn) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.conns == nil {
+		c.raw.Close()
+		return false
+	}
+	t.conns[c] = struct{}{}
+	return true
+}
+
+// untrack closes a connection and forgets it, and the reply route over it.
+func (t *TCP) untrack(c *tcpConn, peer ids.ProcessID) {
+	c.close()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.conns, c)
+	if t.routes[peer] == c {
+		delete(t.routes, peer)
+	}
+}
+
+func (t *TCP) newDecoder(raw net.Conn) StreamDecoder {
+	var r io.Reader = raw
+	if m := t.metrics.Load(); m != nil {
+		r = &countingReader{r: raw, total: m.bytesIn}
+	}
+	return t.codec.NewDecoder(r)
+}
+
+// writeLoop is a connection's single writer: it writes first (the handshake
+// frame) and then drains c.out through the codec's stream encoder, flushing
+// when the queue is momentarily empty or a short flush tick fires. A burst of
+// messages to the same peer (a batch fan-out) therefore crosses the kernel as
+// one write instead of one syscall per message, and under sustained load the
+// tick bounds how long an encoded envelope can sit in the buffer. It returns
+// when the connection dies or the endpoint closes.
+func (t *TCP) writeLoop(c *tcpConn, first Envelope) {
+	defer c.close()
+	m := t.metrics.Load()
 	var w io.Writer = c.raw
 	var cw *countingWriter
-	if c.m != nil {
-		cw = &countingWriter{w: c.raw, total: c.m.bytesOut}
+	if m != nil {
+		cw = &countingWriter{w: c.raw, total: m.bytesOut}
 		w = cw
 	}
-	enc := c.codec.NewEncoder(w)
+	enc := t.codec.NewEncoder(w)
 	// noteFlush sizes each coalesced write: the bytes the flush pushed onto
 	// the wire since the previous one.
 	var lastFlushed uint64
@@ -93,8 +374,8 @@ func (c *tcpConn) writeLoop() {
 			return
 		}
 		if n := cw.n.Load(); n > lastFlushed {
-			c.m.flushes.Inc()
-			c.m.flushBytes.Observe(float64(n - lastFlushed))
+			m.flushes.Inc()
+			m.flushBytes.Observe(float64(n - lastFlushed))
 			lastFlushed = n
 		}
 	}
@@ -124,7 +405,14 @@ func (c *tcpConn) writeLoop() {
 	}
 	// One envelope for the life of the loop: its address goes to the encoder,
 	// so one declared per message would be allocated per message.
-	var env Envelope
+	env := first
+	if enc.Encode(&env) != nil || !flush() {
+		return
+	}
+	if m != nil {
+		m.framesOut.Inc()
+	}
+	closing := t.ctx.Done()
 	for {
 		select {
 		case env = <-c.out:
@@ -134,8 +422,8 @@ func (c *tcpConn) writeLoop() {
 					// (fair-loss links) and keep the connection. Loud, because
 					// a type missing from the binary codec's table shows up
 					// exactly here.
-					if c.m != nil {
-						c.m.encodeDrops.Inc()
+					if m != nil {
+						m.encodeDrops.Inc()
 					}
 					log.Printf("transport: dropping unencodable %T to %v (%v): %v",
 						env.Payload, env.To, c.raw.RemoteAddr(), err)
@@ -143,8 +431,8 @@ func (c *tcpConn) writeLoop() {
 				}
 				return
 			}
-			if c.m != nil {
-				c.m.framesOut.Inc()
+			if m != nil {
+				m.framesOut.Inc()
 			}
 			// Coalesce: flush when no further messages are queued, so a burst
 			// crosses the kernel as a single write; otherwise arm the flush
@@ -163,293 +451,24 @@ func (c *tcpConn) writeLoop() {
 				return
 			}
 			noteFlush()
-		case <-c.stop:
-			if enc.Flush() == nil {
-				noteFlush()
-			}
+		case <-c.dead:
+			return
+		case <-closing:
 			return
 		}
 	}
 }
 
-// enqueue hands an envelope to the writer. A full queue drops the message
-// (fair-loss links); false reports a dead writer so the caller re-dials.
-func (c *tcpConn) enqueue(env Envelope) bool {
-	select {
-	case <-c.done:
-		return false
-	default:
-	}
-	select {
-	case c.out <- env:
-	default:
-		// Dropped under overload; the connection is still healthy.
-		if c.m != nil {
-			c.m.queueDrops.Inc()
-		}
-	}
-	return true
-}
-
-func (c *tcpConn) close() {
-	c.stopOnce.Do(func() {
-		close(c.stop)
-		// Also close the socket: a writeLoop blocked inside a write syscall
-		// (peer stopped reading) cannot observe the stop channel; failing
-		// the write is the only way to unblock it and release the fd.
-		c.raw.Close()
-	})
-}
-
-// TCP is a TCP-based network for multi-process deployments. Every process
-// listens on one address and dials peers lazily; connections are reused and
-// writes are coalesced per connection.
-type TCP struct {
-	self  ids.ProcessID
-	addrs map[ids.ProcessID]string
-	// keys, when non-nil, enables the connection handshake: accepted
-	// connections are challenged with a nonce, and reply routes toward
-	// address-less peers (clients) are installed only after the dialer proves
-	// its identity with a MAC over the nonce under the pairwise key. This
-	// closes the reply-route squatting hole of the unauthenticated From
-	// field (a liveness-only attack; protocol MACs protect safety).
-	keys *authn.KeyStore
-	// codec serializes envelopes on every connection of this endpoint.
-	codec Codec
-
-	mu     sync.Mutex
-	conns  map[ids.ProcessID]*tcpConn
-	ln     net.Listener
-	closed bool
-
-	// inMu guards the inbox against the Close race without serializing
-	// delivery: readLoops hold it shared, Close exclusively.
-	inMu     sync.RWMutex
-	in       chan Envelope
-	inClosed bool
-
-	// proofMu guards proofSent: per-peer signals closed once this endpoint
-	// has answered the peer's connection challenge (Prime waits on them).
-	proofMu   sync.Mutex
-	proofSent map[ids.ProcessID]chan struct{}
-
-	// metrics instruments the endpoint when set (SetMetrics); atomic because
-	// connections read it without the conns lock.
-	metrics atomic.Pointer[TCPMetrics]
-
-	// flight, when set (SetFlight), receives transport-level flight-recorder
-	// events (today: decode errors that kill a connection); atomic for the
-	// same reason as metrics.
-	flight atomic.Pointer[obs.Flight]
-}
-
-// SetFlight attaches a flight recorder to the endpoint; transport anomalies
-// (decode errors) are recorded as structured events alongside the metric
-// counters.
-func (t *TCP) SetFlight(f *obs.Flight) {
-	if f == nil {
-		return
-	}
-	t.flight.Store(f)
-}
-
-// NewTCPCodec creates the TCP endpoint of process self listening on
-// addrs[self]; addrs maps every process to its listen address, and codec
-// (wirecodec.Binary()) frames every connection. With non-nil keys the
-// connection handshake is enabled: accepted connections must answer a nonce
-// challenge with a MAC under the pairwise key before replies are routed over
-// them. With nil keys reply routes are pinned by the envelope's
-// unauthenticated From field.
-func NewTCPCodec(self ids.ProcessID, addrs map[ids.ProcessID]string, keys *authn.KeyStore, codec Codec) (*TCP, error) {
-	if codec == nil {
-		return nil, errors.New("transport: nil codec")
-	}
-	addr, ok := addrs[self]
-	if !ok {
-		return nil, fmt.Errorf("transport: no address for %v", self)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
-	}
-	t := &TCP{
-		self:      self,
-		addrs:     addrs,
-		keys:      keys,
-		codec:     codec,
-		conns:     make(map[ids.ProcessID]*tcpConn),
-		ln:        ln,
-		in:        make(chan Envelope, 8192),
-		proofSent: make(map[ids.ProcessID]chan struct{}),
-	}
-	go t.acceptLoop()
-	return t, nil
-}
-
-// Addr returns the address the endpoint is listening on.
-func (t *TCP) Addr() string { return t.ln.Addr().String() }
-
-// ID implements Endpoint.
-func (t *TCP) ID() ids.ProcessID { return t.self }
-
-// Inbox implements Endpoint.
-func (t *TCP) Inbox() <-chan Envelope { return t.in }
-
-// Send implements Endpoint. Failures are silent (fair-loss links); a dead
-// connection is discarded so a later send re-dials.
-func (t *TCP) Send(to ids.ProcessID, payload any) {
-	conn, err := t.conn(to)
-	if err != nil {
-		return
-	}
-	if !conn.enqueue(Envelope{From: t.self, To: to, Payload: payload}) {
-		t.dropConn(to, conn)
-	}
-}
-
-func (t *TCP) conn(to ids.ProcessID) (*tcpConn, error) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: closed")
-	}
-	if c, ok := t.conns[to]; ok {
-		t.mu.Unlock()
-		return c, nil
-	}
-	addr, ok := t.addrs[to]
-	if !ok {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("transport: no address for %v", to)
-	}
-	t.mu.Unlock()
-	raw, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		raw.Close()
-		return nil, fmt.Errorf("transport: closed")
-	}
-	if c, ok := t.conns[to]; ok {
-		// Lost a dial race; use the existing connection.
-		t.mu.Unlock()
-		raw.Close()
-		return c, nil
-	}
-	c := newTCPConn(raw, t.codec, t.metrics.Load())
-	t.conns[to] = c
-	t.mu.Unlock()
-	// Responses come back on the same connection (processes without a listed
-	// address — clients — cannot be dialed back).
-	go t.readLoop(raw, c, nil, to)
-	return c, nil
-}
-
-// noPeer marks a connection with no dialed peer (accepted connections).
-const noPeer = ids.ProcessID(-1)
-
-// registerConn installs a write path over a connection so that replies can be
-// routed back to peers with no dialable address (clients behind the accept
-// side). An existing healthy write path is kept — letting any connection
-// displace (and close) another peer's live connection would hand Byzantine
-// processes an active link-severing primitive the fair-loss model does not
-// grant them. A write path whose writer already died is replaced; after a
-// genuine client reconnect, the first failed write to the stale path clears
-// it (Send drops it) and a later envelope on the new connection registers
-// it. It reports whether the peer now routes over wconn, so callers keep
-// retrying until their connection wins the route.
-func (t *TCP) registerConn(peer ids.ProcessID, wconn *tcpConn) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return false
-	}
-	if c, ok := t.conns[peer]; ok {
-		if c == wconn {
-			return true
-		}
-		select {
-		case <-c.done:
-			// Dead writer: fall through and replace it.
-		default:
-			return false
-		}
-		delete(t.conns, peer)
-	}
-	t.conns[peer] = wconn
-	return true
-}
-
-func (t *TCP) dropConn(to ids.ProcessID, dead *tcpConn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.conns[to]; ok && c == dead {
-		c.close()
-		delete(t.conns, to)
-	}
-}
-
-// dropByRaw removes every registered write path over the given connection
-// (called when its read side dies, so a later send re-dials).
-func (t *TCP) dropByRaw(raw net.Conn) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for id, c := range t.conns {
-		if c.raw == raw {
-			c.close()
-			delete(t.conns, id)
-		}
-	}
-}
-
-func (t *TCP) acceptLoop() {
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return
-		}
-		// Every connection gets exactly one writer (one codec stream) created
-		// up front; the acceptor challenges the dialer over it when the
-		// handshake is enabled.
-		wconn := newTCPConn(conn, t.codec, t.metrics.Load())
-		var nonce []byte
-		if t.keys != nil {
-			nonce = make([]byte, 32)
-			if _, err := rand.Read(nonce); err != nil {
-				wconn.close()
-				conn.Close()
-				continue
-			}
-			wconn.enqueue(Envelope{From: t.self, Payload: &ConnChallenge{Nonce: nonce}})
-		}
-		go t.readLoop(conn, wconn, nonce, noPeer)
-	}
-}
-
-// readLoop drains one connection. wconn is the connection's single writer;
-// nonce is non-nil on accepted connections of an authenticated endpoint and
-// holds the challenge the dialer must answer before this connection can win
-// reply routes; dialed is the peer this endpoint dialed (noPeer for accepted
-// connections).
-func (t *TCP) readLoop(conn net.Conn, wconn *tcpConn, nonce []byte, dialed ids.ProcessID) {
-	defer conn.Close()
-	defer wconn.close()
-	defer t.dropByRaw(conn)
+// readLoop drains one connection and delivers what its one peer sends. A
+// dialed connection (nil nonce) is proven from the start: peer is the
+// process this endpoint dialed. An accepted connection is proven once a
+// ConnProof over nonce verifies; its sender becomes peer, and if peer has
+// no link the connection becomes its reply route. Only envelopes from peer
+// on a proven connection reach the inbox.
+func (t *TCP) readLoop(c *tcpConn, dec StreamDecoder, peer ids.ProcessID, nonce []byte) {
+	defer func() { t.untrack(c, peer) }()
 	m := t.metrics.Load()
-	var r io.Reader = conn
-	if m != nil {
-		r = &countingReader{r: conn, total: m.bytesIn}
-	}
-	dec := t.codec.NewDecoder(r)
-	// registered caches which peers this connection already routes replies
-	// for, so the global registration lock is taken once per peer rather
-	// than once per message.
-	registered := make(map[ids.ProcessID]bool)
-	// proven is the peer that answered the challenge on this connection.
-	proven := ids.ProcessID(-1)
+	proven := nonce == nil
 	// One envelope for the life of the loop (see writeLoop), zeroed per
 	// message: a decoder may leave fields absent from the stream untouched.
 	var env Envelope
@@ -464,69 +483,42 @@ func (t *TCP) readLoop(conn net.Conn, wconn *tcpConn, nonce []byte, dialed ids.P
 				if m != nil {
 					m.decodeErrors.Inc()
 				}
-				peer := "unproven peer"
-				switch {
-				case dialed != noPeer:
-					peer = fmt.Sprintf("dialed peer %v", dialed)
-				case proven >= 0:
-					peer = fmt.Sprintf("proven peer %v", proven)
+				who := "unproven peer"
+				if proven {
+					who = fmt.Sprintf("peer %v", peer)
 				}
 				log.Printf("transport %v: closing connection to %s (%v) on decode error: %v",
-					t.self, peer, conn.RemoteAddr(), err)
+					t.self, who, c.raw.RemoteAddr(), err)
 				t.flight.Load().Record("decode-error", -1,
-					"%s (%v): %v", peer, conn.RemoteAddr(), err)
+					"%s (%v): %v", who, c.raw.RemoteAddr(), err)
 			}
 			return
 		}
 		if m != nil {
 			m.framesIn.Inc()
 		}
-		switch hs := env.Payload.(type) {
-		case *ConnChallenge:
-			// The acceptor challenges us: prove our identity with a MAC over
-			// the nonce under the pairwise key shared with it. Only answer on
-			// a connection we dialed, and only for the peer we dialed —
-			// answering arbitrary challenges would turn this endpoint into a
-			// MAC oracle (an attacker could forward another acceptor's nonce
-			// here, harvest the proof, and replay it to squat our reply
-			// route at that acceptor).
-			if t.keys != nil && dialed != noPeer && env.From == dialed {
-				wconn.enqueue(Envelope{From: t.self, To: env.From, Payload: &ConnProof{
-					Proof: t.keys.MAC(t.self, env.From, connProofBytes(hs.Nonce)),
-				}})
-				// The proof is ordered ahead of every envelope enqueued after
-				// this point, so the acceptor installs this endpoint's reply
-				// route before processing them: signal Prime waiters.
-				t.markProofSent(env.From)
-			}
-			continue
-		case *ConnProof:
-			if t.keys != nil && nonce != nil && proven < 0 {
-				if t.keys.VerifyMAC(env.From, t.self, connProofBytes(nonce), hs.Proof) == nil {
-					proven = env.From
-					// Install the reply route right away for address-less
-					// peers: their proof may be the only frame after the
-					// initial request burst.
-					if _, dialable := t.addrs[proven]; !dialable {
-						registered[proven] = t.registerConn(proven, wconn)
-					}
+		if !proven {
+			if p, ok := env.Payload.(*ConnProof); ok &&
+				t.keys.VerifyMAC(env.From, t.self, connProofBytes(nonce), p.Proof) == nil {
+				peer, proven = env.From, true
+				if _, dialable := t.links[peer]; !dialable {
+					t.route(peer, c)
 				}
 			}
 			continue
 		}
-		// Route replies back over this connection when the sender has no
-		// dialable address (clients); keep retrying until this connection
-		// wins the route (an older healthy connection is never displaced).
-		// With the handshake enabled, only the proven peer may win routes —
-		// an unauthenticated From cannot squat another client's replies.
-		if _, dialable := t.addrs[env.From]; !dialable && !registered[env.From] {
-			if t.keys == nil || (nonce != nil && env.From == proven) {
-				registered[env.From] = t.registerConn(env.From, wconn)
-			}
+		if env.From != peer {
+			continue
 		}
-		// Expand write-coalesced packs so inbox consumers only ever see
-		// protocol payloads.
-		if p, ok := env.Payload.(*Packed); ok {
+		switch p := env.Payload.(type) {
+		case *ConnChallenge, *ConnProof:
+			// Challenges are answered only in dial, on a connection this
+			// endpoint dialed, to the peer it dialed: answering any other
+			// would make it a MAC oracle for squatting its identity elsewhere.
+			continue
+		case *Packed:
+			// Expand write-coalesced packs so inbox consumers only ever see
+			// protocol payloads.
 			if m != nil {
 				m.packsIn.Add(uint64(len(p.Payloads)))
 			}
@@ -535,11 +527,22 @@ func (t *TCP) readLoop(conn net.Conn, wconn *tcpConn, nonce []byte, dialed ids.P
 					return
 				}
 			}
-			continue
+		default:
+			if !t.deliverLocal(env) {
+				return
+			}
 		}
-		if !t.deliverLocal(env) {
-			return
-		}
+	}
+}
+
+// route makes c the reply route to peer, replacing an older one: only the
+// holder of peer's key can prove itself, so the newest proof is the peer's
+// own reconnect.
+func (t *TCP) route(peer ids.ProcessID, c *tcpConn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.conns != nil {
+		t.routes[peer] = c
 	}
 }
 
@@ -561,72 +564,23 @@ func (t *TCP) deliverLocal(env Envelope) bool {
 	return true
 }
 
-// proofSignal returns (lazily creating) the channel closed once this
-// endpoint has answered peer's connection challenge.
-func (t *TCP) proofSignal(peer ids.ProcessID) chan struct{} {
-	t.proofMu.Lock()
-	defer t.proofMu.Unlock()
-	ch, ok := t.proofSent[peer]
-	if !ok {
-		ch = make(chan struct{})
-		t.proofSent[peer] = ch
-	}
-	return ch
-}
-
-func (t *TCP) markProofSent(peer ids.ProcessID) {
-	// Closed under proofMu: two connections can answer the same peer's
-	// challenge concurrently (a redial racing a readLoop still draining the
-	// old connection), and a bare check-then-close would double-close.
-	t.proofMu.Lock()
-	defer t.proofMu.Unlock()
-	ch, ok := t.proofSent[peer]
-	if !ok {
-		ch = make(chan struct{})
-		t.proofSent[peer] = ch
-	}
-	select {
-	case <-ch:
-	default:
-		close(ch)
-	}
-}
-
-// Prime dials the given peers and waits until this endpoint has answered
-// each one's connection challenge. An address-less process (a client) whose
-// first envelope raced ahead of its proof would have the replies to that
-// envelope dropped at the acceptor (no reply route yet) and pay a full
-// retransmission timeout; priming before the first real send makes the proof
-// the first frame after the challenge, so the route exists before any
-// request is processed. A no-op on unauthenticated endpoints.
+// Prime waits until this endpoint has written its proof to each of the given
+// peers (itself excepted). Every connection writes the proof ahead of its
+// queue, so priming is not needed for reply routes; it makes a client's first
+// request wait for its connections instead of sitting in their queues while
+// a peer process is still binding its listen socket.
 func (t *TCP) Prime(ctx context.Context, peers []ids.ProcessID) error {
-	if t.keys == nil {
-		return nil
-	}
 	for _, p := range peers {
 		if p == t.self {
 			continue
 		}
-		// Retry dials until the deadline: a peer process may still be
-		// binding its listen socket (restarts, rolling deploys).
-		for {
-			_, err := t.conn(p)
-			if err == nil {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return fmt.Errorf("transport: prime %v: %v (%w)", p, err, ctx.Err())
-			case <-time.After(20 * time.Millisecond):
-			}
+		l, ok := t.links[p]
+		if !ok {
+			return fmt.Errorf("transport: prime %v: no address", p)
 		}
-	}
-	for _, p := range peers {
-		if p == t.self {
-			continue
-		}
+		t.wake(l)
 		select {
-		case <-t.proofSignal(p):
+		case <-l.proven:
 		case <-ctx.Done():
 			return fmt.Errorf("transport: prime %v: %w", p, ctx.Err())
 		}
@@ -637,21 +591,20 @@ func (t *TCP) Prime(ctx context.Context, peers []ids.ProcessID) error {
 // Close implements Endpoint.
 func (t *TCP) Close() {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	conns := t.conns
+	t.conns, t.routes = nil, nil
+	t.mu.Unlock()
+	if conns == nil {
 		return
 	}
-	t.closed = true
-	conns := t.conns
-	t.conns = make(map[ids.ProcessID]*tcpConn)
-	t.mu.Unlock()
+	t.stop()
 	// Close the inbox under the exclusive side of the delivery lock, so no
 	// readLoop can be between its closed-check and its send.
 	t.inMu.Lock()
 	t.inClosed = true
 	close(t.in)
 	t.inMu.Unlock()
-	for _, c := range conns {
+	for c := range conns {
 		c.close()
 	}
 	t.ln.Close()

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/transport"
+	"abstractbft/internal/transport/wirecodec"
 )
 
 // marker is a small real wire payload told apart by its counter.
@@ -18,6 +20,9 @@ func marker(n uint64) *core.CheckpointMessage {
 func TestTCPTransport(t *testing.T) {
 	if _, err := transport.NewTCPCodec(ids.Replica(0), map[ids.ProcessID]string{ids.Replica(0): "127.0.0.1:0"}, nil, nil); err == nil {
 		t.Fatal("NewTCPCodec accepted a nil codec")
+	}
+	if _, err := transport.NewTCPCodec(ids.Replica(0), map[ids.ProcessID]string{ids.Replica(0): "127.0.0.1:0"}, nil, wirecodec.Binary()); err == nil {
+		t.Fatal("NewTCPCodec accepted a nil key store")
 	}
 	a, b := newTCPPair(t)
 	b.Send(ids.Replica(0), marker(1))
@@ -56,4 +61,73 @@ func TestTCPSendBatchUnpacks(t *testing.T) {
 			t.Fatalf("missing marker %d after unpacking, got %v", want, got)
 		}
 	}
+}
+
+// TestTCPDeliversOnlyProvenPeer: an accepted connection delivers envelopes
+// from the one peer that proved itself on it, and nothing else — neither an
+// envelope sent before the proof nor one claiming another sender after it.
+func TestTCPDeliversOnlyProvenPeer(t *testing.T) {
+	keys := authn.NewKeyStore("proven-peer")
+	replica, other, client := ids.Replica(0), ids.Replica(2), ids.Client(1)
+	server, err := transport.NewTCPCodec(replica, map[ids.ProcessID]string{replica: "127.0.0.1:0"}, keys, wirecodec.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+
+	p := dialRaw(t, server.Addr())
+	env, _ := p.recv(2 * time.Second)
+	challenge, ok := env.Payload.(*transport.ConnChallenge)
+	if !ok {
+		t.Fatalf("received %+v, want the acceptor's challenge", env)
+	}
+	p.send(transport.Envelope{From: other, To: replica, Payload: marker(1)})
+	p.send(transport.Envelope{From: client, To: replica, Payload: &transport.ConnProof{
+		Proof: handshakeProof(keys, client, replica, challenge.Nonce),
+	}})
+	p.send(transport.Envelope{From: other, To: replica, Payload: marker(2)})
+	p.send(transport.Envelope{From: client, To: replica, Payload: marker(3)})
+
+	// One connection delivers in order, so whatever of the first two got
+	// through arrives ahead of the third.
+	select {
+	case env := <-server.Inbox():
+		if env.From != client || !reflect.DeepEqual(env.Payload, marker(3)) {
+			t.Fatalf("delivered %v from %v; want only marker 3 from the proven %v", env.Payload, env.From, client)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the proven peer's envelope was not delivered")
+	}
+}
+
+// TestTCPSendDuringOutageDeliveredAfterRestart: a Send made while the peer
+// is down waits in the link's queue and is delivered once the peer listens
+// again on the same address.
+func TestTCPSendDuringOutageDeliveredAfterRestart(t *testing.T) {
+	keys := authn.NewKeyStore("outage")
+	r0, r1 := ids.Replica(0), ids.Replica(1)
+	a, err := transport.NewTCPCodec(r0, map[ids.ProcessID]string{r0: "127.0.0.1:0"}, keys, wirecodec.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := a.Addr()
+	b, err := transport.NewTCPCodec(r1, map[ids.ProcessID]string{r0: addr, r1: "127.0.0.1:0"}, keys, wirecodec.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	b.Send(r0, marker(1))
+	awaitDelivery(t, a, r1, marker(1))
+
+	a.Close()
+	time.Sleep(100 * time.Millisecond) // b sees the connection die
+	b.Send(r0, marker(2))
+	time.Sleep(100 * time.Millisecond)
+
+	a, err = transport.NewTCPCodec(r0, map[ids.ProcessID]string{r0: addr}, keys, wirecodec.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	awaitDelivery(t, a, r1, marker(2))
 }

@@ -35,14 +35,15 @@ import (
 	"abstractbft/internal/zlight"
 )
 
-// newTCPPair builds two unauthenticated TCP endpoints on loopback: replica 0
-// (a) and replica 1 (b), which knows a's address.
+// newTCPPair builds two TCP endpoints on loopback: replica 0 (a) and
+// replica 1 (b), which knows a's address and proves itself to a.
 func newTCPPair(t *testing.T) (*transport.TCP, *transport.TCP) {
 	t.Helper()
+	keys := authn.NewKeyStore("tcp-pair")
 	addrs := map[ids.ProcessID]string{
 		ids.Replica(0): "127.0.0.1:0",
 	}
-	a, err := transport.NewTCPCodec(ids.Replica(0), addrs, nil, wirecodec.Binary())
+	a, err := transport.NewTCPCodec(ids.Replica(0), addrs, keys, wirecodec.Binary())
 	if err != nil {
 		t.Fatalf("endpoint a: %v", err)
 	}
@@ -50,7 +51,7 @@ func newTCPPair(t *testing.T) (*transport.TCP, *transport.TCP) {
 		ids.Replica(0): a.Addr(),
 		ids.Replica(1): "127.0.0.1:0",
 	}
-	b, err := transport.NewTCPCodec(ids.Replica(1), addrs2, nil, wirecodec.Binary())
+	b, err := transport.NewTCPCodec(ids.Replica(1), addrs2, keys, wirecodec.Binary())
 	if err != nil {
 		t.Fatalf("endpoint b: %v", err)
 	}

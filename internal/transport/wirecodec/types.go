@@ -707,7 +707,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		return appendSignedAbort(b, m.Signed), nil
 	case *core.CheckpointMessage:
 		b = appendU16(b, tagCheckpoint)
-		b = appendID(b, m.Instance)
 		b = appendID(b, m.From)
 		b = appendU64(b, uint64(m.AbstractID))
 		b = appendU64(b, m.Counter)
@@ -924,7 +923,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		return m
 	case tagCheckpoint:
 		m := &core.CheckpointMessage{}
-		m.Instance = r.id()
 		m.From = r.id()
 		m.AbstractID = core.InstanceID(r.u64())
 		m.Counter = r.u64()

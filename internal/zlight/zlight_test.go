@@ -58,13 +58,12 @@ func newTestCluster(t *testing.T, f int) *testCluster {
 func (tc *testCluster) clientEnv(i int) core.ClientEnv {
 	id := ids.Client(i)
 	return core.ClientEnv{
-		Cluster:       tc.cluster,
-		Keys:          tc.keys,
-		ID:            id,
-		Endpoint:      tc.net.Endpoint(id),
-		Delta:         20 * time.Millisecond,
-		RetryInterval: 10 * time.Millisecond,
-		Checker:       tc.checker,
+		Cluster:  tc.cluster,
+		Keys:     tc.keys,
+		ID:       id,
+		Endpoint: tc.net.Endpoint(id),
+		Delta:    20 * time.Millisecond,
+		Checker:  tc.checker,
 	}
 }
 
