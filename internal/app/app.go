@@ -27,8 +27,8 @@ import (
 // (used at every checkpoint boundary by the state-transfer plane,
 // internal/statesync, which serializes only the boundaries a peer asks for);
 // Restore replaces the state from a Snapshot-produced serialization; Clone
-// returns an independent copy with the same state (used when initializing a
-// new Abstract instance replica from the state of the previous one).
+// returns an independent copy with the same state (used to inspect a
+// replica's state without racing its execution).
 //
 // Snapshot must be deterministic: two applications that executed the same
 // command sequence serialize to identical bytes, so StateDigest values agree

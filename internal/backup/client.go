@@ -109,7 +109,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 					continue
 				}
 				if c.env.Checker != nil {
-					c.env.Checker.RecordAbort(c.id, req, ind.Init.Extract.Suffix)
+					c.env.Checker.RecordAbort(c.id, req, ind.Init.Extract)
 				}
 				return core.Outcome{Committed: false, Abort: &ind}, nil
 			}

@@ -292,9 +292,7 @@ func (r *Replica) replyBatch(out *BatchMessage, replies [][]byte) {
 			HistoryDigest: out.HistoryDigest,
 			CA:            out.ClientCAs[i],
 		}
-		if r.h.InstrumentHistories() {
-			reply.HistoryDigests = r.st.Digests.Clone()
-		}
+		reply.HistoryDigests = r.h.InstrumentedHistory(r.st)
 		byClient[req.Client] = append(byClient[req.Client], reply)
 	}
 	// A pipelining client's replies cross the wire as one coalesced

@@ -255,7 +255,7 @@ func TestSpecCheckerDetectsViolations(t *testing.T) {
 	h12 := digestsOf(r1, r2)
 	good.RecordCommit(1, r1, []byte("x"), h1)
 	good.RecordCommit(1, r2, []byte("y"), h12)
-	good.RecordAbort(1, r2, h12)
+	good.RecordAbort(1, r2, history.ExtractResult{Suffix: h12})
 	if errs := good.Check(); len(errs) != 0 {
 		t.Fatalf("valid trace reported violations: %v", errs)
 	}
@@ -276,7 +276,7 @@ func TestSpecCheckerDetectsViolations(t *testing.T) {
 	bad2.RecordInvoke(r1)
 	bad2.RecordInvoke(r2)
 	bad2.RecordCommit(1, r2, []byte("y"), h12)
-	bad2.RecordAbort(1, r1, h1)
+	bad2.RecordAbort(1, r1, history.ExtractResult{Suffix: h1})
 	if errs := bad2.Check(); len(errs) == 0 {
 		t.Fatalf("abort-order violation not detected")
 	}

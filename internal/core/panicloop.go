@@ -61,7 +61,7 @@ func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req 
 				continue
 			}
 			if env.Checker != nil {
-				env.Checker.RecordAbort(instance, req, ind.Init.Extract.Suffix)
+				env.Checker.RecordAbort(instance, req, ind.Init.Extract)
 			}
 			return Outcome{Committed: false, Abort: &ind}, nil
 		}

@@ -23,27 +23,19 @@ const DefaultTimestampWindow = 64
 type PipelineOptions struct {
 	// Depth bounds the number of invocations the client keeps in flight
 	// concurrently (the callers of Invoke provide the concurrency; Depth
-	// bounds how many of them proceed at once). 0 selects 8.
+	// bounds how many of them proceed at once). 0 selects 8. It also bounds
+	// how many queued invocations are coalesced into one client-side batch
+	// when the active instance supports batched invocation (Quorum).
 	Depth int
-	// MaxBatch bounds how many queued invocations are coalesced into one
-	// client-side batch when the active instance supports batched invocation
-	// (Quorum). 0 selects Depth.
-	MaxBatch int
-	// GatherDelay is how long the batch dispatcher waits for companion
-	// invocations after the first one arrives. 0 selects 500µs; negative
-	// disables gathering (every invocation dispatches alone).
-	GatherDelay time.Duration
 }
+
+// gatherDelay is how long the batch dispatcher waits for companion
+// invocations after the first one arrives.
+const gatherDelay = 500 * time.Microsecond
 
 func (o PipelineOptions) withDefaults() PipelineOptions {
 	if o.Depth <= 0 {
 		o.Depth = 8
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = o.Depth
-	}
-	if o.GatherDelay == 0 {
-		o.GatherDelay = 500 * time.Microsecond
 	}
 	return o
 }
@@ -144,7 +136,7 @@ func (p *PipelinedComposer) Invoke(ctx context.Context, req msg.Request) ([]byte
 	}
 	defer p.retire(req.Timestamp)
 
-	if p.opts.GatherDelay >= 0 && p.isBatchable(p.ActiveInstance()) {
+	if p.isBatchable(p.ActiveInstance()) {
 		p.startOnce.Do(func() { go p.dispatch() })
 		sub := &pipelineSub{ctx: ctx, req: req, done: make(chan pipelineResult, 1)}
 		select {
@@ -249,10 +241,10 @@ func (p *PipelinedComposer) dispatch() {
 		case first = <-p.queue:
 		}
 		batch := []*pipelineSub{first}
-		if p.opts.GatherDelay > 0 && p.opts.MaxBatch > 1 {
-			timer := time.NewTimer(p.opts.GatherDelay)
+		if p.opts.Depth > 1 {
+			timer := time.NewTimer(gatherDelay)
 		gather:
-			for len(batch) < p.opts.MaxBatch {
+			for len(batch) < p.opts.Depth {
 				select {
 				case sub := <-p.queue:
 					batch = append(batch, sub)

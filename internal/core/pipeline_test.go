@@ -47,7 +47,7 @@ func TestPipelinedComposerKeepsInFlightWithinWindow(t *testing.T) {
 	factory := func(ClientEnv) InstanceFactory {
 		return func(InstanceID) (Instance, error) { return inst, nil }
 	}
-	p, err := NewPipelinedComposer(env, factory, PipelineOptions{Depth: 4, GatherDelay: -1})
+	p, err := NewPipelinedComposer(env, factory, PipelineOptions{Depth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,13 +28,16 @@ import (
 //
 // Termination and Progress are timing properties checked directly by the
 // tests (a run that hangs fails by timeout).
+//
+// Histories sit at absolute positions: a commit history from 0, an abort or
+// init history from its base checkpoint, below which nothing is compared.
 type SpecChecker struct {
 	mu sync.Mutex
 
 	invoked map[authn.Digest]msg.RequestID
-	commits map[InstanceID][]history.DigestHistory
-	aborts  map[InstanceID][]history.DigestHistory
-	inits   map[InstanceID][]history.DigestHistory
+	commits map[InstanceID][]history.ExtractResult
+	aborts  map[InstanceID][]history.ExtractResult
+	inits   map[InstanceID][]history.ExtractResult
 
 	// replies maps request digest -> application reply digest, to check that
 	// all commits of the same request return the same reply.
@@ -46,9 +49,9 @@ type SpecChecker struct {
 func NewSpecChecker() *SpecChecker {
 	return &SpecChecker{
 		invoked: make(map[authn.Digest]msg.RequestID),
-		commits: make(map[InstanceID][]history.DigestHistory),
-		aborts:  make(map[InstanceID][]history.DigestHistory),
-		inits:   make(map[InstanceID][]history.DigestHistory),
+		commits: make(map[InstanceID][]history.ExtractResult),
+		aborts:  make(map[InstanceID][]history.ExtractResult),
+		inits:   make(map[InstanceID][]history.ExtractResult),
 		replies: make(map[authn.Digest]authn.Digest),
 	}
 }
@@ -68,11 +71,11 @@ func (s *SpecChecker) RecordInit(inst InstanceID, init *InitHistory) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.inits[inst] = append(s.inits[inst], init.Extract.Suffix.Clone())
+	s.inits[inst] = append(s.inits[inst], history.ExtractResult{BaseSeq: init.Extract.BaseSeq, Suffix: init.Extract.Suffix.Clone()})
 }
 
 // RecordCommit records a commit indication with its instrumented commit
-// history.
+// history (every position from 0 on; see host.Host.InstrumentedHistory).
 func (s *SpecChecker) RecordCommit(inst InstanceID, req msg.Request, reply []byte, hist history.DigestHistory) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -89,14 +92,28 @@ func (s *SpecChecker) RecordCommit(inst InstanceID, req msg.Request, reply []byt
 		s.errs = append(s.errs, fmt.Errorf("request %v committed with two different replies", req.ID()))
 	}
 	s.replies[rd] = repd
-	s.commits[inst] = append(s.commits[inst], hist.Clone())
+	s.commits[inst] = append(s.commits[inst], history.ExtractResult{Suffix: hist.Clone()})
 }
 
-// RecordAbort records an abort indication.
-func (s *SpecChecker) RecordAbort(inst InstanceID, req msg.Request, abortHist history.DigestHistory) {
+// RecordAbort records an abort indication with its abort history.
+func (s *SpecChecker) RecordAbort(inst InstanceID, req msg.Request, abortHist history.ExtractResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.aborts[inst] = append(s.aborts[inst], abortHist.Clone())
+	s.aborts[inst] = append(s.aborts[inst], history.ExtractResult{BaseSeq: abortHist.BaseSeq, Suffix: abortHist.Suffix.Clone()})
+}
+
+// prefixOf reports whether history a ends no later than history b and
+// agrees with it on every position both name.
+func prefixOf(a, b history.ExtractResult) bool {
+	if a.TotalLen() > b.TotalLen() {
+		return false
+	}
+	for p := max(a.BaseSeq, b.BaseSeq); p < a.TotalLen(); p++ {
+		if a.Suffix[p-a.BaseSeq] != b.Suffix[p-b.BaseSeq] {
+			return false
+		}
+	}
+	return true
 }
 
 // Errors returns the list of violations detected so far (including those
@@ -137,14 +154,14 @@ func (s *SpecChecker) checkValidity(inst InstanceID) []error {
 	var errs []error
 	validFromInit := make(map[authn.Digest]bool)
 	for _, ih := range s.inits[inst] {
-		for _, d := range ih {
+		for _, d := range ih.Suffix {
 			validFromInit[d] = true
 		}
 	}
-	check := func(kind string, hists []history.DigestHistory) {
+	check := func(kind string, hists []history.ExtractResult) {
 		for _, h := range hists {
 			seen := make(map[authn.Digest]bool)
-			for _, d := range h {
+			for _, d := range h.Suffix {
 				if seen[d] {
 					errs = append(errs, fmt.Errorf("validity: duplicate request in %s history of instance %d", kind, inst))
 					break
@@ -166,7 +183,7 @@ func (s *SpecChecker) checkCommitOrder(inst InstanceID) []error {
 	hists := s.commits[inst]
 	for i := 0; i < len(hists); i++ {
 		for j := i + 1; j < len(hists); j++ {
-			if !hists[i].IsPrefixOf(hists[j]) && !hists[j].IsPrefixOf(hists[i]) {
+			if !prefixOf(hists[i], hists[j]) && !prefixOf(hists[j], hists[i]) {
 				errs = append(errs, fmt.Errorf("commit order: commit histories %d and %d of instance %d are not prefix-related", i, j, inst))
 			}
 		}
@@ -178,7 +195,7 @@ func (s *SpecChecker) checkAbortOrder(inst InstanceID) []error {
 	var errs []error
 	for ci, ch := range s.commits[inst] {
 		for ai, ah := range s.aborts[inst] {
-			if !ch.IsPrefixOf(ah) {
+			if !prefixOf(ch, ah) {
 				errs = append(errs, fmt.Errorf("abort order: commit history %d of instance %d is not a prefix of abort history %d", ci, inst, ai))
 			}
 		}
@@ -192,14 +209,24 @@ func (s *SpecChecker) checkInitOrder(inst InstanceID) []error {
 	if len(inits) == 0 {
 		return nil
 	}
-	lcp := history.LongestCommonPrefix(inits...)
+	// The longest common prefix of the init histories, from the highest base
+	// among them on.
+	var lcp history.ExtractResult
+	for _, ih := range inits {
+		lcp.BaseSeq = max(lcp.BaseSeq, ih.BaseSeq)
+	}
+	tails := make([]history.DigestHistory, len(inits))
+	for i, ih := range inits {
+		tails[i] = ih.Suffix[min(lcp.BaseSeq-ih.BaseSeq, uint64(len(ih.Suffix))):]
+	}
+	lcp.Suffix = history.LongestCommonPrefix(tails...)
 	for ci, ch := range s.commits[inst] {
-		if !lcp.IsPrefixOf(ch) {
+		if !prefixOf(lcp, ch) {
 			errs = append(errs, fmt.Errorf("init order: LCP of init histories of instance %d is not a prefix of commit history %d", inst, ci))
 		}
 	}
 	for ai, ah := range s.aborts[inst] {
-		if !lcp.IsPrefixOf(ah) {
+		if !prefixOf(lcp, ah) {
 			errs = append(errs, fmt.Errorf("init order: LCP of init histories of instance %d is not a prefix of abort history %d", inst, ai))
 		}
 	}
@@ -208,7 +235,7 @@ func (s *SpecChecker) checkInitOrder(inst InstanceID) []error {
 
 func (s *SpecChecker) checkCompositionOrder() []error {
 	var errs []error
-	var all []history.DigestHistory
+	var all []history.ExtractResult
 	var tags []string
 	for inst, hists := range s.commits {
 		for i, h := range hists {
@@ -218,7 +245,7 @@ func (s *SpecChecker) checkCompositionOrder() []error {
 	}
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
-			if !all[i].IsPrefixOf(all[j]) && !all[j].IsPrefixOf(all[i]) {
+			if !prefixOf(all[i], all[j]) && !prefixOf(all[j], all[i]) {
 				errs = append(errs, fmt.Errorf("composition order: %s and %s are not prefix-related", tags[i], tags[j]))
 			}
 		}

@@ -51,7 +51,7 @@ type Config struct {
 	ShardEpoch int
 	// Network configures the in-process transport (loss, delay, queueing).
 	Network transport.Options
-	// CheckpointInterval is CHK (0 = default 128, negative = disabled).
+	// CheckpointInterval is CHK (0 = default 128).
 	CheckpointInterval int
 	// InstrumentHistories enables the specification checker instrumentation.
 	InstrumentHistories bool

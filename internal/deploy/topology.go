@@ -54,7 +54,7 @@ type Topology struct {
 	// ShardEpoch is the execution stage's merge round length (0 =
 	// shard.DefaultEpoch).
 	ShardEpoch int `json:"shard_epoch,omitempty"`
-	// CheckpointInterval is CHK (0 = default 128, negative = disabled).
+	// CheckpointInterval is CHK (0 = default 128).
 	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
 	// MaxBatch is the per-shard batch assembler size (0 = default 16, 1 =
 	// per-request path).

@@ -199,6 +199,92 @@ func TestExecuteStallsAtGap(t *testing.T) {
 	}
 }
 
+// TestRollbackRestoresRetainedBoundary: a one-replica host executes ts
+// 1..20 at CHK 8, so garbage collection trims below 16, then adopts the next
+// instance's init history, which keeps 1..18 and replaces 19 and 20. The
+// applied state must go back to the boundary retained at 16 and replay to
+// the adopted history's end with no state transfer: applied = 20, with the
+// adopted digest chain and none of the rolled-back puts.
+func TestRollbackRestoresRetainedBoundary(t *testing.T) {
+	const interval = 8
+	h, st := gcHost(t, interval, false)
+	drive(t, h, st, 1, 20)
+	if _, trimmed := h.CheckpointStatus(); trimmed != 16 {
+		t.Fatalf("trimmed = %d, want 16 (test setup)", trimmed)
+	}
+	tail := []msg.Request{kvReq(101), kvReq(102)}
+	want := make(history.DigestHistory, 0, 20)
+	for ts := uint64(1); ts <= 18; ts++ {
+		want = append(want, kvReq(ts).Digest())
+	}
+	want = append(want, tail[0].Digest(), tail[1].Digest())
+	abort := core.AbortMessage{
+		Instance: st.ID,
+		Replica:  h.ID(),
+		Next:     st.ID.Next(),
+		Report: history.ReplicaReport{
+			CheckpointSeq:    16,
+			CheckpointDigest: st.Checkpoint.StableDigest(),
+			Suffix:           want[16:].Clone(),
+		},
+	}
+	signed := core.SignedAbort{Abort: abort, Sig: h.Keys().Sign(h.ID(), abort.SignedBytes())}
+	init, err := core.BuildInitHistory(h.Cluster(), st.ID, []core.SignedAbort{signed}, tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Locked(func() { h.handleInit(&core.InitMessage{Instance: init.For, Init: init}) })
+
+	if got := h.ActiveInstance(); got != init.For {
+		t.Fatalf("active instance %d, want %d", got, init.For)
+	}
+	if h.Syncing() {
+		t.Error("the rollback started a state transfer")
+	}
+	seq, acc := h.AppliedState()
+	if seq != 20 || acc != want.Digest() {
+		t.Fatalf("applied %d entries with chain %v, want 20 with the adopted chain %v", seq, acc, want.Digest())
+	}
+	kv := h.Application().(*app.KVStore)
+	for key, val := range map[string]string{"k18": "v18", "k19": "", "k20": "", "k102": "v102"} {
+		if got := kv.Get(key); got != val {
+			t.Errorf("%s = %q, want %q", key, got, val)
+		}
+	}
+}
+
+// TestRollbackWithoutBoundaryStopsExecuting: a replica whose store holds no
+// boundary between its trim point and the divergence cannot rebuild a state
+// it trusts, so it starts a state transfer and executes nothing until the
+// transfer lands.
+func TestRollbackWithoutBoundaryStopsExecuting(t *testing.T) {
+	const interval = 8
+	h, st := gcHost(t, interval, false)
+	drive(t, h, st, 1, 20) // trim point and last boundary at 16
+	adopted := &InstanceState{ID: 2, Initialized: true, LastTimestamp: map[ids.ProcessID]uint64{}}
+	var reply []byte
+	h.Locked(func() {
+		h.snaps.PruneBelow(17) // evicts the boundary at 16
+		for ts := uint64(1); ts <= 18; ts++ {
+			adopted.Digests = append(adopted.Digests, kvReq(ts).Digest())
+		}
+		r := kvReq(101)
+		h.keepBody(r.Digest(), r, 20)
+		adopted.Digests = append(adopted.Digests, r.Digest())
+		h.reconcileApplication(adopted)
+		reply = h.Execute(adopted, r)
+	})
+	if !h.Syncing() {
+		t.Fatal("no state transfer started")
+	}
+	if reply != nil {
+		t.Fatalf("executed on the diverged state: reply %q", reply)
+	}
+	if seq, _ := h.AppliedState(); seq != 20 {
+		t.Fatalf("applied %d, want the diverged 20 left as it was", seq)
+	}
+}
+
 // TestGCReleasesSupersededInstances: after an instance switch, the stopped
 // instance's history storage and the request bodies only it names must be
 // released at the next stable checkpoint — with its signed abort frozen
@@ -226,7 +312,6 @@ func TestGCReleasesSupersededInstances(t *testing.T) {
 		h.instances[2] = st2
 		h.protocols[2] = nopReplica{}
 		h.active = 2
-		h.takeActivationSnapshot()
 	})
 	drive(t, h, st2, 21, 60)
 

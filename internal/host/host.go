@@ -94,8 +94,7 @@ type Config struct {
 	// (MaxBatch 16, MaxDelay 1ms); MaxBatch=1 disables batching and restores
 	// the per-request path.
 	Batch BatchPolicy
-	// CheckpointInterval is CHK; 0 selects the default (128), negative
-	// disables checkpointing.
+	// CheckpointInterval is CHK; 0 selects the default (128).
 	CheckpointInterval int
 	// RetainFloor, when non-nil, bounds garbage collection from below: the
 	// host never trims storage (or prunes snapshots) at or above the
@@ -162,11 +161,12 @@ type Host struct {
 	// active is the highest activated instance.
 	active core.InstanceID
 
-	// application execution state. appliedDigs stores the digests of the
-	// applied requests from position appliedTrim on (the prefix below it was
-	// garbage-collected once a stable checkpoint covered it); appliedAcc is
-	// the digest chain fold over the whole applied sequence, which snapshots
-	// record as their history digest.
+	// application execution state, which applyRequest advances and install
+	// replaces. appliedDigs stores the digests of the applied requests from
+	// position appliedTrim on (the prefix below it was garbage-collected once
+	// a stable checkpoint covered it); appliedAcc is the digest chain fold
+	// over the whole applied sequence, which snapshots record as their
+	// history digest.
 	application app.Application
 	appliedSeq  uint64
 	appliedDigs history.DigestHistory
@@ -182,15 +182,6 @@ type Host struct {
 	// replicas.
 	appliedWindows map[ids.ProcessID]tsState
 	lastReply      map[ids.ProcessID]*replyRing
-	// snapshot taken at the last instance activation, for speculative
-	// rollback.
-	snapApp     app.Application
-	snapSeq     uint64
-	snapDigs    history.DigestHistory
-	snapTrim    uint64
-	snapAcc     authn.Digest
-	snapWindows map[ids.ProcessID]tsState
-	snapRings   map[ids.ProcessID]*replyRing
 
 	// requestStore maps request digests to stamped bodies across instances
 	// (see keepBody). stamps queues every store in insertion order for
@@ -199,8 +190,9 @@ type Host struct {
 	stamps       []bodyStamp
 	stampSpare   []bodyStamp
 
-	// snaps retains recent application snapshots taken at checkpoint
-	// boundaries; sync tracks an in-flight state transfer (statesync plane).
+	// snaps retains the applied state at recent checkpoint boundaries, which
+	// FETCH-STATE answers and speculative rollbacks read; sync tracks an
+	// in-flight state transfer.
 	snaps *statesync.Store
 	sync  *syncState
 
@@ -246,6 +238,9 @@ func New(cfg Config) *Host {
 		stopCh:         make(chan struct{}),
 		doneCh:         make(chan struct{}),
 	}
+	// Seq 0 is a boundary too, serialized at once: an application starts
+	// out (nearly) empty.
+	h.snaps.Add(statesync.Snapshot{AppState: cfg.App.Snapshot()})
 	return h
 }
 
@@ -275,9 +270,19 @@ func (h *Host) Cluster() ids.Cluster { return h.cluster }
 // Keys returns the key store.
 func (h *Host) Keys() *authn.KeyStore { return h.keys }
 
-// InstrumentHistories reports whether RESP messages should carry full digest
-// histories.
-func (h *Host) InstrumentHistories() bool { return h.cfg.InstrumentHistories }
+// InstrumentedHistory returns the digests of st's local history from
+// position 0, the commit history a reply carries for the specification
+// checker: with InstrumentHistories, garbage collection is off, so the
+// applied sequence names every position below the instance's base. It is
+// nil otherwise, or when a state transfer left positions unnamed.
+func (h *Host) InstrumentedHistory(st *InstanceState) history.DigestHistory {
+	if !h.cfg.InstrumentHistories || h.appliedTrim > 0 || st.trimmed > 0 || h.appliedSeq < st.BaseSeq {
+		return nil
+	}
+	out := make(history.DigestHistory, 0, st.AbsLen())
+	out = append(out, h.appliedDigs[:st.BaseSeq]...)
+	return append(out, st.Digests...)
+}
 
 // SetObserver installs an observer; it must be called before Start.
 func (h *Host) SetObserver(o Observer) { h.observer = o }

@@ -16,8 +16,8 @@ import (
 )
 
 // hotHost is a directly driven single-replica host over the null
-// application with checkpointing off, holding `logged` logged-and-executed
-// entries of uncheckpointed history. The growing stores are pre-sized so a
+// application with its first checkpoint boundary out of reach, holding
+// `logged` logged-and-executed entries of uncheckpointed history. The growing stores are pre-sized so a
 // measurement sees per-request work, not amortized growth.
 func hotHost(t *testing.T, logged int) (*Host, *InstanceState, *uint64) {
 	t.Helper()
@@ -30,7 +30,7 @@ func hotHost(t *testing.T, logged int) (*Host, *InstanceState, *uint64) {
 		App:                app.NewNull(0),
 		Endpoint:           net.Endpoint(ids.Replica(0)),
 		NewProtocol:        func(*Host, *InstanceState) ProtocolReplica { return nopReplica{} },
-		CheckpointInterval: -1,
+		CheckpointInterval: 1 << 20,
 	})
 	st := h.Bootstrap()
 	if st == nil {
@@ -167,31 +167,28 @@ func TestDigestAtMatchesReferenceTarget(t *testing.T) {
 	}
 }
 
-// TestReconcileAfterRollbackAcrossGC drives the rollback the lookup has to
-// survive: the activation snapshot predates a garbage collection, the next
-// instance's adopted history diverges inside the speculative tail, and the
-// applied mirror must end up exactly on the adopted sequence.
+// TestReconcileAfterRollbackAcrossGC drives a rollback after garbage
+// collection has moved past the point the diverging instance was activated
+// at: the next instance's adopted history diverges inside the speculative
+// tail above the trim point, the applied state goes back to the boundary
+// retained there, and the applied mirror — and the application — must end up
+// exactly on the adopted sequence.
 func TestReconcileAfterRollbackAcrossGC(t *testing.T) {
 	const interval = 8
 	h, st := gcHost(t, interval, false)
-	drive(t, h, st, 1, 12)
-	h.Locked(h.takeActivationSnapshot) // snapshot at 12, trim point 8
-	drive(t, h, st, 13, 20)            // GC advances the trim point to 16
+	drive(t, h, st, 1, 20) // GC advances the trim point to 16
 	if _, trimmed := h.CheckpointStatus(); trimmed != 16 {
 		t.Fatalf("trimmed = %d, want 16 (test setup)", trimmed)
 	}
-	// The adopted history keeps 1..14 and replaces the tail with 101, 102.
+	// The adopted history keeps 1..18 and replaces the tail with 101, 102.
 	var want history.DigestHistory
 	adopted := &InstanceState{ID: 2, Initialized: true, LastTimestamp: map[ids.ProcessID]uint64{}}
 	h.Locked(func() {
-		for ts := uint64(1); ts <= 14; ts++ {
+		for ts := uint64(1); ts <= 18; ts++ {
 			want = append(want, kvReq(ts).Digest())
 		}
-		// The init history carries the bodies GC released with the old tail.
-		h.keepBody(kvReq(13).Digest(), kvReq(13), 16)
-		h.keepBody(kvReq(14).Digest(), kvReq(14), 16)
 		for _, r := range []msg.Request{kvReq(101), kvReq(102)} {
-			h.keepBody(r.Digest(), r, 16)
+			h.keepBody(r.Digest(), r, 20)
 			want = append(want, r.Digest())
 		}
 		// The new instance materializes from the stable checkpoint at 8 on.
@@ -202,6 +199,13 @@ func TestReconcileAfterRollbackAcrossGC(t *testing.T) {
 	seq, acc := h.AppliedState()
 	if seq != uint64(len(want)) || acc != want.Digest() {
 		t.Fatalf("applied %d entries with chain %v, want %d with %v", seq, acc, len(want), want.Digest())
+	}
+	kv := h.Application().(*app.KVStore)
+	if got := kv.Get("k19"); got != "" {
+		t.Errorf("rolled-back put k19 survived: %q", got)
+	}
+	if got := kv.Get("k101"); got != "v101" {
+		t.Errorf("adopted put k101 = %q, want v101", got)
 	}
 }
 

@@ -355,15 +355,11 @@ func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceSta
 	if st, ok := h.instances[id]; ok {
 		return st
 	}
-	ckptInterval := h.cfg.CheckpointInterval
-	if ckptInterval < 0 {
-		ckptInterval = 1 << 62 // effectively disabled
-	}
 	st := &InstanceState{
 		ID:            id,
 		LastTimestamp: make(map[ids.ProcessID]uint64),
 		tsMask:        make(map[ids.ProcessID]uint64),
-		Checkpoint:    history.NewCheckpointState(h.cluster.N, ckptInterval),
+		Checkpoint:    history.NewCheckpointState(h.cluster.N, h.cfg.CheckpointInterval),
 		staleCtr:      h.met.windowStale,
 		readmitCtr:    h.met.windowHits,
 	}
@@ -413,7 +409,6 @@ func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceSta
 	}
 	h.protocols[id] = h.cfg.NewProtocol(h, st)
 	if st.Initialized {
-		h.takeActivationSnapshot()
 		h.noteActivated(id)
 	}
 	return st
@@ -535,7 +530,6 @@ func (h *Host) finishInit(st *InstanceState) {
 		// application stalls at the gap.
 		h.startStateSync(st.ID, st.BaseSeq)
 	}
-	h.takeActivationSnapshot()
 	h.noteActivated(st.ID)
 	held := st.held
 	st.held = nil
@@ -546,32 +540,9 @@ func (h *Host) finishInit(st *InstanceState) {
 	}
 }
 
-// takeActivationSnapshot records the application state at instance
-// activation so that speculative execution of a later-aborted tail can be
-// rolled back when the next instance's init history diverges.
-func (h *Host) takeActivationSnapshot() {
-	h.snapApp = h.application.Clone()
-	h.snapSeq = h.appliedSeq
-	h.snapDigs = h.appliedDigs.Clone()
-	h.snapTrim = h.appliedTrim
-	h.snapAcc = h.appliedAcc
-	h.snapWindows = cloneWindows(h.appliedWindows)
-	h.snapRings = cloneRings(h.lastReply)
-}
-
-// cloneWindows copies a per-client window map.
-func cloneWindows(ws map[ids.ProcessID]tsState) map[ids.ProcessID]tsState {
-	out := make(map[ids.ProcessID]tsState, len(ws))
-	for c, w := range ws {
-		out[c] = w
-	}
-	return out
-}
-
 // reconcileApplication brings the replica's application state in line with
-// the adopted history of st: it rolls back to the last activation snapshot
-// when the locally applied tail diverges from the adopted history, then
-// applies any missing suffix.
+// the adopted history of st: it rolls a diverging speculative tail back to a
+// retained checkpoint boundary (rollBack), then applies any missing suffix.
 func (h *Host) reconcileApplication(st *InstanceState) {
 	// Find the longest absolute common prefix between what has been applied
 	// and the history; positions below the applied trim point are covered by
@@ -581,26 +552,9 @@ func (h *Host) reconcileApplication(st *InstanceState) {
 		h.appliedDigs[common-h.appliedTrim] == h.digestAt(st, common) {
 		common++
 	}
-	if common < h.appliedSeq && h.snapApp != nil && h.snapSeq <= common {
-		// Divergence within the speculative tail: roll back to the snapshot.
-		// The applied windows roll back too — they must stay a pure function
-		// of the applied prefix, or checkpoint snapshots would disagree
-		// across replicas whose speculative tails differed.
-		h.application = h.snapApp.Clone()
-		h.appliedSeq = h.snapSeq
-		h.appliedDigs = h.snapDigs.Clone()
-		h.appliedTrim = h.snapTrim
-		h.appliedAcc = h.snapAcc
-		h.appliedWindows = cloneWindows(h.snapWindows)
-		h.lastReply = cloneRings(h.snapRings)
-		// Checkpoint-boundary snapshots taken inside the rolled-back tail
-		// describe state that never committed.
-		h.snaps.DropAbove(h.appliedSeq)
+	if common < h.appliedSeq && !h.rollBack(st.ID, common) {
+		return
 	}
-	// Apply the remaining history suffix for which bodies are known
-	// (digestAt reads the live trim points, so the rollback above — which
-	// moves the applied trim point back to the activation snapshot's — needs
-	// no re-alignment).
 	for h.appliedSeq < st.AbsLen() {
 		d := h.digestAt(st, h.appliedSeq)
 		r, ok := h.RequestByDigest(d)
@@ -609,6 +563,36 @@ func (h *Host) reconcileApplication(st *InstanceState) {
 		}
 		h.applyRequest(r, d)
 	}
+}
+
+// rollBack installs the newest retained boundary b with appliedTrim <= b <=
+// common and replays the applied requests of [b, common), which the adopted
+// history keeps; their digests are read before the install cuts them, as the
+// instance may not materialize them. GC trims only below a retained boundary,
+// so every body the replay needs is held. A replica whose store evicted every
+// such boundary reports false, stops executing and fetches its peers' state.
+func (h *Host) rollBack(inst core.InstanceID, common uint64) bool {
+	if b, ok := h.snaps.BoundaryAtOrBelow(common); ok && b >= h.appliedTrim {
+		kept := h.appliedDigs[b-h.appliedTrim : common-h.appliedTrim].Clone()
+		if sn, _ := h.snaps.At(b); h.install(sn, false) == nil {
+			h.cfg.Flight.Record("rollback", h.cfg.Shard,
+				"instance %d: applied state back to boundary %d, replaying to %d", inst, b, common)
+			for _, d := range kept {
+				r, ok := h.RequestByDigest(d)
+				if !ok {
+					break
+				}
+				h.applyRequest(r, d)
+			}
+			return true
+		}
+	}
+	h.cfg.Flight.Record("rollback-transfer", h.cfg.Shard,
+		"instance %d: applied %d diverges at %d, no restorable boundary at or above %d",
+		inst, h.appliedSeq, common, h.appliedTrim)
+	h.startStateSync(inst, 0)
+	h.sync.discard = true
+	return false
 }
 
 // digestAt returns the digest the instance's history denotes at absolute
@@ -745,6 +729,9 @@ func (h *Host) LogBatchDigested(st *InstanceState, batch msg.Batch, digests []au
 // protocols whose replicas execute every request). It returns the
 // application reply.
 func (h *Host) Execute(st *InstanceState, req msg.Request) []byte {
+	if h.sync != nil && h.sync.discard {
+		return nil // a diverged applied state awaits the peers' (rollBack)
+	}
 	// Replay any logged-but-unapplied prefix first (e.g. after adopting an
 	// init history whose bodies arrived late, or for Chain replicas that
 	// start executing mid-stream).

@@ -115,27 +115,6 @@ func (r *replyRing) capture() ([]uint64, [][]byte) {
 	return r.ts[:n:n], r.replies[:n:n]
 }
 
-// clone copies the ring into arrays of its own (reply slices are shared; they
-// are never mutated in place).
-func (r *replyRing) clone() *replyRing {
-	c := &replyRing{width: r.width, ts: r.ts, replies: r.replies}
-	c.move()
-	return c
-}
-
-// cloneRings copies a per-client ring map (activation snapshots, so rolled
-// back speculative tails restore the rings along with the windows — ring
-// contents must stay a pure function of the applied prefix, or checkpoint
-// snapshot digests would disagree across replicas whose speculative tails
-// differed).
-func cloneRings(rs map[ids.ProcessID]*replyRing) map[ids.ProcessID]*replyRing {
-	out := make(map[ids.ProcessID]*replyRing, len(rs))
-	for c, r := range rs {
-		out[c] = r.clone()
-	}
-	return out
-}
-
 // get returns the cached reply for timestamp ts. Retransmissions name recent
 // requests, so the scan starts at the top.
 func (r *replyRing) get(ts uint64) ([]byte, bool) {

@@ -46,9 +46,7 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 	if designated {
 		resp.Reply = reply
 	}
-	if h.cfg.InstrumentHistories {
-		resp.HistoryDigests = st.Digests.Clone()
-	}
+	resp.HistoryDigests = h.InstrumentedHistory(st)
 	macBytes := resp.MACBytes()
 	resp.MAC = h.keys.MAC(h.id, req.Client, macBytes[:])
 	// A traced request marks the speculative reply leaving the replica as a

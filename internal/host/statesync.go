@@ -21,7 +21,9 @@ import (
 //   - a lagging or restarted replica runs one state transfer at a time
 //     (startStateSync / handleState), accepting a snapshot only under the
 //     collector's f+1 digest-agreement rule, then adopting it
-//     (adoptSyncedState).
+//     (adoptSyncedState);
+//   - install makes a snapshot the applied state: an adopted transfer's,
+//     or a retained boundary's on a speculative rollback (rollBack).
 
 // syncState is one in-flight state transfer.
 type syncState struct {
@@ -45,23 +47,21 @@ type syncState struct {
 	// once instead of waiting out the retry timer (regardless of whether
 	// the designated response or the f+1th digest vote arrived last).
 	sawDesignated bool
+	// discard marks a transfer replacing a diverged applied state (rollBack):
+	// execution waits for it, and its snapshot is installed wherever it lies.
+	discard bool
 }
 
 // syncRetryTicks is how many protocol ticks pass between FETCH-STATE
 // retransmissions of an unfinished transfer.
 const syncRetryTicks = 10
 
-// checkpointEvery returns the effective checkpoint interval (0 when
-// checkpointing is disabled).
+// checkpointEvery returns the effective checkpoint interval.
 func (h *Host) checkpointEvery() uint64 {
-	iv := h.cfg.CheckpointInterval
-	if iv == 0 {
-		iv = history.DefaultCheckpointInterval
+	if iv := h.cfg.CheckpointInterval; iv > 0 {
+		return uint64(iv)
 	}
-	if iv < 0 {
-		return 0
-	}
-	return uint64(iv)
+	return history.DefaultCheckpointInterval
 }
 
 // maybeSnapshot captures the replica state when the applied sequence sits on
@@ -82,8 +82,7 @@ func (h *Host) checkpointEvery() uint64 {
 // handleFetchState does that (a lagging or restarted peer, or a recovering
 // shard, asking for state).
 func (h *Host) maybeSnapshot() {
-	iv := h.checkpointEvery()
-	if iv == 0 || h.appliedSeq == 0 || h.appliedSeq%iv != 0 {
+	if h.appliedSeq == 0 || h.appliedSeq%h.checkpointEvery() != 0 {
 		return
 	}
 	if h.cfg.RetainFloor != nil {
@@ -179,9 +178,9 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 // init history, so every replica must keep its bodies. The result is
 // quantized down to a retained snapshot boundary, so a FETCH-STATE pinned at
 // or above it is always answerable with a snapshot plus a complete suffix.
-// It reports false while there is no such boundary or the application has
-// not executed up to it (bodies missing below an adopted base checkpoint):
-// storage is then kept, and the next stable checkpoint retries.
+// It reports false while there is no such boundary above 0 or the
+// application has not executed up to it (bodies missing below an adopted base
+// checkpoint): storage is then kept, and the next stable checkpoint retries.
 func (h *Host) trimPoint(st *InstanceState) (uint64, bool) {
 	s := st.Checkpoint.StableSeq()
 	if h.cfg.RetainFloor != nil {
@@ -191,7 +190,7 @@ func (h *Host) trimPoint(st *InstanceState) (uint64, bool) {
 		s = min(s, st.cachedAbort.Abort.Report.CheckpointSeq)
 	}
 	s, ok := h.snaps.BoundaryAtOrBelow(s)
-	if !ok || h.appliedSeq < s {
+	if !ok || s == 0 || h.appliedSeq < s {
 		return 0, false
 	}
 	return s, true
@@ -216,8 +215,9 @@ func (h *Host) releaseBodies(s uint64) int {
 
 // handleFetchState answers a peer's FETCH-STATE: the snapshot the request
 // selects plus the applied history suffix (digests and known bodies) beyond
-// it. A replica that garbage-collected past the requested boundary cannot
-// serve the suffix and stays silent; the fetcher's f+1 rule tolerates that.
+// it (the boundary at 0 goes as the zero snapshot). A replica that
+// garbage-collected past the requested boundary cannot serve the suffix and
+// stays silent; the fetcher's f+1 rule tolerates that.
 // The claimed sender must match the transport-level sender, so a Byzantine
 // process cannot direct responses at an uninvolved replica.
 func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
@@ -233,20 +233,13 @@ func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
 		return
 	}
 	resp := &statesync.State{Instance: inst, From: h.id, BodiesFrom: m.BodiesFrom}
-	var suffixFrom uint64
-	switch {
-	case m.Seq > 0:
-		if sn, ok := h.snaps.LatestAtOrBelow(m.Seq); ok {
-			resp.Snap = sn
-			suffixFrom = sn.Seq
-		}
-	default:
-		if s := st.Checkpoint.StableSeq(); s > 0 {
-			if sn, ok := h.snaps.LatestAtOrBelow(s); ok {
-				resp.Snap = sn
-				suffixFrom = sn.Seq
-			}
-		}
+	seq := m.Seq
+	if seq == 0 {
+		seq = st.Checkpoint.StableSeq()
+	}
+	suffixFrom, _ := h.snaps.BoundaryAtOrBelow(seq)
+	if suffixFrom > 0 {
+		resp.Snap, _ = h.snaps.At(suffixFrom)
 	}
 	if suffixFrom < h.appliedTrim {
 		return
@@ -387,18 +380,19 @@ func (h *Host) handleState(from ids.ProcessID, m *statesync.State) {
 		}
 		return
 	}
-	inst := h.sync.inst
+	done := h.sync
 	h.sync = nil
-	h.adoptSyncedState(a, inst)
+	h.adoptSyncedState(a, done.inst, done.discard)
 }
 
-// adoptSyncedState installs an accepted state transfer: the application is
-// restored to the snapshot when it is behind it, the transferred bodies are
-// stored, and — when this replica's own explicit history is behind the
-// snapshot (a fresh restart rather than a below-base fill) — the agreed
-// suffix becomes the instance's history, with the covered prefix represented
-// by its digest fold exactly as garbage collection would leave it.
-func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
+// adoptSyncedState installs an accepted state transfer: the snapshot becomes
+// the applied state when the replica is behind it (or discards its own), the
+// transferred bodies are stored, and — when this replica's own explicit
+// history is behind the snapshot (a fresh restart rather than a below-base
+// fill) — the agreed suffix becomes the instance's history, with the covered
+// prefix represented by its digest fold exactly as garbage collection would
+// leave it.
+func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID, discard bool) {
 	h.met.ssAdopted.Inc()
 	h.met.ssBytesIn.Add(uint64(len(a.Snap.AppState)))
 	h.cfg.Flight.Record("statesync-adopt", h.cfg.Shard,
@@ -406,47 +400,26 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 	for _, r := range a.Bodies {
 		h.keepBody(r.Digest(), r, a.End())
 	}
-	restored := false
-	if a.Snap.Seq > h.appliedSeq {
-		if !a.Snap.IsZero() {
-			if err := h.application.Restore(a.Snap.AppState); err != nil {
-				h.logf("statesync: snapshot restore failed: %v", err)
-				return
-			}
+	if a.Snap.Seq > h.appliedSeq || discard {
+		if err := h.install(a.Snap, true); err != nil {
+			h.logf("statesync: snapshot restore failed: %v", err)
+			return
 		}
-		h.appliedSeq = a.Snap.Seq
-		h.appliedTrim = a.Snap.Seq
-		h.appliedDigs = nil
-		h.appliedAcc = a.Snap.HistDigest
-		restored = true
 	}
 	st := h.instances[inst]
 	if st == nil {
 		return
 	}
-	// Restore the transferred per-client timestamp windows into the host's
-	// applied windows and the instance's logging windows: the suffix bodies
-	// below rebuild only the marks above the snapshot, so without these a
-	// retransmission from below the adopted boundary would be accepted as
-	// fresh and re-executed.
+	// Merge the transferred per-client timestamp windows into the instance's
+	// logging windows: the suffix bodies below rebuild only the marks above
+	// the snapshot, so without these a retransmission from below the adopted
+	// boundary would be accepted as fresh and logged again.
 	for _, w := range a.Snap.Windows {
-		h.appliedWindows[w.Client] = h.appliedWindows[w.Client].merge(tsState{high: w.High, mask: w.Mask})
 		st.AdoptWindow(w.Client, w.High, w.Mask)
-	}
-	// Restore the transferred reply rings (oldest first, so eviction keeps
-	// the newest entries): retransmissions of requests from below the
-	// adopted boundary are served from cache exactly as on the live peers.
-	for _, ring := range a.Snap.Rings {
-		r := h.replyRingFor(ring.Client)
-		for i, ts := range ring.Timestamps {
-			if i < len(ring.Replies) {
-				r.add(ts, ring.Replies[i])
-			}
-		}
 	}
 	if st.BaseSeq == 0 && st.AbsLen() <= a.Snap.Seq && a.End() > st.AbsLen() {
 		st.resetHistory(a.Snap.Seq, a.Snap.HistDigest, a.Suffix)
-		if iv := uint64(st.Checkpoint.Interval); iv > 0 && a.Snap.Seq > 0 && a.Snap.Seq%iv == 0 {
+		if iv := uint64(st.Checkpoint.Interval); a.Snap.Seq > 0 && a.Snap.Seq%iv == 0 {
 			st.Checkpoint.AdoptStable(a.Snap.Seq/iv, a.Snap.HistDigest)
 		}
 		for i, d := range st.Digests {
@@ -474,10 +447,41 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID) {
 		h.applyRequest(r, d)
 	}
 	h.reconcileApplication(st)
-	if restored {
-		h.takeActivationSnapshot()
-	}
 	h.logf("statesync: adopted snapshot at %d (+%d suffix entries)", a.Snap.Seq, len(a.Suffix))
+}
+
+// install makes snapshot sn the applied state: application, applied
+// position and digest chain, windows and reply rings. A rollback keeps the
+// applied digests below sn; an adopted transfer (afresh) starts them at
+// sn.Seq. The store then ends at sn, and after a transfer starts there.
+func (h *Host) install(sn statesync.Snapshot, afresh bool) error {
+	if err := h.application.Restore(sn.AppState); err != nil {
+		return err
+	}
+	if afresh {
+		h.appliedTrim = sn.Seq
+		h.snaps.PruneBelow(sn.Seq)
+	}
+	h.appliedDigs = h.appliedDigs[:sn.Seq-h.appliedTrim]
+	h.appliedSeq, h.appliedAcc = sn.Seq, sn.HistDigest
+	h.met.appliedSeq.Set(int64(h.appliedSeq))
+	h.appliedWindows = make(map[ids.ProcessID]tsState, len(sn.Windows))
+	for _, w := range sn.Windows {
+		h.appliedWindows[w.Client] = tsState{high: w.High, mask: w.Mask}
+	}
+	// Fresh rings: the snapshot's are read-only views (replyRing.capture).
+	h.lastReply = make(map[ids.ProcessID]*replyRing, len(sn.Rings))
+	for _, ring := range sn.Rings {
+		r := h.replyRingFor(ring.Client)
+		for i, ts := range ring.Timestamps {
+			if i < len(ring.Replies) {
+				r.add(ts, ring.Replies[i])
+			}
+		}
+	}
+	h.snaps.DropAbove(sn.Seq)
+	h.snaps.Add(sn)
+	return nil
 }
 
 // TimestampFreshFor reports whether the active instance would still log a

@@ -184,10 +184,6 @@ func (s Snapshot) PayloadDigest() authn.Digest {
 	return authn.HashAll(s.AppState, EncodeWindows(s.Windows), EncodeRings(s.Rings))
 }
 
-// IsZero reports whether the snapshot is the genesis snapshot (nothing
-// executed, no state to restore).
-func (s Snapshot) IsZero() bool { return s.Seq == 0 }
-
 // HasPayload reports whether the snapshot carries its transferable payload
 // (digest-only responses of the digest-first handshake do not).
 func (s Snapshot) HasPayload() bool { return !s.Stripped }

@@ -475,11 +475,13 @@ func (t *TCP) readLoop(c *tcpConn, dec StreamDecoder, peer ids.ProcessID, nonce 
 	for {
 		env = Envelope{}
 		if err := dec.Decode(&env); err != nil {
-			// EOFs and local closes are the normal ends of a connection; a
-			// framing or codec error is not — it kills the connection (the
-			// peer re-dials) and deserves a trace naming the peer, so
-			// multi-process e2e logs stay attributable.
-			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, net.ErrClosed) {
+			// EOFs, local closes and failed socket reads (a peer resetting
+			// the connection as it goes) are the normal ends of a
+			// connection; a framing or codec error is not — it kills the
+			// connection (the peer re-dials) and deserves a trace naming the
+			// peer, so multi-process e2e logs stay attributable.
+			var readErr *net.OpError
+			if err != io.EOF && err != io.ErrUnexpectedEOF && !errors.Is(err, net.ErrClosed) && !errors.As(err, &readErr) {
 				if m != nil {
 					m.decodeErrors.Inc()
 				}

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -8,6 +9,7 @@ import (
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/ids"
+	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
 	"abstractbft/internal/transport/wirecodec"
 )
@@ -130,4 +132,53 @@ func TestTCPSendDuringOutageDeliveredAfterRestart(t *testing.T) {
 	}
 	defer a.Close()
 	awaitDelivery(t, a, r1, marker(2))
+}
+
+// TestTCPResetIsNotADecodeError: a peer that resets its connection (a close
+// with SO_LINGER 0, as a killed process's kernel does) ends the connection
+// like an EOF; only bytes the codec cannot read count as decode errors.
+func TestTCPResetIsNotADecodeError(t *testing.T) {
+	keys := authn.NewKeyStore("reset")
+	replica := ids.Replica(0)
+	server, err := transport.NewTCPCodec(replica, map[ids.ProcessID]string{replica: "127.0.0.1:0"}, keys, wirecodec.Binary())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	reg := obs.NewRegistry()
+	server.SetMetrics(transport.NewTCPMetrics(reg))
+	decodeErrors := reg.Counter("transport_decode_errors_total")
+
+	// Reading the challenge proves the server is reading the connection.
+	reset, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reset.SetReadDeadline(time.Now().Add(2 * time.Second))
+	var challenge transport.Envelope
+	if err := wirecodec.Binary().NewDecoder(reset).Decode(&challenge); err != nil {
+		t.Fatalf("no challenge from the server: %v", err)
+	}
+	reset.(*net.TCPConn).SetLinger(0)
+	reset.Close()
+	time.Sleep(200 * time.Millisecond)
+	if n := decodeErrors.Value(); n != 0 {
+		t.Fatalf("a reset connection counted %d decode errors, want 0", n)
+	}
+
+	garbage, err := net.Dial("tcp", server.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	// A frame header announcing 4 GiB: more than any frame may hold.
+	if _, err := garbage.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); decodeErrors.Value() == 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := decodeErrors.Value(); n != 1 {
+		t.Fatalf("garbage bytes counted %d decode errors, want 1", n)
+	}
 }
