@@ -122,12 +122,11 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	// Grab an early merged boundary as the soon-to-be-stale pin.
 	var staleSeq uint64
 	var staleDig [32]byte
-	var staleApp []byte
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		seq, dig, appBytes := cluster.Nodes[3].Exec.MergedSnapshot()
+		seq, dig := cluster.Nodes[3].Exec.MergedSnapshot()
 		if seq > 0 {
-			staleSeq, staleDig, staleApp = seq, dig, appBytes
+			staleSeq, staleDig = seq, dig
 			break
 		}
 		if time.Now().After(deadline) {
@@ -172,7 +171,7 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	cluster.Net.ResetEndpoint(ids.Replica(3))
 	n := cluster.buildNode(ids.Replica(3))
 	cluster.Nodes[3] = n
-	if err := n.Recover(staleSeq, staleDig, staleApp); err != nil {
+	if err := n.Recover(staleSeq, staleDig); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 
@@ -189,8 +188,8 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 	wg.Wait()
 	deadline = time.Now().Add(30 * time.Second)
 	for {
-		seq0, dig0, _ := cluster.Nodes[0].Exec.MergedSnapshot()
-		seq3, dig3, _ := n.Exec.MergedSnapshot()
+		seq0, dig0 := cluster.Nodes[0].Exec.MergedSnapshot()
+		seq3, dig3 := n.Exec.MergedSnapshot()
 		if seq0 > staleSeq && seq0 == seq3 && dig0 == dig3 {
 			break
 		}
@@ -199,4 +198,5 @@ func TestPinnedSyncReagreementUnderTraffic(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+	waitAppliedEqual(t, cluster.Nodes, 30*time.Second)
 }

@@ -51,6 +51,17 @@ func waitConverged(t *testing.T, restarted, ref *host.Host, timeout time.Duratio
 	}
 }
 
+// waitAppliedEqual waits until every node's per-shard applied state matches
+// node 0's.
+func waitAppliedEqual(t *testing.T, nodes []*shard.Node, timeout time.Duration) {
+	t.Helper()
+	for s := range nodes[0].Hosts {
+		for _, n := range nodes[1:] {
+			waitConverged(t, n.Host(s), nodes[0].Host(s), timeout)
+		}
+	}
+}
+
 // TestRestartWithCrashedDesignatedPeer: the digest-first handshake asks one
 // designated peer for the snapshot payload. When that peer is crashed, the
 // digest-only majority still agrees but ships nothing; the retry rotation
@@ -232,10 +243,10 @@ func TestShardedNodeRestart(t *testing.T) {
 	waitMergedEqual := func(nodes []*shard.Node, timeout time.Duration) (uint64, bool) {
 		deadline := time.Now().Add(timeout)
 		for {
-			seq0, dig0, _ := nodes[0].Exec.MergedSnapshot()
+			seq0, dig0 := nodes[0].Exec.MergedSnapshot()
 			equal := seq0 > 0
 			for _, n := range nodes[1:] {
-				seq, dig, _ := n.Exec.MergedSnapshot()
+				seq, dig := n.Exec.MergedSnapshot()
 				if seq != seq0 || dig != dig0 {
 					equal = false
 				}
@@ -290,12 +301,10 @@ func TestShardedNodeRestart(t *testing.T) {
 	if _, ok := waitMergedEqual(cluster.Nodes, 5*time.Second); !ok {
 		t.Fatal("merged mirrors diverged after post-restart traffic")
 	}
-	seq3, dig3, app3 := restarted.Exec.MergedSnapshot()
-	seq0, dig0, app0 := cluster.Nodes[0].Exec.MergedSnapshot()
+	seq3, dig3 := restarted.Exec.MergedSnapshot()
+	seq0, dig0 := cluster.Nodes[0].Exec.MergedSnapshot()
 	if seq3 != seq0 || dig3 != dig0 {
 		t.Fatalf("merged state diverged: %d vs %d", seq3, seq0)
 	}
-	if string(app3) != string(app0) {
-		t.Fatal("merged application state diverged")
-	}
+	waitAppliedEqual(t, cluster.Nodes, 5*time.Second)
 }

@@ -82,9 +82,9 @@ func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 // discarded, and a fresh node comes up under the same identity and rejoins
 // through the same network recovery plane the multi-process deployment uses
 // (shard.Node.RecoverFromPeers): it collects an f+1-agreed merged boundary
-// from the live peers over the wire (votes keyed by merged sequence, merged
-// digest, and the hash of the serialized merged application, accumulated
-// across collection rounds so a plane moving under traffic still converges),
+// from the live peers over the wire (votes keyed by merged sequence and
+// merged digest, accumulated across collection rounds so a plane moving
+// under traffic still converges),
 // restores the merged mirror there, and state-syncs every per-shard sub-host
 // pinned at or below the boundary so the mirror's suffix feeds without a
 // gap. The per-shard transfers complete asynchronously, re-pinned at every

@@ -110,7 +110,7 @@ func TestShardedKVEndToEnd(t *testing.T) {
 	var digests []authn.Digest
 	var seqs []uint64
 	for i, n := range cluster.Nodes {
-		seq, dig, _ := n.Exec.MergedSnapshot()
+		seq, dig := n.Exec.MergedSnapshot()
 		if seq < want {
 			t.Fatalf("replica %d merged %d requests, want at least %d", i, seq, want)
 		}
@@ -183,10 +183,10 @@ func TestShardedAbortIndependence(t *testing.T) {
 	// re-feed), so all replicas converge to one merged boundary and digest.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		seq0, dig0, _ := cluster.Nodes[0].Exec.MergedSnapshot()
+		seq0, dig0 := cluster.Nodes[0].Exec.MergedSnapshot()
 		equal := seq0 > 0
 		for _, n := range cluster.Nodes[1:] {
-			seq, dig, _ := n.Exec.MergedSnapshot()
+			seq, dig := n.Exec.MergedSnapshot()
 			if seq != seq0 || dig != dig0 {
 				equal = false
 			}
@@ -196,7 +196,7 @@ func TestShardedAbortIndependence(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			for i, n := range cluster.Nodes {
-				seq, dig, _ := n.Exec.MergedSnapshot()
+				seq, dig := n.Exec.MergedSnapshot()
 				t.Logf("replica %d merged %d digest %x", i, seq, dig[:4])
 			}
 			t.Fatal("merged mirrors did not converge after the instance switch")
@@ -249,7 +249,7 @@ func TestShardedConcurrentClientsRace(t *testing.T) {
 			for _, n := range cluster.Nodes {
 				n.Exec.MergedSeq()
 				n.Exec.MergedDigest()
-				n.Exec.MergedApp()
+				n.Exec.MergedSnapshot()
 			}
 			time.Sleep(time.Millisecond)
 		}

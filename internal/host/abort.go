@@ -118,9 +118,18 @@ func (h *Host) maybeCheckpoint(st *InstanceState) {
 	m := &core.CheckpointMessage{From: h.id, AbstractID: st.ID, Counter: cc, StateDigest: digest}
 	// Record our own contribution, then broadcast to the other replicas.
 	if st.Checkpoint.Record(h.id, cc, digest) {
-		h.onStableCheckpoint(st)
+		h.checkpointStable(st)
 	}
 	h.Multicast(h.OtherReplicas(), m)
+}
+
+// checkpointStable reports st's newly stable checkpoint to the observer and
+// garbage-collects below it.
+func (h *Host) checkpointStable(st *InstanceState) {
+	if h.observer != nil {
+		h.observer.CheckpointStable(st.ID, st.Checkpoint.StableSeq())
+	}
+	h.onStableCheckpoint(st)
 }
 
 // checkpointDigest computes the digest of the replica state after cc*CHK
@@ -147,7 +156,7 @@ func (h *Host) handleCheckpoint(m *core.CheckpointMessage) {
 		return
 	}
 	if st.Checkpoint.Record(m.From, m.Counter, m.StateDigest) {
-		h.onStableCheckpoint(st)
+		h.checkpointStable(st)
 	}
 }
 

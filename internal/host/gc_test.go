@@ -521,3 +521,55 @@ func TestReplyRingEviction(t *testing.T) {
 		}
 	}
 }
+
+// TestSupersededInitNeverCompletes: a one-replica host applies ts 1..3,
+// adopts instance 2's init [1, x] without x's body, then instance 3's init
+// [1..4] with every body known. x's body arriving late for the superseded
+// instance 2 must not complete that initialization: the applied state stays
+// on instance 3's history instead of rolling back to [1, x].
+func TestSupersededInitNeverCompletes(t *testing.T) {
+	h, st := gcHost(t, 8, false)
+	drive(t, h, st, 1, 3)
+	initFor := func(from core.InstanceID, suffix, bodies []msg.Request) *core.InitMessage {
+		var digs history.DigestHistory
+		for _, r := range suffix {
+			digs = append(digs, r.Digest())
+		}
+		abort := core.AbortMessage{Instance: from, Replica: h.id, Next: from.Next(), Report: history.ReplicaReport{Suffix: digs}}
+		signed := core.SignedAbort{Abort: abort, Sig: h.keys.Sign(h.id, abort.SignedBytes())}
+		init, err := core.BuildInitHistory(h.cluster, from, []core.SignedAbort{signed}, bodies)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &core.InitMessage{Instance: init.For, Init: init}
+	}
+	x := kvReq(100)
+	var st2 *InstanceState
+	h.Locked(func() {
+		h.handleInit(initFor(st.ID, []msg.Request{kvReq(1), x}, nil))
+		st2 = h.instances[st.ID.Next()]
+	})
+	if st2 == nil || st2.Initialized {
+		t.Fatal("instance 2 should be waiting for x's body (test setup)")
+	}
+	adopted := []msg.Request{kvReq(1), kvReq(2), kvReq(3), kvReq(4)}
+	h.Locked(func() { h.handleInit(initFor(st2.ID, adopted, adopted[3:])) })
+	want := make(history.DigestHistory, 0, len(adopted))
+	for _, r := range adopted {
+		want = append(want, r.Digest())
+	}
+	if seq, acc := h.AppliedState(); seq != 4 || acc != want.Digest() {
+		t.Fatalf("applied %d entries after instance 3's init, want its 4 (test setup)", seq)
+	}
+
+	h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: st2.ID, From: ids.Replica(0), Requests: []msg.Request{x}}})
+	if got := h.ActiveInstance(); got != st2.ID.Next() {
+		t.Fatalf("active instance %d, want %d", got, st2.ID.Next())
+	}
+	if seq, acc := h.AppliedState(); seq != 4 || acc != want.Digest() {
+		t.Fatalf("applied %d entries after a late body for superseded instance 2, want instance 3's 4", seq)
+	}
+	if got := h.Application().(*app.KVStore).Get("k100"); got != "" {
+		t.Fatalf("superseded history executed: k100 = %q", got)
+	}
+}

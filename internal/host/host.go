@@ -53,9 +53,10 @@ type Ticker interface {
 	ProtocolTick()
 }
 
-// Observer receives the requests an instance's history gains and the
-// history resets a switch causes; the sharded plane's execution feed is its
-// one implementation.
+// Observer receives the requests an instance's history gains, the history
+// resets a switch causes and the checkpoints that become stable, in the
+// order the host makes them; the sharded plane's execution feed is its one
+// implementation.
 type Observer interface {
 	// RequestLogged is called for each request appended to the local history
 	// of an instance, whether logged by the instance or adopted from an init
@@ -73,6 +74,12 @@ type Observer interface {
 	//
 	//abstractbft:lockheld
 	HistoryReset(inst core.InstanceID, baseSeq uint64)
+	// CheckpointStable is called when instance inst's checkpoint at absolute
+	// position seq becomes stable: every replica logged the same history
+	// below seq, so no later reset replaces it.
+	//
+	//abstractbft:lockheld
+	CheckpointStable(inst core.InstanceID, seq uint64)
 }
 
 // Config configures a replica host.

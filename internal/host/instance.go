@@ -465,9 +465,11 @@ func (h *Host) handleInit(m *core.InitMessage) {
 
 // completeInit stores the bodies among reqs that st's initialization misses,
 // and completes it once none is left. Any other body is dropped: a peer
-// cannot make the replica keep what no history of its own names.
+// cannot make the replica keep what no history of its own names. A stopped
+// instance was superseded, so its initialization never completes: a late
+// body would otherwise reconcile the application with a replaced history.
 func (h *Host) completeInit(st *InstanceState, reqs []msg.Request) {
-	if len(st.missing) == 0 {
+	if len(st.missing) == 0 || st.Stopped {
 		return
 	}
 	for _, r := range reqs {

@@ -21,6 +21,7 @@ func TestRecordAllocBudget(t *testing.T) {
 	g := r.Gauge("test_depth")
 	h := r.Histogram("test_latency_seconds", nil)
 	tr := NewTracer(r, 4)
+	start := time.Now()
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
@@ -28,9 +29,7 @@ func TestRecordAllocBudget(t *testing.T) {
 		g.Add(-1)
 		h.Observe(0.0042)
 		h.ObserveDuration(3 * time.Millisecond)
-		if tr.Sample() {
-			tr.Observe(StageOrder, 250*time.Microsecond)
-		}
+		tr.Record(tr.NewTrace(), StageOrder, 0, start, 250*time.Microsecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("record fast path allocated %v allocs/op, want 0", allocs)
@@ -45,9 +44,7 @@ func TestRecordAllocBudget(t *testing.T) {
 	allocs = testing.AllocsPerRun(1000, func() {
 		nc.Inc()
 		nh.Observe(1)
-		if ntr.Sample() {
-			ntr.Observe(StageReply, time.Millisecond)
-		}
+		ntr.Record(ntr.NewTrace(), StageReply, 0, start, time.Millisecond)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-op path allocated %v allocs/op, want 0", allocs)
@@ -262,9 +259,9 @@ func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(r, 10)
 	sampled := 0
 	for i := 0; i < 1000; i++ {
-		if tr.Sample() {
+		if tc := tr.NewTrace(); tc.Sampled() {
 			sampled++
-			tr.Observe(StageMerge, time.Millisecond)
+			tr.Record(tc, StageMerge, 0, time.Now(), time.Millisecond)
 		}
 	}
 	if sampled != 100 {

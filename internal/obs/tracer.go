@@ -72,18 +72,6 @@ func (t *Tracer) Spans() *SpanRing {
 	return t.spans
 }
 
-// Sample reports whether the caller should trace the current request.
-// Retained for process-local sampling decisions; wire-propagated tracing uses
-// NewTrace instead, so the whole cluster follows the client's one decision.
-//
-//abstractbft:noalloc
-func (t *Tracer) Sample() bool {
-	if t == nil {
-		return false
-	}
-	return t.n.Add(1)%t.every == 0
-}
-
 // NewTrace makes the head-sampling decision for one new request and, when it
 // samples, allocates a fresh trace: the returned context has a nonzero
 // TraceID and Parent 0 (the root). An unsampled decision returns the zero
@@ -102,17 +90,6 @@ func (t *Tracer) NewTrace() TraceContext {
 		return TraceContext{}
 	}
 	return TraceContext{TraceID: newID()}
-}
-
-// Observe records the duration of one lifecycle stage for a sampled request
-// (histogram only; no span). Retained for process-local call sites.
-//
-//abstractbft:noalloc
-func (t *Tracer) Observe(stage int, d time.Duration) {
-	if t == nil || stage < 0 || stage >= numStages {
-		return
-	}
-	t.stages[stage].ObserveDuration(d)
 }
 
 // Record records one lifecycle stage of a propagated trace context: the stage

@@ -7,11 +7,11 @@
 // driven by its embedder: the embedder feeds it client requests and protocol
 // messages and provides the send and deliver callbacks.
 //
-// Simplification relative to the original protocol (documented in DESIGN.md):
-// the view-change message carries each replica's prepared entries and the new
-// primary re-proposes the highest prepared batch per sequence number; the
-// stable-checkpoint/watermark machinery is omitted because compositions bound
-// instance lifetimes through switching.
+// Simplification relative to the original protocol: the view-change message
+// carries each replica's prepared entries and the new primary re-proposes the
+// highest prepared batch per sequence number; the stable-checkpoint/watermark
+// machinery is omitted because compositions bound instance lifetimes through
+// switching.
 package pbft
 
 import (

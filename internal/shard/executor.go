@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -24,9 +25,8 @@ type ExecutorConfig struct {
 	// round; 0 selects DefaultEpoch. Smaller epochs reduce merge latency,
 	// larger ones amortize the round bookkeeping.
 	Epoch int
-	// NewApp builds the merged application the global sequence is applied
-	// to; nil skips application execution (the merged digest chain is still
-	// maintained).
+	// Deprecated: the executor sequences request digests and runs no
+	// application; NewApp is ignored.
 	NewApp func() app.Application
 	// Metrics, when non-nil, receives the execution-stage series (merged
 	// progress, per-shard throughput, null-op fills, lag/backlog gauges).
@@ -39,12 +39,20 @@ type ExecutorConfig struct {
 // Executor is the asynchronous execution stage: it consumes the ordered
 // spans of every shard off the ordering critical path (fed by the host
 // observer on each sub-host, see Node) and merges them into one
-// deterministic global sequence using shard epoch rounds. Round r emits
-// positions [r*E, (r+1)*E) of shard 0, then shard 1, …, then shard S-1, so
-// the merged sequence — and the merged application state and digest chain
-// built from it — is a pure function of the per-shard ordered histories:
-// every replica converges to the same global order with no cross-shard
-// coordination.
+// deterministic global sequence of request digests using shard epoch rounds.
+// Round r emits positions [r*E, (r+1)*E) of shard 0, then shard 1, …, then
+// shard S-1, so the merged sequence and its digest chain are a pure function
+// of the per-shard ordered histories: every replica converges to the same
+// global order with no cross-shard coordination. Clients are answered from
+// the per-shard partitions, so the merge executes nothing.
+//
+// A speculative shard can roll back a tail the mirror already merged (an
+// instance switch adopting an init history that replaces it). The executor
+// therefore keeps each shard's digests from the floor on — the round holding
+// the lowest stable checkpoint over the shards, below which every replica
+// logged the same history — with the chain value at the start of every
+// merged round since, and a reset below the merged prefix rewinds to the
+// round holding the reset position and merges again from the re-fed history.
 //
 // A round is emitted once every shard has ordered its E positions. An idle
 // shard no longer stalls the merge indefinitely: LaggingShards exposes the
@@ -71,21 +79,24 @@ type Executor struct {
 	// into the merge loop, which owns the sequencer state.
 	ctrl chan func()
 
-	// merge-loop-owned per-shard sequencer state.
-	pending []span                   // in-order spans awaiting their round
-	popped  []uint64                 // positions already merged per shard
-	ooo     []map[uint64]msg.Request // out-of-order buffer per shard
-	round   []msg.Request            // scratch a merge round is gathered into
+	// merge-loop-owned sequencer state. digs[s] holds shard s's in-order
+	// digests from position base*E on: the first (rounds-base)*E are merged,
+	// the rest await their round. starts[i] is the chain value at the start
+	// of round base+i.
+	digs   [][]entry
+	ooo    []map[uint64]entry // out-of-order buffer per shard
+	stable []uint64           // highest stable checkpoint reported per shard
+	starts []authn.Digest
+	base   uint64
 
-	// merged state, guarded by stateMu. inOrder mirrors each shard's next
-	// in-order position (popped + pending) for the idle-shard demand probe.
+	// merged state, guarded by stateMu; the merge loop, its one writer, reads
+	// rounds without it. inOrder mirrors each shard's next in-order position
+	// for the idle-shard demand probe.
 	stateMu      sync.Mutex
 	mergedSeq    uint64
 	mergedDigest authn.Digest
-	mergedApp    app.Application
 	rounds       uint64
 	inOrder      []uint64
-	poppedView   []uint64
 	oooView      []uint64
 
 	// observability: met is always non-nil (no-op metrics without a
@@ -100,48 +111,36 @@ type Executor struct {
 	traceCtx   obs.TraceContext
 }
 
-// span is one shard's in-order requests awaiting their round: a queue over
-// one backing array, appended to at the back and consumed an epoch at a time
-// from the front. The consumed prefix is reclaimed by sliding the rest down
-// once it is at least as long as the rest, so a pop is O(1) amortized
-// whatever the backlog and a steady state never re-grows the array.
-type span struct {
-	buf  []msg.Request
-	head int
+// entry is one ordered request as the sequencer keeps it: its digest, and
+// whether it is a null operation.
+type entry struct {
+	d    authn.Digest
+	null bool
 }
 
-func (q *span) len() int { return len(q.buf) - q.head }
-
-func (q *span) push(r msg.Request) { q.buf = append(q.buf, r) }
-
-// truncate keeps the first n requests.
-func (q *span) truncate(n int) {
-	clear(q.buf[q.head+n:])
-	q.buf = q.buf[:q.head+n]
-}
-
-// popInto moves the first k requests to the end of dst.
-func (q *span) popInto(dst []msg.Request, k int) []msg.Request {
-	dst = append(dst, q.buf[q.head:q.head+k]...)
-	q.head += k
-	if q.head >= q.len() {
-		n := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[n:])
-		q.buf, q.head = q.buf[:n], 0
-	}
-	return dst
+func entryOf(req msg.Request) entry {
+	return entry{d: req.Digest(), null: req.Client == ids.NullOp}
 }
 
 // loggedRequest is one intake entry: an ordered request at its per-shard
-// position, or (reset) a history-reset marker telling the sequencer to drop
-// buffered entries at positions >= pos. Resets travel the same stream as
-// feeds so a reset is processed before the adopted entries re-fed after it.
+// position, a history-reset marker replacing the shard's entries at
+// positions >= pos, or a stable-checkpoint report at pos. All three travel
+// one stream, so a reset is processed after every entry logged before it and
+// before the adopted entries re-fed after it.
 type loggedRequest struct {
 	shard int
 	pos   uint64
 	req   msg.Request
-	reset bool
+	kind  feedKind
 }
+
+type feedKind uint8
+
+const (
+	feedLogged feedKind = iota
+	feedReset
+	feedStable
+)
 
 // NewExecutor creates and starts the execution stage.
 func NewExecutor(cfg ExecutorConfig) *Executor {
@@ -152,25 +151,21 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		cfg.Epoch = DefaultEpoch
 	}
 	e := &Executor{
-		shards:     cfg.Shards,
-		epoch:      cfg.Epoch,
-		wake:       make(chan struct{}, 1),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		ctrl:       make(chan func()),
-		pending:    make([]span, cfg.Shards),
-		popped:     make([]uint64, cfg.Shards),
-		ooo:        make([]map[uint64]msg.Request, cfg.Shards),
-		inOrder:    make([]uint64, cfg.Shards),
-		poppedView: make([]uint64, cfg.Shards),
-		oooView:    make([]uint64, cfg.Shards),
-		tracer:     cfg.Tracer,
+		shards:  cfg.Shards,
+		epoch:   cfg.Epoch,
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		ctrl:    make(chan func()),
+		digs:    make([][]entry, cfg.Shards),
+		ooo:     make([]map[uint64]entry, cfg.Shards),
+		stable:  make([]uint64, cfg.Shards),
+		inOrder: make([]uint64, cfg.Shards),
+		oooView: make([]uint64, cfg.Shards),
+		tracer:  cfg.Tracer,
 	}
 	for s := range e.ooo {
-		e.ooo[s] = make(map[uint64]msg.Request)
-	}
-	if cfg.NewApp != nil {
-		e.mergedApp = cfg.NewApp()
+		e.ooo[s] = make(map[uint64]entry)
 	}
 	e.met = newExecMetrics(cfg.Metrics, e)
 	go e.run()
@@ -192,15 +187,20 @@ func (e *Executor) OnLogged(shard int, pos uint64, req msg.Request) {
 
 // OnReset tells the shard's sequencer that the sub-host's history was
 // replaced from position `from` on (an adopted init history at an instance
-// switch): buffered speculative entries at or beyond it are dropped, so the
-// adopted values re-fed right after take their place instead of losing the
-// first-win race to a rolled-back tail. Only the un-merged buffered tail is
-// replaced: a rolled-back entry the merge loop merged before the reset was
-// drained stays in the mirror, which then diverges from every replica that
-// merged the agreed value (TestExecutorResetBelowPopped fails this way when
-// the merge loop wins the race, seen under -race on a loaded machine).
+// switch): the shard's entries at or beyond it are dropped, so the adopted
+// values re-fed right after take their place. When some of them were merged
+// already, the mirror first rewinds to the round holding `from` (clamped to
+// the floor): the other shards' digests of the un-merged rounds, and the
+// shard's own below `from`, merge again in order with the re-fed entries.
 func (e *Executor) OnReset(shard int, from uint64) {
-	e.feed(loggedRequest{shard: shard, pos: from, reset: true})
+	e.feed(loggedRequest{shard: shard, pos: from, kind: feedReset})
+}
+
+// OnStable reports that the shard's checkpoint at position seq is stable:
+// every replica logged the same prefix below it, so no reset reaches below
+// it and the rounds under the floor it raises need not be kept.
+func (e *Executor) OnStable(shard int, seq uint64) {
+	e.feed(loggedRequest{shard: shard, pos: seq, kind: feedStable})
 }
 
 func (e *Executor) feed(lr loggedRequest) {
@@ -238,46 +238,31 @@ func (e *Executor) Rounds() uint64 {
 	return e.rounds
 }
 
-// MergedApp returns a snapshot of the merged application (nil when the
-// executor was configured without one).
-func (e *Executor) MergedApp() app.Application {
-	e.stateMu.Lock()
-	defer e.stateMu.Unlock()
-	if e.mergedApp == nil {
-		return nil
-	}
-	return e.mergedApp.Clone()
-}
-
 // MergedSnapshot returns the merged mirror's state at its current round
-// boundary: the merged sequence length, its digest chain, and the serialized
-// merged application (nil without one). Rounds commit atomically under
-// stateMu, so the snapshot always sits on a round boundary — the alignment
-// RestoreMerged requires.
-func (e *Executor) MergedSnapshot() (seq uint64, digest authn.Digest, appState []byte) {
+// boundary: the merged sequence length and its digest chain. Rounds commit
+// atomically under stateMu, so the snapshot always sits on a round boundary —
+// the alignment RestoreMerged requires.
+func (e *Executor) MergedSnapshot() (seq uint64, digest authn.Digest) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
-	var state []byte
-	if e.mergedApp != nil {
-		state = e.mergedApp.Snapshot()
-	}
-	return e.mergedSeq, e.mergedDigest, state
+	return e.mergedSeq, e.mergedDigest
 }
 
 // RestoreMerged initializes the merged mirror from a peer's MergedSnapshot:
-// a recovering replica adopts the merged sequence, digest chain, and merged
-// application at a round boundary (its per-shard sub-hosts then catch up via
-// statesync and feed the suffix). The caller is responsible for the f+1
-// digest-agreement check across peers; seq must be a round-boundary multiple
-// of shards*epoch and at or beyond the current merged sequence. The restore
-// runs inside the merge loop, so it is also safe while feeds are live: the
-// re-agreement retry uses it to move a stalled recovery to a newer boundary
-// (buffered un-merged entries are dropped and entries below the new boundary
-// are ignored — the re-pinned state transfers refill everything below it).
-func (e *Executor) RestoreMerged(seq uint64, digest authn.Digest, appState []byte) error {
+// a recovering replica adopts the merged sequence and digest chain at a round
+// boundary (its per-shard sub-hosts then catch up via statesync and feed the
+// suffix). The caller is responsible for the f+1 digest-agreement check
+// across peers; seq must be a round-boundary multiple of shards*epoch and at
+// or beyond the current merged sequence. The restore runs inside the merge
+// loop, so it is also safe while feeds are live: the re-agreement retry uses
+// it to move a stalled recovery to a newer boundary (buffered un-merged
+// entries are dropped and entries below the new boundary are ignored — the
+// re-pinned state transfers refill everything below it). The restored
+// boundary is the new floor: no reset rewinds below it.
+func (e *Executor) RestoreMerged(seq uint64, digest authn.Digest) error {
 	errc := make(chan error, 1)
 	fn := func() {
-		errc <- e.applyRestore(seq, digest, appState)
+		errc <- e.applyRestore(seq, digest)
 	}
 	select {
 	case e.ctrl <- fn:
@@ -293,7 +278,7 @@ func (e *Executor) RestoreMerged(seq uint64, digest authn.Digest, appState []byt
 }
 
 // applyRestore runs in the merge loop, which owns the sequencer state.
-func (e *Executor) applyRestore(seq uint64, digest authn.Digest, appState []byte) error {
+func (e *Executor) applyRestore(seq uint64, digest authn.Digest) error {
 	round := uint64(e.shards) * uint64(e.epoch)
 	if seq%round != 0 {
 		return fmt.Errorf("shard: restore seq %d not on a round boundary (%d)", seq, round)
@@ -303,24 +288,16 @@ func (e *Executor) applyRestore(seq uint64, digest authn.Digest, appState []byte
 	if seq < e.mergedSeq {
 		return fmt.Errorf("shard: restore seq %d behind merged %d", seq, e.mergedSeq)
 	}
-	if e.mergedApp != nil && len(appState) > 0 {
-		if err := e.mergedApp.Restore(appState); err != nil {
-			return err
-		}
-	}
-	perShard := seq / uint64(e.shards)
 	for s := 0; s < e.shards; s++ {
-		e.pending[s].truncate(0)
-		e.ooo[s] = make(map[uint64]msg.Request)
-		e.popped[s] = perShard
-		e.inOrder[s] = perShard
-		e.poppedView[s] = perShard
+		e.digs[s] = e.digs[s][:0]
+		e.ooo[s] = make(map[uint64]entry)
+		e.inOrder[s] = seq / uint64(e.shards)
 		e.oooView[s] = 0
 	}
+	e.starts, e.base, e.rounds = e.starts[:0], seq/round, seq/round
 	e.traceSet = false
 	e.mergedSeq = seq
 	e.mergedDigest = digest
-	e.rounds = seq / round
 	return nil
 }
 
@@ -363,6 +340,7 @@ func (e *Executor) run() {
 		case <-e.wake:
 			e.drainIntake()
 			e.mergeRounds()
+			e.trimKept()
 			e.publishProgress()
 		case fn := <-e.ctrl:
 			fn()
@@ -380,12 +358,14 @@ func (e *Executor) run() {
 func (e *Executor) publishProgress() {
 	e.stateMu.Lock()
 	for s := 0; s < e.shards; s++ {
-		e.inOrder[s] = e.popped[s] + uint64(e.pending[s].len())
-		e.poppedView[s] = e.popped[s]
+		e.inOrder[s] = e.next(s)
 		e.oooView[s] = uint64(len(e.ooo[s]))
 	}
 	e.stateMu.Unlock()
 }
+
+// next returns shard s's next in-order position.
+func (e *Executor) next(s int) uint64 { return e.base*uint64(e.epoch) + uint64(len(e.digs[s])) }
 
 // MergedFloor returns the per-shard position the merged mirror has consumed
 // up to: the garbage-collection retention floor of shard s's sub-host. A
@@ -397,16 +377,15 @@ func (e *Executor) MergedFloor(s int) uint64 {
 	if s < 0 || s >= e.shards {
 		return 0
 	}
-	return e.poppedView[s]
+	return e.rounds * uint64(e.epoch)
 }
 
 // drainIntake moves fed requests into the per-shard sequencers, restoring
 // per-shard position order: a request logged at the next expected position
 // extends the in-order span (and unblocks buffered successors); positions
 // already consumed or already buffered are ignored (duplicate deliveries, or
-// a post-switch re-log of a speculative tail — the merge keeps the first
-// value it saw; re-syncing the mirror after an instance switch is a recorded
-// follow-on).
+// an adopted history re-feeding entries the shard kept). Resets and stable
+// reports are applied in stream order.
 func (e *Executor) drainIntake() {
 	e.mu.Lock()
 	batch := e.intake
@@ -414,30 +393,22 @@ func (e *Executor) drainIntake() {
 	e.mu.Unlock()
 	for _, lr := range batch {
 		s := lr.shard
-		if lr.reset {
-			// Drop buffered (un-merged) entries at or beyond the reset point;
-			// the adopted values re-fed after this marker replace them.
-			if lr.pos > e.popped[s] {
-				if keep := lr.pos - e.popped[s]; keep < uint64(e.pending[s].len()) {
-					e.pending[s].truncate(int(keep))
-				}
-			} else {
-				e.pending[s].truncate(0)
-			}
-			for pos := range e.ooo[s] {
-				if pos >= lr.pos {
-					delete(e.ooo[s], pos)
-				}
-			}
+		switch lr.kind {
+		case feedReset:
+			e.reset(s, lr.pos)
+			continue
+		case feedStable:
+			e.stable[s] = max(e.stable[s], lr.pos)
+			e.trimKept()
 			continue
 		}
-		next := e.popped[s] + uint64(e.pending[s].len())
+		next := e.next(s)
 		switch {
 		case lr.pos < next:
 			continue
 		case lr.pos > next:
 			if _, ok := e.ooo[s][lr.pos]; !ok && len(e.ooo[s]) < 4096 {
-				e.ooo[s][lr.pos] = lr.req
+				e.ooo[s][lr.pos] = entryOf(lr.req)
 			}
 			continue
 		}
@@ -448,70 +419,98 @@ func (e *Executor) drainIntake() {
 			e.traceSet, e.traceShard, e.tracePos, e.traceT = true, s, lr.pos, time.Now()
 			e.traceCtx = lr.req.Trace
 		}
-		e.pending[s].push(lr.req)
+		e.digs[s] = append(e.digs[s], entryOf(lr.req))
 		for {
-			next = e.popped[s] + uint64(e.pending[s].len())
-			req, ok := e.ooo[s][next]
+			next = e.next(s)
+			en, ok := e.ooo[s][next]
 			if !ok {
 				break
 			}
 			delete(e.ooo[s], next)
-			e.pending[s].push(req)
+			e.digs[s] = append(e.digs[s], en)
 		}
 	}
 	clear(batch)
 	e.drained = batch
 }
 
-// mergeRounds emits every complete shard epoch round: E requests of each
-// shard in shard order, executed against the merged application and folded
-// into the merged digest chain.
+// reset replaces shard s's entries at positions >= from; when some of them
+// were merged, the mirror first rewinds to the round holding from. Positions
+// below the floor are agreed by every replica, so from is clamped to it.
+func (e *Executor) reset(s int, from uint64) {
+	floor := e.base * uint64(e.epoch)
+	from = max(from, floor)
+	if r := from / uint64(e.epoch); r < e.rounds {
+		// Un-merge rounds r and later. Their digests stay in digs, so
+		// moving the merged prefix back queues them again.
+		e.stateMu.Lock()
+		e.mergedDigest = e.starts[r-e.base]
+		e.rounds = r
+		e.mergedSeq = r * uint64(e.shards*e.epoch)
+		e.met.mergedSeq.Set(int64(e.mergedSeq))
+		e.stateMu.Unlock()
+		e.starts = e.starts[:r-e.base]
+	}
+	if keep := from - floor; keep < uint64(len(e.digs[s])) {
+		e.digs[s] = e.digs[s][:keep]
+	}
+	for pos := range e.ooo[s] {
+		if pos >= from {
+			delete(e.ooo[s], pos)
+		}
+	}
+}
+
+// trimKept forgets the digests no reset can reach any more: those of the
+// merged rounds below the round holding the lowest stable checkpoint over
+// the shards.
+func (e *Executor) trimKept() {
+	drop := min(slices.Min(e.stable)/uint64(e.epoch), e.rounds)
+	if drop <= e.base {
+		return
+	}
+	k := int(drop - e.base)
+	for s, d := range e.digs {
+		e.digs[s] = d[:copy(d, d[k*e.epoch:])]
+	}
+	e.starts = e.starts[:copy(e.starts, e.starts[k:])]
+	e.base += uint64(k)
+}
+
+// mergeRounds emits every complete shard epoch round: E digests of each
+// shard in shard order, folded into the merged digest chain.
 func (e *Executor) mergeRounds() {
 	for {
-		ready := true
-		for s := 0; s < e.shards; s++ {
-			if e.pending[s].len() < e.epoch {
-				ready = false
-				break
+		m := int(e.rounds-e.base) * e.epoch
+		for _, d := range e.digs {
+			if len(d) < m+e.epoch {
+				return
 			}
 		}
-		if !ready {
-			return
-		}
-		round := e.round[:0]
-		for s := 0; s < e.shards; s++ {
-			round = e.pending[s].popInto(round, e.epoch)
-			e.popped[s] += uint64(e.epoch)
+		e.starts = append(e.starts, e.mergedDigest)
+		// Fold outside any lock contended by the ordering path; stateMu only
+		// serializes against snapshot readers.
+		e.stateMu.Lock()
+		for s, d := range e.digs {
+			for _, en := range d[m : m+e.epoch] {
+				e.mergedDigest = authn.HashAll(e.mergedDigest[:], en.d[:])
+				if en.null {
+					e.met.nullOps.Inc()
+				}
+			}
 			if e.met.merged != nil {
 				e.met.merged[s].Add(uint64(e.epoch))
 			}
 		}
-		if e.traceSet && e.tracePos < e.popped[e.traceShard] {
-			e.tracer.Record(e.traceCtx, obs.StageMerge, e.traceShard, e.traceT, time.Since(e.traceT))
-			e.traceSet = false
-			e.traceCtx = obs.TraceContext{}
-		}
-		// Execute and fold outside any lock contended by the ordering path;
-		// stateMu only serializes against snapshot readers.
-		e.stateMu.Lock()
-		for _, req := range round {
-			d := req.Digest()
-			e.mergedDigest = authn.HashAll(e.mergedDigest[:], d[:])
-			// Null operations advance the sequence and the digest chain but
-			// execute nothing (they exist only to fill idle shards' epochs).
-			if e.mergedApp != nil && req.Client != ids.NullOp {
-				e.mergedApp.Execute(req.Command)
-			}
-			if req.Client == ids.NullOp {
-				e.met.nullOps.Inc()
-			}
-			e.mergedSeq++
-		}
+		e.mergedSeq += uint64(e.shards * e.epoch)
 		e.rounds++
 		e.met.mergedSeq.Set(int64(e.mergedSeq))
 		e.met.rounds.Inc()
 		e.stateMu.Unlock()
-		clear(round)
-		e.round = round
+		if e.traceSet && e.tracePos < e.rounds*uint64(e.epoch) {
+			e.tracer.Record(e.traceCtx, obs.StageMerge, e.traceShard, e.traceT, time.Since(e.traceT))
+			e.traceSet = false
+			e.traceCtx = obs.TraceContext{}
+		}
 	}
 }

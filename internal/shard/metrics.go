@@ -41,7 +41,9 @@ func newExecMetrics(r *obs.Registry, e *Executor) *execMetrics {
 		r.GaugeFunc("shard_merge_lag", func() float64 {
 			e.stateMu.Lock()
 			defer e.stateMu.Unlock()
-			return float64(e.inOrder[s] - e.poppedView[s])
+			// inOrder is published after a wake-up's merges, so it can
+			// briefly trail the merged position.
+			return max(0, float64(e.inOrder[s])-float64(e.rounds*uint64(e.epoch)))
 		}, shardLabel(s)...)
 		// Epoch backlog: buffered out-of-order entries awaiting their
 		// predecessors.

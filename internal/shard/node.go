@@ -29,8 +29,8 @@ type NodeConfig struct {
 	// Endpoint attaches the replica to the network; the node's router owns
 	// its inbox.
 	Endpoint transport.Endpoint
-	// NewApp builds one application partition per shard plus the merged
-	// application of the execution stage; nil selects a null application.
+	// NewApp builds one application partition per shard; nil selects a null
+	// application.
 	NewApp func() app.Application
 	// NewProtocol builds the per-instance protocol factory of one shard,
 	// given the shard's rotated cluster (a compose.Composition provides it:
@@ -111,7 +111,6 @@ func NewNode(cfg NodeConfig) *Node {
 		Exec: NewExecutor(ExecutorConfig{
 			Shards:  cfg.Shards,
 			Epoch:   cfg.Epoch,
-			NewApp:  cfg.NewApp,
 			Metrics: cfg.Metrics,
 			Tracer:  cfg.Tracer,
 		}),
@@ -233,18 +232,24 @@ type execFeed struct {
 
 // RequestLogged implements host.Observer. Entries adopted from an init
 // history during an instance switch arrive here too and fill any per-shard
-// sequencer gap left by ORDERs this replica never received (positions
-// already merged are ignored by the executor's first-win rule).
+// sequencer gap left by ORDERs this replica never received (positions the
+// sequencer already holds are ignored).
 func (f *execFeed) RequestLogged(inst core.InstanceID, req msg.Request, pos uint64) {
 	f.exec.OnLogged(f.shard, pos, req)
 }
 
 // HistoryReset implements host.Observer: when an instance switch adopts an
-// init history, buffered speculative entries the adoption rolled back are
-// dropped before the adopted values are re-fed, so the merged mirror takes
-// the agreed values instead of keeping first-logged stale ones.
+// init history, the speculative entries the adoption rolled back are dropped
+// (un-merged if need be) before the adopted values are re-fed, so the merged
+// mirror takes the agreed values instead of keeping first-logged stale ones.
 func (f *execFeed) HistoryReset(inst core.InstanceID, baseSeq uint64) {
 	f.exec.OnReset(f.shard, baseSeq)
+}
+
+// CheckpointStable implements host.Observer: it raises the floor below which
+// the merged mirror keeps no rounds for a rewind.
+func (f *execFeed) CheckpointStable(inst core.InstanceID, seq uint64) {
+	f.exec.OnStable(f.shard, seq)
 }
 
 var _ host.Observer = (*execFeed)(nil)

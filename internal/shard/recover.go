@@ -29,34 +29,22 @@ import (
 // whether every shard has finished syncing, so under continuous traffic a
 // pruned pinned boundary re-pins within about one period of a newer
 // agreement. The ticker drops ticks while the loop is busy, so the period is
-// at least 100 ms. Each round makes every live peer serialize its merged
-// application to hash it, which is why the poll is not faster.
+// at least 100 ms.
 const pollTicks = 50
 
-// MergedQuery asks a peer node for its merged-mirror state: the recovering
-// replica multicasts it on the control channel and accumulates the answers
-// until f+1 distinct peers vouch for the same boundary.
+// MergedQuery asks a peer node for its merged-mirror boundary: the
+// recovering replica multicasts it on the control channel and accumulates
+// the answers until f+1 distinct peers vouch for the same boundary.
 type MergedQuery struct {
 	// From is the querying replica.
 	From ids.ProcessID
-	// StateFrom designates the one peer asked to include the serialized
-	// merged application; every other responder answers with digests only,
-	// so a collection round costs one state transfer instead of 3f (the
-	// digest-first rule statesync.FetchState.BodiesFrom established). The
-	// querier rotates the designation across rounds, so a crashed or lying
-	// designated peer only delays the collection.
-	StateFrom ids.ProcessID
 }
 
-// MergedState answers a MergedQuery: the responder's merged sequence length,
-// merged digest chain, and — when the responder was designated — the
-// serialized merged application. Votes are keyed by (Seq, Digest, AppHash),
-// so a peer agreeing on the identity but shipping different bytes forms its
-// own group and cannot sneak a forged application state into an honest
-// agreement. The replica-to-replica envelope sender is not authenticated, so
-// the vote carries a MAC from the claimed responder to the querier: one
-// Byzantine process contributes at most its own vote, whatever identities it
-// claims.
+// MergedState answers a MergedQuery with the responder's merged sequence
+// length and merged digest chain. The replica-to-replica envelope sender is
+// not authenticated, so the vote carries a MAC from the claimed responder to
+// the querier: one Byzantine process contributes at most its own vote,
+// whatever identities it claims.
 type MergedState struct {
 	// From is the responding replica.
 	From ids.ProcessID
@@ -65,77 +53,61 @@ type MergedState struct {
 	Seq uint64
 	// Digest is the digest chain fold over the merged sequence.
 	Digest authn.Digest
-	// AppHash is the hash of the serialized merged application at Seq.
-	AppHash authn.Digest
-	// MAC authenticates mergedVoteBytes(Seq, Digest, AppHash) from From to
-	// the querier.
+	// MAC authenticates mergedVoteBytes(Seq, Digest) from From to the
+	// querier.
 	MAC authn.MAC
-	// HasApp marks responses carrying the serialized application (the
-	// designated peer); an explicit flag because an application may
-	// legitimately serialize to zero bytes.
-	HasApp bool
-	// App is the serialized merged application (designated responses only).
-	App []byte
 }
 
-// mergedVoteBytes is the MAC input of a MergedState vote: seq‖digest‖appHash.
-func mergedVoteBytes(seq uint64, dig, appHash authn.Digest) (buf [8 + 2*authn.DigestSize]byte) {
+// mergedVoteBytes is the MAC input of a MergedState vote: seq‖digest.
+func mergedVoteBytes(seq uint64, dig authn.Digest) (buf [8 + authn.DigestSize]byte) {
 	binary.BigEndian.PutUint64(buf[:8], seq)
 	copy(buf[8:], dig[:])
-	copy(buf[8+authn.DigestSize:], appHash[:])
 	return buf
 }
 
 // mergedKey is the agreement identity of one merged boundary. The merged
-// state is a pure function of the agreed per-shard histories, so equal keys
-// across f+1 distinct replicas pin it to at least one correct replica.
+// sequence is a pure function of the agreed per-shard histories, so equal
+// keys across f+1 distinct replicas pin it to at least one correct replica.
 type mergedKey struct {
-	seq     uint64
-	dig     authn.Digest
-	appHash authn.Digest
+	seq uint64
+	dig authn.Digest
 }
 
 // mergedCollector accumulates MergedState votes across collection rounds.
 // Votes are cumulative on purpose: under continuous traffic the peers'
 // mirrors advance between polls, so a single instantaneous sample rarely
 // catches f+1 peers at the same boundary — but every peer passes through
-// every round boundary, so distinct peers' reports of the same (seq, digest,
-// app-hash) accumulate into an agreement even when they were observed at
-// different times. Only the node loop touches it.
+// every round boundary, so distinct peers' reports of the same (seq, digest)
+// accumulate into an agreement even when they were observed at different
+// times. Only the node loop touches it.
 type mergedCollector struct {
-	need   int
-	votes  map[mergedKey]map[ids.ProcessID]bool
-	states map[mergedKey][]byte
+	need  int
+	votes map[mergedKey]map[ids.ProcessID]bool
 }
 
 func newMergedCollector(cluster ids.Cluster) *mergedCollector {
 	return &mergedCollector{
-		need:   cluster.WeakQuorum(),
-		votes:  make(map[mergedKey]map[ids.ProcessID]bool),
-		states: make(map[mergedKey][]byte),
+		need:  cluster.WeakQuorum(),
+		votes: make(map[mergedKey]map[ids.ProcessID]bool),
 	}
 }
 
-// add records one peer's (authenticated) vote; application bytes are kept
-// only when they hash to the claimed identity.
+// add records one peer's (authenticated) vote.
 func (c *mergedCollector) add(m *MergedState) {
-	key := mergedKey{seq: m.Seq, dig: m.Digest, appHash: m.AppHash}
+	key := mergedKey{seq: m.Seq, dig: m.Digest}
 	if c.votes[key] == nil {
 		c.votes[key] = make(map[ids.ProcessID]bool)
 	}
 	c.votes[key][m.From] = true
-	if _, ok := c.states[key]; !ok && m.HasApp && authn.Hash(m.App) == m.AppHash {
-		c.states[key] = m.App
-	}
 }
 
 // best returns the highest boundary at or above minSeq that f+1 distinct
-// peers agree on and whose application bytes have arrived and verified.
-func (c *mergedCollector) best(minSeq uint64) (mergedKey, []byte, bool) {
+// peers agree on.
+func (c *mergedCollector) best(minSeq uint64) (mergedKey, bool) {
 	var bestKey mergedKey
 	found := false
 	for key, vs := range c.votes {
-		if _, has := c.states[key]; len(vs) < c.need || key.seq < minSeq || !has {
+		if len(vs) < c.need || key.seq < minSeq {
 			continue
 		}
 		if !found || key.seq > bestKey.seq {
@@ -143,19 +115,18 @@ func (c *mergedCollector) best(minSeq uint64) (mergedKey, []byte, bool) {
 			found = true
 		}
 	}
-	return bestKey, c.states[bestKey], found
+	return bestKey, found
 }
 
 // join is what Start, Recover and RecoverFromPeers hand the node loop.
 type join struct {
 	// ctx bounds the wait for a first agreement; nil is a plain Start.
 	ctx context.Context
-	// fixed marks Recover's caller-verified boundary (seq, dig, app);
-	// otherwise the loop collects one from the peers.
+	// fixed marks Recover's caller-verified boundary (seq, dig); otherwise
+	// the loop collects one from the peers.
 	fixed bool
 	seq   uint64
 	dig   authn.Digest
-	app   []byte
 	done  chan error
 }
 
@@ -184,9 +155,8 @@ type nodeLoop struct {
 	peers   []ids.ProcessID
 	started bool
 	// col collects merged votes while a recovery is in flight (nil
-	// otherwise); asks rotates the designated application shipper.
-	col  *mergedCollector
-	asks int
+	// otherwise).
+	col *mergedCollector
 	// waiter is the join still waiting for its first agreement.
 	waiter *join
 	// pinned is the boundary the shard syncs are pinned at; next is the
@@ -208,7 +178,7 @@ func (l *nodeLoop) join(j *join) {
 		l.col = newMergedCollector(l.n.cfg.Cluster)
 	}
 	if j.fixed {
-		l.adopt(j.seq, j.dig, j.app)
+		l.adopt(j.seq, j.dig)
 	}
 	if l.col != nil {
 		l.ask()
@@ -236,9 +206,9 @@ func (l *nodeLoop) answer(err error) {
 // newer one: restore the merged mirror at the boundary, start the sub-hosts
 // (once), and pin every shard's state transfer at or below the boundary so
 // the transferred suffix feeds seamlessly into the restored mirror.
-func (l *nodeLoop) adopt(seq uint64, dig authn.Digest, app []byte) {
+func (l *nodeLoop) adopt(seq uint64, dig authn.Digest) {
 	n := l.n
-	if err := n.Exec.RestoreMerged(seq, dig, app); err != nil {
+	if err := n.Exec.RestoreMerged(seq, dig); err != nil {
 		if l.waiter != nil {
 			l.col = nil
 			l.answer(err)
@@ -261,14 +231,9 @@ func (l *nodeLoop) adopt(seq uint64, dig authn.Digest, app []byte) {
 	l.pinned, l.next = seq, seq+1
 }
 
-// ask multicasts one MergedQuery round, designating the next peer in
-// rotation to ship the serialized merged application.
+// ask multicasts one MergedQuery round.
 func (l *nodeLoop) ask() {
-	if len(l.peers) == 0 {
-		return
-	}
-	q := &MergedQuery{From: l.n.cfg.Replica, StateFrom: l.peers[l.asks%len(l.peers)]}
-	l.asks++
+	q := &MergedQuery{From: l.n.cfg.Replica}
 	for _, p := range l.peers {
 		l.ctrl.Send(p, q)
 	}
@@ -289,8 +254,8 @@ func (l *nodeLoop) poll() {
 			n.logf("replica %v recovered: all shards synced, merged seq %d", n.cfg.Replica, seq)
 			return
 		}
-		if key, app, ok := l.col.best(l.next); ok {
-			l.adopt(key.seq, key.dig, app)
+		if key, ok := l.col.best(l.next); ok {
+			l.adopt(key.seq, key.dig)
 		}
 	}
 	l.ask()
@@ -308,20 +273,14 @@ func (l *nodeLoop) control(env transport.Envelope) {
 		if !m.From.IsReplica() || m.From != env.From || m.From == self {
 			return
 		}
-		seq, dig, app := n.Exec.MergedSnapshot()
-		appHash := authn.Hash(app)
-		data := mergedVoteBytes(seq, dig, appHash)
-		resp := &MergedState{From: self, Seq: seq, Digest: dig, AppHash: appHash, MAC: n.cfg.Keys.MAC(self, m.From, data[:])}
-		if m.StateFrom == self {
-			resp.HasApp = true
-			resp.App = app
-		}
-		l.ctrl.Send(m.From, resp)
+		seq, dig := n.Exec.MergedSnapshot()
+		data := mergedVoteBytes(seq, dig)
+		l.ctrl.Send(m.From, &MergedState{From: self, Seq: seq, Digest: dig, MAC: n.cfg.Keys.MAC(self, m.From, data[:])})
 	case *MergedState:
 		if l.col == nil || !m.From.IsReplica() || m.From == self {
 			return
 		}
-		data := mergedVoteBytes(m.Seq, m.Digest, m.AppHash)
+		data := mergedVoteBytes(m.Seq, m.Digest)
 		if n.cfg.Keys.VerifyMAC(m.From, self, data[:], m.MAC) != nil {
 			return
 		}
@@ -331,8 +290,8 @@ func (l *nodeLoop) control(env transport.Envelope) {
 		if l.waiter == nil {
 			return
 		}
-		if key, app, ok := l.col.best(l.next); ok {
-			l.adopt(key.seq, key.dig, app)
+		if key, ok := l.col.best(l.next); ok {
+			l.adopt(key.seq, key.dig)
 		}
 	}
 }
@@ -350,8 +309,8 @@ func (l *nodeLoop) control(env transport.Envelope) {
 // can prune the pinned snapshot before f+1 responses land; while any shard
 // still syncs, the loop therefore keeps collecting the peers' merged
 // boundaries and adopts every newer f+1-agreed one the same way.
-func (n *Node) Recover(mergedSeq uint64, mergedDigest authn.Digest, mergedApp []byte) error {
-	return n.hand(&join{ctx: context.Background(), fixed: true, seq: mergedSeq, dig: mergedDigest, app: mergedApp})
+func (n *Node) Recover(mergedSeq uint64, mergedDigest authn.Digest) error {
+	return n.hand(&join{ctx: context.Background(), fixed: true, seq: mergedSeq, dig: mergedDigest})
 }
 
 // RecoverFromPeers drives a crash-restarted node's whole rejoin over the

@@ -55,10 +55,9 @@ func TestForgedMergedVotesNeverAgree(t *testing.T) {
 				t.Fatal("recovering node never sent a MergedQuery")
 			}
 		}
-		appHash := authn.Hash(nil)
-		data := mergedVoteBytes(0, authn.Digest{}, appHash)
+		data := mergedVoteBytes(0, authn.Digest{})
 		for _, from := range claimed {
-			vote := &MergedState{From: from, AppHash: appHash, MAC: mac(from, data[:]), HasApp: true}
+			vote := &MergedState{From: from, MAC: mac(from, data[:])}
 			ep.in <- transport.Envelope{From: from, To: self, Payload: &Mark{Shard: controlShard, Payload: vote}}
 		}
 		return <-errc

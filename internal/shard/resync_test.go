@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"abstractbft/internal/app"
+	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
@@ -24,19 +25,29 @@ func waitMerged(t *testing.T, e *Executor, want uint64) {
 	}
 }
 
+// settle stops e, which drains every fed entry and merges every complete
+// round first, and returns the merged sequence it ends on.
+func settle(e *Executor) (uint64, authn.Digest) {
+	e.Stop()
+	return e.MergedSnapshot()
+}
+
+// feedShard logs reqs at shard s's positions from, from+1, ….
+func feedShard(e *Executor, s int, from uint64, reqs ...msg.Request) {
+	for i, r := range reqs {
+		e.OnLogged(s, from+uint64(i), r)
+	}
+}
+
 // TestExecutorResyncReplacesSpeculativeTail: an un-merged speculative entry
 // buffered for a shard is replaced — not kept under the first-win rule —
 // when the shard's history is reset (instance switch adopting an init
 // history) and the agreed value is re-fed. The merged mirror then matches a
 // reference executor that only ever saw the agreed sequence.
 func TestExecutorResyncReplacesSpeculativeTail(t *testing.T) {
-	newExec := func() *Executor {
-		return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 1, NewApp: func() app.Application { return app.NewKVStore() }})
-	}
+	newExec := func() *Executor { return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 1}) }
 	e := newExec()
-	defer e.Stop()
 	ref := newExec()
-	defer ref.Stop()
 
 	// Round 0 merges on both.
 	for _, x := range []*Executor{e, ref} {
@@ -58,44 +69,97 @@ func TestExecutorResyncReplacesSpeculativeTail(t *testing.T) {
 
 	e.OnLogged(1, 1, execReq(8, "b", "r1"))
 	ref.OnLogged(1, 1, execReq(8, "b", "r1"))
-	waitMerged(t, e, 4)
-	waitMerged(t, ref, 4)
-
-	if e.MergedDigest() != ref.MergedDigest() {
-		t.Fatal("merged digest kept the rolled-back speculative value")
+	seq, dig := settle(e)
+	refSeq, refDig := settle(ref)
+	if seq != 4 || refSeq != 4 {
+		t.Fatalf("merged %d and %d, want 4", seq, refSeq)
 	}
-	kv := e.MergedApp().(*app.KVStore)
-	if got := kv.Get("a"); got != "AGREED" {
-		t.Fatalf("merged mirror kept stale value %q", got)
+	if dig != refDig {
+		t.Fatal("merged digest kept the rolled-back speculative value")
 	}
 }
 
 // TestExecutorResetBelowPopped: a reset below the already-merged prefix
-// clears all buffered entries for the shard (the merged prefix itself is
-// final) and the shard resumes from its merged position.
+// rewinds the mirror. The speculative entry is merged before the reset
+// arrives, the adopted history is re-fed from the reset position, and the
+// mirror ends on the digest chain of a reference fed only [v0, agreed].
 func TestExecutorResetBelowPopped(t *testing.T) {
-	e := NewExecutor(ExecutorConfig{Shards: 1, Epoch: 1, NewApp: func() app.Application { return app.NewKVStore() }})
-	defer e.Stop()
-	e.OnLogged(0, 0, execReq(1, "k", "v0"))
-	waitMerged(t, e, 1)
-	e.OnLogged(0, 1, execReq(2, "k", "spec"))
-	e.OnReset(0, 0)
-	e.OnLogged(0, 1, execReq(3, "k", "agreed"))
+	e := NewExecutor(ExecutorConfig{Shards: 1, Epoch: 1})
+	ref := NewExecutor(ExecutorConfig{Shards: 1, Epoch: 1})
+	v0, spec, agreed := execReq(1, "k", "v0"), execReq(2, "k", "spec"), execReq(3, "k", "agreed")
+	e.OnLogged(0, 0, v0)
+	e.OnLogged(0, 1, spec)
 	waitMerged(t, e, 2)
-	if got := e.MergedApp().(*app.KVStore).Get("k"); got != "agreed" {
-		t.Fatalf("merged value %q after reset below popped", got)
+	e.OnReset(0, 0)
+	feedShard(e, 0, 0, v0, agreed)
+	feedShard(ref, 0, 0, v0, agreed)
+	seq, dig := settle(e)
+	refSeq, refDig := settle(ref)
+	if seq != 2 || refSeq != 2 {
+		t.Fatalf("merged %d and %d, want 2", seq, refSeq)
+	}
+	if dig != refDig {
+		t.Fatal("merged digest kept the rolled-back value after a reset below the merged prefix")
+	}
+}
+
+// TestExecutorRewindRequeuesOtherShards: a reset of shard 0 inside the
+// second merged round un-merges that round. Shard 1's digests of it and
+// shard 0's below the reset position go back into the queues and merge again
+// with the re-fed entry, in the reference's order.
+func TestExecutorRewindRequeuesOtherShards(t *testing.T) {
+	newExec := func() *Executor { return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 2}) }
+	e, ref := newExec(), newExec()
+	a := []msg.Request{execReq(1, "a", "0"), execReq(2, "a", "1"), execReq(3, "a", "2"), execReq(4, "a", "3")}
+	b := []msg.Request{execReq(5, "b", "0"), execReq(6, "b", "1"), execReq(7, "b", "2"), execReq(8, "b", "3")}
+	x3 := execReq(9, "a", "agreed")
+	feedShard(e, 0, 0, a...)
+	feedShard(e, 1, 0, b...)
+	waitMerged(t, e, 8)
+	e.OnReset(0, 3)
+	e.OnLogged(0, 3, x3)
+	feedShard(ref, 0, 0, a[0], a[1], a[2], x3)
+	feedShard(ref, 1, 0, b...)
+	seq, dig := settle(e)
+	refSeq, refDig := settle(ref)
+	if seq != 8 || refSeq != 8 || dig != refDig {
+		t.Fatalf("rewound mirror at %d differs from the reference at %d", seq, refSeq)
+	}
+}
+
+// TestExecutorStableFloorClampsRewind: once both shards report a stable
+// checkpoint, the rounds below the round holding the lower one are no
+// longer kept, and a reset reaching below it rewinds only to that round:
+// the positions under it are agreed, so a different value re-fed there is
+// ignored while the ones above it replace the merged tail.
+func TestExecutorStableFloorClampsRewind(t *testing.T) {
+	newExec := func() *Executor { return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 2}) }
+	e, ref := newExec(), newExec()
+	a := []msg.Request{execReq(1, "a", "0"), execReq(2, "a", "1"), execReq(3, "a", "2"), execReq(4, "a", "3")}
+	b := []msg.Request{execReq(5, "b", "0"), execReq(6, "b", "1"), execReq(7, "b", "2"), execReq(8, "b", "3")}
+	y0, x2, x3 := execReq(9, "a", "never"), execReq(10, "a", "x2"), execReq(11, "a", "x3")
+	feedShard(e, 0, 0, a...)
+	feedShard(e, 1, 0, b...)
+	waitMerged(t, e, 8)
+	e.OnStable(0, 2)
+	e.OnStable(1, 3)
+	e.OnReset(0, 0)
+	feedShard(e, 0, 0, y0, a[1], x2, x3)
+	feedShard(ref, 0, 0, a[0], a[1], x2, x3)
+	feedShard(ref, 1, 0, b...)
+	seq, dig := settle(e)
+	refSeq, refDig := settle(ref)
+	if seq != 8 || refSeq != 8 || dig != refDig {
+		t.Fatalf("clamped rewind at %d differs from the reference at %d", seq, refSeq)
 	}
 }
 
 // TestExecutorMergedSnapshotRestore: a fresh executor restored from a peer's
-// merged snapshot continues the digest chain and application state exactly,
-// with its per-shard sequencers aligned to the restored boundary.
+// merged snapshot continues the digest chain exactly, with its per-shard
+// sequencers aligned to the restored boundary.
 func TestExecutorMergedSnapshotRestore(t *testing.T) {
-	newExec := func() *Executor {
-		return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 2, NewApp: func() app.Application { return app.NewKVStore() }})
-	}
+	newExec := func() *Executor { return NewExecutor(ExecutorConfig{Shards: 2, Epoch: 2}) }
 	live := newExec()
-	defer live.Stop()
 	var ts uint64
 	feedRound := func(e *Executor, round uint64) {
 		for s := 0; s < 2; s++ {
@@ -109,32 +173,29 @@ func TestExecutorMergedSnapshotRestore(t *testing.T) {
 	feedRound(live, 1)
 	waitMerged(t, live, 8)
 
-	seq, dig, appState := live.MergedSnapshot()
+	seq, dig := live.MergedSnapshot()
 	if seq != 8 {
 		t.Fatalf("snapshot at %d, want 8", seq)
 	}
 	fresh := newExec()
-	defer fresh.Stop()
-	if err := fresh.RestoreMerged(seq, dig, appState); err != nil {
+	if err := fresh.RestoreMerged(seq, dig); err != nil {
 		t.Fatalf("RestoreMerged: %v", err)
 	}
-	if err := fresh.RestoreMerged(seq+1, dig, appState); err == nil {
+	if err := fresh.RestoreMerged(seq+1, dig); err == nil {
 		t.Fatal("off-boundary restore accepted")
 	}
+	// The restored boundary is the floor: a reset below it rewinds nothing.
+	fresh.OnReset(0, 0)
 
 	// Both continue with the same suffix and stay identical.
 	saved := ts
 	feedRound(live, 2)
 	ts = saved
 	feedRound(fresh, 2)
-	waitMerged(t, live, 12)
-	waitMerged(t, fresh, 12)
-	if live.MergedDigest() != fresh.MergedDigest() {
-		t.Fatal("restored executor diverged from the live one")
-	}
-	a, b := live.MergedApp().Snapshot(), fresh.MergedApp().Snapshot()
-	if string(a) != string(b) {
-		t.Fatal("restored merged application diverged")
+	liveSeq, liveDig := settle(live)
+	freshSeq, freshDig := settle(fresh)
+	if liveSeq != 12 || freshSeq != 12 || liveDig != freshDig {
+		t.Fatalf("restored executor at %d diverged from the live one at %d", freshSeq, liveSeq)
 	}
 }
 

@@ -15,9 +15,10 @@
 // every shard off the ordering critical path and merges them into one
 // deterministic global sequence using shard epoch rounds: round r carries
 // positions [r*E, (r+1)*E) of shard 0, then of shard 1, …, then of shard
-// S-1. The merged sequence (and the merged application built from it) is a
-// pure function of the per-shard histories, so all replicas converge to the
-// same global order without any cross-shard coordination messages.
+// S-1. The merged sequence of request digests is a pure function of the
+// per-shard histories, so all replicas converge to the same global order
+// without any cross-shard coordination messages; a shard that rolls back a
+// merged tail rewinds the merge to the agreed history.
 package shard
 
 import (

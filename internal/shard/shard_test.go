@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -229,50 +228,99 @@ func (l *loopEndpoint) lastSent() any {
 	return l.sent[len(l.sent)-1]
 }
 
-// TestSpanMatchesSliceModel drives a span through random pushes, epoch pops
-// and truncations against a plain slice, and checks that a steady
-// push-an-epoch/pop-an-epoch rhythm stops allocating however deep the
-// backlog it started from.
-func TestSpanMatchesSliceModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	var q span
-	var model []msg.Request
-	next := uint64(0)
-	for step := 0; step < 5000; step++ {
-		switch op := rng.Intn(10); {
-		case op < 5:
-			for i := rng.Intn(12); i > 0; i-- {
-				next++
-				q.push(msg.Request{Timestamp: next})
-				model = append(model, msg.Request{Timestamp: next})
-			}
-		case op < 9:
-			if k := 1 + rng.Intn(8); k <= len(model) {
-				got := q.popInto(nil, k)
-				if !slices.EqualFunc(got, model[:k], msg.Request.Equal) {
-					t.Fatalf("step %d: popped %v, want %v", step, got, model[:k])
+// TestRewindMatchesReference drives a two-shard executor through random
+// appends, rollbacks and stable reports, shaped as a host makes them: a
+// rollback replaces a shard's tail above its last stable checkpoint, resets
+// from a base at or below it, and re-feeds the adopted history from that
+// base. Merges race the feeds, so rollbacks reach merged rounds as well as
+// queued ones. The executor must end on the merged sequence of a reference
+// fed only the final histories.
+func TestRewindMatchesReference(t *testing.T) {
+	const shards, epoch = 2, 2
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewExecutor(ExecutorConfig{Shards: shards, Epoch: epoch})
+		hist := make([][]msg.Request, shards)
+		stable := make([]int, shards)
+		var ts uint64
+		for step := 0; step < 300; step++ {
+			s := rng.Intn(shards)
+			switch op := rng.Intn(10); {
+			case op < 6:
+				ts++
+				hist[s] = append(hist[s], reqOf(uint64(s), ts, "append"))
+				e.OnLogged(s, uint64(len(hist[s])-1), hist[s][len(hist[s])-1])
+			case op < 9:
+				from := stable[s] + rng.Intn(len(hist[s])-stable[s]+1)
+				hist[s] = hist[s][:from]
+				for i := rng.Intn(3); i > 0; i-- {
+					ts++
+					hist[s] = append(hist[s], reqOf(uint64(s), ts, "adopted"))
 				}
-				model = model[k:]
+				base := rng.Intn(from + 1)
+				e.OnReset(s, uint64(base))
+				for pos := base; pos < len(hist[s]); pos++ {
+					e.OnLogged(s, uint64(pos), hist[s][pos])
+				}
+			default:
+				stable[s] += rng.Intn(len(hist[s]) - stable[s] + 1)
+				e.OnStable(s, uint64(stable[s]))
 			}
-		default:
-			n := rng.Intn(len(model) + 1)
-			q.truncate(n)
-			model = model[:n]
+			if rng.Intn(8) == 0 {
+				time.Sleep(50 * time.Microsecond)
+			}
 		}
-		if q.len() != len(model) || !slices.EqualFunc(q.buf[q.head:], model, msg.Request.Equal) {
-			t.Fatalf("step %d: span holds %d requests, model %d", step, q.len(), len(model))
+		ref := NewExecutor(ExecutorConfig{Shards: shards, Epoch: epoch})
+		for s, h := range hist {
+			for pos, r := range h {
+				ref.OnLogged(s, uint64(pos), r)
+			}
+		}
+		e.Stop()
+		ref.Stop()
+		seq, dig := e.MergedSnapshot()
+		refSeq, refDig := ref.MergedSnapshot()
+		if seq != refSeq || dig != refDig {
+			t.Fatalf("seed %d: merged %d, reference %d (digests equal: %v)", seed, seq, refSeq, dig == refDig)
 		}
 	}
-	for i := 0; i < 1000; i++ {
-		q.push(msg.Request{})
-	}
-	scratch := make([]msg.Request, 0, DefaultEpoch)
-	if allocs := testing.AllocsPerRun(500, func() {
+}
+
+// TestSteadyMergeAllocs: under a steady rhythm of one epoch per shard and a
+// stable checkpoint every few rounds, the sequencer keeps only the rounds
+// above the floor, reuses the storage the floor frees and stops allocating.
+// The merge loop's steps run by hand on a stopped executor.
+func TestSteadyMergeAllocs(t *testing.T) {
+	e := NewExecutor(ExecutorConfig{Shards: 2, Epoch: DefaultEpoch})
+	e.Stop()
+	req := reqOf(0, 1, "steady")
+	var pos uint64
+	round := func() {
 		for i := 0; i < DefaultEpoch; i++ {
-			q.push(msg.Request{})
+			e.OnLogged(0, pos, req)
+			e.OnLogged(1, pos, req)
+			pos++
 		}
-		q.popInto(scratch[:0], DefaultEpoch)
-	}); allocs != 0 {
-		t.Fatalf("a steady push/pop rhythm allocates %.2f times per epoch", allocs)
+		if pos%(4*DefaultEpoch) == 0 {
+			e.OnStable(0, pos)
+			e.OnStable(1, pos)
+		}
+		e.drainIntake()
+		e.mergeRounds()
+		e.trimKept()
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("a steady merge rhythm allocates %.2f times per round", allocs)
+	}
+	if want := pos * 2; e.MergedSeq() != want {
+		t.Fatalf("merged %d, want %d", e.MergedSeq(), want)
+	}
+	for sh, d := range e.digs {
+		if len(d) > 4*DefaultEpoch || len(e.starts) > 4 {
+			t.Fatalf("shard %d keeps %d digests and %d round starts above a floor at most 4 rounds back", sh, len(d), len(e.starts))
+		}
 	}
 }

@@ -155,8 +155,8 @@ func wirePayloads() []any {
 		// wrapped per shard) and the node-level recovery control plane.
 		&shard.Mark{Shard: 1, Payload: &zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac}},
 		&shard.Mark{Shard: 0, Payload: &statesync.FetchState{Instance: 1, From: ids.Replica(3), Seq: 8, BodiesFrom: ids.Replica(1)}},
-		&shard.MergedQuery{From: ids.Replica(3), StateFrom: ids.Replica(0)},
-		&shard.MergedState{From: ids.Replica(0), Seq: 32, Digest: dig, AppHash: dig, MAC: mac, HasApp: true, App: []byte("merged-app")},
+		&shard.MergedQuery{From: ids.Replica(3)},
+		&shard.MergedState{From: ids.Replica(0), Seq: 32, Digest: dig, MAC: mac},
 
 		// Trace-context propagation: the same carriers with sampled requests
 		// and batches (flags-byte trace block on requests, high-bit count

@@ -759,17 +759,13 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		return appendPayload(b, m.Payload, depth+1)
 	case *shard.MergedQuery:
 		b = appendU16(b, tagMergedQuery)
-		b = appendID(b, m.From)
-		return appendID(b, m.StateFrom), nil
+		return appendID(b, m.From), nil
 	case *shard.MergedState:
 		b = appendU16(b, tagMergedState)
 		b = appendID(b, m.From)
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
-		b = appendDigest(b, m.AppHash)
-		b = appendMAC(b, m.MAC)
-		b = appendBool(b, m.HasApp)
-		return appendBytes(b, m.App), nil
+		return appendMAC(b, m.MAC), nil
 	}
 	return b, fmt.Errorf("wirecodec: unsupported payload type %T (%w)", p, transport.ErrUnencodable) //abstractbft:alloc-ok error path, envelope is dropped
 }
@@ -984,17 +980,13 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagMergedQuery:
 		m := &shard.MergedQuery{}
 		m.From = r.id()
-		m.StateFrom = r.id()
 		return m
 	case tagMergedState:
 		m := &shard.MergedState{}
 		m.From = r.id()
 		m.Seq = r.u64()
 		m.Digest = r.digest()
-		m.AppHash = r.digest()
 		m.MAC = r.mac()
-		m.HasApp = r.bool()
-		m.App = r.bytes()
 		return m
 	}
 	r.fail(fmt.Errorf("%w: %d", ErrUnknownTag, tag))

@@ -124,7 +124,7 @@ func TestUnknownTagErrors(t *testing.T) {
 // TestTrailingBytesError checks that UnmarshalWire rejects input with bytes
 // after a valid payload (a frame boundary bug would otherwise hide there).
 func TestTrailingBytesError(t *testing.T) {
-	full, err := wirecodec.MarshalWire(&shard.MergedQuery{From: ids.Replica(3), StateFrom: ids.Replica(0)})
+	full, err := wirecodec.MarshalWire(&shard.MergedQuery{From: ids.Replica(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTrailingBytesError(t *testing.T) {
 // unencodable, not killing the connection), and the decoder rejects crafted
 // deeply nested input.
 func TestNestingDepthCapped(t *testing.T) {
-	var deep any = &shard.MergedQuery{From: 1, StateFrom: 2}
+	var deep any = &shard.MergedQuery{From: 1}
 	for i := 0; i < 64; i++ {
 		deep = &shard.Mark{Shard: 0, Payload: deep}
 	}
@@ -211,7 +211,7 @@ func TestUnencodablePayloadKeepsStream(t *testing.T) {
 	if err := enc.Encode(&bad); !errors.Is(err, transport.ErrUnencodable) {
 		t.Fatalf("got %v, want ErrUnencodable", err)
 	}
-	good := transport.Envelope{From: 1, To: 2, Payload: &shard.MergedQuery{From: 1, StateFrom: 2}}
+	good := transport.Envelope{From: 1, To: 2, Payload: &shard.MergedQuery{From: 1}}
 	if err := enc.Encode(&good); err != nil {
 		t.Fatal(err)
 	}
