@@ -454,9 +454,11 @@ type Authenticator struct {
 // digest, so generating a vector of n MACs costs O(|data| + n·DigestSize)
 // instead of O(n·|data|). An entry addressed to the sender itself carries a
 // zero MAC that Verify short-circuits: a process never needs cryptographic
-// evidence about its own messages, and skipping the self-MAC is safe because
-// the worst a forged self-entry can cause is an abort (liveness), never a
-// wrong commit.
+// evidence about its own messages. Sender is chosen by whoever built the
+// authenticator, so a forger can name the receiver itself and pass Verify
+// with no MAC at all: a receiver must first bind Sender to the process the
+// message claims to come from (host.Host.VerifyClientAuth does this for client
+// requests: Sender must be the request's client).
 func (ks *KeyStore) NewAuthenticator(sender ids.ProcessID, receivers []ids.ProcessID, data []byte) Authenticator {
 	d := Hash(data)
 	a := Authenticator{Sender: sender, Entries: make([]AuthEntry, 0, len(receivers))}
@@ -482,7 +484,8 @@ func (a Authenticator) Entry(receiver ids.ProcessID) (MAC, bool) {
 
 // Verify checks the authenticator entry addressed to receiver against data.
 // A receiver that is also the sender accepts its own (zero) entry without
-// cryptographic work; see NewAuthenticator.
+// cryptographic work, so the caller must have bound a.Sender to the claimed
+// originator first; see NewAuthenticator.
 func (ks *KeyStore) Verify(a Authenticator, receiver ids.ProcessID, data []byte) error {
 	m, ok := a.Entry(receiver)
 	if !ok {

@@ -8,7 +8,6 @@ package backup
 import (
 	"time"
 
-	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
@@ -57,17 +56,6 @@ func FixedK(k uint64) KPolicy {
 	}
 	return func(int, bool) uint64 { return k }
 }
-
-// RequestMessage is the client request of a Backup instance: it is sent to
-// every replica so each can submit it to the underlying ordering protocol.
-type RequestMessage struct {
-	Instance core.InstanceID
-	Req      msg.Request
-	Auth     authn.Authenticator
-}
-
-// AbstractInstance implements core.InstanceMessage.
-func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
 
 // WrappedMessage carries a message of the underlying ordering protocol,
 // tagged with the Backup instance it belongs to so replica hosts can route
@@ -145,7 +133,7 @@ func (r *Replica) K() uint64 { return r.k }
 // Handle implements host.ProtocolReplica.
 func (r *Replica) Handle(from ids.ProcessID, m any) {
 	switch t := m.(type) {
-	case *RequestMessage:
+	case *core.RequestMessage:
 		r.onRequest(from, t)
 	case *WrappedMessage:
 		r.engine.HandleMessage(t.From, t.Inner)
@@ -163,9 +151,8 @@ func (r *Replica) ProtocolTick() {
 
 // onRequest verifies the client's authenticator and submits the request to
 // the underlying ordering protocol.
-func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
-	authBytes := core.ClientAuthBytes(r.st.ID, m.Req.Digest())
-	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
+func (r *Replica) onRequest(from ids.ProcessID, m *core.RequestMessage) {
+	if !r.h.VerifyClientAuth(r.st, from, m.Req.Client, m.Auth, m.Req.Digest()) {
 		return
 	}
 	if r.st.Stopped {

@@ -33,13 +33,7 @@ func (c *Client) ID() core.InstanceID { return c.id }
 // ordered by the wrapped BFT protocol, and the client commits on f+1
 // matching replies or aborts on 2f+1 matching signed ABORT messages.
 func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHistory) (core.Outcome, error) {
-	if c.env.Checker != nil {
-		c.env.Checker.RecordInvoke(req)
-		c.env.Checker.RecordInit(c.id, init)
-	}
-	authBytes := core.ClientAuthBytes(c.id, req.Digest())
-	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: c.id, Req: req, Auth: auth}
+	m := c.env.NewRequest(c.id, req, init)
 	send := func() { transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m) }
 	send()
 

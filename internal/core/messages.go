@@ -27,6 +27,33 @@ func ClientAuthBytes(instance InstanceID, digest authn.Digest) (buf [8 + authn.D
 	return buf
 }
 
+// RequestMessage is the REQ message with which a client invokes ZLight (Step
+// Z1, to the primary), Quorum (Step Q1) and Backup (to every replica). Every
+// replica admits it through the same check: the authenticator is Req.Client's
+// own and its entry verifies over ClientAuthBytes(Instance, Req.Digest()).
+type RequestMessage struct {
+	Instance InstanceID
+	Req      msg.Request
+	// Auth is the client's MAC authenticator, one entry per replica.
+	Auth authn.Authenticator
+}
+
+// AbstractInstance implements InstanceMessage.
+func (m *RequestMessage) AbstractInstance() InstanceID { return m.Instance }
+
+// NewRequest records the invocation of instance with req (and its init
+// history) with the specification checker, and builds the REQ: the request is
+// hashed once, and the authenticator carries one entry per replica.
+func (e ClientEnv) NewRequest(instance InstanceID, req msg.Request, init *InitHistory) *RequestMessage {
+	if e.Checker != nil {
+		e.Checker.RecordInvoke(req)
+		e.Checker.RecordInit(instance, init)
+	}
+	authBytes := ClientAuthBytes(instance, req.Digest())
+	auth := e.Keys.NewAuthenticator(e.ID, e.Cluster.Replicas(), authBytes[:])
+	return &RequestMessage{Instance: instance, Req: req, Auth: auth}
+}
+
 // InitMessage hands instance Instance its init history (§3.3), and is the
 // only message that carries one. The client's ACP loop multicasts it to every
 // replica when it switches to the instance and again before each PANIC round

@@ -7,7 +7,9 @@ import (
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/history"
+	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
+	"abstractbft/internal/transport"
 )
 
 // The commit rule's working state. An answer is what one replica said about
@@ -186,6 +188,22 @@ func awaitCommits(ctx context.Context, env ClientEnv, instance InstanceID, reqs 
 		}
 	}
 	return true, nil
+}
+
+// InvokeSpeculative is the client side of the speculative instances, ZLight
+// (Steps Z1 and Z4) and Quorum (Steps Q1 and Q3): send the REQ to dests, wait
+// up to timeout for the commit rule of AwaitSpeculativeCommit, and run the
+// panicking mechanism otherwise.
+func InvokeSpeculative(ctx context.Context, env ClientEnv, instance InstanceID, req msg.Request, init *InitHistory, dests []ids.ProcessID, timeout time.Duration) (Outcome, error) {
+	transport.Multicast(env.Endpoint, dests, env.NewRequest(instance, req, init))
+	out, committed, err := AwaitSpeculativeCommit(ctx, env, instance, req, timeout)
+	if err != nil {
+		return Outcome{}, err
+	}
+	if committed {
+		return out, nil
+	}
+	return PanicAndAbort(ctx, env, instance, req, init)
 }
 
 // soloReplicas is the cluster size up to which the one-request rule keeps its

@@ -14,7 +14,6 @@ import (
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 	"abstractbft/internal/obs"
-	"abstractbft/internal/quorum"
 	"abstractbft/internal/shard"
 	"abstractbft/internal/transport"
 	"abstractbft/internal/zlight"
@@ -90,7 +89,7 @@ func TestQuorumRollbackRestoresCheckpoint(t *testing.T) {
 
 	var dropped atomic.Bool
 	c.Net.AddFilter(func(env transport.Envelope) bool {
-		if _, ok := env.Payload.(*quorum.RequestMessage); ok && env.From == ids.Client(1) && env.To == ids.Replica(3) {
+		if _, ok := env.Payload.(*core.RequestMessage); ok && env.From == ids.Client(1) && env.To == ids.Replica(3) {
 			return !dropped.CompareAndSwap(false, true)
 		}
 		return true

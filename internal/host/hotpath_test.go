@@ -9,6 +9,7 @@ import (
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
+	"abstractbft/internal/core"
 	"abstractbft/internal/history"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
@@ -292,5 +293,25 @@ func TestFilterFreshItemsPairsItemsWithBatch(t *testing.T) {
 		if fresh[i].Req.ID() != batch.Requests[i].ID() || fresh[i].Digest != batch.Requests[i].Digest() {
 			t.Fatalf("fresh[%d] = %v does not pair with batch request %v", i, fresh[i].Req.ID(), batch.Requests[i].ID())
 		}
+	}
+}
+
+// TestClientAdmissionAllocs: admitting one REQ (hashing the request, binding
+// its authenticator to the client, and verifying this replica's MAC entry)
+// allocates nothing.
+func TestClientAdmissionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled HMAC states")
+	}
+	h, st, _ := hotHost(t, 0)
+	req := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: []byte("cmd")}
+	authBytes := core.ClientAuthBytes(st.ID, req.Digest())
+	auth := h.keys.NewAuthenticator(req.Client, h.Cluster().Replicas(), authBytes[:])
+	if n := testing.AllocsPerRun(200, func() {
+		if !h.VerifyClientAuth(st, req.Client, req.Client, auth, req.Digest()) {
+			t.Fatal("REQ not admitted")
+		}
+	}); n != 0 {
+		t.Fatalf("admitting a REQ allocates %v times, want 0", n)
 	}
 }

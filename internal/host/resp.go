@@ -56,10 +56,22 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 	}
 }
 
-// VerifyClientAuth verifies the client's authenticator entry addressed to
-// this replica over the given bytes.
-func (h *Host) VerifyClientAuth(a authn.Authenticator, data []byte) error {
-	return h.keys.Verify(a, h.id, data)
+// VerifyClientAuth is the one admission check of a client request: a REQ
+// received from from, or a client authenticator that ZLight's primary
+// forwards in an ORDER. It admits the request when client names a client, a
+// client sends only its own requests, a was generated by client (its sender
+// sets Sender, and an entry addressed to its own Sender verifies with no
+// MAC), and a's entry for this replica verifies over
+// core.ClientAuthBytes(st.ID, digest). digest is the request's digest, or a
+// client-side batch's digest.
+//
+//abstractbft:noalloc
+func (h *Host) VerifyClientAuth(st *InstanceState, from, client ids.ProcessID, a authn.Authenticator, digest authn.Digest) bool {
+	if !client.IsClient() || a.Sender != client || (from.IsClient() && from != client) {
+		return false
+	}
+	authBytes := core.ClientAuthBytes(st.ID, digest)
+	return h.keys.Verify(a, h.id, authBytes[:]) == nil
 }
 
 // MACFor computes a MAC from this replica to the given process.

@@ -19,18 +19,6 @@ import (
 	"abstractbft/internal/transport"
 )
 
-// RequestMessage is the REQ message a client multicasts to every replica
-// (Step Q1).
-type RequestMessage struct {
-	Instance core.InstanceID
-	Req      msg.Request
-	// Auth is the client's MAC authenticator over the request and instance.
-	Auth authn.Authenticator
-}
-
-// AbstractInstance implements core.InstanceMessage.
-func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
 // BatchRequestMessage is the batched REQ message a pipelining client
 // multicasts to every replica: several of its own in-flight requests ordered
 // by timestamp, covered by a single MAC authenticator over the batch digest
@@ -61,7 +49,7 @@ func NewReplica() host.ProtocolFactory {
 // Handle implements host.ProtocolReplica.
 func (r *Replica) Handle(from ids.ProcessID, m any) {
 	switch t := m.(type) {
-	case *RequestMessage:
+	case *core.RequestMessage:
 		r.onRequest(from, t)
 	case *BatchRequestMessage:
 		r.onBatchRequest(from, t)
@@ -86,23 +74,16 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 		return
 	}
 	// All requests of a batch belong to the invoking client; a batch mixing
-	// clients cannot be covered by one authenticator and is dropped. The
-	// authenticator must also be generated BY that client — its Sender field
-	// is attacker-chosen, so without this binding a Byzantine process could
-	// have forged requests verified under its own keys.
-	if m.Auth.Sender != client {
-		return
-	}
+	// clients cannot be covered by one authenticator and is dropped.
 	for _, req := range m.Batch.Requests {
-		if req.Client != client || (from.IsClient() && req.Client != from) {
+		if req.Client != client {
 			return
 		}
 	}
 	// Hash each request once: the digests feed the batch authenticator and
 	// (for a batch logged as it came) the history.
 	digests := m.Batch.Digests()
-	authBytes := core.ClientAuthBytes(r.st.ID, msg.DigestOf(digests))
-	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
+	if !r.h.VerifyClientAuth(r.st, from, client, m.Auth, msg.DigestOf(digests)) {
 		return
 	}
 	designated := r.h.ID() == r.h.Cluster().Head()
@@ -144,18 +125,12 @@ func (r *Replica) onBatchRequest(from ids.ProcessID, m *BatchRequestMessage) {
 
 // onRequest implements Step Q2: verify the client MAC, log and speculatively
 // execute the request, and reply.
-func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
+func (r *Replica) onRequest(from ids.ProcessID, m *core.RequestMessage) {
 	if r.st.Stopped {
 		return
 	}
-	// The authenticator must be the invoking client's own (Sender is
-	// attacker-chosen otherwise).
-	if m.Auth.Sender != m.Req.Client {
-		return
-	}
 	digest := m.Req.Digest()
-	authBytes := core.ClientAuthBytes(r.st.ID, digest)
-	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
+	if !r.h.VerifyClientAuth(r.st, from, m.Req.Client, m.Auth, digest) {
 		return
 	}
 	if dup, reply, cached := r.h.Retransmission(r.st, m.Req); dup {
@@ -189,23 +164,7 @@ func (c *Client) ID() core.InstanceID { return c.id }
 // Invoke implements core.Instance: Step Q1 (multicast to all replicas, arm a
 // 2Δ timer), Step Q3 (identical to Step Z4), and the panicking mechanism.
 func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHistory) (core.Outcome, error) {
-	if c.env.Checker != nil {
-		c.env.Checker.RecordInvoke(req)
-		c.env.Checker.RecordInit(c.id, init)
-	}
-	authBytes := core.ClientAuthBytes(c.id, req.Digest())
-	auth := c.env.Keys.NewAuthenticator(c.env.ID, c.env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: c.id, Req: req, Auth: auth}
-	transport.Multicast(c.env.Endpoint, c.env.Cluster.Replicas(), m)
-
-	out, committed, err := core.AwaitSpeculativeCommit(ctx, c.env, c.id, req, c.env.Timer(2))
-	if err != nil {
-		return core.Outcome{}, err
-	}
-	if committed {
-		return out, nil
-	}
-	return core.PanicAndAbort(ctx, c.env, c.id, req, init)
+	return core.InvokeSpeculative(ctx, c.env, c.id, req, init, c.env.Cluster.Replicas(), c.env.Timer(2))
 }
 
 // InvokeBatch implements core.BatchInstance: it multicasts several of the

@@ -94,9 +94,6 @@ func (c *Collector) Add(resp *State) error {
 // backlog, far below this.
 const maxSuffix = 1 << 20
 
-// Responses returns the number of distinct replicas heard from.
-func (c *Collector) Responses() int { return len(c.responses) }
-
 // snapKey is the identity a snapshot group agrees on.
 type snapKey struct {
 	seq  uint64

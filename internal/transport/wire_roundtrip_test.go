@@ -64,7 +64,8 @@ func newTCPPair(t *testing.T) (*transport.TCP, *transport.TCP) {
 // crosses the wire: every tag arm of wirecodec's appendPayload not marked
 // //wire:noaudit. Slice fields are non-empty (the codec decodes an empty
 // slice as nil, so an empty one would not come back DeepEqual); pointer
-// fields are set.
+// fields are set. A payload's index names its subtests, so entries are
+// appended, never removed.
 func wirePayloads() []any {
 	req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd-a")}
 	req2 := msg.Request{Client: ids.Client(4), Timestamp: 9, Command: []byte("cmd-b")}
@@ -103,16 +104,17 @@ func wirePayloads() []any {
 	tracedBatch := msg.BatchOf(tracedReq, req2)
 
 	return []any{
-		// Request plane: per-protocol client and ordering messages, batched
-		// and degenerate, plus a Mencius-style null-op inside an ORDER.
-		&zlight.RequestMessage{Instance: 1, Req: req, Auth: auth},
+		// Request plane: the one REQ as each instance sends it, the
+		// per-protocol ordering messages, batched and degenerate, plus a
+		// Mencius-style null-op inside an ORDER.
+		sentAs{"*zlight.RequestMessage", &core.RequestMessage{Instance: 1, Req: req, Auth: auth}},
 		&zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac},
 		&zlight.OrderMessage{Instance: 3, Batch: msg.BatchOf(nullOp), Seq: 9, Auths: []authn.Authenticator{{Sender: ids.NullOp}}, PrimaryMAC: mac},
 		&chain.Message{Instance: 2, Req: req, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
 		&chain.BatchMessage{Instance: 2, Batch: batch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca},
-		&quorum.RequestMessage{Instance: 1, Req: req, Auth: auth},
+		sentAs{"*quorum.RequestMessage", &core.RequestMessage{Instance: 1, Req: req, Auth: auth}},
 		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Auth: auth},
-		&backup.RequestMessage{Instance: 3, Req: req, Auth: auth},
+		sentAs{"*backup.RequestMessage", &core.RequestMessage{Instance: 3, Req: req, Auth: auth}},
 		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
 
 		// The inner PBFT engine's messages (Backup wraps them, but they have
@@ -161,13 +163,13 @@ func wirePayloads() []any {
 		// Trace-context propagation: the same carriers with sampled requests
 		// and batches (flags-byte trace block on requests, high-bit count
 		// marker on batches) must round-trip the context.
-		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
+		sentAs{"*zlight.RequestMessage", &core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth}},
 		&zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&chain.Message{Instance: 2, Req: tracedReq, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
 		&chain.BatchMessage{Instance: 2, Batch: tracedBatch, Seq: 6, ClientCAs: []authn.ChainAuthenticator{ca, ca}, ReplyDigests: []authn.Digest{dig, dig}, HistoryDigest: dig, CA: ca},
-		&quorum.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
+		sentAs{"*quorum.RequestMessage", &core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth}},
 		&quorum.BatchRequestMessage{Instance: 1, Batch: tracedBatch, Auth: auth},
-		&backup.RequestMessage{Instance: 3, Req: tracedReq, Auth: auth},
+		sentAs{"*backup.RequestMessage", &core.RequestMessage{Instance: 3, Req: tracedReq, Auth: auth}},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq, req}, Digest: dig, MAC: mac},
 		&core.FetchResponse{Instance: 1, From: ids.Replica(2), Requests: []msg.Request{tracedReq}},
 		&shard.Mark{Shard: 1, Payload: &zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac}},
@@ -182,7 +184,32 @@ func wirePayloads() []any {
 		// The one carrier of init histories (appended last, so no earlier
 		// payload's ID moves).
 		&core.InitMessage{Instance: 2, Init: init},
+
+		// Backup's wrapped PBFT phase messages, and traced requests inside
+		// a wrapped proposal and a view change's prepared entry.
+		&backup.WrappedMessage{Instance: 3, From: ids.Replica(2), Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, From: ids.Replica(3), Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(3), MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq}, Digest: dig, MAC: mac}},
+		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{tracedReq}}}, Sig: authn.Signature("s")},
 	}
+}
+
+// sentAs labels the one REQ (core.RequestMessage, tag 10) with the instance
+// that sends it. ZLight, Quorum and Backup each had a REQ type of their own
+// before they shared this one, and each instance's audit entries keep the
+// subtest names those types gave them.
+type sentAs struct {
+	name    string
+	payload any
+}
+
+// auditEntry returns a wirePayloads entry's subtest name (index and type, or
+// index and label) and the payload itself.
+func auditEntry(i int, entry any) (string, any) {
+	if l, ok := entry.(sentAs); ok {
+		return fmt.Sprintf("%02d_%s", i, l.name), l.payload
+	}
+	return fmt.Sprintf("%02d_%T", i, entry), entry
 }
 
 // handshakeControl reports whether a payload is consumed by the TCP read
@@ -201,11 +228,12 @@ func handshakeControl(p any) bool {
 func TestWireRoundTrips(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		a, b := newTCPPair(t)
-		for i, payload := range wirePayloads() {
+		for i, entry := range wirePayloads() {
+			name, payload := auditEntry(i, entry)
 			if handshakeControl(payload) {
 				continue
 			}
-			t.Run(fmt.Sprintf("%02d_%T", i, payload), func(t *testing.T) {
+			t.Run(name, func(t *testing.T) {
 				b.Send(ids.Replica(0), payload)
 				select {
 				case env, ok := <-a.Inbox():
@@ -227,9 +255,9 @@ func TestWireRoundTrips(t *testing.T) {
 // audit payload decodes back equal and re-encodes to identical bytes (the
 // encoding is canonical: no map iteration, no per-stream state).
 func TestWireByteEquality(t *testing.T) {
-	for i, payload := range wirePayloads() {
-		payload := payload
-		t.Run(fmt.Sprintf("%02d_%T", i, payload), func(t *testing.T) {
+	for i, entry := range wirePayloads() {
+		name, payload := auditEntry(i, entry)
+		t.Run(name, func(t *testing.T) {
 			first, err := wirecodec.MarshalWire(payload)
 			if err != nil {
 				t.Fatalf("marshal: %v", err)
@@ -303,7 +331,7 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 
 	// Request: the pre-tracing encoding was id(4) + timestamp(8) + bool(1) +
 	// command(4+len); the flags byte replaces the bool byte-for-byte.
-	plain, err := wirecodec.MarshalWire(&quorum.RequestMessage{Instance: 1, Req: plainReq})
+	plain, err := wirecodec.MarshalWire(&core.RequestMessage{Instance: 1, Req: plainReq})
 	if err != nil {
 		t.Fatalf("marshal plain: %v", err)
 	}
@@ -313,7 +341,7 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 	if len(plain) != wantLen {
 		t.Errorf("untraced request message: %d bytes, want %d (untraced requests must pay zero trace bytes)", len(plain), wantLen)
 	}
-	traced, err := wirecodec.MarshalWire(&quorum.RequestMessage{Instance: 1, Req: tracedReq})
+	traced, err := wirecodec.MarshalWire(&core.RequestMessage{Instance: 1, Req: tracedReq})
 	if err != nil {
 		t.Fatalf("marshal traced: %v", err)
 	}
@@ -350,7 +378,7 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 		}
 		return buf.Len()
 	}
-	env := transport.Envelope{From: ids.Replica(1), To: ids.Replica(0), Payload: &quorum.RequestMessage{Instance: 1, Req: plainReq}}
+	env := transport.Envelope{From: ids.Replica(1), To: ids.Replica(0), Payload: &core.RequestMessage{Instance: 1, Req: plainReq}}
 	plainN := encode(env)
 	if want := 4 + 4 + 4 + len(plain); plainN != want { // frame length prefix + from + to + payload
 		t.Errorf("untraced envelope frame: %d bytes, want %d", plainN, want)

@@ -35,14 +35,14 @@ const (
 	tagConnProof     uint16 = 3
 	tagTraced        uint16 = 4
 
-	// Protocol request/ordering planes.
-	tagZLightRequest uint16 = 10
+	// Protocol request/ordering planes. Tags 14 and 16 were Quorum's and
+	// Backup's own REQ types (every REQ is core.RequestMessage, tag 10);
+	// they are reserved, never reused.
+	tagRequest       uint16 = 10
 	tagZLightOrder   uint16 = 11
 	tagChainMessage  uint16 = 12
 	tagChainBatch    uint16 = 13
-	tagQuorumRequest uint16 = 14
 	tagQuorumBatch   uint16 = 15
-	tagBackupRequest uint16 = 16
 	tagBackupWrapped uint16 = 17
 
 	// The wrapped PBFT engine. Tags 20 and 24 were pbft.Request and
@@ -608,8 +608,8 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU16(b, tagConnProof)
 		return appendMAC(b, m.Proof), nil
 
-	case *zlight.RequestMessage:
-		b = appendU16(b, tagZLightRequest)
+	case *core.RequestMessage:
+		b = appendU16(b, tagRequest)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendRequest(b, m.Req)
 		return appendAuth(b, m.Auth), nil
@@ -641,20 +641,10 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendDigest(b, m.HistoryDigest)
 		b = appendDigestHistory(b, m.HistoryDigests)
 		return appendChainAuth(b, m.CA), nil
-	case *quorum.RequestMessage:
-		b = appendU16(b, tagQuorumRequest)
-		b = appendU64(b, uint64(m.Instance))
-		b = appendRequest(b, m.Req)
-		return appendAuth(b, m.Auth), nil
 	case *quorum.BatchRequestMessage:
 		b = appendU16(b, tagQuorumBatch)
 		b = appendU64(b, uint64(m.Instance))
 		b = appendBatch(b, m.Batch)
-		return appendAuth(b, m.Auth), nil
-	case *backup.RequestMessage:
-		b = appendU16(b, tagBackupRequest)
-		b = appendU64(b, uint64(m.Instance))
-		b = appendRequest(b, m.Req)
 		return appendAuth(b, m.Auth), nil
 	case *backup.WrappedMessage:
 		b = appendU16(b, tagBackupWrapped)
@@ -804,8 +794,8 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagConnProof:
 		return &transport.ConnProof{Proof: r.mac()}
 
-	case tagZLightRequest:
-		m := &zlight.RequestMessage{}
+	case tagRequest:
+		m := &core.RequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Req = decodeRequest(r)
 		m.Auth = decodeAuth(r)
@@ -841,22 +831,10 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.HistoryDigests = decodeDigestHistory(r)
 		m.CA = decodeChainAuth(r)
 		return m
-	case tagQuorumRequest:
-		m := &quorum.RequestMessage{}
-		m.Instance = core.InstanceID(r.u64())
-		m.Req = decodeRequest(r)
-		m.Auth = decodeAuth(r)
-		return m
 	case tagQuorumBatch:
 		m := &quorum.BatchRequestMessage{}
 		m.Instance = core.InstanceID(r.u64())
 		m.Batch = decodeBatch(r)
-		m.Auth = decodeAuth(r)
-		return m
-	case tagBackupRequest:
-		m := &backup.RequestMessage{}
-		m.Instance = core.InstanceID(r.u64())
-		m.Req = decodeRequest(r)
 		m.Auth = decodeAuth(r)
 		return m
 	case tagBackupWrapped:

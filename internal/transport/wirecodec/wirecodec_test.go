@@ -48,9 +48,9 @@ func samplePayloads() []any {
 	tracedReq := msg.Request{Client: ids.Client(5), Timestamp: 11, Command: []byte("cmd-t"),
 		Trace: obs.TraceContext{TraceID: 0xabcdef0112345678, Parent: 0xabcdef0112345678}}
 	return []any{
-		&zlight.RequestMessage{Instance: 1, Req: req, Auth: auth},
+		&core.RequestMessage{Instance: 1, Req: req, Auth: auth},
 		&zlight.OrderMessage{Instance: 1, Batch: msg.BatchOf(req), Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
-		&zlight.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
+		&core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
 		&zlight.OrderMessage{Instance: 2, Batch: msg.BatchOf(tracedReq, req), Seq: 6, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Digest: dig, MAC: mac},
 		&core.RespMessage{Instance: 1, Replica: ids.Replica(0), Client: ids.Client(3), Timestamp: 7, Reply: []byte("re"), ReplyDigest: dig, HistoryDigest: dig, HistoryLen: 9, MAC: mac},

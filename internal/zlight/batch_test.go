@@ -134,9 +134,7 @@ func TestZLightDuplicateTimestampWithinOneWindow(t *testing.T) {
 	defer cancel()
 
 	req := msg.Request{Client: env.ID, Timestamp: 1, Command: []byte("dup")}
-	authBytes := core.ClientAuthBytes(1, req.Digest())
-	auth := env.Keys.NewAuthenticator(env.ID, env.Cluster.Replicas(), authBytes[:])
-	m := &RequestMessage{Instance: 1, Req: req, Auth: auth}
+	m := env.NewRequest(1, req, nil)
 	// Two copies of the same REQ land in the same assembler window.
 	env.Endpoint.Send(env.Cluster.Head(), m)
 	env.Endpoint.Send(env.Cluster.Head(), m)

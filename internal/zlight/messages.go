@@ -19,17 +19,11 @@ import (
 	"abstractbft/internal/msg"
 )
 
-// RequestMessage is the REQ message a client sends to the primary (Step Z1).
-type RequestMessage struct {
-	Instance core.InstanceID
-	Req      msg.Request
-	// Auth is the client's MAC authenticator over the request and instance,
-	// with one entry per replica.
-	Auth authn.Authenticator
-}
-
-// AbstractInstance implements core.InstanceMessage.
-func (m *RequestMessage) AbstractInstance() core.InstanceID { return m.Instance }
+// RequestMessage is the REQ message a client sends to the primary (Step Z1),
+// the one REQ every instance shares; the name stays for bench/probes.go.
+//
+// Deprecated: use core.RequestMessage.
+type RequestMessage = core.RequestMessage
 
 // OrderMessage is the ORDER message the primary sends to the other replicas
 // (Step Z2): an ordered batch of requests, the sequence number of the batch's

@@ -51,7 +51,7 @@ func (r *Replica) IsPrimary() bool { return r.h.ID() == r.primary }
 // Handle implements host.ProtocolReplica.
 func (r *Replica) Handle(from ids.ProcessID, m any) {
 	switch t := m.(type) {
-	case *RequestMessage:
+	case *core.RequestMessage:
 		r.onRequest(from, t)
 	case *OrderMessage:
 		r.onOrder(from, t)
@@ -62,21 +62,12 @@ func (r *Replica) Handle(from ids.ProcessID, m any) {
 // authenticator entry and hand the request to the batch assembler; the
 // assembler flushes a whole batch into orderBatch under the size/delay
 // policy (immediately when batching is disabled).
-func (r *Replica) onRequest(from ids.ProcessID, m *RequestMessage) {
+func (r *Replica) onRequest(from ids.ProcessID, m *core.RequestMessage) {
 	if !r.IsPrimary() || r.st.Stopped {
 		return
 	}
-	if m.Req.Client != from && from.IsClient() {
-		return
-	}
-	// The authenticator must be the invoking client's own (Sender is
-	// attacker-chosen otherwise).
-	if m.Auth.Sender != m.Req.Client {
-		return
-	}
 	digest := m.Req.Digest()
-	authBytes := core.ClientAuthBytes(r.st.ID, digest)
-	if err := r.h.VerifyClientAuth(m.Auth, authBytes[:]); err != nil {
+	if !r.h.VerifyClientAuth(r.st, from, m.Req.Client, m.Auth, digest) {
 		return
 	}
 	if dup, reply, cached := r.h.Retransmission(r.st, m.Req); dup {
@@ -239,13 +230,7 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 			}
 			continue
 		}
-		// The forwarded authenticator must be the request's client's own.
-		if m.Auths[i].Sender != req.Client {
-			r.clientMACFailed = true
-			return
-		}
-		authBytes := core.ClientAuthBytes(r.st.ID, digests[i])
-		if err := r.h.VerifyClientAuth(m.Auths[i], authBytes[:]); err != nil {
+		if !r.h.VerifyClientAuth(r.st, from, req.Client, m.Auths[i], digests[i]) {
 			// Step Z3: a failed client MAC stops this replica from executing
 			// Step Z3 for the rest of the instance; the client will
 			// eventually panic and the instance will switch.
