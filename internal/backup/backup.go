@@ -8,6 +8,7 @@ package backup
 import (
 	"time"
 
+	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
@@ -59,18 +60,14 @@ func FixedK(k uint64) KPolicy {
 
 // WrappedMessage carries a message of the underlying ordering protocol,
 // tagged with the Backup instance it belongs to so replica hosts can route
-// it.
+// it. Its sender is the envelope's.
 type WrappedMessage struct {
 	Instance core.InstanceID
-	From     ids.ProcessID
 	Inner    any
 }
 
 // AbstractInstance implements core.InstanceMessage.
 func (m *WrappedMessage) AbstractInstance() core.InstanceID { return m.Instance }
-
-// batchSize is the number of requests per PBFT pre-prepare inside Backup.
-const batchSize = 8
 
 // ReplicaConfig configures the Backup replicas of a composition.
 type ReplicaConfig struct {
@@ -92,7 +89,9 @@ type Replica struct {
 	h  *host.Host
 	st *host.InstanceState
 
-	engine    *pbft.Engine
+	engine *pbft.Engine
+	// batcher coalesces admitted requests at the PBFT primary.
+	batcher   *host.Batcher
 	k         uint64
 	committed uint64
 }
@@ -116,12 +115,15 @@ func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 			Replica: h.ID(),
 			Keys:    h.Keys(),
 			Send: func(to ids.ProcessID, m any) {
-				h.Send(to, &WrappedMessage{Instance: st.ID, From: h.ID(), Inner: m})
+				h.Send(to, &WrappedMessage{Instance: st.ID, Inner: m})
 			},
-			Deliver:           r.deliver,
-			BatchSize:         batchSize,
+			Deliver: r.deliver,
+			Admit: func(from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {
+				return h.AdmitOrdered(st, from, batch, auths, digests)
+			},
 			ViewChangeTimeout: cfg.ViewChangeTimeout,
 		})
+		r.batcher = h.NewBatcher(r.propose)
 		return r
 	}
 }
@@ -136,7 +138,7 @@ func (r *Replica) Handle(from ids.ProcessID, m any) {
 	case *core.RequestMessage:
 		r.onRequest(from, t)
 	case *WrappedMessage:
-		r.engine.HandleMessage(t.From, t.Inner)
+		r.engine.HandleMessage(from, t.Inner)
 	}
 }
 
@@ -149,8 +151,9 @@ func (r *Replica) ProtocolTick() {
 	r.engine.Tick()
 }
 
-// onRequest verifies the client's authenticator and submits the request to
-// the underlying ordering protocol.
+// onRequest verifies the client's authenticator and hands the request to
+// the underlying ordering protocol: every replica tracks it, and the primary
+// batches it for proposal.
 func (r *Replica) onRequest(from ids.ProcessID, m *core.RequestMessage) {
 	if !r.h.VerifyClientAuth(r.st, from, m.Req.Client, m.Auth, m.Req.Digest()) {
 		return
@@ -169,7 +172,22 @@ func (r *Replica) onRequest(from ids.ProcessID, m *core.RequestMessage) {
 		}
 		return
 	}
-	r.engine.SubmitRequest(m.Req)
+	r.engine.Track(m.Req, m.Auth)
+	if r.engine.IsPrimary() {
+		r.batcher.Add(host.BatchItem{Req: m.Req, Auth: m.Auth})
+	}
+}
+
+// propose hands one flushed batch, with its client authenticators, to the
+// PBFT engine (a no-op unless this replica is the primary of a settled view).
+// Once the instance stops, deliver aborts what it orders.
+func (r *Replica) propose(items []host.BatchItem) {
+	batch := make([]msg.Request, len(items))
+	auths := make([]authn.Authenticator, len(items))
+	for i, it := range items {
+		batch[i], auths[i] = it.Req, it.Auth
+	}
+	r.engine.Propose(batch, auths)
 }
 
 // deliver consumes the total order produced by the wrapped protocol: the

@@ -2,6 +2,7 @@ package host_test
 
 import (
 	"context"
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
+	"abstractbft/internal/pbft"
 	"abstractbft/internal/quorum"
 	"abstractbft/internal/transport"
 	"abstractbft/internal/zlight"
@@ -57,81 +59,141 @@ func TestBackupRejectsForgedRequest(t *testing.T) {
 func testRejectsForgedRequest(t *testing.T, newReplica host.ProtocolFactory, newClient func(core.ClientEnv) core.Instance) {
 	for _, forge := range forgeries {
 		t.Run(forge.name, func(t *testing.T) {
-			cluster := ids.NewCluster(1)
 			keys := authn.NewKeyStore("admission-test")
 			net := transport.NewLocal(transport.Options{})
-			var hosts []*host.Host
-			for i := 0; i < cluster.N; i++ {
-				r := ids.Replica(i)
-				h := host.New(host.Config{
-					Cluster:             cluster,
-					Replica:             r,
-					Keys:                keys,
-					App:                 app.NewKVStore(),
-					Endpoint:            net.Endpoint(r),
-					NewProtocol:         newReplica,
-					InstrumentHistories: true,
-				})
-				h.Start()
-				hosts = append(hosts, h)
-			}
-			t.Cleanup(func() {
-				for _, h := range hosts {
-					h.Stop()
-				}
-				net.Close()
-			})
-
-			put := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: app.EncodeKVPut("k", "c0")}
-			get := msg.Request{Client: ids.Client(0), Timestamp: 2, Command: app.EncodeKVGet("k")}
-			forged := put
+			hosts := kvCluster(t, net, keys, newReplica, ids.NewCluster(1).Replicas()...)
+			forged := c0Put
 			forged.Command = app.EncodeKVPut("k", "forged")
 			attacker := net.Endpoint(ids.Client(1))
-			for _, r := range cluster.Replicas() {
+			for _, r := range ids.NewCluster(1).Replicas() {
 				attacker.Send(r, &core.RequestMessage{Instance: 1, Req: forged, Auth: forge.auth(keys, forged, r)})
 			}
 			// An admitted forgery is ordered and executed well within this
 			// pause, so c0's own timestamp 1 would then be a retransmission.
 			time.Sleep(100 * time.Millisecond)
-
-			checker := core.NewSpecChecker()
-			client := newClient(core.ClientEnv{
-				Cluster:  cluster,
-				Keys:     keys,
-				ID:       ids.Client(0),
-				Endpoint: net.Endpoint(ids.Client(0)),
-				Delta:    20 * time.Millisecond,
-				Checker:  checker,
-			})
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			var reply []byte
-			for _, req := range []msg.Request{put, get} {
-				out, err := client.Invoke(ctx, req, nil)
-				if err != nil || !out.Committed {
-					t.Fatalf("c0's request %d did not commit (err %v)", req.Timestamp, err)
-				}
-				reply = out.Reply
-			}
-			if string(reply) != "c0" {
-				t.Fatalf("c0 read %q, want its own value %q", reply, "c0")
-			}
-			if errs := checker.Check(); len(errs) > 0 {
-				t.Fatalf("specification violations: %v", errs)
-			}
-
-			want := history.DigestHistory{put.Digest(), get.Digest()}.Digest()
-			deadline := time.Now().Add(5 * time.Second)
-			for i, h := range hosts {
-				n, acc := h.AppliedState()
-				for (n != 2 || acc != want) && time.Now().Before(deadline) {
-					time.Sleep(5 * time.Millisecond)
-					n, acc = h.AppliedState()
-				}
-				if n != 2 || acc != want {
-					t.Fatalf("replica %d applied %d requests (digest %x), want exactly c0's put and get", i, n, acc[:4])
-				}
-			}
+			c0PutsAndGets(t, net, keys, hosts, newClient)
 		})
+	}
+}
+
+// TestBackupRejectsForgedPrePrepare: r1-r3 run Backup, and the test drives
+// r0, the primary of PBFT's view 0. It sends each of them a MAC'd
+// pre-prepare of a put in c0's name that c0 never sent, with an authenticator
+// that c0 did not make. No replica may apply it, and c0's own put and get must
+// then commit through the next view's primary.
+func TestBackupRejectsForgedPrePrepare(t *testing.T) {
+	forged := c0Put
+	forged.Command = app.EncodeKVPut("k", "forged")
+	for _, forge := range []struct {
+		name string
+		auth func(keys *authn.KeyStore) authn.Authenticator
+	}{
+		{"zero authenticator", func(*authn.KeyStore) authn.Authenticator { return authn.Authenticator{} }},
+		{"c1's own authenticator", func(keys *authn.KeyStore) authn.Authenticator { return forgeries[0].auth(keys, forged, ids.Replica(1)) }},
+	} {
+		t.Run(forge.name, func(t *testing.T) {
+			keys := authn.NewKeyStore("admission-test")
+			net := transport.NewLocal(transport.Options{})
+			newReplica := backup.NewReplica(backup.ReplicaConfig{K: backup.FixedK(8), ViewChangeTimeout: 100 * time.Millisecond})
+			hosts := kvCluster(t, net, keys, newReplica, ids.Replica(1), ids.Replica(2), ids.Replica(3))
+			primary := net.Endpoint(ids.Replica(0))
+			batch := []msg.Request{forged}
+			digest := msg.BatchOf(forged).Digest()
+			for _, r := range hosts {
+				// The MAC'd bytes of a pre-prepare: tag 'P', view, seq, digest.
+				data := make([]byte, 17, 17+authn.DigestSize)
+				data[0] = 'P'
+				binary.BigEndian.PutUint64(data[1:9], 0)
+				binary.BigEndian.PutUint64(data[9:17], 1)
+				data = append(data, digest[:]...)
+				pp := &pbft.PrePrepare{View: 0, Seq: 1, Batch: batch, Auths: []authn.Authenticator{forge.auth(keys)}, Digest: digest,
+					MAC: keys.MAC(ids.Replica(0), r.ID(), data)}
+				primary.Send(r.ID(), &backup.WrappedMessage{Instance: 1, Inner: pp})
+			}
+			time.Sleep(100 * time.Millisecond)
+			for _, h := range hosts {
+				if n := h.AppliedRequests(); n != 0 {
+					t.Fatalf("replica %v applied %d requests of a forged pre-prepare, want 0", h.ID(), n)
+				}
+			}
+			c0PutsAndGets(t, net, keys, hosts, func(env core.ClientEnv) core.Instance { return backup.NewClient(env, 1) })
+		})
+	}
+}
+
+// c0Put and c0Get are c0's own requests: it puts its value and reads it back.
+var (
+	c0Put = msg.Request{Client: ids.Client(0), Timestamp: 1, Command: app.EncodeKVPut("k", "c0")}
+	c0Get = msg.Request{Client: ids.Client(0), Timestamp: 2, Command: app.EncodeKVGet("k")}
+)
+
+// kvCluster starts the hosts of the given replicas of a 4-replica KV cluster
+// on net, each running newReplica, and stops them when the test ends.
+func kvCluster(t *testing.T, net *transport.Local, keys *authn.KeyStore, newReplica host.ProtocolFactory, replicas ...ids.ProcessID) []*host.Host {
+	var hosts []*host.Host
+	for _, r := range replicas {
+		h := host.New(host.Config{
+			Cluster:             ids.NewCluster(1),
+			Replica:             r,
+			Keys:                keys,
+			App:                 app.NewKVStore(),
+			Endpoint:            net.Endpoint(r),
+			NewProtocol:         newReplica,
+			InstrumentHistories: true,
+		})
+		h.Start()
+		hosts = append(hosts, h)
+	}
+	t.Cleanup(func() {
+		for _, h := range hosts {
+			h.Stop()
+		}
+		net.Close()
+	})
+	return hosts
+}
+
+// c0PutsAndGets has c0 commit c0Put and c0Get through newClient's instance
+// 1. The read must return c0's value, the checker must be clean, and every
+// host must apply exactly those two requests.
+func c0PutsAndGets(t *testing.T, net *transport.Local, keys *authn.KeyStore, hosts []*host.Host, newClient func(core.ClientEnv) core.Instance) {
+	t.Helper()
+	checker := core.NewSpecChecker()
+	client := newClient(core.ClientEnv{
+		Cluster:  ids.NewCluster(1),
+		Keys:     keys,
+		ID:       ids.Client(0),
+		Endpoint: net.Endpoint(ids.Client(0)),
+		Delta:    20 * time.Millisecond,
+		Checker:  checker,
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var reply []byte
+	for _, req := range []msg.Request{c0Put, c0Get} {
+		out, err := client.Invoke(ctx, req, nil)
+		if err != nil || !out.Committed {
+			t.Fatalf("c0's request %d did not commit (err %v)", req.Timestamp, err)
+		}
+		reply = out.Reply
+	}
+	if string(reply) != "c0" {
+		t.Fatalf("c0 read %q, want its own value %q", reply, "c0")
+	}
+	if errs := checker.Check(); len(errs) > 0 {
+		t.Fatalf("specification violations: %v", errs)
+	}
+
+	want := history.DigestHistory{c0Put.Digest(), c0Get.Digest()}.Digest()
+	deadline := time.Now().Add(5 * time.Second)
+	for _, h := range hosts {
+		n, acc := h.AppliedState()
+		for (n != 2 || acc != want) && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+			n, acc = h.AppliedState()
+		}
+		if n != 2 || acc != want {
+			t.Fatalf("replica %v applied %d requests (digest %x), want exactly c0's put and get", h.ID(), n, acc[:4])
+		}
 	}
 }

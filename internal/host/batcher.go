@@ -18,9 +18,9 @@ const (
 )
 
 // BatchPolicy configures the request batch assembler used by ordering
-// replicas (the ZLight primary and the Chain head). The zero value selects
-// the defaults; MaxBatch=1 disables batching entirely and reproduces the
-// unbatched per-request path.
+// replicas (the ZLight primary, the Chain head and Backup's PBFT primary).
+// The zero value selects the defaults; MaxBatch=1 disables batching entirely
+// and reproduces the unbatched per-request path.
 type BatchPolicy struct {
 	// MaxBatch is the maximum number of requests coalesced into one batch; a
 	// full buffer flushes immediately. 0 selects DefaultMaxBatch, 1 disables
@@ -55,7 +55,7 @@ type BatchItem struct {
 	// the client's authenticator and reads it back in its flush function so
 	// ordering does not hash the request again (ZLight); others leave it zero.
 	Digest authn.Digest
-	// Auth is the client's MAC authenticator (ZLight, Quorum).
+	// Auth is the client's MAC authenticator (ZLight, Backup).
 	Auth authn.Authenticator
 	// CA is the client's chain authenticator (Chain).
 	CA authn.ChainAuthenticator

@@ -298,7 +298,8 @@ func TestFilterFreshItemsPairsItemsWithBatch(t *testing.T) {
 
 // TestClientAdmissionAllocs: admitting one REQ (hashing the request, binding
 // its authenticator to the client, and verifying this replica's MAC entry)
-// allocates nothing.
+// allocates nothing, and neither does admitting a 16-request ORDER, one of
+// its requests a null operation, through AdmitOrdered.
 func TestClientAdmissionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop pooled HMAC states")
@@ -313,5 +314,25 @@ func TestClientAdmissionAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("admitting a REQ allocates %v times, want 0", n)
+	}
+
+	batch := make([]msg.Request, 16)
+	auths := make([]authn.Authenticator, len(batch))
+	digests := make([]authn.Digest, len(batch))
+	for i := range batch {
+		batch[i] = msg.Request{Client: ids.Client(i), Timestamp: 1, Command: []byte("cmd")}
+		digests[i] = batch[i].Digest()
+		b := core.ClientAuthBytes(st.ID, digests[i])
+		auths[i] = h.keys.NewAuthenticator(batch[i].Client, h.Cluster().Replicas(), b[:])
+	}
+	batch[15] = msg.Request{Client: ids.NullOp, Timestamp: 1}
+	digests[15] = batch[15].Digest()
+	auths[15] = authn.Authenticator{Sender: ids.NullOp}
+	if n := testing.AllocsPerRun(200, func() {
+		if !h.AdmitOrdered(st, ids.Replica(0), batch, auths, digests) {
+			t.Fatal("ORDER not admitted")
+		}
+	}); n != 0 {
+		t.Fatalf("admitting a 16-request ORDER allocates %v times, want 0", n)
 	}
 }

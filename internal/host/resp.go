@@ -57,8 +57,8 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 }
 
 // VerifyClientAuth is the one admission check of a client request: a REQ
-// received from from, or a client authenticator that ZLight's primary
-// forwards in an ORDER. It admits the request when client names a client, a
+// received from from, or a client authenticator that an orderer forwards
+// (AdmitOrdered). It admits the request when client names a client, a
 // client sends only its own requests, a was generated by client (its sender
 // sets Sender, and an entry addressed to its own Sender verifies with no
 // MAC), and a's entry for this replica verifies over
@@ -72,6 +72,29 @@ func (h *Host) VerifyClientAuth(st *InstanceState, from, client ids.ProcessID, a
 	}
 	authBytes := core.ClientAuthBytes(st.ID, digest)
 	return h.keys.Verify(a, h.id, authBytes[:]) == nil
+}
+
+// AdmitOrdered is the one admission check of an ordered batch (a ZLight
+// ORDER, a PBFT pre-prepare or NEW-VIEW proposal) that from forwarded with
+// auths[i] for batch[i], whose digest the caller hashed once into digests[i].
+// A null operation, having no client, needs the empty command and the null
+// identity's authenticator; every other request must pass VerifyClientAuth.
+//
+//abstractbft:noalloc
+func (h *Host) AdmitOrdered(st *InstanceState, from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {
+	if len(auths) != len(batch) || len(digests) != len(batch) {
+		return false
+	}
+	for i := range batch {
+		if batch[i].Client == ids.NullOp {
+			if len(batch[i].Command) != 0 || auths[i].Sender != ids.NullOp {
+				return false
+			}
+		} else if !h.VerifyClientAuth(st, from, batch[i].Client, auths[i], digests[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // MACFor computes a MAC from this replica to the given process.

@@ -20,8 +20,10 @@ type EngineConfig struct {
 	Send func(to ids.ProcessID, m any)
 	// Deliver is called, in total order, for every ordered batch.
 	Deliver func(batch []msg.Request)
-	// BatchSize is the maximum number of requests per pre-prepare; 0 means 1.
-	BatchSize int
+	// Admit reports whether auths[i] is an authenticator batch[i]'s client
+	// made, digests[i] being its digest, for every request from proposed.
+	// Required: no proposal it rejects is prepared.
+	Admit func(from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool
 	// ViewChangeTimeout is how long a replica waits for a known request to be
 	// delivered before initiating a view change; 0 disables view changes.
 	ViewChangeTimeout time.Duration
@@ -31,22 +33,23 @@ type EngineConfig struct {
 }
 
 // knownRequest tracks a client request a replica has learned about but that
-// has not yet been ordered; the timestamp drives view-change timeouts and the
-// body allows a new primary to re-propose it.
+// has not yet been delivered; the timestamp drives view-change timeouts and
+// the body and client authenticator allow a new primary to re-propose it.
 type knownRequest struct {
 	req  msg.Request
+	auth authn.Authenticator
 	seen time.Time
 }
 
+// entry is one undelivered sequence number; delivery deletes it.
 type entry struct {
 	view       uint64
 	digest     authn.Digest
 	batch      []msg.Request
+	auths      []authn.Authenticator
 	prePrep    bool
 	prepares   map[ids.ProcessID]bool
 	commits    map[ids.ProcessID]bool
-	committed  bool
-	delivered  bool
 	commitSent bool
 }
 
@@ -60,9 +63,7 @@ type Engine struct {
 	nextSeq       uint64
 	lastDelivered uint64
 	entries       map[uint64]*entry
-	pendingReqs   []msg.Request
 	knownReqs     map[msg.RequestID]*knownRequest
-	orderedReqs   map[msg.RequestID]bool
 
 	// view change state
 	viewChanging bool
@@ -75,9 +76,6 @@ type Engine struct {
 
 // NewEngine creates a PBFT engine.
 func NewEngine(cfg EngineConfig) *Engine {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 1
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
@@ -85,7 +83,6 @@ func NewEngine(cfg EngineConfig) *Engine {
 		cfg:         cfg,
 		entries:     make(map[uint64]*entry),
 		knownReqs:   make(map[msg.RequestID]*knownRequest),
-		orderedReqs: make(map[msg.RequestID]bool),
 		viewChanges: make(map[uint64]map[ids.ProcessID]*ViewChange),
 	}
 }
@@ -99,59 +96,45 @@ func (e *Engine) Primary() ids.ProcessID { return e.cfg.Cluster.Primary(e.view) 
 // IsPrimary reports whether this replica is the current primary.
 func (e *Engine) IsPrimary() bool { return e.Primary() == e.cfg.Replica }
 
-func (e *Engine) others() []ids.ProcessID {
-	var out []ids.ProcessID
-	for _, r := range e.cfg.Cluster.Replicas() {
-		if r != e.cfg.Replica {
-			out = append(out, r)
-		}
+func (e *Engine) others() []ids.ProcessID { return e.cfg.Cluster.Others(e.cfg.Replica) }
+
+// Track records an admitted client request and its authenticator until it is
+// delivered, so that a request the primary never orders triggers a view
+// change and the next primary re-proposes it.
+func (e *Engine) Track(req msg.Request, auth authn.Authenticator) {
+	if _, known := e.knownReqs[req.ID()]; !known {
+		e.knownReqs[req.ID()] = &knownRequest{req: req, auth: auth, seen: e.cfg.Now()}
 	}
-	return out
 }
 
-// SubmitRequest hands a client request to the engine. The primary batches and
-// proposes it; backups remember it so they can trigger a view change if the
-// primary never orders it.
-func (e *Engine) SubmitRequest(req msg.Request) {
-	id := req.ID()
-	if e.orderedReqs[id] {
+// Propose orders one batch of admitted requests, auths[i] being batch[i]'s
+// client authenticator, under the next sequence number. Only the primary of
+// a settled view proposes; elsewhere the call is a no-op and the tracked
+// requests wait for the next primary.
+func (e *Engine) Propose(batch []msg.Request, auths []authn.Authenticator) {
+	if !e.IsPrimary() || e.viewChanging || len(batch) == 0 {
 		return
 	}
-	if _, known := e.knownReqs[id]; !known {
-		e.knownReqs[id] = &knownRequest{req: req, seen: e.cfg.Now()}
+	e.nextSeq++
+	seq := e.nextSeq
+	digest := msg.Batch{Requests: batch}.Digest()
+	e.entries[seq] = &entry{view: e.view, digest: digest, batch: batch, auths: auths, prePrep: true,
+		prepares: map[ids.ProcessID]bool{e.cfg.Replica: true}, commits: map[ids.ProcessID]bool{}}
+	for _, to := range e.others() {
+		mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('P', e.view, seq, digest))
+		e.cfg.Send(to, &PrePrepare{View: e.view, Seq: seq, Batch: batch, Auths: auths, Digest: digest, MAC: mac})
 	}
-	if e.IsPrimary() && !e.viewChanging {
-		e.pendingReqs = append(e.pendingReqs, req)
-		e.proposePending()
-	}
+	e.maybeCommitPhase(seq)
 }
 
-// proposePending issues pre-prepares for pending requests in batches.
-func (e *Engine) proposePending() {
-	for len(e.pendingReqs) > 0 {
-		n := len(e.pendingReqs)
-		if n > e.cfg.BatchSize {
-			n = e.cfg.BatchSize
-		}
-		batch := make([]msg.Request, n)
-		copy(batch, e.pendingReqs[:n])
-		e.pendingReqs = append([]msg.Request(nil), e.pendingReqs[n:]...)
-
-		seq := e.nextSeq + 1
-		e.nextSeq = seq
-		digest := BatchDigest(batch)
-		ent := e.getEntry(seq)
-		ent.view = e.view
-		ent.digest = digest
-		ent.batch = batch
-		ent.prePrep = true
-		ent.prepares[e.cfg.Replica] = true
-		for _, to := range e.others() {
-			mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('P', e.view, seq, digest))
-			e.cfg.Send(to, &PrePrepare{View: e.view, Seq: seq, Batch: batch, Digest: digest, MAC: mac})
-		}
-		e.maybeCommitPhase(seq)
+// admit reports whether a proposal's digest is its batch's and the embedder
+// admits every request in it.
+func (e *Engine) admit(from ids.ProcessID, p *PrePrepare) bool {
+	if len(p.Auths) != len(p.Batch) {
+		return false
 	}
+	digests := msg.Batch{Requests: p.Batch}.Digests()
+	return msg.DigestOf(digests) == p.Digest && e.cfg.Admit(from, p.Batch, p.Auths, digests)
 }
 
 func (e *Engine) getEntry(seq uint64) *entry {
@@ -163,8 +146,13 @@ func (e *Engine) getEntry(seq uint64) *entry {
 	return ent
 }
 
-// HandleMessage processes one PBFT protocol message from another replica.
+// HandleMessage processes one PBFT protocol message that from sent. Only
+// replicas vote, and a sequence number at or below the last delivered one
+// is forgotten, so its late messages are ignored.
 func (e *Engine) HandleMessage(from ids.ProcessID, m any) {
+	if !from.IsReplica() {
+		return
+	}
 	switch t := m.(type) {
 	case *PrePrepare:
 		e.onPrePrepare(from, t)
@@ -180,13 +168,13 @@ func (e *Engine) HandleMessage(from ids.ProcessID, m any) {
 }
 
 func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
-	if m.View != e.view || from != e.Primary() || e.viewChanging {
+	if m.View != e.view || m.Seq <= e.lastDelivered || from != e.Primary() || e.viewChanging {
 		return
 	}
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('P', m.View, m.Seq, m.Digest), m.MAC); err != nil {
 		return
 	}
-	if BatchDigest(m.Batch) != m.Digest {
+	if !e.admit(from, m) {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -198,11 +186,10 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 	ent.view = m.View
 	ent.digest = m.Digest
 	ent.batch = m.Batch
+	ent.auths = m.Auths
 	ent.prePrep = true
-	for _, r := range m.Batch {
-		if _, known := e.knownReqs[r.ID()]; !known {
-			e.knownReqs[r.ID()] = &knownRequest{req: r, seen: e.cfg.Now()}
-		}
+	for i, r := range m.Batch {
+		e.Track(r, m.Auths[i])
 	}
 	// The pre-prepare counts as the primary's prepare vote.
 	ent.prepares[from] = true
@@ -215,7 +202,7 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 }
 
 func (e *Engine) onPrepare(from ids.ProcessID, m *Prepare) {
-	if m.View != e.view || e.viewChanging {
+	if m.View != e.view || m.Seq <= e.lastDelivered || e.viewChanging {
 		return
 	}
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('p', m.View, m.Seq, m.Digest), m.MAC); err != nil {
@@ -233,10 +220,7 @@ func (e *Engine) onPrepare(from ids.ProcessID, m *Prepare) {
 // plus 2f matching prepares).
 func (e *Engine) maybeCommitPhase(seq uint64) {
 	ent := e.entries[seq]
-	if ent == nil || !ent.prePrep || ent.commitSent {
-		return
-	}
-	if len(ent.prepares) < e.cfg.Cluster.Quorum() {
+	if ent == nil || !ent.prePrep || ent.commitSent || len(ent.prepares) < e.cfg.Cluster.Quorum() {
 		return
 	}
 	ent.commitSent = true
@@ -249,6 +233,9 @@ func (e *Engine) maybeCommitPhase(seq uint64) {
 }
 
 func (e *Engine) onCommit(from ids.ProcessID, m *Commit) {
+	if m.Seq <= e.lastDelivered {
+		return
+	}
 	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('c', m.View, m.Seq, m.Digest), m.MAC); err != nil {
 		return
 	}
@@ -260,22 +247,18 @@ func (e *Engine) onCommit(from ids.ProcessID, m *Commit) {
 	e.maybeDeliver()
 }
 
-// maybeDeliver delivers committed batches in sequence order.
+// maybeDeliver delivers committed batches in sequence order and forgets each
+// one it delivers.
 func (e *Engine) maybeDeliver() {
 	for {
 		seq := e.lastDelivered + 1
 		ent := e.entries[seq]
-		if ent == nil || !ent.prePrep || ent.delivered {
+		if ent == nil || !ent.prePrep || len(ent.commits) < e.cfg.Cluster.Quorum() || len(ent.prepares) < e.cfg.Cluster.Quorum() {
 			return
 		}
-		if len(ent.commits) < e.cfg.Cluster.Quorum() || len(ent.prepares) < e.cfg.Cluster.Quorum() {
-			return
-		}
-		ent.committed = true
-		ent.delivered = true
+		delete(e.entries, seq)
 		e.lastDelivered = seq
 		for _, r := range ent.batch {
-			e.orderedReqs[r.ID()] = true
 			delete(e.knownReqs, r.ID())
 		}
 		if e.cfg.Deliver != nil {
@@ -291,24 +274,17 @@ func (e *Engine) Tick() {
 		return
 	}
 	now := e.cfg.Now()
-	stale := false
 	for _, k := range e.knownReqs {
 		if now.Sub(k.seen) > e.cfg.ViewChangeTimeout {
-			stale = true
-			break
+			e.startViewChange(e.view + 1)
+			return
 		}
-	}
-	if stale {
-		e.startViewChange(e.view + 1)
 	}
 }
 
 // startViewChange initiates (or joins) a view change to the target view.
 func (e *Engine) startViewChange(target uint64) {
-	if target <= e.view {
-		return
-	}
-	if e.viewChanging && target <= e.targetView {
+	if target <= e.view || (e.viewChanging && target <= e.targetView) {
 		return
 	}
 	e.viewChanging = true
@@ -324,11 +300,8 @@ func (e *Engine) startViewChange(target uint64) {
 func (e *Engine) buildViewChange(target uint64) *ViewChange {
 	vc := &ViewChange{NewView: target, Replica: e.cfg.Replica, LastDelivered: e.lastDelivered}
 	for seq, ent := range e.entries {
-		if seq <= e.lastDelivered || !ent.prePrep {
-			continue
-		}
-		if len(ent.prepares) >= e.cfg.Cluster.Quorum() {
-			vc.Prepared = append(vc.Prepared, PreparedEntry{Seq: seq, Digest: ent.digest, Batch: ent.batch})
+		if ent.prePrep && len(ent.prepares) >= e.cfg.Cluster.Quorum() {
+			vc.Prepared = append(vc.Prepared, PreparedEntry{Seq: seq, Digest: ent.digest, Batch: ent.batch, Auths: ent.auths})
 		}
 	}
 	vc.Sig = e.cfg.Keys.Sign(e.cfg.Replica, vc.SignedBytes())
@@ -363,25 +336,22 @@ func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
 // maybeEnterNewView lets the new primary assemble and broadcast the NEW-VIEW
 // message once 2f+1 view changes are available.
 func (e *Engine) maybeEnterNewView(target uint64) {
-	if e.cfg.Cluster.Primary(target) != e.cfg.Replica {
-		return
-	}
 	vcs := e.viewChanges[target]
-	if len(vcs) < e.cfg.Cluster.Quorum() {
+	if e.cfg.Cluster.Primary(target) != e.cfg.Replica || len(vcs) < e.cfg.Cluster.Quorum() || e.view >= target {
 		return
 	}
-	if e.view >= target {
-		return
-	}
-	// Re-propose the highest prepared batch per sequence number.
-	reproposals := make(map[uint64]PreparedEntry)
+	// Re-propose the highest prepared batch per sequence number. The
+	// signatures cover a prepared entry's digest only, so an entry whose
+	// batch does not admit is a Byzantine replica's and is left out.
+	reproposals := make(map[uint64]PrePrepare)
 	maxSeq := e.lastDelivered
 	var list []ViewChange
 	for _, vc := range vcs {
 		list = append(list, *vc)
 		for _, p := range vc.Prepared {
-			if existing, ok := reproposals[p.Seq]; !ok || existing.Digest != p.Digest {
-				reproposals[p.Seq] = p
+			pp := PrePrepare{View: target, Seq: p.Seq, Batch: p.Batch, Auths: p.Auths, Digest: p.Digest}
+			if existing, ok := reproposals[p.Seq]; (!ok || existing.Digest != p.Digest) && e.admit(vc.Replica, &pp) {
+				reproposals[p.Seq] = pp
 			}
 			if p.Seq > maxSeq {
 				maxSeq = p.Seq
@@ -393,13 +363,11 @@ func (e *Engine) maybeEnterNewView(target uint64) {
 	}
 	nv := &NewView{View: target, ViewChanges: list}
 	for seq := e.lastDelivered + 1; seq <= maxSeq; seq++ {
-		batch := []msg.Request{}
-		digest := BatchDigest(batch)
-		if p, ok := reproposals[seq]; ok {
-			batch = p.Batch
-			digest = p.Digest
+		pp, ok := reproposals[seq]
+		if !ok {
+			pp = PrePrepare{View: target, Seq: seq, Digest: msg.DigestOf(nil)}
 		}
-		nv.Proposals = append(nv.Proposals, PrePrepare{View: target, Seq: seq, Batch: batch, Digest: digest})
+		nv.Proposals = append(nv.Proposals, pp)
 	}
 	e.enterView(target)
 	e.nextSeq = maxSeq
@@ -407,10 +375,12 @@ func (e *Engine) maybeEnterNewView(target uint64) {
 		e.cfg.Send(to, nv)
 	}
 	e.applyNewViewProposals(nv)
-	// Re-propose any requests the old views never ordered.
-	e.reproposeKnown()
 }
 
+// onNewView accepts a NEW-VIEW that carries 2f+1 signed view changes and
+// whose every proposal admits. It does not recompute the proposals from the
+// view changes, so a Byzantine new primary can still re-order authentic
+// requests or replace an undelivered prepared batch.
 func (e *Engine) onNewView(from ids.ProcessID, nv *NewView) {
 	if nv.View <= e.view || e.cfg.Cluster.Primary(nv.View) != from {
 		return
@@ -431,6 +401,11 @@ func (e *Engine) onNewView(from ids.ProcessID, nv *NewView) {
 	}
 	if valid < e.cfg.Cluster.Quorum() {
 		return
+	}
+	for i := range nv.Proposals {
+		if !e.admit(from, &nv.Proposals[i]) {
+			return
+		}
 	}
 	e.enterView(nv.View)
 	e.applyNewViewProposals(nv)
@@ -457,14 +432,8 @@ func (e *Engine) applyNewViewProposals(nv *NewView) {
 		if p.Seq <= e.lastDelivered {
 			continue
 		}
-		ent := e.getEntry(p.Seq)
-		ent.view = nv.View
-		ent.digest = p.Digest
-		ent.batch = p.Batch
-		ent.prePrep = true
-		ent.commitSent = false
-		ent.prepares = map[ids.ProcessID]bool{e.cfg.Replica: true}
-		ent.commits = map[ids.ProcessID]bool{}
+		e.entries[p.Seq] = &entry{view: nv.View, digest: p.Digest, batch: p.Batch, auths: p.Auths, prePrep: true,
+			prepares: map[ids.ProcessID]bool{e.cfg.Replica: true}, commits: map[ids.ProcessID]bool{}}
 		if e.cfg.Cluster.Primary(nv.View) != e.cfg.Replica {
 			for _, to := range e.others() {
 				mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', nv.View, p.Seq, p.Digest))
@@ -475,31 +444,28 @@ func (e *Engine) applyNewViewProposals(nv *NewView) {
 			e.nextSeq = p.Seq
 		}
 	}
-	if e.IsPrimary() {
-		e.reproposeKnown()
-	}
+	e.reproposeKnown()
 }
 
-// reproposeKnown re-queues requests this replica knows about but that were
-// never ordered (used by a new primary after a view change).
+// reproposeKnown proposes, in one batch, the tracked requests that no
+// undelivered entry holds (a new primary after a view change).
 func (e *Engine) reproposeKnown() {
 	if !e.IsPrimary() {
 		return
 	}
 	inFlight := make(map[msg.RequestID]bool)
-	for seq, ent := range e.entries {
-		if seq <= e.lastDelivered {
-			continue
-		}
+	for _, ent := range e.entries {
 		for _, r := range ent.batch {
 			inFlight[r.ID()] = true
 		}
 	}
+	var batch []msg.Request
+	var auths []authn.Authenticator
 	for id, k := range e.knownReqs {
-		if e.orderedReqs[id] || inFlight[id] {
-			continue
+		if !inFlight[id] {
+			batch = append(batch, k.req)
+			auths = append(auths, k.auth)
 		}
-		e.pendingReqs = append(e.pendingReqs, k.req)
 	}
-	e.proposePending()
+	e.Propose(batch, auths)
 }

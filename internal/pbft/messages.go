@@ -3,15 +3,17 @@
 // by Backup (§4.3).
 //
 // The Engine type implements the replica-side protocol state machine
-// (pre-prepare/prepare/commit, batching, a simplified view change) and is
-// driven by its embedder: the embedder feeds it client requests and protocol
-// messages and provides the send and deliver callbacks.
+// (pre-prepare/prepare/commit, a simplified view change) and is driven by its
+// embedder, which tracks admitted client requests (Track), proposes the
+// batches its batcher flushes (Propose), and admits the client
+// authenticators every proposal carries (EngineConfig.Admit), so a Byzantine
+// primary cannot order a request no client sent.
 //
 // Simplification relative to the original protocol: the view-change message
 // carries each replica's prepared entries and the new primary re-proposes the
-// highest prepared batch per sequence number; the stable-checkpoint/watermark
-// machinery is omitted because compositions bound instance lifetimes through
-// switching.
+// highest prepared batch per sequence number. There is no stable-checkpoint
+// or watermark machinery: an engine forgets a sequence number once it
+// delivers it, and ignores every later message at or below it.
 package pbft
 
 import (
@@ -27,7 +29,9 @@ type PrePrepare struct {
 	View  uint64
 	Seq   uint64
 	Batch []msg.Request
-	// Digest is the digest of the batch.
+	// Auths holds each request's client authenticator.
+	Auths []authn.Authenticator
+	// Digest is the digest of the batch (msg.Batch's).
 	Digest authn.Digest
 	// MAC authenticates the message from the primary to the destination.
 	MAC authn.MAC
@@ -57,6 +61,7 @@ type PreparedEntry struct {
 	Seq    uint64
 	Digest authn.Digest
 	Batch  []msg.Request
+	Auths  []authn.Authenticator
 }
 
 // ViewChange announces that a replica wants to move to a new view. It is
@@ -91,16 +96,6 @@ type NewView struct {
 	ViewChanges []ViewChange
 	// Proposals are the pre-prepares re-issued in the new view.
 	Proposals []PrePrepare
-}
-
-// BatchDigest computes the digest identifying an ordered batch.
-func BatchDigest(batch []msg.Request) authn.Digest {
-	parts := make([][]byte, len(batch))
-	for i, r := range batch {
-		d := r.Digest()
-		parts[i] = append([]byte(nil), d[:]...)
-	}
-	return authn.HashAll(parts...)
 }
 
 // phaseBytes returns the bytes MAC'd for pre-prepare/prepare/commit messages.

@@ -13,8 +13,11 @@ import (
 // through a synchronous message queue: every Send is queued and drain
 // delivers the queue to quiescence. Messages to or from a crashed replica
 // are dropped, and every engine reads one fake clock that advance moves.
+// Clients authenticate a request over its digest, and an engine admits a
+// request whose authenticator its client made.
 type engineNet struct {
 	t         *testing.T
+	keys      *authn.KeyStore
 	engines   []*Engine
 	delivered [][]msg.RequestID
 	crashed   map[int]bool
@@ -27,12 +30,12 @@ type envelope struct {
 	m        any
 }
 
-func newEngineNet(t *testing.T, batchSize int, vcTimeout time.Duration, crashed ...int) *engineNet {
+func newEngineNet(t *testing.T, vcTimeout time.Duration, crashed ...int) *engineNet {
 	t.Helper()
 	cluster := ids.NewCluster(1)
-	keys := authn.NewKeyStore("engine-test")
 	n := &engineNet{
 		t:         t,
+		keys:      authn.NewKeyStore("engine-test"),
 		engines:   make([]*Engine, cluster.N),
 		delivered: make([][]msg.RequestID, cluster.N),
 		crashed:   make(map[int]bool),
@@ -45,7 +48,7 @@ func newEngineNet(t *testing.T, batchSize int, vcTimeout time.Duration, crashed 
 		n.engines[i] = NewEngine(EngineConfig{
 			Cluster: cluster,
 			Replica: ids.Replica(i),
-			Keys:    keys,
+			Keys:    n.keys,
 			Send: func(to ids.ProcessID, m any) {
 				n.queue = append(n.queue, envelope{from: ids.Replica(i), to: to, m: m})
 			},
@@ -54,12 +57,25 @@ func newEngineNet(t *testing.T, batchSize int, vcTimeout time.Duration, crashed 
 					n.delivered[i] = append(n.delivered[i], r.ID())
 				}
 			},
-			BatchSize:         batchSize,
+			Admit: func(_ ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {
+				for j := range batch {
+					if auths[j].Sender != batch[j].Client || n.keys.Verify(auths[j], ids.Replica(i), digests[j][:]) != nil {
+						return false
+					}
+				}
+				return true
+			},
 			ViewChangeTimeout: vcTimeout,
 			Now:               func() time.Time { return n.now },
 		})
 	}
 	return n
+}
+
+// auth returns the authenticator client c makes for req.
+func (n *engineNet) auth(c ids.ProcessID, req msg.Request) authn.Authenticator {
+	d := req.Digest()
+	return n.keys.NewAuthenticator(c, ids.NewCluster(1).Replicas(), d[:])
 }
 
 // live returns the indices of the replicas that are not crashed.
@@ -85,12 +101,17 @@ func (n *engineNet) drain() {
 	}
 }
 
-// invoke multicasts req to every live engine, as a client does, then ticks
-// the engines on the fake clock until every live engine delivered it.
+// invoke multicasts req to every live engine, as a client does, where the
+// primary proposes it at once, then ticks the engines on the fake clock until
+// every live engine delivered it.
 func (n *engineNet) invoke(req msg.Request) {
 	n.t.Helper()
+	auth := n.auth(req.Client, req)
 	for _, i := range n.live() {
-		n.engines[i].SubmitRequest(req)
+		n.engines[i].Track(req, auth)
+	}
+	for _, i := range n.live() {
+		n.engines[i].Propose([]msg.Request{req}, []authn.Authenticator{auth})
 	}
 	n.drain()
 	for step := 0; !n.allDelivered(req.ID()); step++ {
@@ -142,19 +163,19 @@ func (n *engineNet) run(total int) {
 }
 
 func TestPBFTOrdersRequests(t *testing.T) {
-	n := newEngineNet(t, 4, 0)
+	n := newEngineNet(t, 0)
 	n.run(20)
 }
 
 func TestPBFTToleratesCrashedBackup(t *testing.T) {
-	n := newEngineNet(t, 4, 300*time.Millisecond, 2)
+	n := newEngineNet(t, 300*time.Millisecond, 2)
 	n.run(10)
 }
 
 // TestPBFTViewChangeOnCrashedPrimary crashes the view-0 primary (replica 0):
 // the backups must time out, change views and keep ordering.
 func TestPBFTViewChangeOnCrashedPrimary(t *testing.T) {
-	n := newEngineNet(t, 4, 200*time.Millisecond, 0)
+	n := newEngineNet(t, 200*time.Millisecond, 0)
 	n.run(5)
 	for _, i := range n.live() {
 		if n.engines[i].ViewChanges() == 0 {
@@ -163,23 +184,95 @@ func TestPBFTViewChangeOnCrashedPrimary(t *testing.T) {
 	}
 }
 
-func TestBatchDigestDeterministic(t *testing.T) {
-	batch := []msg.Request{
-		{Client: ids.Client(0), Timestamp: 1, Command: []byte("a")},
-		{Client: ids.Client(1), Timestamp: 1, Command: []byte("b")},
-	}
-	if BatchDigest(batch) != BatchDigest(batch) {
-		t.Fatalf("batch digest not deterministic")
-	}
-	other := []msg.Request{batch[1], batch[0]}
-	if BatchDigest(batch) == BatchDigest(other) {
-		t.Fatalf("batch digest ignores order")
-	}
-}
-
 // TestEngineDeliversInOrder: four engines wired directly to each other (no
 // network) must deliver identical sequences.
 func TestEngineDeliversInOrder(t *testing.T) {
-	n := newEngineNet(t, 2, 0)
+	n := newEngineNet(t, 0)
 	n.run(6)
+}
+
+// TestNewViewRejectsUnauthenticatedRequest: after three ordered requests,
+// replica 1, the primary of view 1, sends the others a NEW-VIEW built from
+// their own signed view changes that proposes a request c0 never sent. No
+// replica may deliver it, whoever made the authenticator.
+func TestNewViewRejectsUnauthenticatedRequest(t *testing.T) {
+	forged := msg.Request{Client: ids.Client(0), Timestamp: 99, Command: []byte("forged")}
+	for name, auth := range map[string]func(n *engineNet) authn.Authenticator{
+		"zero authenticator": func(*engineNet) authn.Authenticator { return authn.Authenticator{} },
+		"c1's authenticator": func(n *engineNet) authn.Authenticator { return n.auth(ids.Client(1), forged) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			n := newEngineNet(t, 0)
+			n.run(3)
+			n.crashed[1] = true
+			nv := &NewView{View: 1}
+			for _, i := range []int{0, 2, 3} {
+				vc := n.engines[i].buildViewChange(1)
+				if vc.LastDelivered != 3 || len(vc.Prepared) != 0 {
+					t.Fatalf("replica %d's view change: last delivered %d, %d prepared; want 3, 0", i, vc.LastDelivered, len(vc.Prepared))
+				}
+				nv.ViewChanges = append(nv.ViewChanges, *vc)
+			}
+			batch := []msg.Request{forged}
+			nv.Proposals = []PrePrepare{{View: 1, Seq: 4, Batch: batch, Auths: []authn.Authenticator{auth(n)}, Digest: msg.Batch{Requests: batch}.Digest()}}
+			for _, i := range []int{0, 2, 3} {
+				n.engines[i].HandleMessage(ids.Replica(1), nv)
+			}
+			n.drain()
+			for _, i := range []int{0, 2, 3} {
+				if len(n.delivered[i]) != 3 {
+					t.Fatalf("replica %d delivered %v, want only the 3 ordered requests", i, n.delivered[i])
+				}
+			}
+		})
+	}
+}
+
+// TestEngineForgetsDeliveredBatches: after 1,000 requests ordered one at a
+// time, no engine holds an entry or a tracked request at or below the last
+// sequence number it delivered.
+func TestEngineForgetsDeliveredBatches(t *testing.T) {
+	n := newEngineNet(t, 0)
+	n.run(1000)
+	for i, e := range n.engines {
+		if e.lastDelivered != 1000 {
+			t.Fatalf("replica %d delivered up to %d, want 1000", i, e.lastDelivered)
+		}
+		for seq := range e.entries {
+			if seq <= e.lastDelivered {
+				t.Errorf("replica %d holds delivered seq %d (%d entries)", i, seq, len(e.entries))
+				break
+			}
+		}
+		if len(e.knownReqs) != 0 {
+			t.Errorf("replica %d still tracks %d delivered requests", i, len(e.knownReqs))
+		}
+	}
+}
+
+// TestEngineIgnoresClientVotes: a client shares MAC keys with every replica,
+// but its prepares and commits are not votes. With two replicas crashed, two
+// clients' votes would complete the quorums a proposal needs.
+func TestEngineIgnoresClientVotes(t *testing.T) {
+	n := newEngineNet(t, 0, 2, 3)
+	req := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: []byte("c")}
+	auth := n.auth(req.Client, req)
+	n.engines[0].Track(req, auth)
+	n.engines[0].Propose([]msg.Request{req}, []authn.Authenticator{auth})
+	n.drain()
+	digest := msg.Batch{Requests: []msg.Request{req}}.Digest()
+	for _, c := range []ids.ProcessID{ids.Client(1), ids.Client(2)} {
+		for _, tag := range []byte{'p', 'c'} {
+			mac := n.keys.MAC(c, ids.Replica(1), phaseBytes(tag, 0, 1, digest))
+			if tag == 'p' {
+				n.engines[1].HandleMessage(c, &Prepare{View: 0, Seq: 1, Digest: digest, Replica: c, MAC: mac})
+			} else {
+				n.engines[1].HandleMessage(c, &Commit{View: 0, Seq: 1, Digest: digest, Replica: c, MAC: mac})
+			}
+		}
+	}
+	n.drain()
+	if len(n.delivered[1]) != 0 {
+		t.Fatalf("replica 1 delivered %v on client votes", n.delivered[1])
+	}
 }

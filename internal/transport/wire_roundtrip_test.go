@@ -115,19 +115,19 @@ func wirePayloads() []any {
 		sentAs{"*quorum.RequestMessage", &core.RequestMessage{Instance: 1, Req: req, Auth: auth}},
 		&quorum.BatchRequestMessage{Instance: 1, Batch: batch, Auth: auth},
 		sentAs{"*backup.RequestMessage", &core.RequestMessage{Instance: 3, Req: req, Auth: auth}},
-		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Digest: dig, MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req, req2}, Auths: []authn.Authenticator{auth, auth}, Digest: dig, MAC: mac}},
 
 		// The inner PBFT engine's messages (Backup wraps them, but they have
 		// tag arms of their own and can cross raw as well), with the view
 		// change of a replica that prepared nothing and a new view whose
 		// proposal fills a gap with an empty batch.
 		&pbft.ViewChange{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")},
-		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Digest: dig, MAC: mac},
+		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac},
 		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(1), MAC: mac},
 		&pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac},
-		&pbft.NewView{View: 3, ViewChanges: []pbft.ViewChange{{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 3, Seq: 5, Digest: pbft.BatchDigest(nil)}}},
-		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{req}}}, Sig: authn.Signature("s")},
-		&pbft.NewView{View: 2, ViewChanges: []pbft.ViewChange{{NewView: 2, Replica: ids.Replica(1), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 2, Seq: 4, Digest: dig, MAC: mac}}},
+		&pbft.NewView{View: 3, ViewChanges: []pbft.ViewChange{{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 3, Seq: 5, Digest: msg.DigestOf(nil)}}},
+		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
+		&pbft.NewView{View: 2, ViewChanges: []pbft.ViewChange{{NewView: 2, Replica: ids.Replica(1), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 2, Seq: 4, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}}},
 
 		// The composition layer: panic/abort, checkpointing, body fetch, and
 		// the shared speculative RESP.
@@ -170,7 +170,7 @@ func wirePayloads() []any {
 		sentAs{"*quorum.RequestMessage", &core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth}},
 		&quorum.BatchRequestMessage{Instance: 1, Batch: tracedBatch, Auth: auth},
 		sentAs{"*backup.RequestMessage", &core.RequestMessage{Instance: 3, Req: tracedReq, Auth: auth}},
-		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq, req}, Digest: dig, MAC: mac},
+		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq, req}, Auths: []authn.Authenticator{auth, auth}, Digest: dig, MAC: mac},
 		&core.FetchResponse{Instance: 1, From: ids.Replica(2), Requests: []msg.Request{tracedReq}},
 		&shard.Mark{Shard: 1, Payload: &zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac}},
 
@@ -187,10 +187,10 @@ func wirePayloads() []any {
 
 		// Backup's wrapped PBFT phase messages, and traced requests inside
 		// a wrapped proposal and a view change's prepared entry.
-		&backup.WrappedMessage{Instance: 3, From: ids.Replica(2), Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac}},
-		&backup.WrappedMessage{Instance: 3, From: ids.Replica(3), Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(3), MAC: mac}},
-		&backup.WrappedMessage{Instance: 3, From: ids.Replica(1), Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq}, Digest: dig, MAC: mac}},
-		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{tracedReq}}}, Sig: authn.Signature("s")},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(3), MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}},
+		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
 	}
 }
 

@@ -521,6 +521,7 @@ func appendPreparedEntries(b []byte, ps []pbft.PreparedEntry) []byte {
 		b = appendU64(b, p.Seq)
 		b = appendDigest(b, p.Digest)
 		b = appendRequests(b, p.Batch)
+		b = appendAuths(b, p.Auths)
 	}
 	return b
 }
@@ -532,7 +533,7 @@ func decodePreparedEntries(r *reader) []pbft.PreparedEntry {
 	}
 	out := make([]pbft.PreparedEntry, 0, sliceCap(n, 44))
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, pbft.PreparedEntry{Seq: r.u64(), Digest: r.digest(), Batch: decodeRequests(r)})
+		out = append(out, pbft.PreparedEntry{Seq: r.u64(), Digest: r.digest(), Batch: decodeRequests(r), Auths: decodeAuths(r)})
 	}
 	if r.err != nil {
 		return nil
@@ -566,6 +567,7 @@ func appendPrePrepare(b []byte, pp pbft.PrePrepare) []byte {
 	b = appendU64(b, pp.View)
 	b = appendU64(b, pp.Seq)
 	b = appendRequests(b, pp.Batch)
+	b = appendAuths(b, pp.Auths)
 	b = appendDigest(b, pp.Digest)
 	return appendMAC(b, pp.MAC)
 }
@@ -575,6 +577,7 @@ func decodePrePrepare(r *reader) pbft.PrePrepare {
 	pp.View = r.u64()
 	pp.Seq = r.u64()
 	pp.Batch = decodeRequests(r)
+	pp.Auths = decodeAuths(r)
 	pp.Digest = r.digest()
 	pp.MAC = r.mac()
 	return pp
@@ -649,7 +652,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 	case *backup.WrappedMessage:
 		b = appendU16(b, tagBackupWrapped)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.From)
 		return appendPayload(b, m.Inner, depth+1)
 
 	case *pbft.PrePrepare:
@@ -840,7 +842,6 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagBackupWrapped:
 		m := &backup.WrappedMessage{}
 		m.Instance = core.InstanceID(r.u64())
-		m.From = r.id()
 		m.Inner = decodePayload(r)
 		return m
 

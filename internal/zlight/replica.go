@@ -199,7 +199,7 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 	if r.st.Stopped || r.clientMACFailed {
 		return
 	}
-	if from != r.primary || m.Batch.Len() == 0 || len(m.Auths) != m.Batch.Len() {
+	if from != r.primary || m.Batch.Len() == 0 {
 		return
 	}
 	// Hash each request once: the digests feed the batch MAC, the client
@@ -219,24 +219,12 @@ func (r *Replica) onOrder(from ids.ProcessID, m *OrderMessage) {
 		}
 		return
 	}
-	for i, req := range m.Batch.Requests {
-		// Null operations carry no client authenticator: there is no client.
-		// Only the empty command is acceptable under the null identity, so a
-		// Byzantine primary cannot smuggle an unauthenticated real command.
-		if req.Client == ids.NullOp {
-			if len(req.Command) != 0 || m.Auths[i].Sender != ids.NullOp {
-				r.clientMACFailed = true
-				return
-			}
-			continue
-		}
-		if !r.h.VerifyClientAuth(r.st, from, req.Client, m.Auths[i], digests[i]) {
-			// Step Z3: a failed client MAC stops this replica from executing
-			// Step Z3 for the rest of the instance; the client will
-			// eventually panic and the instance will switch.
-			r.clientMACFailed = true
-			return
-		}
+	if !r.h.AdmitOrdered(r.st, from, m.Batch.Requests, m.Auths, digests) {
+		// Step Z3: a failed client MAC stops this replica from executing
+		// Step Z3 for the rest of the instance; the client will eventually
+		// panic and the instance will switch.
+		r.clientMACFailed = true
+		return
 	}
 	if m.Seq > r.st.AbsLen() {
 		// Reordered delivery: buffer until the gap is filled.
