@@ -6,6 +6,7 @@
 package backup
 
 import (
+	"slices"
 	"time"
 
 	"abstractbft/internal/authn"
@@ -119,7 +120,10 @@ func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 			},
 			Deliver: r.deliver,
 			Admit: func(from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {
-				return h.AdmitOrdered(st, from, batch, auths, digests)
+				// PBFT orders no null operation (a view change fills a gap
+				// with an empty batch), so none may use up this instance's k.
+				return !slices.ContainsFunc(batch, func(r msg.Request) bool { return r.Client == ids.NullOp }) &&
+					h.AdmitOrdered(st, from, batch, auths, digests)
 			},
 			ViewChangeTimeout: cfg.ViewChangeTimeout,
 		})
@@ -132,13 +136,19 @@ func NewReplica(cfg ReplicaConfig) host.ProtocolFactory {
 // aborting (exposed for tests).
 func (r *Replica) K() uint64 { return r.k }
 
-// Handle implements host.ProtocolReplica.
+// Handle implements host.ProtocolReplica. The primary proposes what its
+// batcher holds as soon as every batch it proposed is delivered: a request
+// that finds it idle is proposed at once, and requests that arrive while a
+// batch is ordered wait for its delivery or the batcher's own triggers.
 func (r *Replica) Handle(from ids.ProcessID, m any) {
 	switch t := m.(type) {
 	case *core.RequestMessage:
 		r.onRequest(from, t)
 	case *WrappedMessage:
 		r.engine.HandleMessage(from, t.Inner)
+	}
+	if r.engine.Idle() {
+		r.batcher.Flush()
 	}
 }
 

@@ -79,17 +79,28 @@ func testRejectsForgedRequest(t *testing.T, newReplica host.ProtocolFactory, new
 // TestBackupRejectsForgedPrePrepare: r1-r3 run Backup, and the test drives
 // r0, the primary of PBFT's view 0. It sends each of them a MAC'd
 // pre-prepare of a put in c0's name that c0 never sent, with an authenticator
-// that c0 did not make. No replica may apply it, and c0's own put and get must
-// then commit through the next view's primary.
+// that c0 did not make, or of k null operations, which PBFT never orders and
+// which would use up the instance's k. No replica may apply the batch, and
+// c0's own put and get must then commit through the next view's primary.
 func TestBackupRejectsForgedPrePrepare(t *testing.T) {
 	forged := c0Put
 	forged.Command = app.EncodeKVPut("k", "forged")
+	var nulls []msg.Request
+	var nullAuths []authn.Authenticator
+	for ts := uint64(1); ts <= 8; ts++ {
+		nulls = append(nulls, msg.Request{Client: ids.NullOp, Timestamp: ts})
+		nullAuths = append(nullAuths, authn.Authenticator{Sender: ids.NullOp})
+	}
 	for _, forge := range []struct {
-		name string
-		auth func(keys *authn.KeyStore) authn.Authenticator
+		name  string
+		batch []msg.Request
+		auths func(keys *authn.KeyStore) []authn.Authenticator
 	}{
-		{"zero authenticator", func(*authn.KeyStore) authn.Authenticator { return authn.Authenticator{} }},
-		{"c1's own authenticator", func(keys *authn.KeyStore) authn.Authenticator { return forgeries[0].auth(keys, forged, ids.Replica(1)) }},
+		{"zero authenticator", []msg.Request{forged}, func(*authn.KeyStore) []authn.Authenticator { return []authn.Authenticator{{}} }},
+		{"c1's own authenticator", []msg.Request{forged}, func(keys *authn.KeyStore) []authn.Authenticator {
+			return []authn.Authenticator{forgeries[0].auth(keys, forged, ids.Replica(1))}
+		}},
+		{"null operations", nulls, func(*authn.KeyStore) []authn.Authenticator { return nullAuths }},
 	} {
 		t.Run(forge.name, func(t *testing.T) {
 			keys := authn.NewKeyStore("admission-test")
@@ -97,8 +108,7 @@ func TestBackupRejectsForgedPrePrepare(t *testing.T) {
 			newReplica := backup.NewReplica(backup.ReplicaConfig{K: backup.FixedK(8), ViewChangeTimeout: 100 * time.Millisecond})
 			hosts := kvCluster(t, net, keys, newReplica, ids.Replica(1), ids.Replica(2), ids.Replica(3))
 			primary := net.Endpoint(ids.Replica(0))
-			batch := []msg.Request{forged}
-			digest := msg.BatchOf(forged).Digest()
+			digest := msg.Batch{Requests: forge.batch}.Digest()
 			for _, r := range hosts {
 				// The MAC'd bytes of a pre-prepare: tag 'P', view, seq, digest.
 				data := make([]byte, 17, 17+authn.DigestSize)
@@ -106,7 +116,7 @@ func TestBackupRejectsForgedPrePrepare(t *testing.T) {
 				binary.BigEndian.PutUint64(data[1:9], 0)
 				binary.BigEndian.PutUint64(data[9:17], 1)
 				data = append(data, digest[:]...)
-				pp := &pbft.PrePrepare{View: 0, Seq: 1, Batch: batch, Auths: []authn.Authenticator{forge.auth(keys)}, Digest: digest,
+				pp := &pbft.PrePrepare{View: 0, Seq: 1, Batch: forge.batch, Auths: forge.auths(keys), Digest: digest,
 					MAC: keys.MAC(ids.Replica(0), r.ID(), data)}
 				primary.Send(r.ID(), &backup.WrappedMessage{Instance: 1, Inner: pp})
 			}

@@ -75,10 +75,11 @@ func (h *Host) VerifyClientAuth(st *InstanceState, from, client ids.ProcessID, a
 }
 
 // AdmitOrdered is the one admission check of an ordered batch (a ZLight
-// ORDER, a PBFT pre-prepare or NEW-VIEW proposal) that from forwarded with
-// auths[i] for batch[i], whose digest the caller hashed once into digests[i].
+// ORDER or a PBFT pre-prepare) that from forwarded with auths[i] for
+// batch[i], whose digest the caller hashed once into digests[i].
 // A null operation, having no client, needs the empty command and the null
-// identity's authenticator; every other request must pass VerifyClientAuth.
+// identity's authenticator (ZLight's rule; Backup refuses null operations
+// before it calls this); every other request must pass VerifyClientAuth.
 //
 //abstractbft:noalloc
 func (h *Host) AdmitOrdered(st *InstanceState, from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"time"
 
 	"abstractbft/internal/authn"
@@ -20,9 +21,9 @@ type EngineConfig struct {
 	Send func(to ids.ProcessID, m any)
 	// Deliver is called, in total order, for every ordered batch.
 	Deliver func(batch []msg.Request)
-	// Admit reports whether auths[i] is an authenticator batch[i]'s client
-	// made, digests[i] being its digest, for every request from proposed.
-	// Required: no proposal it rejects is prepared.
+	// Admit reports whether auths holds, for each request batch[i] that from
+	// pre-prepared, an authenticator its client made, digests[i] being its
+	// digest. Required: no pre-prepare it rejects is prepared.
 	Admit func(from ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool
 	// ViewChangeTimeout is how long a replica waits for a known request to be
 	// delivered before initiating a view change; 0 disables view changes.
@@ -96,6 +97,9 @@ func (e *Engine) Primary() ids.ProcessID { return e.cfg.Cluster.Primary(e.view) 
 // IsPrimary reports whether this replica is the current primary.
 func (e *Engine) IsPrimary() bool { return e.Primary() == e.cfg.Replica }
 
+// Idle reports whether every batch this engine proposed has been delivered.
+func (e *Engine) Idle() bool { return e.nextSeq <= e.lastDelivered }
+
 func (e *Engine) others() []ids.ProcessID { return e.cfg.Cluster.Others(e.cfg.Replica) }
 
 // Track records an admitted client request and its authenticator until it is
@@ -127,23 +131,11 @@ func (e *Engine) Propose(batch []msg.Request, auths []authn.Authenticator) {
 	e.maybeCommitPhase(seq)
 }
 
-// admit reports whether a proposal's digest is its batch's and the embedder
-// admits every request in it.
-func (e *Engine) admit(from ids.ProcessID, p *PrePrepare) bool {
-	if len(p.Auths) != len(p.Batch) {
-		return false
-	}
-	digests := msg.Batch{Requests: p.Batch}.Digests()
-	return msg.DigestOf(digests) == p.Digest && e.cfg.Admit(from, p.Batch, p.Auths, digests)
-}
-
 func (e *Engine) getEntry(seq uint64) *entry {
-	ent, ok := e.entries[seq]
-	if !ok {
-		ent = &entry{prepares: make(map[ids.ProcessID]bool), commits: make(map[ids.ProcessID]bool)}
-		e.entries[seq] = ent
+	if e.entries[seq] == nil {
+		e.entries[seq] = &entry{prepares: make(map[ids.ProcessID]bool), commits: make(map[ids.ProcessID]bool)}
 	}
-	return ent
+	return e.entries[seq]
 }
 
 // HandleMessage processes one PBFT protocol message that from sent. Only
@@ -168,13 +160,12 @@ func (e *Engine) HandleMessage(from ids.ProcessID, m any) {
 }
 
 func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
-	if m.View != e.view || m.Seq <= e.lastDelivered || from != e.Primary() || e.viewChanging {
+	if m.View != e.view || m.Seq <= e.lastDelivered || from != e.Primary() || e.viewChanging ||
+		e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('P', m.View, m.Seq, m.Digest), m.MAC) != nil {
 		return
 	}
-	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('P', m.View, m.Seq, m.Digest), m.MAC); err != nil {
-		return
-	}
-	if !e.admit(from, m) {
+	digests := msg.Batch{Requests: m.Batch}.Digests()
+	if msg.DigestOf(digests) != m.Digest || !e.cfg.Admit(from, m.Batch, m.Auths, digests) {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -202,10 +193,8 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 }
 
 func (e *Engine) onPrepare(from ids.ProcessID, m *Prepare) {
-	if m.View != e.view || m.Seq <= e.lastDelivered || e.viewChanging {
-		return
-	}
-	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('p', m.View, m.Seq, m.Digest), m.MAC); err != nil {
+	if m.View != e.view || m.Seq <= e.lastDelivered || e.viewChanging ||
+		e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('p', m.View, m.Seq, m.Digest), m.MAC) != nil {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -233,10 +222,7 @@ func (e *Engine) maybeCommitPhase(seq uint64) {
 }
 
 func (e *Engine) onCommit(from ids.ProcessID, m *Commit) {
-	if m.Seq <= e.lastDelivered {
-		return
-	}
-	if err := e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('c', m.View, m.Seq, m.Digest), m.MAC); err != nil {
+	if m.Seq <= e.lastDelivered || e.cfg.Keys.VerifyMAC(from, e.cfg.Replica, phaseBytes('c', m.View, m.Seq, m.Digest), m.MAC) != nil {
 		return
 	}
 	ent := e.getEntry(m.Seq)
@@ -301,7 +287,7 @@ func (e *Engine) buildViewChange(target uint64) *ViewChange {
 	vc := &ViewChange{NewView: target, Replica: e.cfg.Replica, LastDelivered: e.lastDelivered}
 	for seq, ent := range e.entries {
 		if ent.prePrep && len(ent.prepares) >= e.cfg.Cluster.Quorum() {
-			vc.Prepared = append(vc.Prepared, PreparedEntry{Seq: seq, Digest: ent.digest, Batch: ent.batch, Auths: ent.auths})
+			vc.Prepared = append(vc.Prepared, PreparedEntry{Seq: seq, View: ent.view, Digest: ent.digest, Batch: ent.batch, Auths: ent.auths})
 		}
 	}
 	vc.Sig = e.cfg.Keys.Sign(e.cfg.Replica, vc.SignedBytes())
@@ -309,19 +295,14 @@ func (e *Engine) buildViewChange(target uint64) *ViewChange {
 }
 
 func (e *Engine) recordViewChange(vc *ViewChange) {
-	m, ok := e.viewChanges[vc.NewView]
-	if !ok {
-		m = make(map[ids.ProcessID]*ViewChange)
-		e.viewChanges[vc.NewView] = m
+	if e.viewChanges[vc.NewView] == nil {
+		e.viewChanges[vc.NewView] = make(map[ids.ProcessID]*ViewChange)
 	}
-	m[vc.Replica] = vc
+	e.viewChanges[vc.NewView][vc.Replica] = vc
 }
 
 func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
-	if vc.Replica != from || vc.NewView <= e.view {
-		return
-	}
-	if err := e.cfg.Keys.VerifySignature(vc.Replica, vc.SignedBytes(), vc.Sig); err != nil {
+	if vc.Replica != from || vc.NewView <= e.view || !e.validViewChange(vc) {
 		return
 	}
 	e.recordViewChange(vc)
@@ -333,6 +314,20 @@ func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
 	e.maybeEnterNewView(vc.NewView)
 }
 
+// validViewChange reports whether a replica signed vc and each batch it
+// reports prepared matches the signed digest.
+func (e *Engine) validViewChange(vc *ViewChange) bool {
+	if !vc.Replica.IsReplica() || e.cfg.Keys.VerifySignature(vc.Replica, vc.SignedBytes(), vc.Sig) != nil {
+		return false
+	}
+	for _, p := range vc.Prepared {
+		if len(p.Auths) != len(p.Batch) || (msg.Batch{Requests: p.Batch}).Digest() != p.Digest {
+			return false
+		}
+	}
+	return true
+}
+
 // maybeEnterNewView lets the new primary assemble and broadcast the NEW-VIEW
 // message once 2f+1 view changes are available.
 func (e *Engine) maybeEnterNewView(target uint64) {
@@ -340,75 +335,74 @@ func (e *Engine) maybeEnterNewView(target uint64) {
 	if e.cfg.Cluster.Primary(target) != e.cfg.Replica || len(vcs) < e.cfg.Cluster.Quorum() || e.view >= target {
 		return
 	}
-	// Re-propose the highest prepared batch per sequence number. The
-	// signatures cover a prepared entry's digest only, so an entry whose
-	// batch does not admit is a Byzantine replica's and is left out.
-	reproposals := make(map[uint64]PrePrepare)
-	maxSeq := e.lastDelivered
-	var list []ViewChange
+	nv := &NewView{View: target}
 	for _, vc := range vcs {
-		list = append(list, *vc)
-		for _, p := range vc.Prepared {
-			pp := PrePrepare{View: target, Seq: p.Seq, Batch: p.Batch, Auths: p.Auths, Digest: p.Digest}
-			if existing, ok := reproposals[p.Seq]; (!ok || existing.Digest != p.Digest) && e.admit(vc.Replica, &pp) {
-				reproposals[p.Seq] = pp
-			}
-			if p.Seq > maxSeq {
-				maxSeq = p.Seq
-			}
-		}
-		if vc.LastDelivered > maxSeq {
-			maxSeq = vc.LastDelivered
-		}
+		nv.ViewChanges = append(nv.ViewChanges, *vc)
 	}
-	nv := &NewView{View: target, ViewChanges: list}
-	for seq := e.lastDelivered + 1; seq <= maxSeq; seq++ {
-		pp, ok := reproposals[seq]
-		if !ok {
-			pp = PrePrepare{View: target, Seq: seq, Digest: msg.DigestOf(nil)}
-		}
-		nv.Proposals = append(nv.Proposals, pp)
-	}
+	nv.Proposals = newViewProposals(target, nv.ViewChanges)
 	e.enterView(target)
-	e.nextSeq = maxSeq
 	for _, to := range e.others() {
 		e.cfg.Send(to, nv)
 	}
-	e.applyNewViewProposals(nv)
+	e.applyNewViewProposals(target, nv.Proposals)
 }
 
-// onNewView accepts a NEW-VIEW that carries 2f+1 signed view changes and
-// whose every proposal admits. It does not recompute the proposals from the
-// view changes, so a Byzantine new primary can still re-order authentic
-// requests or replace an undelivered prepared batch.
+// newViewProposals computes a NEW-VIEW's proposals from its view changes,
+// as every replica does: each sequence number above the lowest one a view
+// change delivered, up to the highest one delivered or prepared, gets the
+// batch prepared in the highest view, or an empty batch where none is. The
+// clients' authenticators were checked at the pre-prepare: at least f+1
+// correct replicas admitted a prepared batch, though the entries for the
+// others may fail.
+func newViewProposals(view uint64, vcs []ViewChange) []PrePrepare {
+	lo, hi := vcs[0].LastDelivered, uint64(0)
+	best := make(map[uint64]*PreparedEntry)
+	for i := range vcs {
+		lo, hi = min(lo, vcs[i].LastDelivered), max(hi, vcs[i].LastDelivered)
+		for j := range vcs[i].Prepared {
+			p := &vcs[i].Prepared[j]
+			if b := best[p.Seq]; b == nil || p.View > b.View {
+				best[p.Seq] = p
+			}
+			hi = max(hi, p.Seq)
+		}
+	}
+	var out []PrePrepare
+	for seq := lo + 1; seq <= hi; seq++ {
+		pp := PrePrepare{View: view, Seq: seq, Digest: msg.DigestOf(nil)}
+		if p := best[seq]; p != nil {
+			pp.Batch, pp.Auths, pp.Digest = p.Batch, p.Auths, p.Digest
+		}
+		out = append(out, pp)
+	}
+	return out
+}
+
+// onNewView accepts a NEW-VIEW that carries 2f+1 valid view changes from
+// distinct replicas and whose proposals are the ones those view changes
+// determine.
 func (e *Engine) onNewView(from ids.ProcessID, nv *NewView) {
 	if nv.View <= e.view || e.cfg.Cluster.Primary(nv.View) != from {
 		return
 	}
-	// Validate the 2f+1 signed view changes.
-	valid := 0
+	var vcs []ViewChange
 	seen := make(map[ids.ProcessID]bool)
 	for i := range nv.ViewChanges {
 		vc := &nv.ViewChanges[i]
-		if vc.NewView != nv.View || seen[vc.Replica] {
-			continue
+		if vc.NewView == nv.View && !seen[vc.Replica] && e.validViewChange(vc) {
+			seen[vc.Replica] = true
+			vcs = append(vcs, *vc)
 		}
-		if err := e.cfg.Keys.VerifySignature(vc.Replica, vc.SignedBytes(), vc.Sig); err != nil {
-			continue
-		}
-		seen[vc.Replica] = true
-		valid++
 	}
-	if valid < e.cfg.Cluster.Quorum() {
+	if len(vcs) < e.cfg.Cluster.Quorum() {
 		return
 	}
-	for i := range nv.Proposals {
-		if !e.admit(from, &nv.Proposals[i]) {
-			return
-		}
+	want := newViewProposals(nv.View, vcs)
+	if !slices.EqualFunc(want, nv.Proposals, func(a, b PrePrepare) bool { return a.Seq == b.Seq && a.Digest == b.Digest }) {
+		return
 	}
 	e.enterView(nv.View)
-	e.applyNewViewProposals(nv)
+	e.applyNewViewProposals(nv.View, want)
 }
 
 // enterView switches the engine into the given view.
@@ -425,23 +419,22 @@ func (e *Engine) enterView(view uint64) {
 }
 
 // applyNewViewProposals treats the new-view proposals as pre-prepares in the
-// new view.
-func (e *Engine) applyNewViewProposals(nv *NewView) {
-	for i := range nv.Proposals {
-		p := nv.Proposals[i]
+// new view, each counting as the new primary's prepare vote.
+func (e *Engine) applyNewViewProposals(view uint64, proposals []PrePrepare) {
+	primary := e.cfg.Cluster.Primary(view)
+	e.nextSeq = max(e.nextSeq, e.lastDelivered)
+	for _, p := range proposals {
+		e.nextSeq = max(e.nextSeq, p.Seq)
 		if p.Seq <= e.lastDelivered {
 			continue
 		}
-		e.entries[p.Seq] = &entry{view: nv.View, digest: p.Digest, batch: p.Batch, auths: p.Auths, prePrep: true,
-			prepares: map[ids.ProcessID]bool{e.cfg.Replica: true}, commits: map[ids.ProcessID]bool{}}
-		if e.cfg.Cluster.Primary(nv.View) != e.cfg.Replica {
+		e.entries[p.Seq] = &entry{view: view, digest: p.Digest, batch: p.Batch, auths: p.Auths, prePrep: true,
+			prepares: map[ids.ProcessID]bool{e.cfg.Replica: true, primary: true}, commits: map[ids.ProcessID]bool{}}
+		if primary != e.cfg.Replica {
 			for _, to := range e.others() {
-				mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', nv.View, p.Seq, p.Digest))
-				e.cfg.Send(to, &Prepare{View: nv.View, Seq: p.Seq, Digest: p.Digest, Replica: e.cfg.Replica, MAC: mac})
+				mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', view, p.Seq, p.Digest))
+				e.cfg.Send(to, &Prepare{View: view, Seq: p.Seq, Digest: p.Digest, Replica: e.cfg.Replica, MAC: mac})
 			}
-		}
-		if p.Seq > e.nextSeq {
-			e.nextSeq = p.Seq
 		}
 	}
 	e.reproposeKnown()

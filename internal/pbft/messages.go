@@ -6,14 +6,16 @@
 // (pre-prepare/prepare/commit, a simplified view change) and is driven by its
 // embedder, which tracks admitted client requests (Track), proposes the
 // batches its batcher flushes (Propose), and admits the client
-// authenticators every proposal carries (EngineConfig.Admit), so a Byzantine
-// primary cannot order a request no client sent.
+// authenticators every pre-prepare carries (EngineConfig.Admit), so a
+// Byzantine primary cannot order a request no client sent. Every replica
+// recomputes a NEW-VIEW's proposals from its view changes and rejects one
+// that differs.
 //
-// Simplification relative to the original protocol: the view-change message
-// carries each replica's prepared entries and the new primary re-proposes the
-// highest prepared batch per sequence number. There is no stable-checkpoint
-// or watermark machinery: an engine forgets a sequence number once it
-// delivers it, and ignores every later message at or below it.
+// Simplifications relative to the original protocol: a view change's
+// prepared entries carry no prepared certificate, only the signature of the
+// replica that reports them, and there is no stable-checkpoint or watermark
+// machinery: an engine forgets a sequence number once it delivers it, and
+// ignores every later message at or below it.
 package pbft
 
 import (
@@ -58,7 +60,9 @@ type Commit struct {
 // PreparedEntry summarizes one prepared-but-possibly-undelivered batch inside
 // a view-change message.
 type PreparedEntry struct {
-	Seq    uint64
+	Seq uint64
+	// View is the view in which the batch was prepared.
+	View   uint64
 	Digest authn.Digest
 	Batch  []msg.Request
 	Auths  []authn.Authenticator
@@ -76,14 +80,13 @@ type ViewChange struct {
 
 // SignedBytes returns the bytes covered by the view-change signature.
 func (vc *ViewChange) SignedBytes() []byte {
-	buf := make([]byte, 20, 20+len(vc.Prepared)*(8+authn.DigestSize))
+	buf := make([]byte, 20, 20+len(vc.Prepared)*(16+authn.DigestSize))
 	binary.BigEndian.PutUint64(buf[0:8], vc.NewView)
 	binary.BigEndian.PutUint32(buf[8:12], uint32(vc.Replica))
 	binary.BigEndian.PutUint64(buf[12:20], vc.LastDelivered)
 	for _, p := range vc.Prepared {
-		var seq [8]byte
-		binary.BigEndian.PutUint64(seq[:], p.Seq)
-		buf = append(buf, seq[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, p.Seq)
+		buf = binary.BigEndian.AppendUint64(buf, p.View)
 		buf = append(buf, p.Digest[:]...)
 	}
 	return buf

@@ -12,7 +12,8 @@ import (
 // engineNet wires the engines of an f=1 cluster directly to each other
 // through a synchronous message queue: every Send is queued and drain
 // delivers the queue to quiescence. Messages to or from a crashed replica
-// are dropped, and every engine reads one fake clock that advance moves.
+// are dropped, as are those drop matches, and every engine reads one fake
+// clock that advance moves.
 // Clients authenticate a request over its digest, and an engine admits a
 // request whose authenticator its client made.
 type engineNet struct {
@@ -20,9 +21,12 @@ type engineNet struct {
 	keys      *authn.KeyStore
 	engines   []*Engine
 	delivered [][]msg.RequestID
-	crashed   map[int]bool
-	queue     []envelope
-	now       time.Time
+	// batches holds the digest of each batch a replica delivered, in order.
+	batches [][]authn.Digest
+	crashed map[int]bool
+	drop    func(envelope) bool
+	queue   []envelope
+	now     time.Time
 }
 
 type envelope struct {
@@ -38,6 +42,7 @@ func newEngineNet(t *testing.T, vcTimeout time.Duration, crashed ...int) *engine
 		keys:      authn.NewKeyStore("engine-test"),
 		engines:   make([]*Engine, cluster.N),
 		delivered: make([][]msg.RequestID, cluster.N),
+		batches:   make([][]authn.Digest, cluster.N),
 		crashed:   make(map[int]bool),
 		now:       time.Unix(0, 0),
 	}
@@ -53,11 +58,15 @@ func newEngineNet(t *testing.T, vcTimeout time.Duration, crashed ...int) *engine
 				n.queue = append(n.queue, envelope{from: ids.Replica(i), to: to, m: m})
 			},
 			Deliver: func(batch []msg.Request) {
+				n.batches[i] = append(n.batches[i], msg.Batch{Requests: batch}.Digest())
 				for _, r := range batch {
 					n.delivered[i] = append(n.delivered[i], r.ID())
 				}
 			},
 			Admit: func(_ ids.ProcessID, batch []msg.Request, auths []authn.Authenticator, digests []authn.Digest) bool {
+				if len(auths) != len(batch) {
+					return false
+				}
 				for j := range batch {
 					if auths[j].Sender != batch[j].Client || n.keys.Verify(auths[j], ids.Replica(i), digests[j][:]) != nil {
 						return false
@@ -94,7 +103,7 @@ func (n *engineNet) drain() {
 	for len(n.queue) > 0 {
 		env := n.queue[0]
 		n.queue = n.queue[1:]
-		if n.crashed[int(env.from)] || n.crashed[int(env.to)] {
+		if n.crashed[int(env.from)] || n.crashed[int(env.to)] || (n.drop != nil && n.drop(env)) {
 			continue
 		}
 		n.engines[int(env.to)].HandleMessage(env.from, env.m)
@@ -114,9 +123,29 @@ func (n *engineNet) invoke(req msg.Request) {
 		n.engines[i].Propose([]msg.Request{req}, []authn.Authenticator{auth})
 	}
 	n.drain()
-	for step := 0; !n.allDelivered(req.ID()); step++ {
+	n.await(req.ID())
+}
+
+// await ticks the engines on the fake clock until every live engine
+// delivered id, and asserts after each step that no two engines delivered
+// different batches at one sequence number.
+func (n *engineNet) await(id msg.RequestID) {
+	n.t.Helper()
+	for step := 0; ; step++ {
+		for _, i := range n.live() {
+			for _, j := range n.live() {
+				for seq := 0; seq < min(len(n.batches[i]), len(n.batches[j])); seq++ {
+					if n.batches[i][seq] != n.batches[j][seq] {
+						n.t.Fatalf("replicas %d and %d delivered different batches at seq %d", i, j, seq+1)
+					}
+				}
+			}
+		}
+		if n.allDelivered(id) {
+			return
+		}
 		if step == 100 {
-			n.t.Fatalf("request %v not delivered by every live replica after %d ticks", req.ID(), step)
+			n.t.Fatalf("request %v not delivered by every live replica after %d ticks", id, step)
 		}
 		n.now = n.now.Add(50 * time.Millisecond)
 		for _, i := range n.live() {
@@ -225,6 +254,70 @@ func TestNewViewRejectsUnauthenticatedRequest(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNewViewKeepsBatchOneReplicaDelivered: c0's authenticator verifies at
+// every replica but replica 1, the primary of view 1. Replica 0 orders the
+// request at seq 1, and only replica 2 receives view 0's commits, so only it
+// delivers. The view change must re-propose the batch replicas 0 and 3
+// prepared, whose client replica 1 cannot authenticate, rather than fill
+// seq 1 with an empty batch: that would fork replica 2 from the others.
+func TestNewViewKeepsBatchOneReplicaDelivered(t *testing.T) {
+	n := newEngineNet(t, 200*time.Millisecond)
+	n.drop = func(env envelope) bool {
+		c, ok := env.m.(*Commit)
+		return ok && c.View == 0 && env.to != ids.Replica(2)
+	}
+	req := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: []byte("c")}
+	auth := n.auth(req.Client, req)
+	for i := range auth.Entries {
+		if auth.Entries[i].Receiver == ids.Replica(1) {
+			auth.Entries[i].MAC[0] ^= 1
+		}
+	}
+	for _, i := range []int{0, 2, 3} {
+		n.engines[i].Track(req, auth)
+	}
+	n.engines[0].Propose([]msg.Request{req}, []authn.Authenticator{auth})
+	n.drain()
+	if len(n.delivered[2]) != 1 || len(n.delivered[0])+len(n.delivered[1])+len(n.delivered[3]) != 0 {
+		t.Fatalf("view 0 delivered %v, want replica 2 alone to deliver c0/1", n.delivered)
+	}
+	n.await(req.ID())
+}
+
+// TestNewViewRejectsReplacedBatch: replica 2 alone delivers c0/1 at seq 1,
+// which replicas 0 and 3 prepared. Replica 1, the primary of view 1, sends
+// them a NEW-VIEW with the genuine view changes of replicas 0, 1 and 3 that
+// proposes the authentic c1/1 at seq 1 instead. Neither may accept it.
+func TestNewViewRejectsReplacedBatch(t *testing.T) {
+	n := newEngineNet(t, 0)
+	n.drop = func(env envelope) bool {
+		_, commit := env.m.(*Commit)
+		return commit && env.to != ids.Replica(2)
+	}
+	req := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: []byte("c")}
+	auth := n.auth(req.Client, req)
+	for _, i := range n.live() {
+		n.engines[i].Track(req, auth)
+	}
+	n.engines[0].Propose([]msg.Request{req}, []authn.Authenticator{auth})
+	n.drain()
+	nv := &NewView{View: 1}
+	for _, i := range []int{0, 1, 3} {
+		nv.ViewChanges = append(nv.ViewChanges, *n.engines[i].buildViewChange(1))
+	}
+	other := []msg.Request{{Client: ids.Client(1), Timestamp: 1, Command: []byte("c")}}
+	nv.Proposals = []PrePrepare{{View: 1, Seq: 1, Batch: other, Auths: []authn.Authenticator{n.auth(ids.Client(1), other[0])}, Digest: msg.Batch{Requests: other}.Digest()}}
+	for _, i := range []int{0, 3} {
+		n.engines[i].HandleMessage(ids.Replica(1), nv)
+	}
+	n.drain()
+	for _, i := range []int{0, 3} {
+		if n.engines[i].view != 0 || len(n.batches[i]) != 0 {
+			t.Fatalf("replica %d entered view %d and delivered %v on a NEW-VIEW that replaced a prepared batch", i, n.engines[i].view, n.delivered[i])
+		}
 	}
 }
 

@@ -126,7 +126,7 @@ func wirePayloads() []any {
 		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(1), MAC: mac},
 		&pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac},
 		&pbft.NewView{View: 3, ViewChanges: []pbft.ViewChange{{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 3, Seq: 5, Digest: msg.DigestOf(nil)}}},
-		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
+		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, View: 1, Digest: dig, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
 		&pbft.NewView{View: 2, ViewChanges: []pbft.ViewChange{{NewView: 2, Replica: ids.Replica(1), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 2, Seq: 4, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}}},
 
 		// The composition layer: panic/abort, checkpointing, body fetch, and
@@ -190,7 +190,7 @@ func wirePayloads() []any {
 		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac}},
 		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(3), MAC: mac}},
 		&backup.WrappedMessage{Instance: 3, Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}},
-		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, Digest: dig, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
+		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, View: 1, Digest: dig, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
 	}
 }
 

@@ -519,6 +519,7 @@ func appendPreparedEntries(b []byte, ps []pbft.PreparedEntry) []byte {
 	b = appendU32(b, uint32(len(ps)))
 	for _, p := range ps {
 		b = appendU64(b, p.Seq)
+		b = appendU64(b, p.View)
 		b = appendDigest(b, p.Digest)
 		b = appendRequests(b, p.Batch)
 		b = appendAuths(b, p.Auths)
@@ -531,9 +532,9 @@ func decodePreparedEntries(r *reader) []pbft.PreparedEntry {
 	if n == 0 {
 		return nil
 	}
-	out := make([]pbft.PreparedEntry, 0, sliceCap(n, 44))
+	out := make([]pbft.PreparedEntry, 0, sliceCap(n, 52))
 	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, pbft.PreparedEntry{Seq: r.u64(), Digest: r.digest(), Batch: decodeRequests(r), Auths: decodeAuths(r)})
+		out = append(out, pbft.PreparedEntry{Seq: r.u64(), View: r.u64(), Digest: r.digest(), Batch: decodeRequests(r), Auths: decodeAuths(r)})
 	}
 	if r.err != nil {
 		return nil
