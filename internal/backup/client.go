@@ -64,11 +64,11 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 			}
 			switch t := env.Payload.(type) {
 			case *core.RespMessage:
-				if t.Instance != c.id || t.Timestamp != req.Timestamp || t.Client != c.env.ID {
+				if t.Instance != c.id || t.Timestamp != req.Timestamp || !env.From.IsReplica() {
 					continue
 				}
-				macBytes := t.MACBytes()
-				if err := c.env.Keys.VerifyMAC(t.Replica, c.env.ID, macBytes[:], t.MAC); err != nil {
+				macBytes := t.MACBytes(env.From)
+				if err := c.env.Keys.VerifyMAC(env.From, c.env.ID, macBytes[:], t.MAC); err != nil {
 					continue
 				}
 				key := voteKey{reply: t.ReplyDigest, history: t.HistoryDigest}
@@ -77,7 +77,7 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 					b = &bucket{replicas: make(map[ids.ProcessID]bool)}
 					votes[key] = b
 				}
-				b.replicas[t.Replica] = true
+				b.replicas[env.From] = true
 				if b.reply == nil && authn.Hash(t.Reply) == t.ReplyDigest {
 					b.reply = append([]byte{}, t.Reply...)
 				}

@@ -68,12 +68,12 @@ type InitMessage struct {
 func (m *InitMessage) AbstractInstance() InstanceID { return m.Instance }
 
 // PanicMessage is the PANIC message a client sends to all replicas when it
-// fails to commit a request in time (Step P1). A client that invoked the
+// fails to commit a request in time (Step P1); the envelope's sender is the
+// panicking client, whom the ABORT answers. A client that invoked the
 // instance with an init history re-sends its InitMessage ahead of each PANIC
 // round, so uninitialized replicas can initialize before aborting (Step P2+).
 type PanicMessage struct {
 	Instance  InstanceID
-	Client    ids.ProcessID
 	Timestamp uint64
 }
 
@@ -146,10 +146,10 @@ type AbortReply struct {
 // AbstractInstance implements InstanceMessage.
 func (m *AbortReply) AbstractInstance() InstanceID { return m.Instance }
 
-// CheckpointMessage is the LCS checkpoint exchange message (§4.2.4).
+// CheckpointMessage is the LCS checkpoint exchange message (§4.2.4). It
+// carries no MAC: the vote is the envelope sender's, whom the link
+// authenticates.
 type CheckpointMessage struct {
-	// From identifies the sending replica.
-	From ids.ProcessID
 	// AbstractID is the instance the checkpoint belongs to.
 	AbstractID InstanceID
 	// Counter is the checkpoint counter cc.
@@ -166,7 +166,6 @@ func (m *CheckpointMessage) AbstractInstance() InstanceID { return m.AbstractID 
 // state transfer of missing requests).
 type FetchRequest struct {
 	Instance InstanceID
-	From     ids.ProcessID
 	Digests  []authn.Digest
 }
 
@@ -177,7 +176,6 @@ func (m *FetchRequest) AbstractInstance() InstanceID { return m.Instance }
 // FetchRequest.
 type FetchResponse struct {
 	Instance InstanceID
-	From     ids.ProcessID
 	Requests []msg.Request
 }
 
@@ -187,11 +185,10 @@ func (m *FetchResponse) AbstractInstance() InstanceID { return m.Instance }
 // RespMessage is the speculative reply message shared by ZLight and Quorum
 // (Step Z3/Q2): the application reply (or its digest for all but one
 // designated replica), the digest of the replica's local history, and the
-// request timestamp, authenticated with a MAC for the client.
+// request timestamp, authenticated with a MAC from the envelope's sender to
+// its receiver, the client.
 type RespMessage struct {
 	Instance  InstanceID
-	Replica   ids.ProcessID
-	Client    ids.ProcessID
 	Timestamp uint64
 	// Reply is the full application reply (designated replica) or nil.
 	Reply []byte
@@ -205,7 +202,7 @@ type RespMessage struct {
 	// HistoryDigests optionally carries the full digest history when history
 	// instrumentation is enabled (test builds only).
 	HistoryDigests history.DigestHistory
-	// MAC authenticates the message from Replica to Client.
+	// MAC authenticates MACBytes from the sending replica to the client.
 	MAC authn.MAC
 }
 
@@ -215,12 +212,13 @@ func (m *RespMessage) AbstractInstance() InstanceID { return m.Instance }
 // RespMACLen is the size of the MAC input of a RESP message.
 const RespMACLen = 28 + 2*authn.DigestSize
 
-// MACBytes returns the bytes covered by the RESP message's MAC.
+// MACBytes returns the bytes covered by the RESP message's MAC when replica
+// sends it.
 //
 //abstractbft:noalloc
-func (m *RespMessage) MACBytes() (buf [RespMACLen]byte) {
+func (m *RespMessage) MACBytes(replica ids.ProcessID) (buf [RespMACLen]byte) {
 	binary.BigEndian.PutUint64(buf[0:8], uint64(m.Instance))
-	binary.BigEndian.PutUint32(buf[8:12], uint32(m.Replica))
+	binary.BigEndian.PutUint32(buf[8:12], uint32(replica))
 	binary.BigEndian.PutUint64(buf[12:20], m.Timestamp)
 	binary.BigEndian.PutUint64(buf[20:28], m.HistoryLen)
 	copy(buf[28:], m.ReplyDigest[:])

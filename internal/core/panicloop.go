@@ -20,7 +20,7 @@ import (
 // (Step P1+/P2+).
 func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req msg.Request, init *InitHistory) (Outcome, error) {
 	collector := NewAbortCollector(env.Cluster, env.Keys, instance)
-	panicMsg := &PanicMessage{Instance: instance, Client: env.ID, Timestamp: req.Timestamp}
+	panicMsg := &PanicMessage{Instance: instance, Timestamp: req.Timestamp}
 
 	sendPanic := func() {
 		if init != nil {

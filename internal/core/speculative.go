@@ -109,24 +109,25 @@ func awaitCommits(ctx context.Context, env ClientEnv, instance InstanceID, reqs 
 				return false, ErrStopped
 			}
 			resp, isResp := env2.Payload.(*RespMessage)
-			if !isResp || resp.Instance != instance || resp.Client != env.ID {
+			if !isResp || resp.Instance != instance {
 				continue
 			}
 			i := first(resp.Timestamp)
 			if i < 0 || states[i].committed {
 				continue
 			}
-			if !resp.Replica.IsReplica() || int(resp.Replica) >= n {
+			replica := env2.From
+			if !replica.IsReplica() || int(replica) >= n {
 				continue
 			}
-			macBytes := resp.MACBytes()
-			if err := env.Keys.VerifyMAC(resp.Replica, env.ID, macBytes[:], resp.MAC); err != nil {
+			macBytes := resp.MACBytes(replica)
+			if err := env.Keys.VerifyMAC(replica, env.ID, macBytes[:], resp.MAC); err != nil {
 				continue
 			}
 			st := &states[i]
 			mine := slots[i*n : (i+1)*n]
 			key := commitAnswer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
-			v := &mine[resp.Replica]
+			v := &mine[replica]
 			if v.cast && v.vote != key {
 				// A replica changed its answer: divergence, give up on the
 				// whole batch (the caller falls back to panicking).

@@ -16,9 +16,9 @@ import (
 // TestGoldenMACInputs pins the RESP MAC input and the ABORT signature input
 // to the bytes the bytes.Buffer encoders produced.
 func TestGoldenMACInputs(t *testing.T) {
-	resp := &RespMessage{Instance: 3, Replica: ids.Replica(2), Client: ids.Client(7), Timestamp: 9,
+	resp := &RespMessage{Instance: 3, Timestamp: 9,
 		ReplyDigest: authn.Hash([]byte("reply")), HistoryDigest: authn.Hash([]byte("hist")), HistoryLen: 77}
-	macBytes := resp.MACBytes()
+	macBytes := resp.MACBytes(ids.Replica(2))
 	if got, want := hex.EncodeToString(macBytes[:]), "0000000000000003000000020000000000000009000000000000004d"+
 		"5782b18687e6cf8a482fc32d2db5b196d8821c458a0c069c6acf3953446e7bb5"+
 		"776d226ded817fd39e64528c3ea5d3633d6eeb1a8593a05cf41b44d7b84090a4"; got != want {
@@ -62,14 +62,14 @@ func newCommitHarness(t *testing.T) *commitHarness {
 // the replica claims, reply its answer (the full reply travels only when
 // designated).
 func (h *commitHarness) resp(r int, ts uint64, hist, reply string, designated bool) {
-	m := &RespMessage{Instance: h.inst, Replica: ids.Replica(r), Client: h.env.ID, Timestamp: ts,
+	m := &RespMessage{Instance: h.inst, Timestamp: ts,
 		ReplyDigest: authn.Hash([]byte(reply)), HistoryDigest: authn.Hash([]byte(hist)), HistoryLen: ts}
 	if designated {
 		m.Reply = []byte(reply)
 	}
-	macBytes := m.MACBytes()
-	m.MAC = h.env.Keys.MAC(m.Replica, h.env.ID, macBytes[:])
-	h.net.Endpoint(m.Replica).Send(h.env.ID, m)
+	macBytes := m.MACBytes(ids.Replica(r))
+	m.MAC = h.env.Keys.MAC(ids.Replica(r), h.env.ID, macBytes[:])
+	h.net.Endpoint(ids.Replica(r)).Send(h.env.ID, m)
 }
 
 func (h *commitHarness) await(reqs []msg.Request, timeout time.Duration) ([]Outcome, bool) {
@@ -145,7 +145,7 @@ func TestSpeculativeCommitRule(t *testing.T) {
 		h := newCommitHarness(t)
 		// Replica 3's answer arrives only with a bad MAC; replica 9 does not
 		// exist.
-		bad := &RespMessage{Instance: h.inst, Replica: ids.Replica(3), Client: h.env.ID, Timestamp: 1,
+		bad := &RespMessage{Instance: h.inst, Timestamp: 1,
 			ReplyDigest: authn.Hash([]byte("ok")), HistoryDigest: authn.Hash([]byte("h"))}
 		h.net.Endpoint(ids.Replica(3)).Send(h.env.ID, bad)
 		h.resp(9, 1, "h", "ok", false)

@@ -193,7 +193,7 @@ func TestShardedRollbackRewindsMergedMirror(t *testing.T) {
 				}
 			}
 		case *core.PanicMessage:
-			return m.Client != ids.Client(0)
+			return env.From != ids.Client(0)
 		}
 		return true
 	})

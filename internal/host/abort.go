@@ -12,7 +12,8 @@ import (
 // replica stops executing requests of the instance and returns a signed
 // ABORT message carrying its history report. A replica that never
 // initialized the instance does so first from the InitMessage the client
-// sends ahead of each PANIC round (Step P2+).
+// sends ahead of each PANIC round (Step P2+). The ABORT goes to from, the
+// PANIC's sender.
 func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 	st := h.instances[m.Instance]
 	if st == nil {
@@ -27,7 +28,7 @@ func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 		// signed abort.
 		if st.Stopped {
 			signed := h.signedAbort(st)
-			h.Send(m.Client, &core.AbortReply{Instance: st.ID, Timestamp: m.Timestamp, Signed: *signed})
+			h.Send(from, &core.AbortReply{Instance: st.ID, Timestamp: m.Timestamp, Signed: *signed})
 		}
 		return
 	}
@@ -35,10 +36,10 @@ func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 		st.Stopped = true
 		h.met.aborts.Inc()
 		h.cfg.Flight.Record("abort", h.cfg.Shard,
-			"instance %d stopped on PANIC from %v (t=%d)", st.ID, m.Client, m.Timestamp)
+			"instance %d stopped on PANIC from %v (t=%d)", st.ID, from, m.Timestamp)
 	}
 	signed := h.signedAbort(st)
-	h.Send(m.Client, &core.AbortReply{Instance: st.ID, Timestamp: m.Timestamp, Signed: *signed})
+	h.Send(from, &core.AbortReply{Instance: st.ID, Timestamp: m.Timestamp, Signed: *signed})
 }
 
 // PanicResistant is implemented by protocol replicas whose progress property
@@ -115,7 +116,7 @@ func (h *Host) maybeCheckpoint(st *InstanceState) {
 		return
 	}
 	digest := h.checkpointDigest(st, cc)
-	m := &core.CheckpointMessage{From: h.id, AbstractID: st.ID, Counter: cc, StateDigest: digest}
+	m := &core.CheckpointMessage{AbstractID: st.ID, Counter: cc, StateDigest: digest}
 	// Record our own contribution, then broadcast to the other replicas.
 	if st.Checkpoint.Record(h.id, cc, digest) {
 		h.checkpointStable(st)
@@ -149,20 +150,21 @@ func (h *Host) checkpointDigest(st *InstanceState, cc uint64) authn.Digest {
 	return authn.HashAll(st.BaseDigest[:], prefix[:])
 }
 
-// handleCheckpoint records another replica's CHECKPOINT message.
-func (h *Host) handleCheckpoint(m *core.CheckpointMessage) {
+// handleCheckpoint records replica from's CHECKPOINT vote.
+func (h *Host) handleCheckpoint(from ids.ProcessID, m *core.CheckpointMessage) {
 	st := h.instances[m.AbstractID]
 	if st == nil || !st.Initialized {
 		return
 	}
-	if st.Checkpoint.Record(m.From, m.Counter, m.StateDigest) {
+	if st.Checkpoint.Record(from, m.Counter, m.StateDigest) {
 		h.checkpointStable(st)
 	}
 }
 
-// handleFetchRequest returns the request bodies this replica knows for the
-// requested digests (inter-replica state transfer of missing requests, §4.4).
-func (h *Host) handleFetchRequest(m *core.FetchRequest) {
+// handleFetchRequest returns to replica from the request bodies this replica
+// knows for the requested digests (inter-replica state transfer of missing
+// requests, §4.4).
+func (h *Host) handleFetchRequest(from ids.ProcessID, m *core.FetchRequest) {
 	var out []msg.Request
 	for _, d := range m.Digests {
 		if r, ok := h.RequestByDigest(d); ok {
@@ -172,7 +174,7 @@ func (h *Host) handleFetchRequest(m *core.FetchRequest) {
 	if len(out) == 0 {
 		return
 	}
-	h.Send(m.From, &core.FetchResponse{Instance: m.Instance, From: h.id, Requests: out})
+	h.Send(from, &core.FetchResponse{Instance: m.Instance, Requests: out})
 }
 
 // handleFetchResponse hands the fetched request bodies to the named

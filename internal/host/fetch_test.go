@@ -84,7 +84,7 @@ func TestLostFetchResponseRetriedFromTick(t *testing.T) {
 		for env := range peer.Inbox() {
 			if m, ok := env.Payload.(*core.FetchRequest); ok {
 				fetches.Add(1)
-				peer.Send(m.From, &core.FetchResponse{Instance: m.Instance, From: peer.ID(), Requests: want})
+				peer.Send(env.From, &core.FetchResponse{Instance: m.Instance, Requests: want})
 			}
 		}
 	}()

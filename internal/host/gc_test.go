@@ -428,7 +428,7 @@ func TestFetchResponseStoresOnlyMissingBodies(t *testing.T) {
 		unsolicited = append(unsolicited, kvReq(uint64(5000+i)))
 	}
 	respond := func(inst core.InstanceID, reqs ...msg.Request) {
-		h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: inst, From: ids.Replica(0), Requests: reqs}})
+		h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: inst, Requests: reqs}})
 	}
 	respond(st2.ID, append(append([]msg.Request(nil), want...), unsolicited[:10]...)...)
 	if !st2.Initialized {
@@ -562,7 +562,7 @@ func TestSupersededInitNeverCompletes(t *testing.T) {
 		t.Fatalf("applied %d entries after instance 3's init, want its 4 (test setup)", seq)
 	}
 
-	h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: st2.ID, From: ids.Replica(0), Requests: []msg.Request{x}}})
+	h.dispatch(transport.Envelope{From: ids.Replica(0), Payload: &core.FetchResponse{Instance: st2.ID, Requests: []msg.Request{x}}})
 	if got := h.ActiveInstance(); got != st2.ID.Next() {
 		t.Fatalf("active instance %d, want %d", got, st2.ID.Next())
 	}

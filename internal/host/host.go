@@ -370,15 +370,23 @@ func (h *Host) dispatch(env transport.Envelope) {
 	if h.crashed {
 		return
 	}
+	switch env.Payload.(type) {
+	case *core.CheckpointMessage, *core.FetchRequest, *core.FetchResponse, *statesync.FetchState, *statesync.State:
+		// Replica-to-replica control: the vote or answer is the envelope
+		// sender's, which the link authenticates, and no client takes part.
+		if !env.From.IsReplica() {
+			return
+		}
+	}
 	switch m := env.Payload.(type) {
 	case *core.InitMessage:
 		h.handleInit(m)
 	case *core.PanicMessage:
 		h.handlePanic(env.From, m)
 	case *core.CheckpointMessage:
-		h.handleCheckpoint(m)
+		h.handleCheckpoint(env.From, m)
 	case *core.FetchRequest:
-		h.handleFetchRequest(m)
+		h.handleFetchRequest(env.From, m)
 	case *core.FetchResponse:
 		h.handleFetchResponse(m)
 	case *statesync.FetchState:

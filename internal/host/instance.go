@@ -490,7 +490,7 @@ func (h *Host) sendFetch(st *InstanceState) {
 	for d := range st.missing {
 		want = append(want, d)
 	}
-	h.Multicast(h.OtherReplicas(), &core.FetchRequest{Instance: st.ID, From: h.id, Digests: want})
+	h.Multicast(h.OtherReplicas(), &core.FetchRequest{Instance: st.ID, Digests: want})
 }
 
 // tickFetch re-sends, every protocol tick, the FETCH of each initialization

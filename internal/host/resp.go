@@ -36,8 +36,6 @@ func (h *Host) BuildResps(st *InstanceState, batch msg.Batch, replies [][]byte, 
 func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Request, reply []byte, designated bool) {
 	*resp = core.RespMessage{
 		Instance:      st.ID,
-		Replica:       h.id,
-		Client:        req.Client,
 		Timestamp:     req.Timestamp,
 		ReplyDigest:   authn.Hash(reply),
 		HistoryDigest: st.HistoryDigest(),
@@ -47,7 +45,7 @@ func (h *Host) fillResp(resp *core.RespMessage, st *InstanceState, req msg.Reque
 		resp.Reply = reply
 	}
 	resp.HistoryDigests = h.InstrumentedHistory(st)
-	macBytes := resp.MACBytes()
+	macBytes := resp.MACBytes(h.id)
 	resp.MAC = h.keys.MAC(h.id, req.Client, macBytes[:])
 	// A traced request marks the speculative reply leaving the replica as a
 	// zero-duration point event (span only; no histogram sample).

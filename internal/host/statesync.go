@@ -217,13 +217,9 @@ func (h *Host) releaseBodies(s uint64) int {
 // selects plus the applied history suffix (digests and known bodies) beyond
 // it (the boundary at 0 goes as the zero snapshot). A replica that
 // garbage-collected past the requested boundary cannot serve the suffix and
-// stays silent; the fetcher's f+1 rule tolerates that.
-// The claimed sender must match the transport-level sender, so a Byzantine
-// process cannot direct responses at an uninvolved replica.
+// stays silent; the fetcher's f+1 rule tolerates that. The STATE goes to
+// from, the fetching replica.
 func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
-	if !m.From.IsReplica() || m.From == h.id || m.From != from {
-		return
-	}
 	inst := m.Instance
 	if inst == 0 {
 		inst = h.active
@@ -232,7 +228,7 @@ func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
 	if st == nil || !st.Initialized {
 		return
 	}
-	resp := &statesync.State{Instance: inst, From: h.id, BodiesFrom: m.BodiesFrom}
+	resp := &statesync.State{Instance: inst, BodiesFrom: m.BodiesFrom}
 	seq := m.Seq
 	if seq == 0 {
 		seq = st.Checkpoint.StableSeq()
@@ -262,7 +258,7 @@ func (h *Host) handleFetchState(from ids.ProcessID, m *statesync.FetchState) {
 	}
 	h.met.ssServed.Inc()
 	h.met.ssBytesOut.Add(uint64(len(resp.Snap.AppState)))
-	h.Send(m.From, resp)
+	h.Send(from, resp)
 }
 
 // startStateSync begins (or retargets) the host's state transfer. Callers
@@ -293,7 +289,6 @@ func (h *Host) sendFetchState() {
 	designated := others[h.sync.payloadIdx%len(others)]
 	h.Multicast(others, &statesync.FetchState{
 		Instance:   h.sync.inst,
-		From:       h.id,
 		Seq:        h.sync.seq,
 		BodiesFrom: designated,
 	})
@@ -346,23 +341,21 @@ func (h *Host) tickSync() {
 	h.sendFetchState()
 }
 
-// handleState feeds one peer's STATE response to the in-flight transfer and
-// adopts the result once f+1 peers agree. The response's claimed sender must
-// match the transport-level sender: the collector counts one vote per
-// distinct replica, and a Byzantine peer forging distinct From fields could
-// otherwise stuff the f+1 agreement by itself.
+// handleState feeds replica from's STATE response to the in-flight transfer
+// and adopts the result once f+1 peers agree. The collector counts one vote
+// per envelope sender, so a Byzantine peer contributes only its own.
 func (h *Host) handleState(from ids.ProcessID, m *statesync.State) {
-	if h.sync == nil || m.From != from {
+	if h.sync == nil {
 		return
 	}
-	if err := h.sync.col.Add(m); err != nil {
+	if err := h.sync.col.Add(from, m); err != nil {
 		return
 	}
 	// Count the designated peer as heard only when the response was produced
 	// for a fetch that designated it (BodiesFrom echo): a stale digest-only
 	// answer from a just-designated peer must not trigger rotation past it.
 	others := h.OtherReplicas()
-	if len(others) > 0 && m.From == others[h.sync.payloadIdx%len(others)] && m.BodiesFrom == m.From {
+	if len(others) > 0 && from == others[h.sync.payloadIdx%len(others)] && m.BodiesFrom == from {
 		h.sync.sawDesignated = true
 	}
 	a, ok := h.sync.col.Result()

@@ -62,7 +62,7 @@ func TestForgedStateOverTCPNeverAdopted(t *testing.T) {
 	enc := wirecodec.Binary().NewEncoder(conn)
 	for _, r := range []ids.ProcessID{ids.Replica(0), ids.Replica(2)} {
 		env := transport.Envelope{From: r, To: self, Payload: &statesync.State{
-			Instance: core.FirstInstance, From: r, BodiesFrom: r, Snap: snap,
+			Instance: core.FirstInstance, BodiesFrom: r, Snap: snap,
 		}}
 		if err := enc.Encode(&env); err != nil {
 			t.Fatal(err)

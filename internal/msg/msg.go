@@ -117,27 +117,3 @@ func (r Request) Clone() Request {
 	c.Command = append([]byte(nil), r.Command...)
 	return c
 }
-
-// Reply is the application-level reply returned to a client for a committed
-// request.
-type Reply struct {
-	// Replica identifies the replica producing the reply. Excluded from the
-	// digest: reply digests must agree across the replicas producing them
-	// (§4.2's footnote on lightweight replies), so only Result is hashed.
-	//
-	//wire:nodigest
-	Replica ids.ProcessID
-	// Client and Timestamp identify the request being answered; like Replica
-	// they are routing metadata, not part of the agreed reply value.
-	//
-	//wire:nodigest
-	Client ids.ProcessID
-	//wire:nodigest
-	Timestamp uint64
-	// Result is the application-level reply payload (rep(h_req)).
-	Result []byte
-}
-
-// Digest returns the digest of the reply payload; replicas other than a
-// designated one may send only this digest (§4.2 footnote 7).
-func (r Reply) Digest() authn.Digest { return authn.Hash(r.Result) }

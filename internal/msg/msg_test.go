@@ -57,11 +57,3 @@ func TestDigestDistinguishesRequests(t *testing.T) {
 		t.Fatalf("Clone shares the command buffer")
 	}
 }
-
-func TestReplyDigest(t *testing.T) {
-	r1 := Reply{Replica: ids.Replica(0), Client: ids.Client(0), Timestamp: 1, Result: []byte("a")}
-	r2 := Reply{Replica: ids.Replica(1), Client: ids.Client(0), Timestamp: 1, Result: []byte("a")}
-	if r1.Digest() != r2.Digest() {
-		t.Fatalf("reply digests should depend only on the payload")
-	}
-}

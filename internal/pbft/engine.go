@@ -153,7 +153,7 @@ func (e *Engine) HandleMessage(from ids.ProcessID, m any) {
 	case *Commit:
 		e.onCommit(from, t)
 	case *ViewChange:
-		e.onViewChange(from, t)
+		e.onViewChange(t)
 	case *NewView:
 		e.onNewView(from, t)
 	}
@@ -187,7 +187,7 @@ func (e *Engine) onPrePrepare(from ids.ProcessID, m *PrePrepare) {
 	ent.prepares[e.cfg.Replica] = true
 	for _, to := range e.others() {
 		mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', m.View, m.Seq, m.Digest))
-		e.cfg.Send(to, &Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, Replica: e.cfg.Replica, MAC: mac})
+		e.cfg.Send(to, &Prepare{View: m.View, Seq: m.Seq, Digest: m.Digest, MAC: mac})
 	}
 	e.maybeCommitPhase(m.Seq)
 }
@@ -216,7 +216,7 @@ func (e *Engine) maybeCommitPhase(seq uint64) {
 	ent.commits[e.cfg.Replica] = true
 	for _, to := range e.others() {
 		mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('c', ent.view, seq, ent.digest))
-		e.cfg.Send(to, &Commit{View: ent.view, Seq: seq, Digest: ent.digest, Replica: e.cfg.Replica, MAC: mac})
+		e.cfg.Send(to, &Commit{View: ent.view, Seq: seq, Digest: ent.digest, MAC: mac})
 	}
 	e.maybeDeliver()
 }
@@ -301,8 +301,10 @@ func (e *Engine) recordViewChange(vc *ViewChange) {
 	e.viewChanges[vc.NewView][vc.Replica] = vc
 }
 
-func (e *Engine) onViewChange(from ids.ProcessID, vc *ViewChange) {
-	if vc.Replica != from || vc.NewView <= e.view || !e.validViewChange(vc) {
+// onViewChange records vc, whoever relays it: its signature names its
+// replica.
+func (e *Engine) onViewChange(vc *ViewChange) {
+	if vc.NewView <= e.view || !e.validViewChange(vc) {
 		return
 	}
 	e.recordViewChange(vc)
@@ -433,7 +435,7 @@ func (e *Engine) applyNewViewProposals(view uint64, proposals []PrePrepare) {
 		if primary != e.cfg.Replica {
 			for _, to := range e.others() {
 				mac := e.cfg.Keys.MAC(e.cfg.Replica, to, phaseBytes('p', view, p.Seq, p.Digest))
-				e.cfg.Send(to, &Prepare{View: view, Seq: p.Seq, Digest: p.Digest, Replica: e.cfg.Replica, MAC: mac})
+				e.cfg.Send(to, &Prepare{View: view, Seq: p.Seq, Digest: p.Digest, MAC: mac})
 			}
 		}
 	}

@@ -39,22 +39,21 @@ type PrePrepare struct {
 	MAC authn.MAC
 }
 
-// Prepare is a backup's agreement to the primary's proposal.
+// Prepare is a backup's agreement to the primary's proposal. Like Commit it
+// is the vote of the envelope's sender, whose MAC it carries.
 type Prepare struct {
-	View    uint64
-	Seq     uint64
-	Digest  authn.Digest
-	Replica ids.ProcessID
-	MAC     authn.MAC
+	View   uint64
+	Seq    uint64
+	Digest authn.Digest
+	MAC    authn.MAC
 }
 
 // Commit is the final-phase vote.
 type Commit struct {
-	View    uint64
-	Seq     uint64
-	Digest  authn.Digest
-	Replica ids.ProcessID
-	MAC     authn.MAC
+	View   uint64
+	Seq    uint64
+	Digest authn.Digest
+	MAC    authn.MAC
 }
 
 // PreparedEntry summarizes one prepared-but-possibly-undelivered batch inside

@@ -358,9 +358,9 @@ func TestEngineIgnoresClientVotes(t *testing.T) {
 		for _, tag := range []byte{'p', 'c'} {
 			mac := n.keys.MAC(c, ids.Replica(1), phaseBytes(tag, 0, 1, digest))
 			if tag == 'p' {
-				n.engines[1].HandleMessage(c, &Prepare{View: 0, Seq: 1, Digest: digest, Replica: c, MAC: mac})
+				n.engines[1].HandleMessage(c, &Prepare{View: 0, Seq: 1, Digest: digest, MAC: mac})
 			} else {
-				n.engines[1].HandleMessage(c, &Commit{View: 0, Seq: 1, Digest: digest, Replica: c, MAC: mac})
+				n.engines[1].HandleMessage(c, &Commit{View: 0, Seq: 1, Digest: digest, MAC: mac})
 			}
 		}
 	}

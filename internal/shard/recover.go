@@ -34,27 +34,22 @@ const pollTicks = 50
 
 // MergedQuery asks a peer node for its merged-mirror boundary: the
 // recovering replica multicasts it on the control channel and accumulates
-// the answers until f+1 distinct peers vouch for the same boundary.
-type MergedQuery struct {
-	// From is the querying replica.
-	From ids.ProcessID
-}
+// the answers until f+1 distinct peers vouch for the same boundary. The peer
+// answers the envelope's sender.
+type MergedQuery struct{}
 
 // MergedState answers a MergedQuery with the responder's merged sequence
-// length and merged digest chain. The replica-to-replica envelope sender is
-// not authenticated, so the vote carries a MAC from the claimed responder to
-// the querier: one Byzantine process contributes at most its own vote,
-// whatever identities it claims.
+// length and merged digest chain. It is the vote of the envelope's sender,
+// and carries a MAC from that sender to the querier: one Byzantine process
+// contributes at most its own vote.
 type MergedState struct {
-	// From is the responding replica.
-	From ids.ProcessID
 	// Seq is the responder's merged global sequence length (a round-boundary
 	// multiple of shards*epoch).
 	Seq uint64
 	// Digest is the digest chain fold over the merged sequence.
 	Digest authn.Digest
-	// MAC authenticates mergedVoteBytes(Seq, Digest) from From to the
-	// querier.
+	// MAC authenticates mergedVoteBytes(Seq, Digest) from the responder to
+	// the querier.
 	MAC authn.MAC
 }
 
@@ -92,13 +87,13 @@ func newMergedCollector(cluster ids.Cluster) *mergedCollector {
 	}
 }
 
-// add records one peer's (authenticated) vote.
-func (c *mergedCollector) add(m *MergedState) {
+// add records peer from's (authenticated) vote.
+func (c *mergedCollector) add(from ids.ProcessID, m *MergedState) {
 	key := mergedKey{seq: m.Seq, dig: m.Digest}
 	if c.votes[key] == nil {
 		c.votes[key] = make(map[ids.ProcessID]bool)
 	}
-	c.votes[key][m.From] = true
+	c.votes[key][from] = true
 }
 
 // best returns the highest boundary at or above minSeq that f+1 distinct
@@ -233,7 +228,7 @@ func (l *nodeLoop) adopt(seq uint64, dig authn.Digest) {
 
 // ask multicasts one MergedQuery round.
 func (l *nodeLoop) ask() {
-	q := &MergedQuery{From: l.n.cfg.Replica}
+	q := &MergedQuery{}
 	for _, p := range l.peers {
 		l.ctrl.Send(p, q)
 	}
@@ -265,26 +260,25 @@ func (l *nodeLoop) poll() {
 // MergedQuery from the live merged mirror and counts a MergedState vote.
 func (l *nodeLoop) control(env transport.Envelope) {
 	n := l.n
-	self := n.cfg.Replica
+	self, from := n.cfg.Replica, env.From
+	if !from.IsReplica() || from == self {
+		// Never answer or count clients.
+		return
+	}
 	switch m := env.Payload.(type) {
 	case *MergedQuery:
-		// Pin the claimed sender to the transport sender and never answer
-		// clients.
-		if !m.From.IsReplica() || m.From != env.From || m.From == self {
-			return
-		}
 		seq, dig := n.Exec.MergedSnapshot()
 		data := mergedVoteBytes(seq, dig)
-		l.ctrl.Send(m.From, &MergedState{From: self, Seq: seq, Digest: dig, MAC: n.cfg.Keys.MAC(self, m.From, data[:])})
+		l.ctrl.Send(from, &MergedState{Seq: seq, Digest: dig, MAC: n.cfg.Keys.MAC(self, from, data[:])})
 	case *MergedState:
-		if l.col == nil || !m.From.IsReplica() || m.From == self {
+		if l.col == nil {
 			return
 		}
 		data := mergedVoteBytes(m.Seq, m.Digest)
-		if n.cfg.Keys.VerifyMAC(m.From, self, data[:], m.MAC) != nil {
+		if n.cfg.Keys.VerifyMAC(from, self, data[:], m.MAC) != nil {
 			return
 		}
-		l.col.add(m)
+		l.col.add(from, m)
 		// The first agreement is adopted as soon as it forms; newer ones
 		// wait for poll, which adopts them only while a shard still syncs.
 		if l.waiter == nil {

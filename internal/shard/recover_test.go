@@ -14,11 +14,11 @@ import (
 	"abstractbft/internal/transport"
 )
 
-// TestForgedMergedVotesNeverAgree: the replica-to-replica envelope sender is
-// not authenticated, so one Byzantine replica can claim f+1 identities for
-// its merged-boundary votes. Votes whose MAC does not verify for the claimed
-// responder must never form an agreement; the same votes MACed by the
-// claimed responders do.
+// TestForgedMergedVotesNeverAgree: this test's loopback endpoint lets one
+// Byzantine replica send its merged-boundary votes under f+1 envelope
+// senders, which no authenticated link would. The MergedState MAC is the
+// second line: votes whose MAC does not verify for their sender must never
+// form an agreement; the same votes MACed by their senders do.
 func TestForgedMergedVotesNeverAgree(t *testing.T) {
 	cluster := ids.NewCluster(1)
 	keys := authn.NewKeyStore("merged-votes")
@@ -57,7 +57,7 @@ func TestForgedMergedVotesNeverAgree(t *testing.T) {
 		}
 		data := mergedVoteBytes(0, authn.Digest{})
 		for _, from := range claimed {
-			vote := &MergedState{From: from, MAC: mac(from, data[:])}
+			vote := &MergedState{MAC: mac(from, data[:])}
 			ep.in <- transport.Envelope{From: from, To: self, Payload: &Mark{Shard: controlShard, Payload: vote}}
 		}
 		return <-errc

@@ -61,20 +61,20 @@ func NewCollector(cluster ids.Cluster) *Collector {
 // ExpectAtOrBelow pins acceptance to snapshots covering at most seq.
 func (c *Collector) ExpectAtOrBelow(seq uint64) { c.expectSeq = seq }
 
-// Add records one replica's STATE response. Responses from clients are
+// Add records replica from's STATE response. Responses from clients are
 // rejected; a replica's newer response replaces its older one — except that
 // a digest-only response never erases an already-received payload for the
 // same snapshot identity (the digest-first handshake rotates the designated
 // payload shipper, so a peer legitimately answers digest-only after having
 // shipped the payload).
-func (c *Collector) Add(resp *State) error {
-	if resp == nil || !resp.From.IsReplica() {
+func (c *Collector) Add(from ids.ProcessID, resp *State) error {
+	if resp == nil || !from.IsReplica() {
 		return fmt.Errorf("statesync: response from non-replica")
 	}
 	if uint64(len(resp.SuffixDigests)) > maxSuffix {
 		return fmt.Errorf("statesync: suffix of %d digests exceeds bound", len(resp.SuffixDigests))
 	}
-	if old, ok := c.responses[resp.From]; ok &&
+	if old, ok := c.responses[from]; ok &&
 		old.Snap.Seq == resp.Snap.Seq &&
 		old.Snap.HistDigest == resp.Snap.HistDigest &&
 		old.Snap.AppDigest == resp.Snap.AppDigest &&
@@ -85,7 +85,7 @@ func (c *Collector) Add(resp *State) error {
 		merged.Snap.Stripped = false
 		resp = &merged
 	}
-	c.responses[resp.From] = resp
+	c.responses[from] = resp
 	return nil
 }
 

@@ -201,13 +201,12 @@ func (s Snapshot) StripPayload() Snapshot {
 }
 
 // FetchState is the FETCH-STATE message: a lagging or restarted replica asks
-// a peer for its snapshot and the history suffix beyond it.
+// a peer for its snapshot and the history suffix beyond it. The peer answers
+// the envelope's sender.
 type FetchState struct {
 	// Instance selects the Abstract instance whose history the suffix should
 	// come from; 0 asks for the responder's active instance.
 	Instance core.InstanceID
-	// From is the fetching replica.
-	From ids.ProcessID
 	// Seq, when non-zero, asks for the responder's snapshot at the highest
 	// checkpoint boundary at or below Seq (a replica filling positions below
 	// an adopted base checkpoint, or aligning with a restored merge
@@ -225,12 +224,11 @@ type FetchState struct {
 
 // State is the STATE message answering a FetchState: the responder's
 // snapshot plus the history suffix (digests and the request bodies it knows)
-// from the snapshot position to the end of its applied history.
+// from the snapshot position to the end of its applied history. It is the
+// vote of the envelope's sender.
 type State struct {
 	// Instance is the instance the suffix belongs to.
 	Instance core.InstanceID
-	// From is the responding replica.
-	From ids.ProcessID
 	// BodiesFrom echoes the designation of the FETCH-STATE being answered,
 	// so the fetcher can tell a designated payload answer from a stale
 	// digest-only response of a freshly designated peer (designations rotate

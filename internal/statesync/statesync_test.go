@@ -14,19 +14,28 @@ func testReq(ts uint64) msg.Request {
 	return msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte{byte(ts)}}
 }
 
-// testState builds an honest STATE response: a snapshot whose digests are
-// internally consistent plus the given suffix requests.
-func testState(from ids.ProcessID, seq uint64, appState []byte, suffix []msg.Request) *State {
+// vote is one replica's STATE response as the collector receives it: the
+// response and its envelope's sender.
+type vote struct {
+	from ids.ProcessID
+	*State
+}
+
+// add hands v to the collector.
+func add(col *Collector, v vote) error { return col.Add(v.from, v.State) }
+
+// testState builds an honest STATE response from replica from: a snapshot
+// whose digests are internally consistent plus the given suffix requests.
+func testState(from ids.ProcessID, seq uint64, appState []byte, suffix []msg.Request) vote {
 	st := &State{
 		Instance: 1,
-		From:     from,
 		Snap:     NewSnapshot(seq, authn.Hash([]byte{byte(seq)}), appState, nil, nil),
 	}
 	for _, r := range suffix {
 		st.SuffixDigests = append(st.SuffixDigests, r.Digest())
 		st.SuffixRequests = append(st.SuffixRequests, r)
 	}
-	return st
+	return vote{from, st}
 }
 
 func TestStoreRetentionAndLookup(t *testing.T) {
@@ -65,21 +74,21 @@ func TestStoreRetentionAndLookup(t *testing.T) {
 func TestCollectorRequiresAgreement(t *testing.T) {
 	col := NewCollector(ids.NewCluster(1))
 	appState := []byte("state-at-16")
-	if err := col.Add(testState(ids.Replica(0), 16, appState, nil)); err != nil {
+	if err := add(col, testState(ids.Replica(0), 16, appState, nil)); err != nil {
 		t.Fatalf("add: %v", err)
 	}
 	if _, ok := col.Result(); ok {
 		t.Fatal("one vote must not reach agreement at f=1")
 	}
 	// A duplicate from the same replica must not count twice.
-	col.Add(testState(ids.Replica(0), 16, appState, nil))
+	add(col, testState(ids.Replica(0), 16, appState, nil))
 	if _, ok := col.Result(); ok {
 		t.Fatal("repeated votes from one replica must not reach agreement")
 	}
-	if err := col.Add(&State{From: ids.Client(3)}); err == nil {
+	if err := col.Add(ids.Client(3), &State{}); err == nil {
 		t.Fatal("client responses must be rejected")
 	}
-	col.Add(testState(ids.Replica(1), 16, appState, nil))
+	add(col, testState(ids.Replica(1), 16, appState, nil))
 	a, ok := col.Result()
 	if !ok || a.Snap.Seq != 16 || string(a.Snap.AppState) != "state-at-16" {
 		t.Fatalf("agreement not reached: %+v, %v", a, ok)
@@ -102,12 +111,12 @@ func TestCollectorRejectsLyingSnapshotPeer(t *testing.T) {
 	alone := testState(ids.Replica(2), 64, []byte("made-up"), nil)
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(forged)
-	col.Add(alone)
+	add(col, forged)
+	add(col, alone)
 	if _, ok := col.Result(); ok {
 		t.Fatal("forged + uncorroborated responses must not reach agreement")
 	}
-	col.Add(honest)
+	add(col, honest)
 	a, ok := col.Result()
 	if !ok {
 		t.Fatal("agreement should be reached once the honest peer answers")
@@ -141,9 +150,9 @@ func TestCollectorSuffixExtraction(t *testing.T) {
 	b.SuffixRequests = append(b.SuffixRequests, testReq(99))
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(a)
-	col.Add(b)
-	col.Add(c)
+	add(col, a)
+	add(col, b)
+	add(col, c)
 	got, ok := col.Result()
 	if !ok {
 		t.Fatal("agreement not reached")
@@ -185,10 +194,10 @@ func TestCollectorSuffixForgeryResisted(t *testing.T) {
 	forger := testState(ids.Replica(3), 16, appState, []msg.Request{testReq(66)})
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(honest1)
-	col.Add(honest2)
-	col.Add(higher)
-	col.Add(forger)
+	add(col, honest1)
+	add(col, honest2)
+	add(col, higher)
+	add(col, forger)
 	got, ok := col.Result()
 	if !ok {
 		t.Fatal("agreement not reached")
@@ -215,15 +224,15 @@ func TestCollectorDigestFirstHandshake(t *testing.T) {
 	digestOnly2.Snap = digestOnly2.Snap.StripPayload()
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(digestOnly1)
-	col.Add(digestOnly2)
+	add(col, digestOnly1)
+	add(col, digestOnly2)
 	if _, ok := col.Result(); ok {
 		t.Fatal("digest-only agreement must not be adopted without a payload")
 	}
 	if !col.NeedPayload() {
 		t.Fatal("NeedPayload must report the agreed-but-unshipped snapshot")
 	}
-	col.Add(full)
+	add(col, full)
 	a, ok := col.Result()
 	if !ok || string(a.Snap.AppState) != "state-at-16" {
 		t.Fatalf("transfer did not complete after the designated payload: %+v, %v", a, ok)
@@ -244,8 +253,8 @@ func TestCollectorDigestFirstLyingDesignated(t *testing.T) {
 	digestOnly.Snap = digestOnly.Snap.StripPayload()
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(liar)
-	col.Add(digestOnly)
+	add(col, liar)
+	add(col, digestOnly)
 	if _, ok := col.Result(); ok {
 		t.Fatal("forged payload adopted")
 	}
@@ -253,7 +262,7 @@ func TestCollectorDigestFirstLyingDesignated(t *testing.T) {
 		t.Fatal("NeedPayload must flag the hash mismatch")
 	}
 	honest := testState(ids.Replica(2), 16, appState, nil)
-	col.Add(honest)
+	add(col, honest)
 	a, ok := col.Result()
 	if !ok || string(a.Snap.AppState) != "honest" {
 		t.Fatalf("honest re-ship not adopted: %+v, %v", a, ok)
@@ -270,11 +279,11 @@ func TestCollectorKeepsPayloadAcrossReplacement(t *testing.T) {
 	again.Snap = again.Snap.StripPayload()
 
 	col := NewCollector(ids.NewCluster(1))
-	col.Add(full)
-	col.Add(again)
+	add(col, full)
+	add(col, again)
 	digestOnly := testState(ids.Replica(1), 16, appState, nil)
 	digestOnly.Snap = digestOnly.Snap.StripPayload()
-	col.Add(digestOnly)
+	add(col, digestOnly)
 	a, ok := col.Result()
 	if !ok || string(a.Snap.AppState) != "state-at-16" {
 		t.Fatalf("payload erased by digest-only replacement: %+v, %v", a, ok)
@@ -288,13 +297,13 @@ func TestCollectorExpectAtOrBelow(t *testing.T) {
 	appState := []byte("state")
 	col := NewCollector(ids.NewCluster(1))
 	col.ExpectAtOrBelow(16)
-	col.Add(testState(ids.Replica(0), 24, appState, nil))
-	col.Add(testState(ids.Replica(1), 24, appState, nil))
+	add(col, testState(ids.Replica(0), 24, appState, nil))
+	add(col, testState(ids.Replica(1), 24, appState, nil))
 	if _, ok := col.Result(); ok {
 		t.Fatal("snapshot above the pin must not be adopted")
 	}
-	col.Add(testState(ids.Replica(2), 16, appState, nil))
-	col.Add(testState(ids.Replica(3), 16, appState, nil))
+	add(col, testState(ids.Replica(2), 16, appState, nil))
+	add(col, testState(ids.Replica(3), 16, appState, nil))
 	a, ok := col.Result()
 	if !ok || a.Snap.Seq != 16 {
 		t.Fatalf("pinned agreement failed: %+v, %v", a, ok)

@@ -105,10 +105,12 @@ type link struct {
 // endpoint dialed, or, on an accepted connection, the peer that answered the
 // acceptor's challenge with a MAC under the pairwise key. An envelope whose
 // From is any other process, or one that arrives before the proof, is never
-// delivered, so a process can speak over TCP only as itself. Protocol MACs
-// remain the safety argument; this rule is the floor beneath them. Peers
-// without an address (clients) are answered over the accepted connection they
-// proved themselves on.
+// delivered, so a process can speak over TCP only as itself. This link
+// identity is the one sender identity on the wire (Local gives it by
+// construction): CHECKPOINT, FETCH, FETCH-STATE and STATE votes rest on it
+// alone, and every other vote is also MAC'd or signed. Peers without an
+// address (clients) are answered over the accepted connection they proved
+// themselves on.
 type TCP struct {
 	self  ids.ProcessID
 	keys  *authn.KeyStore

@@ -16,7 +16,7 @@ import (
 
 // marker is a small real wire payload told apart by its counter.
 func marker(n uint64) *core.CheckpointMessage {
-	return &core.CheckpointMessage{From: ids.Replica(1), AbstractID: 1, Counter: n}
+	return &core.CheckpointMessage{AbstractID: 1, Counter: n}
 }
 
 func TestTCPTransport(t *testing.T) {

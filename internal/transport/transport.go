@@ -23,7 +23,8 @@ import (
 )
 
 // Envelope is a message in flight: a payload together with its source and
-// destination.
+// destination. From is the only sender identity a message has: Local sets
+// it, TCP proves it per connection, and no payload restates it.
 type Envelope struct {
 	From    ids.ProcessID
 	To      ids.ProcessID

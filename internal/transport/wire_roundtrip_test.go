@@ -123,28 +123,27 @@ func wirePayloads() []any {
 		// proposal fills a gap with an empty batch.
 		&pbft.ViewChange{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac},
-		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(1), MAC: mac},
-		&pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac},
+		&pbft.Prepare{View: 1, Seq: 2, Digest: dig, MAC: mac},
+		&pbft.Commit{View: 1, Seq: 2, Digest: dig, MAC: mac},
 		&pbft.NewView{View: 3, ViewChanges: []pbft.ViewChange{{NewView: 3, Replica: ids.Replica(2), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 3, Seq: 5, Digest: msg.DigestOf(nil)}}},
 		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, View: 1, Digest: dig, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
 		&pbft.NewView{View: 2, ViewChanges: []pbft.ViewChange{{NewView: 2, Replica: ids.Replica(1), Sig: authn.Signature("s")}}, Proposals: []pbft.PrePrepare{{View: 2, Seq: 4, Batch: []msg.Request{req}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}}},
 
 		// The composition layer: panic/abort, checkpointing, body fetch, and
 		// the shared speculative RESP.
-		&core.PanicMessage{Instance: 1, Client: ids.Client(3), Timestamp: 7},
+		&core.PanicMessage{Instance: 1, Timestamp: 7},
 		&core.AbortReply{Instance: 1, Timestamp: 7, Signed: signed},
-		&core.CheckpointMessage{From: ids.Replica(1), AbstractID: 2, Counter: 3, StateDigest: dig},
-		&core.FetchRequest{Instance: 1, From: ids.Replica(2), Digests: []authn.Digest{dig}},
-		&core.FetchResponse{Instance: 1, From: ids.Replica(2), Requests: []msg.Request{req}},
-		&core.RespMessage{Instance: 1, Replica: ids.Replica(0), Client: ids.Client(3), Timestamp: 7, Reply: []byte("re"), ReplyDigest: dig, HistoryDigest: dig, HistoryLen: 9, MAC: mac},
+		&core.CheckpointMessage{AbstractID: 2, Counter: 3, StateDigest: dig},
+		&core.FetchRequest{Instance: 1, Digests: []authn.Digest{dig}},
+		&core.FetchResponse{Instance: 1, Requests: []msg.Request{req}},
+		&core.RespMessage{Instance: 1, Timestamp: 7, Reply: []byte("re"), ReplyDigest: dig, HistoryDigest: dig, HistoryLen: 9, MAC: mac},
 
 		// The state-transfer plane: FETCH-STATE and a STATE carrying a full
 		// snapshot payload (application bytes, timestamp windows, reply
 		// rings) plus the history suffix.
-		&statesync.FetchState{Instance: 1, From: ids.Replica(3), Seq: 16, BodiesFrom: ids.Replica(0)},
+		&statesync.FetchState{Instance: 1, Seq: 16, BodiesFrom: ids.Replica(0)},
 		&statesync.State{
 			Instance:   1,
-			From:       ids.Replica(0),
 			BodiesFrom: ids.Replica(0),
 			Snap: statesync.NewSnapshot(16, dig, []byte("app-state"),
 				[]statesync.ClientWindow{{Client: ids.Client(3), High: 7, Mask: 5}},
@@ -156,9 +155,9 @@ func wirePayloads() []any {
 		// The sharded plane: marked traffic (protocol payloads and packs
 		// wrapped per shard) and the node-level recovery control plane.
 		&shard.Mark{Shard: 1, Payload: &zlight.OrderMessage{Instance: 1, Batch: batch, Seq: 5, Auths: []authn.Authenticator{auth, auth}, PrimaryMAC: mac}},
-		&shard.Mark{Shard: 0, Payload: &statesync.FetchState{Instance: 1, From: ids.Replica(3), Seq: 8, BodiesFrom: ids.Replica(1)}},
-		&shard.MergedQuery{From: ids.Replica(3)},
-		&shard.MergedState{From: ids.Replica(0), Seq: 32, Digest: dig, MAC: mac},
+		&shard.Mark{Shard: 0, Payload: &statesync.FetchState{Instance: 1, Seq: 8, BodiesFrom: ids.Replica(1)}},
+		&shard.MergedQuery{},
+		&shard.MergedState{Seq: 32, Digest: dig, MAC: mac},
 
 		// Trace-context propagation: the same carriers with sampled requests
 		// and batches (flags-byte trace block on requests, high-bit count
@@ -171,7 +170,7 @@ func wirePayloads() []any {
 		&quorum.BatchRequestMessage{Instance: 1, Batch: tracedBatch, Auth: auth},
 		sentAs{"*backup.RequestMessage", &core.RequestMessage{Instance: 3, Req: tracedReq, Auth: auth}},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq, req}, Auths: []authn.Authenticator{auth, auth}, Digest: dig, MAC: mac},
-		&core.FetchResponse{Instance: 1, From: ids.Replica(2), Requests: []msg.Request{tracedReq}},
+		&core.FetchResponse{Instance: 1, Requests: []msg.Request{tracedReq}},
 		&shard.Mark{Shard: 1, Payload: &zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac}},
 
 		// The connection handshake control frames. They are audited here for
@@ -187,8 +186,8 @@ func wirePayloads() []any {
 
 		// Backup's wrapped PBFT phase messages, and traced requests inside
 		// a wrapped proposal and a view change's prepared entry.
-		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(2), MAC: mac}},
-		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, Replica: ids.Replica(3), MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Prepare{View: 1, Seq: 2, Digest: dig, MAC: mac}},
+		&backup.WrappedMessage{Instance: 3, Inner: &pbft.Commit{View: 1, Seq: 2, Digest: dig, MAC: mac}},
 		&backup.WrappedMessage{Instance: 3, Inner: &pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}, Digest: dig, MAC: mac}},
 		&pbft.ViewChange{NewView: 2, Replica: ids.Replica(1), LastDelivered: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, View: 1, Digest: dig, Batch: []msg.Request{tracedReq}, Auths: []authn.Authenticator{auth}}}, Sig: authn.Signature("s")},
 	}
@@ -285,7 +284,7 @@ func TestWireByteEquality(t *testing.T) {
 // envelopes before and after it must come back with a zero context (no bleed
 // from a reused decoder).
 func TestTracedEnvelopeStream(t *testing.T) {
-	payload := &core.FetchRequest{Instance: 1, From: ids.Replica(2), Digests: []authn.Digest{authn.Hash([]byte("x"))}}
+	payload := &core.FetchRequest{Instance: 1, Digests: []authn.Digest{authn.Hash([]byte("x"))}}
 	envs := []transport.Envelope{
 		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload},
 		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload,
@@ -397,8 +396,8 @@ func TestPackedRoundTrip(t *testing.T) {
 		a, b := newTCPPair(t)
 		req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd")}
 		inner := []any{
-			&core.FetchRequest{Instance: 1, From: ids.Replica(1), Digests: []authn.Digest{authn.Hash([]byte("x"))}},
-			&core.FetchResponse{Instance: 1, From: ids.Replica(1), Requests: []msg.Request{req}},
+			&core.FetchRequest{Instance: 1, Digests: []authn.Digest{authn.Hash([]byte("x"))}},
+			&core.FetchResponse{Instance: 1, Requests: []msg.Request{req}},
 		}
 		transport.SendBatch(b, ids.Replica(0), inner)
 		for i := 0; i < len(inner); i++ {

@@ -14,14 +14,15 @@ import (
 
 // TestGoldenLazySnapshotState pins the identity and the wire form of a
 // snapshot whose payload digest the store computes on first read-out to the
-// bytes PR 13 produced for the same (application state, windows, rings) with
-// the eager NewSnapshot: the AppDigest f+1 replicas must agree on, and the
-// encoded STATE message a fetcher receives. Windows and rings are listed out
+// bytes the eager NewSnapshot produces for the same (application state,
+// windows, rings): the AppDigest f+1 replicas must agree on, and the encoded
+// STATE message a fetcher receives (instance, BodiesFrom, snapshot, suffix;
+// the responder is the envelope's sender). Windows and rings are listed out
 // of client order, as a host's map iteration hands them over.
 func TestGoldenLazySnapshotState(t *testing.T) {
 	const (
 		goldenAppDigest = "1d8d691ddf7282212c7869ac909d901fc6c9363d089120a17c93f0db533ba3ec"
-		goldenState     = "0029000000000000000300000002000000020000000000000080f81f76afc39d00a59f963e440c8db96db25b28325da9" +
+		goldenState     = "00290000000000000003000000020000000000000080f81f76afc39d00a59f963e440c8db96db25b28325da9" +
 			"ab0e2fc4fc9ae5adcfe01d8d691ddf7282212c7869ac909d901fc6c9363d089120a17c93f0db533ba3ec000000096170" +
 			"702d737461746500000003001000020000000000000046000000000000ffff0010000000000000000000090000000000" +
 			"0001ff001000010000010000000000000000000000000100000002001000010000000100000100000000000000000100" +
@@ -61,7 +62,7 @@ func TestGoldenLazySnapshotState(t *testing.T) {
 	}
 
 	req := msg.Request{Client: ids.Client(0), Timestamp: 10, Command: []byte("next")}
-	state := &statesync.State{Instance: 3, From: ids.Replica(2), BodiesFrom: ids.Replica(2), Snap: sn,
+	state := &statesync.State{Instance: 3, BodiesFrom: ids.Replica(2), Snap: sn,
 		SuffixDigests: history.DigestHistory{req.Digest()}, SuffixRequests: []msg.Request{req}}
 	b, err := wirecodec.MarshalWire(state)
 	if err != nil {

@@ -663,14 +663,12 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU64(b, m.View)
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
-		b = appendID(b, m.Replica)
 		return appendMAC(b, m.MAC), nil
 	case *pbft.Commit:
 		b = appendU16(b, tagPBFTCommit)
 		b = appendU64(b, m.View)
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
-		b = appendID(b, m.Replica)
 		return appendMAC(b, m.MAC), nil
 	case *pbft.ViewChange:
 		b = appendU16(b, tagPBFTViewChange)
@@ -691,7 +689,6 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 	case *core.PanicMessage:
 		b = appendU16(b, tagPanic)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.Client)
 		return appendU64(b, m.Timestamp), nil
 	case *core.AbortReply:
 		b = appendU16(b, tagAbortReply)
@@ -700,25 +697,20 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		return appendSignedAbort(b, m.Signed), nil
 	case *core.CheckpointMessage:
 		b = appendU16(b, tagCheckpoint)
-		b = appendID(b, m.From)
 		b = appendU64(b, uint64(m.AbstractID))
 		b = appendU64(b, m.Counter)
 		return appendDigest(b, m.StateDigest), nil
 	case *core.FetchRequest:
 		b = appendU16(b, tagFetchReq)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.From)
 		return appendDigests(b, m.Digests), nil
 	case *core.FetchResponse:
 		b = appendU16(b, tagFetchResp)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.From)
 		return appendRequests(b, m.Requests), nil
 	case *core.RespMessage:
 		b = appendU16(b, tagResp)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.Replica)
-		b = appendID(b, m.Client)
 		b = appendU64(b, m.Timestamp)
 		b = appendBytes(b, m.Reply)
 		b = appendDigest(b, m.ReplyDigest)
@@ -734,13 +726,11 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 	case *statesync.FetchState:
 		b = appendU16(b, tagFetchState)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.From)
 		b = appendU64(b, m.Seq)
 		return appendID(b, m.BodiesFrom), nil
 	case *statesync.State:
 		b = appendU16(b, tagState)
 		b = appendU64(b, uint64(m.Instance))
-		b = appendID(b, m.From)
 		b = appendID(b, m.BodiesFrom)
 		b = appendSnapshot(b, m.Snap)
 		b = appendDigestHistory(b, m.SuffixDigests)
@@ -751,11 +741,9 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 		b = appendU32(b, uint32(m.Shard))
 		return appendPayload(b, m.Payload, depth+1)
 	case *shard.MergedQuery:
-		b = appendU16(b, tagMergedQuery)
-		return appendID(b, m.From), nil
+		return appendU16(b, tagMergedQuery), nil
 	case *shard.MergedState:
 		b = appendU16(b, tagMergedState)
-		b = appendID(b, m.From)
 		b = appendU64(b, m.Seq)
 		b = appendDigest(b, m.Digest)
 		return appendMAC(b, m.MAC), nil
@@ -854,7 +842,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.View = r.u64()
 		m.Seq = r.u64()
 		m.Digest = r.digest()
-		m.Replica = r.id()
 		m.MAC = r.mac()
 		return m
 	case tagPBFTCommit:
@@ -862,7 +849,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.View = r.u64()
 		m.Seq = r.u64()
 		m.Digest = r.digest()
-		m.Replica = r.id()
 		m.MAC = r.mac()
 		return m
 	case tagPBFTViewChange:
@@ -888,7 +874,6 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagPanic:
 		m := &core.PanicMessage{}
 		m.Instance = core.InstanceID(r.u64())
-		m.Client = r.id()
 		m.Timestamp = r.u64()
 		return m
 	case tagAbortReply:
@@ -899,7 +884,6 @@ func decodeTagged(r *reader, tag uint16) any {
 		return m
 	case tagCheckpoint:
 		m := &core.CheckpointMessage{}
-		m.From = r.id()
 		m.AbstractID = core.InstanceID(r.u64())
 		m.Counter = r.u64()
 		m.StateDigest = r.digest()
@@ -907,20 +891,16 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagFetchReq:
 		m := &core.FetchRequest{}
 		m.Instance = core.InstanceID(r.u64())
-		m.From = r.id()
 		m.Digests = decodeDigests(r)
 		return m
 	case tagFetchResp:
 		m := &core.FetchResponse{}
 		m.Instance = core.InstanceID(r.u64())
-		m.From = r.id()
 		m.Requests = decodeRequests(r)
 		return m
 	case tagResp:
 		m := &core.RespMessage{}
 		m.Instance = core.InstanceID(r.u64())
-		m.Replica = r.id()
-		m.Client = r.id()
 		m.Timestamp = r.u64()
 		m.Reply = r.bytes()
 		m.ReplyDigest = r.digest()
@@ -938,14 +918,12 @@ func decodeTagged(r *reader, tag uint16) any {
 	case tagFetchState:
 		m := &statesync.FetchState{}
 		m.Instance = core.InstanceID(r.u64())
-		m.From = r.id()
 		m.Seq = r.u64()
 		m.BodiesFrom = r.id()
 		return m
 	case tagState:
 		m := &statesync.State{}
 		m.Instance = core.InstanceID(r.u64())
-		m.From = r.id()
 		m.BodiesFrom = r.id()
 		m.Snap = decodeSnapshot(r)
 		m.SuffixDigests = decodeDigestHistory(r)
@@ -958,12 +936,9 @@ func decodeTagged(r *reader, tag uint16) any {
 		m.Payload = decodePayload(r)
 		return m
 	case tagMergedQuery:
-		m := &shard.MergedQuery{}
-		m.From = r.id()
-		return m
+		return &shard.MergedQuery{}
 	case tagMergedState:
 		m := &shard.MergedState{}
-		m.From = r.id()
 		m.Seq = r.u64()
 		m.Digest = r.digest()
 		m.MAC = r.mac()

@@ -53,9 +53,9 @@ func samplePayloads() []any {
 		&core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth},
 		&zlight.OrderMessage{Instance: 2, Batch: msg.BatchOf(tracedReq, req), Seq: 6, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&pbft.PrePrepare{View: 1, Seq: 2, Batch: []msg.Request{req}, Digest: dig, MAC: mac},
-		&core.RespMessage{Instance: 1, Replica: ids.Replica(0), Client: ids.Client(3), Timestamp: 7, Reply: []byte("re"), ReplyDigest: dig, HistoryDigest: dig, HistoryLen: 9, MAC: mac},
+		&core.RespMessage{Instance: 1, Timestamp: 7, Reply: []byte("re"), ReplyDigest: dig, HistoryDigest: dig, HistoryLen: 9, MAC: mac},
 		&statesync.State{
-			Instance: 1, From: ids.Replica(0), BodiesFrom: ids.Replica(0),
+			Instance: 1, BodiesFrom: ids.Replica(0),
 			Snap: statesync.NewSnapshot(16, dig, []byte("app"),
 				[]statesync.ClientWindow{{Client: ids.Client(3), High: 7, Mask: 5}},
 				[]statesync.ClientRing{{Client: ids.Client(3), Timestamps: []uint64{6}, Replies: [][]byte{[]byte("a")}}}),
@@ -63,7 +63,7 @@ func samplePayloads() []any {
 			SuffixRequests: []msg.Request{req},
 		},
 		&shard.Mark{Shard: 1, Payload: &transport.Packed{Payloads: []any{
-			&core.FetchRequest{Instance: 1, From: ids.Replica(2), Digests: []authn.Digest{dig}},
+			&core.FetchRequest{Instance: 1, Digests: []authn.Digest{dig}},
 		}}},
 		// The connection handshake control frames: the TCP read loop consumes
 		// them instead of delivering to the inbox, so the byte-level corpus is
@@ -124,7 +124,7 @@ func TestUnknownTagErrors(t *testing.T) {
 // TestTrailingBytesError checks that UnmarshalWire rejects input with bytes
 // after a valid payload (a frame boundary bug would otherwise hide there).
 func TestTrailingBytesError(t *testing.T) {
-	full, err := wirecodec.MarshalWire(&shard.MergedQuery{From: ids.Replica(3)})
+	full, err := wirecodec.MarshalWire(&shard.MergedQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestTrailingBytesError(t *testing.T) {
 // unencodable, not killing the connection), and the decoder rejects crafted
 // deeply nested input.
 func TestNestingDepthCapped(t *testing.T) {
-	var deep any = &shard.MergedQuery{From: 1}
+	var deep any = &shard.MergedQuery{}
 	for i := 0; i < 64; i++ {
 		deep = &shard.Mark{Shard: 0, Payload: deep}
 	}
@@ -211,7 +211,7 @@ func TestUnencodablePayloadKeepsStream(t *testing.T) {
 	if err := enc.Encode(&bad); !errors.Is(err, transport.ErrUnencodable) {
 		t.Fatalf("got %v, want ErrUnencodable", err)
 	}
-	good := transport.Envelope{From: 1, To: 2, Payload: &shard.MergedQuery{From: 1}}
+	good := transport.Envelope{From: 1, To: 2, Payload: &shard.MergedQuery{}}
 	if err := enc.Encode(&good); err != nil {
 		t.Fatal(err)
 	}
