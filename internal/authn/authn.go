@@ -318,13 +318,15 @@ var macScratchPool = sync.Pool{New: func() any {
 }}
 
 // MAC input domains: raw MACs cover the caller's bytes directly; digest MACs
-// (authenticators, chain authenticators) cover a precomputed message digest so
-// the message is hashed once per send instead of once per receiver. The domain
-// byte sits inside the MAC input, so the two kinds can never be confused even
-// for adversarially chosen raw data.
+// (chain authenticators) cover a precomputed message digest so the message is
+// hashed once per send instead of once per receiver; authenticator MACs cover
+// the authenticated bytes directly, like raw ones, but in a domain of their
+// own. The domain byte sits inside the MAC input, so no two kinds can be
+// confused even for adversarially chosen raw data.
 const (
 	macDomainRaw    = 0x00
 	macDomainDigest = 0x01
+	macDomainAuth   = 0x02
 )
 
 // macWith computes HMAC-SHA256 under the pair's key over the 9-byte header
@@ -450,9 +452,11 @@ type Authenticator struct {
 }
 
 // NewAuthenticator computes an authenticator from sender to the given
-// receivers over data. The message is hashed once and each entry MACs the
-// digest, so generating a vector of n MACs costs O(|data| + n·DigestSize)
-// instead of O(n·|data|). An entry addressed to the sender itself carries a
+// receivers over data. Each entry MACs data itself, in the authenticator
+// domain, so a vector of n MACs costs O(n·|data|): authenticators cover the
+// fixed 40 bytes of a client request's core.ClientAuthBytes, which fit one
+// SHA-256 block together with the MAC header, so hashing them first would
+// only add a hash at the sender and at every verifier. An entry addressed to the sender itself carries a
 // zero MAC that Verify short-circuits: a process never needs cryptographic
 // evidence about its own messages. Sender is chosen by whoever built the
 // authenticator, so a forger can name the receiver itself and pass Verify
@@ -460,14 +464,13 @@ type Authenticator struct {
 // message claims to come from (host.Host.VerifyClientAuth does this for client
 // requests: Sender must be the request's client).
 func (ks *KeyStore) NewAuthenticator(sender ids.ProcessID, receivers []ids.ProcessID, data []byte) Authenticator {
-	d := Hash(data)
 	a := Authenticator{Sender: sender, Entries: make([]AuthEntry, 0, len(receivers))}
 	for _, r := range receivers {
 		if r == sender {
 			a.Entries = append(a.Entries, AuthEntry{Receiver: r})
 			continue
 		}
-		a.Entries = append(a.Entries, AuthEntry{Receiver: r, MAC: ks.macOverDigest(sender, r, d)})
+		a.Entries = append(a.Entries, AuthEntry{Receiver: r, MAC: ks.macWith(sender, r, macDomainAuth, data)})
 	}
 	return a
 }
@@ -494,7 +497,7 @@ func (ks *KeyStore) Verify(a Authenticator, receiver ids.ProcessID, data []byte)
 	if receiver == a.Sender {
 		return nil
 	}
-	want := ks.macOverDigest(a.Sender, receiver, Hash(data))
+	want := ks.macWith(a.Sender, receiver, macDomainAuth, data)
 	if !hmac.Equal(want[:], m[:]) {
 		return ErrBadMAC
 	}

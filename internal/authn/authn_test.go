@@ -74,6 +74,33 @@ func TestAuthenticator(t *testing.T) {
 	}
 }
 
+// TestAuthenticatorMACsBytesDirectly pins an authenticator entry to the
+// HMAC over (header, authenticator domain, data) — no pre-hash — and checks
+// that the domain keeps it apart from a raw MAC and a digest MAC of the same
+// bytes, so no entry can be replayed as either.
+func TestAuthenticatorMACsBytesDirectly(t *testing.T) {
+	ks := NewKeyStore("golden")
+	data := testPattern(40) // the size of core.ClientAuthBytes
+	client := ids.Client(3)
+	a := ks.NewAuthenticator(client, ids.NewCluster(1).Replicas(), data)
+	for _, e := range a.Entries {
+		want := referenceMAC("golden", client, e.Receiver, macDomainAuth, data)
+		if e.MAC != want {
+			t.Fatalf("entry for %v = %x, want HMAC over header, domain and bytes %x", e.Receiver, e.MAC, want)
+		}
+		if raw := ks.MAC(client, e.Receiver, data); raw == e.MAC {
+			t.Fatalf("entry for %v equals the raw MAC of its bytes", e.Receiver)
+		}
+		d := Hash(data)
+		if dig := ks.macOverDigest(client, e.Receiver, d); dig == e.MAC {
+			t.Fatalf("entry for %v equals the digest MAC of its bytes", e.Receiver)
+		}
+		if ks.Verify(a, e.Receiver, data) != nil {
+			t.Fatalf("entry for %v does not verify", e.Receiver)
+		}
+	}
+}
+
 func TestChainAuthenticator(t *testing.T) {
 	ks := NewKeyStore("secret")
 	cluster := ids.NewCluster(1)

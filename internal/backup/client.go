@@ -2,7 +2,6 @@ package backup
 
 import (
 	"context"
-	"time"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
@@ -49,64 +48,62 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 	votes := make(map[voteKey]*bucket)
 	collector := core.NewAbortCollector(c.env.Cluster, c.env.Keys, c.id)
 
-	retry := time.NewTicker(c.env.Timer(10))
-	defer retry.Stop()
-
+	w := c.env.Await(ctx, c.env.Timer(10))
+	defer w.Done()
 	for {
-		select {
-		case <-ctx.Done():
-			return core.Outcome{}, ctx.Err()
-		case <-retry.C:
+		env, ok, err := w.Next()
+		if err != nil {
+			return core.Outcome{}, err
+		}
+		if !ok {
 			send()
-		case env, ok := <-c.env.Endpoint.Inbox():
-			if !ok {
-				return core.Outcome{}, core.ErrStopped
+			w.Rearm(c.env.Timer(10))
+			continue
+		}
+		switch t := env.Payload.(type) {
+		case *core.RespMessage:
+			if t.Instance != c.id || t.Timestamp != req.Timestamp || !env.From.IsReplica() {
+				continue
 			}
-			switch t := env.Payload.(type) {
-			case *core.RespMessage:
-				if t.Instance != c.id || t.Timestamp != req.Timestamp || !env.From.IsReplica() {
-					continue
-				}
-				macBytes := t.MACBytes(env.From)
-				if err := c.env.Keys.VerifyMAC(env.From, c.env.ID, macBytes[:], t.MAC); err != nil {
-					continue
-				}
-				key := voteKey{reply: t.ReplyDigest, history: t.HistoryDigest}
-				b := votes[key]
-				if b == nil {
-					b = &bucket{replicas: make(map[ids.ProcessID]bool)}
-					votes[key] = b
-				}
-				b.replicas[env.From] = true
-				if b.reply == nil && authn.Hash(t.Reply) == t.ReplyDigest {
-					b.reply = append([]byte{}, t.Reply...)
-				}
-				if len(t.HistoryDigests) > 0 {
-					b.digests = t.HistoryDigests
-				}
-				if len(b.replicas) >= c.env.Cluster.WeakQuorum() && b.reply != nil {
-					out := core.Outcome{Committed: true, Reply: b.reply, CommitHistory: b.digests}
-					if c.env.Checker != nil {
-						c.env.Checker.RecordCommit(c.id, req, b.reply, b.digests)
-					}
-					return out, nil
-				}
-			case *core.AbortReply:
-				if t.Instance != c.id {
-					continue
-				}
-				if !collector.Add(t.Signed) || !collector.Ready() {
-					continue
-				}
-				ind, err := collector.Build([]msg.Request{req})
-				if err != nil {
-					continue
-				}
+			macBytes := t.MACBytes(env.From)
+			if err := c.env.Keys.VerifyMAC(env.From, c.env.ID, macBytes[:], t.MAC); err != nil {
+				continue
+			}
+			key := voteKey{reply: t.ReplyDigest, history: t.HistoryDigest}
+			b := votes[key]
+			if b == nil {
+				b = &bucket{replicas: make(map[ids.ProcessID]bool)}
+				votes[key] = b
+			}
+			b.replicas[env.From] = true
+			if b.reply == nil && authn.Hash(t.Reply) == t.ReplyDigest {
+				b.reply = append([]byte{}, t.Reply...)
+			}
+			if len(t.HistoryDigests) > 0 {
+				b.digests = t.HistoryDigests
+			}
+			if len(b.replicas) >= c.env.Cluster.WeakQuorum() && b.reply != nil {
+				out := core.Outcome{Committed: true, Reply: b.reply, CommitHistory: b.digests}
 				if c.env.Checker != nil {
-					c.env.Checker.RecordAbort(c.id, req, ind.Init.Extract)
+					c.env.Checker.RecordCommit(c.id, req, b.reply, b.digests)
 				}
-				return core.Outcome{Committed: false, Abort: &ind}, nil
+				return out, nil
 			}
+		case *core.AbortReply:
+			if t.Instance != c.id {
+				continue
+			}
+			if !collector.Add(t.Signed) || !collector.Ready() {
+				continue
+			}
+			ind, err := collector.Build([]msg.Request{req})
+			if err != nil {
+				continue
+			}
+			if c.env.Checker != nil {
+				c.env.Checker.RecordAbort(c.id, req, ind.Init.Extract)
+			}
+			return core.Outcome{Committed: false, Abort: &ind}, nil
 		}
 	}
 }

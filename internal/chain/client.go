@@ -2,7 +2,6 @@ package chain
 
 import (
 	"context"
-	"time"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
@@ -54,35 +53,28 @@ func (c *Client) Invoke(ctx context.Context, req msg.Request, init *core.InitHis
 // awaitTailReply waits for the tail's CHAIN message and verifies the chain
 // authenticator MACs of the last f+1 replicas.
 func (c *Client) awaitTailReply(ctx context.Context, req msg.Request) (core.Outcome, bool, error) {
-	cl := c.env.Cluster
-	timer := time.NewTimer(c.env.Timer(cl.N + 1))
-	defer timer.Stop()
+	w := c.env.Await(ctx, c.env.Timer(c.env.Cluster.N+1))
+	defer w.Done()
 	for {
-		select {
-		case <-ctx.Done():
-			return core.Outcome{}, false, ctx.Err()
-		case <-timer.C:
-			return core.Outcome{}, false, nil
-		case env, ok := <-c.env.Endpoint.Inbox():
-			if !ok {
-				return core.Outcome{}, false, core.ErrStopped
-			}
-			m, isChain := env.Payload.(*Message)
-			if !isChain || m.Instance != c.id || m.Req.ID() != req.ID() || !m.HasSeq {
-				continue
-			}
-			if authn.Hash(m.Reply) != m.ReplyDigest {
-				continue
-			}
-			if !c.verifyTailMACs(m) {
-				continue
-			}
-			out := core.Outcome{Committed: true, Reply: append([]byte(nil), m.Reply...), CommitHistory: m.HistoryDigests.Clone()}
-			if c.env.Checker != nil {
-				c.env.Checker.RecordCommit(c.id, req, out.Reply, out.CommitHistory)
-			}
-			return out, true, nil
+		env, ok, err := w.Next()
+		if err != nil || !ok {
+			return core.Outcome{}, false, err
 		}
+		m, isChain := env.Payload.(*Message)
+		if !isChain || m.Instance != c.id || m.Req.ID() != req.ID() || !m.HasSeq {
+			continue
+		}
+		if authn.Hash(m.Reply) != m.ReplyDigest {
+			continue
+		}
+		if !c.verifyTailMACs(m) {
+			continue
+		}
+		out := core.Outcome{Committed: true, Reply: append([]byte(nil), m.Reply...), CommitHistory: m.HistoryDigests.Clone()}
+		if c.env.Checker != nil {
+			c.env.Checker.RecordCommit(c.id, req, out.Reply, out.CommitHistory)
+		}
+		return out, true, nil
 	}
 }
 

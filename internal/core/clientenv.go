@@ -14,7 +14,10 @@ import (
 //
 // A client invokes instances sequentially (well-formed clients issue one
 // request at a time), so instance clients created from the same ClientEnv may
-// share the endpoint's inbox without additional synchronization.
+// share the endpoint's inbox without additional synchronization. Build it
+// with WithEndpoint, so that they share one InboxWait too; an environment
+// whose Endpoint is set directly waits just as well but builds a new wait
+// each time.
 type ClientEnv struct {
 	// Cluster describes the replica group.
 	Cluster ids.Cluster
@@ -30,6 +33,17 @@ type ClientEnv struct {
 	// Checker optionally records events for the Abstract specification
 	// checker (tests only).
 	Checker *SpecChecker
+
+	// wait is Endpoint's reusable InboxWait (see WithEndpoint).
+	wait *InboxWait
+}
+
+// WithEndpoint returns e attached to ep, with one InboxWait for ep's inbox
+// that every copy of the result shares.
+func (e ClientEnv) WithEndpoint(ep transport.Endpoint) ClientEnv {
+	e.Endpoint = ep
+	e.wait = newInboxWait(ep)
+	return e
 }
 
 // Timer returns a timer duration of k*Delta with a sensible default when

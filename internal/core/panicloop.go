@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"time"
 
 	"abstractbft/internal/msg"
 	"abstractbft/internal/transport"
@@ -32,38 +31,36 @@ func PanicAndAbort(ctx context.Context, env ClientEnv, instance InstanceID, req 
 
 	// PANIC is retransmitted every 2Δ while the 2f+1 signed ABORTs are
 	// awaited.
-	retry := time.NewTicker(env.Timer(2))
-	defer retry.Stop()
-
+	w := env.Await(ctx, env.Timer(2))
+	defer w.Done()
 	for {
-		select {
-		case <-ctx.Done():
-			return Outcome{}, ctx.Err()
-		case <-retry.C:
-			sendPanic()
-		case env2, ok := <-env.Endpoint.Inbox():
-			if !ok {
-				return Outcome{}, ErrStopped
-			}
-			reply, isAbort := env2.Payload.(*AbortReply)
-			if !isAbort || reply.Instance != instance {
-				continue
-			}
-			if !collector.Add(reply.Signed) {
-				continue
-			}
-			if !collector.Ready() {
-				continue
-			}
-			ind, err := collector.Build([]msg.Request{req})
-			if err != nil {
-				// Not enough consistent aborts yet; keep collecting.
-				continue
-			}
-			if env.Checker != nil {
-				env.Checker.RecordAbort(instance, req, ind.Init.Extract)
-			}
-			return Outcome{Committed: false, Abort: &ind}, nil
+		env2, ok, err := w.Next()
+		if err != nil {
+			return Outcome{}, err
 		}
+		if !ok {
+			sendPanic()
+			w.Rearm(env.Timer(2))
+			continue
+		}
+		reply, isAbort := env2.Payload.(*AbortReply)
+		if !isAbort || reply.Instance != instance {
+			continue
+		}
+		if !collector.Add(reply.Signed) {
+			continue
+		}
+		if !collector.Ready() {
+			continue
+		}
+		ind, err := collector.Build([]msg.Request{req})
+		if err != nil {
+			// Not enough consistent aborts yet; keep collecting.
+			continue
+		}
+		if env.Checker != nil {
+			env.Checker.RecordAbort(instance, req, ind.Init.Extract)
+		}
+		return Outcome{Committed: false, Abort: &ind}, nil
 	}
 }

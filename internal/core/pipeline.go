@@ -67,6 +67,8 @@ type PipelinedComposer struct {
 	// waking the invocations waiting in admit.
 	inflight []uint64
 	retired  chan struct{}
+	// waits holds the InboxWaits of closed subscriptions for the next ones.
+	waits []*InboxWait
 
 	// sem bounds concurrent in-flight invocations.
 	sem chan struct{}
@@ -269,15 +271,13 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 		sort.SliceStable(subs, func(i, j int) bool { return subs[i].req.Timestamp < subs[j].req.Timestamp })
 	}
 	id, init := p.take()
-	env := p.env
 	reqs := make([]msg.Request, len(subs))
 	timestamps := make([]uint64, len(subs))
 	for i, s := range subs {
 		reqs[i] = s.req
 		timestamps[i] = s.req.Timestamp
 	}
-	vep := p.demux.Open(timestamps...)
-	env.Endpoint = vep
+	env := p.subscribe(timestamps...)
 	inst, err := p.newFactory(env)(id)
 	var outs []Outcome
 	var berr error
@@ -290,7 +290,7 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 	}
 	// Otherwise the active instance switched to a non-batchable one between
 	// enqueue and dispatch, and every request runs individually.
-	vep.Close()
+	p.unsubscribe(env)
 	// Deliver the committed outcomes, fall back individually for the rest.
 	var fallback sync.WaitGroup
 	for i, s := range subs {
@@ -311,12 +311,37 @@ func (p *PipelinedComposer) runBatch(subs []*pipelineSub) {
 // invokeOne runs the ACP loop for a single request, each invocation on a
 // private virtual endpoint of the demultiplexer.
 func (p *PipelinedComposer) invokeOne(ctx context.Context, req msg.Request) ([]byte, error) {
-	var vep transport.Endpoint
+	var env ClientEnv
 	open := func(id InstanceID) (Instance, error) {
-		vep = p.demux.Open(req.Timestamp)
-		env := p.env
-		env.Endpoint = vep
+		env = p.subscribe(req.Timestamp)
 		return p.newFactory(env)(id)
 	}
-	return p.invoke(ctx, req, open, func() { vep.Close() })
+	return p.invoke(ctx, req, open, func() { p.unsubscribe(env) })
+}
+
+// subscribe opens a demultiplexer subscription for the given timestamps and
+// returns the client environment attached to it, with a recycled InboxWait.
+func (p *PipelinedComposer) subscribe(timestamps ...uint64) ClientEnv {
+	vep := p.demux.Open(timestamps...)
+	env := p.env
+	env.Endpoint, env.wait = vep, nil
+	p.mu.Lock()
+	if n := len(p.waits); n > 0 {
+		env.wait, p.waits = p.waits[n-1], p.waits[:n-1]
+	}
+	p.mu.Unlock()
+	if env.wait == nil {
+		env.wait = newInboxWait(vep)
+	} else {
+		env.wait.rebind(vep)
+	}
+	return env
+}
+
+// unsubscribe closes env's subscription and keeps its InboxWait for the next.
+func (p *PipelinedComposer) unsubscribe(env ClientEnv) {
+	env.Endpoint.Close()
+	p.mu.Lock()
+	p.waits = append(p.waits, env.wait)
+	p.mu.Unlock()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"abstractbft/internal/authn"
@@ -43,14 +42,6 @@ type (
 	}
 )
 
-// commitTimers recycles the commit rule's timeout timers: a closed-loop
-// client arms one per request, and a stopped timer is as good as a new one.
-var commitTimers = sync.Pool{New: func() any {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return t
-}}
-
 // AwaitBatchSpeculativeCommit runs the speculative commit rule of
 // AwaitSpeculativeCommit for every request of a client-side batch in one
 // receive loop: request i commits when all 3f+1 replicas return RESP messages
@@ -90,101 +81,89 @@ func awaitCommits(ctx context.Context, env ClientEnv, instance InstanceID, reqs 
 		}
 	}
 
-	timer := commitTimers.Get().(*time.Timer)
-	timer.Reset(timeout)
-	defer func() {
-		// Since Go 1.23 a stopped timer's channel holds no stale value.
-		timer.Stop()
-		commitTimers.Put(timer)
-	}()
-
+	w := env.Await(ctx, timeout)
+	defer w.Done()
 	for remaining > 0 {
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-timer.C:
+		env2, ok, err := w.Next()
+		if err != nil || !ok {
+			return false, err
+		}
+		resp, isResp := env2.Payload.(*RespMessage)
+		if !isResp || resp.Instance != instance {
+			continue
+		}
+		i := first(resp.Timestamp)
+		if i < 0 || states[i].committed {
+			continue
+		}
+		replica := env2.From
+		if !replica.IsReplica() || int(replica) >= n {
+			continue
+		}
+		macBytes := resp.MACBytes(replica)
+		if err := env.Keys.VerifyMAC(replica, env.ID, macBytes[:], resp.MAC); err != nil {
+			continue
+		}
+		st := &states[i]
+		mine := slots[i*n : (i+1)*n]
+		key := commitAnswer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
+		v := &mine[replica]
+		if v.cast && v.vote != key {
+			// A replica changed its answer: divergence, give up on the
+			// whole batch (the caller falls back to panicking).
 			return false, nil
-		case env2, ok := <-env.Endpoint.Inbox():
-			if !ok {
-				return false, ErrStopped
+		}
+		j := 0
+		for j < st.buckets && mine[j].bucket != key {
+			j++
+		}
+		b := &mine[j]
+		if j == st.buckets {
+			b.bucket = key
+			st.buckets++
+		}
+		if !v.cast {
+			v.vote, v.cast = key, true
+			st.cast++
+			b.votes++
+		}
+		if b.reply == nil && authn.Hash(resp.Reply) == resp.ReplyDigest {
+			b.reply = append([]byte{}, resp.Reply...)
+		}
+		if len(resp.HistoryDigests) > 0 {
+			b.digests = resp.HistoryDigests.Clone()
+		}
+		if b.votes == n && b.reply != nil {
+			st.committed = true
+			out := Outcome{Committed: true, Reply: b.reply, CommitHistory: b.digests}
+			for j := range reqs {
+				if reqs[j].Timestamp == resp.Timestamp {
+					outs[j] = out
+				}
 			}
-			resp, isResp := env2.Payload.(*RespMessage)
-			if !isResp || resp.Instance != instance {
-				continue
+			if env.Checker != nil {
+				env.Checker.RecordCommit(instance, reqs[i], b.reply, b.digests)
 			}
-			i := first(resp.Timestamp)
-			if i < 0 || states[i].committed {
-				continue
+			remaining--
+		}
+		if !st.committed && !st.hopeless && st.cast == n && st.buckets > 1 {
+			st.hopeless = true
+		}
+		// Give up early once every uncommitted request is hopeless (all
+		// 3f+1 replicas answered with divergent digests), mirroring the
+		// single-request rule: the caller's fallback (and its panicking
+		// machinery) starts without waiting for the full timeout. This
+		// is re-evaluated after every state change — a commit can leave
+		// only hopeless requests behind.
+		if remaining > 0 {
+			stuck := 0
+			for j := range states {
+				if states[j].hopeless && !states[j].committed {
+					stuck++
+				}
 			}
-			replica := env2.From
-			if !replica.IsReplica() || int(replica) >= n {
-				continue
-			}
-			macBytes := resp.MACBytes(replica)
-			if err := env.Keys.VerifyMAC(replica, env.ID, macBytes[:], resp.MAC); err != nil {
-				continue
-			}
-			st := &states[i]
-			mine := slots[i*n : (i+1)*n]
-			key := commitAnswer{historyDigest: resp.HistoryDigest, replyDigest: resp.ReplyDigest}
-			v := &mine[replica]
-			if v.cast && v.vote != key {
-				// A replica changed its answer: divergence, give up on the
-				// whole batch (the caller falls back to panicking).
+			if stuck == remaining {
 				return false, nil
-			}
-			j := 0
-			for j < st.buckets && mine[j].bucket != key {
-				j++
-			}
-			b := &mine[j]
-			if j == st.buckets {
-				b.bucket = key
-				st.buckets++
-			}
-			if !v.cast {
-				v.vote, v.cast = key, true
-				st.cast++
-				b.votes++
-			}
-			if b.reply == nil && authn.Hash(resp.Reply) == resp.ReplyDigest {
-				b.reply = append([]byte{}, resp.Reply...)
-			}
-			if len(resp.HistoryDigests) > 0 {
-				b.digests = resp.HistoryDigests.Clone()
-			}
-			if b.votes == n && b.reply != nil {
-				st.committed = true
-				out := Outcome{Committed: true, Reply: b.reply, CommitHistory: b.digests}
-				for j := range reqs {
-					if reqs[j].Timestamp == resp.Timestamp {
-						outs[j] = out
-					}
-				}
-				if env.Checker != nil {
-					env.Checker.RecordCommit(instance, reqs[i], b.reply, b.digests)
-				}
-				remaining--
-			}
-			if !st.committed && !st.hopeless && st.cast == n && st.buckets > 1 {
-				st.hopeless = true
-			}
-			// Give up early once every uncommitted request is hopeless (all
-			// 3f+1 replicas answered with divergent digests), mirroring the
-			// single-request rule: the caller's fallback (and its panicking
-			// machinery) starts without waiting for the full timeout. This
-			// is re-evaluated after every state change — a commit can leave
-			// only hopeless requests behind.
-			if remaining > 0 {
-				stuck := 0
-				for j := range states {
-					if states[j].hopeless && !states[j].committed {
-						stuck++
-					}
-				}
-				if stuck == remaining {
-					return false, nil
-				}
 			}
 		}
 	}

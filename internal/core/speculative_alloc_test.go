@@ -9,11 +9,11 @@ import (
 
 // TestAwaitSpeculativeCommitAllocs pins the one-request commit rule of a
 // closed-loop client: with the four RESPs already in the inbox, a commit
-// allocates the reply it returns and nothing else — no timer, no vote, state
-// or outcome slices (PR 13 allocated 8 times per call).
+// allocates the reply it returns and nothing else — no timer (the
+// environment's InboxWait resets its own), no vote, state or outcome slices.
 func TestAwaitSpeculativeCommitAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop pooled timers")
+		t.Skip("the race detector makes sync.Pool drop pooled MAC states")
 	}
 	const runs = 200
 	h := newCommitHarness(t)

@@ -51,11 +51,10 @@ func newCommitHarness(t *testing.T) *commitHarness {
 	t.Cleanup(net.Close)
 	client := ids.Client(0)
 	return &commitHarness{t: t, net: net, inst: 1, env: ClientEnv{
-		Cluster:  ids.NewCluster(1),
-		Keys:     authn.NewKeyStore("commit-rule"),
-		ID:       client,
-		Endpoint: net.Endpoint(client),
-	}}
+		Cluster: ids.NewCluster(1),
+		Keys:    authn.NewKeyStore("commit-rule"),
+		ID:      client,
+	}.WithEndpoint(net.Endpoint(client))}
 }
 
 // resp sends one RESP from replica r for timestamp ts: hist names the history

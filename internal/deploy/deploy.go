@@ -173,13 +173,12 @@ func (c *Cluster) Host(i int) *host.Host { return c.Hosts[i] }
 func (c *Cluster) ClientEnv(i int) core.ClientEnv {
 	id := ids.Client(i)
 	return core.ClientEnv{
-		Cluster:  c.Cluster,
-		Keys:     c.Keys,
-		ID:       id,
-		Endpoint: c.Net.Endpoint(id),
-		Delta:    c.cfg.Delta,
-		Checker:  c.cfg.Checker,
-	}
+		Cluster: c.Cluster,
+		Keys:    c.Keys,
+		ID:      id,
+		Delta:   c.cfg.Delta,
+		Checker: c.cfg.Checker,
+	}.WithEndpoint(c.Net.Endpoint(id))
 }
 
 // NewClient creates a composed-protocol client with the given index.

@@ -119,13 +119,12 @@ func (s *Sharded) Lead(sh int) ids.ProcessID { return shard.Lead(s.Cluster, sh) 
 func (s *Sharded) clientEnv(i int) core.ClientEnv {
 	id := ids.Client(i)
 	return core.ClientEnv{
-		Cluster:  s.Cluster,
-		Keys:     s.Keys,
-		ID:       id,
-		Endpoint: s.Net.Endpoint(id),
-		Delta:    s.cfg.Delta,
-		Checker:  s.cfg.Checker,
-	}
+		Cluster: s.Cluster,
+		Keys:    s.Keys,
+		ID:      id,
+		Delta:   s.cfg.Delta,
+		Checker: s.cfg.Checker,
+	}.WithEndpoint(s.Net.Endpoint(id))
 }
 
 // NewClient creates a sharded client with the given index; pipeline may be

@@ -338,12 +338,11 @@ func (t Topology) NewShardClient(id ids.ProcessID, ep transport.Endpoint, depth 
 		return nil, err
 	}
 	env := core.ClientEnv{
-		Cluster:  t.Cluster(),
-		Keys:     t.Keys(),
-		ID:       id,
-		Endpoint: ep,
-		Delta:    t.Delta(),
-	}
+		Cluster: t.Cluster(),
+		Keys:    t.Keys(),
+		ID:      id,
+		Delta:   t.Delta(),
+	}.WithEndpoint(ep)
 	var pipeline *core.PipelineOptions
 	if depth <= 0 {
 		depth = t.Pipeline

@@ -27,9 +27,19 @@ type CheckpointState struct {
 	lastCounter uint64
 
 	// pending holds, per checkpoint counter, the state digests received from
-	// each replica (including this one).
+	// each replica (including this one); held counts each replica's votes in
+	// it, at most maxPendingVotes.
 	pending map[uint64]map[ids.ProcessID]authn.Digest
+	held    map[ids.ProcessID]int
 }
+
+// maxPendingVotes bounds the votes one replica can hold pending, so pending
+// stays below n·maxPendingVotes entries however many counters a faulty
+// replica votes for. A replica keeps its newest votes: a newer stable
+// checkpoint supersedes an older one, so a correct replica that runs more
+// than this many checkpoints ahead of a slow one loses nothing by dropping
+// its oldest votes — the slow replica's later votes meet its newer ones.
+const maxPendingVotes = 8
 
 // NewCheckpointState returns checkpoint state for a cluster of n replicas
 // using the given interval (DefaultCheckpointInterval when interval <= 0).
@@ -41,6 +51,7 @@ func NewCheckpointState(n, interval int) *CheckpointState {
 		Interval: interval,
 		n:        n,
 		pending:  make(map[uint64]map[ids.ProcessID]authn.Digest),
+		held:     make(map[ids.ProcessID]int),
 	}
 }
 
@@ -71,13 +82,22 @@ func (c *CheckpointState) ShouldCheckpoint(histLen uint64) (uint64, bool) {
 // Record registers a CHECKPOINT message from replica r carrying the digest of
 // state st_cc for checkpoint counter cc. It returns true when the checkpoint
 // became stable as a result (the same digest has been received from all n
-// replicas and cc is newer than the last stable one).
+// replicas and cc is newer than the last stable one). Only replicas 0..n-1
+// vote, and each holds at most maxPendingVotes counters pending: a vote past
+// that replaces the replica's oldest one, or is dropped when it is older
+// still.
 func (c *CheckpointState) Record(r ids.ProcessID, cc uint64, digest authn.Digest) bool {
-	if cc <= c.lastCounter {
+	if cc <= c.lastCounter || !r.IsReplica() || int(r) >= c.n {
 		return false
 	}
-	m, ok := c.pending[cc]
-	if !ok {
+	m := c.pending[cc]
+	if _, again := m[r]; !again {
+		if c.held[r] >= maxPendingVotes && !c.dropOldest(r, cc) {
+			return false
+		}
+		c.held[r]++
+	}
+	if m == nil {
 		m = make(map[ids.ProcessID]authn.Digest)
 		c.pending[cc] = m
 	}
@@ -105,12 +125,42 @@ func (c *CheckpointState) Record(r ids.ProcessID, cc uint64, digest authn.Digest
 	// Prune every pending exchange at or below the new stable counter: a
 	// boundary crossed while a replica was down never completes (its vote is
 	// gone for good) and would otherwise linger forever.
-	for k := range c.pending {
-		if k <= cc {
-			delete(c.pending, k)
+	c.prune(cc)
+	return true
+}
+
+// dropOldest removes r's vote at its lowest pending counter when that lies
+// below cc, making room for r's vote at cc; it reports whether it did.
+func (c *CheckpointState) dropOldest(r ids.ProcessID, cc uint64) bool {
+	oldest, found := cc, false
+	for k, m := range c.pending {
+		if _, ok := m[r]; ok && k < oldest {
+			oldest, found = k, true
 		}
 	}
+	if !found {
+		return false
+	}
+	m := c.pending[oldest]
+	delete(m, r)
+	if len(m) == 0 {
+		delete(c.pending, oldest)
+	}
+	c.held[r]--
 	return true
+}
+
+// prune drops every pending exchange at or below counter cc.
+func (c *CheckpointState) prune(cc uint64) {
+	for k, m := range c.pending {
+		if k > cc {
+			continue
+		}
+		for r := range m {
+			c.held[r]--
+		}
+		delete(c.pending, k)
+	}
 }
 
 // AdoptStable installs a transferred stable checkpoint (checkpoint state
@@ -125,11 +175,7 @@ func (c *CheckpointState) AdoptStable(cc uint64, digest authn.Digest) {
 	c.lastCounter = cc
 	c.lastStableSeq = cc * uint64(c.Interval)
 	c.lastStableDigest = digest
-	for k := range c.pending {
-		if k <= cc {
-			delete(c.pending, k)
-		}
-	}
+	c.prune(cc)
 }
 
 // Reset clears all checkpoint state; used when a new Abstract instance is
@@ -139,4 +185,5 @@ func (c *CheckpointState) Reset() {
 	c.lastStableDigest = authn.Digest{}
 	c.lastCounter = 0
 	c.pending = make(map[uint64]map[ids.ProcessID]authn.Digest)
+	c.held = make(map[ids.ProcessID]int)
 }

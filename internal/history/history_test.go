@@ -185,3 +185,88 @@ func TestCheckpointStateStability(t *testing.T) {
 		t.Fatalf("reset did not clear state")
 	}
 }
+
+// pendingVotes counts the votes CheckpointState holds pending.
+func pendingVotes(c *CheckpointState) int {
+	n := 0
+	for _, m := range c.pending {
+		n += len(m)
+	}
+	return n
+}
+
+// TestCheckpointVotesBounded floods one replica's vote state with a vote
+// for every counter a faulty replica can name: the pending votes stay within
+// n·maxPendingVotes, a replica outside the cluster holds none, the correct
+// replicas' votes are untouched, and a checkpoint past the flood still
+// becomes stable once the faulty replica votes like the rest.
+func TestCheckpointVotesBounded(t *testing.T) {
+	const n, last = 4, 200_001
+	cs := NewCheckpointState(n, 4)
+	junk := authn.Hash([]byte("junk"))
+	d := authn.Hash([]byte("state"))
+	for cc := uint64(2); cc <= last; cc++ {
+		cs.Record(ids.Replica(3), cc, junk)
+		cs.Record(ids.Replica(n+7), cc, junk)
+		if cc == last/2 {
+			for i := 0; i < n-1; i++ {
+				cs.Record(ids.Replica(i), 1, d)
+			}
+		}
+	}
+	if got := pendingVotes(cs); got > n*maxPendingVotes {
+		t.Fatalf("flood left %d votes pending (%d counters), want at most %d", got, len(cs.pending), n*maxPendingVotes)
+	}
+	if got := len(cs.pending[1]); got != n-1 {
+		t.Fatalf("counter 1 holds %d votes of the correct replicas, want %d", got, n-1)
+	}
+	if cs.StableCounter() != 0 {
+		t.Fatalf("flood made counter %d stable", cs.StableCounter())
+	}
+	for i := 0; i < n; i++ {
+		if stable := cs.Record(ids.Replica(i), last+1, d); stable != (i == n-1) {
+			t.Fatalf("vote %d for counter %d: stable=%v", i, last+1, stable)
+		}
+	}
+	if cs.StableCounter() != last+1 || len(cs.pending) != 0 || pendingVotes(cs) != 0 {
+		t.Fatalf("stable counter %d with %d counters pending, want %d and none", cs.StableCounter(), len(cs.pending), last+1)
+	}
+}
+
+// TestCheckpointLaggingReplicaWithinCap lets three replicas run
+// maxPendingVotes checkpoints ahead of the fourth: when it catches up, each
+// of those checkpoints becomes stable in turn, because no vote a correct
+// replica still needs was dropped.
+func TestCheckpointLaggingReplicaWithinCap(t *testing.T) {
+	const n = 4
+	cs := NewCheckpointState(n, 4)
+	digest := func(cc uint64) authn.Digest { return authn.HashAll([]byte("state"), []byte{byte(cc)}) }
+	for cc := uint64(1); cc <= maxPendingVotes; cc++ {
+		for i := 0; i < n-1; i++ {
+			if cs.Record(ids.Replica(i), cc, digest(cc)) {
+				t.Fatalf("counter %d stable without the lagging replica", cc)
+			}
+		}
+	}
+	for cc := uint64(1); cc <= maxPendingVotes; cc++ {
+		if !cs.Record(ids.Replica(n-1), cc, digest(cc)) {
+			t.Fatalf("counter %d not stable once the lagging replica voted", cc)
+		}
+	}
+	if len(cs.pending) != 0 || pendingVotes(cs) != 0 {
+		t.Fatalf("%d counters still pending", len(cs.pending))
+	}
+	// Beyond the cap the oldest votes go, and a newer checkpoint is what
+	// becomes stable.
+	for cc := uint64(maxPendingVotes + 1); cc <= 3*maxPendingVotes; cc++ {
+		for i := 0; i < n-1; i++ {
+			cs.Record(ids.Replica(i), cc, digest(cc))
+		}
+	}
+	if cs.Record(ids.Replica(n-1), maxPendingVotes+1, digest(maxPendingVotes+1)) {
+		t.Fatalf("a checkpoint whose votes were dropped became stable")
+	}
+	if !cs.Record(ids.Replica(n-1), 3*maxPendingVotes, digest(3*maxPendingVotes)) {
+		t.Fatalf("the newest checkpoint did not become stable")
+	}
+}

@@ -220,9 +220,10 @@ type Host struct {
 	// crashed is the fault-injection knob.
 	crashed bool
 
-	stopCh   chan struct{}
+	// stopping ends the event loop at its next envelope (Stop wakes it);
+	// doneCh closes when the loop has returned.
+	stopping atomic.Bool
 	doneCh   chan struct{}
-	stopOnce sync.Once
 	started  atomic.Bool
 }
 
@@ -242,7 +243,6 @@ func New(cfg Config) *Host {
 		requestStore:   make(map[authn.Digest]storedBody),
 		snaps:          statesync.NewStore(0),
 		met:            newHostMetrics(cfg.Metrics, cfg.MetricsLabels),
-		stopCh:         make(chan struct{}),
 		doneCh:         make(chan struct{}),
 	}
 	// Seq 0 is a boundary too, serialized at once: an application starts
@@ -262,7 +262,8 @@ func (h *Host) Start() {
 // teardown must not block on an event loop that never ran) and on one
 // already stopped.
 func (h *Host) Stop() {
-	h.stopOnce.Do(func() { close(h.stopCh) })
+	h.stopping.Store(true)
+	h.ep.Wake()
 	if h.started.Load() {
 		<-h.doneCh
 	}
@@ -321,25 +322,28 @@ func (h *Host) logf(format string, args ...any) {
 	}
 }
 
+// run is the event loop. It blocks on the inbox alone: Stop and the tick
+// set their flags and wake it there, and it checks both after every
+// envelope, so a wake-up a full inbox dropped delays them by at most one
+// envelope. A payload-free envelope is a wake-up — the loop's own, or
+// another process's, which carries no authority — and is never dispatched.
 func (h *Host) run() {
 	defer close(h.doneCh)
 	interval := h.cfg.TickInterval
 	if interval <= 0 {
 		interval = 20 * time.Millisecond
 	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-h.stopCh:
+	tick := transport.NewPulse(h.ep, interval)
+	defer tick.Stop()
+	for env := range h.ep.Inbox() {
+		if h.stopping.Load() {
 			return
-		case <-ticker.C:
-			h.tickProtocols()
-		case env, ok := <-h.ep.Inbox():
-			if !ok {
-				return
-			}
+		}
+		if env.Payload != nil {
 			h.dispatch(env)
+		}
+		if tick.Due() {
+			h.tickProtocols()
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"abstractbft/internal/app"
 	"abstractbft/internal/authn"
@@ -334,5 +336,60 @@ func TestClientAdmissionAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("admitting a 16-request ORDER allocates %v times, want 0", n)
+	}
+}
+
+// admittingReplica admits every REQ through the shared client request step
+// and counts the admissions.
+type admittingReplica struct {
+	h        *Host
+	st       *InstanceState
+	admitted *atomic.Int64
+}
+
+func (r admittingReplica) Handle(from ids.ProcessID, m any) {
+	if req, ok := m.(*core.RequestMessage); ok && r.h.VerifyClientAuth(r.st, from, req.Req.Client, req.Auth, req.Req.Digest()) {
+		r.admitted.Add(1)
+	}
+}
+
+// TestRunLoopREQAllocs pins the event loop itself: one REQ taken from the
+// inbox by Host.run — the wait, the stop and tick checks, dispatch and the
+// client request step — allocates nothing, so the wake-ups that replaced the
+// loop's select cost no garbage either.
+func TestRunLoopREQAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop pooled HMAC states")
+	}
+	net := transport.NewLocal(transport.Options{})
+	t.Cleanup(net.Close)
+	var admitted atomic.Int64
+	h := New(Config{
+		Cluster:  ids.NewCluster(0),
+		Replica:  ids.Replica(0),
+		Keys:     authn.NewKeyStore("run-loop"),
+		App:      app.NewNull(0),
+		Endpoint: net.Endpoint(ids.Replica(0)),
+		NewProtocol: func(h *Host, st *InstanceState) ProtocolReplica {
+			return admittingReplica{h: h, st: st, admitted: &admitted}
+		},
+		TickInterval: time.Millisecond,
+	})
+	h.Start()
+	t.Cleanup(h.Stop)
+	req := msg.Request{Client: ids.Client(0), Timestamp: 1, Command: []byte("cmd")}
+	authBytes := core.ClientAuthBytes(core.FirstInstance, req.Digest())
+	m := &core.RequestMessage{Instance: core.FirstInstance, Req: req,
+		Auth: h.keys.NewAuthenticator(req.Client, h.Cluster().Replicas(), authBytes[:])}
+	client := net.Endpoint(req.Client)
+	want := int64(0)
+	if n := testing.AllocsPerRun(200, func() {
+		want++
+		client.Send(h.ID(), m)
+		for admitted.Load() < want {
+			runtime.Gosched()
+		}
+	}); n != 0 {
+		t.Fatalf("one REQ through the event loop allocates %v times, want 0", n)
 	}
 }

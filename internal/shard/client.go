@@ -69,7 +69,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	for s := 0; s < cfg.Shards; s++ {
 		env := cfg.Env
 		env.Cluster = env.Cluster.WithLead(s % env.Cluster.N)
-		env.Endpoint = c.router.Endpoint(s)
+		env = env.WithEndpoint(c.router.Endpoint(s))
 		if cfg.Pipeline != nil {
 			pc, err := core.NewPipelinedComposer(env, cfg.NewInstanceFactory, *cfg.Pipeline)
 			if err != nil {

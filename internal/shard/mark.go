@@ -2,6 +2,7 @@ package shard
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"abstractbft/internal/ids"
 	"abstractbft/internal/transport"
@@ -39,8 +40,9 @@ type Router struct {
 	subs   []*routerEndpoint
 	ctrl   *routerEndpoint
 
-	stop     chan struct{}
-	stopOnce sync.Once
+	// stopping ends the routing loop at the next envelope (Close wakes it);
+	// done closes when the loop has returned.
+	stopping atomic.Bool
 	done     chan struct{}
 }
 
@@ -54,7 +56,6 @@ func NewRouter(ep transport.Endpoint, shards int) *Router {
 		ep:     ep,
 		shards: shards,
 		subs:   make([]*routerEndpoint, shards),
-		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
 	for s := range r.subs {
@@ -79,7 +80,8 @@ func (r *Router) Control() transport.Endpoint { return r.ctrl }
 // Close detaches the router: the fan-out goroutine exits and every shard
 // inbox is closed. The underlying endpoint stays open for other users.
 func (r *Router) Close() {
-	r.stopOnce.Do(func() { close(r.stop) })
+	r.stopping.Store(true)
+	r.ep.Wake()
 	<-r.done
 }
 
@@ -91,39 +93,38 @@ func (r *Router) run() {
 		}
 		r.ctrl.closeInbox()
 	}()
-	for {
-		select {
-		case env, ok := <-r.ep.Inbox():
-			if !ok {
-				return
-			}
-			shard := int32(0)
-			payload := env.Payload
-			if mk, ok := payload.(*Mark); ok {
-				shard = mk.Shard
-				payload = mk.Payload
-			}
-			var sub *routerEndpoint
-			switch {
-			case shard == controlShard:
-				sub = r.ctrl
-			case shard >= 0 && int(shard) < r.shards:
-				sub = r.subs[shard]
-			default:
-				continue
-			}
-			// Expand write-coalesced packs so shard inboxes only ever see
-			// protocol payloads (the mark wraps the pack as a whole).
-			if p, ok := payload.(*transport.Packed); ok {
-				for _, inner := range p.Payloads {
-					sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: inner})
-				}
-				continue
-			}
-			sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: payload})
-		case <-r.stop:
+	for env := range r.ep.Inbox() {
+		if r.stopping.Load() {
 			return
 		}
+		shard := int32(0)
+		payload := env.Payload
+		if mk, ok := payload.(*Mark); ok {
+			shard = mk.Shard
+			payload = mk.Payload
+		}
+		if payload == nil {
+			// A wake-up (Close's, or another process's) routes nowhere.
+			continue
+		}
+		var sub *routerEndpoint
+		switch {
+		case shard == controlShard:
+			sub = r.ctrl
+		case shard >= 0 && int(shard) < r.shards:
+			sub = r.subs[shard]
+		default:
+			continue
+		}
+		// Expand write-coalesced packs so shard inboxes only ever see
+		// protocol payloads (the mark wraps the pack as a whole).
+		if p, ok := payload.(*transport.Packed); ok {
+			for _, inner := range p.Payloads {
+				sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: inner})
+			}
+			continue
+		}
+		sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: payload})
 	}
 }
 
@@ -145,6 +146,13 @@ func (e *routerEndpoint) Send(to ids.ProcessID, payload any) {
 }
 
 func (e *routerEndpoint) Inbox() <-chan transport.Envelope { return e.in }
+
+// Wake implements transport.Endpoint: the wake-up goes into this shard's
+// inbox only, never through the router or the network.
+func (e *routerEndpoint) Wake() {
+	id := e.ID()
+	e.deliver(transport.Envelope{From: id, To: id})
+}
 
 // Close stops delivery into this shard's inbox; the router and the other
 // shards stay attached.

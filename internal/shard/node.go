@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"log"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"abstractbft/internal/app"
@@ -82,11 +84,13 @@ type Node struct {
 	// Exec is the node's asynchronous execution stage.
 	Exec *Executor
 
-	// joins hands the node loop (run) a Start, Recover or RecoverFromPeers
-	// request; stop ends the loop and done closes when it has returned.
-	joins chan *join
-	stop  chan struct{}
-	done  chan struct{}
+	// joins holds the Start, Recover and RecoverFromPeers requests handed to
+	// the node loop (run) and not yet taken; stopping ends the loop, and done
+	// closes when it has returned.
+	mu       sync.Mutex
+	joins    []*join
+	stopping atomic.Bool
+	done     chan struct{}
 }
 
 // Lead returns the replica leading shard s (position 0 of the shard's
@@ -114,9 +118,7 @@ func NewNode(cfg NodeConfig) *Node {
 			Metrics: cfg.Metrics,
 			Tracer:  cfg.Tracer,
 		}),
-		joins: make(chan *join),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		s := s
@@ -164,7 +166,8 @@ func (n *Node) Start() { n.hand(&join{}) }
 // Stop terminates the node loop, the sub-hosts, the router and the execution
 // stage.
 func (n *Node) Stop() {
-	close(n.stop)
+	n.stopping.Store(true)
+	n.Router.Control().Wake()
 	<-n.done
 	for _, h := range n.Hosts {
 		h.Stop()
@@ -180,47 +183,54 @@ func (n *Node) Host(s int) *host.Host { return n.Hosts[s] }
 // control endpoint and the recovery state (nodeLoop, recover.go): it answers
 // peers' MergedQuery messages, counts MergedState votes, starts the sub-hosts
 // once, and on every tick probes for lagging shards and, at the recovery
-// poll period, re-asks the peers while a recovery is in flight.
+// poll period, re-asks the peers while a recovery is in flight. It blocks on
+// the control inbox alone: Stop, hand, the tick and a waiting join's context
+// wake it there, and it re-checks each of them after every envelope.
 func (n *Node) run() {
 	defer close(n.done)
 	l := &nodeLoop{n: n, ctrl: n.Router.Control(), peers: n.cfg.Cluster.Others(n.cfg.Replica)}
-	inbox := l.ctrl.Inbox()
-	tick := time.NewTicker(nullOpInterval)
+	tick := transport.NewPulse(l.ctrl, nullOpInterval)
 	defer tick.Stop()
+	defer l.unwatch()
 	ticks := 0
-	for {
-		var expired <-chan struct{}
-		if l.waiter != nil {
-			expired = l.waiter.ctx.Done()
-		}
-		select {
-		case <-n.stop:
+	for env := range l.ctrl.Inbox() {
+		if n.stopping.Load() {
 			return
-		case j := <-n.joins:
+		}
+		if env.Payload != nil {
+			l.control(env)
+		}
+		for _, j := range n.takeJoins() {
 			l.join(j)
-		case <-expired:
+		}
+		if l.waiter != nil && l.waiter.ctx.Err() != nil {
 			l.col = nil
 			l.answer(fmt.Errorf("shard: no f+1-agreed merged boundary among live peers: %w", l.waiter.ctx.Err()))
-		case env, ok := <-inbox:
-			if !ok {
-				inbox = nil
-				continue
-			}
-			l.control(env)
-		case <-tick.C:
-			ticks++
-			if l.started {
-				for _, s := range n.Exec.LaggingShards() {
-					if Lead(n.cfg.Cluster, s) == n.cfg.Replica {
-						n.Hosts[s].OrderNullOp()
-					}
+		}
+		if !tick.Due() {
+			continue
+		}
+		ticks++
+		if l.started {
+			for _, s := range n.Exec.LaggingShards() {
+				if Lead(n.cfg.Cluster, s) == n.cfg.Replica {
+					n.Hosts[s].OrderNullOp()
 				}
 			}
-			if l.col != nil && ticks%pollTicks == 0 {
-				l.poll()
-			}
+		}
+		if l.col != nil && ticks%pollTicks == 0 {
+			l.poll()
 		}
 	}
+}
+
+// takeJoins returns the joins handed to the node loop since the last call.
+func (n *Node) takeJoins() []*join {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	js := n.joins
+	n.joins = nil
+	return js
 }
 
 // execFeed adapts the host observer to the execution stage: every logged

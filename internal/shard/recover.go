@@ -28,8 +28,8 @@ import (
 // re-asks its peers for their merged boundaries this often and checks
 // whether every shard has finished syncing, so under continuous traffic a
 // pruned pinned boundary re-pins within about one period of a newer
-// agreement. The ticker drops ticks while the loop is busy, so the period is
-// at least 100 ms.
+// agreement. The tick's pulse collapses the ticks that fall due while the
+// loop is busy into one, so the period is at least 100 ms.
 const pollTicks = 50
 
 // MergedQuery asks a peer node for its merged-mirror boundary: the
@@ -130,11 +130,10 @@ var errStopped = errors.New("shard: node stopped")
 // hand passes j to the node loop and waits for its answer.
 func (n *Node) hand(j *join) error {
 	j.done = make(chan error, 1)
-	select {
-	case n.joins <- j:
-	case <-n.done:
-		return errStopped
-	}
+	n.mu.Lock()
+	n.joins = append(n.joins, j)
+	n.mu.Unlock()
+	n.Router.Control().Wake()
 	select {
 	case err := <-j.done:
 		return err
@@ -152,8 +151,10 @@ type nodeLoop struct {
 	// col collects merged votes while a recovery is in flight (nil
 	// otherwise).
 	col *mergedCollector
-	// waiter is the join still waiting for its first agreement.
+	// waiter is the join still waiting for its first agreement; unwake
+	// cancels the wake-up its context's end posts to the control inbox.
 	waiter *join
+	unwake func() bool
 	// pinned is the boundary the shard syncs are pinned at; next is the
 	// lowest boundary a newer agreement may adopt.
 	pinned, next uint64
@@ -168,7 +169,9 @@ func (l *nodeLoop) join(j *join) {
 		j.done <- nil
 		return
 	}
+	l.unwatch()
 	l.waiter = j
+	l.unwake = context.AfterFunc(j.ctx, l.ctrl.Wake)
 	if l.col == nil {
 		l.col = newMergedCollector(l.n.cfg.Cluster)
 	}
@@ -195,6 +198,15 @@ func (l *nodeLoop) start() {
 func (l *nodeLoop) answer(err error) {
 	l.waiter.done <- err
 	l.waiter = nil
+	l.unwatch()
+}
+
+// unwatch cancels the waiting join's context wake-up, if any.
+func (l *nodeLoop) unwatch() {
+	if l.unwake != nil {
+		l.unwake()
+		l.unwake = nil
+	}
 }
 
 // adopt is the one recovery step, for the first agreement and for every

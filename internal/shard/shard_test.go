@@ -213,6 +213,13 @@ func (l *loopEndpoint) Send(to ids.ProcessID, payload any) {
 
 func (l *loopEndpoint) Inbox() <-chan transport.Envelope { return l.in }
 
+func (l *loopEndpoint) Wake() {
+	select {
+	case l.in <- transport.Envelope{From: l.ID(), To: l.ID()}:
+	default:
+	}
+}
+
 func (l *loopEndpoint) Close() {}
 
 func (l *loopEndpoint) inject(payload any) {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"abstractbft/internal/ids"
 )
@@ -32,10 +33,10 @@ type Demux struct {
 	// the next Open: a pipelined client opens one subscription per
 	// invocation, and a fresh demuxQueueLen-slot channel each time dominated
 	// its allocation.
-	free     []chan Envelope
-	closed   bool
-	stop     chan struct{}
-	stopOnce sync.Once
+	free   []chan Envelope
+	closed bool
+	// stopping ends the fan-out loop at the next envelope (Close wakes it).
+	stopping atomic.Bool
 }
 
 // demuxQueueLen is the per-subscription buffer; a full subscription drops
@@ -49,23 +50,21 @@ func NewDemux(ep Endpoint) *Demux {
 		ep:     ep,
 		subs:   make(map[*demuxEndpoint]struct{}),
 		owners: make(map[uint64]*demuxEndpoint),
-		stop:   make(chan struct{}),
 	}
 	go d.run()
 	return d
 }
 
+// run is the fan-out loop. A payload-free envelope is a wake-up, Close's or
+// another process's; neither is routed, and the stop flag alone decides.
 func (d *Demux) run() {
 	defer d.closeSubs()
-	for {
-		select {
-		case env, ok := <-d.ep.Inbox():
-			if !ok {
-				return
-			}
-			d.route(env)
-		case <-d.stop:
+	for env := range d.ep.Inbox() {
+		if d.stopping.Load() {
 			return
+		}
+		if env.Payload != nil {
+			d.route(env)
 		}
 	}
 }
@@ -102,7 +101,10 @@ func (d *Demux) closeSubs() {
 // Close detaches the demux from the endpoint: the fan-out goroutine exits
 // and every open subscription's inbox is closed. The underlying endpoint
 // stays open for other users.
-func (d *Demux) Close() { d.stopOnce.Do(func() { close(d.stop) }) }
+func (d *Demux) Close() {
+	d.stopping.Store(true)
+	d.ep.Wake()
+}
 
 // Open creates a virtual endpoint for one invocation: it receives the
 // request-scoped payloads answering the given timestamps and a copy of every
@@ -141,6 +143,18 @@ func (s *demuxEndpoint) ID() ids.ProcessID { return s.d.ep.ID() }
 func (s *demuxEndpoint) Send(to ids.ProcessID, payload any) { s.d.ep.Send(to, payload) }
 
 func (s *demuxEndpoint) Inbox() <-chan Envelope { return s.in }
+
+// Wake implements Endpoint: the wake-up goes into this subscription's inbox
+// only, and not after the subscription closed (its channel may serve the
+// next Open by then).
+func (s *demuxEndpoint) Wake() {
+	s.d.mu.Lock()
+	defer s.d.mu.Unlock()
+	if _, ok := s.d.subs[s]; ok {
+		id := s.d.ep.ID()
+		s.offer(Envelope{From: id, To: id})
+	}
+}
 
 // offer enqueues without blocking (demux lock held).
 func (s *demuxEndpoint) offer(env Envelope) {

@@ -205,13 +205,17 @@ func (t *TCP) ID() ids.ProcessID { return t.self }
 // Inbox implements Endpoint.
 func (t *TCP) Inbox() <-chan Envelope { return t.in }
 
+// Wake implements Endpoint: the wake-up takes the inbound path's last step
+// only, so no link, codec or metric sees it.
+func (t *TCP) Wake() { t.deliverLocal(Envelope{From: t.self, To: t.self}) }
+
 // Send implements Endpoint: it only enqueues, on the peer's link (starting
 // the link's owner on first use) or on the reply route of an address-less
 // peer. Failures are silent (fair-loss links).
 func (t *TCP) Send(to ids.ProcessID, payload any) {
 	env := Envelope{From: t.self, To: to, Payload: payload}
 	if l, ok := t.links[to]; ok {
-		t.wake(l)
+		t.startLink(l)
 		t.enqueue(l.out, env)
 		return
 	}
@@ -234,8 +238,8 @@ func (t *TCP) enqueue(out chan Envelope, env Envelope) {
 	}
 }
 
-// wake starts l's owner goroutine unless it runs already.
-func (t *TCP) wake(l *link) {
+// startLink starts l's owner goroutine unless it runs already.
+func (t *TCP) startLink(l *link) {
 	if !l.started.Load() && l.started.CompareAndSwap(false, true) {
 		go t.runLink(l)
 	}
@@ -582,7 +586,7 @@ func (t *TCP) Prime(ctx context.Context, peers []ids.ProcessID) error {
 		if !ok {
 			return fmt.Errorf("transport: prime %v: no address", p)
 		}
-		t.wake(l)
+		t.startLink(l)
 		select {
 		case <-l.proven:
 		case <-ctx.Done():

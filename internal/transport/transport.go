@@ -10,6 +10,21 @@
 //   - TCP (see tcp.go): a TCP transport framed with the binary codec
 //     (internal/transport/wirecodec) for multi-process deployments driven by
 //     cmd/replica and cmd/client.
+//
+// Every reader of an inbox blocks on that inbox alone. Whatever else it waits
+// for — a stop, a tick, a deadline, a cancelled context — sets a condition
+// the reader owns and then calls Endpoint.Wake, which posts a wake-up into
+// the endpoint's own inbox: an envelope with no payload whose From and To are
+// the endpoint's own process. A wake-up is a local event, not a message:
+//
+//   - it never crosses a link, so no filter, loss, partition, delay or Stats
+//     counter of Local sees it, nor any TCP metric;
+//   - it is lossy: it never blocks, and it is dropped when the inbox is full,
+//     which is safe because a full inbox wakes its reader anyway;
+//   - it carries no authority: the reader re-checks its own conditions after
+//     every envelope and acts only on what it finds true, so neither a
+//     wake-up left over from an earlier wait nor a payload-free envelope
+//     another process sends can make it act.
 package transport
 
 import (
@@ -46,6 +61,10 @@ type Endpoint interface {
 	Send(to ids.ProcessID, payload any)
 	// Inbox returns the channel on which incoming envelopes are delivered.
 	Inbox() <-chan Envelope
+	// Wake posts a payload-free wake-up into the endpoint's own inbox (see
+	// the package comment). It never blocks, is dropped when the inbox is
+	// full or closed, and is safe to call from any goroutine.
+	Wake()
 	// Close detaches the endpoint; subsequent sends to it are dropped.
 	Close()
 }
@@ -265,6 +284,10 @@ func (e *localEndpoint) Send(to ids.ProcessID, payload any) {
 
 func (e *localEndpoint) Inbox() <-chan Envelope { return e.in }
 
+// Wake implements Endpoint: the wake-up skips the network, so no filter,
+// loss, partition or Stats counter sees it.
+func (e *localEndpoint) Wake() { e.enqueue(Envelope{From: e.id, To: e.id}) }
+
 // enqueueUnpacked delivers an envelope, expanding write-coalesced packs into
 // individual envelopes so inbox consumers only ever see protocol payloads.
 func (e *localEndpoint) enqueueUnpacked(env Envelope) {
@@ -315,6 +338,52 @@ func Multicast(ep Endpoint, tos []ids.ProcessID, payload any) {
 	for _, to := range tos {
 		ep.Send(to, payload)
 	}
+}
+
+// Pulse is the tick of a loop that blocks on its inbox alone: every period it
+// marks itself due and wakes the endpoint, and the loop runs its periodic
+// work when Due reports true after an envelope. The mark outlives a dropped
+// wake-up, so a full inbox delays a tick to the loop's next envelope but
+// never loses it.
+type Pulse struct {
+	ep     Endpoint
+	period time.Duration
+	due    atomic.Bool
+
+	mu      sync.Mutex
+	timer   *time.Timer
+	stopped bool
+}
+
+// NewPulse starts a pulse waking ep every period.
+func NewPulse(ep Endpoint, period time.Duration) *Pulse {
+	p := &Pulse{ep: ep, period: period}
+	p.mu.Lock()
+	p.timer = time.AfterFunc(period, p.fire)
+	p.mu.Unlock()
+	return p
+}
+
+func (p *Pulse) fire() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.stopped {
+		return
+	}
+	p.due.Store(true)
+	p.ep.Wake()
+	p.timer.Reset(p.period)
+}
+
+// Due reports whether a period elapsed since Due last reported true.
+func (p *Pulse) Due() bool { return p.due.Load() && p.due.Swap(false) }
+
+// Stop ends the pulse; no wake-up follows its return.
+func (p *Pulse) Stop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.stopped = true
+	p.timer.Stop()
 }
 
 // Packed carries several payloads destined to one process as a single wire
