@@ -114,8 +114,8 @@ func NewPipelinedComposer(env ClientEnv, newFactory func(ClientEnv) InstanceFact
 }
 
 // Close stops the batch dispatcher and detaches the demultiplexer from the
-// endpoint (releasing its fan-out goroutine); in-flight invocations see
-// their virtual inboxes close and return ErrStopped.
+// endpoint; in-flight invocations see their virtual inboxes close and return
+// ErrStopped.
 func (p *PipelinedComposer) Close() {
 	p.stopOnce.Do(func() {
 		close(p.stop)

@@ -142,8 +142,8 @@ func TestBatcherDuplicateTimestampInOneBatch(t *testing.T) {
 
 func TestFilterFreshBatchEnforcesAtMostOnce(t *testing.T) {
 	st := &InstanceState{
-		ID:            1,
-		LastTimestamp: map[ids.ProcessID]uint64{ids.Client(0): 2},
+		ID:      1,
+		windows: map[ids.ProcessID]tsState{ids.Client(0): {high: 2}},
 	}
 
 	batch := msg.BatchOf(

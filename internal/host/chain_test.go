@@ -38,7 +38,7 @@ func TestHistoryChainMatchesReferenceFold(t *testing.T) {
 		return d
 	}
 	for round := 0; round < 30; round++ {
-		st := &InstanceState{ID: 1, LastTimestamp: map[ids.ProcessID]uint64{}}
+		st := &InstanceState{ID: 1, windows: map[ids.ProcessID]tsState{}}
 		if round%2 == 1 {
 			st.BaseSeq, st.BaseDigest = uint64(1+rng.Intn(500)), digest()
 		}

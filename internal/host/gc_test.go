@@ -261,7 +261,7 @@ func TestRollbackWithoutBoundaryStopsExecuting(t *testing.T) {
 	const interval = 8
 	h, st := gcHost(t, interval, false)
 	drive(t, h, st, 1, 20) // trim point and last boundary at 16
-	adopted := &InstanceState{ID: 2, Initialized: true, LastTimestamp: map[ids.ProcessID]uint64{}}
+	adopted := &InstanceState{ID: 2, Initialized: true, windows: map[ids.ProcessID]tsState{}}
 	var reply []byte
 	h.Locked(func() {
 		h.snaps.PruneBelow(17) // evicts the boundary at 16
@@ -301,12 +301,12 @@ func TestGCReleasesSupersededInstances(t *testing.T) {
 		// same point (white-box — a real switch would carry an init history).
 		h.StopInstance(st1)
 		st2 = &InstanceState{
-			ID:            2,
-			BaseSeq:       st1.AbsLen(),
-			BaseDigest:    st1.HistoryDigest(),
-			LastTimestamp: make(map[ids.ProcessID]uint64),
-			Checkpoint:    history.NewCheckpointState(1, interval),
-			Initialized:   true,
+			ID:          2,
+			BaseSeq:     st1.AbsLen(),
+			BaseDigest:  st1.HistoryDigest(),
+			windows:     make(map[ids.ProcessID]tsState),
+			Checkpoint:  history.NewCheckpointState(1, interval),
+			Initialized: true,
 		}
 		st2.sealHead()
 		h.instances[2] = st2

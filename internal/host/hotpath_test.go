@@ -185,7 +185,7 @@ func TestReconcileAfterRollbackAcrossGC(t *testing.T) {
 	}
 	// The adopted history keeps 1..18 and replaces the tail with 101, 102.
 	var want history.DigestHistory
-	adopted := &InstanceState{ID: 2, Initialized: true, LastTimestamp: map[ids.ProcessID]uint64{}}
+	adopted := &InstanceState{ID: 2, Initialized: true, windows: map[ids.ProcessID]tsState{}}
 	h.Locked(func() {
 		for ts := uint64(1); ts <= 18; ts++ {
 			want = append(want, kvReq(ts).Digest())
@@ -275,7 +275,7 @@ func TestReplyRingEntriesOrder(t *testing.T) {
 // returned beside them must be the same requests in the same order, also when
 // some items are stale and one request appears twice.
 func TestFilterFreshItemsPairsItemsWithBatch(t *testing.T) {
-	st := &InstanceState{ID: 1, LastTimestamp: map[ids.ProcessID]uint64{ids.Client(0): 2}}
+	st := &InstanceState{ID: 1, windows: map[ids.ProcessID]tsState{ids.Client(0): {high: 2}}}
 	item := func(client int, ts uint64) BatchItem {
 		r := req(client, ts)
 		return BatchItem{Req: r, Digest: r.Digest()}

@@ -93,13 +93,10 @@ type InstanceState struct {
 	// through appendDigest, resetHistory and TrimTo, which keep chain and
 	// head in step with it.
 	Digests history.DigestHistory
-	// LastTimestamp is t_j[c]: the highest request timestamp logged per
-	// client (the window high-water mark; tsMask tracks which timestamps
-	// within the window below it were also logged).
-	LastTimestamp map[ids.ProcessID]uint64
-	// tsMask holds, per client, the logged-timestamp bitmask of the window
-	// below LastTimestamp (bit d set means LastTimestamp-d was logged).
-	tsMask map[ids.ProcessID]uint64
+	// windows holds each client's timestamp window: its high-water mark is
+	// t_j[c], the highest request timestamp logged, and its mask the
+	// timestamps within the window below it that were also logged.
+	windows map[ids.ProcessID]tsState
 	// Stopped is set when the instance aborts (stops executing requests).
 	Stopped bool
 	// Initialized is true once the instance adopted its init history (or is
@@ -257,29 +254,16 @@ func trimFront[S ~[]E, E any](live, spare *S, k int) {
 	*live, *spare = append((*spare)[:0], (*live)[k:]...), *live
 }
 
-// windowOf returns client c's current timestamp window.
-func (st *InstanceState) windowOf(c ids.ProcessID) tsState {
-	return tsState{high: st.LastTimestamp[c], mask: st.tsMask[c]}
-}
-
 // markLogged records a logged request timestamp in client c's window.
 func (st *InstanceState) markLogged(c ids.ProcessID, ts uint64) {
-	st.setWindow(c, st.windowOf(c).mark(ts))
+	st.windows[c] = st.windows[c].mark(ts)
 }
 
 // AdoptWindow merges a transferred timestamp window (carried by an adopted
 // checkpoint snapshot) into client c's window, so requests from below the
 // adopted boundary are rejected as duplicates instead of re-executed.
 func (st *InstanceState) AdoptWindow(c ids.ProcessID, high, mask uint64) {
-	st.setWindow(c, st.windowOf(c).merge(tsState{high: high, mask: mask}))
-}
-
-func (st *InstanceState) setWindow(c ids.ProcessID, w tsState) {
-	st.LastTimestamp[c] = w.high
-	if st.tsMask == nil {
-		st.tsMask = make(map[ids.ProcessID]uint64)
-	}
-	st.tsMask[c] = w.mask
+	st.windows[c] = st.windows[c].merge(tsState{high: high, mask: mask})
 }
 
 // TimestampFresh reports whether a request timestamp may still be logged for
@@ -290,7 +274,7 @@ func (st *InstanceState) setWindow(c ids.ProcessID, w tsState) {
 // its own old requests re-executed, harming no one else (the PBFT window
 // argument).
 func (st *InstanceState) TimestampFresh(c ids.ProcessID, ts uint64) bool {
-	return st.windowOf(c).fresh(ts)
+	return st.windows[c].fresh(ts)
 }
 
 // FilterFreshBatch splits a received batch into the requests that may be
@@ -317,7 +301,7 @@ func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, sta
 			k++
 		}
 		if k == len(sim) {
-			sim = append(sim, simWindow{client: req.Client, w: st.windowOf(req.Client)})
+			sim = append(sim, simWindow{client: req.Client, w: st.windows[req.Client]})
 		}
 		w := sim[k].w
 		if !w.fresh(req.Timestamp) {
@@ -356,12 +340,11 @@ func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceSta
 		return st
 	}
 	st := &InstanceState{
-		ID:            id,
-		LastTimestamp: make(map[ids.ProcessID]uint64),
-		tsMask:        make(map[ids.ProcessID]uint64),
-		Checkpoint:    history.NewCheckpointState(h.cluster.N, h.cfg.CheckpointInterval),
-		staleCtr:      h.met.windowStale,
-		readmitCtr:    h.met.windowHits,
+		ID:         id,
+		windows:    make(map[ids.ProcessID]tsState),
+		Checkpoint: history.NewCheckpointState(h.cluster.N, h.cfg.CheckpointInterval),
+		staleCtr:   h.met.windowStale,
+		readmitCtr: h.met.windowHits,
 	}
 
 	switch {

@@ -47,7 +47,7 @@ func TestRetransmissionGate(t *testing.T) {
 	})
 	// A later instance whose init history does not reach back to the applied
 	// request: its timestamp window has never seen the client.
-	next := &InstanceState{ID: st.ID + 2, LastTimestamp: map[ids.ProcessID]uint64{}}
+	next := &InstanceState{ID: st.ID + 2, windows: map[ids.ProcessID]tsState{}}
 	counter := reg.Counter("host_applied_duplicates_total")
 
 	h.Locked(func() {

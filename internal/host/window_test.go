@@ -12,7 +12,7 @@ import (
 // network; the window must accept the late-arriving lower timestamp while
 // rejecting every duplicate.
 func TestTimestampWindowOutOfOrderAcceptance(t *testing.T) {
-	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}}
+	st := &InstanceState{windows: map[ids.ProcessID]tsState{}}
 	c := ids.Client(0)
 
 	st.markLogged(c, 5)
@@ -35,7 +35,7 @@ func TestTimestampWindowOutOfOrderAcceptance(t *testing.T) {
 }
 
 func TestTimestampWindowFarBelowIsStale(t *testing.T) {
-	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}}
+	st := &InstanceState{windows: map[ids.ProcessID]tsState{}}
 	c := ids.Client(0)
 	st.markLogged(c, 1000)
 	if st.TimestampFresh(c, 1000-uint64(core.DefaultTimestampWindow)) {
@@ -49,7 +49,7 @@ func TestTimestampWindowFarBelowIsStale(t *testing.T) {
 // The window must survive a large high-water jump (mask shift >= 64) without
 // forgetting that the new high-water itself is logged.
 func TestTimestampWindowLargeJump(t *testing.T) {
-	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}}
+	st := &InstanceState{windows: map[ids.ProcessID]tsState{}}
 	c := ids.Client(0)
 	st.markLogged(c, 1)
 	st.markLogged(c, 1_000_000)
@@ -64,7 +64,7 @@ func TestTimestampWindowLargeJump(t *testing.T) {
 // FilterFreshBatch must apply the same window intra-batch: out-of-order
 // timestamps of one client are both logged, duplicates are not.
 func TestFilterFreshBatchWindowIntraBatch(t *testing.T) {
-	st := &InstanceState{LastTimestamp: map[ids.ProcessID]uint64{}}
+	st := &InstanceState{windows: map[ids.ProcessID]tsState{}}
 	batch := msg.BatchOf(
 		req(0, 5), // fresh
 		req(0, 3), // fresh: within window, out of order

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"abstractbft/internal/ids"
 	"abstractbft/internal/transport"
 )
@@ -29,25 +26,20 @@ const routerQueueLen = 8192
 const controlShard int32 = -1
 
 // Router demultiplexes one process's endpoint into S per-shard virtual
-// endpoints: incoming Mark envelopes are routed to the inbox of their shard
-// (write-coalesced Packed payloads are expanded first), and sends through a
-// shard endpoint are wrapped with that shard's Mark. Unmarked traffic is
-// delivered to shard 0, so a one-shard plane interoperates with unsharded
-// peers.
+// endpoints: incoming Mark envelopes are routed to the mailbox of their
+// shard, and sends through a shard endpoint are wrapped with that shard's
+// Mark. Unmarked traffic is delivered to shard 0, so a one-shard plane
+// interoperates with unsharded peers. The Router routes at delivery (see the
+// transport package comment): it starts no goroutine.
 type Router struct {
 	ep     transport.Endpoint
 	shards int
 	subs   []*routerEndpoint
 	ctrl   *routerEndpoint
-
-	// stopping ends the routing loop at the next envelope (Close wakes it);
-	// done closes when the loop has returned.
-	stopping atomic.Bool
-	done     chan struct{}
 }
 
-// NewRouter starts routing the endpoint's inbox across shards virtual
-// endpoints. The caller must not read ep.Inbox directly afterwards.
+// NewRouter attaches a router with shards virtual endpoints to the endpoint.
+// The caller must not read ep.Inbox directly afterwards.
 func NewRouter(ep transport.Endpoint, shards int) *Router {
 	if shards < 1 {
 		shards = 1
@@ -56,14 +48,17 @@ func NewRouter(ep transport.Endpoint, shards int) *Router {
 		ep:     ep,
 		shards: shards,
 		subs:   make([]*routerEndpoint, shards),
-		done:   make(chan struct{}),
 	}
 	for s := range r.subs {
-		r.subs[s] = &routerEndpoint{r: r, shard: int32(s), in: make(chan transport.Envelope, routerQueueLen)}
+		r.subs[s] = r.newEndpoint(int32(s))
 	}
-	r.ctrl = &routerEndpoint{r: r, shard: controlShard, in: make(chan transport.Envelope, routerQueueLen)}
-	go r.run()
+	r.ctrl = r.newEndpoint(controlShard)
+	ep.Route(r.route)
 	return r
+}
+
+func (r *Router) newEndpoint(shard int32) *routerEndpoint {
+	return &routerEndpoint{Mailbox: transport.NewMailbox(r.ep.ID(), routerQueueLen), r: r, shard: shard}
 }
 
 // Shards returns the number of shard endpoints.
@@ -77,108 +72,47 @@ func (r *Router) Endpoint(s int) transport.Endpoint { return r.subs[s] }
 // shard's protocol messages.
 func (r *Router) Control() transport.Endpoint { return r.ctrl }
 
-// Close detaches the router: the fan-out goroutine exits and every shard
-// inbox is closed. The underlying endpoint stays open for other users.
+// Close detaches the router and closes every shard's inbox. The underlying
+// endpoint stays open for other users.
 func (r *Router) Close() {
-	r.stopping.Store(true)
-	r.ep.Wake()
-	<-r.done
+	r.ep.Route(nil)
+	for _, sub := range r.subs {
+		sub.Close()
+	}
+	r.ctrl.Close()
 }
 
-func (r *Router) run() {
-	defer close(r.done)
-	defer func() {
-		for _, sub := range r.subs {
-			sub.closeInbox()
-		}
-		r.ctrl.closeInbox()
-	}()
-	for env := range r.ep.Inbox() {
-		if r.stopping.Load() {
-			return
-		}
-		shard := int32(0)
-		payload := env.Payload
-		if mk, ok := payload.(*Mark); ok {
-			shard = mk.Shard
-			payload = mk.Payload
-		}
-		if payload == nil {
-			// A wake-up (Close's, or another process's) routes nowhere.
-			continue
-		}
-		var sub *routerEndpoint
-		switch {
-		case shard == controlShard:
-			sub = r.ctrl
-		case shard >= 0 && int(shard) < r.shards:
-			sub = r.subs[shard]
-		default:
-			continue
-		}
-		// Expand write-coalesced packs so shard inboxes only ever see
-		// protocol payloads (the mark wraps the pack as a whole).
-		if p, ok := payload.(*transport.Packed); ok {
-			for _, inner := range p.Payloads {
-				sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: inner})
-			}
-			continue
-		}
-		sub.deliver(transport.Envelope{From: env.From, To: env.To, Payload: payload})
+// route hands one envelope to its shard's mailbox, which expands a marked
+// pack; a mark naming no shard, or wrapping no payload, routes nowhere.
+func (r *Router) route(env transport.Envelope) {
+	shard := int32(0)
+	if mk, ok := env.Payload.(*Mark); ok {
+		shard, env.Payload = mk.Shard, mk.Payload
+	}
+	if env.Payload == nil {
+		return
+	}
+	switch {
+	case shard == controlShard:
+		r.ctrl.Deliver(env)
+	case shard >= 0 && int(shard) < r.shards:
+		r.subs[shard].Deliver(env)
 	}
 }
 
 // routerEndpoint is one shard's virtual endpoint: sends are wrapped with the
-// shard's mark, receives come from the router's per-shard inbox.
+// shard's mark, receives come from its mailbox. Closing it stops delivery
+// into this shard's inbox; the router and the other shards stay attached.
 type routerEndpoint struct {
+	*transport.Mailbox
 	r     *Router
 	shard int32
-
-	mu     sync.Mutex
-	in     chan transport.Envelope
-	closed bool
 }
 
 func (e *routerEndpoint) ID() ids.ProcessID { return e.r.ep.ID() }
 
 func (e *routerEndpoint) Send(to ids.ProcessID, payload any) {
 	e.r.ep.Send(to, &Mark{Shard: e.shard, Payload: payload})
-}
-
-func (e *routerEndpoint) Inbox() <-chan transport.Envelope { return e.in }
-
-// Wake implements transport.Endpoint: the wake-up goes into this shard's
-// inbox only, never through the router or the network.
-func (e *routerEndpoint) Wake() {
-	id := e.ID()
-	e.deliver(transport.Envelope{From: id, To: id})
-}
-
-// Close stops delivery into this shard's inbox; the router and the other
-// shards stay attached.
-func (e *routerEndpoint) Close() { e.closeInbox() }
-
-func (e *routerEndpoint) deliver(env transport.Envelope) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	select {
-	case e.in <- env:
-	default:
-		// Shard inbox full: drop (fair-loss links).
-	}
-}
-
-func (e *routerEndpoint) closeInbox() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	close(e.in)
 }
 
 var _ transport.Endpoint = (*routerEndpoint)(nil)

@@ -58,7 +58,7 @@ func TestForgedMergedVotesNeverAgree(t *testing.T) {
 		data := mergedVoteBytes(0, authn.Digest{})
 		for _, from := range claimed {
 			vote := &MergedState{MAC: mac(from, data[:])}
-			ep.in <- transport.Envelope{From: from, To: self, Payload: &Mark{Shard: controlShard, Payload: vote}}
+			ep.Deliver(transport.Envelope{From: from, To: self, Payload: &Mark{Shard: controlShard, Payload: vote}})
 		}
 		return <-errc
 	}

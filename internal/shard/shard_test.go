@@ -191,16 +191,17 @@ func TestRouterShardIsolation(t *testing.T) {
 	}
 }
 
-// loopEndpoint is a minimal transport.Endpoint test double: inject feeds the
-// inbox, lastSent records the most recent outgoing payload.
+// loopEndpoint is a minimal transport.Endpoint test double: its mailbox is
+// the receive side, inject delivers into it, and lastSent records the most
+// recent outgoing payload.
 type loopEndpoint struct {
+	*transport.Mailbox
 	mu   sync.Mutex
-	in   chan transport.Envelope
 	sent []any
 }
 
 func newLoopEndpoint() *loopEndpoint {
-	return &loopEndpoint{in: make(chan transport.Envelope, 64)}
+	return &loopEndpoint{Mailbox: transport.NewMailbox(ids.Replica(0), 64)}
 }
 
 func (l *loopEndpoint) ID() ids.ProcessID { return ids.Replica(0) }
@@ -211,19 +212,8 @@ func (l *loopEndpoint) Send(to ids.ProcessID, payload any) {
 	l.mu.Unlock()
 }
 
-func (l *loopEndpoint) Inbox() <-chan transport.Envelope { return l.in }
-
-func (l *loopEndpoint) Wake() {
-	select {
-	case l.in <- transport.Envelope{From: l.ID(), To: l.ID()}:
-	default:
-	}
-}
-
-func (l *loopEndpoint) Close() {}
-
 func (l *loopEndpoint) inject(payload any) {
-	l.in <- transport.Envelope{From: ids.Client(0), To: ids.Replica(0), Payload: payload}
+	l.Deliver(transport.Envelope{From: ids.Client(0), To: ids.Replica(0), Payload: payload})
 }
 
 func (l *loopEndpoint) lastSent() any {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"abstractbft/internal/ids"
 )
@@ -16,12 +15,13 @@ type RequestScoped interface {
 	RequestTimestamp() uint64
 }
 
-// Demux fans one process's inbox out to several virtual endpoints so that a
-// client can keep multiple invocations in flight concurrently. Each
+// Demux fans one process's endpoint out to several virtual endpoints so that
+// a client can keep multiple invocations in flight concurrently. Each
 // invocation opens a subscription naming the request timestamps it owns and
 // receives the replies to those requests plus every payload that names no
 // request; its receive loop filters exactly as it does on a private inbox.
-// Sends pass straight through to the underlying endpoint.
+// The Demux routes at delivery (see the package comment): it starts no
+// goroutine. Sends pass straight through to the underlying endpoint.
 type Demux struct {
 	ep Endpoint
 
@@ -29,21 +29,19 @@ type Demux struct {
 	subs map[*demuxEndpoint]struct{}
 	// owners maps a request timestamp to the subscription that opened it.
 	owners map[uint64]*demuxEndpoint
-	// free holds the inbox channels of closed subscriptions (drained) for
-	// the next Open: a pipelined client opens one subscription per
-	// invocation, and a fresh demuxQueueLen-slot channel each time dominated
-	// its allocation.
-	free   []chan Envelope
+	// free holds the mailboxes of closed subscriptions (drained) for the
+	// next Open: a pipelined client opens one subscription per invocation,
+	// and a fresh demuxQueueLen-slot inbox each time dominated its
+	// allocation.
+	free   []*Mailbox
 	closed bool
-	// stopping ends the fan-out loop at the next envelope (Close wakes it).
-	stopping atomic.Bool
 }
 
 // demuxQueueLen is the per-subscription buffer; a full subscription drops
 // messages, preserving the fair-loss model.
 const demuxQueueLen = 1024
 
-// NewDemux starts demultiplexing the endpoint's inbox. The caller must not
+// NewDemux attaches a demultiplexer to the endpoint. The caller must not
 // read ep.Inbox directly afterwards.
 func NewDemux(ep Endpoint) *Demux {
 	d := &Demux{
@@ -51,22 +49,8 @@ func NewDemux(ep Endpoint) *Demux {
 		subs:   make(map[*demuxEndpoint]struct{}),
 		owners: make(map[uint64]*demuxEndpoint),
 	}
-	go d.run()
+	ep.Route(d.route)
 	return d
-}
-
-// run is the fan-out loop. A payload-free envelope is a wake-up, Close's or
-// another process's; neither is routed, and the stop flag alone decides.
-func (d *Demux) run() {
-	defer d.closeSubs()
-	for env := range d.ep.Inbox() {
-		if d.stopping.Load() {
-			return
-		}
-		if env.Payload != nil {
-			d.route(env)
-		}
-	}
 }
 
 // route delivers one envelope: to the owner of the request it answers (or
@@ -78,32 +62,26 @@ func (d *Demux) route(env Envelope) {
 	defer d.mu.Unlock()
 	if scoped, ok := env.Payload.(RequestScoped); ok {
 		if sub := d.owners[scoped.RequestTimestamp()]; sub != nil {
-			sub.offer(env)
+			sub.box.Deliver(env)
 		}
 		return
 	}
 	for sub := range d.subs {
-		sub.offer(env)
+		sub.box.Deliver(env)
 	}
 }
 
-// closeSubs marks the demux closed and closes every subscription.
-func (d *Demux) closeSubs() {
+// Close detaches the demux from the endpoint and closes every open
+// subscription's inbox. The underlying endpoint stays open for other users.
+func (d *Demux) Close() {
+	d.ep.Route(nil)
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.closed = true
 	for sub := range d.subs {
-		close(sub.in)
+		sub.box.Close()
 	}
 	d.subs, d.owners, d.free = nil, nil, nil
-	d.mu.Unlock()
-}
-
-// Close detaches the demux from the endpoint: the fan-out goroutine exits
-// and every open subscription's inbox is closed. The underlying endpoint
-// stays open for other users.
-func (d *Demux) Close() {
-	d.stopping.Store(true)
-	d.ep.Wake()
 }
 
 // Open creates a virtual endpoint for one invocation: it receives the
@@ -116,14 +94,14 @@ func (d *Demux) Open(timestamps ...uint64) Endpoint {
 	defer d.mu.Unlock()
 	sub := &demuxEndpoint{d: d, timestamps: timestamps}
 	if d.closed {
-		sub.in = make(chan Envelope)
-		close(sub.in)
+		sub.box = NewMailbox(d.ep.ID(), 0)
+		sub.box.Close()
 		return sub
 	}
 	if n := len(d.free); n > 0 {
-		sub.in, d.free = d.free[n-1], d.free[:n-1]
+		sub.box, d.free = d.free[n-1], d.free[:n-1]
 	} else {
-		sub.in = make(chan Envelope, demuxQueueLen)
+		sub.box = NewMailbox(d.ep.ID(), demuxQueueLen)
 	}
 	d.subs[sub] = struct{}{}
 	for _, ts := range timestamps {
@@ -135,38 +113,32 @@ func (d *Demux) Open(timestamps ...uint64) Endpoint {
 type demuxEndpoint struct {
 	d          *Demux
 	timestamps []uint64
-	in         chan Envelope
+	box        *Mailbox
 }
 
 func (s *demuxEndpoint) ID() ids.ProcessID { return s.d.ep.ID() }
 
 func (s *demuxEndpoint) Send(to ids.ProcessID, payload any) { s.d.ep.Send(to, payload) }
 
-func (s *demuxEndpoint) Inbox() <-chan Envelope { return s.in }
+func (s *demuxEndpoint) Inbox() <-chan Envelope { return s.box.Inbox() }
 
 // Wake implements Endpoint: the wake-up goes into this subscription's inbox
-// only, and not after the subscription closed (its channel may serve the
+// only, and not after the subscription closed (its mailbox may serve the
 // next Open by then).
 func (s *demuxEndpoint) Wake() {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
 	if _, ok := s.d.subs[s]; ok {
-		id := s.d.ep.ID()
-		s.offer(Envelope{From: id, To: id})
+		s.box.Wake()
 	}
 }
 
-// offer enqueues without blocking (demux lock held).
-func (s *demuxEndpoint) offer(env Envelope) {
-	select {
-	case s.in <- env:
-	default:
-		// Subscription backlogged: drop (fair-loss links).
-	}
-}
+// Route implements Endpoint. Close detaches the route, so a reused mailbox
+// starts the next Open without one.
+func (s *demuxEndpoint) Route(route func(Envelope)) { s.box.Route(route) }
 
-// Close unsubscribes the virtual endpoint and hands its (drained) inbox
-// channel back to the demux; the underlying endpoint stays open.
+// Close unsubscribes the virtual endpoint and hands its (drained) mailbox
+// back to the demux; the underlying endpoint stays open.
 func (s *demuxEndpoint) Close() {
 	s.d.mu.Lock()
 	defer s.d.mu.Unlock()
@@ -179,12 +151,13 @@ func (s *demuxEndpoint) Close() {
 			delete(s.d.owners, ts)
 		}
 	}
-	// route sends only under the lock held here, so nothing can arrive
-	// after the drain.
-	for len(s.in) > 0 {
-		<-s.in
+	// route and Wake deliver only under the lock held here, so nothing can
+	// arrive after the drain.
+	s.box.Route(nil)
+	for len(s.box.in) > 0 {
+		<-s.box.in
 	}
-	s.d.free = append(s.d.free, s.in)
+	s.d.free = append(s.d.free, s.box)
 }
 
 var _ Endpoint = (*demuxEndpoint)(nil)

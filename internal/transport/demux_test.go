@@ -16,7 +16,7 @@ func (p scopedPayload) RequestTimestamp() uint64 { return p.ts }
 // TestDemuxRoutesByRequest: with eight open subscriptions a request-scoped
 // payload reaches exactly the subscription that owns its timestamp, a payload
 // naming no request (an AbortReply) reaches all of them, and payloads for a
-// closed subscription are dropped without ever blocking the fan-out loop.
+// closed subscription are dropped without ever blocking the deliverer.
 func TestDemuxRoutesByRequest(t *testing.T) {
 	net := NewLocal(Options{})
 	defer net.Close()
@@ -30,7 +30,7 @@ func TestDemuxRoutesByRequest(t *testing.T) {
 		subs[i] = d.Open(uint64(100 + i))
 	}
 
-	// The fan-out loop handles envelopes in order, so by the time a
+	// Local routes on the sender's goroutine, in order, so by the time a
 	// subscription sees the broadcast everything routed to it earlier is
 	// already queued ahead of it.
 	sender.Send(ids.Client(0), scopedPayload{ts: 103})
@@ -49,7 +49,7 @@ func TestDemuxRoutesByRequest(t *testing.T) {
 	}
 
 	// More replies for a completed invocation than any queue holds, then a
-	// reply nobody ever owned: all dropped, the loop keeps running.
+	// reply nobody ever owned: all dropped, routing goes on.
 	subs[5].Close()
 	for i := 0; i < 2*demuxQueueLen; i++ {
 		sender.Send(ids.Client(0), scopedPayload{ts: 105})

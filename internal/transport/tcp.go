@@ -130,11 +130,8 @@ type TCP struct {
 	// connection it proved itself on most recently.
 	routes map[ids.ProcessID]*tcpConn
 
-	// inMu guards the inbox against the Close race without serializing
-	// delivery: readLoops hold it shared, Close exclusively.
-	inMu     sync.RWMutex
-	in       chan Envelope
-	inClosed bool
+	// box is the receive side: readLoops deliver into it.
+	box *Mailbox
 
 	// metrics instruments the endpoint when set (SetMetrics); atomic because
 	// connections read it without the lock.
@@ -183,7 +180,7 @@ func NewTCPCodec(self ids.ProcessID, addrs map[ids.ProcessID]string, ks *authn.K
 		links:  make(map[ids.ProcessID]*link, len(addrs)),
 		conns:  make(map[*tcpConn]struct{}),
 		routes: make(map[ids.ProcessID]*tcpConn),
-		in:     make(chan Envelope, 8192),
+		box:    NewMailbox(self, 8192),
 	}
 	t.ctx, t.stop = context.WithCancel(context.Background())
 	for peer, peerAddr := range addrs {
@@ -203,11 +200,14 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 func (t *TCP) ID() ids.ProcessID { return t.self }
 
 // Inbox implements Endpoint.
-func (t *TCP) Inbox() <-chan Envelope { return t.in }
+func (t *TCP) Inbox() <-chan Envelope { return t.box.Inbox() }
 
-// Wake implements Endpoint: the wake-up takes the inbound path's last step
-// only, so no link, codec or metric sees it.
-func (t *TCP) Wake() { t.deliverLocal(Envelope{From: t.self, To: t.self}) }
+// Wake implements Endpoint: the wake-up goes into the mailbox alone, so no
+// link, codec or metric sees it.
+func (t *TCP) Wake() { t.box.Wake() }
+
+// Route implements Endpoint: the route runs on the readLoops.
+func (t *TCP) Route(route func(Envelope)) { t.box.Route(route) }
 
 // Send implements Endpoint: it only enqueues, on the peer's link (starting
 // the link's owner on first use) or on the reply route of an address-less
@@ -470,7 +470,7 @@ func (t *TCP) writeLoop(c *tcpConn, first Envelope) {
 // process this endpoint dialed. An accepted connection is proven once a
 // ConnProof over nonce verifies; its sender becomes peer, and if peer has
 // no link the connection becomes its reply route. Only envelopes from peer
-// on a proven connection reach the inbox.
+// on a proven connection reach the mailbox.
 func (t *TCP) readLoop(c *tcpConn, dec StreamDecoder, peer ids.ProcessID, nonce []byte) {
 	defer func() { t.untrack(c, peer) }()
 	m := t.metrics.Load()
@@ -525,21 +525,11 @@ func (t *TCP) readLoop(c *tcpConn, dec StreamDecoder, peer ids.ProcessID, nonce 
 			// would make it a MAC oracle for squatting its identity elsewhere.
 			continue
 		case *Packed:
-			// Expand write-coalesced packs so inbox consumers only ever see
-			// protocol payloads.
 			if m != nil {
 				m.packsIn.Add(uint64(len(p.Payloads)))
 			}
-			for _, payload := range p.Payloads {
-				if !t.deliverLocal(Envelope{From: env.From, To: env.To, Payload: payload, Trace: env.Trace}) {
-					return
-				}
-			}
-		default:
-			if !t.deliverLocal(env) {
-				return
-			}
 		}
+		t.box.Deliver(env)
 	}
 }
 
@@ -552,24 +542,6 @@ func (t *TCP) route(peer ids.ProcessID, c *tcpConn) {
 	if t.conns != nil {
 		t.routes[peer] = c
 	}
-}
-
-// deliverLocal enqueues an inbound envelope; the closed check and the send
-// happen under the read side of the lock Close holds exclusively while
-// closing the inbox, so a racing Close cannot make this send on a closed
-// channel and concurrent readLoops do not serialize against each other. It
-// reports false once the endpoint is closed.
-func (t *TCP) deliverLocal(env Envelope) bool {
-	t.inMu.RLock()
-	defer t.inMu.RUnlock()
-	if t.inClosed {
-		return false
-	}
-	select {
-	case t.in <- env:
-	default:
-	}
-	return true
 }
 
 // Prime waits until this endpoint has written its proof to each of the given
@@ -606,12 +578,7 @@ func (t *TCP) Close() {
 		return
 	}
 	t.stop()
-	// Close the inbox under the exclusive side of the delivery lock, so no
-	// readLoop can be between its closed-check and its send.
-	t.inMu.Lock()
-	t.inClosed = true
-	close(t.in)
-	t.inMu.Unlock()
+	t.box.Close()
 	for c := range conns {
 		c.close()
 	}

@@ -25,6 +25,21 @@
 //     every envelope and acts only on what it finds true, so neither a
 //     wake-up left over from an earlier wait nor a payload-free envelope
 //     another process sends can make it act.
+//
+// A demultiplexer (shard.Router, Demux) routes at delivery: it attaches a
+// route to its parent endpoint with Endpoint.Route, and every envelope
+// delivered there goes into one of its children's mailboxes on the goroutine
+// that delivers it — TCP's read loop, Local's sender or Local's delay timer.
+// No goroutine relays envelopes from one inbox to another:
+//
+//   - a route runs on the delivering goroutine and must not block; a full
+//     child mailbox drops (fair-loss links);
+//   - a payload-free envelope is never routed: a wake-up stays with the
+//     endpoint it was posted to, and another process's carries no authority;
+//   - the envelopes queued on the parent when a route attaches are routed
+//     before Route returns, not stranded in an inbox no one reads;
+//   - a demultiplexer's Close detaches its route and closes its children's
+//     mailboxes, and a delivery that races it is dropped.
 package transport
 
 import (
@@ -65,6 +80,12 @@ type Endpoint interface {
 	// the package comment). It never blocks, is dropped when the inbox is
 	// full or closed, and is safe to call from any goroutine.
 	Wake()
+	// Route attaches route in place of the inbox (see the package comment):
+	// every envelope with a payload delivered from then on is handed to
+	// route, on the delivering goroutine, and so are those already queued,
+	// before Route returns. route must not block. Route(nil) detaches it;
+	// once that returns, no call of the old route is in flight.
+	Route(route func(Envelope))
 	// Close detaches the endpoint; subsequent sends to it are dropped.
 	Close()
 }
@@ -135,11 +156,11 @@ func (n *Local) Endpoint(p ids.ProcessID) Endpoint {
 	if ep, ok := n.endpoints[p]; ok {
 		return ep
 	}
-	ep := &localEndpoint{
-		net: n,
-		id:  p,
-		in:  make(chan Envelope, n.opts.QueueLen),
-	}
+	return n.attachLocked(p)
+}
+
+func (n *Local) attachLocked(p ids.ProcessID) *localEndpoint {
+	ep := &localEndpoint{Mailbox: NewMailbox(p, n.opts.QueueLen), net: n}
 	n.endpoints[p] = ep
 	return ep
 }
@@ -152,15 +173,9 @@ func (n *Local) ResetEndpoint(p ids.ProcessID) Endpoint {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if old, ok := n.endpoints[p]; ok {
-		old.closeLocked()
+		old.Close()
 	}
-	ep := &localEndpoint{
-		net: n,
-		id:  p,
-		in:  make(chan Envelope, n.opts.QueueLen),
-	}
-	n.endpoints[p] = ep
-	return ep
+	return n.attachLocked(p)
 }
 
 // AddFilter installs a delivery filter. Filters run in installation order;
@@ -218,7 +233,7 @@ func (n *Local) Close() {
 	}
 	n.closed = true
 	for _, ep := range n.endpoints {
-		ep.closeLocked()
+		ep.Close()
 	}
 }
 
@@ -260,77 +275,23 @@ func (n *Local) deliver(env Envelope) {
 
 	if delay != nil {
 		if d := delay(env.From, env.To, env.Payload); d > 0 {
-			time.AfterFunc(d, func() { dst.enqueueUnpacked(env) })
+			time.AfterFunc(d, func() { dst.Deliver(env) })
 			return
 		}
 	}
-	dst.enqueueUnpacked(env)
+	dst.Deliver(env)
 }
 
+// localEndpoint is Local's attachment: its mailbox is the receive side.
 type localEndpoint struct {
+	*Mailbox
 	net *Local
-	id  ids.ProcessID
-
-	mu     sync.Mutex
-	in     chan Envelope
-	closed bool
 }
 
-func (e *localEndpoint) ID() ids.ProcessID { return e.id }
+func (e *localEndpoint) ID() ids.ProcessID { return e.self }
 
 func (e *localEndpoint) Send(to ids.ProcessID, payload any) {
-	e.net.deliver(Envelope{From: e.id, To: to, Payload: payload})
-}
-
-func (e *localEndpoint) Inbox() <-chan Envelope { return e.in }
-
-// Wake implements Endpoint: the wake-up skips the network, so no filter,
-// loss, partition or Stats counter sees it.
-func (e *localEndpoint) Wake() { e.enqueue(Envelope{From: e.id, To: e.id}) }
-
-// enqueueUnpacked delivers an envelope, expanding write-coalesced packs into
-// individual envelopes so inbox consumers only ever see protocol payloads.
-func (e *localEndpoint) enqueueUnpacked(env Envelope) {
-	if p, ok := env.Payload.(*Packed); ok {
-		for _, payload := range p.Payloads {
-			e.enqueue(Envelope{From: env.From, To: env.To, Payload: payload, Trace: env.Trace})
-		}
-		return
-	}
-	e.enqueue(env)
-}
-
-func (e *localEndpoint) enqueue(env Envelope) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return
-	}
-	select {
-	case e.in <- env:
-	default:
-		// Inbox full: drop, modelling loss under overload.
-	}
-}
-
-func (e *localEndpoint) Close() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.closeInner()
-}
-
-func (e *localEndpoint) closeLocked() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.closeInner()
-}
-
-func (e *localEndpoint) closeInner() {
-	if e.closed {
-		return
-	}
-	e.closed = true
-	close(e.in)
+	e.net.deliver(Envelope{From: e.self, To: to, Payload: payload})
 }
 
 // Multicast sends the payload from the endpoint to every destination in tos.
