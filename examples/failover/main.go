@@ -58,11 +58,11 @@ func main() {
 	run("common case / ZLight ", 5)
 
 	fmt.Println("\n--- crashing replica r3: ZLight can no longer gather 3f+1 matching replies ---")
-	cluster.Host(3).SetCrashed(true)
+	cluster.Net.Partition(ids.Replica(3), 1)
 	run("degraded / Backup    ", 8)
 
 	fmt.Println("\n--- recovering replica r3 ---")
-	cluster.Host(3).SetCrashed(false)
+	cluster.Net.Heal()
 	run("recovered            ", 8)
 
 	fmt.Printf("\ntotal instance switches: %d\n", client.Switches())

@@ -149,11 +149,17 @@ func TestBackupCommitsKThenAborts(t *testing.T) {
 	// never reaches the application.
 	deadline := time.Now().Add(5 * time.Second)
 	for i, h := range hosts {
-		for h.AppliedRequests() < k && time.Now().Before(deadline) {
+		for applied(h) < k && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if got := h.AppliedRequests(); got != k {
+		if got := applied(h); got != k {
 			t.Fatalf("replica %d applied %d requests, want exactly k=%d", i, got, k)
 		}
 	}
+}
+
+// applied returns the number of requests h applied to its application.
+func applied(h *host.Host) uint64 {
+	n, _ := h.AppliedState()
+	return n
 }

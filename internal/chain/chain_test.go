@@ -81,7 +81,7 @@ func clientMessage(env core.ClientEnv, req msg.Request) *Message {
 func (tc *testCluster) applied() []uint64 {
 	out := make([]uint64, len(tc.hosts))
 	for i, h := range tc.hosts {
-		out[i] = h.AppliedRequests()
+		out[i] = applied(h)
 	}
 	return out
 }
@@ -98,7 +98,7 @@ func (tc *testCluster) commitOne(t *testing.T, env core.ClientEnv) msg.Request {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for _, h := range tc.hosts[2*tc.cluster.F:] {
-		for h.AppliedRequests() < 1 && time.Now().Before(deadline) {
+		for applied(h) < 1 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
@@ -136,10 +136,10 @@ func TestChainCommitsInCommonCase(t *testing.T) {
 	// Every replica logs all requests; the last f+1 execute them.
 	deadline := time.Now().Add(2 * time.Second)
 	tail := tc.hosts[tc.cluster.N-1]
-	for tail.AppliedRequests() < total && time.Now().Before(deadline) {
+	for applied(tail) < total && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := tail.AppliedRequests(); got != total {
+	if got := applied(tail); got != total {
 		t.Errorf("tail applied %d requests, want %d", got, total)
 	}
 	for _, h := range tc.hosts {
@@ -221,10 +221,10 @@ func TestChainBatchDuplicateTimestampWithinOneWindow(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	tail := tc.hosts[tc.cluster.N-1]
-	for tail.AppliedRequests() < 1 && time.Now().Before(deadline) {
+	for applied(tail) < 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := tail.AppliedRequests(); got != 1 {
+	if got := applied(tail); got != 1 {
 		t.Errorf("tail applied %d requests, want exactly 1", got)
 	}
 }
@@ -291,8 +291,8 @@ func TestChainDuplicateBatchServesCachedReplies(t *testing.T) {
 			}
 			// The duplicate must not have been executed again anywhere.
 			for i, h := range tc.hosts {
-				if tc.cluster.Pos(ids.Replica(i)) >= 2*tc.cluster.F && h.AppliedRequests() != 1 {
-					t.Fatalf("replica %d applied %d requests, want 1", i, h.AppliedRequests())
+				if tc.cluster.Pos(ids.Replica(i)) >= 2*tc.cluster.F && applied(h) != 1 {
+					t.Fatalf("replica %d applied %d requests, want 1", i, applied(h))
 				}
 			}
 			return
@@ -349,4 +349,10 @@ func TestChainHeadDropsDuplicateRequest(t *testing.T) {
 	if after := tc.applied(); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Errorf("applied requests per replica went %v -> %v after a duplicate request", before, after)
 	}
+}
+
+// applied returns the number of requests h applied to its application.
+func applied(h *host.Host) uint64 {
+	n, _ := h.AppliedState()
+	return n
 }

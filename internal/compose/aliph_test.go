@@ -10,6 +10,7 @@ import (
 	"abstractbft/internal/app"
 	"abstractbft/internal/compose"
 	"abstractbft/internal/core"
+	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/msg"
 )
@@ -85,7 +86,7 @@ func TestAliphContentionSwitchesToChain(t *testing.T) {
 	for i := 0; i < c.Cluster.N; i++ {
 		h := c.Host(i)
 		if i >= 2 { // with f=1 only the last f+1 Chain replicas execute eagerly
-			for h.AppliedRequests() < total && time.Now().Before(deadline) {
+			for applied(h) < total && time.Now().Before(deadline) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		}
@@ -108,7 +109,7 @@ func TestAliphCrashFallsBackToBackup(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 
-	c.Host(1).SetCrashed(true)
+	c.Net.Partition(ids.Replica(1), 1)
 	for ts := uint64(1); ts <= 12; ts++ {
 		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("y")}
 		if _, err := client.Invoke(ctx, req); err != nil {
@@ -182,4 +183,10 @@ func TestAliphLowLoadReturnsToQuorum(t *testing.T) {
 	if errs := checker.Check(); len(errs) > 0 {
 		t.Fatalf("specification violations: %v", errs)
 	}
+}
+
+// applied returns the number of requests h applied to its application.
+func applied(h *host.Host) uint64 {
+	n, _ := h.AppliedState()
+	return n
 }

@@ -64,7 +64,7 @@ func TestAZyzzyvaSwitchesToBackupOnCrash(t *testing.T) {
 	}
 
 	// Crash one replica. ZLight aborts, Backup takes over.
-	c.Host(3).SetCrashed(true)
+	c.Net.Partition(ids.Replica(3), 1)
 
 	for ts := uint64(6); ts <= 15; ts++ {
 		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: app.EncodeKVPut(fmt.Sprintf("post%d", ts), "v")}
@@ -118,14 +118,14 @@ func TestAZyzzyvaRecoversBackToZLight(t *testing.T) {
 	defer cancel()
 
 	// Crash and later recover a replica.
-	c.Host(2).SetCrashed(true)
+	c.Net.Partition(ids.Replica(2), 1)
 	for ts := uint64(1); ts <= 8; ts++ {
 		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: app.EncodeKVPut(fmt.Sprintf("a%d", ts), "v")}
 		if _, err := client.Invoke(ctx, req); err != nil {
 			t.Fatalf("invoke %d: %v", ts, err)
 		}
 	}
-	c.Host(2).SetCrashed(false)
+	c.Net.Heal()
 	for ts := uint64(9); ts <= 40; ts++ {
 		req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: app.EncodeKVPut(fmt.Sprintf("b%d", ts), "v")}
 		if _, err := client.Invoke(ctx, req); err != nil {

@@ -153,7 +153,7 @@ func TestNewCompositionsSurviveCrash(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
 
-			c.Host(1).SetCrashed(true)
+			c.Net.Partition(ids.Replica(1), 1)
 			for ts := uint64(1); ts <= 10; ts++ {
 				req := msg.Request{Client: ids.Client(0), Timestamp: ts, Command: []byte("y")}
 				if _, err := client.Invoke(ctx, req); err != nil {

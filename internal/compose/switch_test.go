@@ -95,7 +95,7 @@ func TestCutOffReplicaActivatesFromPeerForward(t *testing.T) {
 	}
 	waitAllActivated(t, c, 2)
 	for i := range c.Hosts {
-		if got := c.Host(i).AppliedRequests(); i >= 2 && got != requests {
+		if got := applied(c.Host(i)); i >= 2 && got != requests {
 			t.Errorf("replica %d applied %d requests, want %d", i, got, requests)
 		}
 	}

@@ -82,8 +82,9 @@ func TestRestartWithCrashedDesignatedPeer(t *testing.T) {
 		}
 	}
 	// Replica 0 is the restarted replica 3's first designated payload
-	// shipper (OtherReplicas order). Crash it before the restart.
-	cluster.Host(0).SetCrashed(true)
+	// shipper (OtherReplicas order). Crash it before the restart: a
+	// partition of its own cuts it off both ways.
+	cluster.Net.Partition(ids.Replica(0), 1)
 	restarted := cluster.RestartReplica(3)
 	waitConverged(t, restarted, cluster.Host(1), 15*time.Second)
 }
@@ -127,8 +128,14 @@ func TestRestartRestoresTimestampWindows(t *testing.T) {
 	if boundary == 0 {
 		t.Fatal("restarted replica replayed from zero; the test needs a snapshot adoption")
 	}
+	st := restarted.InstanceStateFor(restarted.ActiveInstance())
+	if st == nil {
+		t.Fatal("restarted replica has no active instance")
+	}
 	for ts := uint64(1); ts <= total; ts++ {
-		if restarted.TimestampFreshFor(ids.Client(0), ts) {
+		var fresh bool
+		restarted.Locked(func() { fresh = st.TimestampFresh(ids.Client(0), ts) })
+		if fresh {
 			t.Errorf("timestamp %d (snapshot boundary %d) is fresh on the restarted replica: a retransmission would re-execute", ts, boundary)
 		}
 	}

@@ -162,7 +162,10 @@ func TestShardedAbortIndependence(t *testing.T) {
 
 	// Stop shard 1's instance 1 on every replica (the replica-side abort).
 	for _, n := range cluster.Nodes {
-		n.Host(1).StopInstanceByID(1)
+		h := n.Host(1)
+		if st := h.InstanceStateFor(1); st != nil {
+			h.Locked(func() { h.StopInstance(st) })
+		}
 	}
 
 	// Shard 1 must recover by switching instances; shard 0 must not notice.

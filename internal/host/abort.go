@@ -93,17 +93,6 @@ func (h *Host) StopInstance(st *InstanceState) {
 	}
 }
 
-// StopInstanceByID stops an instance by number, taking the host lock itself;
-// it is the entry point for code outside the event loop (tests), which must
-// not nest it inside Locked.
-func (h *Host) StopInstanceByID(id core.InstanceID) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if st := h.instances[id]; st != nil {
-		h.StopInstance(st)
-	}
-}
-
 // SignedAbortFor exposes the replica's signed abort message for protocols
 // that deliver abort indications through their own messages (Backup).
 func (h *Host) SignedAbortFor(st *InstanceState) core.SignedAbort { return *h.signedAbort(st) }

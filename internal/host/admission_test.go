@@ -122,7 +122,7 @@ func TestBackupRejectsForgedPrePrepare(t *testing.T) {
 			}
 			time.Sleep(100 * time.Millisecond)
 			for _, h := range hosts {
-				if n := h.AppliedRequests(); n != 0 {
+				if n := applied(h); n != 0 {
 					t.Fatalf("replica %v applied %d requests of a forged pre-prepare, want 0", h.ID(), n)
 				}
 			}

@@ -217,9 +217,6 @@ type Host struct {
 	traceExecPos uint64           // applied seq at which the sampled request is applied
 	traceExecOn  bool
 
-	// crashed is the fault-injection knob.
-	crashed bool
-
 	// stopping ends the event loop at its next envelope (Stop wakes it);
 	// doneCh closes when the loop has returned.
 	stopping atomic.Bool
@@ -295,14 +292,6 @@ func (h *Host) InstrumentedHistory(st *InstanceState) history.DigestHistory {
 // SetObserver installs an observer; it must be called before Start.
 func (h *Host) SetObserver(o Observer) { h.observer = o }
 
-// SetCrashed makes the replica drop every message (true) or resume (false);
-// used by crash/recovery experiments.
-func (h *Host) SetCrashed(c bool) {
-	h.mu.Lock()
-	h.crashed = c
-	h.mu.Unlock()
-}
-
 // Send transmits a protocol message to another process.
 func (h *Host) Send(to ids.ProcessID, m any) { h.ep.Send(to, m) }
 
@@ -352,9 +341,6 @@ func (h *Host) run() {
 func (h *Host) tickProtocols() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.crashed {
-		return
-	}
 	for id, proto := range h.protocols {
 		st := h.instances[id]
 		if st == nil || st.Stopped {
@@ -371,9 +357,6 @@ func (h *Host) tickProtocols() {
 func (h *Host) dispatch(env transport.Envelope) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.crashed {
-		return
-	}
 	switch env.Payload.(type) {
 	case *core.CheckpointMessage, *core.FetchRequest, *core.FetchResponse, *statesync.FetchState, *statesync.State:
 		// Replica-to-replica control: the vote or answer is the envelope
@@ -451,13 +434,6 @@ func (h *Host) Application() app.Application {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.application.Clone()
-}
-
-// AppliedRequests returns the number of requests applied to the application.
-func (h *Host) AppliedRequests() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.appliedSeq
 }
 
 // Bootstrap activates the host's first instance without any network traffic

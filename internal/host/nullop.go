@@ -22,9 +22,6 @@ type NullOpOrderer interface {
 func (h *Host) OrderNullOp() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.crashed {
-		return false
-	}
 	st := h.instances[h.active]
 	if st == nil {
 		// A fully idle shard never received a message, so its first instance

@@ -47,9 +47,9 @@ func senderCluster(t *testing.T) (*transport.Local, *envelopeLog, []*host.Host) 
 	})
 	c0 := core.ClientEnv{Cluster: ids.NewCluster(1), Keys: keys, ID: ids.Client(0), Endpoint: net.Endpoint(ids.Client(0))}
 	c0.Endpoint.Send(ids.Replica(0), c0.NewRequest(1, c0Put, nil))
-	for deadline := time.Now().Add(5 * time.Second); hosts[1].AppliedRequests() != 1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(5 * time.Second); applied(hosts[1]) != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("r1 applied %d requests, want c0's put (test setup)", hosts[1].AppliedRequests())
+			t.Fatalf("r1 applied %d requests, want c0's put (test setup)", applied(hosts[1]))
 		}
 	}
 	return net, log, hosts
@@ -143,4 +143,10 @@ func TestControlRepliesGoToTheirSender(t *testing.T) {
 			t.Fatalf("c1's FETCH was answered to %v, want no answer", to)
 		}
 	})
+}
+
+// applied returns the number of requests h applied to its application.
+func applied(h *host.Host) uint64 {
+	n, _ := h.AppliedState()
+	return n
 }

@@ -477,21 +477,6 @@ func (h *Host) install(sn statesync.Snapshot, afresh bool) error {
 	return nil
 }
 
-// TimestampFreshFor reports whether the active instance would still log a
-// request with the given client timestamp, under the host lock. Recovery
-// tests use it to assert that adopted snapshots carry the per-client
-// timestamp windows (a fresh verdict for a below-boundary timestamp means a
-// retransmission would be re-executed).
-func (h *Host) TimestampFreshFor(client ids.ProcessID, ts uint64) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	st := h.instances[h.active]
-	if st == nil {
-		return true
-	}
-	return st.TimestampFresh(client, ts)
-}
-
 // AppliedState returns the applied sequence length and the digest chain fold
 // over it — the convergence identity recovery tests and harnesses compare
 // across replicas.

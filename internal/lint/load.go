@@ -19,10 +19,11 @@ import (
 // analyzers load the program themselves: each package directory is parsed
 // with go/parser and type-checked with go/types, module-internal imports
 // (abstractbft/...) resolve recursively through the same loader, and the
-// standard library resolves through the GOROOT source importer. One FileSet
-// and one memoized loader give the whole program a single consistent type
-// identity, which the cross-package analyzers (locknest's call graph,
-// wirereg's registries) rely on.
+// standard library loads from the compiler's export data through the gc
+// importer (which asks the go command for it). One FileSet and one memoized
+// loader give the whole program a single consistent type identity, which the
+// cross-package analyzers (locknest's call graph, wirereg's registries) rely
+// on.
 
 // A Package is one loaded, type-checked package.
 type Package struct {
@@ -80,7 +81,7 @@ func Load(dir string, patterns []string) (*Program, error) {
 		memo:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 	}
-	l.std = importer.ForCompiler(l.fset, "source", nil)
+	l.std = importer.ForCompiler(l.fset, "gc", nil)
 
 	var dirs []string
 	seen := map[string]bool{}
@@ -212,7 +213,8 @@ func (l *loader) importPathFor(dir string) (string, error) {
 }
 
 // Import implements types.Importer: module-internal paths load recursively,
-// everything else comes from the GOROOT source importer.
+// everything else (the standard library) comes from the gc importer's
+// export data.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

@@ -86,7 +86,7 @@ func (a *auditedReplica) Handle(from ids.ProcessID, m any) {
 //
 //abstractbft:locksafe runs from the event queue, not the Handle stack
 func (a *auditedReplica) deferred() {
-	a.h.AppliedRequests()
+	a.h.AppliedState()
 }
 
 // configs exercises the lockheld-annotated func field sources: functions
@@ -94,7 +94,8 @@ func (a *auditedReplica) deferred() {
 func configs(h *host.Host) (host.Config, host.Config) {
 	bad := host.Config{
 		RetainFloor: func() uint64 { // want "re-enters it"
-			return h.AppliedRequests()
+			n, _ := h.AppliedState()
+			return n
 		},
 	}
 	good := host.Config{

@@ -12,36 +12,15 @@ import (
 // degenerate case and is semantically identical to the unbatched path.
 type Batch struct {
 	Requests []Request
-	// Trace is the batch-level tracing context: the context of the first
-	// sampled member (BatchOf hoists it so batch-granular trace hooks need no
-	// member scan). Like Request.Trace it is excluded from Digest — tracing
-	// never changes agreement identity.
-	//
-	//wire:nodigest
-	Trace obs.TraceContext
 }
 
-// BatchOf builds a batch from the given requests, hoisting the first sampled
-// member's trace context to the batch level.
-func BatchOf(reqs ...Request) Batch {
-	b := Batch{Requests: reqs}
-	for i := range reqs {
-		if reqs[i].Trace.Sampled() {
-			b.Trace = reqs[i].Trace
-			break
-		}
-	}
-	return b
-}
+// BatchOf builds a batch from the given requests.
+func BatchOf(reqs ...Request) Batch { return Batch{Requests: reqs} }
 
-// TraceCtx returns the batch's effective tracing context: the hoisted
-// batch-level one when set, otherwise the first sampled member's (batches
-// reassembled on the receiving side of a wire may carry the context only on
-// their members). The zero context means the batch is untraced.
+// TraceCtx returns the batch's tracing context: the first sampled member's
+// (a trace context rides on its request alone). The zero context means the
+// batch is untraced.
 func (b Batch) TraceCtx() obs.TraceContext {
-	if b.Trace.Sampled() {
-		return b.Trace
-	}
 	for i := range b.Requests {
 		if b.Requests[i].Trace.Sampled() {
 			return b.Requests[i].Trace

@@ -15,7 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sync"
+	"strings"
 	"syscall"
 	"time"
 
@@ -111,21 +111,33 @@ type Cluster struct {
 	procs []*replicaProc
 }
 
-// replicaProc is one replica OS process; wait reaps it exactly once (Kill,
-// StopAll, and restarts all funnel through it, so no two goroutines ever
-// race a Cmd.Wait).
+// replicaProc is one replica OS process. One goroutine reaps it as soon as
+// it exits, so Kill, StopAll and restarts never race a Cmd.Wait, and a
+// replica that died while starting shows as exited.
 type replicaProc struct {
-	cmd      *exec.Cmd
-	logFile  *os.File
-	waitOnce sync.Once
-	waitErr  error
+	cmd     *exec.Cmd
+	exited  chan struct{} // closed once the process is reaped
+	waitErr error
 }
 
+// startReplicaProc starts cmd, whose output goes to logFile, and reaps it in
+// the background.
+func startReplicaProc(cmd *exec.Cmd, logFile *os.File) (*replicaProc, error) {
+	if err := cmd.Start(); err != nil {
+		return nil, err
+	}
+	p := &replicaProc{cmd: cmd, exited: make(chan struct{})}
+	go func() {
+		p.waitErr = cmd.Wait()
+		logFile.Close()
+		close(p.exited)
+	}()
+	return p, nil
+}
+
+// wait blocks until the process is reaped and returns its exit error.
 func (p *replicaProc) wait() error {
-	p.waitOnce.Do(func() {
-		p.waitErr = p.cmd.Wait()
-		p.logFile.Close()
-	})
+	<-p.exited
 	return p.waitErr
 }
 
@@ -191,18 +203,18 @@ func (c *Cluster) StartReplica(i int, recover bool) error {
 		args = append(args, "-recover")
 	}
 	cmd := exec.Command(c.ReplicaBin, args...)
-	logPath := filepath.Join(c.Dir, fmt.Sprintf("replica%d.log", i))
-	logFile, err := os.OpenFile(logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	logFile, err := os.OpenFile(c.replicaLog(i), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
 	cmd.Stdout = logFile
 	cmd.Stderr = logFile
-	if err := cmd.Start(); err != nil {
+	p, err := startReplicaProc(cmd, logFile)
+	if err != nil {
 		logFile.Close()
 		return fmt.Errorf("proccluster: start replica %d: %w", i, err)
 	}
-	c.procs[i] = &replicaProc{cmd: cmd, logFile: logFile}
+	c.procs[i] = p
 	return nil
 }
 
@@ -232,6 +244,9 @@ func (c *Cluster) MetricsAddr(i int) string {
 }
 
 // WaitReady blocks until every replica's listen address accepts connections.
+// When one does not, the error says whether its process has exited, and how,
+// and ends with the last lines of its replica<i>.log (an "address already in
+// use" there means its port was taken between FreePorts and the listen).
 func (c *Cluster) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for i, addr := range c.Topo.Replicas {
@@ -242,12 +257,50 @@ func (c *Cluster) WaitReady(timeout time.Duration) error {
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("proccluster: replica %d (%s) not reachable: %w", i, addr, err)
+				return fmt.Errorf("proccluster: replica %d (%s) not reachable: %w%s", i, addr, err, c.startupReport(i))
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	return nil
+}
+
+// replicaLog is the path of replica i's log (appended across restarts).
+func (c *Cluster) replicaLog(i int) string {
+	return filepath.Join(c.Dir, fmt.Sprintf("replica%d.log", i))
+}
+
+// logTailLines is how much of a replica's log a start-up failure reports.
+const logTailLines = 20
+
+// startupReport describes replica i for a failed WaitReady: its exit status
+// if its process has exited, then the tail of its log.
+func (c *Cluster) startupReport(i int) string {
+	var b strings.Builder
+	if i < len(c.procs) && c.procs[i] != nil {
+		select {
+		case <-c.procs[i].exited:
+			status := "exit status 0"
+			if err := c.procs[i].waitErr; err != nil {
+				status = err.Error()
+			}
+			fmt.Fprintf(&b, "; its process has exited (%s)", status)
+		default:
+			b.WriteString("; its process is still running")
+		}
+	}
+	logPath := c.replicaLog(i)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		fmt.Fprintf(&b, "; no log: %v", err)
+		return b.String()
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	if len(lines) > logTailLines {
+		lines = lines[len(lines)-logTailLines:]
+	}
+	fmt.Fprintf(&b, "; %s ends:\n%s", logPath, strings.Join(lines, "\n"))
+	return b.String()
 }
 
 // RunClient spawns a cmd/client process against the cluster and returns its

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"abstractbft/internal/ids"
-	"abstractbft/internal/obs"
 	"abstractbft/internal/transport"
 )
 
@@ -71,21 +70,19 @@ func TestRouterFullShardDrops(t *testing.T) {
 }
 
 // TestRouterExpandsMarkedPack: a Mark-wrapped pack reaches its shard as its
-// payloads, in order, each carrying the pack envelope's sender and trace
-// context.
+// payloads, in order, each carrying the pack envelope's sender.
 func TestRouterExpandsMarkedPack(t *testing.T) {
 	ep := newLoopEndpoint()
 	r := NewRouter(ep, 2)
 	defer r.Close()
-	tc := obs.TraceContext{TraceID: 7, Parent: 9}
 	ep.Deliver(transport.Envelope{
-		From: ids.Replica(2), To: ids.Replica(0), Trace: tc,
+		From: ids.Replica(2), To: ids.Replica(0),
 		Payload: &Mark{Shard: 1, Payload: &transport.Packed{Payloads: []any{"a", "b", "c"}}},
 	})
 	for _, want := range []string{"a", "b", "c"} {
 		env := <-r.Endpoint(1).Inbox()
-		if env.Payload != want || env.From != ids.Replica(2) || env.Trace != tc {
-			t.Fatalf("shard 1 received %+v, want %q from r2 with trace %+v", env, want, tc)
+		if env.Payload != want || env.From != ids.Replica(2) {
+			t.Fatalf("shard 1 received %+v, want %q from r2", env, want)
 		}
 	}
 }

@@ -33,16 +33,16 @@ func NewMailbox(self ids.ProcessID, size int) *Mailbox {
 func (m *Mailbox) Inbox() <-chan Envelope { return m.in }
 
 // Deliver hands env to the mailbox, one envelope per payload of a Packed
-// (each inheriting the pack's addresses and trace context). An envelope with
-// a payload goes to the attached route if there is one; otherwise, and for
-// every payload-free envelope, it is queued. A full or closed mailbox drops
-// it (fair-loss links). Deliver never blocks and is safe for concurrent use.
+// (each inheriting the pack's addresses). An envelope with a payload goes to
+// the attached route if there is one; otherwise, and for every payload-free
+// envelope, it is queued. A full or closed mailbox drops it (fair-loss
+// links). Deliver never blocks and is safe for concurrent use.
 //
 //abstractbft:noalloc
 func (m *Mailbox) Deliver(env Envelope) {
 	if p, ok := env.Payload.(*Packed); ok {
 		for _, payload := range p.Payloads {
-			m.deliverOne(Envelope{From: env.From, To: env.To, Payload: payload, Trace: env.Trace})
+			m.deliverOne(Envelope{From: env.From, To: env.To, Payload: payload})
 		}
 		return
 	}

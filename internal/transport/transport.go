@@ -11,6 +11,11 @@
 //     (internal/transport/wirecodec) for multi-process deployments driven by
 //     cmd/replica and cmd/client.
 //
+// An Envelope is From, To and Payload only. From is the sender's identity,
+// and nothing else rides beside the payload: a trace context travels inside
+// the request it traces (msg.Request.Trace), and a crash is a Local
+// partition of its own, which cuts a process off both ways.
+//
 // Every reader of an inbox blocks on that inbox alone. Whatever else it waits
 // for — a stop, a tick, a deadline, a cancelled context — sets a condition
 // the reader owns and then calls Endpoint.Wake, which posts a wake-up into
@@ -49,22 +54,17 @@ import (
 	"time"
 
 	"abstractbft/internal/ids"
-	"abstractbft/internal/obs"
 )
 
 // Envelope is a message in flight: a payload together with its source and
-// destination. From is the only sender identity a message has: Local sets
-// it, TCP proves it per connection, and no payload restates it.
+// destination, and nothing else. From is the only sender identity a message
+// has: Local sets it, TCP proves it per connection, and no payload restates
+// it. A trace context rides on the request it traces (msg.Request.Trace),
+// never on the envelope.
 type Envelope struct {
 	From    ids.ProcessID
 	To      ids.ProcessID
 	Payload any
-	// Trace is an optional envelope-level tracing context. The request plane
-	// propagates trace contexts inside payloads (msg.Request.Trace), but
-	// control messages without a request can stamp the envelope instead; the
-	// wire codec carries it, and an untraced envelope pays zero extra wire
-	// bytes. Expanded pack elements inherit the pack envelope's context.
-	Trace obs.TraceContext
 }
 
 // Endpoint is one process's attachment to a network.

@@ -97,8 +97,8 @@ func wirePayloads() []any {
 	}
 
 	// Traced variants: a head-sampled request (trace context stamped by the
-	// client) and a batch hoisting it, so every envelope-bearing carrier of
-	// requests and batches is audited with the trace block populated too.
+	// client) and a batch with it as a member, so every carrier of requests
+	// and batches is audited with the request's trace block populated too.
 	tctx := obs.TraceContext{TraceID: 0xabcdef0112345678, Parent: 0xabcdef0112345678}
 	tracedReq := msg.Request{Client: ids.Client(5), Timestamp: 11, Command: []byte("cmd-t"), Trace: tctx}
 	tracedBatch := msg.BatchOf(tracedReq, req2)
@@ -159,9 +159,9 @@ func wirePayloads() []any {
 		&shard.MergedQuery{},
 		&shard.MergedState{Seq: 32, Digest: dig, MAC: mac},
 
-		// Trace-context propagation: the same carriers with sampled requests
-		// and batches (flags-byte trace block on requests, high-bit count
-		// marker on batches) must round-trip the context.
+		// Trace-context propagation: the same carriers with a sampled request,
+		// alone or as a batch member, must round-trip its flags-byte trace
+		// block.
 		sentAs{"*zlight.RequestMessage", &core.RequestMessage{Instance: 1, Req: tracedReq, Auth: auth}},
 		&zlight.OrderMessage{Instance: 1, Batch: tracedBatch, Seq: 5, Auths: []authn.Authenticator{auth}, PrimaryMAC: mac},
 		&chain.Message{Instance: 2, Req: tracedReq, Seq: 4, HasSeq: true, ReplyDigest: dig, Reply: []byte("re"), HistoryDigest: dig, CA: ca},
@@ -279,49 +279,13 @@ func TestWireByteEquality(t *testing.T) {
 	}
 }
 
-// TestTracedEnvelopeStream round-trips envelope-level trace contexts through
-// the stream codec: a traced envelope's context must survive, and untraced
-// envelopes before and after it must come back with a zero context (no bleed
-// from a reused decoder).
-func TestTracedEnvelopeStream(t *testing.T) {
-	payload := &core.FetchRequest{Instance: 1, Digests: []authn.Digest{authn.Hash([]byte("x"))}}
-	envs := []transport.Envelope{
-		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload},
-		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload,
-			Trace: obs.TraceContext{TraceID: 0x1122334455667788, Parent: 0x8877665544332211}},
-		{From: ids.Replica(1), To: ids.Replica(0), Payload: payload},
-	}
-	t.Run("binary", func(t *testing.T) {
-		var buf bytes.Buffer
-		enc := wirecodec.Binary().NewEncoder(&buf)
-		for i := range envs {
-			if err := enc.Encode(&envs[i]); err != nil {
-				t.Fatalf("encode %d: %v", i, err)
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			t.Fatalf("flush: %v", err)
-		}
-		dec := wirecodec.Binary().NewDecoder(&buf)
-		for i, want := range envs {
-			var got transport.Envelope
-			if err := dec.Decode(&got); err != nil {
-				t.Fatalf("decode %d: %v", i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("envelope %d mutated:\nsent %#v\ngot  %#v", i, want, got)
-			}
-		}
-	})
-}
-
-// TestUntracedTraceCostsZeroWireBytes pins the tentpole's wire guarantee on
-// the binary codec: requests, batches, and envelopes that carry no trace
-// context must encode to exactly as many bytes as before tracing existed —
-// the request flags byte sits where the old ReadOnly bool byte sat, the batch
-// count keeps its plain u32 form, and the envelope header gains nothing. The
-// traced forms pay exactly the documented premium (16 bytes on a request or
-// batch, 18 on an envelope: the u16 marker plus two u64s).
+// TestUntracedTraceCostsZeroWireBytes pins the tracing wire guarantee on the
+// binary codec: requests and batches that carry no trace context must encode
+// to exactly as many bytes as before tracing existed — the request flags byte
+// sits where the old ReadOnly bool byte sat, the batch count is a plain u32,
+// and the envelope header is From and To alone. Only a request carries a
+// trace context: a traced request pays 16 bytes, and a traced batch pays its
+// traced members' blocks and nothing of its own.
 func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 	tctx := obs.TraceContext{TraceID: 0xfeed, Parent: 0xbeef}
 	plainReq := msg.Request{Client: ids.Client(3), Timestamp: 7, ReadOnly: true, Command: []byte("cmd")}
@@ -348,8 +312,8 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 		t.Errorf("traced request premium: %d bytes over %d, want exactly 16", len(traced)-len(plain), len(plain))
 	}
 
-	// Batch: the traced form pays 16 bytes for the hoisted context plus 16
-	// for the traced member's own block; the untraced form pays nothing.
+	// Batch: the traced form pays 16 bytes for its traced member's block;
+	// the untraced form pays nothing.
 	req2 := msg.Request{Client: ids.Client(4), Timestamp: 9, Command: []byte("cmd-b")}
 	plainBatch, err := wirecodec.MarshalWire(&quorum.BatchRequestMessage{Instance: 1, Batch: msg.BatchOf(plainReq, req2)})
 	if err != nil {
@@ -359,13 +323,11 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal traced batch: %v", err)
 	}
-	if len(tracedBatch) != len(plainBatch)+32 {
-		t.Errorf("traced batch premium: %d bytes over %d, want exactly 32", len(tracedBatch)-len(plainBatch), len(plainBatch))
+	if len(tracedBatch) != len(plainBatch)+16 {
+		t.Errorf("traced batch premium: %d bytes over %d, want exactly 16", len(tracedBatch)-len(plainBatch), len(plainBatch))
 	}
 
-	// Envelope: stream-encode one untraced and one traced envelope of the
-	// same payload; the untraced frame must cost header + payload exactly,
-	// the traced one 18 bytes more.
+	// Envelope: the stream-encoded frame costs header + payload exactly.
 	encode := func(env transport.Envelope) int {
 		var buf bytes.Buffer
 		enc := wirecodec.Binary().NewEncoder(&buf)
@@ -381,10 +343,6 @@ func TestUntracedTraceCostsZeroWireBytes(t *testing.T) {
 	plainN := encode(env)
 	if want := 4 + 4 + 4 + len(plain); plainN != want { // frame length prefix + from + to + payload
 		t.Errorf("untraced envelope frame: %d bytes, want %d", plainN, want)
-	}
-	env.Trace = tctx
-	if tracedN := encode(env); tracedN != plainN+18 {
-		t.Errorf("traced envelope premium: %d bytes over %d, want exactly 18", tracedN-plainN, plainN)
 	}
 }
 

@@ -75,14 +75,6 @@ func (e *streamEncoder) Encode(env *transport.Envelope) error {
 	mark := len(e.buf)
 	b := appendU32(e.buf, uint32(int32(env.From)))
 	b = appendU32(b, uint32(int32(env.To)))
-	if env.Trace.Sampled() {
-		// Envelope-level trace context: the tagTraced marker plus 16 bytes
-		// between the header and the payload tag. Untraced envelopes (the
-		// common case) skip the block entirely — zero extra wire bytes.
-		b = appendU16(b, tagTraced)
-		b = appendU64(b, env.Trace.TraceID)
-		b = appendU64(b, env.Trace.Parent)
-	}
 	b, err := appendPayload(b, env.Payload, 0)
 	if err != nil {
 		// The envelope is unrepresentable; roll the frame back to the last
@@ -147,22 +139,11 @@ func (d *streamDecoder) Decode(env *transport.Envelope) error {
 	}
 	from := d.rd.id()
 	to := d.rd.id()
-	var traceID, traceParent uint64
-	tag := d.rd.u16()
-	if tag == tagTraced {
-		traceID = d.rd.u64()
-		traceParent = d.rd.u64()
-		tag = d.rd.u16()
-	}
-	payload := decodeTagged(&d.rd, tag)
+	payload := decodePayload(&d.rd)
 	if d.rd.err != nil {
 		return d.rd.err
 	}
 	env.From, env.To, env.Payload = from, to, payload
-	env.Trace.TraceID, env.Trace.Parent = 0, 0
-	if traceID != 0 {
-		env.Trace.TraceID, env.Trace.Parent = traceID, traceParent
-	}
 	return nil
 }
 

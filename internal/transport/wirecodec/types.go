@@ -25,15 +25,12 @@ import (
 // abstractlint wirereg check fails until the arm is audited, and the audit
 // fails until the type round-trips.
 const (
-	// Transport-level types. tagTraced is not a payload type: it is the
-	// envelope-level trace-context marker, read and written only by the stream
-	// encoder/decoder between the envelope header and the payload tag (a
-	// payload position holding tag 4 is still an unknown-tag error). Untraced
-	// envelopes skip it entirely, so they pay zero extra wire bytes.
+	// Transport-level types. Tag 4 was the envelope-level trace-context
+	// marker (only a request carries a trace context now); it is reserved,
+	// never reused.
 	tagPacked        uint16 = 1
 	tagConnChallenge uint16 = 2
 	tagConnProof     uint16 = 3
-	tagTraced        uint16 = 4
 
 	// Protocol request/ordering planes. Tags 14 and 16 were Quorum's and
 	// Backup's own REQ types (every REQ is core.RequestMessage, tag 10);
@@ -161,51 +158,13 @@ func decodeRequestRun(r *reader, n int) []msg.Request {
 	return out
 }
 
-// batchTracedFlag is the high bit of a batch's element count: set when the
-// batch carries a hoisted trace context (16 bytes following the count).
-// Counts are validated against the remaining frame bytes, so an honest count
-// can never reach the flag bit; an untraced batch encodes exactly as before.
-const batchTracedFlag uint32 = 1 << 31
-
 //abstractbft:noalloc
 func appendBatch(b []byte, batch msg.Batch) []byte {
-	if !batch.Trace.Sampled() {
-		return appendRequests(b, batch.Requests)
-	}
-	b = appendU32(b, uint32(len(batch.Requests))|batchTracedFlag)
-	b = appendU64(b, batch.Trace.TraceID)
-	b = appendU64(b, batch.Trace.Parent)
-	for _, req := range batch.Requests {
-		b = appendRequest(b, req)
-	}
-	return b
+	return appendRequests(b, batch.Requests)
 }
 
 func decodeBatch(r *reader) msg.Batch {
-	var batch msg.Batch
-	raw := r.u32()
-	if r.err != nil {
-		return batch
-	}
-	if raw&batchTracedFlag != 0 {
-		raw &^= batchTracedFlag
-		tid, parent := r.u64(), r.u64()
-		if tid != 0 { // zero trace ID = unsampled; drop for canonical output
-			batch.Trace.TraceID, batch.Trace.Parent = tid, parent
-		}
-	}
-	// The count is validated only after the optional trace bytes are consumed,
-	// mirroring reader.count's forged-count guard against what actually
-	// remains in the frame.
-	if int64(raw) > int64(r.rem()) {
-		r.fail(fmt.Errorf("%w: %d elements in %d remaining bytes", ErrOversized, raw, r.rem()))
-		return msg.Batch{}
-	}
-	batch.Requests = decodeRequestRun(r, int(raw))
-	if r.err != nil {
-		return msg.Batch{}
-	}
-	return batch
+	return msg.Batch{Requests: decodeRequests(r)}
 }
 
 //abstractbft:noalloc
@@ -754,18 +713,12 @@ func appendPayload(b []byte, p any, depth int) ([]byte, error) {
 // decodePayload decodes one tagged payload from the reader. On any error the
 // reader's sticky error is set and nil is returned.
 func decodePayload(r *reader) any {
-	return decodeTagged(r, r.u16())
-}
-
-// decodeTagged decodes the payload body of an already-read tag: the stream
-// decoder pre-reads the tag to peel off the optional envelope-level tagTraced
-// prefix before dispatching here.
-func decodeTagged(r *reader, tag uint16) any {
 	if r.depth++; r.depth > maxDepth {
 		r.fail(ErrDepth)
 		return nil
 	}
 	defer func() { r.depth-- }()
+	tag := r.u16()
 	if r.err != nil {
 		return nil
 	}

@@ -42,8 +42,8 @@ func samplePayloads() []any {
 		}},
 		Requests: []msg.Request{req},
 	}
-	// A traced request and batch exercise the flags-byte trace block and the
-	// high-bit batch count marker in every corpus-driven test (truncation,
+	// A traced request, alone and as a batch member, exercises the
+	// flags-byte trace block in every corpus-driven test (truncation,
 	// mutation fuzz, unknown-tag audit).
 	tracedReq := msg.Request{Client: ids.Client(5), Timestamp: 11, Command: []byte("cmd-t"),
 		Trace: obs.TraceContext{TraceID: 0xabcdef0112345678, Parent: 0xabcdef0112345678}}
@@ -118,6 +118,69 @@ func TestUnknownTagErrors(t *testing.T) {
 		if !errors.Is(err, wirecodec.ErrUnknownTag) {
 			t.Fatalf("tag %d: got %v, want ErrUnknownTag", tag, err)
 		}
+	}
+}
+
+// TestRetiredTraceMarkersRejected: only a request carries a trace context on
+// the wire. A frame with a tag-4 trace block between the envelope header and
+// the payload, and a batch count with its high bit set and a trace block
+// after it, are both decode errors; the traced-request seeds of the fuzz
+// corpus stay a decode/encode fixpoint.
+func TestRetiredTraceMarkersRejected(t *testing.T) {
+	payload, err := wirecodec.MarshalWire(&shard.MergedQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceBlock := binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(nil, 0xabcdef0112345678), 0xabcdef0112345678)
+
+	body := binary.BigEndian.AppendUint32(nil, uint32(ids.Replica(1)))
+	body = binary.BigEndian.AppendUint32(body, uint32(ids.Replica(2)))
+	body = binary.BigEndian.AppendUint16(body, 4)
+	body = append(append(body, traceBlock...), payload...)
+	frame := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	var env transport.Envelope
+	if err := wirecodec.Binary().NewDecoder(bytes.NewReader(frame)).Decode(&env); err == nil {
+		t.Fatalf("envelope with a tag-4 trace block decoded: %+v", env)
+	}
+
+	// A ZLight ORDER's batch count follows its tag and instance (10 bytes).
+	req := msg.Request{Client: ids.Client(3), Timestamp: 7, Command: []byte("cmd-a")}
+	order, err := wirecodec.MarshalWire(&zlight.OrderMessage{Instance: 1, Batch: msg.Batch{Requests: []msg.Request{req}}, Seq: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const countAt = 10
+	if got := binary.BigEndian.Uint32(order[countAt:]); got != 1 {
+		t.Fatalf("batch count at offset %d is %d, want 1", countAt, got)
+	}
+	flagged := append([]byte(nil), order[:countAt]...)
+	flagged = binary.BigEndian.AppendUint32(flagged, 1<<31|1)
+	flagged = append(append(flagged, traceBlock...), order[countAt+4:]...)
+	if p, err := wirecodec.UnmarshalWire(flagged); err == nil {
+		t.Fatalf("batch count with bit 31 set decoded: %#v", p)
+	}
+
+	traced := 0
+	for _, p := range samplePayloads() {
+		b, err := wirecodec.MarshalWire(p)
+		if err != nil {
+			t.Fatalf("marshal %T: %v", p, err)
+		}
+		if !bytes.Contains(b, traceBlock) {
+			continue
+		}
+		traced++
+		got, err := wirecodec.UnmarshalWire(b)
+		if err != nil {
+			t.Fatalf("traced %T does not decode: %v", p, err)
+		}
+		re, err := wirecodec.MarshalWire(got)
+		if err != nil || !bytes.Equal(re, b) {
+			t.Fatalf("traced %T is not a fixpoint (err %v)", p, err)
+		}
+	}
+	if traced == 0 {
+		t.Fatal("no traced-request seed in the corpus")
 	}
 }
 

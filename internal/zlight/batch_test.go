@@ -73,10 +73,10 @@ func TestZLightBatchSizeOneMatchesUnbatchedSemantics(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for _, h := range tc.hosts {
-		for h.AppliedRequests() < 10 && time.Now().Before(deadline) {
+		for applied(h) < 10 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if got := h.AppliedRequests(); got != 10 {
+		if got := applied(h); got != 10 {
 			t.Errorf("replica %v applied %d requests, want 10", h.ID(), got)
 		}
 	}
@@ -148,10 +148,10 @@ func TestZLightDuplicateTimestampWithinOneWindow(t *testing.T) {
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for _, h := range tc.hosts {
-		for h.AppliedRequests() < 1 && time.Now().Before(deadline) {
+		for applied(h) < 1 && time.Now().Before(deadline) {
 			time.Sleep(5 * time.Millisecond)
 		}
-		if got := h.AppliedRequests(); got != 1 {
+		if got := applied(h); got != 1 {
 			t.Errorf("replica %v applied %d requests, want exactly 1", h.ID(), got)
 		}
 	}
