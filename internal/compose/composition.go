@@ -6,7 +6,6 @@ import (
 
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
-	"abstractbft/internal/ids"
 )
 
 // Options tunes the constituent instances of a composition. Each knob is
@@ -81,8 +80,8 @@ func (c *Composition) StrongIndex(id core.InstanceID) int { return c.spec.Strong
 // ReplicaFactory derives the per-instance protocol factory replicas run: the
 // descriptor constructors are built once per stage and instances dispatch to
 // their slot's factory.
-func (c *Composition) ReplicaFactory(cluster ids.Cluster) host.ProtocolFactory {
-	ctx := ReplicaContext{Cluster: cluster, Opts: c.opts, StrongIndex: c.spec.StrongIndex}
+func (c *Composition) ReplicaFactory() host.ProtocolFactory {
+	ctx := ReplicaContext{Opts: c.opts, StrongIndex: c.spec.StrongIndex}
 	made := make(map[*Descriptor]host.ProtocolFactory, len(c.descs))
 	for _, d := range c.descs {
 		if _, ok := made[d]; !ok {

@@ -23,16 +23,14 @@ import (
 
 	"abstractbft/internal/core"
 	"abstractbft/internal/host"
-	"abstractbft/internal/ids"
 )
 
 // ReplicaContext is what a descriptor's replica constructor gets to build the
-// per-instance protocol factory of one composition: the cluster, the
-// composition-wide options, and the schedule-derived strong-stage index (the
-// "how many Backups preceded me" input of the exponential K policy).
+// per-instance protocol factory of one composition: the composition-wide
+// options and the schedule-derived strong-stage index (the "how many Backups
+// preceded me" input of the exponential K policy). Each protocol replica
+// reads its cluster from its host (Host.Cluster).
 type ReplicaContext struct {
-	// Cluster describes the replica group.
-	Cluster ids.Cluster
 	// Opts are the composition options.
 	Opts Options
 	// StrongIndex maps an instance number to the 0-based count of

@@ -58,8 +58,6 @@ type Outcome struct {
 // instance: the identifier of next(i) and the init history (abort history +
 // unforgeable proof) to pass along.
 type AbortIndication struct {
-	// From is the aborting instance.
-	From InstanceID
 	// Next is next(i), the instance to switch to.
 	Next InstanceID
 	// Init is the abort history of the aborting instance packaged as the

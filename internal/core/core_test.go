@@ -190,7 +190,7 @@ func (f *fakeInstance) Invoke(ctx context.Context, req msg.Request, init *InitHi
 }
 
 func TestComposerSwitchesOnAbort(t *testing.T) {
-	abortTo2 := Outcome{Abort: &AbortIndication{From: 1, Next: 2, Init: InitHistory{From: 1, For: 2}}}
+	abortTo2 := Outcome{Abort: &AbortIndication{Next: 2, Init: InitHistory{From: 1, For: 2}}}
 	inst1 := &fakeInstance{id: 1, outcomes: []Outcome{{Committed: true, Reply: []byte("a")}, abortTo2}}
 	inst2 := &fakeInstance{id: 2, outcomes: []Outcome{{Committed: true, Reply: []byte("b")}, {Committed: true, Reply: []byte("c")}}}
 	factory := func(id InstanceID) (Instance, error) {

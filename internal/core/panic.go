@@ -92,5 +92,5 @@ func (c *AbortCollector) Build(known []msg.Request) (AbortIndication, error) {
 	if err != nil {
 		return AbortIndication{}, err
 	}
-	return AbortIndication{From: c.instance, Next: next, Init: ih}, nil
+	return AbortIndication{Next: next, Init: ih}, nil
 }

@@ -147,7 +147,7 @@ func (c *Cluster) hostConfig(r ids.ProcessID, ep transport.Endpoint) host.Config
 		Keys:                c.Keys,
 		App:                 c.cfg.NewApp(),
 		Endpoint:            ep,
-		NewProtocol:         c.cfg.Composition.ReplicaFactory(c.Cluster),
+		NewProtocol:         c.cfg.Composition.ReplicaFactory(),
 		Batch:               c.cfg.Batch,
 		CheckpointInterval:  c.cfg.CheckpointInterval,
 		InstrumentHistories: c.cfg.InstrumentHistories,

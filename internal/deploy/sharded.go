@@ -5,7 +5,6 @@ import (
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/core"
-	"abstractbft/internal/host"
 	"abstractbft/internal/ids"
 	"abstractbft/internal/shard"
 	"abstractbft/internal/transport"
@@ -58,15 +57,13 @@ func NewSharded(cfg Config) (*Sharded, error) {
 func (s *Sharded) buildNode(r ids.ProcessID) *shard.Node {
 	cfg := s.cfg
 	return shard.NewNode(shard.NodeConfig{
-		Shards:   cfg.Shards,
-		Cluster:  s.Cluster,
-		Replica:  r,
-		Keys:     s.Keys,
-		Endpoint: s.Net.Endpoint(r),
-		NewApp:   cfg.NewApp,
-		NewProtocol: func(sh int, cl ids.Cluster) host.ProtocolFactory {
-			return cfg.Composition.ReplicaFactory(cl)
-		},
+		Shards:              cfg.Shards,
+		Cluster:             s.Cluster,
+		Replica:             r,
+		Keys:                s.Keys,
+		Endpoint:            s.Net.Endpoint(r),
+		NewApp:              cfg.NewApp,
+		NewProtocol:         cfg.Composition.ReplicaFactory(),
 		Batch:               cfg.Batch,
 		Epoch:               cfg.ShardEpoch,
 		CheckpointInterval:  cfg.CheckpointInterval,

@@ -280,15 +280,13 @@ func (t Topology) NewNodeObs(self ids.ProcessID, ep transport.Endpoint, logger *
 	keys := t.Keys()
 	keys.SetMetrics(reg)
 	return shard.NewNode(shard.NodeConfig{
-		Shards:   t.ShardCount(),
-		Cluster:  t.Cluster(),
-		Replica:  self,
-		Keys:     keys,
-		Endpoint: ep,
-		NewApp:   t.NewApp(),
-		NewProtocol: func(sh int, cl ids.Cluster) host.ProtocolFactory {
-			return comp.ReplicaFactory(cl)
-		},
+		Shards:             t.ShardCount(),
+		Cluster:            t.Cluster(),
+		Replica:            self,
+		Keys:               keys,
+		Endpoint:           ep,
+		NewApp:             t.NewApp(),
+		NewProtocol:        comp.ReplicaFactory(),
 		Batch:              host.BatchPolicy{MaxBatch: t.MaxBatch},
 		Epoch:              t.ShardEpoch,
 		CheckpointInterval: t.CheckpointInterval,

@@ -12,17 +12,14 @@ import (
 // replica stops executing requests of the instance and returns a signed
 // ABORT message carrying its history report. A replica that never
 // initialized the instance does so first from the InitMessage the client
-// sends ahead of each PANIC round (Step P2+). The ABORT goes to from, the
-// PANIC's sender.
+// sends ahead of each PANIC round (Step P2+); a PANIC for an instance it
+// never activated is dropped. The ABORT goes to from, the PANIC's sender.
 func (h *Host) handlePanic(from ids.ProcessID, m *core.PanicMessage) {
 	st := h.instances[m.Instance]
-	if st == nil {
-		st = h.activate(m.Instance, nil)
-	}
 	if st == nil || !st.Initialized {
 		return
 	}
-	if proto, ok := h.protocols[st.ID].(PanicResistant); ok && !proto.StopOnPanic() {
+	if proto, ok := st.proto.(PanicResistant); ok && !proto.StopOnPanic() {
 		// Instances with strong progress (Backup) ignore panics until they
 		// decide to stop on their own; once stopped they answer with their
 		// signed abort.

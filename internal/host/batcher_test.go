@@ -33,8 +33,11 @@ func newMeteredBatcherHost(t *testing.T, policy BatchPolicy, reg *obs.Registry) 
 		Keys:     authn.NewKeyStore("batcher-test"),
 		App:      app.NewNull(0),
 		Endpoint: net.Endpoint(ids.Replica(0)),
-		Batch:    policy,
-		Metrics:  reg,
+		NewProtocol: func(*Host, *InstanceState) ProtocolReplica {
+			return nopReplica{}
+		},
+		Batch:   policy,
+		Metrics: reg,
 	})
 }
 

@@ -310,7 +310,7 @@ func TestGCReleasesSupersededInstances(t *testing.T) {
 		}
 		st2.sealHead()
 		h.instances[2] = st2
-		h.protocols[2] = nopReplica{}
+		st2.proto = nopReplica{}
 		h.active = 2
 	})
 	drive(t, h, st2, 21, 60)

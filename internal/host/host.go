@@ -162,11 +162,14 @@ type Host struct {
 
 	mu sync.Mutex
 	// instances holds the state of every instance this replica has
-	// participated in, keyed by instance number.
+	// activated, keyed by instance number. New activates the first and
+	// handleInit every later one from a verified init; each activation stops
+	// the previous active instance, so only instances[active] is ever live.
 	instances map[core.InstanceID]*InstanceState
-	protocols map[core.InstanceID]ProtocolReplica
-	// active is the highest activated instance.
-	active core.InstanceID
+	// active is the highest activated instance. released is the active
+	// instance at the last garbage collection: every instance below it has
+	// had its storage released (onStableCheckpoint).
+	active, released core.InstanceID
 
 	// application execution state, which applyRequest advances and install
 	// replaces. appliedDigs stores the digests of the applied requests from
@@ -233,7 +236,6 @@ func New(cfg Config) *Host {
 		keys:           cfg.Keys,
 		ep:             cfg.Endpoint,
 		instances:      make(map[core.InstanceID]*InstanceState),
-		protocols:      make(map[core.InstanceID]ProtocolReplica),
 		application:    cfg.App,
 		appliedWindows: make(map[ids.ProcessID]tsState),
 		lastReply:      make(map[ids.ProcessID]*replyRing),
@@ -245,6 +247,7 @@ func New(cfg Config) *Host {
 	// Seq 0 is a boundary too, serialized at once: an application starts
 	// out (nearly) empty.
 	h.snaps.Add(statesync.Snapshot{AppState: cfg.App.Snapshot()})
+	h.activate(core.FirstInstance, nil)
 	return h
 }
 
@@ -337,20 +340,21 @@ func (h *Host) run() {
 	}
 }
 
-// tickProtocols drives time-based behaviour of active protocol replicas.
+// tickProtocols drives time-based behaviour of the live instance, the only
+// one that is not stopped: its protocol replica's tick, and the re-sent FETCH
+// of its initialization while that still misses bodies (as tickSync retries
+// FETCH-STATE), so a lost FETCH or response cannot strand it.
 func (h *Host) tickProtocols() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for id, proto := range h.protocols {
-		st := h.instances[id]
-		if st == nil || st.Stopped {
-			continue
-		}
-		if t, ok := proto.(Ticker); ok {
+	if st := h.instances[h.active]; !st.Stopped {
+		if t, ok := st.proto.(Ticker); ok {
 			t.ProtocolTick()
 		}
+		if len(st.missing) > 0 {
+			h.sendFetch(st)
+		}
 	}
-	h.tickFetch()
 	h.tickSync()
 }
 
@@ -389,19 +393,15 @@ func (h *Host) dispatch(env transport.Envelope) {
 const maxHeld = 1024
 
 // routeProtocol delivers a protocol-specific message to the replica of the
-// instance it belongs to. Such a message activates only FirstInstance; every
-// later instance activates from its InitMessage.
+// instance it belongs to. A message for an instance this replica never
+// activated is dropped: only New and a verified InitMessage activate one.
 func (h *Host) routeProtocol(from ids.ProcessID, payload any) {
 	im, ok := payload.(core.InstanceMessage)
 	if !ok {
 		h.logf("dropping unknown message %T", payload)
 		return
 	}
-	inst := im.AbstractInstance()
-	st := h.instances[inst]
-	if st == nil {
-		st = h.activate(inst, nil)
-	}
+	st := h.instances[im.AbstractInstance()]
 	if st == nil {
 		return
 	}
@@ -413,11 +413,7 @@ func (h *Host) routeProtocol(from ids.ProcessID, payload any) {
 		}
 		return
 	}
-	proto := h.protocols[inst]
-	if proto == nil {
-		return
-	}
-	proto.Handle(from, payload)
+	st.proto.Handle(from, payload)
 }
 
 // ActiveInstance returns the highest instance this replica has activated.
@@ -436,13 +432,13 @@ func (h *Host) Application() app.Application {
 	return h.application.Clone()
 }
 
-// Bootstrap activates the host's first instance without any network traffic
-// and returns its state: direct-drive benchmarks and tests log and execute
-// against the instance through Locked without standing up a protocol.
+// Bootstrap returns the state of the host's first instance, which New
+// activated: direct-drive benchmarks and tests log and execute against the
+// instance through Locked without standing up a protocol.
 func (h *Host) Bootstrap() *InstanceState {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.activate(core.FirstInstance, nil)
+	return h.instances[core.FirstInstance]
 }
 
 // InstanceStateFor returns the state of the given instance (nil when the

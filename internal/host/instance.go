@@ -143,8 +143,8 @@ type InstanceState struct {
 	// FilterFreshBatch has no host receiver.
 	staleCtr   *obs.Counter
 	readmitCtr *obs.Counter
-	// proto-specific sequence counter (sn_j for the primary/head).
-	NextSeq uint64
+	// proto is the instance's protocol replica, made at activation.
+	proto ProtocolReplica
 }
 
 // AbsLen returns the absolute length of the local history (trimmed entries
@@ -331,14 +331,13 @@ func (st *InstanceState) FilterFreshBatch(batch msg.Batch) (fresh msg.Batch, sta
 	return fresh, stale
 }
 
-// activate creates (and initializes, when possible) the state of instance id
-// from init, the instance's InitMessage (nil for FirstInstance). Callers
-// hold the host lock. It returns nil when the activation is not allowed
-// (missing or invalid init history).
+// activate creates (and initializes, when possible) the state of instance id,
+// which must lie above the active one, from init, its InitMessage: New
+// activates FirstInstance with a nil init, handleInit every later instance.
+// The new instance becomes the active one and the previous active instance
+// stops, so at most one instance is ever live. Callers hold the host lock.
+// It returns nil when the init history is invalid.
 func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceState {
-	if st, ok := h.instances[id]; ok {
-		return st
-	}
 	st := &InstanceState{
 		ID:         id,
 		windows:    make(map[ids.ProcessID]tsState),
@@ -347,13 +346,10 @@ func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceSta
 		readmitCtr: h.met.windowHits,
 	}
 
-	switch {
-	case id == core.FirstInstance && init == nil:
+	if init == nil {
 		st.Initialized = true
-	case init == nil:
-		h.logf("cannot activate instance %d without init history", id)
-		return nil
-	default:
+		h.noteActivated(id)
+	} else {
 		if err := core.VerifyInitHistory(h.keys, h.cluster, id, &init.Init); err != nil {
 			h.logf("rejecting init history for instance %d: %v", id, err)
 			return nil
@@ -366,34 +362,23 @@ func (h *Host) activate(id core.InstanceID, init *core.InitMessage) *InstanceSta
 	}
 
 	h.instances[id] = st
-	if id > h.active {
-		// Stop all lower instances: at most one instance commits at a time.
-		for lower, ls := range h.instances {
-			if lower < id && !ls.Stopped {
-				ls.Stopped = true
+	if prev := h.instances[h.active]; prev != nil {
+		// At most one instance commits at a time.
+		prev.Stopped = true
+		h.met.switches.Inc()
+		if h.cfg.Flight != nil {
+			// Record the switch with the abort reporter set of the init
+			// proof: which replicas' signed aborts justified it.
+			var reporters []ids.ProcessID
+			for _, s := range init.Init.Proof {
+				reporters = append(reporters, s.Abort.Replica)
 			}
+			h.cfg.Flight.Record("switch", h.cfg.Shard,
+				"instance %d -> %d, reporters %v", h.active, id, reporters)
 		}
-		if h.active != 0 {
-			h.met.switches.Inc()
-			if h.cfg.Flight != nil {
-				// Record the switch with the abort reporter set of the init
-				// proof: which replicas' signed aborts justified it.
-				var reporters []ids.ProcessID
-				if init != nil {
-					for _, s := range init.Init.Proof {
-						reporters = append(reporters, s.Abort.Replica)
-					}
-				}
-				h.cfg.Flight.Record("switch", h.cfg.Shard,
-					"instance %d -> %d, reporters %v", h.active, id, reporters)
-			}
-		}
-		h.active = id
 	}
-	h.protocols[id] = h.cfg.NewProtocol(h, st)
-	if st.Initialized {
-		h.noteActivated(id)
-	}
+	h.active = id
+	st.proto = h.cfg.NewProtocol(h, st)
 	return st
 }
 
@@ -409,7 +394,6 @@ func (h *Host) adoptInit(st *InstanceState, init *core.InitHistory) {
 	st.BaseDigest = init.Extract.BaseDigest
 	st.resetHistory(0, authn.Digest{}, init.Extract.Suffix)
 	st.Checkpoint.Reset()
-	st.NextSeq = uint64(len(st.Digests))
 	st.InitLowLoad = core.InitHasFlag(init, h.cluster, core.AbortFlagLowLoad)
 
 	// Every body the adopted history names is kept up to its end, also one
@@ -476,35 +460,13 @@ func (h *Host) sendFetch(st *InstanceState) {
 	h.Multicast(h.OtherReplicas(), &core.FetchRequest{Instance: st.ID, Digests: want})
 }
 
-// tickFetch re-sends, every protocol tick, the FETCH of each initialization
-// still missing bodies, as tickSync retries FETCH-STATE, so a lost FETCH or
-// response cannot strand it. A stopped instance was superseded.
-func (h *Host) tickFetch() {
-	for _, st := range h.instances {
-		if len(st.missing) > 0 && !st.Stopped {
-			h.sendFetch(st)
-		}
-	}
-}
-
 // finishInit completes initialization once every request body referenced by
 // the init history is available locally, then delivers the protocol
 // messages held meanwhile.
 func (h *Host) finishInit(st *InstanceState) {
 	st.missing = nil
 	st.Initialized = true
-
-	// Update per-client timestamp windows from the adopted history so
-	// duplicate requests are rejected.
-	for i, d := range st.Digests {
-		if r, ok := h.RequestByDigest(d); ok {
-			st.markLogged(r.Client, r.Timestamp)
-			if h.observer != nil {
-				h.observer.RequestLogged(st.ID, r, st.BaseSeq+uint64(i))
-			}
-		}
-	}
-
+	h.replayAdopted(st)
 	h.reconcileApplication(st)
 	if h.appliedSeq < st.BaseSeq {
 		// The adopted init history starts at a base checkpoint this replica
@@ -518,9 +480,22 @@ func (h *Host) finishInit(st *InstanceState) {
 	h.noteActivated(st.ID)
 	held := st.held
 	st.held = nil
-	if proto := h.protocols[st.ID]; proto != nil {
-		for _, env := range held {
-			proto.Handle(env.From, env.Payload)
+	for _, env := range held {
+		st.proto.Handle(env.From, env.Payload)
+	}
+}
+
+// replayAdopted marks the timestamp windows of st's adopted history, so
+// duplicate requests are rejected, and hands the observer every entry whose
+// body is known at its absolute position.
+func (h *Host) replayAdopted(st *InstanceState) {
+	start := st.BaseSeq + st.trimmed
+	for i, d := range st.Digests {
+		if r, ok := h.RequestByDigest(d); ok {
+			st.markLogged(r.Client, r.Timestamp)
+			if h.observer != nil {
+				h.observer.RequestLogged(st.ID, r, start+uint64(i))
+			}
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package host
 
-import "abstractbft/internal/core"
-
 // NullOpOrderer is implemented by protocol replicas whose orderer can inject
 // a Mencius-style null operation into the instance's history: a request from
 // the reserved ids.NullOp identity with an empty command, ordered like any
@@ -23,16 +21,10 @@ func (h *Host) OrderNullOp() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.instances[h.active]
-	if st == nil {
-		// A fully idle shard never received a message, so its first instance
-		// was never activated; the leader bootstraps it (backups activate on
-		// the first null-op ORDER, like on any first instance message).
-		st = h.activate(core.FirstInstance, nil)
-	}
-	if st == nil || st.Stopped || !st.Initialized {
+	if st.Stopped || !st.Initialized {
 		return false
 	}
-	if p, ok := h.protocols[h.active].(NullOpOrderer); ok {
+	if p, ok := st.proto.(NullOpOrderer); ok {
 		return p.OrderNullOp()
 	}
 	return false

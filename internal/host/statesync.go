@@ -118,17 +118,15 @@ func (h *Host) maybeSnapshot() {
 	// A checkpoint can stabilize before the application executes up to it
 	// (logging runs ahead of execution within a batch): garbage collection
 	// deferred then runs now that the application crossed the boundary.
-	if st := h.instances[h.active]; st != nil {
-		h.onStableCheckpoint(st)
-	}
+	h.onStableCheckpoint(h.instances[h.active])
 }
 
 // onStableCheckpoint garbage-collects replica state below the trim point
 // (trimPoint) once a checkpoint is stable: the active instance's materialized
 // digest prefix, the host's applied digest prefix, the request bodies stamped
 // below it, and older snapshots. The digest chains are left folds, so
-// trimming storage changes no observable digest. Superseded instances are
-// released whole.
+// trimming storage changes no observable digest. The instances superseded
+// since the last collection are released whole, each once.
 func (h *Host) onStableCheckpoint(st *InstanceState) {
 	if h.cfg.InstrumentHistories || st.ID != h.active {
 		return
@@ -144,19 +142,20 @@ func (h *Host) onStableCheckpoint(st *InstanceState) {
 		trimFront(&h.appliedDigs, &h.appliedSpare, applied)
 		h.appliedTrim += uint64(applied)
 	}
-	// Superseded (stopped, non-active) instances would otherwise pin their
-	// whole pre-switch history for the life of the replica. Freeze each
-	// one's signed abort first — late panickers still get the full report,
-	// whose suffix the cached abort holds its own copy of — then release the
-	// storage entirely. The bodies they name carry their own stamps.
-	for id, inst := range h.instances {
-		if id == h.active || !inst.Stopped || !inst.Initialized {
-			continue
+	// Superseded instances would otherwise pin their whole pre-switch
+	// history for the life of the replica. Freeze each one's signed abort
+	// first — late panickers still get the full report, whose suffix the
+	// cached abort holds its own copy of — then release the storage entirely.
+	// The bodies they name carry their own stamps. One that never finished
+	// its initialization never will (completeInit), and answers no PANIC.
+	if h.released < h.active {
+		for id, inst := range h.instances {
+			if id >= h.released && id < h.active && inst.Initialized {
+				h.signedAbort(inst)
+				digests += inst.TrimTo(inst.AbsLen())
+			}
 		}
-		if inst.cachedAbort == nil {
-			h.signedAbort(inst)
-		}
-		digests += inst.TrimTo(inst.AbsLen())
+		h.released = h.active
 	}
 	bodies := h.releaseBodies(s)
 	h.snaps.PruneBelow(s)
@@ -303,14 +302,7 @@ func (h *Host) sendFetchState() {
 func (h *Host) SyncState(maxSeq uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	st := h.instances[h.active]
-	if st == nil {
-		st = h.activate(core.FirstInstance, nil)
-		if st == nil {
-			return
-		}
-	}
-	h.startStateSync(st.ID, maxSeq)
+	h.startStateSync(h.active, maxSeq)
 }
 
 // Syncing reports whether a state transfer is still in flight.
@@ -415,17 +407,7 @@ func (h *Host) adoptSyncedState(a *statesync.Adopted, inst core.InstanceID, disc
 		if iv := uint64(st.Checkpoint.Interval); a.Snap.Seq > 0 && a.Snap.Seq%iv == 0 {
 			st.Checkpoint.AdoptStable(a.Snap.Seq/iv, a.Snap.HistDigest)
 		}
-		for i, d := range st.Digests {
-			if r, ok := h.RequestByDigest(d); ok {
-				st.markLogged(r.Client, r.Timestamp)
-				if h.observer != nil {
-					h.observer.RequestLogged(st.ID, r, st.BaseSeq+st.trimmed+uint64(i))
-				}
-			}
-		}
-		if end := st.AbsLen(); st.NextSeq < end {
-			st.NextSeq = end
-		}
+		h.replayAdopted(st)
 	}
 	// Apply the agreed suffix bodies that extend the applied sequence
 	// directly: in the below-base fill they cover the gap between the
@@ -494,9 +476,6 @@ func (h *Host) CheckpointStatus() (stableSeq, trimmed uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	st := h.instances[h.active]
-	if st == nil {
-		return 0, 0
-	}
 	return st.Checkpoint.StableSeq(), st.Trimmed()
 }
 
@@ -507,8 +486,5 @@ func (h *Host) CheckpointStatus() (stableSeq, trimmed uint64) {
 func (h *Host) GCStats() (histDigests, appliedDigests, storedRequests, snapshots int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if st := h.instances[h.active]; st != nil {
-		histDigests = len(st.Digests)
-	}
-	return histDigests, len(h.appliedDigs), len(h.requestStore), h.snaps.Len()
+	return len(h.instances[h.active].Digests), len(h.appliedDigs), len(h.requestStore), h.snaps.Len()
 }

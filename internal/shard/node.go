@@ -34,10 +34,10 @@ type NodeConfig struct {
 	// NewApp builds one application partition per shard; nil selects a null
 	// application.
 	NewApp func() app.Application
-	// NewProtocol builds the per-instance protocol factory of one shard,
-	// given the shard's rotated cluster (a compose.Composition provides it:
-	// Composition.ReplicaFactory).
-	NewProtocol func(shard int, cluster ids.Cluster) host.ProtocolFactory
+	// NewProtocol is every shard's per-instance protocol factory (a
+	// compose.Composition provides it: Composition.ReplicaFactory); each
+	// protocol replica reads its shard's rotated cluster from its host.
+	NewProtocol host.ProtocolFactory
 	// Batch is the per-shard batch assembler policy.
 	Batch host.BatchPolicy
 	// Epoch is the execution stage's merge round length (0 = DefaultEpoch).
@@ -135,7 +135,7 @@ func NewNode(cfg NodeConfig) *Node {
 			Keys:               cfg.Keys,
 			App:                cfg.NewApp(),
 			Endpoint:           n.Router.Endpoint(s),
-			NewProtocol:        cfg.NewProtocol(s, cl),
+			NewProtocol:        cfg.NewProtocol,
 			Batch:              cfg.Batch,
 			CheckpointInterval: cfg.CheckpointInterval,
 			// GC must not outrun the merged mirror: a recovering peer

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
+	"slices"
 
 	"abstractbft/internal/authn"
 	"abstractbft/internal/ids"
@@ -74,26 +76,53 @@ type mergedKey struct {
 // catches f+1 peers at the same boundary — but every peer passes through
 // every round boundary, so distinct peers' reports of the same (seq, digest)
 // accumulate into an agreement even when they were observed at different
-// times. Only the node loop touches it.
+// times. Each voter holds at most maxMergedVotes keys, so votes stays below
+// n·maxMergedVotes keys however many boundaries a faulty peer MACs. Only the
+// node loop touches it.
 type mergedCollector struct {
 	need  int
 	votes map[mergedKey]map[ids.ProcessID]bool
+	// held lists each voter's keys in votes, in ascending seq order.
+	held map[ids.ProcessID][]mergedKey
 }
+
+// maxMergedVotes bounds the keys one voter holds. A voter keeps its newest
+// (highest) boundaries: a correct peer's mirror only moves forward, and best
+// prefers the highest agreed boundary, so its older votes matter least.
+const maxMergedVotes = 8
 
 func newMergedCollector(cluster ids.Cluster) *mergedCollector {
 	return &mergedCollector{
 		need:  cluster.WeakQuorum(),
 		votes: make(map[mergedKey]map[ids.ProcessID]bool),
+		held:  make(map[ids.ProcessID][]mergedKey),
 	}
 }
 
-// add records peer from's (authenticated) vote.
-func (c *mergedCollector) add(from ids.ProcessID, m *MergedState) {
+// add records peer from's (authenticated) vote. Keys below floor, the lowest
+// boundary the loop can still adopt, are never adoptable (best ignores
+// them), so the vote is dropped when it lies there, and so are the voter's
+// keys that fell below it since; past maxMergedVotes the voter's oldest key
+// goes, the new one included when it is older still.
+func (c *mergedCollector) add(from ids.ProcessID, m *MergedState, floor uint64) {
 	key := mergedKey{seq: m.Seq, dig: m.Digest}
+	if key.seq < floor || c.votes[key][from] {
+		return
+	}
 	if c.votes[key] == nil {
 		c.votes[key] = make(map[ids.ProcessID]bool)
 	}
 	c.votes[key][from] = true
+	held := append(c.held[from], key)
+	slices.SortFunc(held, func(a, b mergedKey) int { return cmp.Compare(a.seq, b.seq) })
+	cut := 0
+	for ; cut < len(held) && (held[cut].seq < floor || len(held)-cut > maxMergedVotes); cut++ {
+		k := held[cut]
+		if delete(c.votes[k], from); len(c.votes[k]) == 0 {
+			delete(c.votes, k)
+		}
+	}
+	c.held[from] = held[cut:]
 }
 
 // best returns the highest boundary at or above minSeq that f+1 distinct
@@ -290,7 +319,7 @@ func (l *nodeLoop) control(env transport.Envelope) {
 		if n.cfg.Keys.VerifyMAC(from, self, data[:], m.MAC) != nil {
 			return
 		}
-		l.col.add(from, m)
+		l.col.add(from, m, l.next)
 		// The first agreement is adopted as soon as it forms; newer ones
 		// wait for poll, which adopts them only while a shard still syncs.
 		if l.waiter == nil {
